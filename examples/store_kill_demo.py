@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 
 from repro.live import audit_store_repairs
-from repro.store import StoreLauncher, call
+from repro.store import StoreLauncher, call, close_idle_connections
 from repro.telemetry import (
     CLOCK_WALL,
     PROC_ATTR,
@@ -57,9 +57,13 @@ CONFIG = dict(
 
 def pick_victim(addr: dict, name: str) -> int:
     """The node holding stripe 0's first block — guaranteed to hurt."""
-    info, _ = asyncio.run(
-        call(addr["host"], addr["port"], "object.lookup", {"name": name})
-    )
+    async def lookup():
+        try:
+            return await call(addr["host"], addr["port"], "object.lookup", {"name": name})
+        finally:
+            await close_idle_connections()  # this loop ends with the lookup
+
+    info, _ = asyncio.run(lookup())
     return info["stripes"][0]["placement"]["0"]
 
 

@@ -986,7 +986,8 @@ def _render_stats(scrape: dict) -> str:
         f"{int(g.get('objects', 0))} objects, "
         f"{int(g.get('degraded_stripes', 0))} degraded stripes, "
         f"{int(g.get('repairs_active', 0))} repairs active, "
-        f"{coord.get('repairs_done', 0)} repairs done"
+        f"{coord.get('repairs_done', 0)} repairs done, "
+        f"{int(g.get('open_connections', 0))} connections open"
     )
     out.extend(_latency_lines(coord))
     for nid, body in sorted(scrape["nodes"].items(), key=lambda kv: int(kv[0])):
@@ -1000,7 +1001,8 @@ def _render_stats(scrape: dict) -> str:
         out.append(
             f"node-{nid}: up {body.get('uptime_s', 0.0):.1f}s, "
             f"{int(ng.get('blocks', 0))} blocks, "
-            f"{int(ng.get('repairs_inflight', 0))} repairs in flight{nic}"
+            f"{int(ng.get('repairs_inflight', 0))} repairs in flight, "
+            f"{int(ng.get('open_connections', 0))} connections open{nic}"
         )
         out.extend(_latency_lines(body))
     return "\n".join(out)
@@ -1041,10 +1043,12 @@ def _cmd_top(args) -> int:
             f"objects {int(g.get('objects', 0))}  "
             f"degraded {int(g.get('degraded_stripes', 0))}  "
             f"repairs active {int(g.get('repairs_active', 0))} "
-            f"done {coord.get('repairs_done', 0)}",
+            f"done {coord.get('repairs_done', 0)}  "
+            f"conns {int(g.get('open_connections', 0))}",
             "",
             f"{'node':<8} {'proc':<8} {'beat':>7} {'blocks':>7} {'rif':>4} "
-            f"{'nic%':>6} {'fg p99 ms':>10} {'rep p99 ms':>11} {'rpcs':>7}",
+            f"{'nic%':>6} {'fg p99 ms':>10} {'rep p99 ms':>11} {'rpcs':>7} "
+            f"{'conns':>6}",
         ]
         nodes = status["service"].get("nodes", {})
         for nid, body in sorted(scrape["nodes"].items(), key=lambda kv: int(kv[0])):
@@ -1054,7 +1058,7 @@ def _cmd_top(args) -> int:
             if "error" in body:
                 lines.append(
                     f"node-{nid:<4} {proc:<8} {beat:>7} {'-':>7} {'-':>4} "
-                    f"{'-':>6} {'-':>10} {'-':>11} {'-':>7}"
+                    f"{'-':>6} {'-':>10} {'-':>11} {'-':>7} {'-':>6}"
                 )
                 continue
             ng = body.get("gauges", {})
@@ -1071,7 +1075,8 @@ def _cmd_top(args) -> int:
                 f"node-{nid:<4} {proc:<8} {beat:>7} "
                 f"{int(ng.get('blocks', 0)):>7} "
                 f"{int(ng.get('repairs_inflight', 0)):>4} "
-                f"{nic:>6} {fg:>10} {rep:>11} {rpcs:>7}"
+                f"{nic:>6} {fg:>10} {rep:>11} {rpcs:>7} "
+                f"{int(ng.get('open_connections', 0)):>6}"
             )
         coord_lat = _latency_lines(coord, indent="")
         if coord_lat:

@@ -53,7 +53,7 @@ from .transport import (
     connect_tcp,
     open_transport,
 )
-from .wire import WireError, read_ack, read_frame, send_frame
+from .wire import WireClosed, WireError, read_ack, read_frame, send_frame
 from .validate import (
     DEFAULT_LIVE_BANDWIDTH,
     LiveSchemeReport,
@@ -80,6 +80,7 @@ __all__ = [
     "StoreRepairAudit",
     "TcpTransport",
     "TokenBucket",
+    "WireClosed",
     "WireError",
     "audit_store_repairs",
     "cancel_and_wait",

@@ -193,6 +193,18 @@ class TcpStream(Stream):
         except (ConnectionError, BrokenPipeError):  # pragma: no cover - teardown race
             pass
 
+    def peer_closed(self) -> bool:
+        """Has the peer hung up (EOF or reset already seen by the loop)?
+
+        Only ever a hint: ``False`` can be stale by one loop iteration.
+        """
+        return self._reader.at_eof() or self._writer.is_closing()
+
+    def abort(self) -> None:
+        """Drop the connection now, unflushed bytes and all (a peer that
+        stopped reading must not be able to hold a shutdown hostage)."""
+        self._writer.transport.abort()
+
 
 class MemoryTransport:
     """In-process streams: ``connect`` spawns the node's handler directly."""

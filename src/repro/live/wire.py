@@ -1,6 +1,9 @@
 """The framed wire protocol the live runtime and store service speak.
 
-One transfer is one frame on one connection:
+One transfer is one frame.  The live runtime opens a connection per
+transfer; the store service keeps connections and sends frame after
+frame on each (:mod:`repro.store.messages`), which is what
+:class:`WireClosed` and ``read_frame(park=True)`` exist for.
 
 ```
 +----------+----------------+--------------------------+
@@ -51,6 +54,7 @@ __all__ = [
     "read_frame",
     "read_ack",
     "WireError",
+    "WireClosed",
 ]
 
 _HEADER_LEN = struct.Struct("!I")
@@ -77,8 +81,19 @@ class WireError(ConnectionError):
     """Raised on malformed frames, truncation, or read timeouts."""
 
 
-async def _read_step(awaitable, timeout: float | None, what: str):
-    """One bounded read: EOF and timeouts both surface as WireError."""
+class WireClosed(WireError):
+    """The connection ended *between* frames: EOF or a reset before the
+    first byte of the frame being read.  Nothing was truncated, so on a
+    reused connection this is the peer hanging up while it sat idle, not
+    a half-delivered answer."""
+
+
+async def _read_step(awaitable, timeout: float | None, what: str, *, closed=WireError):
+    """One bounded read: EOF and timeouts both surface as WireError.
+
+    ``closed`` is the error raised when the stream ends with no byte of
+    this step read — :class:`WireClosed` for a frame's first read.
+    """
     try:
         if timeout is None:
             return await awaitable
@@ -86,14 +101,14 @@ async def _read_step(awaitable, timeout: float | None, what: str):
     except asyncio.TimeoutError:
         raise WireError(f"frame read timed out after {timeout}s ({what})") from None
     except asyncio.IncompleteReadError as exc:
-        raise WireError(
+        raise (WireError if exc.partial else closed)(
             f"peer closed mid-frame ({what}: got {len(exc.partial)} of "
             f"{exc.expected} bytes)"
         ) from exc
     except WireError:
         raise
     except (ConnectionError, EOFError) as exc:
-        raise WireError(f"connection lost mid-frame ({what}): {exc}") from exc
+        raise closed(f"connection lost mid-frame ({what}): {exc}") from exc
 
 
 async def send_frame(
@@ -154,6 +169,7 @@ async def read_frame(
     chunk_size: int = DEFAULT_CHUNK,
     timeout: float | None = None,
     max_payload: int = MAX_FRAME_PAYLOAD,
+    park: bool = False,
 ) -> tuple[dict, bytearray]:
     """Read one frame; returns ``(header, payload)``.
 
@@ -165,11 +181,27 @@ async def read_frame(
     ``timeout`` bounds each individual read (a *progress* timeout, not a
     whole-frame budget, so a long payload at a shaped rate is fine as
     long as bytes keep arriving).  Truncation at any boundary, a stalled
-    peer, or a malformed header all raise :class:`WireError`.
+    peer, or a malformed header all raise :class:`WireError`; a stream
+    that ends before the frame's first byte raises its subclass
+    :class:`WireClosed`.
+
+    ``park=True`` is for a connection that carries many frames and may
+    sit idle between them: the wait for the frame's *first byte* is
+    unbounded (idle is not a stall), and ``timeout`` applies from the
+    second byte on.
     """
-    raw_len = await _read_step(
-        stream.read_exactly(_HEADER_LEN.size), timeout, "header length"
-    )
+    if park:
+        raw_len = await _read_step(
+            stream.read_exactly(1), None, "frame start", closed=WireClosed
+        )
+        raw_len += await _read_step(
+            stream.read_exactly(_HEADER_LEN.size - 1), timeout, "header length"
+        )
+    else:
+        raw_len = await _read_step(
+            stream.read_exactly(_HEADER_LEN.size), timeout, "header length",
+            closed=WireClosed,
+        )
     try:
         (hlen,) = _HEADER_LEN.unpack(raw_len)
     except struct.error as exc:  # pragma: no cover - read_exactly guarantees 4

@@ -368,7 +368,7 @@ def live_suite(quick: bool = False) -> dict:
     import tempfile
 
     from .store import StorageDaemon
-    from .store.messages import call as store_call
+    from .store.messages import call as store_call, close_idle_connections
     from .telemetry import NULL_RECORDER, StreamingRecorder
 
     rounds = 12 if quick else 24
@@ -390,6 +390,7 @@ def live_suite(quick: bool = False) -> dict:
                     )
             finally:
                 await daemon.aclose()
+                await close_idle_connections()
 
         asyncio.run(run())
 

@@ -419,6 +419,9 @@ class LocalService:
         for daemon in self.daemons.values():
             await daemon.aclose()
         await self.coordinator.aclose()
+        # The cluster's parties shared this loop's RPC connections; the
+        # loop ends with the cluster, so close what is left idle.
+        await self.client.aclose()
 
     async def kill(self, node_id: int) -> None:
         """In-process SIGKILL: the daemon stops serving AND beating."""

@@ -31,11 +31,14 @@ from .launcher import LauncherError, StoreLauncher
 from .messages import (
     PROTOCOL_VERSION,
     Request,
+    RpcServer,
     StoreError,
     StoreProtocolError,
     call,
+    close_idle_connections,
     read_request,
     send_response,
+    serve_connection,
 )
 from .repair import (
     NodeAssignment,
@@ -59,6 +62,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "RepairSession",
     "Request",
+    "RpcServer",
     "SCHEMES",
     "StorageDaemon",
     "StoreClient",
@@ -67,6 +71,7 @@ __all__ = [
     "StoreProtocolError",
     "SyncStoreClient",
     "call",
+    "close_idle_connections",
     "ledger_from_reports",
     "partition_plan",
     "plan_from_dict",
@@ -74,5 +79,6 @@ __all__ = [
     "plan_to_dict",
     "read_request",
     "send_response",
+    "serve_connection",
     "stored_block_key",
 ]

@@ -9,7 +9,11 @@ Reads are the mirror image: ``object.lookup`` for placement + routing,
 then data blocks straight from the daemons, reassembled locally.
 
 :class:`StoreClient` is the asyncio API; :class:`SyncStoreClient` wraps
-it call-per-``asyncio.run`` for scripts, demos and the CLI.
+it call-per-``asyncio.run`` for scripts, demos and the CLI.  RPC
+connections are persistent and belong to the event loop that opened
+them (:mod:`repro.store.messages`): an asyncio user closes the idle ones
+with :meth:`StoreClient.aclose` before its loop ends; the sync facade
+does so after every verb, because every verb runs on a loop of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from ..repair.plan import block_key
 from ..rs import get_code
 from ..system.objects import ObjectInfo, reassemble, split_into_stripes
 from ..telemetry import CLOCK_WALL, TelemetryRecorder, TraceContext
-from .messages import StoreError, call
+from .messages import StoreError, call, close_idle_connections
 from .repair import plan_from_dict, stored_block_key
 
 __all__ = ["StoreClient", "SyncStoreClient"]
@@ -74,6 +78,10 @@ class StoreClient:
             # Own recorder: anchor t=0 so assembled traces can align
             # this client's spans with the service processes'.
             self.rec.set_origin(time.monotonic())
+
+    async def aclose(self) -> None:
+        """Close the running loop's idle RPC connections (call it last)."""
+        await close_idle_connections()
 
     async def _coordinator(
         self, mtype: str, body: dict | None = None, *, ctx: TraceContext | None = None
@@ -234,7 +242,7 @@ class StoreClient:
                 host, port, "block.get", {"key": stored_block_key(sid, bid)},
                 ctx=ctx.child() if ctx is not None else None,
             )
-            return np.frombuffer(bytes(blob), dtype=np.uint8)
+            return np.frombuffer(blob, dtype=np.uint8)
 
         # gather preserves argument order, so blocks land data-order
         # even though the fetches race.
@@ -268,7 +276,7 @@ class StoreClient:
                 # An undetected death looks like a refused connection;
                 # treat the block as lost and reconstruct around it.
                 return None
-            return np.frombuffer(bytes(blob), dtype=np.uint8)
+            return np.frombuffer(blob, dtype=np.uint8)
 
         data_blocks = list(
             await asyncio.gather(*(fetch(bid) for bid in range(n)))
@@ -342,7 +350,7 @@ class StoreClient:
                 )
             except (StoreError, ConnectionError, OSError):
                 return bid, node, None
-            return bid, node, np.frombuffer(bytes(blob), dtype=np.uint8)
+            return bid, node, np.frombuffer(blob, dtype=np.uint8)
 
         fetched = await asyncio.gather(
             *(fetch_seed(bid, node) for bid, node in seeds.items())
@@ -460,33 +468,41 @@ class SyncStoreClient:
     def __init__(self, host: str, port: int, *, recorder=None) -> None:
         self._client = StoreClient(host, port, recorder=recorder)
 
+    def _run(self, verb):
+        async def run():
+            try:
+                return await verb
+            finally:
+                # The loop ends with this verb; so must its connections.
+                await self._client.aclose()
+
+        return asyncio.run(run())
+
     def put(self, name: str, data) -> dict:
-        return asyncio.run(self._client.put(name, data))
+        return self._run(self._client.put(name, data))
 
     def get(self, name: str, *, degraded: bool = False) -> bytes:
-        return asyncio.run(self._client.get(name, degraded=degraded))
+        return self._run(self._client.get(name, degraded=degraded))
 
     def get_with_report(
         self, name: str, *, degraded: bool = False
     ) -> tuple[bytes, dict]:
-        return asyncio.run(
-            self._client.get_with_report(name, degraded=degraded)
-        )
+        return self._run(self._client.get_with_report(name, degraded=degraded))
 
     def delete(self, name: str) -> dict:
-        return asyncio.run(self._client.delete(name))
+        return self._run(self._client.delete(name))
 
     def list_objects(self) -> list[dict]:
-        return asyncio.run(self._client.list_objects())
+        return self._run(self._client.list_objects())
 
     def status(self) -> dict:
-        return asyncio.run(self._client.status())
+        return self._run(self._client.status())
 
     def stats(self) -> dict:
-        return asyncio.run(self._client.stats())
+        return self._run(self._client.stats())
 
     def wait_healthy(self, **kwargs) -> dict:
-        return asyncio.run(self._client.wait_healthy(**kwargs))
+        return self._run(self._client.wait_healthy(**kwargs))
 
     def shutdown_service(self) -> None:
-        asyncio.run(self._client.shutdown_service())
+        self._run(self._client.shutdown_service())

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..cluster import Cluster, Placement, RPRPlacement, SIMICS_BANDWIDTH
-from ..live.transport import TcpStream, cancel_and_wait
+from ..live.transport import cancel_and_wait
 from ..multistripe.store import rotate_placement
 from ..repair import (
     CARRepair,
@@ -59,7 +59,7 @@ from ..telemetry import (
     TraceContext,
 )
 from .heartbeat import FailureDetector
-from .messages import Request, StoreError, call, serve_connection
+from .messages import Request, RpcServer, StoreError, call, close_idle_connections
 from .repair import (
     ledger_from_reports,
     partition_plan,
@@ -150,8 +150,7 @@ class Coordinator:
         self._sid_counter = itertools.count()
         self._rid_counter = itertools.count()
         self._base_placement = RPRPlacement().place(cluster, code.n, code.k)
-        self._server: asyncio.base_events.Server | None = None
-        self._conns: set[asyncio.Task] = set()
+        self._rpc = RpcServer(self._dispatch)
         self._sweep_task: asyncio.Task | None = None
         self._repair_lock = asyncio.Lock()
         self._repair_tasks: set[asyncio.Task] = set()
@@ -160,10 +159,7 @@ class Coordinator:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> int:
-        if self._server is not None:
-            raise RuntimeError("coordinator already started")
-        self._server = await asyncio.start_server(self._on_connect, self.host, 0)
-        self.port = self._server.sockets[0].getsockname()[1]
+        self.port = await self._rpc.start(self.host)
         self._sweep_task = asyncio.ensure_future(self._sweep_loop())
         return self.port
 
@@ -183,22 +179,7 @@ class Coordinator:
             await asyncio.wait(pending, timeout=0.25)
             pending = {t for t in pending if not t.done()}
         self._repair_tasks.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        conns = {t for t in self._conns if not t.done()}
-        if conns:
-            # One beat for in-flight answers (the shutdown ack included)
-            # to flush before stragglers are cancelled.
-            await asyncio.wait(conns, timeout=0.25)
-            conns = {t for t in conns if not t.done()}
-        while conns:
-            for task in conns:
-                task.cancel()
-            await asyncio.wait(conns, timeout=0.25)
-            conns = {t for t in conns if not t.done()}
-        self._conns.clear()
+        await self._rpc.aclose()
 
     # -- liveness & repair orchestration ------------------------------------
 
@@ -372,18 +353,6 @@ class Coordinator:
 
     # -- RPC dispatch -------------------------------------------------------
 
-    async def _on_connect(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conns.add(task)
-        try:
-            await serve_connection(TcpStream(reader, writer), self._dispatch)
-        except asyncio.CancelledError:
-            # Shut down mid-request: the peer already sees the dropped
-            # connection; ending quietly keeps teardown log-clean.
-            pass
-        finally:
-            self._conns.discard(task)
-
     async def _dispatch(self, request: Request):
         handler = getattr(self, "_rpc_" + request.mtype.replace(".", "_"), None)
         if handler is None:
@@ -489,6 +458,23 @@ class Coordinator:
             "routing": self._routing(involved),
         }, None
 
+    async def _verify_held(self, node: int, entry, claims: dict[str, int]) -> None:
+        """``block.stat`` one daemon: it must hold these keys with these CRCs."""
+        found, _ = await call(
+            entry.host, entry.port, "block.stat", {"keys": list(claims)}
+        )
+        for key, crc in claims.items():
+            stat = found["found"].get(key)
+            if stat is None:
+                raise StoreError(
+                    f"daemon {node} holds no block {key!r}; "
+                    f"client must rewrite before committing"
+                )
+            if stat["crc"] != crc:
+                raise StoreError(
+                    f"daemon {node} holds different bytes for {key!r}"
+                )
+
     async def _rpc_put_commit(self, request: Request):
         body = request.body
         name = body["name"]
@@ -498,32 +484,23 @@ class Coordinator:
         claimed = {int(s["sid"]): {int(b): int(c) for b, c in s["crcs"].items()}
                    for s in body["stripes"]}
         # Trust nothing: stat the daemons and compare CRCs before the
-        # metadata becomes durable.
+        # metadata becomes durable.  One block.stat per holder, all in
+        # flight at once: a commit waits one round trip, not one per
+        # holder and stripe.
+        by_node: dict[int, dict[str, int]] = {}
         for sid, placement in pending["stripes"]:
             if set(claimed.get(sid, {})) != set(range(self.code.width)):
                 raise StoreError(f"put.commit missing CRCs for stripe {sid}")
-            by_node: dict[int, list[int]] = {}
             for bid, node in placement.block_to_node.items():
-                by_node.setdefault(node, []).append(bid)
-            for node, bids in by_node.items():
-                entry = self.detector.entry(node)
-                if entry is None or not entry.alive:
-                    raise StoreError(f"node {node} died during put of {name!r}")
-                keys = {stored_block_key(sid, bid): bid for bid in bids}
-                found, _ = await call(
-                    entry.host, entry.port, "block.stat", {"keys": list(keys)}
-                )
-                for key, bid in keys.items():
-                    stat = found["found"].get(key)
-                    if stat is None:
-                        raise StoreError(
-                            f"daemon {node} holds no block {key!r}; "
-                            f"client must rewrite before committing"
-                        )
-                    if stat["crc"] != claimed[sid][bid]:
-                        raise StoreError(
-                            f"daemon {node} holds different bytes for {key!r}"
-                        )
+                by_node.setdefault(node, {})[stored_block_key(sid, bid)] = claimed[sid][bid]
+        entries = {node: self.detector.entry(node) for node in by_node}
+        for node, entry in entries.items():
+            if entry is None or not entry.alive:
+                raise StoreError(f"node {node} died during put of {name!r}")
+        await asyncio.gather(
+            *(self._verify_held(node, entries[node], claims)
+              for node, claims in by_node.items())
+        )
         for sid, placement in pending["stripes"]:
             self.stripes[sid] = StripeMeta(
                 sid=sid, placement=placement, checksums=claimed[sid]
@@ -660,6 +637,8 @@ class Coordinator:
         )
         snap["gauges"]["repairs_active"] = float(len(self._repair_tasks))
         snap["gauges"]["nodes_alive"] = float(len(self.detector.alive_ids()))
+        snap["gauges"]["open_connections"] = float(self._rpc.open_connections)
+        snap["counters"]["connections_accepted"] = float(self._rpc.accepted)
         for nid, info in self.detector.to_dict().items():
             age = info.get("beat_age_s")
             if age is not None:
@@ -709,6 +688,7 @@ async def _amain(args: argparse.Namespace) -> None:
         await coordinator.run_until_shutdown()
     finally:
         await coordinator.aclose()
+        await close_idle_connections()
         if recorder is not None:
             recorder.close()
 

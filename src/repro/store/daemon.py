@@ -23,10 +23,10 @@ import zlib
 import numpy as np
 
 from ..live.shaper import ClassedBucket, WeightedTokenBucket
-from ..live.transport import TcpStream, cancel_and_wait
+from ..live.transport import cancel_and_wait
 from ..telemetry import CLOCK_WALL, StatsRegistry, StreamingRecorder, TelemetryRecorder
 from .heartbeat import DEFAULT_INTERVAL, HeartbeatSender
-from .messages import Request, StoreError, serve_connection
+from .messages import Request, RpcServer, StoreError, close_idle_connections
 from .repair import NodeAssignment, RepairSession
 
 __all__ = ["StorageDaemon", "main"]
@@ -99,8 +99,7 @@ class StorageDaemon:
                 recorder=self.rec,
                 label=f"nic:{node_id}",
             )
-        self._server: asyncio.base_events.Server | None = None
-        self._conns: set[asyncio.Task] = set()
+        self._rpc = RpcServer(self._dispatch)
         self._hb: HeartbeatSender | None = None
         self._hb_task: asyncio.Task | None = None
         self._sessions: dict[str, RepairSession] = {}
@@ -112,10 +111,7 @@ class StorageDaemon:
 
     async def start(self) -> int:
         """Bind (port 0 — the kernel picks), start beating; returns the port."""
-        if self._server is not None:
-            raise RuntimeError("daemon already started")
-        self._server = await asyncio.start_server(self._on_connect, self.host, 0)
-        self.port = self._server.sockets[0].getsockname()[1]
+        self.port = await self._rpc.start(self.host)
         if self.coordinator is not None:
             # The first beat doubles as registration and carries the port
             # actually bound — never a configured guess.
@@ -146,38 +142,11 @@ class StorageDaemon:
             # parked forever.
             await cancel_and_wait(self._hb_task)
             self._hb_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # In-flight answers get one beat to flush (the shutdown RPC's own
-        # ack rides on such a connection), then die with the daemon —
-        # their peers see the connection drop, like a killed process.
-        pending = {t for t in self._conns if not t.done()}
-        if pending:
-            await asyncio.wait(pending, timeout=0.25)
-            pending = {t for t in pending if not t.done()}
-        while pending:
-            for task in pending:
-                task.cancel()
-            await asyncio.wait(pending, timeout=0.25)
-            pending = {t for t in pending if not t.done()}
-        self._conns.clear()
+        # Inbound connections die with the daemon — their peers see the
+        # connection drop, like a killed process.
+        await self._rpc.aclose()
 
     # -- RPC dispatch -------------------------------------------------------
-
-    async def _on_connect(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conns.add(task)
-        try:
-            await serve_connection(TcpStream(reader, writer), self._dispatch)
-        except asyncio.CancelledError:
-            # Killed mid-request (daemon aclose or loop teardown): end
-            # quietly — the caller already sees the dropped connection,
-            # and a cancelled server task would be logged as an error.
-            pass
-        finally:
-            self._conns.discard(task)
 
     async def _dispatch(self, request: Request):
         handler = getattr(self, "_rpc_" + request.mtype.replace(".", "_"), None)
@@ -303,6 +272,8 @@ class StorageDaemon:
         snap["repairs_inflight"] = len(self._sessions)
         snap["gauges"]["blocks"] = float(len(self.blocks))
         snap["gauges"]["repairs_inflight"] = float(len(self._sessions))
+        snap["gauges"]["open_connections"] = float(self._rpc.open_connections)
+        snap["counters"]["connections_accepted"] = float(self._rpc.accepted)
         if self.link is not None:
             uptime = max(self.stats.uptime_s, 1e-9)
             total = 0.0
@@ -346,6 +317,7 @@ async def _amain(args: argparse.Namespace) -> None:
         await daemon.run_until_shutdown()
     finally:
         await daemon.aclose()
+        await close_idle_connections()
         if recorder is not None:
             recorder.close()
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.live import WireError, read_ack, read_frame, send_frame
+from repro.live import WireClosed, WireError, read_ack, read_frame, send_frame
 from repro.live.transport import MemoryStream
 from repro.live.wire import ACK, MAX_FRAME_PAYLOAD, MAX_HEADER_BYTES
 
@@ -28,7 +28,9 @@ def make_frame(header: dict, payload: bytes) -> bytes:
     return struct.pack("!I", len(encoded)) + encoded + payload
 
 
-def feed_and_read(raw: bytes, *, close: bool = True, timeout: float | None = None):
+def feed_and_read(
+    raw: bytes, *, close: bool = True, timeout: float | None = None, park: bool = False
+):
     """Write ``raw`` to one end, close it, read a frame from the other."""
 
     async def _run():
@@ -37,7 +39,7 @@ def feed_and_read(raw: bytes, *, close: bool = True, timeout: float | None = Non
             await a.write(raw)
         if close:
             await a.aclose()
-        return await read_frame(b, timeout=timeout)
+        return await read_frame(b, timeout=timeout, park=park)
 
     return asyncio.run(_run())
 
@@ -68,6 +70,49 @@ class TestTruncation:
     def test_timeout_covers_the_header_too(self):
         with pytest.raises(WireError, match="timed out"):
             feed_and_read(b"", close=False, timeout=0.05)
+
+
+class TestFrameBoundary:
+    """Connections that carry many frames: a stream ending *between*
+    frames is WireClosed, and the wait for a frame to begin can be
+    exempt from the progress timeout (``park=True``)."""
+
+    @pytest.mark.parametrize("park", [False, True])
+    def test_eof_before_the_first_byte_is_wire_closed(self, park):
+        with pytest.raises(WireClosed):
+            feed_and_read(b"", park=park)
+
+    @pytest.mark.parametrize("park", [False, True])
+    def test_eof_after_any_byte_is_truncation_not_closure(self, park):
+        frame = make_frame({"op": "s0"}, b"payload!")
+        for cut in range(1, len(frame)):
+            with pytest.raises(WireError) as caught:
+                feed_and_read(frame[:cut], park=park)
+            assert not isinstance(caught.value, WireClosed), cut
+
+    def test_parked_read_waits_out_the_timeout_then_reads_the_frame(self):
+        frame = make_frame({"op": "s0"}, b"late")
+
+        async def _run():
+            a, b = MemoryStream.pair()
+            reading = asyncio.ensure_future(read_frame(b, timeout=0.05, park=True))
+            await asyncio.sleep(0.25)  # 5x the progress timeout, idle
+            assert not reading.done()
+            await a.write(frame)
+            return await asyncio.wait_for(reading, timeout=2.0)
+
+        header, payload = asyncio.run(_run())
+        assert header["op"] == "s0" and bytes(payload) == b"late"
+
+    def test_parked_read_times_out_once_the_frame_has_begun(self):
+        frame = make_frame({"op": "s0"}, b"x" * 64)
+        for sent in (1, 3, 4, len(frame) - 10):
+            with pytest.raises(WireError, match="timed out"):
+                feed_and_read(frame[:sent], close=False, timeout=0.05, park=True)
+
+    def test_parked_read_parses_the_same_frames(self):
+        frame = make_frame({"op": "s0", "key": "k"}, bytes(range(100)))
+        assert feed_and_read(frame, park=True) == feed_and_read(frame)
 
 
 class TestMalformedHeaders:

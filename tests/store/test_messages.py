@@ -1,16 +1,26 @@
 """RPC message layer: pack/split, round trips, error surfacing."""
 
 import asyncio
+import gc
+import time
+import warnings
+import weakref
 
 import pytest
 
-from repro.live.transport import MemoryStream
+from repro.live.transport import MemoryStream, connect_tcp
+from repro.live.wire import WireClosed, WireError, read_frame, send_frame
+from repro.store import messages
 from repro.store.messages import (
     PROTOCOL_VERSION,
+    SHUTDOWN_GRACE,
+    RpcServer,
     StoreError,
     StoreProtocolError,
     _pack,
     _split,
+    call,
+    close_idle_connections,
     read_request,
     response_error,
     send_request,
@@ -69,8 +79,6 @@ class TestRequestRoundTrip:
     def test_version_mismatch_rejected(self):
         async def _run():
             client, server = MemoryStream.pair()
-            from repro.live.wire import send_frame
-
             await send_frame(
                 client, {"t": "ping", "v": PROTOCOL_VERSION + 1, "blen": 0}, b""
             )
@@ -82,8 +90,6 @@ class TestRequestRoundTrip:
     def test_typeless_frame_rejected(self):
         async def _run():
             client, server = MemoryStream.pair()
-            from repro.live.wire import send_frame
-
             await send_frame(client, {"v": PROTOCOL_VERSION, "blen": 0}, b"")
             with pytest.raises(StoreProtocolError, match="without a type"):
                 await read_request(server, timeout=2.0)
@@ -99,10 +105,10 @@ class TestServeConnection:
             client, server = MemoryStream.pair()
             serving = asyncio.ensure_future(serve_connection(server, dispatch))
             await send_request(client, mtype, body, blob)
-            from repro.live.wire import read_frame
-
             header, payload = await read_frame(client, timeout=2.0)
-            await serving
+            # The server loops until its peer hangs up: close first.
+            await client.aclose()
+            await asyncio.wait_for(serving, timeout=2.0)
             return header, payload
 
         return asyncio.run(_run())
@@ -134,8 +140,6 @@ class TestServeConnection:
         async def _run():
             client, server = MemoryStream.pair()
             await response_error(server, "nope")
-            from repro.live.wire import read_frame
-
             header, _ = await read_frame(client, timeout=2.0)
             return header
 
@@ -147,9 +151,409 @@ class TestServeConnection:
             client, server = MemoryStream.pair()
             await send_response(server, ok=False, error="denied")
             # client side of call(): parse the response frame directly
-            from repro.live.wire import read_frame
-
             header, _ = await read_frame(client, timeout=2.0)
             assert not header.get("ok")
 
         asyncio.run(_run())
+
+    def test_many_requests_ride_one_connection(self):
+        async def dispatch(request):
+            if request.body.get("fail"):
+                raise StoreError("refused")
+            return {"echo": request.body["i"]}, request.blob
+
+        async def _run():
+            client, server = MemoryStream.pair()
+            serving = asyncio.ensure_future(serve_connection(server, dispatch))
+            seen = []
+            for i in range(50):
+                # Every third request fails service-side: an ok:false
+                # reply must leave the connection usable for the next.
+                await send_request(client, "x", {"i": i, "fail": i % 3 == 0}, b"\x07" * i)
+                header, payload = await read_frame(client, timeout=2.0)
+                if i % 3 == 0:
+                    assert header["ok"] is False and header["error"] == "refused"
+                else:
+                    body, blob = _split(header, payload)
+                    assert body == {"echo": i} and bytes(blob) == b"\x07" * i
+                seen.append(header["ok"])
+            assert not serving.done()
+            await client.aclose()
+            await asyncio.wait_for(serving, timeout=2.0)
+            return seen
+
+        assert len(asyncio.run(_run())) == 50
+
+    @pytest.mark.parametrize(
+        "header, payload, complaint",
+        [
+            ({"v": PROTOCOL_VERSION, "blen": 0}, b"", "without a type"),
+            ({"t": 7, "v": PROTOCOL_VERSION, "blen": 0}, b"", "without a type"),
+            ({"t": "ping", "v": PROTOCOL_VERSION + 1, "blen": 0}, b"", "version"),
+            ({"t": "ping", "blen": 0}, b"", "version"),
+            ({"t": "ping", "v": PROTOCOL_VERSION, "blen": 99}, b"short", "outside payload"),
+            ({"t": "ping", "v": PROTOCOL_VERSION, "blen": -1}, b"x", "outside payload"),
+            ({"t": "ping", "v": PROTOCOL_VERSION, "blen": 6}, b"[1, 2]", "JSON object"),
+            ({"t": "ping", "v": PROTOCOL_VERSION, "blen": 3}, b"{no", "not valid JSON"),
+        ],
+    )
+    def test_invalid_request_frame_is_answered_then_the_connection_closed(
+        self, header, payload, complaint
+    ):
+        """A whole frame that is not a request used to kill the server
+        task with an unretrieved StoreProtocolError and leave the peer
+        waiting; now the peer is told, and the (possibly desynchronised)
+        connection ends."""
+        dispatched = []
+
+        async def dispatch(request):
+            dispatched.append(request)
+            return {}, None
+
+        async def _run():
+            client, server = MemoryStream.pair()
+            serving = asyncio.ensure_future(serve_connection(server, dispatch))
+            await send_frame(client, header, payload)
+            reply, _ = await read_frame(client, timeout=2.0)
+            # The server hung up by itself: no client-side close needed.
+            await asyncio.wait_for(serving, timeout=2.0)
+            with pytest.raises(WireClosed):
+                await read_frame(client, timeout=2.0)
+            return reply
+
+        reply = asyncio.run(_run())
+        assert reply["ok"] is False
+        assert "protocol error" in reply["error"] and complaint in reply["error"]
+        assert dispatched == []
+
+    def test_wire_garbage_ends_the_connection_without_an_answer(self):
+        async def dispatch(request):  # pragma: no cover - never reached
+            return {}, None
+
+        async def _run():
+            client, server = MemoryStream.pair()
+            serving = asyncio.ensure_future(serve_connection(server, dispatch))
+            await client.write(b"\x00\x00\x00\x05not-j")
+            await asyncio.wait_for(serving, timeout=2.0)
+            with pytest.raises(WireClosed):
+                await read_frame(client, timeout=2.0)
+
+        asyncio.run(_run())
+
+    def test_parked_connection_does_not_pin_the_last_blob(self):
+        """Between requests the serving loop must hold no reference to
+        the previous request or response: one block per idle connection
+        is what moved peak RSS in the prototype."""
+
+        class Blob(bytearray):
+            pass  # bytearray that can be weakly referenced
+
+        refs = []
+
+        async def dispatch(request):
+            blob = Blob(b"z" * 4096)
+            refs.append(weakref.ref(blob))
+            return {"n": len(request.blob)}, blob
+
+        async def _run():
+            client, server = MemoryStream.pair()
+            serving = asyncio.ensure_future(serve_connection(server, dispatch))
+            await send_request(client, "x", None, b"y" * 4096)
+            await read_frame(client, timeout=2.0)
+            await asyncio.sleep(0)  # let the server park on its next read
+            gc.collect()
+            pinned = refs[0]() is not None
+            await client.aclose()
+            await asyncio.wait_for(serving, timeout=2.0)
+            return pinned
+
+        assert asyncio.run(_run()) is False
+
+
+def _idle_count(peer=None) -> int:
+    """Idle connections of the running loop (to ``peer``, or in all)."""
+    idle = messages._IDLE.get(asyncio.get_running_loop(), {})
+    if peer is not None:
+        return len(idle.get(peer, ()))
+    return sum(len(streams) for streams in idle.values())
+
+
+class TestPersistentCalls:
+    """``call`` against a real RpcServer over loopback TCP."""
+
+    HOST = "127.0.0.1"
+
+    @staticmethod
+    async def _dispatch(request):
+        if request.mtype == "fail":
+            raise StoreError("nope")
+        if request.mtype == "slow":
+            await asyncio.sleep(request.body["s"])
+        if request.mtype == "big":
+            return {}, b"\x01" * request.body["n"]
+        return {"echo": request.body}, None
+
+    def _run(self, scenario, **server_kwargs):
+        async def _main():
+            server = RpcServer(self._dispatch, **server_kwargs)
+            port = await server.start(self.HOST)
+            try:
+                return await scenario(server, port)
+            finally:
+                await close_idle_connections()
+                await server.aclose()
+
+        return asyncio.run(_main())
+
+    def test_sequential_calls_share_one_connection(self):
+        async def scenario(server, port):
+            for i in range(100):
+                body, _ = await call(self.HOST, port, "echo", {"i": i})
+                assert body == {"echo": {"i": i}}
+            return server.accepted, server.open_connections, _idle_count((self.HOST, port))
+
+        assert self._run(scenario) == (1, 1, 1)
+
+    def test_ok_false_reply_keeps_the_connection(self):
+        async def scenario(server, port):
+            await call(self.HOST, port, "echo")
+            for _ in range(5):
+                with pytest.raises(StoreError, match="nope"):
+                    await call(self.HOST, port, "fail")
+            await call(self.HOST, port, "echo")
+            return server.accepted
+
+        assert self._run(scenario) == 1
+
+    def test_concurrent_calls_use_one_connection_each_then_reuse_them(self):
+        async def scenario(server, port):
+            for _ in range(10):
+                await asyncio.gather(
+                    *(call(self.HOST, port, "slow", {"s": 0.01}) for _ in range(4))
+                )
+            return server.accepted, _idle_count((self.HOST, port))
+
+        # Bounded by peak concurrency (4), not by the 40 requests.
+        assert self._run(scenario) == (4, 4)
+
+    def test_cancelled_call_does_not_pool_its_connection(self):
+        async def scenario(server, port):
+            await call(self.HOST, port, "echo")
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(call(self.HOST, port, "slow", {"s": 5.0}), 0.05)
+            assert _idle_count((self.HOST, port)) == 0
+            # The abandoned response can never be mistaken for the next
+            # call's: that call gets a connection of its own.
+            body, _ = await call(self.HOST, port, "echo", {"fresh": True})
+            assert body == {"echo": {"fresh": True}}
+            return server.accepted
+
+        assert self._run(scenario) == 2
+
+    def test_call_timed_out_mid_response_does_not_pool_its_connection(self):
+        async def scenario(server, port):
+            await call(self.HOST, port, "echo")
+            with pytest.raises(WireError, match="timed out"):
+                await call(self.HOST, port, "slow", {"s": 5.0}, timeout=0.05)
+            assert _idle_count((self.HOST, port)) == 0
+            await call(self.HOST, port, "echo")
+            return server.accepted
+
+        assert self._run(scenario) == 2
+
+    def test_idle_connection_outlives_the_progress_timeout(self):
+        """Waiting for the *next* request is not a stall."""
+
+        async def scenario(server, port):
+            await call(self.HOST, port, "echo")
+            await asyncio.sleep(0.3)  # 6x the server's progress timeout
+            await call(self.HOST, port, "echo")
+            return server.accepted
+
+        assert self._run(scenario, timeout=0.05) == 1
+
+    def test_stalled_frame_still_trips_the_progress_timeout(self):
+        async def scenario(server, port):
+            stream = await connect_tcp(self.HOST, port)
+            try:
+                await stream.write(b"\x00\x00")  # a frame begins, then stalls
+                with pytest.raises(WireClosed):
+                    await read_frame(stream, timeout=2.0)  # server hung up
+            finally:
+                await stream.aclose()
+
+        self._run(scenario, timeout=0.05)
+
+    def test_server_restarted_on_the_same_port(self):
+        async def scenario(server, port):
+            await asyncio.gather(*(call(self.HOST, port, "slow", {"s": 0.01}) for _ in range(3)))
+            assert _idle_count((self.HOST, port)) == 3
+            await server.aclose()
+            reborn = RpcServer(self._dispatch)
+            assert await reborn.start(self.HOST, port) == port
+            try:
+                # Every pooled connection is dead; each call must notice,
+                # drop it, and go through on a fresh one.
+                for i in range(4):
+                    body, _ = await call(self.HOST, port, "echo", {"i": i})
+                    assert body == {"echo": {"i": i}}
+                assert reborn.accepted == 1
+                assert _idle_count((self.HOST, port)) == 1  # stale ones reaped
+                await close_idle_connections()
+            finally:
+                await reborn.aclose()
+
+        self._run(scenario)
+
+    def test_server_gone_raises_the_same_connection_error_as_ever(self):
+        async def scenario(server, port):
+            await call(self.HOST, port, "echo")
+            await server.aclose()
+            # Nothing listens there any more (its successor, if any, is
+            # on a new port): the stale pooled connection must not turn
+            # a refused connection into some new kind of error.
+            with pytest.raises(ConnectionRefusedError):
+                await call(self.HOST, port, "echo", attempts=2)
+            assert _idle_count((self.HOST, port)) == 0
+            successor = RpcServer(self._dispatch)
+            new_port = await successor.start(self.HOST)
+            try:
+                body, _ = await call(self.HOST, new_port, "echo", {"i": 1})
+                assert body == {"echo": {"i": 1}}
+                await close_idle_connections()
+            finally:
+                await successor.aclose()
+
+        self._run(scenario)
+
+    def test_request_lost_with_a_dying_server_is_an_error_not_a_hang(self):
+        """The server dies *after* taking the request: the reused
+        connection ends before any response byte, the resend finds
+        nobody listening, and the caller sees a ConnectionError."""
+
+        async def scenario(server, port):
+            await call(self.HOST, port, "echo")
+            pending = asyncio.ensure_future(
+                call(self.HOST, port, "slow", {"s": 5.0}, attempts=1)
+            )
+            await asyncio.sleep(0.05)
+            await server.aclose(grace=0.0)
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(pending, timeout=2.0)
+
+        self._run(scenario)
+
+    def test_close_idle_connections_closes_the_sockets(self):
+        async def scenario(server, port):
+            await asyncio.gather(*(call(self.HOST, port, "slow", {"s": 0.01}) for _ in range(3)))
+            assert server.open_connections == 3
+            await close_idle_connections()
+            assert _idle_count() == 0
+            for _ in range(50):  # the server sees the EOFs within a few ticks
+                if server.open_connections == 0:
+                    break
+                await asyncio.sleep(0.01)
+            return server.open_connections
+
+        assert self._run(scenario) == 0
+
+    def test_forgotten_loop_is_dropped_when_the_next_one_starts(self):
+        async def leak():
+            server = RpcServer(self._dispatch)
+            port = await server.start(self.HOST)
+            await call(self.HOST, port, "echo")
+            await server.aclose()  # no close_idle_connections()
+
+        async def later():
+            _idle_count()  # no entry yet for this loop
+            server = RpcServer(self._dispatch)
+            port = await server.start(self.HOST)
+            await call(self.HOST, port, "echo")
+            await close_idle_connections()
+            await server.aclose()
+            return [loop for loop in messages._IDLE if loop.is_closed()]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResourceWarning)
+            asyncio.run(leak())
+            assert asyncio.run(later()) == []
+            gc.collect()
+
+
+class TestRpcServerShutdown:
+    HOST = "127.0.0.1"
+
+    def test_aclose_with_parked_connections_is_immediate(self):
+        """Parked connections have nothing to flush: no grace period.
+        (On Python >= 3.12.1 an aclose that called wait_closed() before
+        closing them would never return at all.)"""
+
+        async def dispatch(request):
+            return {}, None
+
+        async def _run():
+            server = RpcServer(dispatch)
+            port = await server.start(self.HOST)
+            await asyncio.gather(*(call(self.HOST, port, "x") for _ in range(8)))
+            assert server.open_connections == 8
+            start = time.perf_counter()
+            await asyncio.wait_for(server.aclose(), timeout=5.0)
+            elapsed = time.perf_counter() - start
+            assert server.open_connections == 0
+            await close_idle_connections()
+            return elapsed
+
+        assert asyncio.run(_run()) < SHUTDOWN_GRACE / 2
+
+    def test_peer_that_stopped_reading_cannot_hold_the_shutdown(self):
+        """A response stuck in the send buffer of a peer that no longer
+        reads never flushes; a graceful close would wait for it forever
+        (and with it, from Python 3.12.1, Server.wait_closed())."""
+
+        async def dispatch(request):
+            return {}, b"\x00" * (8 << 20)  # far beyond the socket buffers
+
+        async def _run():
+            server = RpcServer(dispatch)
+            port = await server.start(self.HOST)
+            deaf = await connect_tcp(self.HOST, port)
+            try:
+                await send_request(deaf, "big")  # ... and never read the answer
+                await asyncio.sleep(0.1)
+                assert server.open_connections == 1
+                await asyncio.wait_for(server.aclose(grace=0.05), timeout=5.0)
+                assert server.open_connections == 0
+            finally:
+                await deaf.aclose()
+
+        asyncio.run(_run())
+
+    def test_request_in_flight_gets_the_grace_then_is_cancelled(self):
+        async def _run():
+            gate = asyncio.Event()
+
+            async def dispatch(request):
+                if request.mtype == "quick":
+                    await asyncio.sleep(0.05)
+                    return {"done": True}, None
+                await gate.wait()  # never set: a straggler
+                return {}, None
+
+            server = RpcServer(dispatch)
+            port = await server.start(self.HOST)
+            quick = asyncio.ensure_future(call(self.HOST, port, "quick"))
+            stuck = asyncio.ensure_future(call(self.HOST, port, "stuck", attempts=1))
+            await asyncio.sleep(0.02)
+            start = time.perf_counter()
+            await asyncio.wait_for(server.aclose(), timeout=5.0)
+            elapsed = time.perf_counter() - start
+            # The quick one was answered inside the grace period ...
+            assert (await quick)[0] == {"done": True}
+            # ... the straggler was cut off, like a killed process.
+            with pytest.raises(ConnectionError):
+                await stuck
+            await close_idle_connections()
+            return elapsed
+
+        elapsed = asyncio.run(_run())
+        assert SHUTDOWN_GRACE <= elapsed < SHUTDOWN_GRACE + 1.0

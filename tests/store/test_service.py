@@ -8,19 +8,32 @@ is covered by ``test_launcher.py`` and the CI store-smoke job.
 
 import asyncio
 import os
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.cluster import Cluster
 from repro.live import audit_store_repairs
 from repro.rs import get_code
-from repro.store import Coordinator, StorageDaemon, StoreClient, StoreError
+from repro.store import (
+    Coordinator,
+    StorageDaemon,
+    StoreClient,
+    StoreError,
+    SyncStoreClient,
+    messages,
+)
 from repro.telemetry import (
     assemble_trace,
     build_tree,
     from_jsonl,
     to_chrome_trace,
     to_jsonl,
+    snapshots_to_prometheus,
+    validate_prometheus_text,
     trace_ids,
 )
 
@@ -77,6 +90,8 @@ class Service:
         for daemon in self.daemons.values():
             await daemon.aclose()
         await self.coordinator.aclose()
+        # This cluster's loop is about to end: so must its connections.
+        await self.client.aclose()
 
     async def kill(self, node_id: int) -> None:
         """In-process stand-in for SIGKILL: stop serving AND beating."""
@@ -475,3 +490,166 @@ class TestDegradedReads:
                 assert inflight == N
 
         asyncio.run(_run())
+
+
+class TestPersistentConnections:
+    """The service on reused connections: bounded sockets, clean exits."""
+
+    def test_connections_are_bounded_by_concurrency_not_by_requests(self):
+        """200 PUTs are ~2000 RPCs; each daemon must end up holding a
+        handful of inbound connections (the client's, the coordinator's),
+        and the stats plane must say so."""
+
+        async def _run():
+            async with Service(suspect_after=30.0) as svc:
+                for i in range(200):
+                    await svc.client.put(f"obj-{i}", os.urandom(N * BLOCK - 3))
+                scrape = await svc.client.stats()
+                for nid, daemon in svc.daemons.items():
+                    snap = scrape["nodes"][str(nid)]
+                    held = snap["gauges"]["open_connections"]
+                    accepted = snap["counters"]["connections_accepted"]
+                    assert held == daemon._rpc.open_connections
+                    assert 1 <= held <= 4, (nid, held)
+                    assert accepted <= 6, (nid, accepted)
+                    assert snap["counters"]["rpc:block.put"] >= 50
+                coord = scrape["coordinator"]
+                # Client + one heartbeat connection per daemon, give or
+                # take a beat that overlapped another.
+                assert coord["gauges"]["open_connections"] <= len(svc.daemons) + 4
+                assert coord["counters"]["connections_accepted"] <= len(svc.daemons) + 6
+                prom = snapshots_to_prometheus(
+                    [scrape["coordinator"], *scrape["nodes"].values()]
+                )
+                assert validate_prometheus_text(prom) == []
+                assert 'name="open_connections"' in prom
+                assert 'name="connections_accepted"' in prom
+
+        asyncio.run(_run())
+
+    @pytest.mark.parametrize("party", ["daemon", "coordinator"])
+    def test_aclose_with_idle_inbound_connections_does_not_wait(self, party):
+        """Idle inbound connections are closed at once on shutdown: the
+        0.25 s grace is for requests in mid-flight only (and an aclose
+        that awaited them first would hang on Python >= 3.12.1)."""
+
+        async def _run():
+            async with Service(suspect_after=30.0) as svc:
+                await svc.client.put("obj", os.urandom(N * BLOCK * 2))
+                assert await svc.client.get("obj")
+                if party == "daemon":
+                    victim = svc.daemons.pop(0)
+                else:
+                    victim = svc.coordinator
+                assert victim._rpc.open_connections >= 1
+                start = time.perf_counter()
+                await asyncio.wait_for(victim.aclose(), timeout=5.0)
+                elapsed = time.perf_counter() - start
+                assert victim._rpc.open_connections == 0
+                return elapsed
+
+        assert asyncio.run(_run()) < 0.12
+
+    def test_kill_and_replace_on_a_new_port_keeps_working(self):
+        """A replaced daemon listens elsewhere; its peers' pooled
+        connections to the old port are dead weight that must neither
+        break a later request nor pile up."""
+
+        async def _run():
+            async with Service(suspect_after=0.6) as svc:
+                data = os.urandom(N * BLOCK + 5)
+                await svc.client.put("obj", data)
+                victim = svc.coordinator.stripes[0].placement.node_of(0)
+                old_port = svc.daemons[victim].port
+                await svc.kill(victim)
+                await svc.client.wait_healthy(timeout=20.0, min_repairs=1)
+                port = svc.coordinator.port
+                reborn = StorageDaemon(
+                    victim, ("127.0.0.1", port), heartbeat_interval=svc.heartbeat
+                )
+                await reborn.start()
+                svc.daemons[victim] = reborn
+                assert reborn.port != old_port
+                while not svc.coordinator.detector.entry(victim).alive:
+                    await asyncio.sleep(0.02)
+                assert await svc.client.get("obj") == data
+                for i in range(6):  # new stripes land on the reborn node too
+                    await svc.client.put(f"more-{i}", os.urandom(N * BLOCK))
+                    assert len(await svc.client.get(f"more-{i}")) == N * BLOCK
+                assert reborn.blocks
+                idle = messages._IDLE[asyncio.get_running_loop()]
+                assert ("127.0.0.1", old_port) not in idle
+
+        asyncio.run(_run())
+
+
+#: Run in a child interpreter under ``-W error::ResourceWarning``: a few
+#: verbs, then no socket may be left open in that process.
+_SYNC_CLIENT_SCRIPT = """
+import gc, os, sys
+from repro.store import StoreError, SyncStoreClient
+
+client = SyncStoreClient("127.0.0.1", int(sys.argv[1]))
+data = os.urandom(3 * 2048 * 2 + 1)
+client.put("obj", data)
+assert client.get("obj") == data
+assert client.get("obj", degraded=True) == data
+assert [o["name"] for o in client.list_objects()] == ["obj"]
+assert client.stats()["coordinator"]["role"] == "coordinator"
+try:
+    client.get("nope")
+except StoreError:
+    pass
+else:
+    raise AssertionError("missing object did not raise")
+client.delete("obj")
+gc.collect()
+links = [os.readlink(f"/proc/self/fd/{fd}") for fd in os.listdir("/proc/self/fd")
+         if os.path.exists(f"/proc/self/fd/{fd}")]
+sockets = [link for link in links if link.startswith("socket:")]
+assert not sockets, sockets
+print("clean")
+"""
+
+
+class TestSyncClientSockets:
+    """``SyncStoreClient`` runs each verb on a loop of its own, so each
+    verb must close the connections it opened: no socket and no
+    ``ResourceWarning`` may outlive it."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_verbs_leave_no_sockets_and_no_resource_warnings(self):
+        ready = threading.Event()
+        box = {}
+
+        def serve():
+            async def _main():
+                box["stop"] = asyncio.Event()
+                box["loop"] = asyncio.get_running_loop()
+                async with Service(suspect_after=30.0) as svc:
+                    box["port"] = svc.coordinator.port
+                    ready.set()
+                    await box["stop"].wait()
+
+            asyncio.run(_main())
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        assert ready.wait(timeout=20.0)
+        try:
+            src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            done = subprocess.run(
+                [sys.executable, "-W", "error::ResourceWarning", "-c",
+                 _SYNC_CLIENT_SCRIPT, str(box["port"])],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+        finally:
+            box["loop"].call_soon_threadsafe(box["stop"].set)
+            thread.join(timeout=20.0)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "clean"
+        # A ResourceWarning raised inside __del__ cannot propagate; it is
+        # printed as "Exception ignored in ..." instead.
+        assert "ResourceWarning" not in done.stderr, done.stderr
+        assert not thread.is_alive()
