@@ -1349,8 +1349,6 @@ def _cmd_perf(args) -> int:
     argv = ["--out-dir", str(args.out_dir)]
     if args.quick:
         argv.append("--quick")
-    if args.workers is not None:
-        argv.extend(["--workers", str(args.workers)])
     return perf_main(argv)
 
 
@@ -1739,13 +1737,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out-dir",
         default=".",
         help="where to write BENCH_engine.json / BENCH_coding.json",
-    )
-    pf.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallel-codec worker count to measure (default: 1/2/4/8 curve)",
     )
     pf.set_defaults(func=_cmd_perf)
     return parser

@@ -30,15 +30,7 @@ from .matrix import (
     systematic_vandermonde_generator,
     vandermonde,
 )
-from .splittable import (
-    KERNELS,
-    TableCache,
-    mul_into,
-    mul_xor_into,
-    select_kernel,
-    set_kernel_override,
-    table_cache,
-)
+from .splittable import TableCache, table_cache
 from .tables import DEFAULT_PRIM_POLY, FIELD_SIZE, GFTableError, GFTables, get_tables
 
 __all__ = [
@@ -48,7 +40,6 @@ __all__ = [
     "FIELD_SIZE",
     "GFTableError",
     "GFTables",
-    "KERNELS",
     "SingularMatrixError",
     "TableCache",
     "adaptive_tile",
@@ -67,13 +58,9 @@ __all__ = [
     "mat_inv",
     "mat_mul",
     "mat_solve",
-    "mul_into",
-    "mul_xor_into",
     "scale",
     "scale_accumulate",
     "scratch_pool",
-    "select_kernel",
-    "set_kernel_override",
     "table_cache",
     "systematic_cauchy_generator",
     "systematic_vandermonde_generator",

@@ -1,63 +1,25 @@
 """Vectorised GF(2^8) arithmetic kernels.
 
 All kernels operate on ``uint8`` numpy arrays (scalars are accepted and
-broadcast).  Addition in GF(2^m) is XOR; multiplication and division go
-through the log/antilog tables built in :mod:`repro.gf.tables`.
+broadcast).  Addition in GF(2^m) is XOR; element-wise multiplication and
+division go through the log/antilog tables built in
+:mod:`repro.gf.tables`.
 
-Hot-path notes (per the HPC guides: vectorise, avoid copies, keep the
-working set contiguous):
-
-* ``scale`` — multiply a data block by one coefficient — is the kernel that
-  dominates encode/decode cost.  It is a gather into a 256-entry row of the
-  multiplication table, executed chunk-by-chunk through a pooled index
-  buffer (see ``_gather_into``) so multi-MiB blocks never materialise a
-  full-size ``intp`` index temporary.
-* ``scale_accumulate`` fuses multiply and XOR-accumulate to avoid a
-  temporary for each term of a linear combination, writing into a caller
-  provided accumulator in place.
+The bulk block operations — ``scale``, ``scale_accumulate``,
+``linear_combine`` — own no multiply loop of their own: they validate
+their arguments and hand the bytes to the one kernel of the tree
+(:func:`repro.gf.batch.gf_matmul_blocks` and the tile combiner under it
+in :mod:`repro.gf.splittable`), so a single-block caller and a
+64-stripe batch run the same code at the same speed per byte.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bufferpool import scratch_pool
+from .batch import gf_matmul_blocks
+from .splittable import combine_tile
 from .tables import GFTables, get_tables
-
-#: Elements per gather chunk.  One-shot gathers over multi-MiB blocks make
-#: numpy materialise an ``intp`` index copy 8x the input size whose pages
-#: are mapped and torn down on every call; chunking through a pooled index
-#: buffer keeps the working set cache-resident and allocation-free
-#: (measured ~3-8x faster than one-shot ``np.take``/fancy indexing on
-#: 4 MiB+ blocks).
-_GATHER_CHUNK = 64 * 1024
-
-
-def _gather_into(row: np.ndarray, src: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[...] = row[src]`` for a 256-entry table row, chunk by chunk.
-
-    ``out`` must be C-contiguous uint8 (same size as ``src``); ``src`` is
-    any uint8 array (non-contiguous inputs are flattened read-only).
-    ``mode='clip'`` skips the bounds check — uint8 indices cannot leave a
-    256-entry row.
-    """
-    flat_src = src.reshape(-1)
-    flat_out = out.reshape(-1)
-    n = flat_src.size
-    scratch = scratch_pool.take(_GATHER_CHUNK * np.dtype(np.intp).itemsize)
-    try:
-        idx = scratch.view(np.intp)
-        for lo in range(0, n, _GATHER_CHUNK):
-            hi = lo + _GATHER_CHUNK
-            if hi > n:
-                hi = n
-            part = idx[: hi - lo]
-            np.copyto(part, flat_src[lo:hi])
-            np.take(row, part, out=flat_out[lo:hi], mode="clip")
-    finally:
-        scratch_pool.give(scratch)
-    return out
-
 
 __all__ = [
     "gf_add",
@@ -165,20 +127,16 @@ def gf_pow(a, e: int, tables: GFTables | None = None) -> np.ndarray:
 def scale(coeff: int, block: np.ndarray, tables: GFTables | None = None) -> np.ndarray:
     """Multiply every byte of ``block`` by the scalar ``coeff``.
 
-    This is the bulk kernel behind encoding and (partial) decoding.  The
-    coefficient selects one row of the 256x256 product table and the whole
-    block is translated through it with a single gather.
+    Returns a fresh array of ``block``'s shape: the one-term case of the
+    tile combiner (zero and unit coefficients reduce to fill and copy
+    there).
     """
-    t = tables or get_tables()
     if not 0 <= coeff <= 255:
         raise ValueError(f"coefficient {coeff} outside GF(256)")
-    block = np.asarray(block, dtype=np.uint8)
-    if coeff == 0:
-        return np.zeros_like(block)
-    if coeff == 1:
-        return block.copy()
-    block = np.ascontiguousarray(block)
-    return _gather_into(t.mul_table[coeff], block, np.empty_like(block))
+    src = np.ascontiguousarray(block, dtype=np.uint8)
+    out = np.empty_like(src)
+    combine_tile([[int(coeff)]], [src.reshape(-1)], [out.reshape(-1)], tables)
+    return out
 
 
 def scale_accumulate(
@@ -190,29 +148,27 @@ def scale_accumulate(
     """``acc ^= coeff * block`` in place; returns ``acc``.
 
     ``acc`` must be a writable ``uint8`` array with the same shape as
-    ``block``.  The in-place accumulation avoids allocating one temporary
-    per linear-combination term (see the "in place operations" guidance).
+    ``block``.  Expressed as the two-term combine
+    ``acc = 1 * acc ^ coeff * block`` so the accumulate shares the tile
+    combiner's pooled scratch and allocates nothing; the leading unit
+    term is a same-buffer no-op.
     """
     if acc.dtype != np.uint8 or not acc.flags.writeable:
         raise ValueError("accumulator must be a writable uint8 array")
+    if not 0 <= coeff <= 255:
+        raise ValueError(f"coefficient {coeff} outside GF(256)")
     block = np.asarray(block, dtype=np.uint8)
     if acc.shape != block.shape:
         raise ValueError(f"shape mismatch: acc {acc.shape} vs block {block.shape}")
-    if coeff == 0 or block.size == 0:
+    if coeff == 0:
         return acc
-    if coeff == 1:
-        np.bitwise_xor(acc, block, out=acc)
+    if not acc.flags.c_contiguous:
+        # A strided accumulator has no flat view to combine into.
+        np.bitwise_xor(acc, scale(coeff, block, tables), out=acc)
         return acc
-    t = tables or get_tables()
-    # Gather into a pooled scratch buffer: the per-call temporary was the
-    # last allocation on the combine hot path (see repro.gf.bufferpool).
-    scratch = scratch_pool.take(block.size)
-    try:
-        tmp = scratch.reshape(block.shape)
-        _gather_into(t.mul_table[coeff], block, tmp)
-        np.bitwise_xor(acc, tmp, out=acc)
-    finally:
-        scratch_pool.give(scratch)
+    src = np.ascontiguousarray(block)
+    flat = acc.reshape(-1)
+    combine_tile([[1, int(coeff)]], [flat, src.reshape(-1)], [flat], tables)
     return acc
 
 
@@ -225,7 +181,8 @@ def linear_combine(
     """Return ``sum_i coeffs[i] * blocks[i]`` over GF(256).
 
     This is the primitive every (partial) decode reduces to: an intermediate
-    block is a linear combination of locally available blocks.
+    block is a linear combination of locally available blocks.  It is the
+    one-row case of :func:`repro.gf.batch.gf_matmul_blocks`.
 
     Parameters
     ----------
@@ -234,9 +191,9 @@ def linear_combine(
     blocks:
         Sequence of equal-shaped ``uint8`` arrays.
     out:
-        Optional pre-allocated output buffer (zeroed by this function).
+        Optional pre-allocated C-contiguous output buffer (overwritten).
     """
-    coeffs = list(coeffs)
+    coeffs = [int(c) for c in coeffs]
     blocks = list(blocks)
     if len(coeffs) != len(blocks):
         raise ValueError(
@@ -244,14 +201,9 @@ def linear_combine(
         )
     if not blocks:
         raise ValueError("linear_combine needs at least one block")
-    t = tables or get_tables()
-    shape = np.asarray(blocks[0]).shape
+    if any(not 0 <= c <= 255 for c in coeffs):
+        raise ValueError("GF(256) elements must be in [0, 255]")
     if out is None:
-        out = np.zeros(shape, dtype=np.uint8)
-    else:
-        if out.shape != shape or out.dtype != np.uint8:
-            raise ValueError("out buffer has wrong shape or dtype")
-        out[...] = 0
-    for c, b in zip(coeffs, blocks):
-        scale_accumulate(out, int(c), b, t)
+        return gf_matmul_blocks([coeffs], blocks, tables)[0]
+    gf_matmul_blocks([coeffs], blocks, tables, out=out[None])
     return out

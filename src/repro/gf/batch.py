@@ -1,42 +1,38 @@
-"""Batched GF(2^8) kernels: one coefficient matrix, many stacked blocks.
+"""The GF(2^8) block matmul: one coefficient matrix, many stacked blocks.
 
-The per-stripe kernels in :mod:`repro.gf.arithmetic` pay their Python
-dispatch and temporary-allocation cost once per block.  At store scale a
-node rebuild touches thousands of stripes with the *same* generator or
-recovery matrix, so the batched path amortises both: stripes are stacked
-along a leading axis and every non-zero coefficient becomes one bulk
-table lookup over the whole stack instead of one call per stripe.
+Every coded byte goes through :func:`gf_matmul_blocks` — RS encode and
+decode, the one-row linear combinations partial decoding and the repair
+executors reduce to, and the store's batched node rebuild.  Callers with
+many stripes stack them along a leading axis so every non-zero
+coefficient becomes one bulk table lookup over the whole stack instead
+of one call per stripe; callers with one stripe pay the same path with a
+stack of one.
 
-Three implementation choices matter for throughput here (all measured on
-this numpy build; see docs/PERFORMANCE.md):
+Two implementation choices matter for throughput here (measured on this
+numpy build; see docs/PERFORMANCE.md):
 
-* The multiply primitive is pluggable — :mod:`repro.gf.splittable`
-  provides the classic 256-entry ``bytes.translate`` kernel, the 4-bit
-  nibble-table kernel, and the 16-bit split-pair gather that processes
-  two payload bytes per lookup; which one runs is picked per machine
-  (``select_kernel``) and all are byte-identical.
 * The row/term loops are *tiled* along the flattened block axis so each
   source tile is loaded from memory once and then reused by every output
   row while still cache-resident.  The tile size adapts to the working
   set — ``(num_blocks + num_rows) * tile`` bytes is held near a fixed
-  cache budget — instead of the old fixed 256 KiB, so wide recovery
-  matrices shrink their tiles and skinny parity matrices grow them.
-* Multiply-XOR is fused: the first non-trivial term of each row is
-  written straight into the output and later terms accumulate through
-  pooled chunk scratch, so no term ever allocates a block-sized
-  temporary (the old loop built one per translated term).
+  cache budget — so wide recovery matrices shrink their tiles and skinny
+  parity matrices grow them.
+* Multiply-XOR is fused inside the tile combiner
+  (:func:`repro.gf.splittable.combine_tile`): the first non-trivial term
+  of each row is written straight into the output and later terms
+  accumulate through pooled chunk scratch, so no term ever allocates a
+  block-sized temporary.
 
-Coefficient fast paths mirror the scalar kernels: zero coefficients are
-skipped outright, and unit coefficients (the XOR-parity row, eq. (2), and
-every eq. (6) recovery row) bypass the multiplication tables entirely and
-reduce to ``bitwise_xor`` passes.
+Zero coefficients are skipped outright, and unit coefficients (the
+XOR-parity row, eq. (2), and every eq. (6) recovery row) bypass the
+multiplication tables entirely and reduce to ``bitwise_xor`` passes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .splittable import combine_tile, select_kernel
+from .splittable import combine_tile
 from .tables import GFTables, get_tables
 
 __all__ = ["gf_matmul_blocks", "adaptive_tile"]
@@ -81,9 +77,8 @@ def _block_rows(blocks) -> list[np.ndarray]:
             raise ValueError(
                 "blocks array must have at least 2 dims (block axis first)"
             )
-        arr = np.asarray(blocks, dtype=np.uint8)
-        return [np.ascontiguousarray(arr[j]) for j in range(arr.shape[0])]
-    rows = [np.ascontiguousarray(np.asarray(b, dtype=np.uint8)) for b in blocks]
+        return [np.ascontiguousarray(row, dtype=np.uint8) for row in blocks]
+    rows = [np.ascontiguousarray(b, dtype=np.uint8) for b in blocks]
     if not rows:
         raise ValueError("gf_matmul_blocks needs at least one block")
     shape = rows[0].shape
@@ -97,16 +92,14 @@ def gf_matmul_blocks(
     blocks,
     tables: GFTables | None = None,
     out: np.ndarray | None = None,
-    kernel: str | None = None,
 ) -> np.ndarray:
     """Apply an ``r x c`` GF matrix to ``c`` stacked block arrays at once.
 
     ``out[i] = sum_j matrix[i, j] * blocks[j]`` over GF(256), where each
     ``blocks[j]`` may have any shape (typically ``(block_size,)`` for one
     stripe or ``(num_stripes, block_size)`` for a stripe stack) as long as
-    all of them agree.  This is the batched generalisation of
-    :func:`repro.gf.matrix.apply_matrix_to_blocks`: one bulk multiply
-    per non-zero coefficient per tile, XOR-only rows touch no tables.
+    all of them agree: one bulk multiply per non-zero coefficient per
+    tile, XOR-only rows touch no tables.
 
     Parameters
     ----------
@@ -119,12 +112,7 @@ def gf_matmul_blocks(
         Optional pre-allocated ``(r, *block_shape)`` uint8 output.  The
         whole array need not be contiguous — each row ``out[i]`` must
         be, which is what a stripe-range slice ``arena[:, lo:hi]`` of a
-        shared output arena provides.  The parallel codec relies on
-        this: workers write disjoint stripe ranges of one arena with no
-        assembly copies.
-    kernel:
-        Multiply kernel name (see :data:`repro.gf.splittable.KERNELS`);
-        defaults to the per-process measured selection.
+        shared output arena provides.
 
     Returns
     -------
@@ -151,10 +139,8 @@ def gf_matmul_blocks(
         raise ValueError("every out row must be C-contiguous")
 
     t = tables or get_tables()
-    kern = kernel or select_kernel()
     num_blocks = len(rows)
-    # Python ints once, not per tile.
-    coeffs = [[int(m[i, j]) for j in range(num_blocks)] for i in range(num_rows)]
+    coeffs = m.tolist()  # Python ints once, not per tile
 
     flat_blocks = [b.reshape(-1) for b in rows]
     size = flat_blocks[0].size if num_blocks else 0
@@ -172,6 +158,5 @@ def gf_matmul_blocks(
             [b[lo:hi] for b in flat_blocks],
             [f[lo:hi] for f in flat_out],
             t,
-            kern,
         )
     return out

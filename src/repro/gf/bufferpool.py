@@ -11,11 +11,11 @@ one length) and in total (``max_bytes`` high-water mark) — a workload
 that cycles through many distinct block sizes evicts the largest idle
 buffers first rather than accumulating one free-list per size forever.
 
-The pool is shared by every kernel in the process, including the worker
-threads of the parallel codec (:meth:`repro.rs.RSCode.encode_many_parallel`),
-so ``take``/``give`` are serialised by a tiny lock — the pool is touched a
-handful of times per cache tile, so the lock is noise next to the tile's
-gather work.
+The pool is process-wide and nothing confines kernel callers to one
+thread (in-process clusters run event loops on several), so
+``take``/``give`` are serialised by a tiny lock; the pool is touched
+twice per cache tile, so the lock is noise next to the tile's gather
+work.
 """
 
 from __future__ import annotations

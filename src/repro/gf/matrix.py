@@ -10,15 +10,16 @@ Provides the small-matrix operations Reed--Solomon coding needs:
 
 Matrices are dense ``uint8`` numpy arrays.  Dimensions here are tiny
 (``n + k`` is at most a few dozen), so clarity wins over micro-tuning;
-the bulk work happens in :func:`repro.gf.arithmetic.scale_accumulate`
-when matrices are applied to data blocks.
+the bulk work happens in :func:`repro.gf.batch.gf_matmul_blocks` when
+matrices are applied to data blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .arithmetic import gf_div, gf_inv, gf_mul, gf_pow, linear_combine
+from .arithmetic import gf_div, gf_inv, gf_mul, gf_pow
+from .batch import gf_matmul_blocks
 from .tables import GFTables, get_tables
 
 __all__ = [
@@ -239,12 +240,7 @@ def apply_matrix_to_blocks(
 
     Each output block ``i`` is ``sum_j matrix[i, j] * blocks[j]`` — the
     block-level matrix-vector product used for encoding and decoding.
+    The returned blocks are the rows of one fresh array (see
+    :func:`repro.gf.batch.gf_matmul_blocks`); none aliases an input.
     """
-    t = tables or get_tables()
-    matrix = np.asarray(matrix, dtype=np.uint8)
-    blocks = list(blocks)
-    if matrix.ndim != 2 or matrix.shape[1] != len(blocks):
-        raise ValueError(
-            f"matrix shape {matrix.shape} incompatible with {len(blocks)} blocks"
-        )
-    return [linear_combine(matrix[i], blocks, t) for i in range(matrix.shape[0])]
+    return list(gf_matmul_blocks(matrix, list(blocks), tables))

@@ -1,65 +1,47 @@
-"""Split-table GF(2^8) multiply kernels and the process-wide table cache.
+"""The GF(2^8) bulk multiply: the split-pair tile combiner and its table cache.
 
-The batched matmul in :mod:`repro.gf.batch` reduces to one primitive:
-combine ``c`` source blocks into ``r`` output rows as
-``out[i] = xor_j coeff[i][j] * src[j]`` over one cache tile.  This
-module provides three interchangeable implementations of that combine
-(and of the scalar ``acc ^= coeff * src`` it generalises), all
-byte-identical:
+Every coded byte in the tree — encode, decode, partial decode, repair
+combine — is produced by one primitive: combine ``c`` source blocks into
+``r`` output rows as ``out[i] = xor_j coeff[i][j] * src[j]`` over one
+cache tile.  :func:`combine_tile` is that primitive;
+:func:`repro.gf.batch.gf_matmul_blocks` tiles whole blocks over it and
+the scalar helpers in :mod:`repro.gf.arithmetic` call it directly.
 
-``translate``
-    The original kernel: one 256-entry table through ``bytes.translate``
-    (CPython's tight translation loop).  Portable baseline.
+The kernel is the 16-bit split-table gather: the coefficient's 256-entry
+product row is widened into a 65536-entry ``uint16`` table holding *two*
+products per entry (``pair[hi*256+lo] = mul[lo] | mul[hi] << 8``), and
+the block is gathered through it two bytes at a time via ``np.take`` —
+half the lookups of any byte-wide scheme.  This is the word-splitting
+idea GF-Complete calls SPLIT multiplication (there realised with
+PSHUFB); in numpy the win comes from halving the index stream.
 
-``split16``
-    The 16-bit split-table gather: the coefficient's 256-entry product
-    row is widened into a 65536-entry ``uint16`` table holding *two*
-    products per entry (``pair[hi*256+lo] = mul[lo] | mul[hi] << 8``),
-    and the block is gathered through it two bytes at a time via
-    ``np.take`` — half the lookups of any byte-wide scheme.  This is the
-    same word-splitting idea GF-Complete calls SPLIT multiplication
-    (there realised with PSHUFB); in numpy the win comes from halving
-    the index stream.  Measured ~1.5-2x over ``translate`` on this
-    numpy build (see docs/PERFORMANCE.md).
+The tile-level combine is where the fusion happens: unit coefficients
+(most of what repair plans carry) are whole-tile copy/XOR passes done
+first, with no table and no scratch; then each source block's
+``uint16 -> intp`` index widening is done once per chunk and reused by
+every output row that multiplies it, each row's first term is written
+straight into the output while later terms accumulate through
+chunk-sized pooled scratch — no term ever allocates a block-sized
+temporary.
 
-``nibble4``
-    The 4-bit split-table path the classic SIMD kernels use: two
-    16-entry nibble tables per coefficient (``lo[v] = coeff * v``,
-    ``hi[v] = coeff * (v << 4)``), composed per byte as
-    ``lo[b & 15] ^ hi[b >> 4]`` with plain numpy uint8 gathers.  The
-    construction is the cheapest of the three (32 bytes per
-    coefficient) and is also how this module *builds* the wider tables,
-    but as a bulk kernel numpy's per-element index handling makes it
-    the slowest — it is kept selectable for reference and for machines
-    where gathers beat translation loops.
-
-The tile-level combine is where the fusion happens: each source block
-is *prepared* once per tile (``tobytes`` for translate, the
-``uint16 -> intp`` index widening for split16, the nibble split for
-nibble4) and the preparation is reused by every output row; each row's
-first non-trivial term is written straight into the output while later
-terms accumulate through chunk-sized pooled scratch — no term ever
-allocates a block-sized temporary.
-
-Which kernel runs is decided once per process by :func:`select_kernel`
-(a short in-situ measurement, overridable with the ``REPRO_GF_KERNEL``
-environment variable or :func:`set_kernel_override`).  All kernels are
-exact — equivalence is property-tested across random coefficients,
-block counts and non-tile-aligned sizes in
-``tests/properties/test_batch_equivalence.py``.
+:func:`combine_tile_reference` is the same contract implemented with one
+256-entry table through ``bytes.translate``.  It is the oracle the
+equivalence tests hold the kernel against and is never called at run
+time (see docs/PERFORMANCE.md for the measurements that retired the
+other variants).
 
 Built tables are held in one process-wide byte-budgeted LRU
-(:data:`table_cache`): a ``split16`` table is 128 KiB, so an unbounded
-per-call dict (the previous design) would grow with every distinct
-coefficient a workload touches; the LRU keeps the hot generator /
-recovery coefficients resident and evicts the rest.
+(:data:`table_cache`): a pair table is 128 KiB, so an unbounded dict
+would grow with every distinct coefficient a workload touches; the LRU
+keeps the hot generator / recovery coefficients resident and evicts the
+rest.  ``tests/repair/test_table_budget.py`` checks that every
+single-failure plan of the paper's codes fits the budget without an
+eviction.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import time
 from collections import OrderedDict
 
 import numpy as np
@@ -68,36 +50,30 @@ from .bufferpool import scratch_pool
 from .tables import GFTables, get_tables
 
 __all__ = [
-    "KERNELS",
     "TableCache",
     "table_cache",
-    "nibble_tables",
     "pair_table",
     "translate_table",
     "combine_tile",
-    "mul_into",
-    "mul_xor_into",
-    "select_kernel",
-    "set_kernel_override",
-    "reset_selection",
+    "combine_tile_reference",
 ]
 
-#: Selectable kernel names, fastest-first on a typical x86 numpy build.
-KERNELS = ("split16", "translate", "nibble4")
-
-#: Environment variable that pins the kernel for the whole process.
-KERNEL_ENV = "REPRO_GF_KERNEL"
-
-#: Pairs per gather chunk for the split16 path (uint16 elements, so
-#: 128 KiB of payload per chunk).  The pooled ``intp`` index buffer for
-#: one chunk is 512 KiB — big enough to amortise the per-chunk numpy
-#: dispatch, small enough to stay cache-warm next to the 128 KiB table.
+#: Pairs per gather chunk (uint16 elements, so 128 KiB of payload per
+#: chunk).  The pooled ``intp`` index buffer for one chunk is 512 KiB —
+#: big enough to amortise the per-chunk numpy dispatch, small enough to
+#: stay cache-warm next to the 128 KiB table.
 _SPLIT_CHUNK = 64 * 1024
 
-#: Bytes per gather chunk for the nibble4 path.
-_NIBBLE_CHUNK = 64 * 1024
+#: Bytes of one chunk's widened index buffer.
+_IDX_BYTES = _SPLIT_CHUNK * np.dtype(np.intp).itemsize
 
-_INTP_SIZE = np.dtype(np.intp).itemsize
+
+#: Default table budget: 128 pair tables.  Sized to the widest code of
+#: the paper: the single-failure plans of RS(12,4) use 66 distinct
+#: non-unit coefficients between them (8.25 MiB of tables; RS(6,3) uses
+#: 29, RS(8,3) 31), and an LRU one table short of a working set that is
+#: walked in a cycle misses every time.
+DEFAULT_TABLE_BYTES = 16 * 1024 * 1024
 
 
 class TableCache:
@@ -107,11 +83,11 @@ class TableCache:
     builder produced (bytes for translate tables, arrays for the rest).
     ``get`` refreshes recency; inserting past ``max_bytes`` evicts the
     least recently used entries first.  A lock serialises the structural
-    updates so the parallel codec's worker threads can share one cache
+    updates so kernel callers on different threads can share one cache
     (tables are immutable once built, so readers only race on recency).
     """
 
-    def __init__(self, max_bytes: int = 8 * 1024 * 1024) -> None:
+    def __init__(self, max_bytes: int = DEFAULT_TABLE_BYTES) -> None:
         if max_bytes < 1:
             raise ValueError("max_bytes must be positive")
         self.max_bytes = max_bytes
@@ -167,31 +143,8 @@ class TableCache:
         }
 
 
-#: The process-wide table LRU every kernel below draws from.
+#: The process-wide table LRU the combiners below draw from.
 table_cache = TableCache()
-
-
-def nibble_tables(
-    coeff: int, tables: GFTables | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two 16-entry nibble product tables for ``coeff`` (cached).
-
-    ``lo[v] = coeff * v`` and ``hi[v] = coeff * (v << 4)`` over GF(256),
-    so any byte's product decomposes as ``lo[b & 15] ^ hi[b >> 4]``
-    (multiplication distributes over the XOR that *is* field addition).
-    """
-    t = tables or get_tables()
-    key = (t.prim_poly, "nibble4", coeff)
-    found = table_cache.get(key)
-    if found is None:
-        row = t.mul_table[coeff]
-        lo = row[:16].copy()
-        hi = row[np.arange(16) << 4].copy()
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        found = (lo, hi)
-        table_cache.put(key, found, 32)
-    return found
 
 
 def pair_table(coeff: int, tables: GFTables | None = None) -> np.ndarray:
@@ -199,17 +152,15 @@ def pair_table(coeff: int, tables: GFTables | None = None) -> np.ndarray:
 
     ``pair[hi_byte * 256 + lo_byte] = mul[lo_byte] | mul[hi_byte] << 8``
     — exactly what a little-endian ``uint16`` load of two payload bytes
-    must map to.  Composed from the coefficient's nibble tables (the
-    4-bit construction above), so building one is two 256-element
-    gathers plus an outer OR, ~25 µs.
+    must map to.  Built from the coefficient's product-table row with
+    one outer OR (~50 µs); planned traffic reuses a few dozen
+    coefficients, so steady state is all cache hits.
     """
     t = tables or get_tables()
     key = (t.prim_poly, "split16", coeff)
     found = table_cache.get(key)
     if found is None:
-        lo, hi = nibble_tables(coeff, t)
-        idx = np.arange(256, dtype=np.uint8)
-        row = (lo[idx & 15] ^ hi[idx >> 4]).astype(np.uint16)
+        row = t.mul_table[coeff].astype(np.uint16)
         found = (row[None, :] | (row[:, None] << 8)).reshape(-1)
         found.setflags(write=False)
         table_cache.put(key, found, found.nbytes)
@@ -217,7 +168,10 @@ def pair_table(coeff: int, tables: GFTables | None = None) -> np.ndarray:
 
 
 def translate_table(coeff: int, tables: GFTables | None = None) -> bytes:
-    """The 256-byte ``bytes.translate`` table for ``coeff`` (cached)."""
+    """The 256-byte ``bytes.translate`` table for ``coeff`` (cached).
+
+    Only :func:`combine_tile_reference` reads it.
+    """
     t = tables or get_tables()
     key = (t.prim_poly, "translate", coeff)
     found = table_cache.get(key)
@@ -229,17 +183,17 @@ def translate_table(coeff: int, tables: GFTables | None = None) -> bytes:
 
 # -- tile combiners ----------------------------------------------------------
 #
-# Each combiner computes ``outs[i][:] = xor_j coeffs[i][j] * srcs[j]``
+# Both combiners compute ``outs[i][:] = xor_j coeffs[i][j] * srcs[j]``
 # over flat, C-contiguous, equal-length uint8 tile views.  Zero
 # coefficients are skipped, unit coefficients reduce to copy/XOR, each
 # row's first surviving term overwrites instead of accumulating, and
 # all-zero rows are zero-filled.  Per-block preparation work is shared
 # across every output row.
 #
-# Aliasing contract: an output may alias a source only as that source's
-# unit-coefficient *first* term of its own row (the ``acc ^= ...``
-# pattern of mul_xor_into, where the first action is a same-buffer
-# no-op copy); outputs must otherwise be disjoint from all sources.
+# Aliasing contract: an output may alias a source only as the *first*
+# unit-coefficient term of its own row (the ``acc ^= ...`` pattern of
+# scale_accumulate, where the first action is a same-buffer no-op
+# copy); outputs must otherwise be disjoint from all sources.
 
 
 def _odd_tail(coeffs, srcs, outs, t: GFTables, pos: int) -> None:
@@ -253,7 +207,86 @@ def _odd_tail(coeffs, srcs, outs, t: GFTables, pos: int) -> None:
         outs[i][pos] = val
 
 
-def _combine_translate(coeffs, srcs, outs, t: GFTables) -> None:
+def combine_tile(coeffs, srcs, outs, tables: GFTables | None = None) -> None:
+    """``outs[i][:] = xor_j coeffs[i][j] * srcs[j]`` over one tile.
+
+    ``coeffs`` is an ``r x c`` list of Python ints, ``srcs`` are ``c``
+    flat contiguous uint8 views and ``outs`` ``r`` more, all the same
+    length.  This is the one bulk multiply of the tree (the split-pair
+    gather described in the module docstring).
+    """
+    t = tables or get_tables()
+    n = srcs[0].size
+    even = n & ~1
+    # Unit coefficients first: whole-tile copy / XOR passes that need
+    # neither tables nor scratch.  The repair plans' eq. (6) rows and
+    # every XOR merge of intermediates are nothing else.
+    written = []
+    for row, out in zip(coeffs, outs):
+        started = False
+        for coeff, src in zip(row, srcs):
+            if coeff == 1:
+                if started:
+                    np.bitwise_xor(out, src, out=out)
+                else:
+                    np.copyto(out, src)
+                    started = True
+        written.append(started)
+    # Table terms, grouped by source block so a chunk's index widening
+    # is shared by every row that multiplies it.
+    gathers = []
+    for j, src in enumerate(srcs):
+        rows = [
+            (i, pair_table(row[j], t)) for i, row in enumerate(coeffs) if row[j] > 1
+        ]
+        if rows:
+            gathers.append((src[:even].view(np.uint16), rows))
+    if gathers:
+        d16 = [o[:even].view(np.uint16) for o in outs]
+        pairs = even >> 1
+        # One pooled buffer carries both the widened indices and the
+        # term scratch of a chunk.
+        scratch = scratch_pool.take(_IDX_BYTES + 2 * _SPLIT_CHUNK)
+        try:
+            idx_full = scratch[:_IDX_BYTES].view(np.intp)
+            tmp_full = scratch[_IDX_BYTES:].view(np.uint16)
+            for lo in range(0, pairs, _SPLIT_CHUNK):
+                hi = min(lo + _SPLIT_CHUNK, pairs)
+                idx = idx_full[: hi - lo]
+                tmp = tmp_full[: hi - lo]
+                started = list(written)
+                for s16, rows in gathers:
+                    # uint16 -> intp once per (chunk, block); np.take
+                    # would otherwise build a fresh full-size intp
+                    # temporary per term.
+                    np.copyto(idx, s16[lo:hi])
+                    for i, table in rows:
+                        dst = d16[i][lo:hi]
+                        if started[i]:
+                            np.take(table, idx, out=tmp, mode="clip")
+                            np.bitwise_xor(dst, tmp, out=dst)
+                        else:
+                            np.take(table, idx, out=dst, mode="clip")
+                            started[i] = True
+        finally:
+            scratch_pool.give(scratch)
+        if even != n:
+            _odd_tail(coeffs, srcs, outs, t, n - 1)
+    for row, out in zip(coeffs, outs):
+        if not any(row):
+            out[...] = 0
+
+
+def combine_tile_reference(
+    coeffs, srcs, outs, tables: GFTables | None = None
+) -> None:
+    """:func:`combine_tile`'s contract through ``bytes.translate``.
+
+    The test oracle: one 256-entry table per coefficient pushed through
+    CPython's translation loop, sharing no code with the split-pair
+    gather.  Nothing at run time calls it.
+    """
+    t = tables or get_tables()
     num_rows = len(outs)
     written = [False] * num_rows
     for j in range(len(srcs)):
@@ -280,236 +313,3 @@ def _combine_translate(coeffs, srcs, outs, t: GFTables) -> None:
     for i in range(num_rows):
         if not written[i]:
             outs[i][...] = 0
-
-
-def _combine_split16(coeffs, srcs, outs, t: GFTables) -> None:
-    num_rows = len(outs)
-    num_blocks = len(srcs)
-    n = srcs[0].size
-    even = n & ~1
-    pairs = even >> 1
-    tabs = [[pair_table(c, t) if c > 1 else None for c in row] for row in coeffs]
-    s16 = [s[:even].view(np.uint16) for s in srcs]
-    d16 = [o[:even].view(np.uint16) for o in outs]
-    idx_buf = scratch_pool.take(_SPLIT_CHUNK * _INTP_SIZE)
-    tmp_buf = scratch_pool.take(_SPLIT_CHUNK * 2)
-    try:
-        idx_full = idx_buf.view(np.intp)
-        tmp_full = tmp_buf.view(np.uint16)
-        for lo in range(0, pairs, _SPLIT_CHUNK):
-            hi = lo + _SPLIT_CHUNK
-            if hi > pairs:
-                hi = pairs
-            idx = idx_full[: hi - lo]
-            tmp = tmp_full[: hi - lo]
-            written = [False] * num_rows
-            for j in range(num_blocks):
-                widened = False
-                for i in range(num_rows):
-                    coeff = coeffs[i][j]
-                    if coeff == 0:
-                        continue
-                    dst = d16[i][lo:hi]
-                    if coeff == 1:
-                        if written[i]:
-                            np.bitwise_xor(dst, s16[j][lo:hi], out=dst)
-                        else:
-                            np.copyto(dst, s16[j][lo:hi])
-                            written[i] = True
-                        continue
-                    if not widened:
-                        # uint16 -> intp once per (chunk, block), shared
-                        # by every row; np.take would otherwise build a
-                        # fresh full-size intp temporary per term.
-                        np.copyto(idx, s16[j][lo:hi])
-                        widened = True
-                    if written[i]:
-                        np.take(tabs[i][j], idx, out=tmp, mode="clip")
-                        np.bitwise_xor(dst, tmp, out=dst)
-                    else:
-                        np.take(tabs[i][j], idx, out=dst, mode="clip")
-                        written[i] = True
-            for i in range(num_rows):
-                if not written[i]:
-                    d16[i][lo:hi] = 0
-    finally:
-        scratch_pool.give(idx_buf)
-        scratch_pool.give(tmp_buf)
-    if even != n:
-        _odd_tail(coeffs, srcs, outs, t, n - 1)
-
-
-def _combine_nibble4(coeffs, srcs, outs, t: GFTables) -> None:
-    num_rows = len(outs)
-    num_blocks = len(srcs)
-    n = srcs[0].size
-    tabs = [[nibble_tables(c, t) if c > 1 else None for c in row] for row in coeffs]
-    bufs = [scratch_pool.take(_NIBBLE_CHUNK) for _ in range(4)]
-    na_full, nb_full, ta_full, tb_full = bufs
-    try:
-        for lo in range(0, n, _NIBBLE_CHUNK):
-            hi = lo + _NIBBLE_CHUNK
-            if hi > n:
-                hi = n
-            w = hi - lo
-            na, nb, ta, tb = na_full[:w], nb_full[:w], ta_full[:w], tb_full[:w]
-            written = [False] * num_rows
-            for j in range(num_blocks):
-                chunk = srcs[j][lo:hi]
-                split = False
-                for i in range(num_rows):
-                    coeff = coeffs[i][j]
-                    if coeff == 0:
-                        continue
-                    dst = outs[i][lo:hi]
-                    if coeff == 1:
-                        if written[i]:
-                            np.bitwise_xor(dst, chunk, out=dst)
-                        else:
-                            np.copyto(dst, chunk)
-                            written[i] = True
-                        continue
-                    if not split:
-                        # nibble decomposition once per (chunk, block)
-                        np.right_shift(chunk, 4, out=na)
-                        np.bitwise_and(chunk, 15, out=nb)
-                        split = True
-                    lo_tab, hi_tab = tabs[i][j]
-                    np.take(hi_tab, na, out=ta, mode="clip")
-                    np.take(lo_tab, nb, out=tb, mode="clip")
-                    np.bitwise_xor(ta, tb, out=ta)
-                    if written[i]:
-                        np.bitwise_xor(dst, ta, out=dst)
-                    else:
-                        np.copyto(dst, ta)
-                        written[i] = True
-            for i in range(num_rows):
-                if not written[i]:
-                    outs[i][lo:hi] = 0
-    finally:
-        for buf in bufs:
-            scratch_pool.give(buf)
-
-
-_COMBINERS = {
-    "translate": _combine_translate,
-    "split16": _combine_split16,
-    "nibble4": _combine_nibble4,
-}
-
-
-def combine_tile(
-    coeffs,
-    srcs,
-    outs,
-    tables: GFTables | None = None,
-    kernel: str | None = None,
-) -> None:
-    """``outs[i][:] = xor_j coeffs[i][j] * srcs[j]`` over one tile.
-
-    ``coeffs`` is an ``r x c`` list of Python ints, ``srcs`` are ``c``
-    flat contiguous uint8 views and ``outs`` ``r`` more, all the same
-    length.  This is the inner combine of the batched matmul, exposed so
-    the driver in :mod:`repro.gf.batch` carries no kernel-specific code.
-    """
-    t = tables or get_tables()
-    _COMBINERS[kernel or select_kernel()](coeffs, srcs, outs, t)
-
-
-# -- kernel selection --------------------------------------------------------
-
-_selected: str | None = None
-_override: str | None = None
-
-
-def set_kernel_override(name: str | None) -> None:
-    """Pin (or with ``None`` unpin) the kernel for this process.
-
-    Takes precedence over both the measured selection and the
-    ``REPRO_GF_KERNEL`` environment variable; used by the perf harness
-    to time each kernel on identical workloads and by tests.
-    """
-    if name is not None and name not in _COMBINERS:
-        raise ValueError(f"unknown GF kernel {name!r}; expected one of {KERNELS}")
-    global _override
-    _override = name
-
-
-def reset_selection() -> None:
-    """Forget the measured kernel choice (tests / benchmarking)."""
-    global _selected
-    _selected = None
-
-
-def _measure_kernels(probe_bytes: int = 256 * 1024, reps: int = 3) -> str:
-    """Best measured kernel for a parity-shaped combine on this machine."""
-    t = get_tables()
-    rng = np.random.default_rng(0)
-    srcs = [rng.integers(0, 256, probe_bytes, dtype=np.uint8) for _ in range(4)]
-    outs = [np.zeros(probe_bytes, dtype=np.uint8) for _ in range(2)]
-    coeffs = [[1, 1, 1, 1], [37, 91, 143, 250]]
-    best_name, best_time = KERNELS[0], float("inf")
-    for name in KERNELS:
-        impl = _COMBINERS[name]
-        impl(coeffs, srcs, outs, t)  # warm tables + pools
-        elapsed = float("inf")
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            impl(coeffs, srcs, outs, t)
-            elapsed = min(elapsed, time.perf_counter() - t0)
-        if elapsed < best_time:
-            best_name, best_time = name, elapsed
-    return best_name
-
-
-def select_kernel() -> str:
-    """The kernel name the batched matmul should use on this process.
-
-    Resolution order: :func:`set_kernel_override`, the
-    ``REPRO_GF_KERNEL`` environment variable, then a one-off in-situ
-    measurement cached for the process lifetime.  Selection only ever
-    affects speed — all kernels produce identical bytes.
-    """
-    if _override is not None:
-        return _override
-    global _selected
-    if _selected is None:
-        env = os.environ.get(KERNEL_ENV)
-        if env:
-            if env not in _COMBINERS:
-                raise ValueError(f"{KERNEL_ENV}={env!r} is not one of {KERNELS}")
-            _selected = env
-        else:
-            _selected = _measure_kernels()
-    return _selected
-
-
-def mul_into(
-    coeff: int,
-    src: np.ndarray,
-    out: np.ndarray,
-    tables: GFTables | None = None,
-    kernel: str | None = None,
-) -> np.ndarray:
-    """``out[:] = coeff * src`` over GF(256) for flat contiguous uint8 arrays."""
-    t = tables or get_tables()
-    _COMBINERS[kernel or select_kernel()]([[coeff]], [src], [out], t)
-    return out
-
-
-def mul_xor_into(
-    coeff: int,
-    src: np.ndarray,
-    acc: np.ndarray,
-    tables: GFTables | None = None,
-    kernel: str | None = None,
-) -> np.ndarray:
-    """``acc ^= coeff * src`` over GF(256) — the fused multiply-XOR primitive.
-
-    Expressed as the two-term combine ``acc = 1 * acc ^ coeff * src`` so
-    the accumulate shares the tile machinery (and its scratch reuse)
-    with the matmul path; the leading unit term is a same-buffer no-op.
-    """
-    t = tables or get_tables()
-    _COMBINERS[kernel or select_kernel()]([[1, coeff]], [acc, src], [acc], t)
-    return acc

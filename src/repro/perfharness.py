@@ -121,28 +121,17 @@ def engine_suite(quick: bool = False) -> dict:
     return report
 
 
-#: Worker counts the parallel-codec scaling curve measures by default.
-DEFAULT_WORKER_CURVE = (1, 2, 4, 8)
+def coding_suite(quick: bool = False) -> dict:
+    """GF/RS kernel timings: single-block calls and the batched stack.
 
-
-def coding_suite(
-    quick: bool = False, worker_counts: tuple[int, ...] | None = None
-) -> dict:
-    """GF/RS kernel timings: per-stripe baselines vs the batched stack.
-
-    The ``derived`` section holds the speedup ratios the acceptance bars
-    track (batched encode/decode vs N single-stripe calls at the same
-    total byte count, split-table kernels vs the ``translate`` baseline,
-    and the multicore codec's worker-scaling curve).  Entries that move
-    a known number of bytes carry a ``bytes_touched`` estimate (logical
-    bytes in + bytes out) so a memory-bandwidth figure can be derived.
-
-    ``worker_counts`` overrides :data:`DEFAULT_WORKER_CURVE` (the
-    ``rpr perf --workers N`` knob); the serial baseline is always
-    measured regardless.
+    Every entry runs the same kernel (``gf_matmul_blocks``); the suite
+    times it at each shape a caller reaches it with — one block, one
+    stripe at a time, a 64-stripe stack, the store's node rebuild.
+    Entries that move a known number of bytes carry a ``bytes_touched``
+    estimate (logical bytes in + bytes out) so a memory-bandwidth figure
+    can be derived.
     """
     from .gf import linear_combine, scale, scale_accumulate, scratch_pool
-    from .gf.splittable import KERNELS, set_kernel_override
     from .multistripe import (
         StripeStore,
         encode_store_payloads,
@@ -153,8 +142,6 @@ def coding_suite(
     from .rs.decode import decode_blocks
 
     reps = 3 if quick else 9
-    if worker_counts is None:
-        worker_counts = DEFAULT_WORKER_CURVE
     num_stripes, block = 64, 64 * 1024
     big = (1 if quick else 4) * 1024 * 1024
     rng = np.random.default_rng(42)
@@ -226,43 +213,6 @@ def coding_suite(
         lambda: code.decode_many(available, failed), reps, nbytes=decode_bytes
     )
 
-    # -- split-table kernels vs the translate baseline ---------------------
-    # Same 64-stripe encode/decode workload, each GF kernel pinned in
-    # turn so the comparison is pure kernel cost (no selection races).
-    try:
-        for kernel in KERNELS:
-            set_kernel_override(kernel)
-            results[f"encode_many_kernel_{kernel}"] = _measure(
-                lambda: code.encode_many(data, out=arena),
-                reps,
-                nbytes=encode_bytes,
-            )
-            results[f"decode_many_kernel_{kernel}"] = _measure(
-                lambda: code.decode_many(available, failed),
-                reps,
-                nbytes=decode_bytes,
-            )
-    finally:
-        set_kernel_override(None)
-
-    # -- multicore codec scaling curve -------------------------------------
-    parallel_curve: dict = {}
-    for workers in sorted(set(worker_counts)):
-        entry = _measure(
-            lambda w=workers: code.encode_many_parallel(
-                data, out=arena, workers=w
-            ),
-            reps,
-            nbytes=encode_bytes,
-        )
-        entry["workers"] = workers
-        results[f"encode_many_parallel_w{workers}"] = entry
-        # Speedup vs the serial arena encode: same workload, same output
-        # buffer, so the ratio is pure scheduling gain.
-        parallel_curve[str(workers)] = round(
-            results["encode_many_arena"]["best_s"] / entry["best_s"], 3
-        )
-
     # -- store-level rebuild through the batched stack ---------------------
     cluster = Cluster.homogeneous(5, 8)
     store = StripeStore.build(cluster, code, 40)
@@ -272,36 +222,7 @@ def coding_suite(
     )
 
     results["buffer_pool"] = scratch_pool.stats()
-    report["derived"] = {
-        "stripes": num_stripes,
-        "block_bytes": block,
-        "encode_many_speedup_x": round(
-            results["encode_per_stripe"]["best_s"]
-            / results["encode_many"]["best_s"],
-            3,
-        ),
-        "encode_many_arena_speedup_x": round(
-            results["encode_per_stripe"]["best_s"]
-            / results["encode_many_arena"]["best_s"],
-            3,
-        ),
-        "decode_many_speedup_x": round(
-            results["decode_per_stripe"]["best_s"]
-            / results["decode_many"]["best_s"],
-            3,
-        ),
-        "split16_encode_vs_translate_x": round(
-            results["encode_many_kernel_translate"]["best_s"]
-            / results["encode_many_kernel_split16"]["best_s"],
-            3,
-        ),
-        "split16_decode_vs_translate_x": round(
-            results["decode_many_kernel_translate"]["best_s"]
-            / results["decode_many_kernel_split16"]["best_s"],
-            3,
-        ),
-        "parallel_encode_speedup_by_workers": parallel_curve,
-    }
+    report["derived"] = {"stripes": num_stripes, "block_bytes": block}
     return report
 
 
@@ -651,11 +572,7 @@ def append_history(out_dir: Path, reports: dict[str, dict]) -> Path:
     return path
 
 
-def write_reports(
-    out_dir: Path,
-    quick: bool = False,
-    worker_counts: tuple[int, ...] | None = None,
-) -> list[Path]:
+def write_reports(out_dir: Path, quick: bool = False) -> list[Path]:
     """Run both suites, write the ``BENCH_*.json`` reports, log history."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -667,10 +584,7 @@ def write_reports(
         ("BENCH_live.json", live_suite),
         ("BENCH_qos.json", qos_suite),
     ):
-        if suite is coding_suite:
-            report = suite(quick, worker_counts=worker_counts)
-        else:
-            report = suite(quick)
+        report = suite(quick)
         reports[name.removeprefix("BENCH_").removesuffix(".json")] = report
         path = out_dir / name
         path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -694,23 +608,8 @@ def main(argv=None) -> int:
         default=Path.cwd(),
         help="where to write the reports (default: current directory)",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="measure the parallel codec at N workers (plus the serial "
-        "baseline) instead of the default 1/2/4/8 curve",
-    )
     args = parser.parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        parser.error("--workers must be >= 1")
-    worker_counts = (
-        None if args.workers is None else tuple(sorted({1, args.workers}))
-    )
-    for path in write_reports(
-        args.out_dir, quick=args.quick, worker_counts=worker_counts
-    ):
+    for path in write_reports(args.out_dir, quick=args.quick):
         if path.name == HISTORY_NAME:
             print(f"appended run to {path}")
             continue

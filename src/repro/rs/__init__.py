@@ -6,7 +6,6 @@ per-rack intermediate blocks (eq. (9)), and decode-time cost models.
 """
 
 from .code import (
-    DEFAULT_CODEC_WORKERS,
     PAPER_NONWORST_MULTI_CODES,
     PAPER_SINGLE_FAILURE_CODES,
     PAPER_WORST_CASE_CODES,
@@ -26,7 +25,6 @@ from .stripe import BlockKind, Stripe, block_kind, parity_index
 
 __all__ = [
     "BlockKind",
-    "DEFAULT_CODEC_WORKERS",
     "DecodeCostModel",
     "EC2_DECODE",
     "InsufficientHelpersError",

@@ -13,16 +13,12 @@ rely on.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
 
 from ..gf import (
     GFTables,
-    apply_matrix_to_blocks,
     get_tables,
     gf_matmul_blocks,
     systematic_vandermonde_generator,
@@ -31,7 +27,6 @@ from .stripe import Stripe
 
 __all__ = [
     "RSCode",
-    "DEFAULT_CODEC_WORKERS",
     "PAPER_SINGLE_FAILURE_CODES",
     "PAPER_NONWORST_MULTI_CODES",
     "PAPER_WORST_CASE_CODES",
@@ -55,48 +50,6 @@ PAPER_NONWORST_MULTI_CODES: tuple[tuple[int, int], ...] = ((6, 3), (8, 4), (12, 
 #: Codes used in the worst-case (k failures) evaluation (Figures 11 and 14):
 #: those with (n + k) / k > 3.
 PAPER_WORST_CASE_CODES: tuple[tuple[int, int], ...] = ((6, 2), (8, 2), (12, 4))
-
-
-#: Worker-count default for the parallel codec: the machine's cores,
-#: capped — past 8 workers the GF kernels are memory-bandwidth-bound and
-#: extra threads only contend.
-DEFAULT_CODEC_WORKERS = min(os.cpu_count() or 1, 8)
-
-_executors: dict[int, ThreadPoolExecutor] = {}
-_executors_lock = threading.Lock()
-
-
-def _codec_executor(workers: int) -> ThreadPoolExecutor:
-    """A process-wide thread pool per worker count, created lazily.
-
-    Threads, not processes: the hot kernel ops (``np.take`` gathers,
-    ``bitwise_xor``, bulk copies) all release the GIL over large buffers,
-    so threads already scale with cores — while sharing the input/output
-    arenas, the table LRU and the scratch pool directly, with zero
-    pickling or shared-memory plumbing.  Pools are reused across calls
-    so steady-state encode/decode pays no thread start-up.
-    """
-    with _executors_lock:
-        pool = _executors.get(workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-codec"
-            )
-            _executors[workers] = pool
-        return pool
-
-
-def _shard_bounds(count: int, shards: int) -> list[tuple[int, int]]:
-    """Split ``range(count)`` into ``shards`` near-equal contiguous ranges."""
-    shards = max(1, min(shards, count))
-    step, extra = divmod(count, shards)
-    bounds = []
-    lo = 0
-    for i in range(shards):
-        hi = lo + step + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
 
 
 class RSCode:
@@ -186,17 +139,42 @@ class RSCode:
 
     # -- encoding ------------------------------------------------------------
 
+    def _fill_parity(self, stripe: np.ndarray) -> None:
+        """Compute the ``k`` parity rows of one ``(n + k, ...)`` stripe in place.
+
+        ``stripe[:n]`` is a contiguous stack of the data blocks and
+        ``stripe[n:]`` a contiguous target, so the kernel runs copy-free.
+        """
+        if self.k:
+            gf_matmul_blocks(
+                self.generator[self.n :],
+                stripe[: self.n],
+                self.tables,
+                out=stripe[self.n :],
+            )
+
     def encode(self, data_blocks) -> list[np.ndarray]:
         """Encode ``n`` data blocks into the full ``n + k`` stripe blocks.
 
-        Returns data blocks first (copies are *not* made for them — the
-        systematic rows are applied like any other, producing fresh arrays)
-        followed by the ``k`` parities.
+        Returns the ``n`` data blocks followed by the ``k`` parities.  All
+        ``n + k`` returned blocks are rows of one freshly allocated arena:
+        the data is *copied* in (the code is systematic, so its rows need
+        no arithmetic), the parities are computed next to it, and no
+        returned block aliases a caller's input — writing to one never
+        changes ``data_blocks``.  This is the single-stripe case of
+        :meth:`encode_many`.
         """
-        data_blocks = list(data_blocks)
-        if len(data_blocks) != self.n:
-            raise ValueError(f"expected {self.n} data blocks, got {len(data_blocks)}")
-        return apply_matrix_to_blocks(self.generator, data_blocks, self.tables)
+        blocks = [np.asarray(b, dtype=np.uint8) for b in data_blocks]
+        if len(blocks) != self.n:
+            raise ValueError(f"expected {self.n} data blocks, got {len(blocks)}")
+        shape = blocks[0].shape
+        if any(b.shape != shape for b in blocks):
+            raise ValueError("all data blocks must share one shape")
+        stripe = np.empty((self.width,) + shape, dtype=np.uint8)
+        for j, block in enumerate(blocks):
+            stripe[j] = block
+        self._fill_parity(stripe)
+        return list(stripe)
 
     def encode_many(
         self, data: "np.ndarray", out: "np.ndarray | None" = None
@@ -248,137 +226,9 @@ class RSCode:
                 f"out buffer must be C-contiguous uint8 with shape {out_shape}"
             )
         out[:, : self.n] = arr
-        if self.k:
-            coding = self.generator[self.n :]
-            for s in range(num_stripes):
-                # arr[s] is a contiguous (n, B) stack and out[s, n:] a
-                # contiguous (k, B) target: the kernel runs copy-free.
-                gf_matmul_blocks(coding, arr[s], self.tables, out=out[s, self.n :])
+        for s in range(num_stripes):
+            self._fill_parity(out[s])
         return out
-
-    def encode_many_parallel(
-        self,
-        data: "np.ndarray",
-        out: "np.ndarray | None" = None,
-        workers: int | None = None,
-    ) -> np.ndarray:
-        """Multicore :meth:`encode_many`: stripe shards across a thread pool.
-
-        The stripe axis is cut into ``workers`` contiguous shards; each
-        worker runs the same systematic-copy + parity-matmul loop as
-        :meth:`encode_many` over its own ``data[lo:hi]`` / ``out[lo:hi]``
-        slices of the shared arenas.  Shards are disjoint and every
-        worker writes only its own slice, so no locks guard the payload
-        path and nothing is pickled — see :func:`_codec_executor` for
-        why threads are the right pool.  Output is byte-identical to the
-        serial method.
-
-        Parameters
-        ----------
-        data, out:
-            As :meth:`encode_many`.
-        workers:
-            Shard/thread count; default :data:`DEFAULT_CODEC_WORKERS`.
-            ``1`` falls back to the serial path (same bytes, no pool).
-        """
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.uint8))
-        if arr.ndim != 3 or arr.shape[1] != self.n:
-            raise ValueError(
-                f"expected (num_stripes, {self.n}, block_size) data, "
-                f"got shape {arr.shape}"
-            )
-        workers = DEFAULT_CODEC_WORKERS if workers is None else workers
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        num_stripes = arr.shape[0]
-        if workers == 1 or num_stripes < 2:
-            return self.encode_many(arr, out=out)
-        out_shape = (num_stripes, self.width, arr.shape[2])
-        if out is None:
-            out = np.empty(out_shape, dtype=np.uint8)
-        elif (
-            out.shape != out_shape
-            or out.dtype != np.uint8
-            or not out.flags.c_contiguous
-        ):
-            raise ValueError(
-                f"out buffer must be C-contiguous uint8 with shape {out_shape}"
-            )
-        coding = self.generator[self.n :] if self.k else None
-
-        def encode_shard(lo: int, hi: int) -> None:
-            out[lo:hi, : self.n] = arr[lo:hi]
-            if coding is None:
-                return
-            for s in range(lo, hi):
-                gf_matmul_blocks(
-                    coding, arr[s], self.tables, out=out[s, self.n :]
-                )
-
-        pool = _codec_executor(workers)
-        futures = [
-            pool.submit(encode_shard, lo, hi)
-            for lo, hi in _shard_bounds(num_stripes, workers)
-        ]
-        for future in futures:
-            future.result()
-        return out
-
-    def decode_many_parallel(
-        self, available: dict, failed_ids, workers: int | None = None
-    ) -> dict:
-        """Multicore :meth:`decode_many`: stripe shards across a thread pool.
-
-        The recovery coefficient matrix is derived once (helpers are
-        shared by every stripe), then each worker applies it to its own
-        contiguous stripe range of the stacked helper blocks, writing
-        ``recovered[:, lo:hi]`` — a disjoint slice of one shared output
-        arena whose rows stay contiguous, so there is no post-pass
-        assembly copy.  Byte-identical to the serial method.
-        """
-        from .decode import InsufficientHelpersError, recovery_equations
-
-        failed_ids = list(failed_ids)
-        candidates = sorted(set(available) - set(failed_ids))
-        if len(candidates) < self.n:
-            raise InsufficientHelpersError(
-                f"only {len(candidates)} surviving blocks; need {self.n}"
-            )
-        helpers = candidates[: self.n]
-        blocks = [np.asarray(available[h], dtype=np.uint8) for h in helpers]
-        stacked = blocks[0].ndim >= 2
-        num_stripes = blocks[0].shape[0] if stacked else 1
-        workers = DEFAULT_CODEC_WORKERS if workers is None else workers
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if workers == 1 or not stacked or num_stripes < 2:
-            return self.decode_many(available, failed_ids)
-        equations = recovery_equations(self, failed_ids, helpers)
-        matrix = np.zeros((len(equations), self.n), dtype=np.uint8)
-        for row, eq in enumerate(equations):
-            for helper, coeff in eq.terms:
-                matrix[row, helpers.index(helper)] = coeff
-        blocks = [np.ascontiguousarray(b) for b in blocks]
-        recovered = np.empty(
-            (len(equations),) + blocks[0].shape, dtype=np.uint8
-        )
-
-        def decode_shard(lo: int, hi: int) -> None:
-            gf_matmul_blocks(
-                matrix,
-                [b[lo:hi] for b in blocks],
-                self.tables,
-                out=recovered[:, lo:hi],
-            )
-
-        pool = _codec_executor(workers)
-        futures = [
-            pool.submit(decode_shard, lo, hi)
-            for lo, hi in _shard_bounds(num_stripes, workers)
-        ]
-        for future in futures:
-            future.result()
-        return {eq.target: recovered[i] for i, eq in enumerate(equations)}
 
     def decode_many(self, available: dict, failed_ids) -> dict:
         """Batched counterpart of :func:`repro.rs.decode.decode_blocks`.

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-import zlib
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from ..rs import get_code
 from ..system.objects import ObjectInfo, reassemble, split_into_stripes
 from ..telemetry import CLOCK_WALL, TelemetryRecorder, TraceContext
 from .messages import StoreError, call, close_idle_connections
-from .repair import plan_from_dict, stored_block_key
+from .repair import block_crc, plan_from_dict, stored_block_key
 
 __all__ = ["StoreClient", "SyncStoreClient"]
 
@@ -115,7 +114,7 @@ class StoreClient:
             for bid, block in enumerate(code.encode(data_blocks)):
                 node = placement[bid]
                 host, port = routing[str(node)]
-                crcs[bid] = zlib.crc32(block.tobytes()) & 0xFFFFFFFF
+                crcs[bid] = block_crc(block)
                 writes.append(
                     call(
                         host, port, "block.put",
@@ -313,7 +312,7 @@ class StoreClient:
         for bid in lost:
             block = np.ascontiguousarray(recovered[bid], dtype=np.uint8)
             want = checksums.get(bid)
-            got = zlib.crc32(block.tobytes()) & 0xFFFFFFFF
+            got = block_crc(block)
             if want is not None and got != want:
                 raise StoreError(
                     f"object {name!r} stripe {sid} block {bid}: degraded "

@@ -33,7 +33,6 @@ import asyncio
 import itertools
 import json
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 

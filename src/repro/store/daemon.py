@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import time
-import zlib
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from ..live.transport import cancel_and_wait
 from ..telemetry import CLOCK_WALL, StatsRegistry, StreamingRecorder, TelemetryRecorder
 from .heartbeat import DEFAULT_INTERVAL, HeartbeatSender
 from .messages import Request, RpcServer, StoreError, close_idle_connections
-from .repair import NodeAssignment, RepairSession
+from .repair import NodeAssignment, RepairSession, block_crc
 
 __all__ = ["StorageDaemon", "main"]
 
@@ -184,7 +183,7 @@ class StorageDaemon:
         self.rec.count("daemon.block_put_bytes", payload.nbytes)
         self.stats.count("block_put_bytes", int(payload.nbytes))
         return {"key": key, "nbytes": int(payload.nbytes),
-                "crc": zlib.crc32(payload.tobytes()) & 0xFFFFFFFF}, None
+                "crc": block_crc(payload)}, None
 
     async def _rpc_block_get(self, request: Request):
         key = request.body["key"]
@@ -209,7 +208,7 @@ class StorageDaemon:
             if payload is not None:
                 found[key] = {
                     "nbytes": int(payload.nbytes),
-                    "crc": zlib.crc32(payload.tobytes()) & 0xFFFFFFFF,
+                    "crc": block_crc(payload),
                 }
         return {"found": found}, None
 

@@ -37,6 +37,7 @@ from .messages import StoreError, StoreProtocolError, call
 
 __all__ = [
     "stored_block_key",
+    "block_crc",
     "NodeAssignment",
     "partition_plan",
     "plan_to_dict",
@@ -50,6 +51,17 @@ __all__ = [
 def stored_block_key(stripe_id: int, block_id: int) -> str:
     """The daemon-store key of one committed stripe block."""
     return f"b:{stripe_id}:{block_id}"
+
+
+def block_crc(payload: np.ndarray) -> int:
+    """CRC-32 of a block payload, read in place.
+
+    ``zlib.crc32`` takes any C-contiguous buffer, which every payload
+    the store holds already is (arena rows, ``np.frombuffer`` views of a
+    received frame), so nothing is copied; a strided array is made
+    contiguous first.
+    """
+    return zlib.crc32(np.ascontiguousarray(payload)) & 0xFFFFFFFF
 
 
 def _owner(op: SendOp | CombineOp) -> int:
@@ -435,7 +447,7 @@ class RepairSession:
             {
                 "block_id": block_id,
                 "stored_key": stored_key,
-                "crc": zlib.crc32(payload.tobytes()) & 0xFFFFFFFF,
+                "crc": block_crc(payload),
                 "nbytes": int(payload.nbytes),
             }
         )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.gf import BufferPool, gf_matmul_blocks, scale
-from repro.gf.arithmetic import _gather_into
 from repro.gf.tables import get_tables
 
 
@@ -94,13 +93,17 @@ class TestGfMatmulBlocks:
 
 
 class TestGatherInto:
+    """The bulk multiply is a table gather into the output: pin it to the table."""
+
     def test_matches_table_row_lookup(self):
         t = get_tables()
         rng = np.random.default_rng(5)
-        src = rng.integers(0, 256, 200_000, dtype=np.uint8)
-        out = np.empty_like(src)
-        _gather_into(t.mul_table[91], src, out)
-        assert np.array_equal(out, t.mul_table[91][src.astype(np.intp)])
+        # Past one gather chunk, and odd: chunk loop, remainder, scalar tail.
+        src = rng.integers(0, 256, 200_001, dtype=np.uint8)
+        assert np.array_equal(scale(91, src), t.mul_table[91][src.astype(np.intp)])
+        out = np.empty((1, src.size), dtype=np.uint8)
+        gf_matmul_blocks([[91]], [src], out=out)
+        assert np.array_equal(out[0], t.mul_table[91][src.astype(np.intp)])
 
 
 class TestBufferPool:

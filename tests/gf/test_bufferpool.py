@@ -70,7 +70,7 @@ class TestHighWaterMark:
         assert stats["evictions"] >= 1
 
     def test_concurrent_take_give_keeps_accounting_exact(self):
-        """The parallel codec's worker threads share one pool."""
+        """Kernel callers on several threads share one pool."""
         cap = 256 * 1024
         pool = BufferPool(max_per_size=4, max_bytes=cap)
         errors = []

@@ -3,9 +3,13 @@
 For random matrices, shapes, and coefficient patterns — including the
 degenerate ones the fast paths special-case (all-XOR rows, zero rows,
 zero coefficients, unit coefficients) — ``gf_matmul_blocks``,
-``encode_many`` and ``decode_many`` must produce exactly the bytes the
-scalar kernels produce one stripe at a time.  Equality is exact: GF
-arithmetic has no rounding, so any mismatch is a real bug.
+``encode_many`` and ``decode_many`` over a stripe stack must produce
+exactly the bytes ``linear_combine`` / ``encode`` / the reference
+decoder ``decode_blocks`` produce one stripe, one row at a time.  Both
+sides run the one kernel, so this pins stacking, tiling across stripe
+boundaries and the systematic copy; the kernel itself is held against
+independent oracles in ``test_kernel_equivalence.py``.  Equality is
+exact: GF arithmetic has no rounding, so any mismatch is a real bug.
 """
 
 import numpy as np

@@ -82,10 +82,31 @@ class TestEncode:
                 expected ^= d
             np.testing.assert_array_equal(blocks[n], expected)
 
+    def test_returned_blocks_never_alias_the_inputs(self):
+        """Rows of one fresh arena: writing to them leaves the caller's data alone."""
+        rng = np.random.default_rng(6)
+        code = RSCode(4, 2)
+        data = random_data(rng, 4)
+        before = [d.copy() for d in data]
+        blocks = code.encode(data)
+        for block in blocks:
+            assert all(not np.shares_memory(block, d) for d in data)
+            assert block.flags.writeable and block.flags.c_contiguous
+            block[...] ^= 0xFF
+        for d, was in zip(data, before):
+            np.testing.assert_array_equal(d, was)
+        assert all(b.base is blocks[0].base for b in blocks)
+
     def test_wrong_block_count_rejected(self):
         code = RSCode(4, 2)
         with pytest.raises(ValueError):
             code.encode([np.zeros(8, dtype=np.uint8)] * 3)
+
+    def test_mismatched_block_shapes_rejected(self):
+        code = RSCode(4, 2)
+        blocks = [np.zeros(8, dtype=np.uint8)] * 3 + [np.zeros(1, dtype=np.uint8)]
+        with pytest.raises(ValueError, match="share one shape"):
+            code.encode(blocks)
 
     def test_encode_stripe(self):
         rng = np.random.default_rng(2)

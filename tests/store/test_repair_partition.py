@@ -1,5 +1,8 @@
 """Plan partitioning: every scheme's plan must run data-driven across daemons."""
 
+import zlib
+
+import numpy as np
 import pytest
 
 from repro.cluster import Cluster, RPRPlacement
@@ -17,6 +20,7 @@ from repro.rs import get_code
 from repro.store.messages import StoreProtocolError
 from repro.store.repair import (
     NodeAssignment,
+    block_crc,
     ledger_from_reports,
     partition_plan,
     stored_block_key,
@@ -157,3 +161,29 @@ class TestLedger:
         assert ledger["intra_rack_bytes"] == int(outcome.intra_rack_bytes)
         assert ledger["sends"] == len(plan.sends())
         assert ledger["combines"] == len(plan.combines())
+
+
+class TestBlockCrc:
+    """``block_crc`` reads the payload in place and keeps the wire's values."""
+
+    @staticmethod
+    def copying_crc(payload) -> int:
+        return zlib.crc32(payload.tobytes()) & 0xFFFFFFFF
+
+    def test_read_only_frombuffer_payload(self):
+        raw = np.random.default_rng(0).integers(0, 256, 4097, dtype=np.uint8).tobytes()
+        payload = np.frombuffer(raw, dtype=np.uint8)
+        assert not payload.flags.writeable
+        assert block_crc(payload) == self.copying_crc(payload) == zlib.crc32(raw)
+
+    def test_arena_rows_from_encode(self):
+        code = get_code(6, 3)
+        rng = np.random.default_rng(1)
+        data = [rng.integers(0, 256, 1000, dtype=np.uint8) for _ in range(code.n)]
+        for block in code.encode(data):
+            assert block.base is not None  # a row of the arena, not its own array
+            assert block_crc(block) == self.copying_crc(block)
+
+    def test_strided_payload(self):
+        payload = np.arange(64, dtype=np.uint8)[::2]
+        assert block_crc(payload) == self.copying_crc(payload)
