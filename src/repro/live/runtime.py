@@ -1,16 +1,17 @@
 """The live plan executor: real bytes, real concurrency, measured time.
 
-Every op of a :class:`repro.repair.RepairPlan` becomes one asyncio task:
+Every op of a :class:`repro.repair.RepairPlan` becomes one asyncio task
+that runs at the op's *owner* node, waits for its declared dependencies
+and produces its payload with :func:`repro.repair.run_op` — the same op
+step the byte executor takes — on this runtime's clock and transport:
 
-* A :class:`~repro.repair.plan.SendOp` runs at its *source* node.  It
-  waits for its declared dependencies, claims the source's upload port
-  and the destination's download port (the engine's port-exclusivity
-  contract, held for the whole transfer), sleeps the link latency, then
-  streams the payload as a framed transfer through the link's token
-  bucket and waits for the receiver's ack.
-* A :class:`~repro.repair.plan.CombineOp` runs at its node: it waits for
-  dependencies, claims the node's CPU slot, and computes the GF(2^8)
-  linear combination on the received bytes — combines happen *at the
+* An op whose result lands on another node (a send) claims the owner's
+  upload port and the destination's download port (the engine's
+  port-exclusivity contract, held for the whole transfer), sleeps the
+  link latency, then streams the payload as a framed transfer through
+  the link's token bucket and waits for the receiver's ack.
+* An op whose result stays put (a combine) claims the node's CPU slot
+  and computes on the received bytes — combines happen *at the
   receiver*, like ECPipe's agents, not in a central reducer.
 
 Dependency completion is the control plane (one ``asyncio.Event`` per
@@ -20,10 +21,9 @@ only ever move through the transport.  Pipelining is emergent: nothing
 here schedules overlap, it falls out of disjoint ports, shaped links and
 socket backpressure — the same mechanism the paper's testbed relied on.
 
-Missing payloads abort the run with the same
-:class:`~repro.repair.executor.ExecutionError` message shape as the byte
-executor (full missing-key set + op index), so a live failure is
-diagnosable without replaying it.
+Missing payloads abort the run with the byte executor's own
+:class:`~repro.repair.executor.ExecutionError` (full missing-key set +
+op index), so a live failure is diagnosable without replaying it.
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster import BandwidthModel, Cluster
-from ..gf import GFTables, get_tables, linear_combine
-from ..repair.executor import ExecutionError, missing_payload_message
-from ..repair.plan import CombineOp, RepairPlan, SendOp
+from ..gf import GFTables, get_tables
+from ..metrics import TrafficLedger
+from ..repair.executor import collect_outputs, run_op
+from ..repair.plan import RepairPlan
 from ..telemetry.model import OP_CATEGORY, TelemetryRecorder, TelemetryTrace
 from .shaper import LinkShaper
-from .transport import MemoryTransport, Stream, TcpTransport, open_transport
+from .transport import MemoryTransport, Stream, TcpTransport, open_transport, run_tasks
 from .wire import ACK, DEFAULT_CHUNK, read_ack, read_frame, send_frame
 
 __all__ = [
@@ -79,9 +80,10 @@ class LiveOpTiming:
 class LiveResult:
     """Outcome of one live plan execution.
 
-    Mirrors :class:`repro.repair.ExecutionResult`'s ledgers (byte counts
-    must agree exactly — tests pin it) and adds measured wall-clock
-    timings, the live counterpart of :class:`repro.sim.SimResult`.
+    Carries the same :class:`~repro.metrics.TrafficLedger` and combine
+    count as :class:`repro.repair.ExecutionResult` (they must be ``==`` —
+    tests pin it) and adds measured wall-clock timings, the live
+    counterpart of :class:`repro.sim.SimResult`.
 
     ``telemetry`` carries the run's wall-clock
     :class:`~repro.telemetry.TelemetryTrace` — per-op spans with nested
@@ -94,13 +96,8 @@ class LiveResult:
     timings: dict[str, LiveOpTiming]
     transport: str
     shaped: bool
-    intra_rack_bytes: int = 0
-    cross_rack_bytes: int = 0
+    ledger: TrafficLedger = field(default_factory=TrafficLedger)
     combine_count: int = 0
-    sends_executed: int = 0
-    uploaded_by_node: dict[int, int] = field(default_factory=dict)
-    downloaded_by_node: dict[int, int] = field(default_factory=dict)
-    cross_uploaded_by_rack: dict[int, int] = field(default_factory=dict)
     telemetry: TelemetryTrace | None = None
 
     def to_dict(self) -> dict:
@@ -110,13 +107,8 @@ class LiveResult:
             "makespan_s": self.makespan,
             "transport": self.transport,
             "shaped": self.shaped,
-            "intra_rack_bytes": self.intra_rack_bytes,
-            "cross_rack_bytes": self.cross_rack_bytes,
             "combine_count": self.combine_count,
-            "sends_executed": self.sends_executed,
-            "uploaded_by_node": dict(self.uploaded_by_node),
-            "downloaded_by_node": dict(self.downloaded_by_node),
-            "cross_uploaded_by_rack": dict(self.cross_uploaded_by_rack),
+            **self.ledger.to_dict(),
             "timings": [
                 {"op_id": t.op_id, "start": t.start, "end": t.end}
                 for t in self.timings.values()
@@ -192,7 +184,6 @@ class _LiveRun:
         self.rec = recorder if recorder else None
         self.ports = _PortRegistry() if exclusive_ports else _NullRegistry()
         self.events = {oid: asyncio.Event() for oid in plan.ops}
-        self.indices = {oid: i for i, oid in enumerate(plan.ops)}
         self.result = LiveResult(
             recovered={},
             makespan=0.0,
@@ -237,31 +228,29 @@ class _LiveRun:
         )
         self.events[oid].set()
 
-    async def _run_send(self, oid: str, op: SendOp) -> None:
+    async def _ship(self, op) -> None:
+        """An op whose result lands on another node: stream it there."""
         rec = self.rec
+        oid, src = op.op_id, op.owner
+        dst, key = op.writes
         t_spawn = time.monotonic() if rec is not None else 0.0
         await self._await_deps(op.deps)
-        src_store = self.store.get(op.src, {})
-        if op.key not in src_store:
-            raise ExecutionError(
-                missing_payload_message(
-                    "send", oid, self.indices[oid], len(self.plan.ops), [op.key], op.src
-                )
-            )
-        payload = np.ascontiguousarray(src_store[op.key])
+        payload = np.ascontiguousarray(
+            run_op(self.plan, op, self.store.get(src, {}), self.tables)
+        )
         nbytes = int(payload.nbytes)
-        latency = self.shaper.latency(op.src, op.dst)
+        latency = self.shaper.latency(src, dst)
         t_deps = time.monotonic() if rec is not None else 0.0
-        async with self.ports.hold(("up", op.src), ("down", op.dst)):
+        async with self.ports.hold(("up", src), ("down", dst)):
             t_ports = time.monotonic() if rec is not None else 0.0
-            bucket = self.shaper.bucket(op.src, op.dst)
+            bucket = self.shaper.bucket(src, dst)
             if bucket is not None:
                 bucket.reset()
             start = time.monotonic()
             if latency > 0:
                 await asyncio.sleep(latency)
             t_lat = time.monotonic() if rec is not None else 0.0
-            stream = await self.transport.connect(op.src, op.dst)
+            stream = await self.transport.connect(src, dst)
             t_conn = time.monotonic() if rec is not None else 0.0
             t_sent = t_conn
             try:
@@ -269,7 +258,7 @@ class _LiveRun:
                 # array itself — no tobytes() staging copy of the payload.
                 await send_frame(
                     stream,
-                    {"op": oid, "key": op.key},
+                    {"op": oid, "key": key},
                     payload.data,
                     bucket=bucket,
                     chunk_size=self.chunk_size,
@@ -283,19 +272,7 @@ class _LiveRun:
             finally:
                 await stream.aclose()
             end = time.monotonic()
-        res = self.result
-        res.sends_executed += 1
-        res.uploaded_by_node[op.src] = res.uploaded_by_node.get(op.src, 0) + nbytes
-        res.downloaded_by_node[op.dst] = res.downloaded_by_node.get(op.dst, 0) + nbytes
-        cross = not self.cluster.same_rack(op.src, op.dst)
-        if not cross:
-            res.intra_rack_bytes += nbytes
-        else:
-            res.cross_rack_bytes += nbytes
-            rack = self.cluster.rack_of(op.src)
-            res.cross_uploaded_by_rack[rack] = (
-                res.cross_uploaded_by_rack.get(rack, 0) + nbytes
-            )
+        self.result.ledger.add_send(self.cluster, src, dst, nbytes)
         self._record(oid, start, end)
         if rec is not None:
             rec.span(
@@ -304,10 +281,8 @@ class _LiveRun:
                 end,
                 category=OP_CATEGORY,
                 op_id=oid,
-                kind="transfer",
-                node=op.src,
-                peer=op.dst,
-                cross_rack=cross,
+                **op.span_attrs,
+                cross_rack=not self.cluster.same_rack(src, dst),
                 nbytes=nbytes,
             )
             rec.span("send.dep_wait", t_spawn, t_deps, op_id=oid, parent=oid)
@@ -318,48 +293,32 @@ class _LiveRun:
             rec.span("send.ack_wait", t_sent, end, op_id=oid, parent=oid)
             if t_sent > t_conn:
                 rec.gauge(
-                    f"throughput.n{op.src}->n{op.dst}",
+                    f"throughput.n{src}->n{dst}",
                     nbytes / (t_sent - t_conn),
                     at=end,
                 )
 
-    async def _run_combine(self, oid: str, op: CombineOp) -> None:
+    async def _compute(self, op) -> None:
+        """An op whose result stays on its node: produce it under the CPU slot."""
         rec = self.rec
+        oid = op.op_id
+        node, key = op.writes
         t_spawn = time.monotonic() if rec is not None else 0.0
         await self._await_deps(op.deps)
-        node_store = self.store.setdefault(op.node, {})
-        missing = [key for key, _ in op.terms if key not in node_store]
-        if missing:
-            raise ExecutionError(
-                missing_payload_message(
-                    "combine", oid, self.indices[oid], len(self.plan.ops), missing, op.node
-                )
-            )
+        node_store = self.store.setdefault(node, {})
         t_deps = time.monotonic() if rec is not None else 0.0
-        async with self.ports.hold(("cpu", op.node)):
+        async with self.ports.hold(("cpu", node)):
             start = time.monotonic()
             # The GF kernel is a C-speed numpy pass over a (small, in the
             # validation harness) block; yield once around it so other
             # tasks are not starved at combine-heavy moments.
             await asyncio.sleep(0)
-            node_store[op.out_key] = linear_combine(
-                [c for _, c in op.terms],
-                [node_store[key] for key, _ in op.terms],
-                self.tables,
-            )
+            node_store[key] = run_op(self.plan, op, node_store, self.tables)
             end = time.monotonic()
         self.result.combine_count += 1
         self._record(oid, start, end)
         if rec is not None:
-            rec.span(
-                oid,
-                start,
-                end,
-                category=OP_CATEGORY,
-                op_id=oid,
-                kind="compute",
-                node=op.node,
-            )
+            rec.span(oid, start, end, category=OP_CATEGORY, op_id=oid, **op.span_attrs)
             rec.span("combine.dep_wait", t_spawn, t_deps, op_id=oid, parent=oid)
             rec.span("combine.cpu_wait", t_deps, start, op_id=oid, parent=oid)
 
@@ -367,50 +326,31 @@ class _LiveRun:
 
     async def run(self, timeout: float | None) -> LiveResult:
         await self.transport.start(self.cluster.node_ids(), self.handle_connection)
-        tasks = {}
         try:
             self._t0 = time.monotonic()
             if self.rec is not None:
                 self.rec.set_origin(self._t0)
+            tasks = {}
             for oid, op in self.plan.ops.items():
-                runner = self._run_send if isinstance(op, SendOp) else self._run_combine
-                tasks[oid] = asyncio.ensure_future(runner(oid, op))
-            if tasks:
-                done, pending = await asyncio.wait(
-                    tasks.values(),
-                    timeout=timeout,
-                    return_when=asyncio.FIRST_EXCEPTION,
+                runner = self._compute if op.writes[0] == op.owner else self._ship
+                tasks[oid] = asyncio.ensure_future(runner(op))
+            stuck = await run_tasks(tasks, timeout)
+            if stuck:
+                raise LiveTimeoutError(
+                    f"live run exceeded {timeout}s; unfinished ops: {stuck}"
                 )
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    await asyncio.gather(*pending, return_exceptions=True)
-                for task in done:
-                    task.result()  # re-raise the first op failure
-                if pending:
-                    stuck = sorted(oid for oid, t in tasks.items() if not t.done() or t.cancelled())
-                    raise LiveTimeoutError(
-                        f"live run exceeded {timeout}s; unfinished ops: {stuck}"
-                    )
         finally:
-            for task in tasks.values():
-                task.cancel()
             await self.transport.aclose()
 
-        for block_id, (node, key) in self.plan.outputs.items():
-            node_store = self.store.get(node, {})
-            if key not in node_store:
-                raise ExecutionError(
-                    f"output for block {block_id}: payload {key!r} missing on node {node}"
-                )
-            self.result.recovered[block_id] = node_store[key]
+        self.result.recovered = collect_outputs(self.plan, self.store)
         self.result.makespan = max(
             (t.end for t in self.result.timings.values()), default=0.0
         )
         if self.rec is not None:
-            self.rec.count("bytes.cross_rack", float(self.result.cross_rack_bytes))
-            self.rec.count("bytes.intra_rack", float(self.result.intra_rack_bytes))
-            self.rec.count("ops.sends", float(self.result.sends_executed))
+            ledger = self.result.ledger
+            self.rec.count("bytes.cross_rack", float(ledger.cross_rack_bytes))
+            self.rec.count("bytes.intra_rack", float(ledger.intra_rack_bytes))
+            self.rec.count("ops.sends", float(ledger.sends))
             self.rec.count("ops.combines", float(self.result.combine_count))
             self.result.telemetry = self.rec.trace()
         return self.result

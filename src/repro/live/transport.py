@@ -28,6 +28,7 @@ __all__ = [
     "MemoryTransport",
     "TcpTransport",
     "cancel_and_wait",
+    "run_tasks",
     "connect_tcp",
     "open_transport",
 ]
@@ -52,6 +53,33 @@ async def cancel_and_wait(task: asyncio.Task, *, poke_interval: float = 0.25) ->
         task.result()
     except asyncio.CancelledError:
         pass
+
+
+async def run_tasks(tasks: dict[str, asyncio.Future], timeout: float | None) -> list[str]:
+    """Run named tasks until all finish, one fails, or ``timeout`` passes.
+
+    The first failure is re-raised; a deadline returns the sorted names
+    of the tasks that had not finished (empty when all did).  Either
+    way every unfinished task has been cancelled and awaited before
+    this returns, so a plan's op tasks never outlive their run.
+    """
+    if not tasks:
+        return []
+    try:
+        done, pending = await asyncio.wait(
+            tasks.values(), timeout=timeout, return_when=asyncio.FIRST_EXCEPTION
+        )
+        for task in pending:
+            task.cancel()
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+        for task in done:
+            task.result()  # re-raise the first failure
+        return sorted(name for name, task in tasks.items() if task in pending)
+    finally:
+        for task in tasks.values():
+            task.cancel()
+
 
 #: Handler invoked server-side per incoming connection: (node_id, stream).
 ConnectionHandler = Callable[[int, "Stream"], Awaitable[None]]

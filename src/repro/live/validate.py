@@ -154,7 +154,7 @@ class StoreRepairAudit:
 
     The coordinator stamps each record with its own ``ledger_match``;
     this audit re-derives the comparison from the raw ``measured`` and
-    ``simulated`` numbers so a coordinator bug cannot grade its own
+    ``simulated`` ledgers so a coordinator bug cannot grade its own
     homework.  ``mismatches`` holds the offending records verbatim.
     """
 
@@ -179,18 +179,16 @@ def audit_store_repairs(records) -> StoreRepairAudit:
 
     ``records`` is the ``repairs`` list from a coordinator ``status``
     reply (or :meth:`repro.store.StoreClient.status`): one dict per
-    repaired stripe carrying the ``measured`` ledger aggregated from
-    daemon op reports and the ``simulated`` outcome for the same plan.
-    A record mismatches when its measured cross-rack bytes differ from
-    the simulator's prediction — the byte-exactness contract the whole
-    service is built around.
+    repaired stripe carrying the ``measured``
+    :class:`~repro.metrics.TrafficLedger` dump (plus combine count)
+    aggregated from daemon op reports and the ``simulated`` one for the
+    same plan.  A record mismatches when the two differ anywhere — link
+    class totals, per-node or per-rack bytes, send or combine counts —
+    the byte-exactness contract the whole service is built around.
     """
     records = list(records)
     mismatches = tuple(
-        rec
-        for rec in records
-        if int(rec["measured"]["cross_rack_bytes"])
-        != int(rec["simulated"]["cross_rack_bytes"])
+        rec for rec in records if rec["measured"] != rec["simulated"]
     )
     return StoreRepairAudit(
         repairs=len(records),
@@ -298,7 +296,7 @@ def run_live_validation(
                 ops=len(predicted.plan.ops),
                 sends=len(predicted.plan.sends()),
                 combines=len(predicted.plan.combines()),
-                cross_rack_bytes=live.cross_rack_bytes,
+                cross_rack_bytes=live.ledger.cross_rack_bytes,
                 sim_cross_rack_bytes=int(predicted.cross_rack_bytes),
                 diff=diff_repair(predicted, live) if telemetry else None,
             )

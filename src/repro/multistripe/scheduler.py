@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from ..cluster import BandwidthModel
 from ..metrics import TrafficLedger, imbalance_summary
 from ..repair import RepairScheme
-from ..repair.plan import CombineOp, RepairPlan, SendOp
+from ..repair.plan import RepairPlan
 from ..rs import MB, DecodeCostModel, SIMICS_DECODE
 from ..sim import JobGraph, SimResult, SimulationEngine
 from .nodefail import NodeFailure, node_failure_contexts, rack_failure_contexts
@@ -108,22 +108,6 @@ class MultiStripeOutcome:
     sim: SimResult
 
 
-def _namespaced(op, prefix: str):
-    deps = tuple(f"{prefix}{d}" for d in op.deps)
-    if isinstance(op, SendOp):
-        return SendOp(
-            op_id=f"{prefix}{op.op_id}", src=op.src, dst=op.dst, key=op.key, deps=deps
-        )
-    return CombineOp(
-        op_id=f"{prefix}{op.op_id}",
-        node=op.node,
-        out_key=op.out_key,
-        terms=op.terms,
-        with_matrix_build=op.with_matrix_build,
-        deps=deps,
-    )
-
-
 def merge_plans(
     plans: list[RepairPlan],
     cost_model: DecodeCostModel,
@@ -144,40 +128,17 @@ def merge_plans(
             f"{prefix}{oid}" for oid in plan.ops if oid not in depended_on
         ]
         for op in plan.ops.values():
-            ns_op = _namespaced(op, prefix)
-            extra = ()
-            if sequential and not op.deps and previous_terminals:
-                extra = tuple(previous_terminals)
-            if isinstance(ns_op, SendOp):
-                graph.add_transfer(
-                    ns_op.op_id,
-                    src=ns_op.src,
-                    dst=ns_op.dst,
-                    nbytes=plan.block_size,
-                    deps=ns_op.deps + extra,
-                    tag=ns_op.key,
+            chained = sequential and not op.deps
+            graph.add(
+                op.to_job(
+                    plan.block_size,
+                    cost_model,
+                    prefix=prefix,
+                    extra_deps=previous_terminals if chained else (),
                 )
-            else:
-                graph.add_compute(
-                    ns_op.op_id,
-                    node=ns_op.node,
-                    seconds=cost_model.decode_time(
-                        plan.block_size, with_matrix_build=ns_op.with_matrix_build
-                    ),
-                    deps=ns_op.deps + extra,
-                    tag=ns_op.out_key,
-                )
+            )
         previous_terminals = terminals
     return graph
-
-
-def _plan_cross_upload_by_rack(plan: RepairPlan, cluster) -> dict[int, int]:
-    loads: dict[int, int] = {}
-    for op in plan.sends():
-        if not cluster.same_rack(op.src, op.dst):
-            rack = cluster.rack_of(op.src)
-            loads[rack] = loads.get(rack, 0) + plan.block_size
-    return loads
 
 
 def repair_node_failure(
@@ -273,7 +234,8 @@ def _execute_contexts(
             ctx = replace(ctx, rack_tiebreak=order)
         plan = scheme.plan(ctx)
         plans.append(plan)
-        for rack, nbytes in _plan_cross_upload_by_rack(plan, store.cluster).items():
+        pushed = plan.traffic(store.cluster).cross_uploaded_by_rack
+        for rack, nbytes in pushed.items():
             cumulative[rack] = cumulative.get(rack, 0) + nbytes
 
     if not plans:

@@ -93,7 +93,7 @@ def engine_suite(quick: bool = False) -> dict:
     from .multistripe import StripeStore, merge_plans, node_failure_contexts
     from .repair import RPRScheme
     from .rs import SIMICS_DECODE, get_code
-    from .sim import SimulationEngine
+    from .sim import FaultPlan, NodeDeath, SimulationEngine
 
     # The 100k-stripe graph (~202k jobs) is the scale headline for the
     # signature-group scheduler; it only runs in full mode, with fewer
@@ -118,6 +118,15 @@ def engine_suite(quick: bool = False) -> dict:
             makespan_s=result.makespan,
         )
         report["results"][f"node_rebuild_{num_stripes}_stripes"] = timing
+        if num_stripes == 200:
+            # Fault hooks must cost nothing until a fault fires: the same
+            # graph under a plan whose one death lies beyond the makespan.
+            never = FaultPlan(
+                deaths=(NodeDeath(node=1, time=2.0 * result.makespan),)
+            )
+            report["results"]["node_rebuild_200_stripes_idle_fault_hooks"] = _measure(
+                lambda: engine.run(graph, never), reps, warmup=0
+            )
     return report
 
 
@@ -257,11 +266,7 @@ def live_suite(quick: bool = False) -> dict:
             predicted.plan, env.cluster, store, bandwidth=None, recorder=recorder
         )
 
-    from .repair.plan import SendOp
-
-    wire_bytes = block * sum(
-        1 for op in predicted.plan.ops.values() if isinstance(op, SendOp)
-    )
+    wire_bytes = block * len(predicted.plan.sends())
 
     report = _env_info(quick)
     results: dict = {}

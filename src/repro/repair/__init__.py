@@ -6,7 +6,10 @@ Public surface:
 * :class:`TraditionalRepair`, :class:`CARRepair`, :class:`RPRScheme` —
   the three planners the paper compares.
 * :class:`RepairPlan` + :func:`execute_plan` — the op-DAG and its
-  concrete (byte-level) executor.
+  concrete (byte-level) executor; :func:`run_op` and
+  :func:`collect_outputs` are the op step and output check every other
+  plan interpreter (live runtime, store daemons, symbolic compositions)
+  shares with it.
 * :func:`simulate_repair` — compile a plan and run it on the
   discrete-event engine, returning time and traffic.
 * :func:`simulate_repair_with_faults` — the degraded path: run a repair
@@ -25,10 +28,11 @@ from .degraded import degraded_read_context, plan_degraded_read
 from .executor import (
     ExecutionError,
     ExecutionResult,
-    execute_ops,
+    collect_outputs,
     execute_plan,
     initial_store_for,
     missing_payload_message,
+    run_op,
 )
 from .faults import (
     DegradedRepairOutcome,
@@ -73,9 +77,9 @@ __all__ = [
     "TraditionalRepair",
     "apply_update_payloads",
     "block_key",
+    "collect_outputs",
     "critical_path_hops",
     "degraded_read_context",
-    "execute_ops",
     "execute_plan",
     "payload_compositions",
     "plan_degraded_gather",
@@ -89,6 +93,7 @@ __all__ = [
     "rack_aware_helpers",
     "recovery_targets",
     "remote_rack_count",
+    "run_op",
     "simulate_repair",
     "simulate_repair_with_faults",
 ]

@@ -1,10 +1,16 @@
-"""Concrete plan execution on real byte buffers.
+"""Concrete plan execution on real byte buffers, and the op step it shares.
 
 This module is the correctness oracle: it executes a :class:`RepairPlan`
 against a per-node payload store, performing every send as a copy between
 node stores and every combine as a GF linear combination.  A plan passes
 only if every declared output payload exists at its recovery node — and
 integration tests additionally check the bytes equal the lost originals.
+
+:func:`run_op` (one op's result from its owner's payloads, or the pinned
+missing-payload diagnostic) and :func:`collect_outputs` are the steps
+every interpreter that touches payloads shares: this executor, the live
+runtime, the store's repair sessions and the symbolic composition
+tracker differ only in clock and transport.
 """
 
 from __future__ import annotations
@@ -13,19 +19,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cluster import Cluster
-from ..gf import GFTables, get_tables, linear_combine
+from ..cluster import Cluster, Placement
+from ..gf import GFTables, get_tables
+from ..metrics import TrafficLedger
 from ..rs import Stripe
-from ..cluster import Placement
 from .plan import CombineOp, RepairPlan, SendOp, block_key
 
 __all__ = [
     "ExecutionError",
     "ExecutionResult",
-    "execute_ops",
+    "collect_outputs",
     "execute_plan",
     "initial_store_for",
     "missing_payload_message",
+    "run_op",
 ]
 
 
@@ -36,7 +43,7 @@ class ExecutionError(RuntimeError):
 def missing_payload_message(
     kind: str, op_id: str, op_index: int, op_count: int, missing, node: int
 ) -> str:
-    """Message shape shared by the byte executor and the live runtime.
+    """Message shape shared by every plan interpreter.
 
     Always names the *full* set of missing payload keys and the op's
     position in the plan, so an aborted run can be diagnosed without
@@ -56,39 +63,24 @@ class ExecutionResult:
     ----------
     recovered:
         Failed block id → reconstructed payload.
-    intra_rack_bytes / cross_rack_bytes:
-        Bytes moved by send ops, split by rack relationship — the concrete
-        counterpart of the simulator's traffic ledger (they must agree;
-        tests enforce it).
+    ledger:
+        Bytes moved by the executed sends — the concrete counterpart of
+        the simulator's :class:`~repro.metrics.TrafficLedger` (they must
+        be ``==``; tests enforce it).
     combine_count:
         Number of (partial) decodes performed.
-    uploaded_by_node / downloaded_by_node / cross_uploaded_by_rack:
-        Per-participant byte ledgers, mirroring
-        :class:`repro.metrics.TrafficLedger` so the byte-level and
-        simulated accountings can be pinned to each other per node, not
-        just in aggregate.
     """
 
     recovered: dict[int, np.ndarray]
-    intra_rack_bytes: int = 0
-    cross_rack_bytes: int = 0
+    ledger: TrafficLedger = field(default_factory=TrafficLedger)
     combine_count: int = 0
-    sends_executed: int = 0
-    uploaded_by_node: dict[int, int] = field(default_factory=dict)
-    downloaded_by_node: dict[int, int] = field(default_factory=dict)
-    cross_uploaded_by_rack: dict[int, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """JSON-serializable ledger summary (payload bytes omitted)."""
+        """JSON-serializable summary (payload bytes omitted)."""
         return {
             "recovered_blocks": sorted(self.recovered),
-            "intra_rack_bytes": self.intra_rack_bytes,
-            "cross_rack_bytes": self.cross_rack_bytes,
             "combine_count": self.combine_count,
-            "sends_executed": self.sends_executed,
-            "uploaded_by_node": dict(self.uploaded_by_node),
-            "downloaded_by_node": dict(self.downloaded_by_node),
-            "cross_uploaded_by_rack": dict(self.cross_uploaded_by_rack),
+            **self.ledger.to_dict(),
         }
 
 
@@ -110,78 +102,56 @@ def initial_store_for(
     return store
 
 
-def _topo_order(plan: RepairPlan) -> list[str]:
-    indeg = {oid: len(set(op.deps)) for oid, op in plan.ops.items()}
-    children: dict[str, list[str]] = {oid: [] for oid in plan.ops}
-    for oid, op in plan.ops.items():
-        for dep in set(op.deps):
-            children[dep].append(oid)
-    # Preserve insertion order among ready ops for determinism.
-    order = []
-    ready = [oid for oid in plan.ops if indeg[oid] == 0]
-    while ready:
-        oid = ready.pop(0)
-        order.append(oid)
-        for child in children[oid]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                ready.append(child)
-    if len(order) != len(plan.ops):
-        raise ExecutionError("plan has a dependency cycle")
-    return order
-
-
-def _apply_op(
-    oid: str,
+def run_op(
+    plan: RepairPlan,
     op: SendOp | CombineOp,
-    cluster: Cluster,
-    store: dict[int, dict[str, np.ndarray]],
-    t: GFTables,
-    result: ExecutionResult,
-    op_index: int,
-    op_count: int,
-) -> None:
-    """Execute one op against the store, updating ``result``'s ledgers."""
-    if isinstance(op, SendOp):
-        src_store = store.get(op.src, {})
-        if op.key not in src_store:
-            raise ExecutionError(
-                missing_payload_message(
-                    "send", oid, op_index, op_count, [op.key], op.src
-                )
+    payloads: dict[str, np.ndarray],
+    tables: GFTables | None = None,
+):
+    """The payload ``op`` produces from ``payloads``, its owner's key → payload map.
+
+    The caller delivers the result to ``op.writes`` by its own transport.
+
+    Raises
+    ------
+    ExecutionError
+        Naming every key in ``op.reads`` that ``payloads`` lacks
+        (:func:`missing_payload_message`).
+    """
+    missing = [key for key in op.reads if key not in payloads]
+    if missing:
+        raise ExecutionError(
+            missing_payload_message(
+                op.kind,
+                op.op_id,
+                list(plan.ops).index(op.op_id),
+                len(plan.ops),
+                missing,
+                op.owner,
             )
-        payload = src_store[op.key]
-        store.setdefault(op.dst, {})[op.key] = payload
-        nbytes = int(payload.nbytes)
-        result.uploaded_by_node[op.src] = (
-            result.uploaded_by_node.get(op.src, 0) + nbytes
         )
-        result.downloaded_by_node[op.dst] = (
-            result.downloaded_by_node.get(op.dst, 0) + nbytes
-        )
-        if cluster.same_rack(op.src, op.dst):
-            result.intra_rack_bytes += nbytes
-        else:
-            result.cross_rack_bytes += nbytes
-            rack = cluster.rack_of(op.src)
-            result.cross_uploaded_by_rack[rack] = (
-                result.cross_uploaded_by_rack.get(rack, 0) + nbytes
-            )
-        result.sends_executed += 1
-    else:
-        assert isinstance(op, CombineOp)
-        node_store = store.setdefault(op.node, {})
-        missing = [key for key, _ in op.terms if key not in node_store]
-        if missing:
+    return op.apply([payloads[key] for key in op.reads], tables)
+
+
+def collect_outputs(
+    plan: RepairPlan, store: dict[int, dict[str, np.ndarray]]
+) -> dict[int, np.ndarray]:
+    """Failed block id → payload, from where the plan declared its outputs.
+
+    Raises
+    ------
+    ExecutionError
+        If a declared output is not at its recovery node.
+    """
+    recovered = {}
+    for block_id, (node, key) in plan.outputs.items():
+        node_store = store.get(node, {})
+        if key not in node_store:
             raise ExecutionError(
-                missing_payload_message(
-                    "combine", oid, op_index, op_count, missing, op.node
-                )
+                f"output for block {block_id}: payload {key!r} missing on node {node}"
             )
-        coeffs = [c for _, c in op.terms]
-        blocks = [node_store[key] for key, _ in op.terms]
-        node_store[op.out_key] = linear_combine(coeffs, blocks, t)
-        result.combine_count += 1
+        recovered[block_id] = node_store[key]
+    return recovered
 
 
 def execute_plan(
@@ -189,86 +159,54 @@ def execute_plan(
     cluster: Cluster,
     store: dict[int, dict[str, np.ndarray]],
     tables: GFTables | None = None,
+    ops=None,
 ) -> ExecutionResult:
     """Run ``plan`` against ``store`` (mutated in place) and collect outputs.
 
-    Ops run in a topological order.  Data-flow dependencies are enforced
-    *strictly*: an op whose input payload is not yet present on its node
-    fails, which catches planners that rely on scheduling accidents rather
-    than declared dependencies.
+    Ops run in the plan's topological order.  Data-flow dependencies are
+    enforced *strictly*: an op whose input payload is not yet present on
+    its node fails, which catches planners that rely on scheduling
+    accidents rather than declared dependencies.
+
+    ``ops`` restricts the run to a dependency-closed subset of op ids —
+    the byte-level mirror of a *partially completed* simulated run (fault
+    injection): the engine reports which jobs finished before a fault,
+    job ids are op ids and the engine enforces dependencies, so replaying
+    exactly those ops leaves the store in the state a real degraded
+    repair would see.  A partial run collects no outputs (it normally has
+    not produced them) and its ledger covers only the executed ops.
 
     Raises
     ------
     ExecutionError
-        On missing payloads or missing declared outputs.
+        On missing payloads or missing declared outputs, or if ``ops``
+        names an unknown op or is not dependency-closed.
     """
-    plan.validate()
+    order = plan.validate()
+    if ops is not None:
+        wanted = set(ops)
+        unknown = wanted - set(plan.ops)
+        if unknown:
+            raise ExecutionError(f"unknown ops {sorted(unknown)} in partial execution")
+        for oid in wanted:
+            unmet = set(plan.ops[oid].deps) - wanted
+            if unmet:
+                raise ExecutionError(
+                    f"partial execution not dependency-closed: {oid!r} needs "
+                    f"{sorted(unmet)}"
+                )
+        order = [oid for oid in order if oid in wanted]
     t = tables or get_tables()
     result = ExecutionResult(recovered={})
-
-    indices = {oid: i for i, oid in enumerate(plan.ops)}
-    for oid in _topo_order(plan):
-        _apply_op(
-            oid, plan.ops[oid], cluster, store, t, result, indices[oid], len(plan.ops)
-        )
-
-    for block_id, (node, key) in plan.outputs.items():
-        node_store = store.get(node, {})
-        if key not in node_store:
-            raise ExecutionError(
-                f"output for block {block_id}: payload {key!r} missing on node {node}"
-            )
-        result.recovered[block_id] = node_store[key]
-    return result
-
-
-def execute_ops(
-    plan: RepairPlan,
-    op_ids,
-    cluster: Cluster,
-    store: dict[int, dict[str, np.ndarray]],
-    tables: GFTables | None = None,
-) -> ExecutionResult:
-    """Execute a dependency-closed subset of ``plan``'s ops against ``store``.
-
-    This is the byte-level mirror of a *partially completed* simulated
-    run (fault injection): the engine reports which jobs finished before
-    a fault, and — because job ids are op ids and the engine enforces
-    dependencies — that set is dependency-closed, so replaying exactly
-    those ops leaves the store in the state a real degraded repair would
-    see.  Declared outputs are not collected (a partial run normally has
-    not produced them); ledgers cover only the executed ops.
-
-    Raises
-    ------
-    ExecutionError
-        If ``op_ids`` contains an unknown op or is not dependency-closed,
-        or an input payload is missing.
-    """
-    wanted = set(op_ids)
-    unknown = wanted - set(plan.ops)
-    if unknown:
-        raise ExecutionError(f"unknown ops {sorted(unknown)} in partial execution")
-    for oid in wanted:
-        missing = set(plan.ops[oid].deps) - wanted
-        if missing:
-            raise ExecutionError(
-                f"partial execution not dependency-closed: {oid!r} needs "
-                f"{sorted(missing)}"
-            )
-    t = tables or get_tables()
-    result = ExecutionResult(recovered={})
-    indices = {oid: i for i, oid in enumerate(plan.ops)}
-    for oid in _topo_order(plan):
-        if oid in wanted:
-            _apply_op(
-                oid,
-                plan.ops[oid],
-                cluster,
-                store,
-                t,
-                result,
-                indices[oid],
-                len(plan.ops),
-            )
+    for oid in order:
+        op = plan.ops[oid]
+        payload = run_op(plan, op, store.get(op.owner, {}), t)
+        node, key = op.writes
+        store.setdefault(node, {})[key] = payload
+        if node == op.owner:
+            result.combine_count += 1
+        else:
+            result.ledger.add_send(cluster, op.owner, node, int(payload.nbytes))
+    if ops is None:
+        result.recovered = collect_outputs(plan, store)
     return result

@@ -7,7 +7,8 @@ mid-gather the orchestrator
 
 1. replays the *completed* prefix of the plan on the byte store (the
    engine's job ids are op ids, and finished jobs form a
-   dependency-closed set — :func:`repro.repair.executor.execute_ops`),
+   dependency-closed set — :func:`repro.repair.execute_plan` with
+   ``ops=``),
 2. drops everything the dead node held,
 3. asks the scheme to re-plan via :meth:`RepairScheme.replan` with a
    :class:`RepairSnapshot` of what survived — including
@@ -50,8 +51,8 @@ from ..sim import (
 )
 from ..telemetry import TelemetryTrace
 from .base import RepairContext, RepairPlanningError, RepairScheme, recovery_targets
-from .executor import ExecutionResult, _topo_order, execute_ops, execute_plan, initial_store_for
-from .plan import CombineOp, RepairPlan, SendOp, block_key
+from .executor import ExecutionResult, execute_plan, initial_store_for, run_op
+from .plan import RepairPlan, block_key
 
 __all__ = [
     "DegradedRepairOutcome",
@@ -129,31 +130,28 @@ def payload_compositions(
 ) -> dict[str, np.ndarray]:
     """Composition of every payload key a plan touches, in the data basis.
 
-    Walks the plan's combines in topological order: raw ``block:i`` keys
-    start from ``code.generator_row(i)`` and each combine's output is the
-    GF-linear combination of its inputs' compositions.  ``base`` supplies
-    compositions of keys minted by earlier plans (re-planned repairs
-    consume intermediates across attempts).
+    The plan run symbolically: raw ``block:i`` keys start from
+    ``code.generator_row(i)`` and every op is applied, in the plan's
+    topological order, to compositions instead of bytes — a composition
+    is a length-``n`` uint8 vector, so a combine is the same GF-linear
+    combination its byte run performs.  ``base`` supplies compositions
+    of keys minted by earlier plans (re-planned repairs consume
+    intermediates across attempts).
+
+    Raises
+    ------
+    ExecutionError
+        If an op reads a key whose composition is unknown.
     """
     t = tables or get_tables()
     comps: dict[str, np.ndarray] = dict(base) if base else {}
     for op in plan.ops.values():
-        keys = [op.key] if isinstance(op, SendOp) else [k for k, _ in op.terms]
-        for key in keys:
+        for key in op.reads:
             if key.startswith("block:") and key not in comps:
                 comps[key] = code.generator_row(int(key.split(":", 1)[1]))
-    for oid in _topo_order(plan):
+    for oid in plan.topo_order():
         op = plan.ops[oid]
-        if not isinstance(op, CombineOp):
-            continue
-        acc = np.zeros(code.n, dtype=np.uint8)
-        for key, coeff in op.terms:
-            if key not in comps:
-                raise KeyError(
-                    f"combine {oid!r} consumes {key!r} with unknown composition"
-                )
-            acc ^= gf_mul(coeff, comps[key], t)
-        comps[op.out_key] = acc
+        comps[op.writes[1]] = run_op(plan, op, comps, t)
     return comps
 
 
@@ -405,18 +403,7 @@ class DegradedRepairOutcome:
 
 def _consumed_at(plan: RepairPlan) -> set[tuple[str, int]]:
     """(payload key, node) pairs a plan reads: send sources + combine inputs."""
-    used: set[tuple[str, int]] = set()
-    for op in plan.ops.values():
-        if isinstance(op, SendOp):
-            used.add((op.key, op.src))
-        else:
-            for key, _ in op.terms:
-                used.add((key, op.node))
-    return used
-
-
-def _consumed_keys(plan: RepairPlan) -> set[str]:
-    return {key for key, _ in _consumed_at(plan)}
+    return {(key, op.owner) for op in plan.ops.values() for key in op.reads}
 
 
 def _retarget(
@@ -499,7 +486,6 @@ def simulate_repair_with_faults(
         else None
     )
 
-    comps: dict[str, np.ndarray] = {}
     dead: dict[int, float] = {}
     produced_earlier: set[str] = set()
     sims: list[SimResult] = []
@@ -517,9 +503,10 @@ def simulate_repair_with_faults(
         report = sim.faults if sim.faults is not None else FaultReport()
         sims.append(sim)
         plans.append(plan)
-        comps = payload_compositions(plan, code, base=comps, tables=t)
 
-        finished = set(sim.timings) - set(report.aborted)
+        # A timing alone is not delivery: an aborted job has one, and so
+        # does a transfer whose lost attempt ran before its retry failed.
+        finished = set(sim.timings) - report.incomplete
         finished_per_attempt.append(finished)
         for node, when in report.dead_nodes.items():
             if node not in dead:
@@ -530,25 +517,17 @@ def simulate_repair_with_faults(
             success = True
             break
 
-        # Commit the completed prefix, then drop the dead nodes' state.
-        for oid in _topo_order(plan):
-            if oid not in finished:
-                continue
-            op = plan.ops[oid]
-            if isinstance(op, SendOp):
-                sym.setdefault(op.dst, {})[op.key] = comps[op.key]
-            else:
-                sym.setdefault(op.node, {})[op.out_key] = comps[op.out_key]
+        # Commit the completed prefix — the same partial execution on
+        # compositions and on bytes — then drop the dead nodes' state.
+        execute_plan(plan, ctx.cluster, sym, tables=t, ops=finished)
         if store is not None:
-            execute_ops(plan, finished, ctx.cluster, store, tables=t)
+            execute_plan(plan, ctx.cluster, store, tables=t, ops=finished)
         for node in report.dead_nodes:
             sym.pop(node, None)
             if store is not None:
                 store.pop(node, None)
         produced_earlier.update(
-            plan.ops[oid].out_key
-            for oid in finished
-            if isinstance(plan.ops[oid], CombineOp)
+            op.out_key for op in plan.combines() if op.op_id in finished
         )
 
         if attempt + 1 >= max_attempts:
@@ -591,7 +570,8 @@ def simulate_repair_with_faults(
 
     # Accounting over the failed prefix attempts + the successful final one.
     final_plan = plans[-1]
-    reused = tuple(sorted(_consumed_keys(final_plan) & produced_earlier))
+    consumed_keys = {key for key, _ in _consumed_at(final_plan)}
+    reused = tuple(sorted(consumed_keys & produced_earlier))
     retried_bytes = sum(
         s.faults.retried_bytes for s in sims if s.faults is not None
     )
@@ -604,9 +584,11 @@ def simulate_repair_with_faults(
         later_consumed: set[tuple[str, int]] = set()
         for later in plans[idx + 1 :]:
             later_consumed |= _consumed_at(later)
-        for oid in finished_per_attempt[idx]:
-            op = plans[idx].ops[oid]
-            if isinstance(op, SendOp) and (op.key, op.dst) not in later_consumed:
+        for op in plans[idx].sends():
+            if (
+                op.op_id in finished_per_attempt[idx]
+                and (op.key, op.dst) not in later_consumed
+            ):
                 wasted += plans[idx].block_size
 
     execution = None

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster import Cluster
-from .plan import RepairPlan, SendOp
+from .plan import RepairPlan
 
 __all__ = ["PlanStats", "critical_path_hops"]
 
@@ -49,26 +49,17 @@ class PlanStats:
 
     @classmethod
     def from_plan(cls, plan: RepairPlan, cluster: Cluster) -> "PlanStats":
-        intra = cross = combines = builds = 0
-        for op in plan.ops.values():
-            if isinstance(op, SendOp):
-                if cluster.same_rack(op.src, op.dst):
-                    intra += 1
-                else:
-                    cross += 1
-            else:
-                combines += 1
-                if op.with_matrix_build:
-                    builds += 1
+        traffic = plan.traffic(cluster)
+        combines = plan.combines()
         ops_depth, cross_depth = critical_path_hops(plan, cluster)
         return cls(
-            sends=intra + cross,
-            intra_sends=intra,
-            cross_sends=cross,
-            combines=combines,
-            matrix_builds=builds,
-            cross_bytes=cross * plan.block_size,
-            intra_bytes=intra * plan.block_size,
+            sends=traffic.sends,
+            intra_sends=traffic.intra_rack_bytes // plan.block_size,
+            cross_sends=traffic.cross_rack_bytes // plan.block_size,
+            combines=len(combines),
+            matrix_builds=sum(op.with_matrix_build for op in combines),
+            cross_bytes=traffic.cross_rack_bytes,
+            intra_bytes=traffic.intra_rack_bytes,
             critical_path_ops=ops_depth,
             critical_path_cross=cross_depth,
         )
@@ -81,15 +72,15 @@ def critical_path_hops(plan: RepairPlan, cluster: Cluster) -> tuple[int, int]:
     timestep analysis reasons about.  The two values may come from
     different chains.
     """
-    plan.validate()
     op_depth: dict[str, int] = {}
     cross_depth: dict[str, int] = {}
 
-    # Plans are built append-only, so insertion order is topological.
-    for op_id, op in plan.ops.items():
+    for op_id in plan.validate():
+        op = plan.ops[op_id]
         base_ops = max((op_depth[d] for d in op.deps), default=0)
         base_cross = max((cross_depth[d] for d in op.deps), default=0)
-        is_cross = isinstance(op, SendOp) and not cluster.same_rack(op.src, op.dst)
+        # An op crosses racks when its result lands in another rack.
+        is_cross = not cluster.same_rack(op.owner, op.writes[0])
         op_depth[op_id] = base_ops + 1
         cross_depth[op_id] = base_cross + (1 if is_cross else 0)
     if not op_depth:

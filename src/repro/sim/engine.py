@@ -20,43 +20,44 @@ Transfer durations are ``nbytes / rate(src, dst)`` with the rate supplied
 by the bandwidth model; there is no flow sharing, matching the paper's
 whole-transfer "timestep" accounting.
 
-Scheduling is *resource-indexed and lazily woken*: a blocked job
-registers as a waiter on one of the busy resources it needs (or on the
-cross-rack token when the switch cap is the blocker), and a completion
-only reconsiders waiters of the resources it actually freed — never the
-whole pending set.  Waking a job through any one of its busy resources
-is sufficient because a job can only become startable once *every*
-resource it needs is free, so the registered one must free first; if the
-woken job is still blocked it re-registers on whichever resource blocks
-it now.
+There is one scheduling loop.  Blocked jobs are parked per *resource
+signature* (the full tuple of ports/CPU the job needs) and a completion
+only reconsiders signatures containing a resource it actually freed —
+never the whole pending set, and never a waiter whose other port is
+still busy.  Wakeups are lazy: a freed resource promotes only its *best*
+startable waiter into the candidate heap; when that candidate is
+consumed without taking the resource (token-blocked, or failed on a dead
+endpoint), the next-best is promoted in its place.  This is
+schedule-equivalent to waking every waiter — candidates are still
+consumed in global (ready-time, insertion-order) priority — but costs
+O(cluster) per free event instead of O(queue depth); on merged
+100k-stripe rebuild graphs, where thousands of transfers contend for the
+same recovery-node port, that is the difference between minutes and
+seconds.
 
-Wakeups are lazy: each resource keeps its waiters in a
-(ready-time, insertion-order) heap and a freed resource promotes only
-its *best* waiter into the candidate heap; when that candidate is
-processed without taking the resource (it started on nothing — parked
-elsewhere, was terminal, or token-blocked), the next-best waiter is
-promoted in its place.  This is schedule-equivalent to waking every
-waiter — candidates are still consumed in global (ready-time,
-insertion-order) priority, and a waiter left parked behind a better one
-that re-took the resource could not have started anyway — but turns the
-wake cost per completion from O(waiters) into O(log waiters).  On
-merged 100k-stripe rebuild graphs, where thousands of transfers contend
-for the same recovery-node port, that is the difference between minutes
-and seconds (the old wake-everything pass re-parked ~126 candidates per
-job at 5k stripes already).
+Injected faults (:mod:`repro.sim.faults`) are hooks on that loop, not a
+second loop: stragglers scale the job table before the run, due deaths
+fire between completions and starts, a lost transfer is requeued where a
+delivered one would release its dependents, and a candidate with a dead
+endpoint fails where it would have started.  Each hook sits behind a
+test that stays false until a fault can fire, so a fault-free run pays a
+few boolean tests per job and faulted multi-stripe runs get the same
+parking as fault-free ones.
 
 Job ids are interned to dense ints for the whole run: the hot loops
 compare ``(ready, seq)`` int/float pairs and index flat lists, never
 hash or compare job-id strings; per-job durations, resource tuples and
 rack relations are precomputed once per run with per-endpoint-pair
-caching.  Golden tests in ``tests/sim/test_engine_golden.py`` pin the
-schedules bit-for-bit; see ``docs/PERFORMANCE.md`` for measurements.
+caching.  Golden tests in ``tests/sim/test_engine_golden.py`` and
+``tests/sim/test_faults_golden.py`` pin the schedules bit-for-bit; see
+``docs/PERFORMANCE.md`` for measurements.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..cluster import BandwidthModel, Cluster
@@ -67,6 +68,10 @@ from .jobs import ComputeJob, JobGraph, TransferJob
 __all__ = ["JobTiming", "SimResult", "SimulationEngine"]
 
 _START_KINDS = frozenset({EventKind.TRANSFER_START, EventKind.COMPUTE_START})
+_ABORT_KIND = {
+    EventKind.TRANSFER_END: EventKind.TRANSFER_ABORT,
+    EventKind.COMPUTE_END: EventKind.COMPUTE_ABORT,
+}
 
 
 def _event_sort_key(e: TraceEvent) -> tuple[float, bool, str]:
@@ -228,20 +233,6 @@ class SimulationEngine:
         self.bandwidth = bandwidth
         self.cross_capacity = cross_capacity
 
-    # -- resource keys ---------------------------------------------------
-
-    @staticmethod
-    def _uplink(node: int) -> tuple[str, int]:
-        return ("up", node)
-
-    @staticmethod
-    def _downlink(node: int) -> tuple[str, int]:
-        return ("down", node)
-
-    @staticmethod
-    def _cpu(node: int) -> tuple[str, int]:
-        return ("cpu", node)
-
     # -- precomputation ----------------------------------------------------
 
     def _job_table(self, jobs: dict[str, TransferJob | ComputeJob]):
@@ -284,7 +275,7 @@ class SimulationEngine:
                 rate, latency, same_rack = cached
                 table.append(
                     (
-                        (rid(self._uplink(job.src)), rid(self._downlink(job.dst))),
+                        (rid(("up", job.src)), rid(("down", job.dst))),
                         latency + job.nbytes / rate,
                         not same_rack,
                         EventKind.TRANSFER_START,
@@ -298,7 +289,7 @@ class SimulationEngine:
                 self.cluster.node(job.node)
                 table.append(
                     (
-                        (rid(self._cpu(job.node)),),
+                        (rid(("cpu", job.node)),),
                         job.seconds,
                         False,
                         EventKind.COMPUTE_START,
@@ -315,21 +306,51 @@ class SimulationEngine:
     def run(self, graph: JobGraph, faults: FaultPlan | None = None) -> SimResult:
         """Execute ``graph`` to completion and return timings and trace.
 
-        With a truthy ``faults`` plan the run goes through
-        :meth:`_run_faulted`, which injects node deaths, straggler
-        slowdowns and transfer losses deterministically and attaches a
-        :class:`~repro.sim.faults.FaultReport` to the result.  An empty
-        (or ``None``) plan takes this fault-free path, whose schedule is
-        bit-for-bit unchanged.
+        A truthy ``faults`` plan is injected deterministically (see
+        :mod:`repro.sim.faults`) and a
+        :class:`~repro.sim.faults.FaultReport` is attached to the result:
+
+        * At one instant, completions are processed first, then node
+          deaths, then job starts — a transfer finishing exactly when its
+          endpoint dies still completes, while a job becoming ready at
+          the death instant fails instead of starting.
+        * A node death aborts every running job touching the dead node
+          (its timing ends at the death and its resources free), fails
+          every job that would afterwards start there *at the instant it
+          would have started*, and transitively skips everything
+          depending on an aborted or failed job.
+        * A lost transfer occupies its ports for its full duration, then
+          delivers nothing and is requeued immediately; its dependents
+          wait for the successful attempt.
+        * A straggler scales the durations of the job table up front.
+
+        Faults are hooks on the one scheduling loop, each behind a test
+        that is false until a fault can fire, so an empty (or ``None``)
+        plan and a plan whose faults never fire (e.g. deaths beyond the
+        makespan) both produce the fault-free schedule bit-for-bit.
         """
-        if faults:
-            return self._run_faulted(graph, faults)
         graph.validate()
         jobs = graph.jobs
+        report = FaultReport() if faults else None
         if not jobs:
-            return SimResult(makespan=0.0, timings={}, events=[])
+            return SimResult(makespan=0.0, timings={}, events=[], faults=report)
 
         info, num_resources = self._job_table(jobs)
+        if faults and faults.stragglers:
+            # Fault hook: a job runs at the pace of its slowest endpoint.
+            slow = faults.straggler_factor
+            info = [
+                (row[0], row[1] * max(slow(n) for n in row[5:7] if n >= 0), *row[2:])
+                for row in info
+            ]
+        lossy = bool(faults and (faults.losses or faults.loss_probability))
+        # Deaths still to fire, earliest first; ``dead`` stays empty (and
+        # the per-candidate fault test false) until the first one does.
+        pending_deaths = deque(
+            sorted((t, n) for n, t in faults.death_times().items()) if faults else ()
+        )
+        dead: dict[int, float] = {}
+        skipped: list[str] = []
         heappush, heappop, isclose = heapq.heappush, heapq.heappop, math.isclose
 
         # Jobs interned to dense seqs in insertion order: heap items are
@@ -345,6 +366,9 @@ class SimulationEngine:
             remaining[seq] = len(deps)
             for dep in deps:
                 dependents[seq_of[dep]].append(seq)
+        # Jobs downstream of an aborted or failed job (never considered for
+        # start: one of their dependencies never finishes).
+        is_skipped = bytearray(total)
 
         busy = bytearray(num_resources)
         # Blocked jobs are parked in a heap per *resource signature* — the
@@ -375,8 +399,9 @@ class SimulationEngine:
 
         # Candidate heap: jobs to (re)consider at the current instant, in
         # deterministic (ready-time, insertion-order) priority.  A job's key
-        # is fixed when its last dependency finishes and never changes, so
-        # the greedy tie-break matches the original full-rescan scheduler.
+        # is fixed when its last dependency finishes (or its last attempt
+        # was lost) and never changes, so the greedy tie-break matches the
+        # original full-rescan scheduler.
         candidates: list[tuple[float, int]] = []
         for seq in range(total):
             if not remaining[seq]:
@@ -421,13 +446,90 @@ class SimulationEngine:
                 from_res[item[1]] = r
                 heappush(candidates, item)
 
+        def skip_dependents(root: int) -> int:
+            # Everything downstream of an aborted or failed job never runs.
+            count = 0
+            stack = list(dependents[root])
+            while stack:
+                child = stack.pop()
+                if is_skipped[child]:
+                    continue
+                is_skipped[child] = 1
+                skipped.append(jids[child])
+                count += 1
+                stack.extend(dependents[child])
+            return count
+
+        def trace(time: float, kind: str, seq: int) -> None:
+            # Fault events only; starts and ends build theirs inline (a call
+            # per event is measurable at 400k events).
+            _, _, cross, _, _, node, peer, nbytes = info[seq]
+            events.append(
+                TraceEvent(
+                    time=time,
+                    kind=kind,
+                    job_id=jids[seq],
+                    node=node,
+                    peer=peer,
+                    cross_rack=cross,
+                    nbytes=nbytes,
+                )
+            )
+
         running: list[tuple[float, int]] = []  # (end, seq)
         timings: dict[str, JobTiming] = {}
         events: list[TraceEvent] = []
         now = 0.0
-        finished = 0
+        completed = 0  # finished + aborted + failed + skipped
 
-        while finished < total:
+        while True:
+            # Fault hook: fire every death due at this instant — after the
+            # completions that advanced the clock here, before any start.
+            while pending_deaths and (
+                pending_deaths[0][0] <= now
+                or isclose(pending_deaths[0][0], now, rel_tol=0, abs_tol=1e-12)
+            ):
+                dtime, victim = pending_deaths.popleft()
+                dead[victim] = report.dead_nodes[victim] = dtime
+                now = max(now, dtime)
+                events.append(
+                    TraceEvent(
+                        time=dtime,
+                        kind=EventKind.NODE_DEATH,
+                        job_id=f"fault:death:{victim}",
+                        node=victim,
+                    )
+                )
+                doomed = {
+                    seq
+                    for _, seq in running
+                    if info[seq][5] == victim or info[seq][6] == victim
+                }
+                if not doomed:
+                    continue
+                running = [e for e in running if e[1] not in doomed]
+                heapq.heapify(running)
+                for seq in sorted(doomed):
+                    res, duration, cross, _, end_kind, _, _, nbytes = info[seq]
+                    for r in res:
+                        busy[r] = 0
+                        promote(r)
+                    if cross and cap is not None:
+                        cross_inflight -= 1
+                        for item in token_waiters:
+                            heappush(candidates, item)
+                        token_waiters = []
+                    jid = jids[seq]
+                    start = timings[jid].start
+                    timings[jid] = JobTiming(job_id=jid, start=start, end=dtime)
+                    if nbytes and duration > 0:
+                        report.aborted_bytes += nbytes * min(
+                            1.0, (dtime - start) / duration
+                        )
+                    report.aborted[jid] = dtime
+                    trace(dtime, _ABORT_KIND[end_kind], seq)
+                    completed += 1 + skip_dependents(seq)
+
             # Start every candidate whose resources are free; park the rest
             # on the resource (or token) that blocks them.  Starting a job
             # frees nothing, so a single pass over the candidates suffices.
@@ -437,20 +539,28 @@ class SimulationEngine:
                 src = from_res[seq]
                 if src >= 0:
                     from_res[seq] = -1
-                res, duration, cross, start_kind, _, node, peer, nbytes = info[seq]
-                blocked = False
-                for r in res:
-                    if busy[r]:
-                        blocked = True
-                        break
-                if blocked:
-                    park(item, res)
-                    if src >= 0 and not busy[src]:
-                        promote(src)
-                    continue
+                res, duration, cross, start_kind, end_kind, node, peer, nbytes = info[seq]
                 needs_token = cross and cap is not None
-                if needs_token and cross_inflight >= cap:
-                    token_waiters.append(item)
+                blocked = True
+                if dead and (node in dead or peer in dead):
+                    # Fault hook: an endpoint is dead, so the job fails at
+                    # the instant it would have started.
+                    report.failed[jids[seq]] = now
+                    trace(now, _ABORT_KIND[end_kind], seq)
+                    completed += 1 + skip_dependents(seq)
+                else:
+                    for r in res:
+                        if busy[r]:
+                            park(item, res)
+                            break
+                    else:
+                        if needs_token and cross_inflight >= cap:
+                            token_waiters.append(item)
+                        else:
+                            blocked = False
+                if blocked:
+                    # Consumed without starting: hand the resource that
+                    # promoted it (if still free) to the next-best waiter.
                     if src >= 0 and not busy[src]:
                         promote(src)
                     continue
@@ -464,26 +574,27 @@ class SimulationEngine:
                 heappush(running, (end, seq))
                 jid = jids[seq]
                 timings[jid] = JobTiming(job_id=jid, start=now, end=end)
-                events.append(
-                    TraceEvent(
-                        time=now,
-                        kind=start_kind,
-                        job_id=jid,
-                        node=node,
-                        peer=peer,
-                        cross_rack=cross,
-                        nbytes=nbytes,
-                    )
-                )
+                events.append(TraceEvent(now, start_kind, jid, node, peer, cross, nbytes))
 
+            if completed >= total:
+                break
             if not running:
                 raise RuntimeError(
                     "deadlock: jobs pending but nothing running "
                     "(resource conflict cycle?)"
                 )
+            end = running[0][0]
+            if (
+                pending_deaths
+                and pending_deaths[0][0] < end
+                and not isclose(pending_deaths[0][0], end, rel_tol=0, abs_tol=1e-12)
+            ):
+                # Fault hook: the next event is a death, strictly before
+                # any completion.
+                now = pending_deaths[0][0]
+                continue
             # Advance to the next completion.
-            end, seq = heappop(running)
-            batch = [seq]
+            batch = [heappop(running)[1]]
             # Complete everything ending at the same instant for determinism.
             while running and isclose(running[0][0], end, rel_tol=0, abs_tol=1e-12):
                 batch.append(heappop(running)[1])
@@ -497,18 +608,21 @@ class SimulationEngine:
                 if cross and cap is not None:
                     cross_inflight -= 1
                     token_freed = True
+                if lossy and end_kind == EventKind.TRANSFER_END:
+                    # Fault hook: a lost attempt held its ports, delivers
+                    # nothing and goes straight back to the candidates.
+                    done_id = jids[done_seq]
+                    attempt = report.lost.get(done_id, 0)
+                    if faults.is_lost(done_id, attempt):
+                        report.lost[done_id] = attempt + 1
+                        report.retried_bytes += nbytes
+                        trace(now, EventKind.TRANSFER_LOST, done_seq)
+                        heappush(candidates, (now, done_seq))
+                        continue
                 events.append(
-                    TraceEvent(
-                        time=now,
-                        kind=end_kind,
-                        job_id=jids[done_seq],
-                        node=node,
-                        peer=peer,
-                        cross_rack=cross,
-                        nbytes=nbytes,
-                    )
+                    TraceEvent(now, end_kind, jids[done_seq], node, peer, cross, nbytes)
                 )
-                finished += 1
+                completed += 1
                 for child in dependents[done_seq]:
                     left = remaining[child] - 1
                     remaining[child] = left
@@ -519,331 +633,8 @@ class SimulationEngine:
                     heappush(candidates, item)
                 token_waiters = []
 
-        events.sort(key=_event_sort_key)
-        makespan = max(t.end for t in timings.values())
-        return SimResult(
-            makespan=makespan, timings=timings, events=events, jobs=dict(jobs)
-        )
-
-    def _run_faulted(self, graph: JobGraph, faults: FaultPlan) -> SimResult:
-        """Execute ``graph`` under an injected :class:`FaultPlan`.
-
-        Semantics (all deterministic; see :mod:`repro.sim.faults`):
-
-        * At one instant, completions are processed first, then node
-          deaths, then job starts — a transfer finishing exactly when its
-          endpoint dies still completes, while a job becoming ready at
-          the death instant fails instead of starting.
-        * A node death aborts every running job touching the dead node
-          (its timing ends at the death and its resources free), refuses
-          later starts there, and transitively skips everything depending
-          on an aborted or failed job.
-        * A lost transfer occupies its ports for its full duration, then
-          delivers nothing and is requeued immediately; its dependents
-          wait for the successful attempt.
-
-        A plan whose faults never fire (e.g. deaths beyond the makespan)
-        reproduces the fault-free schedule bit-for-bit — the scheduling
-        decisions below mirror :meth:`run` exactly.
-        """
-        graph.validate()
-        jobs = graph.jobs
-        report = FaultReport()
-        if not jobs:
-            return SimResult(makespan=0.0, timings={}, events=[], faults=report)
-
-        info, num_resources = self._job_table(jobs)
-        jids = list(jobs)
-        total = len(jids)
-        seq_of = {jid: i for i, jid in enumerate(jids)}
-        if faults.stragglers:
-            scaled: list[tuple] = []
-            for row in info:
-                res, duration, cross, sk, ek, node, peer, nbytes = row
-                factor = faults.straggler_factor(node)
-                if peer >= 0:
-                    factor = max(factor, faults.straggler_factor(peer))
-                scaled.append(
-                    (res, duration * factor, cross, sk, ek, node, peer, nbytes)
-                )
-            info = scaled
-        heappush, heappop, isclose = heapq.heappush, heapq.heappop, math.isclose
-
-        remaining = [0] * total
-        dependents: list[list[int]] = [[] for _ in range(total)]
-        for seq, job in enumerate(jobs.values()):
-            deps = set(job.deps)
-            remaining[seq] = len(deps)
-            for dep in deps:
-                dependents[seq_of[dep]].append(seq)
-
-        busy = bytearray(num_resources)
-        waiters: list[list[tuple[float, int]] | None] = [None] * num_resources
-        from_res = [-1] * total
-        token_waiters: list[tuple[float, int]] = []
-        cross_inflight = 0
-        cap = self.cross_capacity
-
-        candidates: list[tuple[float, int]] = []
-        for seq in range(total):
-            if not remaining[seq]:
-                heappush(candidates, (0.0, seq))
-
-        def promote(r: int) -> None:
-            parked = waiters[r]
-            if parked:
-                item = heappop(parked)
-                from_res[item[1]] = r
-                heappush(candidates, item)
-
-        running: list[tuple[float, int]] = []
-        timings: dict[str, JobTiming] = {}
-        events: list[TraceEvent] = []
-        now = 0.0
-        completed = 0
-        terminal = bytearray(total)
-        dead: dict[int, float] = {}
-        attempts: dict[int, int] = {}
-        skipped: list[str] = []
-        pending_deaths = sorted((t, n) for n, t in faults.death_times().items())
-
-        def abort_kind_of(end_kind: str) -> str:
-            if end_kind == EventKind.TRANSFER_END:
-                return EventKind.TRANSFER_ABORT
-            return EventKind.COMPUTE_ABORT
-
-        def touches(seq: int, node: int) -> bool:
-            row = info[seq]
-            return row[5] == node or row[6] == node
-
-        def cascade_skip(root: int) -> None:
-            nonlocal completed
-            stack = list(dependents[root])
-            while stack:
-                child = stack.pop()
-                if terminal[child]:
-                    continue
-                terminal[child] = 1
-                skipped.append(jids[child])
-                completed += 1
-                stack.extend(dependents[child])
-
-        def fail_job(seq: int) -> None:
-            # The job never starts: an endpoint is already dead.
-            nonlocal completed
-            _, _, cross, _, end_kind, node, peer, nbytes = info[seq]
-            terminal[seq] = 1
-            jid = jids[seq]
-            report.failed[jid] = now
-            events.append(
-                TraceEvent(
-                    time=now,
-                    kind=abort_kind_of(end_kind),
-                    job_id=jid,
-                    node=node,
-                    peer=peer,
-                    cross_rack=cross,
-                    nbytes=nbytes,
-                )
-            )
-            completed += 1
-            cascade_skip(seq)
-
-        def process_deaths(upto: float) -> None:
-            """Fire every pending death at time <= ``upto``."""
-            nonlocal running, cross_inflight, completed, now
-            while pending_deaths and (
-                pending_deaths[0][0] <= upto
-                or isclose(pending_deaths[0][0], upto, rel_tol=0, abs_tol=1e-12)
-            ):
-                dtime, node = pending_deaths.pop(0)
-                dead[node] = dtime
-                report.dead_nodes[node] = dtime
-                now = max(now, dtime)
-                events.append(
-                    TraceEvent(
-                        time=dtime,
-                        kind=EventKind.NODE_DEATH,
-                        job_id=f"fault:death:{node}",
-                        node=node,
-                    )
-                )
-                doomed = [e for e in running if touches(e[1], node)]
-                if not doomed:
-                    continue
-                running = [e for e in running if not touches(e[1], node)]
-                heapq.heapify(running)
-                token_freed = False
-                for _, seq in sorted(doomed, key=lambda e: e[1]):
-                    res, duration, cross, _, end_kind, jnode, peer, nbytes = info[seq]
-                    for r in res:
-                        busy[r] = 0
-                        promote(r)
-                    if cross and cap is not None:
-                        cross_inflight -= 1
-                        token_freed = True
-                    jid = jids[seq]
-                    start = timings[jid].start
-                    timings[jid] = JobTiming(job_id=jid, start=start, end=dtime)
-                    if nbytes and duration > 0:
-                        report.aborted_bytes += nbytes * min(
-                            1.0, (dtime - start) / duration
-                        )
-                    terminal[seq] = 1
-                    report.aborted[jid] = dtime
-                    events.append(
-                        TraceEvent(
-                            time=dtime,
-                            kind=abort_kind_of(end_kind),
-                            job_id=jid,
-                            node=jnode,
-                            peer=peer,
-                            cross_rack=cross,
-                            nbytes=nbytes,
-                        )
-                    )
-                    completed += 1
-                    cascade_skip(seq)
-                if token_freed and token_waiters:
-                    for item in token_waiters:
-                        heappush(candidates, item)
-                    token_waiters.clear()
-
-        process_deaths(0.0)
-
-        while completed < total:
-            while candidates:
-                item = heappop(candidates)
-                seq = item[1]
-                src = from_res[seq]
-                if src >= 0:
-                    from_res[seq] = -1
-                if terminal[seq]:
-                    if src >= 0 and not busy[src]:
-                        promote(src)
-                    continue
-                res, duration, cross, start_kind, _, node, peer, nbytes = info[seq]
-                if node in dead or (peer >= 0 and peer in dead):
-                    fail_job(seq)
-                    if src >= 0 and not busy[src]:
-                        promote(src)
-                    continue
-                blocker = -1
-                for r in res:
-                    if busy[r]:
-                        blocker = r
-                        break
-                if blocker >= 0:
-                    parked = waiters[blocker]
-                    if parked is None:
-                        waiters[blocker] = [item]
-                    else:
-                        heappush(parked, item)
-                    if src >= 0 and not busy[src]:
-                        promote(src)
-                    continue
-                needs_token = cross and cap is not None
-                if needs_token and cross_inflight >= cap:
-                    token_waiters.append(item)
-                    if src >= 0 and not busy[src]:
-                        promote(src)
-                    continue
-                for r in res:
-                    busy[r] = 1
-                if needs_token:
-                    cross_inflight += 1
-                end = now + duration
-                heappush(running, (end, seq))
-                jid = jids[seq]
-                timings[jid] = JobTiming(job_id=jid, start=now, end=end)
-                events.append(
-                    TraceEvent(
-                        time=now,
-                        kind=start_kind,
-                        job_id=jid,
-                        node=node,
-                        peer=peer,
-                        cross_rack=cross,
-                        nbytes=nbytes,
-                    )
-                )
-
-            if completed >= total:
-                break
-            if not running:
-                raise RuntimeError(
-                    "deadlock: jobs pending but nothing running "
-                    "(resource conflict cycle?)"
-                )
-            next_end = running[0][0]
-            if pending_deaths and pending_deaths[0][0] < next_end and not isclose(
-                pending_deaths[0][0], next_end, rel_tol=0, abs_tol=1e-12
-            ):
-                # The next event is a death, strictly before any completion.
-                process_deaths(pending_deaths[0][0])
-                continue
-            end, first = heappop(running)
-            batch = [first]
-            while running and isclose(running[0][0], end, rel_tol=0, abs_tol=1e-12):
-                batch.append(heappop(running)[1])
-            now = end
-            token_freed = False
-            for done_seq in batch:
-                res, _, cross, _, end_kind, node, peer, nbytes = info[done_seq]
-                for r in res:
-                    busy[r] = 0
-                    promote(r)
-                if cross and cap is not None:
-                    cross_inflight -= 1
-                    token_freed = True
-                done_id = jids[done_seq]
-                attempt = attempts.get(done_seq, 0)
-                if end_kind == EventKind.TRANSFER_END and faults.is_lost(
-                    done_id, attempt
-                ):
-                    attempts[done_seq] = attempt + 1
-                    report.lost[done_id] = report.lost.get(done_id, 0) + 1
-                    report.retried_bytes += nbytes
-                    events.append(
-                        TraceEvent(
-                            time=now,
-                            kind=EventKind.TRANSFER_LOST,
-                            job_id=done_id,
-                            node=node,
-                            peer=peer,
-                            cross_rack=cross,
-                            nbytes=nbytes,
-                        )
-                    )
-                    heappush(candidates, (now, done_seq))
-                    continue
-                events.append(
-                    TraceEvent(
-                        time=now,
-                        kind=end_kind,
-                        job_id=done_id,
-                        node=node,
-                        peer=peer,
-                        cross_rack=cross,
-                        nbytes=nbytes,
-                    )
-                )
-                terminal[done_seq] = 1
-                completed += 1
-                for child in dependents[done_seq]:
-                    left = remaining[child] - 1
-                    remaining[child] = left
-                    if not left:
-                        heappush(candidates, (now, child))
-            if token_freed and token_waiters:
-                for item in token_waiters:
-                    heappush(candidates, item)
-                token_waiters.clear()
-            # Deaths tied with this instant fire after the completions but
-            # before the next start pass.
-            process_deaths(now)
-
-        report.skipped = tuple(skipped)
+        if report is not None:
+            report.skipped = tuple(skipped)
         events.sort(key=_event_sort_key)
         makespan = max((t.end for t in timings.values()), default=0.0)
         return SimResult(

@@ -38,9 +38,11 @@ from pathlib import Path
 
 from ..cluster import Cluster, Placement, RPRPlacement, SIMICS_BANDWIDTH
 from ..live.transport import cancel_and_wait
+from ..metrics import TrafficLedger
 from ..multistripe.store import rotate_placement
 from ..repair import (
     CARRepair,
+    CombineOp,
     RepairContext,
     RepairPlanningError,
     RPRScheme,
@@ -250,8 +252,8 @@ class Coordinator:
             block_size=self.block_size,
             recovery_override=override,
         )
-        plan = self.scheme.plan(ctx)
         outcome = simulate_repair(self.scheme, ctx, self.bandwidth)
+        plan = outcome.plan
         parts = partition_plan(plan, meta.placement, sid, failed)
         routing = {}
         for node_id in parts:
@@ -308,10 +310,17 @@ class Coordinator:
         if not crc_ok:
             raise StoreError(f"repair {rid} rebuilt wrong bytes for stripe {sid}")
 
-        # Ledger cross-check: measured daemon→daemon traffic vs simulator.
-        measured = ledger_from_reports(
-            self.cluster, [r for report in reports for r in report["reports"]]
-        )
+        # Ledger cross-check: the whole measured daemon→daemon ledger (per
+        # link class, node and rack) and the op counts vs the simulator's.
+        op_reports = [r for report in reports for r in report["reports"]]
+        measured = {
+            **ledger_from_reports(self.cluster, op_reports).to_dict(),
+            "combines": sum(r["kind"] == CombineOp.kind for r in op_reports),
+        }
+        simulated = {
+            **TrafficLedger.from_sim(outcome.sim, self.cluster).to_dict(),
+            "combines": len(plan.combines()),
+        }
         record = {
             "rid": rid,
             "sid": sid,
@@ -319,13 +328,9 @@ class Coordinator:
             "failed_blocks": list(failed),
             "targets": {str(bid): node for bid, node in override},
             "measured": measured,
-            "simulated": {
-                "cross_rack_bytes": int(outcome.cross_rack_bytes),
-                "intra_rack_bytes": int(outcome.intra_rack_bytes),
-                "repair_time": outcome.total_repair_time,
-            },
-            "ledger_match": measured["cross_rack_bytes"]
-            == int(outcome.cross_rack_bytes),
+            "simulated": simulated,
+            "simulated_repair_time": outcome.total_repair_time,
+            "ledger_match": measured == simulated,
             "wall_seconds": self.rec.raw_now() - start,
         }
         self.repairs.append(record)
@@ -337,6 +342,7 @@ class Coordinator:
             **ctx.attrs(),
         )
         self.stats.count("repairs_done")
+        self.stats.count("repair_ledger_mismatch", 0 if record["ledger_match"] else 1)
         self.stats.count("repair_bytes_cross_rack", measured["cross_rack_bytes"])
         self.stats.latency("repair.stripe", record["wall_seconds"])
 

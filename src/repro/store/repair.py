@@ -14,10 +14,12 @@ verifies this property and refuses plans that violate it); repair bytes
 travelling daemon→daemon double as the dependency tokens, exactly like
 the paper's testbed where pipelining emerges from data arrival.
 
-The coordinator's ledger for a repair is then assembled from the
-daemons' op reports and compared byte-for-byte against the simulator's
-prediction for the same plan — the service-path half of the live
-cross-validation story.
+Each daemon produces an op's payload with the op's own ``apply`` — what
+the byte executor's op step calls — and delivers it by RPC or locally.
+The coordinator's :class:`~repro.metrics.TrafficLedger` for a repair is
+then assembled from the daemons' op reports and compared with ``==``
+against the simulator's ledger for the same plan — the service-path half
+of the live cross-validation story.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cluster import Placement
-from ..gf import GFTables, get_tables, linear_combine
-from ..repair.plan import CombineOp, RepairPlan, SendOp, block_key
+from ..cluster import Cluster, Placement
+from ..gf import GFTables, get_tables
+from ..live.transport import run_tasks
+from ..metrics import TrafficLedger
+from ..repair.plan import CombineOp, PlanError, RepairPlan, SendOp, block_key, op_from_dict
 from ..telemetry.distributed import TraceContext
 from .messages import StoreError, StoreProtocolError, call
 
@@ -64,56 +68,11 @@ def block_crc(payload: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(payload)) & 0xFFFFFFFF
 
 
-def _owner(op: SendOp | CombineOp) -> int:
-    return op.src if isinstance(op, SendOp) else op.node
-
-
-def _inputs(op: SendOp | CombineOp) -> tuple[str, ...]:
-    if isinstance(op, SendOp):
-        return (op.key,)
-    return tuple(key for key, _ in op.terms)
-
-
-def _serialize_op(op: SendOp | CombineOp) -> dict:
-    if isinstance(op, SendOp):
-        return {
-            "kind": "send",
-            "op_id": op.op_id,
-            "src": op.src,
-            "dst": op.dst,
-            "key": op.key,
-            "deps": list(op.deps),
-        }
-    return {
-        "kind": "combine",
-        "op_id": op.op_id,
-        "node": op.node,
-        "out_key": op.out_key,
-        "terms": [[key, coeff] for key, coeff in op.terms],
-        "mb": op.with_matrix_build,
-        "deps": list(op.deps),
-    }
-
-
 def _deserialize_op(data: dict) -> SendOp | CombineOp:
-    if data["kind"] == "send":
-        return SendOp(
-            op_id=data["op_id"],
-            src=int(data["src"]),
-            dst=int(data["dst"]),
-            key=data["key"],
-            deps=tuple(data["deps"]),
-        )
-    if data["kind"] == "combine":
-        return CombineOp(
-            op_id=data["op_id"],
-            node=int(data["node"]),
-            out_key=data["out_key"],
-            terms=tuple((key, int(coeff)) for key, coeff in data["terms"]),
-            with_matrix_build=bool(data.get("mb", False)),
-            deps=tuple(data["deps"]),
-        )
-    raise StoreProtocolError(f"unknown op kind {data.get('kind')!r}")
+    try:
+        return op_from_dict(data)
+    except PlanError as exc:
+        raise StoreProtocolError(str(exc)) from exc
 
 
 def plan_to_dict(plan: RepairPlan) -> dict:
@@ -125,7 +84,7 @@ def plan_to_dict(plan: RepairPlan) -> dict:
     """
     return {
         "block_size": plan.block_size,
-        "ops": [_serialize_op(op) for op in plan.ops.values()],
+        "ops": [op.to_dict() for op in plan.ops.values()],
         "outputs": {
             str(bid): [node, key] for bid, (node, key) in plan.outputs.items()
         },
@@ -149,15 +108,8 @@ def plan_seed_blocks(plan: RepairPlan) -> dict[int, int]:
     place (at the named node, under :func:`repro.repair.plan.block_key`)
     before executing the plan locally.
     """
-    produced: set[tuple[int, str]] = set()
-    required: set[tuple[int, str]] = set()
-    for op in plan.ops.values():
-        if isinstance(op, SendOp):
-            produced.add((op.dst, op.key))
-            required.add((op.src, op.key))
-        else:
-            produced.add((op.node, op.out_key))
-            required.update((op.node, key) for key, _ in op.terms)
+    produced = {op.writes for op in plan.ops.values()}
+    required = {(op.owner, key) for op in plan.ops.values() for key in op.reads}
     seeds: dict[int, int] = {}
     for node, key in required - produced:
         prefix, _, bid = key.partition(":")
@@ -184,7 +136,7 @@ class NodeAssignment:
     def to_dict(self) -> dict:
         return {
             "node": self.node,
-            "ops": [_serialize_op(op) for op in self.ops],
+            "ops": [op.to_dict() for op in self.ops],
             "seeds": dict(self.seeds),
             "outputs": [[bid, key, skey] for bid, key, skey in self.outputs],
         }
@@ -229,17 +181,13 @@ def partition_plan(
         return found
 
     for op in plan.ops.values():
-        owner = _owner(op)
-        inputs = set(_inputs(op))
+        owner = op.owner
         for dep in op.deps:
             dep_op = plan.ops[dep]
-            if _owner(dep_op) == owner:
+            if dep_op.owner == owner:
                 continue  # same daemon: ordinary local ordering
-            if (
-                isinstance(dep_op, SendOp)
-                and dep_op.dst == owner
-                and dep_op.key in inputs
-            ):
+            landed_at, landed_key = dep_op.writes
+            if landed_at == owner and landed_key in op.reads:
                 continue  # the dependency IS the payload arrival
             raise StoreProtocolError(
                 f"op {op.op_id!r} at node {owner} depends on remote op "
@@ -249,7 +197,7 @@ def partition_plan(
         part(owner).ops.append(op)
 
     # Seed every holder of a surviving original block that the plan reads.
-    read_keys = {key for op in plan.ops.values() for key in _inputs(op)}
+    read_keys = {key for op in plan.ops.values() for key in op.reads}
     for bid in range(placement.width):
         if bid in failed:
             continue
@@ -262,31 +210,15 @@ def partition_plan(
     return parts
 
 
-def ledger_from_reports(cluster, reports: list[dict]) -> dict:
-    """Aggregate daemons' send reports into the simulator's ledger shape."""
-    intra = cross = 0
-    cross_by_rack: dict[int, int] = {}
-    sends = combines = 0
+def ledger_from_reports(cluster: Cluster, reports: list[dict]) -> TrafficLedger:
+    """The traffic ledger of the sends in daemons' op reports."""
+    ledger = TrafficLedger()
     for report in reports:
-        if report["kind"] == "combine":
-            combines += 1
-            continue
-        sends += 1
-        nbytes = int(report["nbytes"])
-        src, dst = int(report["src"]), int(report["dst"])
-        if cluster.same_rack(src, dst):
-            intra += nbytes
-        else:
-            cross += nbytes
-            rack = cluster.rack_of(src)
-            cross_by_rack[rack] = cross_by_rack.get(rack, 0) + nbytes
-    return {
-        "intra_rack_bytes": intra,
-        "cross_rack_bytes": cross,
-        "cross_uploaded_by_rack": cross_by_rack,
-        "sends": sends,
-        "combines": combines,
-    }
+        if report["kind"] == SendOp.kind:
+            ledger.add_send(
+                cluster, int(report["src"]), int(report["dst"]), int(report["nbytes"])
+            )
+    return ledger
 
 
 class RepairSession:
@@ -362,83 +294,50 @@ class RepairSession:
         for dep in op.deps:
             if dep in self._local_ops:
                 await self._op_done[dep].wait()
-        for key in _inputs(op):
-            await self._await_key(key)
-        if isinstance(op, SendOp):
-            await self._run_send(op)
-        else:
-            self._run_combine(op)
-        self._op_done[op.op_id].set()
-
-    async def _run_send(self, op: SendOp) -> None:
-        try:
-            host, port = self.routing[op.dst]
-        except KeyError:
-            raise StoreError(
-                f"repair {self.rid}: send {op.op_id!r} targets node "
-                f"{op.dst} with no route (dead or uninvolved daemon?)"
-            ) from None
-        payload = np.ascontiguousarray(self.payloads[op.key])
-        if self.throttle is not None:
-            await self.throttle.acquire(int(payload.nbytes))
+        inputs = [await self._await_key(key) for key in op.reads]
+        node, key = op.writes
         op_ctx = self.ctx.child() if self.ctx is not None else None
-        kwargs = {"blob": payload.data}
-        if op_ctx is not None:
-            kwargs["ctx"] = op_ctx.child()
+        span = op.span_attrs
         start = time.monotonic()
-        await self.rpc(
-            host,
-            port,
-            "repair.block",
-            {"rid": self.rid, "key": op.key},
-            **kwargs,
-        )
+        payload = op.apply(inputs, self.tables)
+        if node == op.owner:
+            self.deliver(key, payload)
+            facts = {"node": node, "out_key": key}
+        else:
+            try:
+                host, port = self.routing[node]
+            except KeyError:
+                raise StoreError(
+                    f"repair {self.rid}: send {op.op_id!r} targets node "
+                    f"{node} with no route (dead or uninvolved daemon?)"
+                ) from None
+            payload = np.ascontiguousarray(payload)
+            nbytes = int(payload.nbytes)
+            if self.throttle is not None:
+                await self.throttle.acquire(nbytes)
+            kwargs = {"blob": payload.data}
+            if op_ctx is not None:
+                kwargs["ctx"] = op_ctx.child()
+            start = time.monotonic()
+            await self.rpc(
+                host,
+                port,
+                "repair.block",
+                {"rid": self.rid, "key": key},
+                **kwargs,
+            )
+            facts = {"src": op.owner, "dst": node, "key": key, "nbytes": nbytes}
+            span["nbytes"] = nbytes
         end = time.monotonic()
         self.reports.append(
-            {
-                "kind": "send",
-                "op_id": op.op_id,
-                "src": op.src,
-                "dst": op.dst,
-                "key": op.key,
-                "nbytes": int(payload.nbytes),
-                "start": start,
-                "end": end,
-            }
+            {"kind": op.kind, "op_id": op.op_id, **facts, "start": start, "end": end}
         )
         if self.rec is not None:
             self.rec.span(
-                op.op_id, start, end, category="op", op_id=op.op_id,
-                kind="transfer", node=op.src, peer=op.dst,
-                nbytes=int(payload.nbytes), rid=self.rid,
-                **(op_ctx.attrs() if op_ctx is not None else {}),
+                op.op_id, start, end, category="op", op_id=op.op_id, rid=self.rid,
+                **span, **(op_ctx.attrs() if op_ctx is not None else {}),
             )
-
-    def _run_combine(self, op: CombineOp) -> None:
-        start = time.monotonic()
-        out = linear_combine(
-            [coeff for _, coeff in op.terms],
-            [self.payloads[key] for key, _ in op.terms],
-            self.tables,
-        )
-        end = time.monotonic()
-        self.deliver(op.out_key, out)
-        self.reports.append(
-            {
-                "kind": "combine",
-                "op_id": op.op_id,
-                "node": op.node,
-                "out_key": op.out_key,
-                "start": start,
-                "end": end,
-            }
-        )
-        if self.rec is not None:
-            attrs = self.ctx.child().attrs() if self.ctx is not None else {}
-            self.rec.span(
-                op.op_id, start, end, category="op", op_id=op.op_id,
-                kind="compute", node=op.node, rid=self.rid, **attrs,
-            )
+        self._op_done[op.op_id].set()
 
     async def _commit_output(self, block_id: int, key: str, stored_key: str, blocks: dict) -> None:
         payload = await self._await_key(key)
@@ -472,29 +371,12 @@ class RepairSession:
             tasks[f"commit:{bid}"] = asyncio.ensure_future(
                 self._commit_output(bid, key, stored_key, blocks)
             )
-        if not tasks:
-            return self.report()
-        try:
-            done, pending = await asyncio.wait(
-                tasks.values(), timeout=timeout, return_when=asyncio.FIRST_EXCEPTION
+        stuck = await run_tasks(tasks, timeout)
+        if stuck:
+            raise StoreError(
+                f"repair {self.rid} timed out after {timeout}s on node "
+                f"{self.assignment.node}; unfinished: {stuck}"
             )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            for task in done:
-                task.result()
-            if pending:
-                stuck = sorted(
-                    name for name, t in tasks.items() if not t.done() or t.cancelled()
-                )
-                raise StoreError(
-                    f"repair {self.rid} timed out after {timeout}s on node "
-                    f"{self.assignment.node}; unfinished: {stuck}"
-                )
-        finally:
-            for task in tasks.values():
-                task.cancel()
         return self.report()
 
     def report(self) -> dict:

@@ -325,10 +325,10 @@ class StorageSystem:
                 continue
             failed = tuple(sorted(state.missing))
             ctx = self._repair_context(state, failed)
-            plan = self.scheme.plan(ctx)
+            outcome = simulate_repair(self.scheme, ctx, self.bandwidth)
+            plan = outcome.plan
             store = self._payload_store_for(state)
             result = execute_plan(plan, self.cluster, store)
-            outcome = simulate_repair(self.scheme, ctx, self.bandwidth)
             serial_seconds += outcome.total_repair_time
             sim_cross += outcome.cross_rack_bytes
             plans.append(plan)

@@ -212,13 +212,8 @@ def live_trace_from_timings(live, plan) -> TelemetryTrace:
 
     spans = []
     for timing in live.timings.values():
-        attrs: dict = {}
         op = plan.ops.get(timing.op_id) if plan is not None else None
-        if op is not None:
-            if hasattr(op, "src"):
-                attrs = {"kind": "transfer", "node": op.src, "peer": op.dst}
-            else:
-                attrs = {"kind": "compute", "node": op.node}
+        attrs = op.span_attrs if op is not None else {}
         spans.append(
             Span(
                 name=timing.op_id,

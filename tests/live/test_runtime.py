@@ -36,13 +36,9 @@ class TestByteOracle:
         for bid, payload in lost_payloads(stripe, [1]).items():
             np.testing.assert_array_equal(live.recovered[bid], payload)
             np.testing.assert_array_equal(oracle.recovered[bid], payload)
-        assert live.intra_rack_bytes == oracle.intra_rack_bytes
-        assert live.cross_rack_bytes == oracle.cross_rack_bytes
-        assert live.combine_count == oracle.combine_count
-        assert live.sends_executed == oracle.sends_executed
-        assert live.uploaded_by_node == oracle.uploaded_by_node
-        assert live.downloaded_by_node == oracle.downloaded_by_node
-        assert live.cross_uploaded_by_rack == oracle.cross_uploaded_by_rack
+        assert live.ledger == oracle.ledger
+        assert live.ledger.sends == len(plan.sends())
+        assert live.combine_count == oracle.combine_count == len(plan.combines())
 
     @pytest.mark.parametrize("scheme", ["traditional", "rpr"])
     def test_multi_block_recovery(self, scheme):

@@ -43,6 +43,31 @@ class TestStoreRepairAudit:
         assert audit.to_dict()["mismatches"] == [bad]
 
 
+    def test_any_ledger_field_counts_not_just_cross_rack_bytes(self):
+        """Equal cross-rack totals with a different per-node split, intra
+        volume or op count is still a mismatch."""
+        from repro.cluster import Cluster
+        from repro.metrics import TrafficLedger
+
+        cluster = Cluster.homogeneous(2, 2)
+        a, b = TrafficLedger(), TrafficLedger()
+        a.add_send(cluster, 0, 2, 4096)
+        b.add_send(cluster, 1, 2, 4096)  # same rack pair, other uploader
+        assert a.cross_rack_bytes == b.cross_rack_bytes
+
+        def record(measured, simulated, combines=(1, 1)):
+            return {
+                "measured": {**measured.to_dict(), "combines": combines[0]},
+                "simulated": {**simulated.to_dict(), "combines": combines[1]},
+            }
+
+        # The wire turns a record into JSON and back; the verdict survives.
+        wire = lambda rec: json.loads(json.dumps(rec))
+        assert audit_store_repairs([wire(record(a, a))]).ledger_ok
+        assert not audit_store_repairs([wire(record(a, b))]).ledger_ok
+        assert not audit_store_repairs([record(a, a, combines=(1, 2))]).ledger_ok
+
+
 class TestLiveEnvironment:
     def test_scaled_bandwidth_and_block_size(self):
         env = live_environment(6, 3, block_size=32 * 1024)

@@ -10,7 +10,6 @@
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +20,7 @@ from repro.cluster import (
     RPRPlacement,
     SIMICS_BANDWIDTH,
 )
+from repro.metrics import TrafficLedger
 from repro.repair import (
     CARRepair,
     RepairContext,
@@ -130,11 +130,8 @@ class TestTrafficConsistency:
             store = initial_store_for(stripe, ctx.placement, failed)
             concrete = execute_plan(plan, ctx.cluster, store)
             simulated = simulate_repair(scheme, ctx, SIMICS_BANDWIDTH)
-            assert concrete.cross_rack_bytes == pytest.approx(
-                simulated.cross_rack_bytes
-            )
-            assert concrete.intra_rack_bytes == pytest.approx(
-                simulated.intra_rack_bytes
+            assert concrete.ledger == TrafficLedger.from_sim(
+                simulated.sim, ctx.cluster
             )
 
 

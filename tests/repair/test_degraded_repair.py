@@ -29,7 +29,7 @@ from repro.repair import (
     simulate_repair,
     simulate_repair_with_faults,
 )
-from repro.sim import FaultPlan, NodeDeath
+from repro.sim import EventKind, FaultPlan, NodeDeath, TransferLoss
 
 from .conftest import make_context, make_stripe
 
@@ -101,6 +101,41 @@ class TestHelperDeathMidRepair:
         assert outcome.retry_count > 0
         assert outcome.retried_bytes > 0
         assert_oracle(outcome, ctx, stripe)
+
+    def test_lost_then_refused_send_is_not_counted_as_delivered(self):
+        """A send whose only attempt was lost, and whose source died before
+        the retry could start, delivered nothing: its timing (the lost
+        attempt's) must not put it in the committed prefix."""
+        ctx = make_context(6, 3, failed=[1])
+        scheme = TraditionalRepair()
+        clean = simulate_repair(scheme, ctx, SIMICS_BANDWIDTH)
+        first = min(clean.plan.sends(), key=lambda op: clean.sim.timings[op.op_id].start)
+        faults = FaultPlan(
+            losses=(TransferLoss(job_id=first.op_id),),
+            # completions fire before deaths at one instant, starts after
+            deaths=(NodeDeath(first.src, clean.sim.timings[first.op_id].end),),
+        )
+        outcome = simulate_repair_with_faults(scheme, ctx, SIMICS_BANDWIDTH, faults)
+        attempt = outcome.sims[0]
+        assert first.op_id in attempt.faults.failed
+        assert first.op_id in attempt.timings  # the lost attempt ran
+        delivered = {
+            e.job_id for e in attempt.events if e.kind == EventKind.TRANSFER_END
+        }
+        assert first.op_id not in delivered
+        consumed_later = {
+            (key, op.owner) for op in outcome.plans[1].ops.values() for key in op.reads
+        }
+        unused = [
+            op
+            for op in outcome.plans[0].sends()
+            if op.op_id in delivered and (op.key, op.dst) not in consumed_later
+        ]
+        assert outcome.wasted_bytes == (
+            outcome.retried_bytes
+            + sum(s.faults.aborted_bytes for s in outcome.sims)
+            + ctx.block_size * len(unused)
+        )
 
     def test_deterministic_outcome(self):
         ctx = make_context(6, 3, failed=[1])

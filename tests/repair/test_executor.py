@@ -8,7 +8,6 @@ from repro.repair import (
     ExecutionError,
     RepairPlan,
     block_key,
-    execute_ops,
     execute_plan,
     initial_store_for,
     missing_payload_message,
@@ -52,9 +51,9 @@ class TestSends:
         plan.add_send("cross", 1, 2, "x", deps=["intra"])
         plan.mark_output(0, 2, "x")
         result = execute_plan(plan, cluster, store_with(0, "x", payload))
-        assert result.intra_rack_bytes == 4
-        assert result.cross_rack_bytes == 4
-        assert result.sends_executed == 2
+        assert result.ledger.intra_rack_bytes == 4
+        assert result.ledger.cross_rack_bytes == 4
+        assert result.ledger.sends == 2
 
 
 class TestCombines:
@@ -123,7 +122,7 @@ class TestAbortDiagnostics:
         plan.add_send("s0", 0, 1, "missing")
         plan.mark_output(0, 1, "missing")
         with pytest.raises(ExecutionError) as err:
-            execute_ops(plan, ["s0"], cluster, {})
+            execute_plan(plan, cluster, {}, ops=["s0"])
         assert str(err.value) == missing_payload_message(
             "send", "s0", 0, 1, ["missing"], 0
         )
@@ -160,11 +159,76 @@ class TestInitialStore:
             )
 
 
-class TestLedgers:
-    """The executor's per-node byte ledgers mirror the simulator's.
+def run_sessions(plan, ctx, stripe, stripe_id=0):
+    """The store's repair path without sockets: one ``RepairSession`` per
+    involved node, ``repair.block`` RPCs delivered straight to the peer
+    session.  Returns ``(ledger, combines, recovered)``."""
+    import asyncio
 
-    Both interpreters consume the same plan; under tracing the per-node
-    (not just aggregate) byte accounting must agree exactly."""
+    from repro.store.repair import (
+        RepairSession,
+        ledger_from_reports,
+        partition_plan,
+        stored_block_key,
+    )
+
+    parts = partition_plan(plan, ctx.placement, stripe_id, ctx.failed_blocks)
+    sessions: dict[int, RepairSession] = {}
+
+    async def rpc(host, port, mtype, body, blob=None, ctx=None):
+        assert mtype == "repair.block"
+        payload = np.frombuffer(bytes(blob), dtype=np.uint8)
+        sessions[port].deliver(body["key"], payload)
+
+    routing = {node: ("in-process", node) for node in parts}
+    blocks = {
+        node: {
+            stored_block_key(stripe_id, bid): stripe.get_payload(bid)
+            for bid in stripe.block_ids()
+            if bid not in ctx.failed_blocks and ctx.placement.node_of(bid) == node
+        }
+        for node in parts
+    }
+
+    async def main():
+        for node, part in parts.items():
+            sessions[node] = RepairSession(
+                "r0", part, routing, block_size=ctx.block_size, rpc=rpc
+            )
+        return await asyncio.gather(
+            *(sessions[node].run(blocks[node], timeout=10.0) for node in parts)
+        )
+
+    reports = [r for report in asyncio.run(main()) for r in report["reports"]]
+    recovered = {
+        bid: blocks[node][stored_block_key(stripe_id, bid)]
+        for bid, (node, _) in plan.outputs.items()
+    }
+    combines = sum(r["kind"] == "combine" for r in reports)
+    return ledger_from_reports(ctx.cluster, reports), combines, recovered
+
+
+def driver_cases():
+    from repro.repair import CARRepair, RPRScheme, TraditionalRepair
+
+    for n, k in [(6, 3), (8, 3)]:
+        for failed in ([1], [1, 4]):
+            for scheme in (TraditionalRepair(), CARRepair(), RPRScheme()):
+                if scheme.name == "car" and len(failed) > 1:
+                    continue  # CAR is single-failure only, as in the paper
+                yield pytest.param(
+                    n, k, failed, scheme, id=f"{scheme.name}-rs{n}_{k}-fail{len(failed)}"
+                )
+
+
+class TestLedgers:
+    """Every interpreter of one plan moves the same bytes over the same links.
+
+    The simulator, the byte executor, the live runtime and the store's
+    repair sessions all account sends through ``TrafficLedger.add_send``
+    and produce payloads through the same op step, so their ledgers are
+    ``==`` (per node and per rack, not just in aggregate) and their
+    recovered blocks byte-identical."""
 
     @pytest.mark.parametrize("n,k,failed", [(4, 2, [1]), (6, 2, [0]), (8, 4, [1, 5])])
     def test_executor_matches_simulator_per_node(self, n, k, failed):
@@ -180,13 +244,9 @@ class TestLedgers:
         concrete = execute_plan(plan, ctx.cluster, store)
         simulated = simulate_repair(scheme, ctx, SIMICS_BANDWIDTH)
         ledger = TrafficLedger.from_sim(simulated.sim, ctx.cluster)
+        assert concrete.ledger == ledger == plan.traffic(ctx.cluster)
         # Byte counts are integral end-to-end; equality is exact, no
         # tolerance.
-        assert concrete.uploaded_by_node == ledger.uploaded_by_node
-        assert concrete.downloaded_by_node == ledger.downloaded_by_node
-        assert concrete.cross_uploaded_by_rack == ledger.cross_uploaded_by_rack
-        assert concrete.cross_rack_bytes == ledger.cross_rack_bytes
-        assert concrete.intra_rack_bytes == ledger.intra_rack_bytes
         for value in (
             ledger.cross_rack_bytes,
             ledger.intra_rack_bytes,
@@ -196,6 +256,49 @@ class TestLedgers:
         ):
             assert type(value) is int
 
+    @pytest.mark.parametrize("n,k,failed,scheme", driver_cases())
+    def test_drivers_agree(self, n, k, failed, scheme):
+        import copy
+
+        from repro.cluster import SIMICS_BANDWIDTH
+        from repro.live import run_plan_live_sync
+        from repro.metrics import TrafficLedger
+        from repro.repair import payload_compositions, simulate_repair
+
+        ctx = make_context(n, k, failed=failed)
+        stripe = make_stripe(ctx)
+        simulated = simulate_repair(scheme, ctx, SIMICS_BANDWIDTH)
+        plan = simulated.plan
+        store = initial_store_for(stripe, ctx.placement, failed)
+
+        expected = TrafficLedger.from_sim(simulated.sim, ctx.cluster)
+        concrete = execute_plan(plan, ctx.cluster, copy.deepcopy(store))
+        live = run_plan_live_sync(plan, ctx.cluster, store, bandwidth=None)
+        session_ledger, session_combines, session_recovered = run_sessions(
+            plan, ctx, stripe
+        )
+
+        assert concrete.ledger == expected
+        assert live.ledger == expected
+        assert session_ledger == expected
+        assert expected == plan.traffic(ctx.cluster)
+        assert (
+            concrete.combine_count
+            == live.combine_count
+            == session_combines
+            == len(plan.combines())
+        )
+        compositions = payload_compositions(plan, ctx.code)
+        for bid in failed:
+            lost = stripe.get_payload(bid)
+            np.testing.assert_array_equal(concrete.recovered[bid], lost)
+            np.testing.assert_array_equal(live.recovered[bid], lost)
+            np.testing.assert_array_equal(session_recovered[bid], lost)
+            # the symbolic run ends on the failed block's generator row
+            np.testing.assert_array_equal(
+                compositions[plan.outputs[bid][1]], ctx.code.generator_row(bid)
+            )
+
     def test_to_dict_is_json_serializable(self, cluster):
         import json
 
@@ -204,8 +307,10 @@ class TestLedgers:
         plan.add_send("s", 0, 2, "x")
         plan.mark_output(0, 2, "x")
         result = execute_plan(plan, cluster, store_with(0, "x", payload))
-        data = json.loads(json.dumps(result.to_dict()))
+        assert result.to_dict() == json.loads(json.dumps(result.to_dict()))
+        data = result.to_dict()
         assert data["cross_rack_bytes"] == 4
+        assert data["sends"] == 1
         assert data["uploaded_by_node"] == {"0": 4}
         assert data["cross_uploaded_by_rack"] == {"0": 4}
         assert data["recovered_blocks"] == [0]

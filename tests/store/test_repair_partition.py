@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster, RPRPlacement
+from repro.metrics import TrafficLedger
 from repro.repair import (
     CARRepair,
     RepairContext,
@@ -157,10 +158,9 @@ class TestLedger:
         reports += [{"kind": "combine"} for _ in plan.combines()]
         ledger = ledger_from_reports(ctx.cluster, reports)
         outcome = simulate_repair(scheme, ctx, SIMICS_BANDWIDTH)
-        assert ledger["cross_rack_bytes"] == int(outcome.cross_rack_bytes)
-        assert ledger["intra_rack_bytes"] == int(outcome.intra_rack_bytes)
-        assert ledger["sends"] == len(plan.sends())
-        assert ledger["combines"] == len(plan.combines())
+        assert ledger == TrafficLedger.from_sim(outcome.sim, ctx.cluster)
+        assert ledger == plan.traffic(ctx.cluster)
+        assert ledger.sends == len(plan.sends())
 
 
 class TestBlockCrc:

@@ -87,8 +87,8 @@ class TestRecordedRun:
     def test_counters_match_the_ledgers(self, result):
         _, live = result
         counters = live.telemetry.counters
-        assert counters["bytes.cross_rack"] == pytest.approx(live.cross_rack_bytes)
-        assert counters["bytes.intra_rack"] == pytest.approx(live.intra_rack_bytes)
+        assert counters["bytes.cross_rack"] == pytest.approx(live.ledger.cross_rack_bytes)
+        assert counters["bytes.intra_rack"] == pytest.approx(live.ledger.intra_rack_bytes)
         assert counters["ops.sends"] + counters["ops.combines"] == len(live.timings)
 
     def test_op_spans_agree_with_measured_timings(self, result):
