@@ -129,6 +129,12 @@ _EXTENSIONS = {
         "lrc_rows",
         ["code", "mean_repair_s", "mean_cross_blocks", "four_failure_coverage_pct"],
     ),
+    "slice-pipelining": (
+        "slice_pipelining_rows",
+        ["code", "chained_failures", "failures", "slices", "tree_cross_blocks",
+         "chain_cross_blocks", "tree_time_s", "chain_time_s", "tree_block_times",
+         "chain_block_times", "time_reduction_pct"],
+    ),
 }
 
 
@@ -709,12 +715,15 @@ def _cmd_live(args) -> int:
             f"{row.ratio:.2f}",
             "ok" if row.bytes_ok else "MISMATCH",
             row.cross_rack_bytes,
+            row.gather,
+            row.slices,
         ]
         for row in report.rows
     ]
     print(
         format_table(
-            ["scheme", "predicted_s", "measured_s", "ratio", "bytes", "cross_bytes"],
+            ["scheme", "predicted_s", "measured_s", "ratio", "bytes", "cross_bytes",
+             "gather", "slices"],
             rows,
         )
     )
@@ -815,8 +824,7 @@ def _cmd_telemetry(args) -> int:
         return 0 if diff.all_aligned else 1
 
     # export
-    from .experiments import context_for
-    from .live import live_environment, run_plan_live_sync
+    from .live import live_context, live_environment, run_plan_live_sync
     from .repair import initial_store_for, simulate_repair
     from .telemetry import CLOCK_WALL, TelemetryRecorder
     from .workloads import encoded_stripe
@@ -837,7 +845,7 @@ def _cmd_telemetry(args) -> int:
         env = live_environment(
             n, k, block_size=args.block_size, placement=args.placement
         )
-        ctx = context_for(env, failed)
+        ctx = live_context(env, failed)
         predicted = simulate_repair(scheme, ctx, env.bandwidth)
         if args.source == "both":
             traces.append((f"sim:{scheme.name}", predicted.telemetry()))

@@ -17,7 +17,12 @@ from .common import (
     run_scheme,
     sweep_scheme,
 )
-from .extensions import durability_rows, lrc_rows, node_rebuild_rows
+from .extensions import (
+    durability_rows,
+    lrc_rows,
+    node_rebuild_rows,
+    slice_pipelining_rows,
+)
 from .multi import (
     PAPER_NONWORST_TRIPLES,
     figure9_rows,
@@ -61,5 +66,6 @@ __all__ = [
     "multi_failure_rows",
     "run_scheme",
     "single_failure_rows",
+    "slice_pipelining_rows",
     "sweep_scheme",
 ]

@@ -6,20 +6,23 @@ code path for extension results too:
 * :func:`node_rebuild_rows` — full-node rebuild orchestration matrix.
 * :func:`durability_rows` — per-scheme MTTDL from measured repair times.
 * :func:`lrc_rows` — LRC(12,2,2) vs RS(12,4) at equal overhead.
+* :func:`slice_pipelining_rows` — paper RPR (tree) vs the slice-pipelined
+  chain at the Simics rates.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 from ..cluster import Cluster, ContiguousPlacement, SIMICS_BANDWIDTH
 from ..multistripe import StripeStore, repair_node_failure
 from ..reliability import mttdl_from_repair_times
 from ..repair import RepairContext, RPRScheme, TraditionalRepair, simulate_repair
-from ..rs import MB, SIMICS_DECODE, get_code
+from ..rs import MB, PAPER_SINGLE_FAILURE_CODES, SIMICS_DECODE, get_code
 from .common import build_simics_environment, context_for
 
-__all__ = ["node_rebuild_rows", "durability_rows", "lrc_rows"]
+__all__ = ["node_rebuild_rows", "durability_rows", "lrc_rows", "slice_pipelining_rows"]
 
 YEAR = 365.25 * 24 * 3600
 
@@ -136,3 +139,49 @@ def lrc_rows() -> list[dict]:
             "four_failure_coverage_pct": 100.0,
         },
     ]
+
+
+def slice_pipelining_rows(codes=PAPER_SINGLE_FAILURE_CODES) -> list[dict]:
+    """Paper RPR (binomial tree, whole blocks) vs what RPR plans when it is
+    told the links (slice-pipelined chain where faster), Simics testbed.
+
+    Every single-block failure of every code, averaged per code.  Times
+    are also given as multiples of one cross-rack block time — the floor
+    any scheme that ships a block across racks pays — and cross-rack
+    blocks for both, which slicing must not change.
+    """
+    rows = []
+    for n, k in codes:
+        env = build_simics_environment(n, k)
+        block_time = env.block_size / SIMICS_BANDWIDTH.cross
+        tree, linked = [], []
+        for block in range(n + k):
+            ctx = context_for(env, [block])
+            tree.append(simulate_repair(RPRScheme(), ctx, env.bandwidth))
+            linked.append(
+                simulate_repair(
+                    RPRScheme(), replace(ctx, link_model=env.bandwidth), env.bandwidth
+                )
+            )
+
+        def mean(values):
+            return sum(values) / (n + k)
+
+        tree_s = mean([o.total_repair_time for o in tree])
+        linked_s = mean([o.total_repair_time for o in linked])
+        rows.append(
+            {
+                "code": f"({n},{k})",
+                "chained_failures": sum(o.plan.slices > 1 for o in linked),
+                "failures": n + k,
+                "slices": max(o.plan.slices for o in linked),
+                "tree_cross_blocks": mean([o.cross_rack_blocks for o in tree]),
+                "chain_cross_blocks": mean([o.cross_rack_blocks for o in linked]),
+                "tree_time_s": tree_s,
+                "chain_time_s": linked_s,
+                "tree_block_times": tree_s / block_time,
+                "chain_block_times": linked_s / block_time,
+                "time_reduction_pct": 100.0 * (1 - linked_s / tree_s),
+            }
+        )
+    return rows

@@ -60,6 +60,7 @@ from .validate import (
     LiveValidationReport,
     StoreRepairAudit,
     audit_store_repairs,
+    live_context,
     live_environment,
     run_live_validation,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "audit_store_repairs",
     "cancel_and_wait",
     "connect_tcp",
+    "live_context",
     "live_environment",
     "open_transport",
     "read_ack",

@@ -1,21 +1,28 @@
 """The live plan executor: real bytes, real concurrency, measured time.
 
 Every op of a :class:`repro.repair.RepairPlan` becomes one asyncio task
-that runs at the op's *owner* node, waits for its declared dependencies
-and produces its payload with :func:`repro.repair.run_op` — the same op
-step the byte executor takes — on this runtime's clock and transport:
+that runs at the op's *owner* node and works through the op's
+:meth:`~repro.repair.RepairPlan.parts` in order — the op itself, or its
+slices — waiting for each part's dependencies and producing its payload
+with :func:`repro.repair.run_op`, the same op step the byte executor
+takes, on this runtime's clock and transport:
 
-* An op whose result lands on another node (a send) claims the owner's
+* A part whose result lands on another node (a send) claims the owner's
   upload port and the destination's download port (the engine's
   port-exclusivity contract, held for the whole transfer), sleeps the
   link latency, then streams the payload as a framed transfer through
-  the link's token bucket and waits for the receiver's ack.
-* An op whose result stays put (a combine) claims the node's CPU slot
+  the link's token bucket and waits for the receiver's ack.  The slices
+  of one send are one paced stream: they share a connection and the
+  bucket's idle credit is dropped once, before the first, so the
+  debt-based bucket absorbs per-slice overhead the way it absorbs
+  per-chunk overhead; ports are still claimed slice by slice, as the
+  simulator's jobs claim them.
+* A part whose result stays put (a combine) claims the node's CPU slot
   and computes on the received bytes — combines happen *at the
   receiver*, like ECPipe's agents, not in a central reducer.
 
 Dependency completion is the control plane (one ``asyncio.Event`` per
-op, held by the in-process coordinator — the moral equivalent of the
+part, held by the in-process coordinator — the moral equivalent of the
 testbed's command distributor); payload bytes are the data plane and
 only ever move through the transport.  Pipelining is emergent: nothing
 here schedules overlap, it falls out of disjoint ports, shaped links and
@@ -43,7 +50,7 @@ from ..repair.plan import RepairPlan
 from ..telemetry.model import OP_CATEGORY, TelemetryRecorder, TelemetryTrace
 from .shaper import LinkShaper
 from .transport import MemoryTransport, Stream, TcpTransport, open_transport, run_tasks
-from .wire import ACK, DEFAULT_CHUNK, read_ack, read_frame, send_frame
+from .wire import ACK, DEFAULT_CHUNK, WireClosed, read_ack, read_frame, send_frame
 
 __all__ = [
     "LiveError",
@@ -65,7 +72,8 @@ class LiveTimeoutError(LiveError):
 
 @dataclass(frozen=True)
 class LiveOpTiming:
-    """Measured start/end of one executed op, seconds since run start."""
+    """Measured start/end of one executed part (an op, or one slice of a
+    sliced op — the simulator's job ids), seconds since run start."""
 
     op_id: str
     start: float
@@ -183,7 +191,10 @@ class _LiveRun:
         # telemetry is off.
         self.rec = recorder if recorder else None
         self.ports = _PortRegistry() if exclusive_ports else _NullRegistry()
-        self.events = {oid: asyncio.Event() for oid in plan.ops}
+        self.parts = plan.parts()
+        self.events = {
+            part.op_id: asyncio.Event() for parts in self.parts.values() for part in parts
+        }
         self.result = LiveResult(
             recovered={},
             makespan=0.0,
@@ -196,17 +207,21 @@ class _LiveRun:
     # -- server side -------------------------------------------------------
 
     async def handle_connection(self, node_id: int, stream: Stream) -> None:
-        """Receive one framed transfer, store it, ack it."""
+        """Receive framed transfers until the sender hangs up; store and ack each."""
         try:
-            header, payload = await read_frame(stream, chunk_size=self.chunk_size)
-            # read_frame assembled the payload into one preallocated
-            # bytearray; wrap it in place rather than copying to bytes.
-            # Stored blocks are read-only by contract (combines write to
-            # fresh arenas), so drop writability at the boundary.
-            received = np.frombuffer(payload, dtype=np.uint8)
-            received.flags.writeable = False
-            self.store.setdefault(node_id, {})[header["key"]] = received
-            await stream.write(ACK)
+            while True:
+                try:
+                    header, payload = await read_frame(stream, chunk_size=self.chunk_size)
+                except WireClosed:
+                    break  # the sender's stream is done
+                # read_frame assembled the payload into one preallocated
+                # bytearray; wrap it in place rather than copying to bytes.
+                # Stored blocks are read-only by contract (combines write to
+                # fresh arenas), so drop writability at the boundary.
+                received = np.frombuffer(payload, dtype=np.uint8)
+                received.flags.writeable = False
+                self.store.setdefault(node_id, {})[header["key"]] = received
+                await stream.write(ACK)
         except asyncio.CancelledError:  # teardown
             raise
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -229,98 +244,105 @@ class _LiveRun:
         self.events[oid].set()
 
     async def _ship(self, op) -> None:
-        """An op whose result lands on another node: stream it there."""
+        """An op whose result lands on another node: stream its parts there."""
         rec = self.rec
-        oid, src = op.op_id, op.owner
-        dst, key = op.writes
-        t_spawn = time.monotonic() if rec is not None else 0.0
-        await self._await_deps(op.deps)
-        payload = np.ascontiguousarray(
-            run_op(self.plan, op, self.store.get(src, {}), self.tables)
-        )
-        nbytes = int(payload.nbytes)
+        src = op.owner
+        dst = op.writes[0]
         latency = self.shaper.latency(src, dst)
-        t_deps = time.monotonic() if rec is not None else 0.0
-        async with self.ports.hold(("up", src), ("down", dst)):
-            t_ports = time.monotonic() if rec is not None else 0.0
-            bucket = self.shaper.bucket(src, dst)
-            if bucket is not None:
-                bucket.reset()
-            start = time.monotonic()
-            if latency > 0:
-                await asyncio.sleep(latency)
-            t_lat = time.monotonic() if rec is not None else 0.0
-            stream = await self.transport.connect(src, dst)
-            t_conn = time.monotonic() if rec is not None else 0.0
-            t_sent = t_conn
-            try:
-                # The frame is chunked as memoryview slices of the stored
-                # array itself — no tobytes() staging copy of the payload.
-                await send_frame(
-                    stream,
-                    {"op": oid, "key": key},
-                    payload.data,
-                    bucket=bucket,
-                    chunk_size=self.chunk_size,
-                    recorder=rec,
+        bucket = self.shaper.bucket(src, dst)
+        cross_rack = not self.cluster.same_rack(src, dst)
+        stream = None
+        try:
+            for part in self.parts[op.op_id]:
+                oid, key = part.op_id, part.writes[1]
+                t_spawn = time.monotonic() if rec is not None else 0.0
+                await self._await_deps(part.deps)
+                payload = np.ascontiguousarray(
+                    run_op(self.plan, part, self.store.get(src, {}), self.tables)
                 )
+                nbytes = int(payload.nbytes)
+                t_deps = time.monotonic() if rec is not None else 0.0
+                async with self.ports.hold(("up", src), ("down", dst)):
+                    t_ports = time.monotonic() if rec is not None else 0.0
+                    if stream is None and bucket is not None:
+                        bucket.reset()
+                    start = time.monotonic()
+                    if latency > 0:
+                        await asyncio.sleep(latency)
+                    t_lat = time.monotonic() if rec is not None else 0.0
+                    if stream is None:
+                        stream = await self.transport.connect(src, dst)
+                    t_conn = time.monotonic() if rec is not None else 0.0
+                    t_sent = t_conn
+                    # The frame is chunked as memoryview slices of the stored
+                    # array itself — no tobytes() staging copy of the payload.
+                    await send_frame(
+                        stream,
+                        {"op": oid, "key": key},
+                        payload.data,
+                        bucket=bucket,
+                        chunk_size=self.chunk_size,
+                        recorder=rec,
+                    )
+                    if rec is not None:
+                        t_sent = time.monotonic()
+                    # A vanished or wedged receiver surfaces as WireError
+                    # (the run's outer timeout is the only other backstop).
+                    await read_ack(stream)
+                    end = time.monotonic()
+                self.result.ledger.add_send(self.cluster, src, dst, nbytes)
+                self._record(oid, start, end)
                 if rec is not None:
-                    t_sent = time.monotonic()
-                # A vanished or wedged receiver surfaces as WireError
-                # (the run's outer timeout is the only other backstop).
-                await read_ack(stream)
-            finally:
+                    rec.span(
+                        oid,
+                        start,
+                        end,
+                        category=OP_CATEGORY,
+                        op_id=oid,
+                        **part.span_attrs,
+                        cross_rack=cross_rack,
+                        nbytes=nbytes,
+                    )
+                    rec.span("send.dep_wait", t_spawn, t_deps, op_id=oid, parent=oid)
+                    rec.span("send.port_wait", t_deps, t_ports, op_id=oid, parent=oid)
+                    rec.span("send.latency", start, t_lat, op_id=oid, parent=oid)
+                    rec.span("send.connect", t_lat, t_conn, op_id=oid, parent=oid)
+                    rec.span("send.stream", t_conn, t_sent, op_id=oid, parent=oid)
+                    rec.span("send.ack_wait", t_sent, end, op_id=oid, parent=oid)
+                    if t_sent > t_conn:
+                        rec.gauge(
+                            f"throughput.n{src}->n{dst}",
+                            nbytes / (t_sent - t_conn),
+                            at=end,
+                        )
+        finally:
+            if stream is not None:
                 await stream.aclose()
-            end = time.monotonic()
-        self.result.ledger.add_send(self.cluster, src, dst, nbytes)
-        self._record(oid, start, end)
-        if rec is not None:
-            rec.span(
-                oid,
-                start,
-                end,
-                category=OP_CATEGORY,
-                op_id=oid,
-                **op.span_attrs,
-                cross_rack=not self.cluster.same_rack(src, dst),
-                nbytes=nbytes,
-            )
-            rec.span("send.dep_wait", t_spawn, t_deps, op_id=oid, parent=oid)
-            rec.span("send.port_wait", t_deps, t_ports, op_id=oid, parent=oid)
-            rec.span("send.latency", start, t_lat, op_id=oid, parent=oid)
-            rec.span("send.connect", t_lat, t_conn, op_id=oid, parent=oid)
-            rec.span("send.stream", t_conn, t_sent, op_id=oid, parent=oid)
-            rec.span("send.ack_wait", t_sent, end, op_id=oid, parent=oid)
-            if t_sent > t_conn:
-                rec.gauge(
-                    f"throughput.n{src}->n{dst}",
-                    nbytes / (t_sent - t_conn),
-                    at=end,
-                )
 
     async def _compute(self, op) -> None:
-        """An op whose result stays on its node: produce it under the CPU slot."""
+        """An op whose result stays on its node: produce its parts under the CPU slot."""
         rec = self.rec
-        oid = op.op_id
-        node, key = op.writes
-        t_spawn = time.monotonic() if rec is not None else 0.0
-        await self._await_deps(op.deps)
+        node = op.owner
         node_store = self.store.setdefault(node, {})
-        t_deps = time.monotonic() if rec is not None else 0.0
-        async with self.ports.hold(("cpu", node)):
-            start = time.monotonic()
-            # The GF kernel is a C-speed numpy pass over a (small, in the
-            # validation harness) block; yield once around it so other
-            # tasks are not starved at combine-heavy moments.
-            await asyncio.sleep(0)
-            node_store[key] = run_op(self.plan, op, node_store, self.tables)
-            end = time.monotonic()
-        self.result.combine_count += 1
-        self._record(oid, start, end)
-        if rec is not None:
-            rec.span(oid, start, end, category=OP_CATEGORY, op_id=oid, **op.span_attrs)
-            rec.span("combine.dep_wait", t_spawn, t_deps, op_id=oid, parent=oid)
-            rec.span("combine.cpu_wait", t_deps, start, op_id=oid, parent=oid)
+        for part in self.parts[op.op_id]:
+            oid, key = part.op_id, part.writes[1]
+            t_spawn = time.monotonic() if rec is not None else 0.0
+            await self._await_deps(part.deps)
+            t_deps = time.monotonic() if rec is not None else 0.0
+            async with self.ports.hold(("cpu", node)):
+                start = time.monotonic()
+                # The GF kernel is a C-speed numpy pass over a (small, in the
+                # validation harness) block; yield once around it so other
+                # tasks are not starved at combine-heavy moments.
+                await asyncio.sleep(0)
+                node_store[key] = run_op(self.plan, part, node_store, self.tables)
+                end = time.monotonic()
+            self.result.combine_count += 1
+            self._record(oid, start, end)
+            if rec is not None:
+                rec.span(oid, start, end, category=OP_CATEGORY, op_id=oid, **part.span_attrs)
+                rec.span("combine.dep_wait", t_spawn, t_deps, op_id=oid, parent=oid)
+                rec.span("combine.cpu_wait", t_deps, start, op_id=oid, parent=oid)
 
     # -- orchestration -----------------------------------------------------
 

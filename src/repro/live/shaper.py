@@ -106,11 +106,13 @@ class TokenBucket:
         waiting for ports) would let the next transfer start up to
         ``capacity`` bytes ahead of the shaped rate; a transfer begins
         from zero so its duration is ``nbytes / rate`` like the
-        simulator's.  Outstanding debt is kept — resets never forgive
-        pacing already owed.
+        simulator's.  Debt still owed is kept — resets never forgive
+        pacing — but time already slept pays it down first: the refill
+        runs before the credit is dropped, so back-to-back transfers on
+        one link do not pay the previous transfer's last chunk twice.
         """
+        self._refill()
         self._tokens = min(self._tokens, 0.0)
-        self._last = self._clock()
 
     async def acquire(self, nbytes: int) -> None:
         """Charge ``nbytes`` against the bucket, sleeping off any deficit.

@@ -117,20 +117,22 @@ def merge_plans(
 
     Op ids are namespaced ``s<i>:``.  With ``sequential=True`` every root
     job of stripe ``i+1`` additionally depends on stripe ``i``'s terminal
-    jobs, forcing one-at-a-time rebuild.
+    jobs, forcing one-at-a-time rebuild.  A plan compiles as its
+    :meth:`~repro.repair.RepairPlan.all_parts`, like a single plan's.
     """
     graph = JobGraph()
     previous_terminals: list[str] = []
     for idx, plan in enumerate(plans):
         prefix = f"s{idx}:"
-        depended_on = {dep for op in plan.ops.values() for dep in op.deps}
+        parts = plan.all_parts()
+        depended_on = {dep for part in parts for dep in part.deps}
         terminals = [
-            f"{prefix}{oid}" for oid in plan.ops if oid not in depended_on
+            f"{prefix}{part.op_id}" for part in parts if part.op_id not in depended_on
         ]
-        for op in plan.ops.values():
-            chained = sequential and not op.deps
+        for part in parts:
+            chained = sequential and not part.deps
             graph.add(
-                op.to_job(
+                part.to_job(
                     plan.block_size,
                     cost_model,
                     prefix=prefix,

@@ -9,7 +9,8 @@ Public surface:
   concrete (byte-level) executor; :func:`run_op` and
   :func:`collect_outputs` are the op step and output check every other
   plan interpreter (live runtime, store daemons, symbolic compositions)
-  shares with it.
+  shares with it; :class:`OpSlice` is one slice of a sliced op, as
+  :meth:`RepairPlan.parts` hands it to them.
 * :func:`simulate_repair` — compile a plan and run it on the
   discrete-event engine, returning time and traffic.
 * :func:`simulate_repair_with_faults` — the degraded path: run a repair
@@ -42,7 +43,7 @@ from .faults import (
     plan_degraded_gather,
     simulate_repair_with_faults,
 )
-from .plan import CombineOp, PlanError, RepairPlan, SendOp, block_key
+from .plan import CombineOp, OpSlice, PlanError, RepairPlan, SendOp, block_key
 from .planstats import PlanStats, critical_path_hops
 from .rpr import HeterogeneityAwareRPR, RPRScheme
 from .selection import (
@@ -64,6 +65,7 @@ __all__ = [
     "ExecutionResult",
     "HeterogeneityAwareRPR",
     "IrrecoverableError",
+    "OpSlice",
     "RepairSnapshot",
     "PlanError",
     "PlanStats",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cluster import Cluster, Placement
+from ..cluster import BandwidthModel, Cluster, Placement
 from ..rs import MB, DecodeCostModel, RSCode, SIMICS_DECODE
 from .plan import RepairPlan
 
@@ -52,6 +52,13 @@ class RepairContext:
         not repair targets; they are simply excluded from
         :attr:`surviving_blocks`, so every scheme's helper selection
         avoids them automatically.
+    link_model:
+        The links the repair will run on, when the caller knows them.
+        ``None`` — every paper figure, the store, fault re-planning —
+        makes every scheme plan exactly as the paper describes.  Given
+        one, :class:`repro.repair.rpr.RPRScheme` sizes a slice-pipelined
+        chain against its binomial gather on these rates and plans
+        whichever finishes sooner.
     """
 
     code: RSCode
@@ -63,6 +70,7 @@ class RepairContext:
     recovery_override: tuple[tuple[int, int], ...] | None = None
     rack_tiebreak: tuple[int, ...] | None = None
     unavailable_blocks: tuple[int, ...] = ()
+    link_model: BandwidthModel | None = None
 
     def __post_init__(self) -> None:
         failed = tuple(self.failed_blocks)

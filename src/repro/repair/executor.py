@@ -23,7 +23,7 @@ from ..cluster import Cluster, Placement
 from ..gf import GFTables, get_tables
 from ..metrics import TrafficLedger
 from ..rs import Stripe
-from .plan import CombineOp, RepairPlan, SendOp, block_key
+from .plan import CombineOp, OpSlice, RepairPlan, SendOp, block_key, join_slices
 
 __all__ = [
     "ExecutionError",
@@ -104,12 +104,13 @@ def initial_store_for(
 
 def run_op(
     plan: RepairPlan,
-    op: SendOp | CombineOp,
+    op: SendOp | CombineOp | OpSlice,
     payloads: dict[str, np.ndarray],
     tables: GFTables | None = None,
 ):
     """The payload ``op`` produces from ``payloads``, its owner's key → payload map.
 
+    ``op`` is an op of ``plan`` or one of its :meth:`RepairPlan.parts`.
     The caller delivers the result to ``op.writes`` by its own transport.
 
     Raises
@@ -124,7 +125,7 @@ def run_op(
             missing_payload_message(
                 op.kind,
                 op.op_id,
-                list(plan.ops).index(op.op_id),
+                list(plan.ops).index(op.op.op_id),
                 len(plan.ops),
                 missing,
                 op.owner,
@@ -144,13 +145,15 @@ def collect_outputs(
         If a declared output is not at its recovery node.
     """
     recovered = {}
-    for block_id, (node, key) in plan.outputs.items():
+    for block_id, (node, _) in plan.outputs.items():
         node_store = store.get(node, {})
-        if key not in node_store:
-            raise ExecutionError(
-                f"output for block {block_id}: payload {key!r} missing on node {node}"
-            )
-        recovered[block_id] = node_store[key]
+        keys = plan.output_keys(block_id)
+        for key in keys:
+            if key not in node_store:
+                raise ExecutionError(
+                    f"output for block {block_id}: payload {key!r} missing on node {node}"
+                )
+        recovered[block_id] = join_slices([node_store[key] for key in keys])
     return recovered
 
 
@@ -163,10 +166,11 @@ def execute_plan(
 ) -> ExecutionResult:
     """Run ``plan`` against ``store`` (mutated in place) and collect outputs.
 
-    Ops run in the plan's topological order.  Data-flow dependencies are
-    enforced *strictly*: an op whose input payload is not yet present on
-    its node fails, which catches planners that rely on scheduling
-    accidents rather than declared dependencies.
+    Ops run in the plan's topological order, each as its
+    :meth:`~repro.repair.RepairPlan.parts` in byte order.  Data-flow
+    dependencies are enforced *strictly*: an op whose input payload is
+    not yet present on its node fails, which catches planners that rely
+    on scheduling accidents rather than declared dependencies.
 
     ``ops`` restricts the run to a dependency-closed subset of op ids —
     the byte-level mirror of a *partially completed* simulated run (fault
@@ -197,16 +201,17 @@ def execute_plan(
                 )
         order = [oid for oid in order if oid in wanted]
     t = tables or get_tables()
+    parts = plan.parts()
     result = ExecutionResult(recovered={})
     for oid in order:
-        op = plan.ops[oid]
-        payload = run_op(plan, op, store.get(op.owner, {}), t)
-        node, key = op.writes
-        store.setdefault(node, {})[key] = payload
-        if node == op.owner:
-            result.combine_count += 1
-        else:
-            result.ledger.add_send(cluster, op.owner, node, int(payload.nbytes))
+        for op in parts[oid]:
+            payload = run_op(plan, op, store.get(op.owner, {}), t)
+            node, key = op.writes
+            store.setdefault(node, {})[key] = payload
+            if node == op.owner:
+                result.combine_count += 1
+            else:
+                result.ledger.add_send(cluster, op.owner, node, int(payload.nbytes))
     if ops is None:
         result.recovered = collect_outputs(plan, store)
     return result

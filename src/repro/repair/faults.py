@@ -469,6 +469,9 @@ def simulate_repair_with_faults(
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     t = tables or get_tables()
+    # Whole-block plans only: the committed prefix is read off engine job
+    # ids as op ids, which a sliced op's per-slice jobs are not.
+    ctx = replace(ctx, link_model=None)
     code = ctx.code
     engine = SimulationEngine(ctx.cluster, bandwidth)
 

@@ -21,6 +21,20 @@ through that surface with its own clock and transport instead of
 re-deriving op semantics.  A scheme therefore cannot report a repair
 time for a plan that would not decode.
 
+**Slices.**  An op with ``slices=s > 1`` works on its block in ``s``
+byte ranges, one after another, so a chain of sliced ops pipelines at
+sub-block granularity (ECPipe's repair pipelining).  What that means is
+decided here and nowhere else: :meth:`RepairPlan.parts` hands every
+driver, per op, the *parts* to run in its place — the op itself when
+nothing is sliced, otherwise one :class:`OpSlice` per byte range, each
+with the op surface above, its own id, resolved dependencies (slice *j*
+waits for slice *j* of an equally sliced dependency, for the whole of
+any other, and for its own slice *j − 1*) and resolved payload keys (a
+payload written in slices is resident as ``key#j`` payloads; a whole
+resident payload is read through a view).  A driver delivers a part's
+result the way it delivers an op's.  :meth:`RepairPlan.output_keys` and
+:func:`join_slices` turn a block rebuilt in slices back into one array.
+
 Payload keys are strings; :func:`block_key` names original stripe blocks
 and schemes mint their own keys for intermediates.
 """
@@ -28,8 +42,10 @@ and schemes mint their own keys for intermediates.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Iterable
+
+import numpy as np
 
 from ..cluster import Cluster
 from ..gf import GFTables, linear_combine
@@ -41,9 +57,12 @@ __all__ = [
     "PlanError",
     "SendOp",
     "CombineOp",
+    "OpSlice",
     "RepairPlan",
     "block_key",
+    "join_slices",
     "op_from_dict",
+    "slice_bounds",
 ]
 
 
@@ -56,21 +75,58 @@ def block_key(block_id: int) -> str:
     return f"block:{block_id}"
 
 
+def slice_bounds(nbytes: int, slices: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` byte ranges cutting ``nbytes`` into ``slices`` parts.
+
+    ``numpy.array_split`` sizes: the first ``nbytes % slices`` ranges are
+    one byte longer, so any block size works with any slice count.
+    """
+    size, longer = divmod(nbytes, slices)
+    bounds, lo = [], 0
+    for index in range(slices):
+        hi = lo + size + (index < longer)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
+def join_slices(payloads) -> np.ndarray:
+    """One array from a payload's parts in byte order (a lone part is returned as is)."""
+    return payloads[0] if len(payloads) == 1 else np.concatenate(payloads)
+
+
+def _slice_name(name: str, index: int) -> str:
+    """Id of slice ``index`` of op ``name`` / key of slice ``index`` of payload ``name``."""
+    return f"{name}#{index}"
+
+
+def _check_slices(op) -> None:
+    if op.slices < 1:
+        raise PlanError(f"{op.kind} {op.op_id}: slices must be >= 1, got {op.slices}")
+
+
 @dataclass(frozen=True)
 class SendOp:
-    """Move payload ``key`` from node ``src`` to node ``dst``."""
+    """Move payload ``key`` from node ``src`` to node ``dst``, in ``slices`` byte ranges."""
 
     op_id: str
     src: int
     dst: int
     key: str
     deps: tuple[str, ...] = ()
+    slices: int = 1
 
     kind: ClassVar[str] = "send"
 
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise PlanError(f"send {self.op_id}: src == dst == {self.src}")
+        _check_slices(self)
+
+    @property
+    def op(self) -> "SendOp":
+        """The plan op a part belongs to; an unsliced op is its own part."""
+        return self
 
     @property
     def owner(self) -> int:
@@ -114,6 +170,7 @@ class SendOp:
             "dst": self.dst,
             "key": self.key,
             "deps": list(self.deps),
+            **({"slices": self.slices} if self.slices > 1 else {}),
         }
 
 
@@ -123,7 +180,8 @@ class CombineOp:
 
     ``with_matrix_build`` marks the op that pays the decoding-matrix
     construction surcharge (§3.3); schemes set it on the final decode when
-    the recovery equation needed ``M'^{-1}``.
+    the recovery equation needed ``M'^{-1}``.  ``slices`` computes the
+    output in that many byte ranges, one after another.
     """
 
     op_id: str
@@ -132,6 +190,7 @@ class CombineOp:
     terms: tuple[tuple[str, int], ...]
     with_matrix_build: bool = False
     deps: tuple[str, ...] = ()
+    slices: int = 1
 
     kind: ClassVar[str] = "combine"
 
@@ -145,6 +204,12 @@ class CombineOp:
             raise PlanError(f"combine {self.op_id}: coefficients must be in [1, 255]")
         if self.out_key in keys:
             raise PlanError(f"combine {self.op_id}: output aliases an input")
+        _check_slices(self)
+
+    @property
+    def op(self) -> "CombineOp":
+        """The plan op a part belongs to; an unsliced op is its own part."""
+        return self
 
     @property
     def owner(self) -> int:
@@ -194,20 +259,129 @@ class CombineOp:
             "terms": [[key, coeff] for key, coeff in self.terms],
             "mb": self.with_matrix_build,
             "deps": list(self.deps),
+            **({"slices": self.slices} if self.slices > 1 else {}),
         }
 
 
-def op_from_dict(data: dict) -> SendOp | CombineOp:
-    """Rebuild an op serialized by its ``to_dict``."""
-    if data.get("kind") == SendOp.kind:
+@dataclass(frozen=True)
+class OpSlice:
+    """Bytes ``[lo, hi)`` of a sliced op — what a driver runs in the op's place.
+
+    Has the op surface (``op_id``, ``deps``, ``owner``, ``reads``,
+    ``writes``, :meth:`apply`, :meth:`to_job`, ``span_attrs``,
+    :meth:`to_dict`), so a driver runs and delivers a slice exactly as it
+    runs and delivers an op.  Built by :meth:`RepairPlan.parts`, which
+    resolves everything that needs the rest of the plan:
+
+    ``deps``
+        Ids of the parts this slice waits for.
+    ``sliced_reads``
+        Which of ``op.reads`` are resident at the owner as slice payloads
+        (read as ``key#index``); the others are whole payloads, read
+        through a ``[lo:hi]`` view.
+    """
+
+    op: SendOp | CombineOp
+    index: int
+    lo: int
+    hi: int
+    deps: tuple[str, ...]
+    sliced_reads: frozenset[str] = frozenset()
+
+    @property
+    def op_id(self) -> str:
+        return _slice_name(self.op.op_id, self.index)
+
+    @property
+    def kind(self) -> str:
+        return self.op.kind
+
+    @property
+    def owner(self) -> int:
+        return self.op.owner
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        return tuple(
+            _slice_name(key, self.index) if key in self.sliced_reads else key
+            for key in self.op.reads
+        )
+
+    @property
+    def writes(self) -> tuple[int, str]:
+        node, key = self.op.writes
+        return (node, _slice_name(key, self.index))
+
+    @property
+    def span_attrs(self) -> dict:
+        """The op's attributes plus which slice of it this is."""
+        return {
+            **self.op.span_attrs,
+            "op": self.op.op_id,
+            "slice": self.index,
+            "slices": self.op.slices,
+        }
+
+    def apply(self, inputs, tables: GFTables | None = None):
+        """The op's result over this slice's bytes, inputs in ``reads`` order."""
+        window = slice(self.lo, self.hi)
+        return self.op.apply(
+            [
+                payload if key in self.sliced_reads else payload[window]
+                for key, payload in zip(self.op.reads, inputs)
+            ],
+            tables,
+        )
+
+    def to_job(
+        self, block_size: int, cost_model: DecodeCostModel, prefix: str = "", extra_deps=()
+    ) -> TransferJob | ComputeJob:
+        """The op's job over ``hi - lo`` bytes, chained by ``deps``.
+
+        A combine's matrix-build surcharge is a per-op cost: slice 0
+        carries all of it, the rest decode at the plain rate, and the
+        slices sum to the unsliced op's duration.
+        """
+        nbytes = self.hi - self.lo
+        job = replace(
+            self.op.to_job(nbytes, cost_model),
+            job_id=prefix + self.op_id,
+            deps=tuple(prefix + dep for dep in self.deps) + tuple(extra_deps),
+        )
+        if isinstance(job, ComputeJob) and self.op.with_matrix_build:
+            seconds = cost_model.time_without_build(nbytes)
+            if self.index == 0:
+                seconds += cost_model.time_with_build(
+                    block_size
+                ) - cost_model.time_without_build(block_size)
+            job = replace(job, seconds=seconds)
+        return job
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": "slice",
+            "of": self.op.to_dict(),
+            "index": self.index,
+            "lo": self.lo,
+            "hi": self.hi,
+            "deps": list(self.deps),
+            "sliced_reads": sorted(self.sliced_reads),
+        }
+
+
+def op_from_dict(data: dict) -> SendOp | CombineOp | OpSlice:
+    """Rebuild an op (or a slice of one) serialized by its ``to_dict``."""
+    kind = data.get("kind")
+    if kind == SendOp.kind:
         return SendOp(
             op_id=data["op_id"],
             src=int(data["src"]),
             dst=int(data["dst"]),
             key=data["key"],
             deps=tuple(data["deps"]),
+            slices=int(data.get("slices", 1)),
         )
-    if data.get("kind") == CombineOp.kind:
+    if kind == CombineOp.kind:
         return CombineOp(
             op_id=data["op_id"],
             node=int(data["node"]),
@@ -215,8 +389,20 @@ def op_from_dict(data: dict) -> SendOp | CombineOp:
             terms=tuple((key, int(coeff)) for key, coeff in data["terms"]),
             with_matrix_build=bool(data.get("mb", False)),
             deps=tuple(data["deps"]),
+            slices=int(data.get("slices", 1)),
         )
-    raise PlanError(f"unknown op kind {data.get('kind')!r}")
+    if kind == "slice":
+        if data["of"].get("kind") == "slice":
+            raise PlanError("a slice of a slice")
+        return OpSlice(
+            op=op_from_dict(data["of"]),
+            index=int(data["index"]),
+            lo=int(data["lo"]),
+            hi=int(data["hi"]),
+            deps=tuple(data["deps"]),
+            sliced_reads=frozenset(data["sliced_reads"]),
+        )
+    raise PlanError(f"unknown op kind {kind!r}")
 
 
 @dataclass
@@ -251,8 +437,12 @@ class RepairPlan:
         self.ops[op.op_id] = op
         return op.op_id
 
-    def add_send(self, op_id: str, src: int, dst: int, key: str, deps=()) -> str:
-        return self.add(SendOp(op_id=op_id, src=src, dst=dst, key=key, deps=tuple(deps)))
+    def add_send(
+        self, op_id: str, src: int, dst: int, key: str, deps=(), slices: int = 1
+    ) -> str:
+        return self.add(
+            SendOp(op_id=op_id, src=src, dst=dst, key=key, deps=tuple(deps), slices=slices)
+        )
 
     def add_combine(
         self,
@@ -262,6 +452,7 @@ class RepairPlan:
         terms: Iterable[tuple[str, int]],
         with_matrix_build: bool = False,
         deps=(),
+        slices: int = 1,
     ) -> str:
         return self.add(
             CombineOp(
@@ -271,6 +462,7 @@ class RepairPlan:
                 terms=tuple(terms),
                 with_matrix_build=with_matrix_build,
                 deps=tuple(deps),
+                slices=slices,
             )
         )
 
@@ -312,7 +504,7 @@ class RepairPlan:
         return order
 
     def validate(self) -> list[str]:
-        """Structural checks: dep integrity, outputs, acyclicity.
+        """Structural checks: dep integrity, outputs, slicing, acyclicity.
 
         Returns :meth:`topo_order`, which is what finds a cycle.
         """
@@ -322,26 +514,121 @@ class RepairPlan:
                     raise PlanError(f"op {op.op_id!r} depends on unknown {dep!r}")
         if not self.outputs:
             raise PlanError("plan reconstructs nothing (no outputs marked)")
+        self._sliced_payloads()
         return self.topo_order()
 
     def traffic(self, cluster: Cluster) -> TrafficLedger:
-        """The bytes this plan moves when every op runs exactly once."""
+        """The bytes this plan moves when every op runs exactly once.
+
+        A sliced send is one send per slice, as in every driver's ledger.
+        """
         ledger = TrafficLedger()
         for op in self.sends():
-            ledger.add_send(cluster, op.src, op.dst, self.block_size)
+            for lo, hi in slice_bounds(self.block_size, op.slices):
+                ledger.add_send(cluster, op.src, op.dst, hi - lo)
         return ledger
+
+    # -- slices ---------------------------------------------------------------
+
+    @property
+    def slices(self) -> int:
+        """The largest slice count of any op (1 = a whole-block plan)."""
+        return max((op.slices for op in self.ops.values()), default=1)
+
+    def _sliced_payloads(self) -> dict[tuple[int, str], int]:
+        """``(node, key)`` → slice count of every payload written in slices.
+
+        Raises :class:`PlanError` where slicing cannot be honoured: more
+        slices than bytes, or a payload written in ``s`` slices and read
+        by an op not sliced the same way (a slice has no whole to read).
+        """
+        sliced = {op.writes: op.slices for op in self.ops.values() if op.slices > 1}
+        if not sliced:
+            return sliced
+        for op in self.ops.values():
+            if op.slices > self.block_size:
+                raise PlanError(
+                    f"{op.kind} {op.op_id}: {op.slices} slices of a "
+                    f"{self.block_size}-byte block"
+                )
+            for key in op.reads:
+                written = sliced.get((op.owner, key), op.slices)
+                if written != op.slices:
+                    raise PlanError(
+                        f"{op.kind} {op.op_id} ({op.slices} slices) reads {key!r}, "
+                        f"which node {op.owner} receives in {written} slices"
+                    )
+        return sliced
+
+    def parts(self) -> dict[str, tuple[SendOp | CombineOp | OpSlice, ...]]:
+        """Op id → the parts a driver runs in that op's place, in byte order.
+
+        An unsliced op is its own single part (with its dependencies
+        pointed at the last slice of any sliced op it waits for); an op
+        with ``slices=s`` becomes ``s`` chained :class:`OpSlice` parts.
+        Part ids are the simulator's job ids, the live runtime's timing
+        ids and the telemetry join key.
+        """
+        sliced = self._sliced_payloads()
+        if not sliced:
+            return {oid: (op,) for oid, op in self.ops.items()}
+        last = {
+            oid: _slice_name(oid, op.slices - 1) if op.slices > 1 else oid
+            for oid, op in self.ops.items()
+        }
+        parts: dict[str, tuple] = {}
+        for oid, op in self.ops.items():
+            if op.slices == 1:
+                deps = tuple(last[dep] for dep in op.deps)
+                parts[oid] = (op if deps == op.deps else replace(op, deps=deps),)
+                continue
+            reads = frozenset(key for key in op.reads if (op.owner, key) in sliced)
+            chain = []
+            for index, (lo, hi) in enumerate(slice_bounds(self.block_size, op.slices)):
+                deps = tuple(
+                    _slice_name(dep, index)
+                    if self.ops[dep].slices == op.slices
+                    else last[dep]
+                    for dep in op.deps
+                )
+                if index:
+                    deps += (chain[-1].op_id,)
+                chain.append(OpSlice(op, index, lo, hi, deps, reads))
+            parts[oid] = tuple(chain)
+        return parts
+
+    def all_parts(self) -> Iterable[SendOp | CombineOp | OpSlice]:
+        """Every part, op by op in insertion order — what a compiler walks.
+
+        A plan that slices nothing is walked as its ops, building nothing.
+        """
+        if self.slices == 1:
+            return self.ops.values()
+        return [part for chain in self.parts().values() for part in chain]
+
+    def output_keys(self, block_id: int) -> tuple[str, ...]:
+        """Keys, in byte order, holding rebuilt ``block_id`` at its recovery node.
+
+        The marked output key, or its slice keys when a sliced op writes
+        it; :func:`join_slices` of their payloads is the block.
+        """
+        node, key = self.outputs[block_id]
+        count = self._sliced_payloads().get((node, key), 1)
+        if count == 1:
+            return (key,)
+        return tuple(_slice_name(key, index) for index in range(count))
 
     # -- compilation ----------------------------------------------------------
 
     def to_job_graph(self, cost_model: DecodeCostModel) -> JobGraph:
-        """Compile to simulator jobs.
+        """Compile to simulator jobs, one per part.
 
-        Sends become block-sized transfers; combines become compute jobs
-        whose duration comes from ``cost_model`` (with the matrix-build
-        factor applied where flagged).
+        Sends become transfers of the part's bytes; combines become
+        compute jobs whose duration comes from ``cost_model`` (with the
+        matrix-build factor applied where flagged).
         """
         self.validate()
         graph = JobGraph()
-        for op in self.ops.values():
-            graph.add(op.to_job(self.block_size, cost_model))
+        for part in self.all_parts():
+            graph.add(part.to_job(self.block_size, cost_model))
         return graph

@@ -6,13 +6,20 @@ Submodules map to the paper's techniques:
   (Algorithm 3, *Inner-multi*): per-rack pairwise partial-decoding trees.
 * :mod:`.cross` — Algorithm 2 (*Cross*) and its multi-failure extension
   (Algorithm 4, *Cross-multi*): the greedy binomial pipeline of rack
-  intermediates onto the recovery node.
+  intermediates onto the recovery node — and the slice-pipelined chain
+  the planner weighs against it when it knows the links.
 * :mod:`.preplacement` — §3.3 helpers (the placement policy itself is
   :class:`repro.cluster.RPRPlacement`).
 * :mod:`.scheme` — the :class:`RPRScheme` planner tying them together.
 """
 
-from .cross import CrossArrival, build_cross_gather, build_direct_gather
+from .cross import (
+    CrossArrival,
+    build_chain_gather,
+    build_cross_gather,
+    build_direct_gather,
+    chain_slices,
+)
 from .hetero import (
     HeterogeneityAwareRPR,
     estimate_gather_makespan,
@@ -33,9 +40,11 @@ __all__ = [
     "RPRScheme",
     "estimate_gather_makespan",
     "order_sources_by_link_speed",
+    "build_chain_gather",
     "build_cross_gather",
     "build_direct_gather",
     "build_inner_trees",
+    "chain_slices",
     "matrix_build_free_probability",
     "p0_rack_is_all_data",
     "xor_fast_path_applicable",

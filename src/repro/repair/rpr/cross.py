@@ -15,7 +15,17 @@ gather costs (Fig. 5, schedule 2 vs schedule 1):
   nothing waits for a global barrier, only for its dependencies (the
   simulation engine's port model supplies the rest).
 
-The builder emits sends/combines; it performs no timing itself.
+Algorithm 2 pipelines *whole blocks*, so the recovery node's download
+port still carries ``ceil(log2 (r + 1))`` blocks back to back.
+:func:`build_chain_gather` is the sub-block alternative (ECPipe's repair
+pipelining, Li et al.): the rack aggregators form a chain ending at the
+recovery node and every hop moves its block in ``s`` slices, so slice
+*j* crosses hop *i + 1* while slice *j + 1* crosses hop *i* and the
+whole gather costs ``1 + (r - 1) / s`` cross-rack block times.  Both
+move one block out of every remote rack; which one a repair uses is
+decided by :class:`~repro.repair.rpr.RPRScheme` from the link model.
+
+The builders emit sends/combines; they perform no timing themselves.
 """
 
 from __future__ import annotations
@@ -25,7 +35,38 @@ from dataclasses import dataclass
 from ..plan import RepairPlan
 from .inner import InnerResult
 
-__all__ = ["CrossArrival", "build_cross_gather", "build_direct_gather"]
+__all__ = [
+    "CrossArrival",
+    "MAX_SLICES",
+    "MIN_SLICE_SECONDS",
+    "build_chain_gather",
+    "build_cross_gather",
+    "build_direct_gather",
+    "chain_slices",
+]
+
+#: Shortest cross-rack transfer worth making a slice of.  Every live
+#: transfer pays a fixed cost the simulator does not model (port claim,
+#: frame header, ack round trip, task wake-ups: ~1.7 ms measured when
+#: each slice was sent like a whole transfer, ``docs/LIVE.md`` §3.1); at
+#: 10 ms per slice that stays under a fifth of the slice.
+MIN_SLICE_SECONDS = 0.010
+
+#: Most slices a block is cut into.  A chain of ``r`` hops costs
+#: ``1 + (r - 1) / s`` block times: at 32 slices even four remote racks
+#: sit within 10 % of the one-block floor, and each further doubling
+#: buys half as much for twice the per-slice overhead.
+MAX_SLICES = 32
+
+
+def chain_slices(block_size: int, rate: float) -> int:
+    """Slices per block for a chain whose slowest cross-rack hop runs at ``rate``.
+
+    As many as keep one slice's transfer at or above
+    :data:`MIN_SLICE_SECONDS`, capped at :data:`MAX_SLICES`; 1 means the
+    block is too small to slice (64 KiB at 0.8 MB/s → 8, 4 KiB → 1).
+    """
+    return max(1, min(MAX_SLICES, int(block_size / rate / MIN_SLICE_SECONDS)))
 
 
 @dataclass(frozen=True)
@@ -33,12 +74,14 @@ class CrossArrival:
     """One payload landed on the recovery node by the cross stage.
 
     ``coeff`` is the pending coefficient the final combine must apply
-    (1 for anything a partial decode already touched).
+    (1 for anything a partial decode already touched); ``slices`` is how
+    the payload arrives, which is how the final combine must read it.
     """
 
     key: str
     dep: str
     coeff: int = 1
+    slices: int = 1
 
 
 def build_direct_gather(
@@ -141,3 +184,56 @@ def build_cross_gather(
         round_no += 1
 
     return arrivals
+
+
+def build_chain_gather(
+    plan: RepairPlan,
+    target_node: int,
+    sources: list[InnerResult],
+    prefix: str,
+    slices: int,
+) -> list[CrossArrival]:
+    """Slice-pipelined chain of rack intermediates ending at ``target_node``.
+
+    ``sources[0]`` sends its intermediate to ``sources[1]``'s node, which
+    folds in its own and sends on, and so on to the recovery node; every
+    cross-rack send and every fold runs in ``slices`` slices, so the hops
+    overlap.  The intra-rack stage that produced ``sources`` stays whole:
+    a 1 ms intra transfer cut up costs more in per-transfer overhead than
+    it moves, and would delay the chain through the aggregator's shared
+    download port.
+
+    Returns the single payload that reaches ``target_node``.
+    """
+    carried = sources[0]
+    for hop, here in enumerate(sources[1:]):
+        send_op = plan.add_send(
+            f"{prefix}:C{hop}:send",
+            src=carried.node,
+            dst=here.node,
+            key=carried.key,
+            deps=[carried.dep] if carried.dep else [],
+            slices=slices,
+        )
+        out_key = f"{prefix}:C{hop}:im"
+        deps = [send_op]
+        if here.dep:
+            deps.append(here.dep)
+        combine = plan.add_combine(
+            f"{prefix}:C{hop}:combine",
+            node=here.node,
+            out_key=out_key,
+            terms=[(here.key, here.coeff), (carried.key, carried.coeff)],
+            deps=deps,
+            slices=slices,
+        )
+        carried = InnerResult(key=out_key, node=here.node, dep=combine)
+    op = plan.add_send(
+        f"{prefix}:C{len(sources) - 1}:to-target",
+        src=carried.node,
+        dst=target_node,
+        key=carried.key,
+        deps=[carried.dep] if carried.dep else [],
+        slices=slices,
+    )
+    return [CrossArrival(key=carried.key, dep=op, coeff=carried.coeff, slices=slices)]

@@ -10,7 +10,9 @@ This planner realises the full pipeline of §3:
    decoding trees producing one intermediate per (rack, equation), with
    raw-block movements shared between equations.
 4. **Cross** (Alg. 2 / Alg. 4) — per equation: greedy binomial pipeline of
-   the remote racks' intermediates onto that failure's recovery node.
+   the remote racks' intermediates onto that failure's recovery node —
+   or, when the context carries a link model that says it is faster, a
+   slice-pipelined chain of them (:mod:`repro.repair.rpr.cross`).
 5. **Final decode** — XOR of the arrivals plus the recovery rack's own
    partial; pays the matrix-build surcharge only when the equations
    required ``M'^{-1}``.
@@ -28,11 +30,12 @@ from ...rs import (
     recovery_equations,
     slice_equation_by_group,
 )
+from ...sim import SimulationEngine
 from ..base import RepairContext, RepairPlanningError, RepairScheme, recovery_targets
 from ..faults import plan_degraded_gather
 from ..plan import RepairPlan, block_key
 from ..selection import rack_aware_helpers
-from .cross import build_cross_gather, build_direct_gather
+from .cross import build_chain_gather, build_cross_gather, build_direct_gather, chain_slices
 from .inner import InnerResult, build_inner_trees
 
 __all__ = ["RPRScheme"]
@@ -61,22 +64,66 @@ class RPRScheme(RepairScheme):
             self.name = "rpr-nopipe"
 
     def plan(self, ctx: RepairContext) -> RepairPlan:
+        """The paper's plan — or, under a link model, the faster of it and the chain.
+
+        Without ``ctx.link_model`` this is Algorithms 1–4 and nothing
+        else.  With one, the cross stage is also built as a
+        slice-pipelined chain (slice count from the block size and the
+        slowest cross-rack rate among the nodes involved), both plans
+        are simulated on the model, and the chain is kept only when it
+        is strictly faster — blocks too small to slice or a single remote
+        rack keep the tree.  So does every multi-block failure, without
+        sizing anything: its aggregators upload one block per equation
+        either way, so a chain has nothing to shorten until equations
+        spread over different aggregators (ROADMAP follow-on).
+        """
         helpers = rack_aware_helpers(ctx, prefer_xor=self.prefer_xor)
-        equations = recovery_equations(ctx.code, list(ctx.failed_blocks), helpers)
         targets = recovery_targets(ctx)
+        plan = self._build(ctx, helpers, targets, chain=1)
+        if ctx.link_model is None or not self.pipeline or len(targets) > 1:
+            return plan
+        nodes = [ctx.node_of_block(b) for b in helpers] + list(targets.values())
+        slowest = min(
+            (
+                ctx.link_model.rate(ctx.cluster, a, b)
+                for a in nodes
+                for b in nodes
+                if not ctx.cluster.same_rack(a, b)
+            ),
+            default=None,
+        )
+        chain = chain_slices(ctx.block_size, slowest) if slowest else 1
+        if chain == 1:
+            return plan
+        chained = self._build(ctx, helpers, targets, chain=chain)
+        if chained.slices == 1:  # no equation had two remote racks to chain
+            return plan
+        engine = SimulationEngine(ctx.cluster, ctx.link_model)
+
+        def makespan(candidate: RepairPlan) -> float:
+            return engine.run(candidate.to_job_graph(ctx.cost_model)).makespan
+
+        return chained if makespan(chained) < makespan(plan) else plan
+
+    def _build(
+        self, ctx: RepairContext, helpers, targets: dict[int, int], chain: int
+    ) -> RepairPlan:
+        """Inner + Cross + final decode; ``chain > 1`` chains the cross
+        stage in that many slices wherever an equation has racks to chain."""
+        equations = recovery_equations(ctx.code, list(ctx.failed_blocks), helpers)
         groups = ctx.placement.group_of_blocks(ctx.cluster)
 
         plan = RepairPlan(block_size=ctx.block_size)
 
-        # eq_slices[e][rack] -> {block: coeff}
-        eq_slices: list[dict[int, dict[int, int]]] = []
+        # eq_rack_terms[e][rack] -> {block: coeff}
+        eq_rack_terms: list[dict[int, dict[int, int]]] = []
         racks_involved: set[int] = set()
         for eq in equations:
-            slices = slice_equation_by_group(eq, groups)
-            eq_slices.append(
-                {rack: dict(sl.terms) for rack, sl in slices.items()}
+            by_rack = slice_equation_by_group(eq, groups)
+            eq_rack_terms.append(
+                {rack: dict(part.terms) for rack, part in by_rack.items()}
             )
-            racks_involved.update(slices.keys())
+            racks_involved.update(by_rack.keys())
 
         target_rack_of_eq = [
             ctx.cluster.rack_of(targets[eq.target]) for eq in equations
@@ -101,8 +148,8 @@ class RPRScheme(RepairScheme):
         rack_results: dict[int, list[InnerResult | None]] = {}
         for rack in helper_racks:
             coeffs_per_eq = [
-                slices.get(rack, {}) if target_rack_of_eq[e] != rack else {}
-                for e, slices in enumerate(eq_slices)
+                rack_terms.get(rack, {}) if target_rack_of_eq[e] != rack else {}
+                for e, rack_terms in enumerate(eq_rack_terms)
             ]
             rack_results[rack] = build_inner_trees(
                 plan,
@@ -122,9 +169,10 @@ class RPRScheme(RepairScheme):
                 eq,
                 eq_idx,
                 targets[eq.target],
-                eq_slices[eq_idx],
+                eq_rack_terms[eq_idx],
                 rack_results,
                 raw_sends,
+                chain,
             )
         return plan
 
@@ -170,9 +218,10 @@ class RPRScheme(RepairScheme):
         eq: RecoveryEquation,
         eq_idx: int,
         target: int,
-        slices: dict[int, dict[int, int]],
+        rack_terms: dict[int, dict[int, int]],
         rack_results: dict[int, list[InnerResult | None]],
         raw_sends: dict[tuple[int, int], str],
+        chain: int,
     ) -> None:
         target_rack = ctx.cluster.rack_of(target)
         final_terms: list[tuple[str, int]] = []
@@ -182,7 +231,7 @@ class RPRScheme(RepairScheme):
         # equations); their coefficients apply in the final combine.  A
         # helper resident on the recovery node itself (degraded-read
         # override) is consumed in place, transfer-free.
-        for block, coeff in sorted(slices.get(target_rack, {}).items()):
+        for block, coeff in sorted(rack_terms.get(target_rack, {}).items()):
             src = ctx.node_of_block(block)
             final_terms.append((block_key(block), coeff))
             if src == target:
@@ -206,10 +255,12 @@ class RPRScheme(RepairScheme):
                 remote.append(result)
         remote = self._order_remote_sources(ctx, target, remote)
 
-        gather = build_cross_gather if self.pipeline else build_direct_gather
-        arrivals = gather(
-            plan, target_node=target, sources=remote, prefix=f"rpr:eq{eq_idx}:cross"
-        )
+        prefix = f"rpr:eq{eq_idx}:cross"
+        if chain > 1 and len(remote) > 1:
+            arrivals = build_chain_gather(plan, target, remote, prefix, slices=chain)
+        else:
+            gather = build_cross_gather if self.pipeline else build_direct_gather
+            arrivals = gather(plan, target_node=target, sources=remote, prefix=prefix)
         for arrival in arrivals:
             final_terms.append((arrival.key, arrival.coeff))
             final_deps.append(arrival.dep)
@@ -222,5 +273,6 @@ class RPRScheme(RepairScheme):
             terms=final_terms,
             with_matrix_build=eq.requires_matrix_build,
             deps=final_deps,
+            slices=max((arrival.slices for arrival in arrivals), default=1),
         )
         plan.mark_output(eq.target, target, out_key)

@@ -16,6 +16,10 @@ the paper's testbed where pipelining emerges from data arrival.
 
 Each daemon produces an op's payload with the op's own ``apply`` — what
 the byte executor's op step calls — and delivers it by RPC or locally.
+What a daemon is assigned are the plan's *parts*
+(:meth:`repro.repair.RepairPlan.parts`): a sliced op arrives as its
+slices, already resolved against the whole plan, and a daemon runs and
+delivers a slice exactly as it does an op.
 The coordinator's :class:`~repro.metrics.TrafficLedger` for a repair is
 then assembled from the daemons' op reports and compared with ``==``
 against the simulator's ledger for the same plan — the service-path half
@@ -35,7 +39,16 @@ from ..cluster import Cluster, Placement
 from ..gf import GFTables, get_tables
 from ..live.transport import run_tasks
 from ..metrics import TrafficLedger
-from ..repair.plan import CombineOp, PlanError, RepairPlan, SendOp, block_key, op_from_dict
+from ..repair.plan import (
+    CombineOp,
+    OpSlice,
+    PlanError,
+    RepairPlan,
+    SendOp,
+    block_key,
+    join_slices,
+    op_from_dict,
+)
 from ..telemetry.distributed import TraceContext
 from .messages import StoreError, StoreProtocolError, call
 
@@ -68,7 +81,7 @@ def block_crc(payload: np.ndarray) -> int:
     return zlib.crc32(np.ascontiguousarray(payload)) & 0xFFFFFFFF
 
 
-def _deserialize_op(data: dict) -> SendOp | CombineOp:
+def _deserialize_op(data: dict) -> SendOp | CombineOp | OpSlice:
     try:
         return op_from_dict(data)
     except PlanError as exc:
@@ -127,18 +140,20 @@ class NodeAssignment:
     """Everything one daemon needs to play its part in one repair."""
 
     node: int
-    ops: list[SendOp | CombineOp] = field(default_factory=list)
+    #: the plan parts this node runs: whole ops, and slices of sliced ops.
+    ops: list[SendOp | CombineOp | OpSlice] = field(default_factory=list)
     #: plan payload key -> committed store key, for blocks this node holds.
     seeds: dict[str, str] = field(default_factory=dict)
-    #: outputs this node must commit: (block_id, plan key, store key).
-    outputs: list[tuple[int, str, str]] = field(default_factory=list)
+    #: outputs this node must commit: (block_id, plan keys holding the
+    #: block in byte order, store key).
+    outputs: list[tuple[int, tuple[str, ...], str]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "node": self.node,
             "ops": [op.to_dict() for op in self.ops],
             "seeds": dict(self.seeds),
-            "outputs": [[bid, key, skey] for bid, key, skey in self.outputs],
+            "outputs": [[bid, list(keys), skey] for bid, keys, skey in self.outputs],
         }
 
     @classmethod
@@ -148,7 +163,7 @@ class NodeAssignment:
             ops=[_deserialize_op(o) for o in data["ops"]],
             seeds=dict(data["seeds"]),
             outputs=[
-                (int(bid), key, skey) for bid, key, skey in data["outputs"]
+                (int(bid), tuple(keys), skey) for bid, keys, skey in data["outputs"]
             ],
         )
 
@@ -161,7 +176,8 @@ def partition_plan(
 ) -> dict[int, NodeAssignment]:
     """Split ``plan`` into per-daemon assignments.
 
-    Every op lands at its owner (a send's source, a combine's node).
+    Every op lands at its owner (a send's source, a combine's node), as
+    its :meth:`~repro.repair.RepairPlan.parts`.
     The partition is only sound if cross-node dependencies are carried
     by the data itself, so each remote dep is checked to be a send that
     delivers one of the dependent op's inputs to its owner; any other
@@ -172,6 +188,7 @@ def partition_plan(
     """
     plan.validate()
     failed = set(failed_blocks)
+    op_parts = plan.parts()
     parts: dict[int, NodeAssignment] = {}
 
     def part(node: int) -> NodeAssignment:
@@ -194,7 +211,7 @@ def partition_plan(
                 f"{dep!r} that does not deliver any of its inputs; this "
                 f"plan cannot run data-driven across daemons"
             )
-        part(owner).ops.append(op)
+        part(owner).ops.extend(op_parts[op.op_id])
 
     # Seed every holder of a surviving original block that the plan reads.
     read_keys = {key for op in plan.ops.values() for key in op.reads}
@@ -205,8 +222,10 @@ def partition_plan(
         if key in read_keys:
             part(placement.node_of(bid)).seeds[key] = stored_block_key(stripe_id, bid)
 
-    for bid, (node, key) in plan.outputs.items():
-        part(node).outputs.append((bid, key, stored_block_key(stripe_id, bid)))
+    for bid, (node, _) in plan.outputs.items():
+        part(node).outputs.append(
+            (bid, plan.output_keys(bid), stored_block_key(stripe_id, bid))
+        )
     return parts
 
 
@@ -290,7 +309,7 @@ class RepairSession:
 
     # -- op execution -------------------------------------------------------
 
-    async def _run_op(self, op: SendOp | CombineOp) -> None:
+    async def _run_op(self, op: SendOp | CombineOp | OpSlice) -> None:
         for dep in op.deps:
             if dep in self._local_ops:
                 await self._op_done[dep].wait()
@@ -339,8 +358,8 @@ class RepairSession:
             )
         self._op_done[op.op_id].set()
 
-    async def _commit_output(self, block_id: int, key: str, stored_key: str, blocks: dict) -> None:
-        payload = await self._await_key(key)
+    async def _commit_output(self, block_id: int, keys, stored_key: str, blocks: dict) -> None:
+        payload = join_slices([await self._await_key(key) for key in keys])
         blocks[stored_key] = payload
         self.committed.append(
             {
@@ -367,9 +386,9 @@ class RepairSession:
             op.op_id: asyncio.ensure_future(self._run_op(op))
             for op in self.assignment.ops
         }
-        for bid, key, stored_key in self.assignment.outputs:
+        for bid, keys, stored_key in self.assignment.outputs:
             tasks[f"commit:{bid}"] = asyncio.ensure_future(
-                self._commit_output(bid, key, stored_key, blocks)
+                self._commit_output(bid, keys, stored_key, blocks)
             )
         stuck = await run_tasks(tasks, timeout)
         if stuck:

@@ -2,14 +2,17 @@
 
 `run_live_validation` trusts the simulator when aggregate makespans
 agree; this module answers the next question — *which op* drifted when
-they do not.  Plan op ids are the join key (they are simultaneously sim
-job ids and live op ids), so the predicted trace and the measured trace
-align exactly op-for-op:
+they do not.  Plan part ids are the join key (they are simultaneously
+sim job ids and live timing ids — an op id, or ``op#j`` for slice *j* of
+a sliced op), so the predicted trace and the measured trace align
+exactly on (op, slice):
 
 * :func:`diff_traces` joins two :class:`~repro.telemetry.TelemetryTrace`
   objects on their op spans and returns a :class:`TraceDiff` with one
-  :class:`OpAlignment` per common op (measured/predicted duration
-  ratio, both start times) plus the ops only one side saw;
+  :class:`OpAlignment` per common (op, slice) (measured/predicted
+  duration ratio, both start times) plus the ops only one side saw;
+  :meth:`TraceDiff.ops` folds the slices of each op back into one entry,
+  which is what :func:`render_diff` prints;
 * :func:`diff_repair` is the one-call form for a
   :class:`~repro.repair.RepairOutcome` + live result pair — it derives
   both traces itself and threads the simulated critical path through,
@@ -23,7 +26,7 @@ speed and one at double speed are equally alarming.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import TelemetryTrace
 
@@ -32,7 +35,13 @@ __all__ = ["OpAlignment", "TraceDiff", "diff_repair", "diff_traces", "render_dif
 
 @dataclass(frozen=True)
 class OpAlignment:
-    """One op seen by both interpreters: predicted vs measured timing."""
+    """One op — or one slice of a sliced op — seen by both interpreters:
+    predicted vs measured timing.
+
+    ``op`` is the plan op (``op_id`` itself for a whole op) and
+    ``slices`` how many slices that op runs in; an entry of
+    :meth:`TraceDiff.ops` stands for all of them.
+    """
 
     op_id: str
     kind: str  # "transfer" | "compute" | ""
@@ -42,6 +51,8 @@ class OpAlignment:
     measured_start: float
     cross_rack: bool = False
     nbytes: float = 0.0
+    op: str = ""
+    slices: int = 1
 
     @property
     def ratio(self) -> float:
@@ -69,6 +80,8 @@ class OpAlignment:
             "measured_start": self.measured_start,
             "cross_rack": self.cross_rack,
             "nbytes": self.nbytes,
+            "op": self.op or self.op_id,
+            "slices": self.slices,
         }
 
 
@@ -94,11 +107,33 @@ class TraceDiff:
             return self.measured_makespan / self.predicted_makespan
         return float("inf") if self.measured_makespan > 0 else 1.0
 
+    def ops(self) -> list[OpAlignment]:
+        """``aligned`` with each sliced op's slices folded into one entry.
+
+        Durations and bytes are summed over the slices (busy time, not
+        first-start to last-end), starts are the first slice's.
+        """
+        folded: dict[str, OpAlignment] = {}
+        for a in self.aligned:
+            op = a.op or a.op_id
+            seen = folded.get(op)
+            folded[op] = (
+                replace(a, op_id=op)
+                if seen is None
+                else replace(
+                    seen,
+                    predicted_s=seen.predicted_s + a.predicted_s,
+                    measured_s=seen.measured_s + a.measured_s,
+                    predicted_start=min(seen.predicted_start, a.predicted_start),
+                    measured_start=min(seen.measured_start, a.measured_start),
+                    nbytes=seen.nbytes + a.nbytes,
+                )
+            )
+        return list(folded.values())
+
     def worst(self, n: int = 5) -> list[OpAlignment]:
-        """The ``n`` most-diverged ops, worst first."""
-        return sorted(
-            self.aligned, key=lambda a: (-a.divergence, a.op_id)
-        )[:n]
+        """The ``n`` most-diverged ops (slices folded), worst first."""
+        return sorted(self.ops(), key=lambda a: (-a.divergence, a.op_id))[:n]
 
     def critical_path_delta(self) -> dict[str, float]:
         """Predicted vs measured time along the *simulated* critical path.
@@ -167,6 +202,8 @@ def diff_traces(
                 measured_start=m.start,
                 cross_rack=bool(s.attrs.get("cross_rack", m.attrs.get("cross_rack", False))),
                 nbytes=float(s.attrs.get("nbytes", m.attrs.get("nbytes", 0.0))),
+                op=m.attrs.get("op", s.attrs.get("op", op_id)),
+                slices=int(m.attrs.get("slices", s.attrs.get("slices", 1))),
             )
         )
     return TraceDiff(
@@ -205,15 +242,16 @@ def live_trace_from_timings(live, plan) -> TelemetryTrace:
     """Build a minimal wall-clock trace from ``LiveResult.timings``.
 
     The fallback path for live runs executed without a recorder: one op
-    span per measured timing, tagged with the op's kind and endpoints
-    from ``plan`` when available.
+    span per measured timing, tagged with the part's kind, endpoints and
+    slice from ``plan`` when available.
     """
     from .model import CLOCK_WALL, OP_CATEGORY, Span
 
+    parts = {part.op_id: part for part in plan.all_parts()} if plan is not None else {}
     spans = []
     for timing in live.timings.values():
-        op = plan.ops.get(timing.op_id) if plan is not None else None
-        attrs = op.span_attrs if op is not None else {}
+        part = parts.get(timing.op_id)
+        attrs = part.span_attrs if part is not None else {}
         spans.append(
             Span(
                 name=timing.op_id,
@@ -233,13 +271,19 @@ def live_trace_from_timings(live, plan) -> TelemetryTrace:
 
 def render_diff(diff: TraceDiff, top: int = 8) -> str:
     """Terminal rendering of a :class:`TraceDiff` (the ``rpr telemetry diff`` body)."""
+    ops = diff.ops()
     lines = [
         "sim ↔ live trace diff — predicted {:.4f} s, measured {:.4f} s, "
         "ratio {:.3f}".format(
             diff.predicted_makespan, diff.measured_makespan, diff.makespan_ratio
         ),
         "ops: {} aligned, {} sim-only, {} live-only".format(
-            len(diff.aligned), len(diff.sim_only), len(diff.live_only)
+            len(ops), len(diff.sim_only), len(diff.live_only)
+        )
+        + (
+            f" ({len(diff.aligned)} parts: a sliced op aligns slice by slice)"
+            if len(diff.aligned) != len(ops)
+            else ""
         ),
     ]
     if diff.sim_only:
@@ -261,11 +305,12 @@ def render_diff(diff: TraceDiff, top: int = 8) -> str:
     if worst:
         lines.append("")
         lines.append(f"worst divergers (top {len(worst)}):")
-        header = ["op", "kind", "pred_s", "meas_s", "ratio", "x-rack"]
+        header = ["op", "kind", "slices", "pred_s", "meas_s", "ratio", "x-rack"]
         rows = [
             [
                 a.op_id,
                 a.kind,
+                a.slices,
                 f"{a.predicted_s:.4f}",
                 f"{a.measured_s:.4f}",
                 f"{a.ratio:.3f}",

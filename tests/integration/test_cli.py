@@ -296,6 +296,19 @@ class TestExtensionCommand:
         out = capsys.readouterr().out
         assert "scatter" in out and "sequential" in out
 
+    def test_slice_pipelining_extension(self, capsys):
+        """Same cross-rack blocks, fewer block times: the EXPERIMENTS.md table."""
+        import json
+
+        assert main(["extension", "slice-pipelining", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [row["code"] for row in rows] == [
+            "(4,2)", "(6,2)", "(8,2)", "(6,3)", "(8,4)", "(12,4)"
+        ]
+        for row in rows:
+            assert row["chain_cross_blocks"] == row["tree_cross_blocks"]
+            assert row["chain_block_times"] < 1.35 < 2.0 < row["tree_block_times"]
+
     def test_unknown_extension(self, capsys):
         assert main(["extension", "nope"]) == 2
 

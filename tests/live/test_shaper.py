@@ -118,6 +118,27 @@ class TestTokenBucketAccounting:
         asyncio.run(_run())
         assert loop2.now == pytest.approx(0.5)
 
+    def test_reset_credits_time_already_slept(self):
+        """Back-to-back transfers on one link each take nbytes / rate.
+
+        ``reset()`` used to move the refill mark without crediting the
+        pacing sleep that had just ended, so every transfer re-paid the
+        previous one's last chunk: these four rounds ended at 0.5 / 1.5 /
+        3.0 / 5.0 s.  Sliced sends and merged plans reuse links.
+        """
+        loop = FakeLoop()
+        bucket = TokenBucket(1000.0, clock=loop.clock, sleep=loop.sleep)
+        ends = []
+
+        async def _run():
+            for _ in range(4):
+                bucket.reset()
+                await bucket.acquire(500)
+                ends.append(loop.now)
+
+        asyncio.run(_run())
+        assert ends == pytest.approx([0.5, 1.0, 1.5, 2.0])
+
 
 class _ExplodingStream:
     """Stream whose write raises after ``ok_writes`` successful writes."""

@@ -1,11 +1,13 @@
 """Cross-validation harness tests: sim predictions vs live measurements."""
 
 import json
+import statistics
+from dataclasses import replace
 
 import pytest
 
 from repro.live import DEFAULT_LIVE_BANDWIDTH, audit_store_repairs, run_live_validation
-from repro.live.validate import live_environment
+from repro.live.validate import LiveSchemeReport, LiveValidationReport, live_environment
 
 
 def _repair_record(measured: int, simulated: int) -> dict:
@@ -79,23 +81,47 @@ class TestCrossValidation:
     @pytest.mark.parametrize("n,k", [(6, 3), (8, 3)])
     def test_single_failure_all_schemes(self, n, k):
         """The ISSUE acceptance bar, on the wire: bytes identical, ordering
-        matches the simulator, ratio computed per scheme."""
-        report = run_live_validation(n, k, [1])
-        assert {row.scheme for row in report.rows} == {
-            "traditional",
-            "car",
-            "rpr",
-        }
-        assert report.all_bytes_ok
+        matches the simulator, ratio computed per scheme.
+
+        Three validations: every one must rebuild the bytes and land on
+        the simulator's ledger; the order is judged on each scheme's
+        median makespan, as ``benchmarks/e2e`` judges it, because one
+        repair lasts a tenth of a second and this kind of host can stall
+        for longer than that once in a while.
+        """
+        reports = [run_live_validation(n, k, [1]) for _ in range(3)]
+        for report in reports:
+            assert [row.scheme for row in report.rows] == ["traditional", "car", "rpr"]
+            assert report.all_bytes_ok
+            for row in report.rows:
+                assert row.predicted_s > 0
+                assert row.measured_s > 0
+                assert row.ratio == pytest.approx(row.measured_s / row.predicted_s)
+                # Live traffic must hit the simulator's cross-rack ledger exactly.
+                assert row.cross_rack_bytes == row.sim_cross_rack_bytes
+        report = replace(
+            reports[0],
+            rows=tuple(
+                replace(runs[0], measured_s=statistics.median(row.measured_s for row in runs))
+                for runs in zip(*(report.rows for report in reports))
+            ),
+        )
         assert report.ordering_ok()
-        for row in report.rows:
-            assert row.predicted_s > 0
-            assert row.measured_s > 0
-            assert row.ratio == pytest.approx(
-                row.measured_s / row.predicted_s
-            )
-            # Live traffic must hit the simulator's cross-rack ledger exactly.
-            assert row.cross_rack_bytes == row.sim_cross_rack_bytes
+        # The validation hands the planner its links, so RPR chains the two
+        # remote racks in 8 slices: same two cross-rack blocks as CAR, no
+        # longer a tie with it (predicted ~0.6x) and measured strictly faster.
+        rows = {row.scheme: row for row in report.rows}
+        assert (rows["rpr"].slices, rows["rpr"].gather) == (8, "chain")
+        assert (rows["car"].slices, rows["car"].gather) == (1, "tree")
+        assert rows["rpr"].cross_rack_bytes == rows["car"].cross_rack_bytes
+        assert rows["rpr"].predicted_s < 0.65 * rows["car"].predicted_s
+        assert rows["rpr"].measured_s < rows["car"].measured_s
+
+    def test_small_blocks_keep_the_paper_tree(self):
+        """4 KiB at 0.8 MB/s is a 5 ms transfer: too short to slice."""
+        report = run_live_validation(6, 3, [1], schemes=["rpr"], block_size=4096)
+        assert (report.rows[0].slices, report.rows[0].gather) == (1, "tree")
+        assert report.all_bytes_ok
 
     def test_multi_block_drops_car(self):
         report = run_live_validation(6, 3, [0, 2])
@@ -109,6 +135,8 @@ class TestCrossValidation:
         assert dumped["all_bytes_ok"] is True
         assert dumped["schemes"][0]["scheme"] == "rpr"
         assert "ratio" in dumped["schemes"][0]
+        assert dumped["schemes"][0]["slices"] == 8
+        assert dumped["schemes"][0]["gather"] == "chain"
 
     def test_ordering_check_logic(self):
         report = run_live_validation(6, 3, [1], schemes=["traditional", "rpr"])
@@ -116,3 +144,28 @@ class TestCrossValidation:
         ranked = sorted(report.rows, key=lambda r: r.predicted_s)
         assert ranked[0].scheme == "rpr"
         assert ranked[0].measured_s < ranked[1].measured_s
+
+    def test_a_predicted_tie_has_no_order_to_contradict(self):
+        """Only pairs the simulator separates by more than the tolerance
+        are held to their order (RPR vs CAR at whole blocks: 0.1 % apart)."""
+
+        def report(*rows):
+            return LiveValidationReport(
+                n=6, k=3, failed=(1,), block_size=1, transport="memory",
+                rows=tuple(
+                    LiveSchemeReport(
+                        scheme=name, predicted_s=predicted, measured_s=measured,
+                        bytes_ok=True, ops=0, sends=0, combines=0,
+                        cross_rack_bytes=0, sim_cross_rack_bytes=0,
+                    )
+                    for name, predicted, measured in rows
+                ),
+            )
+
+        tie = report(("rpr", 0.1804, 0.190), ("car", 0.1806, 0.186), ("traditional", 0.344, 0.35))
+        assert tie.ordering_ok()
+        inverted = report(("rpr", 0.109, 0.190), ("car", 0.1806, 0.186))
+        assert not inverted.ordering_ok()
+        # not just neighbours in predicted order: every separated pair
+        skipping = report(("a", 0.100, 0.30), ("b", 0.104, 0.10), ("c", 0.108, 0.29))
+        assert not skipping.ordering_ok()

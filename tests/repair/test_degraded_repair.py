@@ -16,6 +16,8 @@ makespan, so the scenarios are block-size portable (the same trick the
 ``rpr faults`` CLI uses).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,25 @@ class TestHelperDeathMidRepair:
             + sum(s.faults.aborted_bytes for s in outcome.sims)
             + ctx.block_size * len(unused)
         )
+
+    def test_a_link_model_does_not_reach_the_fault_path(self):
+        """Under a link model RS(8,3) plans an 8-slice chain, whose engine
+        jobs are slices, not ops; the fault loop commits op prefixes, so it
+        plans whole blocks whatever the caller's context says."""
+        ctx = make_context(8, 3, failed=[2], block_size=1 << 20)
+        linked = replace(ctx, link_model=SIMICS_BANDWIDTH)
+        scheme = RPRScheme()
+        assert scheme.plan(linked).slices == 8
+        stripe = make_stripe(ctx)
+        faults = helper_death(scheme, ctx)
+        plain, under_links = (
+            simulate_repair_with_faults(scheme, c, SIMICS_BANDWIDTH, faults, stripe=stripe)
+            for c in (ctx, linked)
+        )
+        assert under_links.attempts == 2
+        assert all(plan.slices == 1 for plan in under_links.plans)
+        assert under_links.to_dict() == plain.to_dict()
+        assert_oracle(under_links, linked, stripe)
 
     def test_deterministic_outcome(self):
         ctx = make_context(6, 3, failed=[1])

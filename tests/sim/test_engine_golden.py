@@ -126,3 +126,44 @@ class TestMergedNodeRebuildGraphs:
         first, second = engine.run(graph), engine.run(graph)
         assert event_digest(first) == event_digest(second)
         assert timings_digest(first) == timings_digest(second)
+
+
+class TestSlicedChainSchedule:
+    """RS(8,3), block 1 lost, the live testbed's links: under a link model
+    RPR plans the slice-pipelined chain (8 slices of a 64 KiB block at
+    0.8 MB/s) and the compiled schedule — 42 jobs for 14 ops — is pinned."""
+
+    @staticmethod
+    def outcomes():
+        from repro.experiments import context_for
+        from repro.live import live_context, live_environment
+        from repro.repair import simulate_repair
+
+        env = live_environment(8, 3)
+        return (
+            simulate_repair(RPRScheme(), context_for(env, [1]), env.bandwidth),
+            simulate_repair(RPRScheme(), live_context(env, [1]), env.bandwidth),
+        )
+
+    def test_chain_schedule(self):
+        tree, chain = self.outcomes()
+        assert chain.plan.slices == 8
+        assert repr(chain.sim.makespan) == "0.10862592"
+        assert len(chain.sim.events) == 84
+        assert event_digest(chain.sim) == (
+            "1a675b0bb0a33be960704f639aec12a62b05180bf305fb12b845243008c7ce9a"
+        )
+        assert timings_digest(chain.sim) == (
+            "c99f52c4f212f10e1cf550d061cf3a2acdeb6182740c438e034ed065f48d8146"
+        )
+        # same blocks across the racks as the paper's tree, 40 % sooner
+        assert chain.cross_rack_blocks == tree.cross_rack_blocks == 2.0
+        assert repr(tree.sim.makespan) == "0.18035507200000003"
+
+    def test_without_a_link_model_the_tree_is_untouched(self):
+        tree, _ = self.outcomes()
+        assert tree.plan.slices == 1
+        assert len(tree.sim.events) == 26
+        assert event_digest(tree.sim) == (
+            "03458f8aae86dc90cfe2f5bef1bf3de2a523368383267cae9a101b36566f6fcf"
+        )

@@ -132,3 +132,66 @@ class TestAcceptanceRS63:
         text = render_diff(diff)
         assert "aligned, 0 sim-only, 0 live-only" in text
         assert "critical path" in text
+
+
+class TestSlicedOps:
+    """A sliced op aligns slice by slice — part ids are the join key on
+    both sides — and is reported as one op with its slice count."""
+
+    @staticmethod
+    def traces():
+        sim = trace_of(CLOCK_SIM, {"t#0": (0.0, 1.0), "t#1": (1.0, 2.0), "c": (2.0, 2.5)})
+        live = TelemetryTrace(
+            clock=CLOCK_WALL,
+            spans=[
+                Span("t#0", 0.0, 1.2, category=OP_CATEGORY, op_id="t#0",
+                     attrs={"kind": "transfer", "op": "t", "slice": 0, "slices": 2}),
+                Span("t#1", 1.3, 2.2, category=OP_CATEGORY, op_id="t#1",
+                     attrs={"kind": "transfer", "op": "t", "slice": 1, "slices": 2}),
+                Span("c", 2.2, 2.8, category=OP_CATEGORY, op_id="c",
+                     attrs={"kind": "compute"}),
+            ],
+        )
+        return sim, live
+
+    def test_alignment_is_per_slice_and_folds_per_op(self):
+        diff = diff_traces(*self.traces())
+        assert diff.all_aligned
+        assert [(a.op_id, a.op, a.slices) for a in diff.aligned] == [
+            ("c", "c", 1), ("t#0", "t", 2), ("t#1", "t", 2),
+        ]
+        folded = {a.op_id: a for a in diff.ops()}
+        assert set(folded) == {"c", "t"}
+        assert folded["t"].slices == 2
+        assert folded["t"].predicted_s == pytest.approx(2.0)
+        assert folded["t"].measured_s == pytest.approx(1.2 + 0.9)
+        assert folded["t"].measured_start == pytest.approx(0.0)
+        assert diff.to_dict()["aligned"][1]["op"] == "t"
+
+    def test_render_is_one_line_per_op_with_its_slice_count(self):
+        text = render_diff(diff_traces(*self.traces()))
+        assert "2 aligned, 0 sim-only, 0 live-only (3 parts" in text
+        assert "slices" in text
+        assert "t#0" not in text and "t#1" not in text
+
+    @pytest.mark.parametrize("telemetry", [True, False])
+    def test_sliced_chain_repair_aligns(self, telemetry):
+        """RS(8,3) at the live defaults runs the 8-slice chain; with a
+        recorder or from bare timings, every part finds its prediction."""
+        from repro.live import live_context, live_environment, run_plan_live_sync
+        from repro.repair import RPRScheme, initial_store_for, simulate_repair
+        from repro.telemetry import TelemetryRecorder, diff_repair
+        from repro.workloads import encoded_stripe
+
+        env = live_environment(8, 3)
+        predicted = simulate_repair(RPRScheme(), live_context(env, [1]), env.bandwidth)
+        live = run_plan_live_sync(
+            predicted.plan,
+            env.cluster,
+            initial_store_for(encoded_stripe(env.code, env.block_size), env.placement, [1]),
+            recorder=TelemetryRecorder(CLOCK_WALL) if telemetry else None,
+        )
+        diff = diff_repair(predicted, live)
+        assert diff.all_aligned
+        assert len(diff.aligned) == 42 and len(diff.ops()) == len(predicted.plan.ops) == 14
+        assert {a.op_id: a.slices for a in diff.ops()}["rpr:eq0:cross:C0:send"] == 8
