@@ -56,12 +56,17 @@ def run_sweep(
 
 
 def export_traces(reports, out_dir) -> list:
-    """Chrome trace-event files, one per code, sim + live side by side.
+    """Chrome trace-event files, one per code, sim + live side by side,
+    and one utilization report per (code, scheme).
 
     The sweep's diffs only keep aligned span summaries; Chrome export
     needs the full traces, so each scheme is replayed once with a
     recorder attached.  Written files load directly in Perfetto /
-    ``chrome://tracing``.
+    ``chrome://tracing``.  ``report_<code>_<scheme>.txt`` puts both
+    traces through the one view (``RunTrace.from_telemetry``): bottleneck
+    report + Gantt of the prediction above those of the measurement, so
+    a live run at 2x its prediction shows as a named port busy twice as
+    long.
     """
     import json
     from pathlib import Path
@@ -69,7 +74,14 @@ def export_traces(reports, out_dir) -> list:
     from repro.live import live_context, live_environment, run_plan_live_sync
     from repro.repair import initial_store_for, simulate_repair
     from repro.repair import CARRepair, RPRScheme, TraditionalRepair
-    from repro.telemetry import CLOCK_WALL, TelemetryRecorder, to_chrome_trace
+    from repro.telemetry import (
+        CLOCK_WALL,
+        RunTrace,
+        TelemetryRecorder,
+        render_gantt,
+        render_report,
+        to_chrome_trace,
+    )
     from repro.workloads import encoded_stripe
 
     schemes = {
@@ -98,8 +110,21 @@ def export_traces(reports, out_dir) -> list:
                 transport=report.transport,
                 recorder=recorder,
             )
-            traces.append((f"sim:{row.scheme}", predicted.telemetry()))
-            traces.append((f"live:{row.scheme}", live.telemetry))
+            pair = [
+                (f"sim:{row.scheme}", predicted.telemetry()),
+                (f"live:{row.scheme}", live.telemetry),
+            ]
+            traces.extend(pair)
+            sections = []
+            for name, trace in pair:
+                view = RunTrace.from_telemetry(trace, env.cluster)
+                sections.append(
+                    f"== {name} ({trace.clock} clock)\n"
+                    f"{render_report(view)}\n\n{render_gantt(view)}\n"
+                )
+            text_path = out_dir / f"report_rs{report.n}_{report.k}_{row.scheme}.txt"
+            text_path.write_text("\n".join(sections))
+            written.append(text_path)
         path = out_dir / f"trace_rs{report.n}_{report.k}.json"
         path.write_text(json.dumps(to_chrome_trace(traces)) + "\n")
         written.append(path)

@@ -12,14 +12,15 @@ failure under three schedules:
   the recovery rack's receives, compressing the cross-rack phase to
   ceil(log2) rounds.
 
-Rows are node ports (up/down) and CPUs; '#' is busy time.
+Rows are node ports (up/down) and CPUs, each prefixed with its busy
+percentage; '#' is busy time.
 
 Run:  python examples/pipeline_visualization.py
 """
 
 from repro.experiments import build_simics_environment, context_for
 from repro.repair import CARRepair, RPRScheme, TraditionalRepair, simulate_repair
-from repro.sim import render_timeline
+from repro.telemetry import render_gantt
 
 N, K = 6, 2
 FAILED = 1
@@ -39,7 +40,7 @@ def main() -> None:
             f"{outcome.total_repair_time:.1f} s, "
             f"{outcome.cross_rack_blocks:.0f} cross-rack blocks ---"
         )
-        print(render_timeline(outcome.sim, width=64))
+        print(render_gantt(outcome.trace(), width=64))
         print()
     print(
         "Reading the charts: traditional keeps one download port busy for "

@@ -9,8 +9,8 @@ Usage (installed as ``rpr`` or via ``python -m repro.cli``):
     rpr repair --code 12,4 --fail 1 --scheme rpr [--testbed ec2]
     rpr compare --code 12,4 --fail 1                # all schemes, one table
     rpr faults --code 8,3 --fail 2 --kill 12@0.7    # degraded repair under injected faults
-    rpr timeline --code 6,2 --fail 1 --scheme rpr   # ASCII schedule chart
     rpr trace --code 6,4 --fail 1 --scheme rpr      # utilization + bottleneck report
+    rpr trace --code 6,2 --fail 1 --gantt           # ... plus the ASCII schedule chart
     rpr trace --code 8,3 --fail 2 --kill 4@0.5      # same report for a degraded repair
     rpr telemetry report --code 6,3 --fail 1        # span/counter/histogram summary
     rpr telemetry diff --code 6,3 --fail 1          # per-op sim vs live ratios
@@ -179,16 +179,61 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _parse_code(text: str) -> tuple[int, int]:
+    try:
+        n, k = (int(x) for x in text.split(","))
+        return n, k
+    except ValueError:
+        raise SystemExit(f"--code must look like '12,4', got {text!r}")
+
+
+def _parse_fail(text: str, n: int, k: int) -> list[int]:
+    try:
+        failed = sorted(int(x) for x in text.split(","))
+    except ValueError:
+        raise SystemExit(f"--fail must be comma-separated block ids like '0,3', got {text!r}")
+    if len(set(failed)) != len(failed) or len(failed) > k or not all(
+        0 <= b < n + k for b in failed
+    ):
+        raise SystemExit(
+            f"--fail must name at most {k} distinct blocks of RS({n},{k})'s stripe "
+            f"(0..{n + k - 1}), got {text!r}"
+        )
+    return failed
+
+
+def _scenario(args):
+    """``(env, scheme, failed)`` from a verb's scenario flags, validated once.
+
+    A flag the verb does not declare falls back: no ``--placement`` is
+    the RPR placement, no ``--scheme`` / ``--fail`` yields ``None``.  A
+    bad value exits with a one-line message naming the flag — before
+    anything is printed, and never as a traceback.
+    """
+    n, k = _parse_code(args.code)
+    failed = _parse_fail(args.fail, n, k) if hasattr(args, "fail") else None
+    if getattr(args, "width", 10) < 10:
+        raise SystemExit(f"--width must be at least 10 columns, got {args.width}")
+    builder = build_ec2_env if args.testbed == "ec2" else build_simics_environment
+    env = builder(n, k, placement=getattr(args, "placement", "rpr"))
+    scheme = _SCHEMES[args.scheme]() if hasattr(args, "scheme") else None
+    return env, scheme, failed
+
+
+def _headline(args, env, scheme, failed) -> str:
+    return (
+        f"{scheme.name} repairing blocks {failed} of RS({env.code.n},{env.code.k}) "
+        f"on the {args.testbed} testbed"
+    )
+
+
 def _cmd_repair(args) -> int:
     try:
-        n, k = (int(x) for x in args.code.split(","))
-    except ValueError:
-        print(f"--code must look like '12,4', got {args.code!r}", file=sys.stderr)
+        env, scheme, failed = _scenario(args)
+    except SystemExit as exc:  # this verb's usage errors are exit code 2
+        print(exc, file=sys.stderr)
         return 2
-    failed = sorted(int(x) for x in args.fail.split(","))
-    builder = build_ec2_env if args.testbed == "ec2" else build_simics_environment
-    env = builder(n, k, placement=args.placement)
-    scheme = _SCHEMES[args.scheme]()
+    n, k = env.code.n, env.code.k
     outcome = run_scheme(env, scheme, failed)
     if args.json:
         import json
@@ -223,21 +268,11 @@ def _cmd_repair(args) -> int:
     return 0
 
 
-def _parse_code(text: str) -> tuple[int, int]:
-    try:
-        n, k = (int(x) for x in text.split(","))
-        return n, k
-    except ValueError:
-        raise SystemExit(f"--code must look like '12,4', got {text!r}")
-
-
 def _cmd_compare(args) -> int:
     from .metrics import percent_reduction
 
-    n, k = _parse_code(args.code)
-    failed = sorted(int(x) for x in args.fail.split(","))
-    builder = build_ec2_env if args.testbed == "ec2" else build_simics_environment
-    env = builder(n, k, placement=args.placement)
+    env, _, failed = _scenario(args)
+    n, k = env.code.n, env.code.k
     names = ["traditional", "rpr"] if len(failed) > 1 else ["traditional", "car", "rpr"]
     outcomes = {
         name: run_scheme(env, _SCHEMES[name](), failed) for name in names
@@ -328,6 +363,22 @@ def _build_fault_plan(args, cluster, horizon):
     )
 
 
+def _degraded(args, env, scheme, ctx, stripe=None):
+    """``(fault-free makespan, degraded outcome)`` of ``ctx`` under the fault flags.
+
+    Death times are fractions of the fault-free makespan of ``ctx``
+    itself, so a scenario means the same thing at any block size.
+    """
+    from .repair import simulate_repair, simulate_repair_with_faults
+
+    horizon = simulate_repair(scheme, ctx, env.bandwidth).total_repair_time
+    faults = _build_fault_plan(args, env.cluster, horizon)
+    return horizon, simulate_repair_with_faults(
+        scheme, ctx, env.bandwidth, faults, stripe=stripe,
+        max_attempts=args.max_attempts,
+    )
+
+
 def _cmd_faults(args) -> int:
     """Run one repair under injected faults and report the degraded outcome.
 
@@ -342,23 +393,13 @@ def _cmd_faults(args) -> int:
     from dataclasses import replace as dc_replace
 
     from .experiments import context_for
-    from .repair import IrrecoverableError, simulate_repair, simulate_repair_with_faults
+    from .repair import IrrecoverableError
     from .workloads import encoded_stripe
 
-    n, k = _parse_code(args.code)
-    failed = sorted(int(x) for x in args.fail.split(","))
-    builder = build_ec2_env if args.testbed == "ec2" else build_simics_environment
-    env = builder(n, k, placement=args.placement)
-    scheme = _SCHEMES[args.scheme]()
+    env, scheme, failed = _scenario(args)
     ctx = context_for(env, failed)
-
-    horizon = simulate_repair(scheme, ctx, env.bandwidth).total_repair_time
-    faults = _build_fault_plan(args, env.cluster, horizon)
-
     try:
-        outcome = simulate_repair_with_faults(
-            scheme, ctx, env.bandwidth, faults, max_attempts=args.max_attempts
-        )
+        horizon, outcome = _degraded(args, env, scheme, ctx)
     except IrrecoverableError as exc:
         if args.json:
             import json
@@ -371,16 +412,10 @@ def _cmd_faults(args) -> int:
     oracle = None
     if args.verify:
         small_block = 1 << 16
-        small_ctx = dc_replace(ctx, block_size=small_block)
-        small_horizon = simulate_repair(
-            scheme, small_ctx, env.bandwidth
-        ).total_repair_time
-        small_faults = _build_fault_plan(args, env.cluster, small_horizon)
         stripe = encoded_stripe(env.code, small_block, seed=args.seed)
         try:
-            verified = simulate_repair_with_faults(
-                scheme, small_ctx, env.bandwidth, small_faults,
-                stripe=stripe, max_attempts=args.max_attempts,
+            _, verified = _degraded(
+                args, env, scheme, dc_replace(ctx, block_size=small_block), stripe
             )
             oracle = all(
                 np.array_equal(verified.recovered[f], stripe.get_payload(f))
@@ -400,10 +435,7 @@ def _cmd_faults(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0 if oracle is not False else 1
 
-    print(
-        f"{scheme.name} repairing blocks {failed} of RS({n},{k}) on the "
-        f"{args.testbed} testbed under injected faults (seed {args.seed}):"
-    )
+    print(f"{_headline(args, env, scheme, failed)} under injected faults (seed {args.seed}):")
     print(f"  fault-free time   : {horizon:.2f} s")
     print(
         f"  degraded time     : {outcome.total_repair_time:.2f} s "
@@ -430,48 +462,6 @@ def _cmd_faults(args) -> int:
     return 0
 
 
-def _cmd_timeline(args) -> int:
-    from .sim import render_timeline, timeline_rows
-
-    n, k = _parse_code(args.code)
-    failed = sorted(int(x) for x in args.fail.split(","))
-    builder = build_ec2_env if args.testbed == "ec2" else build_simics_environment
-    env = builder(n, k, placement=args.placement)
-    scheme = _SCHEMES[args.scheme]()
-    outcome = run_scheme(env, scheme, failed)
-    if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "code": [n, k],
-                    "failed": failed,
-                    "scheme": scheme.name,
-                    "makespan_s": outcome.total_repair_time,
-                    "rows": [
-                        {
-                            "label": row.label,
-                            "intervals": [
-                                {"start": s, "end": e, "job": job}
-                                for s, e, job in row.intervals
-                            ],
-                        }
-                        for row in timeline_rows(outcome.sim)
-                    ],
-                },
-                indent=2,
-            )
-        )
-        return 0
-    print(
-        f"{scheme.name} repairing blocks {failed} of RS({n},{k}) on the "
-        f"{args.testbed} testbed — {outcome.total_repair_time:.2f} s total"
-    )
-    print(render_timeline(outcome.sim, width=args.width))
-    return 0
-
-
 def _cmd_trace(args) -> int:
     """Utilization + bottleneck report, fault-free or degraded.
 
@@ -482,29 +472,17 @@ def _cmd_trace(args) -> int:
     final one).  Aborted occupancy shows up as zero-byte intervals and
     the critical path walks across abort and retry boundaries.
     """
-    from .sim import render_gantt, render_report
+    from .telemetry import RunTrace, render_gantt, render_report, to_jsonl
 
-    n, k = _parse_code(args.code)
-    failed = sorted(int(x) for x in args.fail.split(","))
-    builder = build_ec2_env if args.testbed == "ec2" else build_simics_environment
-    env = builder(n, k, placement=args.placement)
-    scheme = _SCHEMES[args.scheme]()
-    faulted = bool(args.kill or args.slow or args.loss_prob or args.deaths)
-    if faulted:
+    env, scheme, failed = _scenario(args)
+    headline = _headline(args, env, scheme, failed)
+    if args.kill or args.slow or args.loss_prob or args.deaths:
         from .experiments import context_for
-        from .repair import (
-            IrrecoverableError,
-            simulate_repair,
-            simulate_repair_with_faults,
-        )
+        from .repair import IrrecoverableError
+        from .sim import telemetry_from_sim
 
-        ctx = context_for(env, failed)
-        horizon = simulate_repair(scheme, ctx, env.bandwidth).total_repair_time
-        faults = _build_fault_plan(args, env.cluster, horizon)
         try:
-            degraded = simulate_repair_with_faults(
-                scheme, ctx, env.bandwidth, faults, max_attempts=args.max_attempts
-            )
+            _, degraded = _degraded(args, env, scheme, context_for(env, failed))
         except IrrecoverableError as exc:
             print(f"IRRECOVERABLE: {exc}", file=sys.stderr)
             return 1
@@ -515,27 +493,22 @@ def _cmd_trace(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        trace = degraded.trace(args.attempt)
-        attempt_no = args.attempt % degraded.attempts + 1
-        headline = (
-            f"{scheme.name} repairing blocks {failed} of RS({n},{k}) on the "
-            f"{args.testbed} testbed under injected faults (seed {args.seed}) "
-            f"— attempt {attempt_no} of {degraded.attempts}"
+        telemetry = telemetry_from_sim(degraded.sims[args.attempt], env.cluster)
+        headline += (
+            f" under injected faults (seed {args.seed}) — attempt "
+            f"{args.attempt % degraded.attempts + 1} of {degraded.attempts}"
         )
     else:
-        outcome = run_scheme(env, scheme, failed)
-        trace = outcome.trace()
-        headline = (
-            f"{scheme.name} repairing blocks {failed} of RS({n},{k}) on the "
-            f"{args.testbed} testbed, {args.placement} placement"
-        )
+        telemetry = run_scheme(env, scheme, failed).telemetry()
+        headline += f", {args.placement} placement"
+    trace = RunTrace.from_telemetry(telemetry, env.cluster)
     if args.json:
         import json
 
         print(json.dumps(trace.to_dict(), indent=2))
         return 0
     if args.jsonl:
-        print(trace.to_json_lines())
+        print(to_jsonl(telemetry), end="")
         return 0
     print(headline)
     print(render_report(trace))
@@ -547,14 +520,11 @@ def _cmd_trace(args) -> int:
 
 def _cmd_rebuild(args) -> int:
     from .multistripe import StripeStore, repair_node_failure
-    from .rs import get_code
 
-    n, k = _parse_code(args.code)
-    builder = build_ec2_env if args.testbed == "ec2" else build_simics_environment
-    env = builder(n, k)
-    store = StripeStore.build(env.cluster, get_code(n, k), num_stripes=args.stripes)
+    env, scheme, _ = _scenario(args)
+    n, k = env.code.n, env.code.k
+    store = StripeStore.build(env.cluster, env.code, num_stripes=args.stripes)
     lost = store.blocks_on_node(args.node)
-    scheme = _SCHEMES[args.scheme]()
     outcome = repair_node_failure(
         store,
         args.node,
@@ -608,11 +578,10 @@ def _cmd_durability(args) -> int:
     from .reliability import mttdl_from_repair_times
     from .repair import simulate_repair
 
-    n, k = _parse_code(args.code)
+    env, _, _ = _scenario(args)
+    n, k = env.code.n, env.code.k
     year = 365.25 * 24 * 3600
     lam = 1 / (args.block_mtbf_years * year)
-    builder = build_ec2_env if args.testbed == "ec2" else build_simics_environment
-    env = builder(n, k)
     results = {}
     repair_times = {}
     for name in ("traditional", "rpr"):
@@ -675,7 +644,7 @@ def _cmd_live(args) -> int:
     from .live import run_live_validation
 
     n, k = _parse_code(args.code)
-    failed = sorted(int(x) for x in args.fail.split(","))
+    failed = _parse_fail(args.fail, n, k)
     schemes = args.schemes.split(",") if args.schemes else None
     if schemes is not None:
         unknown = set(schemes) - set(_SCHEMES)
@@ -760,23 +729,16 @@ def _cmd_telemetry(args) -> int:
     if args.mode == "assemble":
         return _telemetry_assemble(args)
 
-    n, k = _parse_code(args.code)
-    failed = sorted(int(x) for x in args.fail.split(","))
+    env, scheme, failed = _scenario(args)
+    n, k = env.code.n, env.code.k
 
     if args.mode == "report":
-        builder = build_ec2_env if args.testbed == "ec2" else build_simics_environment
-        env = builder(n, k, placement=args.placement)
-        scheme = _SCHEMES[args.scheme]()
-        outcome = run_scheme(env, scheme, failed)
-        trace = outcome.telemetry()
+        trace = run_scheme(env, scheme, failed).telemetry()
         if args.json:
             print(json.dumps(trace.to_dict(), indent=2))
             return 0
         ops = sorted(trace.op_spans().values(), key=lambda s: -s.duration)
-        print(
-            f"{scheme.name} repairing blocks {failed} of RS({n},{k}) on the "
-            f"{args.testbed} testbed — telemetry ({trace.clock} clock)"
-        )
+        print(f"{_headline(args, env, scheme, failed)} — telemetry ({trace.clock} clock)")
         print(f"  spans    : {len(trace.spans)} ({len(ops)} ops)")
         print(f"  events   : {len(trace.events)}")
         print(f"  extent   : {trace.extent:.3f} s")
@@ -834,13 +796,9 @@ def _cmd_telemetry(args) -> int:
               file=sys.stderr)
         return 2
 
-    scheme = _SCHEMES[args.scheme]()
     traces = []
     if args.source == "sim":
-        builder = build_ec2_env if args.testbed == "ec2" else build_simics_environment
-        env = builder(n, k, placement=args.placement)
-        outcome = run_scheme(env, scheme, failed)
-        traces.append((f"sim:{scheme.name}", outcome.telemetry()))
+        traces.append((f"sim:{scheme.name}", run_scheme(env, scheme, failed).telemetry()))
     else:
         env = live_environment(
             n, k, block_size=args.block_size, placement=args.placement
@@ -1360,6 +1318,48 @@ def _cmd_perf(args) -> int:
     return perf_main(argv)
 
 
+def _add_scenario_args(parser, *, code, fail=None, scheme=True, placement=True) -> None:
+    """The flags :func:`_scenario` reads; a verb omits the ones it has no use for."""
+    parser.add_argument("--code", default=code, help="RS code as 'n,k'")
+    if fail is not None:
+        parser.add_argument(
+            "--fail", default=fail, help="failed block ids, comma-separated"
+        )
+    if scheme:
+        parser.add_argument("--scheme", choices=sorted(_SCHEMES), default="rpr")
+    parser.add_argument("--testbed", choices=["simics", "ec2"], default="simics")
+    if placement:
+        parser.add_argument("--placement", choices=["rpr", "contiguous"], default="rpr")
+
+
+def _add_fault_args(parser, *, deaths) -> None:
+    """The flags :func:`_build_fault_plan` reads."""
+    parser.add_argument(
+        "--kill",
+        default="",
+        help="explicit node deaths as node@fraction of the fault-free "
+        "makespan, comma-separated (e.g. '12@0.7,6@0.3')",
+    )
+    parser.add_argument(
+        "--slow",
+        default="",
+        help="stragglers as node@slowdown-factor, comma-separated (e.g. '4@3.0')",
+    )
+    parser.add_argument(
+        "--loss-prob", type=float, default=0.0,
+        help="per-transfer loss probability (seeded, deterministic)",
+    )
+    parser.add_argument(
+        "--deaths", type=int, default=deaths,
+        help="random node deaths when no --kill/--slow/--loss-prob is given",
+    )
+    parser.add_argument("--seed", type=int, default=0, help="fault-plan seed")
+    parser.add_argument(
+        "--max-attempts", type=int, default=3,
+        help="re-planning budget before the repair is declared irrecoverable",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rpr",
@@ -1392,19 +1392,12 @@ def build_parser() -> argparse.ArgumentParser:
     tab.set_defaults(func=_cmd_table)
 
     rep = sub.add_parser("repair", help="simulate a single repair")
-    rep.add_argument("--code", default="12,4", help="RS code as 'n,k'")
-    rep.add_argument("--fail", default="1", help="failed block ids, comma-separated")
-    rep.add_argument("--scheme", choices=sorted(_SCHEMES), default="rpr")
-    rep.add_argument("--testbed", choices=["simics", "ec2"], default="simics")
-    rep.add_argument("--placement", choices=["rpr", "contiguous"], default="rpr")
+    _add_scenario_args(rep, code="12,4", fail="1")
     rep.add_argument("--json", action="store_true", help="machine-readable output")
     rep.set_defaults(func=_cmd_repair)
 
     cmp_ = sub.add_parser("compare", help="run every scheme on one scenario")
-    cmp_.add_argument("--code", default="12,4")
-    cmp_.add_argument("--fail", default="1")
-    cmp_.add_argument("--testbed", choices=["simics", "ec2"], default="simics")
-    cmp_.add_argument("--placement", choices=["rpr", "contiguous"], default="rpr")
+    _add_scenario_args(cmp_, code="12,4", fail="1", scheme=False)
     cmp_.add_argument("--json", action="store_true", help="machine-readable output")
     cmp_.set_defaults(func=_cmd_compare)
 
@@ -1412,35 +1405,8 @@ def build_parser() -> argparse.ArgumentParser:
         "faults",
         help="simulate a repair under injected faults (node death, stragglers, loss)",
     )
-    fl.add_argument("--code", default="8,3", help="RS code as 'n,k'")
-    fl.add_argument("--fail", default="2", help="failed block ids, comma-separated")
-    fl.add_argument("--scheme", choices=sorted(_SCHEMES), default="rpr")
-    fl.add_argument("--testbed", choices=["simics", "ec2"], default="simics")
-    fl.add_argument("--placement", choices=["rpr", "contiguous"], default="rpr")
-    fl.add_argument(
-        "--kill",
-        default="",
-        help="explicit node deaths as node@fraction of the fault-free "
-        "makespan, comma-separated (e.g. '12@0.7,6@0.3')",
-    )
-    fl.add_argument(
-        "--slow",
-        default="",
-        help="stragglers as node@slowdown-factor, comma-separated (e.g. '4@3.0')",
-    )
-    fl.add_argument(
-        "--loss-prob", type=float, default=0.0,
-        help="per-transfer loss probability (seeded, deterministic)",
-    )
-    fl.add_argument(
-        "--deaths", type=int, default=1,
-        help="random node deaths when no --kill/--slow/--loss-prob is given",
-    )
-    fl.add_argument("--seed", type=int, default=0, help="fault-plan seed")
-    fl.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="re-planning budget before the repair is declared irrecoverable",
-    )
+    _add_scenario_args(fl, code="8,3", fail="2")
+    _add_fault_args(fl, deaths=1)
     fl.add_argument(
         "--verify", action="store_true",
         help="replay the scenario on a real byte store and check the "
@@ -1449,58 +1415,24 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--json", action="store_true", help="machine-readable output")
     fl.set_defaults(func=_cmd_faults)
 
-    tl = sub.add_parser("timeline", help="render a repair's schedule as ASCII")
-    tl.add_argument("--code", default="6,2")
-    tl.add_argument("--fail", default="1")
-    tl.add_argument("--scheme", choices=sorted(_SCHEMES), default="rpr")
-    tl.add_argument("--testbed", choices=["simics", "ec2"], default="simics")
-    tl.add_argument("--placement", choices=["rpr", "contiguous"], default="rpr")
-    tl.add_argument("--width", type=int, default=64)
-    tl.add_argument(
-        "--json", action="store_true",
-        help="emit the per-resource intervals instead of the ASCII chart",
-    )
-    tl.set_defaults(func=_cmd_timeline)
-
     tc = sub.add_parser(
         "trace",
         help="per-rack utilization + critical-path bottleneck report for one repair",
     )
-    tc.add_argument("--code", default="6,4")
-    tc.add_argument("--fail", default="1")
-    tc.add_argument("--scheme", choices=sorted(_SCHEMES), default="rpr")
-    tc.add_argument("--testbed", choices=["simics", "ec2"], default="simics")
-    tc.add_argument("--placement", choices=["rpr", "contiguous"], default="rpr")
+    _add_scenario_args(tc, code="6,4", fail="1")
     tc.add_argument("--gantt", action="store_true", help="append the utilization Gantt chart")
     tc.add_argument("--width", type=int, default=64, help="Gantt chart width")
-    tc.add_argument(
-        "--kill", default="",
-        help="trace a degraded repair: node deaths as node@fraction of the "
-        "fault-free makespan, comma-separated (e.g. '4@0.5')",
-    )
-    tc.add_argument(
-        "--slow", default="",
-        help="stragglers as node@slowdown-factor, comma-separated",
-    )
-    tc.add_argument(
-        "--loss-prob", type=float, default=0.0,
-        help="per-transfer loss probability (seeded, deterministic)",
-    )
-    tc.add_argument(
-        "--deaths", type=int, default=0,
-        help="random node deaths (0 keeps the fault-free path)",
-    )
-    tc.add_argument("--seed", type=int, default=0, help="fault-plan seed")
-    tc.add_argument(
-        "--max-attempts", type=int, default=3,
-        help="re-planning budget for the faulted engine",
-    )
+    _add_fault_args(tc, deaths=0)
     tc.add_argument(
         "--attempt", type=int, default=-1,
         help="which attempt of a degraded repair to trace (default: final)",
     )
     tc.add_argument("--json", action="store_true", help="emit the trace as one JSON object")
-    tc.add_argument("--jsonl", action="store_true", help="emit the trace as JSON lines")
+    tc.add_argument(
+        "--jsonl", action="store_true",
+        help="emit the run's telemetry as canonical JSON lines "
+        "(what 'rpr telemetry export --format jsonl' writes)",
+    )
     tc.set_defaults(func=_cmd_trace)
 
     te = sub.add_parser(
@@ -1517,11 +1449,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dir", default="",
         help="assemble: store state directory to glob telemetry-*.jsonl from",
     )
-    te.add_argument("--code", default="6,3", help="RS code as 'n,k'")
-    te.add_argument("--fail", default="1", help="failed block ids, comma-separated")
-    te.add_argument("--scheme", choices=sorted(_SCHEMES), default="rpr")
-    te.add_argument("--testbed", choices=["simics", "ec2"], default="simics")
-    te.add_argument("--placement", choices=["rpr", "contiguous"], default="rpr")
+    _add_scenario_args(te, code="6,3", fail="1")
     te.add_argument(
         "--transport", choices=["memory", "tcp"], default="memory",
         help="diff/export: live-runtime transport",
@@ -1552,11 +1480,9 @@ def build_parser() -> argparse.ArgumentParser:
     te.set_defaults(func=_cmd_telemetry)
 
     rb = sub.add_parser("rebuild", help="rebuild everything a failed node held")
-    rb.add_argument("--code", default="6,2")
+    _add_scenario_args(rb, code="6,2", placement=False)
     rb.add_argument("--stripes", type=int, default=30)
     rb.add_argument("--node", type=int, default=0)
-    rb.add_argument("--scheme", choices=sorted(_SCHEMES), default="rpr")
-    rb.add_argument("--testbed", choices=["simics", "ec2"], default="simics")
     rb.add_argument("--mode", choices=["parallel", "sequential"], default="parallel")
     rb.add_argument("--rebuild", choices=["replacement", "scatter"], default="scatter")
     rb.add_argument("--balance", action="store_true")
@@ -1564,8 +1490,7 @@ def build_parser() -> argparse.ArgumentParser:
     rb.set_defaults(func=_cmd_rebuild)
 
     du = sub.add_parser("durability", help="MTTDL per scheme from measured repair times")
-    du.add_argument("--code", default="12,4")
-    du.add_argument("--testbed", choices=["simics", "ec2"], default="simics")
+    _add_scenario_args(du, code="12,4", scheme=False, placement=False)
     du.add_argument(
         "--block-mtbf-years",
         type=float,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim import EventKind, SimResult
+from ..telemetry import TelemetryTrace
 
 __all__ = ["percent_reduction", "TimeBreakdown"]
 
@@ -25,7 +25,7 @@ def percent_reduction(baseline: float, improved: float) -> float:
 
 @dataclass(frozen=True)
 class TimeBreakdown:
-    """Where a repair's wall-clock went.
+    """Where a repair's time went.
 
     ``transfer_busy`` / ``compute_busy`` are summed job durations (they
     can exceed the makespan when jobs overlap — that overlap is the
@@ -37,19 +37,15 @@ class TimeBreakdown:
     compute_busy: float
 
     @classmethod
-    def from_sim(cls, result: SimResult) -> "TimeBreakdown":
-        transfer = compute = 0.0
-        for event in result.events:
-            if event.kind == EventKind.TRANSFER_END:
-                timing = result.timings[event.job_id]
-                transfer += timing.duration
-            elif event.kind == EventKind.COMPUTE_END:
-                timing = result.timings[event.job_id]
-                compute += timing.duration
+    def from_telemetry(cls, trace: TelemetryTrace) -> "TimeBreakdown":
+        """Op-span durations summed by kind (any clock)."""
+        busy = {"transfer": 0.0, "compute": 0.0}
+        for span in trace.op_spans().values():
+            busy[span.attrs["kind"]] += span.duration
         return cls(
-            makespan=result.makespan,
-            transfer_busy=transfer,
-            compute_busy=compute,
+            makespan=trace.extent,
+            transfer_busy=busy["transfer"],
+            compute_busy=busy["compute"],
         )
 
     @property

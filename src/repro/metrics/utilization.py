@@ -1,6 +1,6 @@
-"""Utilization and critical-path metrics over simulation traces.
+"""Utilization and critical-path metrics over run views.
 
-Rollups of :class:`repro.sim.RunTrace` into the scalar quantities the
+Rollups of :class:`repro.telemetry.RunTrace` into the scalar quantities the
 benchmarks annotate figures with: how busy the cluster's ports were, who
 the bottleneck resource was, how idle each rack sat (the paper's Fig. 5
 schedule-1 complaint), and where the makespan went along the critical
@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..cluster import Cluster
-from ..sim import RunTrace, SimResult
+from ..telemetry import RunTrace
 
 __all__ = ["UtilizationSummary", "critical_path_breakdown"]
 
 
 @dataclass(frozen=True)
 class UtilizationSummary:
-    """Scalar utilization rollup of one simulated run.
+    """Scalar utilization rollup of one run (simulated or measured).
 
     Attributes
     ----------
@@ -50,10 +49,6 @@ class UtilizationSummary:
             return 0.0
         values = self.rack_upload_idle.values()
         return sum(values) / len(values)
-
-    @classmethod
-    def from_sim(cls, result: SimResult, cluster: Cluster) -> "UtilizationSummary":
-        return cls.from_trace(RunTrace.from_result(result, cluster))
 
     @classmethod
     def from_trace(cls, trace: RunTrace) -> "UtilizationSummary":

@@ -44,12 +44,11 @@ from ..rs import InsufficientHelpersError, Stripe
 from ..sim import (
     FaultPlan,
     FaultReport,
-    RunTrace,
     SimResult,
     SimulationEngine,
     telemetry_from_sim,
 )
-from ..telemetry import TelemetryTrace
+from ..telemetry import RunTrace, TelemetryTrace
 from .base import RepairContext, RepairPlanningError, RepairScheme, recovery_targets
 from .executor import ExecutionResult, execute_plan, initial_store_for, run_op
 from .plan import RepairPlan, block_key
@@ -339,17 +338,19 @@ class DegradedRepairOutcome:
     def trace(self, attempt: int = -1) -> RunTrace:
         """Observability view of one attempt (default: the final one).
 
-        The returned :class:`~repro.sim.RunTrace` covers that attempt's
-        schedule on its own clock (each attempt restarts at t=0);
-        aborted jobs appear as occupancy intervals and — when an abort
-        set the makespan or released a critical resource — as
+        The returned :class:`~repro.telemetry.RunTrace` covers that
+        attempt's schedule on its own clock (each attempt restarts at
+        t=0); aborted jobs appear as occupancy intervals and — when an
+        abort set the makespan or released a critical resource — as
         critical-path segments flagged ``aborted``.
         """
         if self.cluster is None:
             raise ValueError(
-                "outcome has no cluster; build RunTrace.from_result directly"
+                "outcome has no cluster; build RunTrace.from_telemetry directly"
             )
-        return RunTrace.from_result(self.sims[attempt], self.cluster)
+        return RunTrace.from_telemetry(
+            telemetry_from_sim(self.sims[attempt], self.cluster), self.cluster
+        )
 
     def telemetry(self) -> TelemetryTrace:
         """All attempts stitched onto one sim-clock telemetry timeline.

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster import BandwidthModel, Cluster
-from ..sim import RunTrace, SimResult, SimulationEngine, telemetry_from_sim
-from ..telemetry import TelemetryTrace
+from ..sim import SimResult, SimulationEngine, telemetry_from_sim
+from ..telemetry import RunTrace, TelemetryTrace
 from .base import RepairContext, RepairScheme
 from .plan import RepairPlan
 
@@ -51,10 +51,10 @@ class RepairOutcome:
     cluster: Cluster | None = None
 
     def trace(self) -> RunTrace:
-        """Observability view of this repair (see :mod:`repro.sim.tracing`)."""
+        """Utilization view of this repair (see :mod:`repro.telemetry.view`)."""
         if self.cluster is None:
-            raise ValueError("outcome has no cluster; build RunTrace.from_result directly")
-        return RunTrace.from_result(self.sim, self.cluster)
+            raise ValueError("outcome has no cluster; build RunTrace.from_telemetry directly")
+        return RunTrace.from_telemetry(self.telemetry(), self.cluster)
 
     def telemetry(self) -> TelemetryTrace:
         """This repair in the unified span schema (see :mod:`repro.telemetry`)."""

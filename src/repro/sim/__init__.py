@@ -4,17 +4,23 @@ Substitutes the paper's Simics + wondershaper testbed: per-node full-duplex
 ports, per-class link bandwidths, one-at-a-time port occupancy, and
 dependency-driven job starts.  See DESIGN.md ("Simulator semantics").
 
-The observability layer lives in :mod:`repro.sim.tracing`: per-resource
-utilization timelines, critical-path extraction, switch profiles, JSON
-export and ASCII reports over a finished :class:`SimResult` (see
-``docs/OBSERVABILITY.md``).
+The package is the engine, its fault injection and its telemetry
+emitter — nothing that *looks at* a run lives here:
 
-Fault injection lives in :mod:`repro.sim.faults`: a seeded
-:class:`FaultPlan` (node deaths, stragglers, transfer losses) passed to
-:meth:`SimulationEngine.run` yields a deterministic degraded schedule
-plus a :class:`FaultReport` on the result (see ``docs/FAULTS.md``).
+* :mod:`repro.sim.engine` runs a :class:`JobGraph` into a
+  :class:`SimResult`.
+* :mod:`repro.sim.faults`: a seeded :class:`FaultPlan` (node deaths,
+  stragglers, transfer losses) passed to :meth:`SimulationEngine.run`
+  yields a deterministic degraded schedule plus a :class:`FaultReport`
+  on the result (see ``docs/FAULTS.md``).
+* :func:`telemetry_from_sim` (:mod:`repro.sim.emitter`) re-emits a
+  finished :class:`SimResult` as a :class:`~repro.telemetry.TelemetryTrace`;
+  every view of the run — utilization timelines, critical path, switch
+  profiles, Gantt, exports, the sim↔live diff — is derived from that
+  trace in :mod:`repro.telemetry` (see ``docs/OBSERVABILITY.md``).
 """
 
+from .emitter import telemetry_from_sim
 from .engine import JobTiming, SimResult, SimulationEngine
 from .events import EventKind, TraceEvent
 from .faults import (
@@ -26,43 +32,22 @@ from .faults import (
     random_fault_plan,
 )
 from .jobs import ComputeJob, JobGraph, JobGraphError, TransferJob
-from .timeline import TimelineRow, render_timeline, timeline_rows
-from .tracing import (
-    Interval,
-    PathSegment,
-    ResourceUsage,
-    RunTrace,
-    critical_path,
-    render_gantt,
-    render_report,
-    telemetry_from_sim,
-)
 
 __all__ = [
     "ComputeJob",
     "EventKind",
     "FaultPlan",
     "FaultReport",
-    "Interval",
     "JobGraph",
     "JobGraphError",
     "JobTiming",
     "NodeDeath",
-    "PathSegment",
-    "ResourceUsage",
-    "RunTrace",
     "SimResult",
     "SimulationEngine",
     "Straggler",
-    "TimelineRow",
     "TraceEvent",
     "TransferJob",
     "TransferLoss",
-    "critical_path",
     "random_fault_plan",
-    "render_gantt",
-    "render_report",
-    "render_timeline",
     "telemetry_from_sim",
-    "timeline_rows",
 ]

@@ -105,9 +105,9 @@ class SimResult:
     events:
         Chronological trace of starts and finishes.
     jobs:
-        The executed job graph's jobs, kept so post-processors (critical
-        path extraction in :mod:`repro.sim.tracing`) can follow declared
-        dependency edges.  Empty for hand-built results.
+        The executed job graph's jobs, kept so the telemetry emitter
+        (:mod:`repro.sim.emitter`) can record declared dependency edges
+        for the critical-path walk.  Empty for hand-built results.
     faults:
         :class:`~repro.sim.faults.FaultReport` describing what injected
         faults did to this run; ``None`` for fault-free runs.
@@ -130,79 +130,6 @@ class SimResult:
     def intra_rack_bytes(self) -> float:
         """Total bytes moved below TOR switches."""
         return sum(e.nbytes for e in self.transfers() if not e.cross_rack)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable dump of the run; inverse of :meth:`from_dict`."""
-        jobs = []
-        for job in self.jobs.values():
-            if isinstance(job, TransferJob):
-                jobs.append(
-                    {
-                        "kind": "transfer",
-                        "job_id": job.job_id,
-                        "src": job.src,
-                        "dst": job.dst,
-                        "nbytes": job.nbytes,
-                        "deps": list(job.deps),
-                        "tag": job.tag,
-                    }
-                )
-            else:
-                jobs.append(
-                    {
-                        "kind": "compute",
-                        "job_id": job.job_id,
-                        "node": job.node,
-                        "seconds": job.seconds,
-                        "deps": list(job.deps),
-                        "tag": job.tag,
-                    }
-                )
-        return {
-            "makespan": self.makespan,
-            "timings": [
-                {"job_id": t.job_id, "start": t.start, "end": t.end}
-                for t in self.timings.values()
-            ],
-            "events": [
-                {
-                    "time": e.time,
-                    "kind": e.kind,
-                    "job_id": e.job_id,
-                    "node": e.node,
-                    "peer": e.peer,
-                    "cross_rack": e.cross_rack,
-                    "nbytes": e.nbytes,
-                }
-                for e in self.events
-            ],
-            "jobs": jobs,
-            "faults": self.faults.to_dict() if self.faults is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimResult":
-        jobs: dict[str, TransferJob | ComputeJob] = {}
-        for spec in data.get("jobs", []):
-            spec = dict(spec)
-            kind = spec.pop("kind")
-            spec["deps"] = tuple(spec.get("deps", ()))
-            jobs[spec["job_id"]] = (
-                TransferJob(**spec) if kind == "transfer" else ComputeJob(**spec)
-            )
-        return cls(
-            makespan=data["makespan"],
-            timings={
-                t["job_id"]: JobTiming(**t) for t in data.get("timings", [])
-            },
-            events=[TraceEvent(**e) for e in data.get("events", [])],
-            jobs=jobs,
-            faults=(
-                FaultReport.from_dict(data["faults"])
-                if data.get("faults") is not None
-                else None
-            ),
-        )
 
 
 class SimulationEngine:

@@ -266,26 +266,3 @@ class FaultReport:
     @property
     def retry_count(self) -> int:
         return sum(self.lost.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "dead_nodes": {str(n): t for n, t in self.dead_nodes.items()},
-            "aborted": dict(self.aborted),
-            "failed": dict(self.failed),
-            "skipped": list(self.skipped),
-            "lost": dict(self.lost),
-            "retried_bytes": self.retried_bytes,
-            "aborted_bytes": self.aborted_bytes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultReport":
-        return cls(
-            dead_nodes={int(n): t for n, t in data.get("dead_nodes", {}).items()},
-            aborted=dict(data.get("aborted", {})),
-            failed=dict(data.get("failed", {})),
-            skipped=tuple(data.get("skipped", ())),
-            lost=dict(data.get("lost", {})),
-            retried_bytes=data.get("retried_bytes", 0.0),
-            aborted_bytes=data.get("aborted_bytes", 0.0),
-        )

@@ -1,10 +1,12 @@
-"""repro.telemetry — one span/event schema for all three plan interpreters.
+"""repro.telemetry — the one model of a run, and every view derived from it.
 
-A :class:`~repro.repair.plan.RepairPlan` can be run three ways: predicted
-on the discrete-event engine (:mod:`repro.sim`), degraded through the
-fault-injecting re-planning loop (:mod:`repro.repair.faults`), or
-measured on real bytes by the asyncio live runtime (:mod:`repro.live`).
-This package gives them one vocabulary to report in:
+A :class:`~repro.repair.plan.RepairPlan` can be run several ways:
+predicted on the discrete-event engine (:mod:`repro.sim`), degraded
+through the fault-injecting re-planning loop (:mod:`repro.repair.faults`),
+measured on real bytes by the asyncio live runtime (:mod:`repro.live`),
+or executed by the store's daemons (:mod:`repro.store`).  Each reports
+into one :class:`TelemetryTrace`, and everything that *looks at* a run
+is a function of that trace:
 
 * :mod:`repro.telemetry.model` — :class:`Span` / :class:`TelemetryEvent`
   / counters / gauges / histograms inside a :class:`TelemetryTrace`,
@@ -12,16 +14,26 @@ This package gives them one vocabulary to report in:
   seconds vs :data:`CLOCK_WALL` measured seconds); the
   :class:`TelemetryRecorder` collector and the falsy
   :data:`NULL_RECORDER` that makes instrumentation zero-cost when off.
+* :mod:`repro.telemetry.view` — :class:`RunTrace`, the utilization view
+  (:meth:`RunTrace.from_telemetry`): per-port/CPU busy timelines, rack
+  idle accounting, switch byte profiles, the op-level critical path
+  (sim clock only) and the :func:`render_gantt` / :func:`render_report`
+  renderers — the same function for a simulated, a live and a store run.
 * :mod:`repro.telemetry.export` — canonical JSONL (byte-identical
-  round-trip) and Chrome trace-event JSON (loads in Perfetto).
+  round-trip; *the* serialised form of a run) and Chrome trace-event
+  JSON (loads in Perfetto).
 * :mod:`repro.telemetry.diff` — sim↔live alignment by op identity:
   per-op measured/predicted ratios, worst divergers, critical-path
   deltas (:func:`diff_traces` / :func:`diff_repair`).
+* :mod:`repro.telemetry.distributed` — cross-process assembly and the
+  span-*tree* :func:`critical_path` (a different walk from the view's
+  op-level one; the two are deliberately not merged).
 
-Entrypoints elsewhere: ``telemetry_from_sim`` (:mod:`repro.sim.tracing`)
-converts any ``SimResult`` — fault-free or faulted — into this schema;
-``run_plan_live(recorder=...)`` emits it natively; ``rpr telemetry``
-is the CLI.  See ``docs/OBSERVABILITY.md``.
+The package imports nothing from the interpreters (sim → telemetry is
+one-way): ``telemetry_from_sim`` in :mod:`repro.sim` is the engine's
+emitter, ``run_plan_live(recorder=...)`` and ``RepairSession(recorder=...)``
+emit natively; ``rpr trace`` / ``rpr telemetry`` are the CLI.  See
+``docs/OBSERVABILITY.md``.
 """
 
 from .diff import OpAlignment, TraceDiff, diff_repair, diff_traces, render_diff
@@ -48,6 +60,7 @@ from .histogram import (
 )
 from .stream import StreamingRecorder
 from .model import (
+    ABORTED_CATEGORY,
     CLOCK_SIM,
     CLOCK_WALL,
     NULL_RECORDER,
@@ -58,10 +71,20 @@ from .model import (
     TelemetryRecorder,
     TelemetryTrace,
 )
+from .view import (
+    Interval,
+    PathSegment,
+    ResourceUsage,
+    RunTrace,
+    render_gantt,
+    render_report,
+)
 
 __all__ = [
+    "ABORTED_CATEGORY",
     "CLOCK_SIM",
     "CLOCK_WALL",
+    "Interval",
     "LATENCY_PREFIX",
     "LogHistogram",
     "NULL_RECORDER",
@@ -69,6 +92,9 @@ __all__ = [
     "NullRecorder",
     "OP_CATEGORY",
     "OpAlignment",
+    "PathSegment",
+    "ResourceUsage",
+    "RunTrace",
     "Span",
     "StatsRegistry",
     "StreamingRecorder",
@@ -88,6 +114,8 @@ __all__ = [
     "new_span_id",
     "render_critical_path",
     "render_diff",
+    "render_gantt",
+    "render_report",
     "render_tree",
     "snapshots_to_prometheus",
     "to_chrome_trace",

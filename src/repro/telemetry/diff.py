@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import TelemetryTrace
+from .model import CLOCK_WALL, OP_CATEGORY, Span, TelemetryTrace
+from .view import RunTrace, text_table
 
 __all__ = ["OpAlignment", "TraceDiff", "diff_repair", "diff_traces", "render_diff"]
 
@@ -226,15 +227,12 @@ def diff_repair(outcome, live) -> TraceDiff:
     works even for runs made without a recorder.  The simulated critical
     path rides along for :meth:`TraceDiff.critical_path_delta`.
     """
-    from ..sim.tracing import critical_path, telemetry_from_sim
-
-    sim_trace = telemetry_from_sim(
-        outcome.sim, outcome.cluster, meta={"scheme": outcome.scheme}
-    )
+    sim_trace = outcome.telemetry()
     live_trace = getattr(live, "telemetry", None)
     if live_trace is None:
         live_trace = live_trace_from_timings(live, outcome.plan)
-    path_ops = tuple(seg.job_id for seg in critical_path(outcome.sim))
+    view = RunTrace.from_telemetry(sim_trace, outcome.cluster)
+    path_ops = tuple(seg.job_id for seg in view.path)
     return diff_traces(sim_trace, live_trace, path_ops=path_ops)
 
 
@@ -245,8 +243,6 @@ def live_trace_from_timings(live, plan) -> TelemetryTrace:
     span per measured timing, tagged with the part's kind, endpoints and
     slice from ``plan`` when available.
     """
-    from .model import CLOCK_WALL, OP_CATEGORY, Span
-
     parts = {part.op_id: part for part in plan.all_parts()} if plan is not None else {}
     spans = []
     for timing in live.timings.values():
@@ -305,26 +301,21 @@ def render_diff(diff: TraceDiff, top: int = 8) -> str:
     if worst:
         lines.append("")
         lines.append(f"worst divergers (top {len(worst)}):")
-        header = ["op", "kind", "slices", "pred_s", "meas_s", "ratio", "x-rack"]
-        rows = [
-            [
-                a.op_id,
-                a.kind,
-                a.slices,
-                f"{a.predicted_s:.4f}",
-                f"{a.measured_s:.4f}",
-                f"{a.ratio:.3f}",
-                "yes" if a.cross_rack else "",
-            ]
-            for a in worst
-        ]
-        table = [header] + rows
-        widths = [max(len(str(r[i])) for r in table) for i in range(len(header))]
-
-        def fmt(cells):
-            return "  ".join(str(c).rjust(w) for c, w in zip(cells, widths))
-
-        lines.append(fmt(header))
-        lines.append(fmt(["-" * w for w in widths]))
-        lines.extend(fmt(row) for row in rows)
+        lines.extend(
+            text_table(
+                ["op", "kind", "slices", "pred_s", "meas_s", "ratio", "x-rack"],
+                [
+                    [
+                        a.op_id,
+                        a.kind,
+                        a.slices,
+                        f"{a.predicted_s:.4f}",
+                        f"{a.measured_s:.4f}",
+                        f"{a.ratio:.3f}",
+                        "yes" if a.cross_rack else "",
+                    ]
+                    for a in worst
+                ],
+            )
+        )
     return "\n".join(lines)

@@ -62,8 +62,7 @@ def to_jsonl(trace: TelemetryTrace) -> str:
 def from_jsonl(text: str) -> TelemetryTrace:
     """Parse a :func:`to_jsonl` stream back into a :class:`TelemetryTrace`.
 
-    Unknown record kinds raise, so the format stays extension-safe the
-    same way ``RunTrace.from_json_lines`` is.
+    Unknown record kinds raise, so the format stays extension-safe.
 
     The parser also accepts *streamed* files
     (:class:`repro.telemetry.stream.StreamingRecorder`), where metric

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = [
+    "ABORTED_CATEGORY",
     "CLOCK_SIM",
     "CLOCK_WALL",
     "NULL_RECORDER",
@@ -59,6 +60,10 @@ _CLOCKS = (CLOCK_SIM, CLOCK_WALL)
 #: Category of spans that represent one whole plan op — the alignment key
 #: the sim↔live diff joins on.
 OP_CATEGORY = "op"
+
+#: Category of the span of an op killed mid-flight: it held its resources
+#: from ``start`` to the abort instant ``end`` and delivered nothing.
+ABORTED_CATEGORY = "aborted"
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Architecture guard: the plan walkers must not grow back.
+"""Architecture guard: the plan walkers and the event-list walkers must
+not grow back.
 
 ``docs/ARCHITECTURE.md`` §1.1: ``repro.repair.plan`` is the only module
 that tells a ``SendOp`` from a ``CombineOp`` (every other consumer drives
@@ -6,6 +7,12 @@ that tells a ``SendOp`` from a ``CombineOp`` (every other consumer drives
 ``TrafficLedger.add_send`` in ``repro.metrics.traffic`` is the only byte
 accounting.  Both used to be written out five to eight times; this test
 fails the tier-1 run when a copy reappears.
+
+§2.1: a ``TelemetryTrace`` is the one model of a run.  ``repro.telemetry``
+imports none of the interpreters that emit into it (sim → telemetry is
+one-way), and only ``repro.sim`` compares against the engine's job
+end/abort/loss event kinds — every other reader of a run reads its
+trace.  ``SimResult.events`` used to be re-walked in five places.
 """
 
 import ast
@@ -18,6 +25,14 @@ OP_CORE = {"repair/plan.py"}
 LEDGER_CORE = {"metrics/traffic.py"}
 
 OP_KINDS = {"SendOp", "CombineOp"}
+
+#: Packages that emit into ``repro.telemetry``; it may import none of them.
+EMITTERS = {"sim", "repair", "live", "store"}
+#: The ``EventKind`` members that describe what a job did — what an
+#: event-list walker branches on.
+JOB_EVENT_KINDS = {
+    "TRANSFER_END", "COMPUTE_END", "TRANSFER_ABORT", "COMPUTE_ABORT", "TRANSFER_LOST",
+}
 
 
 def names_in(node: ast.AST) -> set[str]:
@@ -94,3 +109,103 @@ def test_the_guard_sees_what_it_guards():
         "    cross_uploaded_by_rack[rack] += n\n"
     )
     assert violations(old_walker) == ([1, 3], [2, 4])
+
+
+def emitter_imports(tree: ast.AST, rel: str) -> list[int]:
+    """Lines of ``rel`` (a path under ``src/repro``) importing an emitter
+    package — absolutely or relatively, at module level or lazily."""
+    package = ["repro", *rel.split("/")[:-1]]
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join([*base, *([node.module] if node.module else [])])
+            targets = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(
+            parts[0] == "repro" and len(parts) > 1 and parts[1] in EMITTERS
+            for parts in (target.split(".") for target in targets)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def job_event_comparisons(tree: ast.AST) -> list[int]:
+    """Lines comparing (``==`` / ``!=`` / ``in``) against a job event kind."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(n, ast.Attribute)
+            and n.attr in JOB_EVENT_KINDS
+            and "EventKind" in names_in(n.value)
+            for comparator in [node.left, *node.comparators]
+            for n in ast.walk(comparator)
+        )
+    ]
+
+
+def test_telemetry_imports_no_emitter():
+    found = []
+    for path in sorted((SRC / "telemetry").rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        found += [
+            f"src/repro/{rel}:{line}"
+            for line in emitter_imports(ast.parse(path.read_text()), rel)
+        ]
+    assert not found, (
+        "repro.telemetry imports repro.sim/repair/live/store — the model and its "
+        "views take a TelemetryTrace, they do not reach back into what emitted it:\n"
+        + "\n".join(found)
+    )
+
+
+def test_job_event_kinds_are_compared_only_in_the_simulator():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel.startswith("sim/"):
+            continue
+        found += [
+            f"src/repro/{rel}:{line}"
+            for line in job_event_comparisons(ast.parse(path.read_text()))
+        ]
+    assert not found, (
+        "EventKind.*_END/_ABORT/_LOST compared outside repro.sim — read the run's "
+        "TelemetryTrace (telemetry_from_sim) instead of walking SimResult.events:\n"
+        + "\n".join(found)
+    )
+
+
+def test_the_trace_guard_sees_what_it_guards():
+    """Not vacuous: the emitter does branch on job event kinds, the
+    importers of ``repro.sim`` are recognised in every spelling, and the
+    shapes the deleted walkers used are caught."""
+    assert job_event_comparisons(ast.parse((SRC / "sim/emitter.py").read_text()))
+    assert emitter_imports(
+        ast.parse((SRC / "repair/simulate.py").read_text()), "repair/simulate.py"
+    )
+    old_diff = ast.parse(
+        "import repro.sim.tracing\n"
+        "from repro.live import LiveResult\n"
+        "def diff_repair(outcome, live):\n"
+        "    from ..sim.tracing import critical_path\n"
+        "    from .. import store\n"
+        "    from . import model\n"
+        "    from ..cluster import Cluster\n"
+    )
+    assert emitter_imports(old_diff, "telemetry/diff.py") == [1, 2, 4, 5]
+    old_walker = ast.parse(
+        "for event in result.events:\n"
+        "    if event.kind == EventKind.TRANSFER_END:\n"
+        "        pass\n"
+        "    elif event.kind in (EventKind.TRANSFER_ABORT, sim.EventKind.COMPUTE_ABORT):\n"
+        "        pass\n"
+        "    elif event.kind == EventKind.NODE_DEATH:\n"
+        "        pass\n"
+    )
+    assert job_event_comparisons(old_walker) == [2, 4]

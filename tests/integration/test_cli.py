@@ -85,14 +85,72 @@ class TestRepair:
 
 
 class TestTimeline:
+    """The schedule chart ``rpr timeline`` drew is ``rpr trace --gantt``."""
+
     def test_timeline_renders(self, capsys):
-        assert main(["timeline", "--code", "6,2", "--width", "40"]) == 0
-        out = capsys.readouterr().out
-        assert "n" in out and "|" in out and "#" in out
+        assert main(["trace", "--gantt", "--code", "6,2", "--width", "40"]) == 0
+        chart = capsys.readouterr().out.split("\n\n")[-1]
+        rows = chart.splitlines()
+        assert all(len(row.split("|")[1]) == 40 for row in rows[:-1])
+        assert "n" in chart and "|" in chart and "#" in chart
+        assert rows[-1].endswith("s") and "+" in rows[-1]  # the scale line
 
     def test_timeline_bad_code(self, capsys):
         with pytest.raises(SystemExit):
-            main(["timeline", "--code", "oops"])
+            main(["trace", "--gantt", "--code", "oops"])
+        assert "timeline" not in build_parser().format_help()
+
+
+def usage_error(argv, capsys) -> str:
+    """The one-line message a bad flag value dies with: ``SystemExit(msg)``
+    everywhere except ``repair``, which prints it and returns 2."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert isinstance(exc.code, str), f"{argv}: exited {exc.code!r} without a message"
+        message = exc.code
+    else:
+        assert code == 2
+        message = capsys.readouterr().err.strip()
+    assert capsys.readouterr().out == "", "something was printed before the flag was rejected"
+    assert "\n" not in message and "Traceback" not in message
+    return message
+
+
+BAD_FLAG_VERBS = {
+    "repair": ["repair"],
+    "compare": ["compare"],
+    "faults": ["faults"],
+    "trace": ["trace", "--gantt"],
+    "telemetry": ["telemetry", "report"],
+    "live": ["live"],
+}
+BAD_FLAGS = {
+    "fail-outside-stripe": ["--fail", "9"],
+    "fail-not-a-number": ["--fail", "x"],
+    "fail-repeated": ["--fail", "1,1"],
+    "width-too-narrow": ["--width", "5"],  # a trace flag
+}
+
+
+class TestBadScenarioFlags:
+    """A bad ``--fail`` / ``--width`` is a one-line usage error, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "verb,bad",
+        [
+            pytest.param(verb, bad, id=f"{verb}-{bad}")
+            for verb in BAD_FLAG_VERBS
+            for bad in BAD_FLAGS
+            if bad != "width-too-narrow" or verb == "trace"
+        ],
+    )
+    def test_one_line_message_names_the_flag_and_the_value(self, verb, bad, capsys):
+        flag, value = BAD_FLAGS[bad]
+        message = usage_error(
+            [*BAD_FLAG_VERBS[verb], "--code", "6,2", flag, value], capsys
+        )
+        assert flag in message and value in message
 
 
 class TestTrace:
@@ -121,16 +179,27 @@ class TestTrace:
         out = capsys.readouterr().out
         assert "#" in out and "|" in out and "%" in out
 
-    def test_trace_jsonl(self, capsys):
+    def test_trace_jsonl(self, capsys, tmp_path):
+        """``--jsonl`` is the run's canonical telemetry JSONL — the same
+        bytes ``rpr telemetry export`` writes — and re-derives the report."""
         import json
 
-        from repro.sim import RunTrace
+        from repro.experiments import build_simics_environment
+        from repro.telemetry import RunTrace, from_jsonl
 
         assert main(["trace", "--code", "6,2", "--jsonl"]) == 0
         text = capsys.readouterr().out
-        records = [json.loads(line) for line in text.strip().splitlines()]
-        assert records[0]["record"] == "trace"
-        assert RunTrace.from_json_lines(text).makespan == records[0]["makespan"]
+        assert json.loads(text.splitlines()[0])["record"] == "telemetry"
+        exported = tmp_path / "t.jsonl"
+        assert main(["telemetry", "export", "--source", "sim", "--format", "jsonl",
+                     "--code", "6,2", "--out", str(exported)]) == 0
+        capsys.readouterr()
+        assert exported.read_text() == text
+        assert main(["trace", "--code", "6,2", "--json"]) == 0
+        view = RunTrace.from_telemetry(
+            from_jsonl(text), build_simics_environment(6, 2).cluster
+        )
+        assert view.to_dict() == json.loads(capsys.readouterr().out)
 
     def test_trace_ec2_traditional(self, capsys):
         assert (
@@ -320,7 +389,6 @@ class TestJsonEverywhere:
         ["figure", "6", "--json"],
         ["repair", "--code", "6,2", "--json"],
         ["compare", "--code", "6,2", "--json"],
-        ["timeline", "--code", "6,2", "--json"],
         ["trace", "--code", "6,2", "--json"],
         ["rebuild", "--code", "6,2", "--stripes", "4", "--json"],
         ["durability", "--code", "6,2", "--json"],
@@ -359,12 +427,12 @@ class TestJsonEverywhere:
     def test_timeline_json_intervals_end_at_makespan(self, capsys):
         import json
 
-        assert main(["timeline", "--code", "6,2", "--json"]) == 0
+        assert main(["trace", "--code", "6,2", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         latest = max(
-            interval["end"] for row in data["rows"] for interval in row["intervals"]
+            interval["end"] for row in data["resources"] for interval in row["intervals"]
         )
-        assert latest == pytest.approx(data["makespan_s"])
+        assert latest == pytest.approx(data["makespan"])
 
 
 class TestLiveCommand:

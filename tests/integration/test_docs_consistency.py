@@ -149,8 +149,10 @@ class TestApiDocsConsistency:
         """The checker itself must not be vacuous."""
         assert not _resolve("definitely_not_a_thing", ["repro.sim"])
         assert not _resolve("repro.no_such_module", [])
-        assert _resolve("RunTrace.from_result", ["repro.sim"])
-        assert _resolve("repro.sim.tracing", [])
+        assert _resolve("RunTrace.from_telemetry", ["repro.telemetry"])
+        assert not _resolve("RunTrace", ["repro.sim"])
+        assert _resolve("repro.telemetry.view", [])
+        assert not _resolve("repro.sim.tracing", [])
         from repro.rs import RSCode
 
         assert _resolve("encode", [], anchors=(RSCode,))
@@ -162,13 +164,13 @@ class TestObservabilityDoc:
         doc = API.parent / "OBSERVABILITY.md"
         assert doc.exists(), "docs/OBSERVABILITY.md is missing"
         text = doc.read_text()
-        for needle in ("RunTrace", "critical path", "to_json_lines", "rpr trace"):
+        for needle in ("RunTrace", "critical path", "to_jsonl", "rpr trace"):
             assert needle in text, f"OBSERVABILITY.md lost its {needle!r} coverage"
 
     @pytest.mark.parametrize(
         "name", ["RunTrace", "ResourceUsage", "PathSegment", "render_report"]
     )
     def test_documented_tracing_api_exists(self, name):
-        import repro.sim.tracing as tracing
+        import repro.telemetry.view as view
 
-        assert hasattr(tracing, name)
+        assert hasattr(view, name)

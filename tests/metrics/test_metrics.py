@@ -13,7 +13,7 @@ from repro.metrics import (
     percent_reduction,
 )
 from repro.repair import RPRScheme, TraditionalRepair, simulate_repair
-from repro.sim import JobGraph, SimulationEngine
+from repro.sim import JobGraph, SimulationEngine, telemetry_from_sim
 
 
 @pytest.fixture
@@ -71,7 +71,7 @@ class TestTimeBreakdown:
         g = JobGraph()
         g.add_transfer("t", 0, 1, 100)  # 1 s
         g.add_compute("c", 1, 2.0, deps=["t"])
-        breakdown = TimeBreakdown.from_sim(engine.run(g))
+        breakdown = TimeBreakdown.from_telemetry(telemetry_from_sim(engine.run(g)))
         assert breakdown.makespan == pytest.approx(3.0)
         assert breakdown.transfer_busy == pytest.approx(1.0)
         assert breakdown.compute_busy == pytest.approx(2.0)
@@ -81,11 +81,11 @@ class TestTimeBreakdown:
         g = JobGraph()
         g.add_transfer("a", 0, 2, 100)
         g.add_transfer("b", 1, 3, 100)
-        breakdown = TimeBreakdown.from_sim(engine.run(g))
+        breakdown = TimeBreakdown.from_telemetry(telemetry_from_sim(engine.run(g)))
         assert breakdown.parallelism == pytest.approx(2.0)
 
     def test_empty(self, engine):
-        breakdown = TimeBreakdown.from_sim(engine.run(JobGraph()))
+        breakdown = TimeBreakdown.from_telemetry(telemetry_from_sim(engine.run(JobGraph())))
         assert breakdown.parallelism == 0.0
 
 

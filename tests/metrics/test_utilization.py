@@ -6,7 +6,10 @@ from repro.cluster import Cluster, HierarchicalBandwidth
 from repro.experiments import build_simics_environment, run_scheme
 from repro.metrics import UtilizationSummary, critical_path_breakdown
 from repro.repair import RPRScheme, TraditionalRepair
-from repro.sim import JobGraph, RunTrace, SimulationEngine
+from repro.sim import JobGraph, SimulationEngine
+from repro.telemetry import RunTrace
+
+from ..sim.test_tracing import view
 
 
 @pytest.fixture
@@ -20,7 +23,7 @@ class TestUtilizationSummary:
     def test_hand_built_graph(self, engine):
         g = JobGraph()
         g.add_transfer("a", 0, 1, 100)  # 1 s on n0:up and n1:down
-        summary = UtilizationSummary.from_sim(engine.run(g), engine.cluster)
+        summary = UtilizationSummary.from_trace(view(engine.run(g), engine.cluster))
         assert summary.makespan == pytest.approx(1.0)
         assert summary.mean_port_utilization == pytest.approx(1.0)
         assert summary.peak_port_utilization == pytest.approx(1.0)
@@ -28,7 +31,7 @@ class TestUtilizationSummary:
         assert summary.rack_upload_idle[0] == pytest.approx(0.0)
 
     def test_empty_run(self, engine):
-        summary = UtilizationSummary.from_sim(engine.run(JobGraph()), engine.cluster)
+        summary = UtilizationSummary.from_trace(view(engine.run(JobGraph()), engine.cluster))
         assert summary.peak_resource == ""
         assert summary.mean_rack_upload_idle == 0.0
 
@@ -43,11 +46,11 @@ class TestUtilizationSummary:
 
     def test_rpr_less_idle_than_traditional(self):
         env = build_simics_environment(12, 4)
-        tra = UtilizationSummary.from_sim(
-            run_scheme(env, TraditionalRepair(), [1]).sim, env.cluster
+        tra = UtilizationSummary.from_trace(
+            view(run_scheme(env, TraditionalRepair(), [1]).sim, env.cluster)
         )
-        rpr = UtilizationSummary.from_sim(
-            run_scheme(env, RPRScheme(), [1]).sim, env.cluster
+        rpr = UtilizationSummary.from_trace(
+            view(run_scheme(env, RPRScheme(), [1]).sim, env.cluster)
         )
         assert rpr.mean_rack_upload_idle < tra.mean_rack_upload_idle
 

@@ -14,6 +14,8 @@ from repro.metrics import UtilizationSummary, critical_path_breakdown
 from repro.repair import RPRScheme, simulate_repair, simulate_repair_with_faults
 from repro.sim import FaultPlan, NodeDeath
 
+from ..sim.test_tracing import view
+
 
 @pytest.fixture(scope="module")
 def degraded():
@@ -64,7 +66,7 @@ class TestDegradedRollups:
             assert summary.peak_resource
 
     def test_from_sim_matches_from_trace(self, degraded):
-        direct = UtilizationSummary.from_sim(degraded.sims[0], degraded.cluster)
+        direct = UtilizationSummary.from_trace(view(degraded.sims[0], degraded.cluster))
         via_trace = UtilizationSummary.from_trace(degraded.trace(0))
         assert direct == via_trace
 

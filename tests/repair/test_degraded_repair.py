@@ -167,9 +167,8 @@ class TestHelperDeathMidRepair:
             for _ in range(2)
         ]
         assert repr(runs[0].total_repair_time) == repr(runs[1].total_repair_time)
-        assert [s.to_dict() for s in runs[0].sims] == [
-            s.to_dict() for s in runs[1].sims
-        ]
+        assert runs[0].sims == runs[1].sims
+        assert runs[0].telemetry() == runs[1].telemetry()
 
 
 class TestPinnedIntermediateReuse:

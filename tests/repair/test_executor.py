@@ -159,10 +159,11 @@ class TestInitialStore:
             )
 
 
-def run_sessions(plan, ctx, stripe, stripe_id=0):
+def run_sessions(plan, ctx, stripe, stripe_id=0, recorder=None):
     """The store's repair path without sockets: one ``RepairSession`` per
     involved node, ``repair.block`` RPCs delivered straight to the peer
-    session.  Returns ``(ledger, combines, recovered)``."""
+    session, every session's op spans into ``recorder``.  Returns
+    ``(ledger, combines, recovered)``."""
     import asyncio
 
     from repro.store.repair import (
@@ -193,7 +194,8 @@ def run_sessions(plan, ctx, stripe, stripe_id=0):
     async def main():
         for node, part in parts.items():
             sessions[node] = RepairSession(
-                "r0", part, routing, block_size=ctx.block_size, rpc=rpc
+                "r0", part, routing, block_size=ctx.block_size, rpc=rpc,
+                recorder=recorder,
             )
         return await asyncio.gather(
             *(sessions[node].run(blocks[node], timeout=10.0) for node in parts)
@@ -206,6 +208,38 @@ def run_sessions(plan, ctx, stripe, stripe_id=0):
     }
     combines = sum(r["kind"] == "combine" for r in reports)
     return ledger_from_reports(ctx.cluster, reports), combines, recovered
+
+
+def wall_recorder():
+    import time
+
+    from repro.telemetry import CLOCK_WALL, TelemetryRecorder
+
+    recorder = TelemetryRecorder(CLOCK_WALL)
+    recorder.set_origin(time.monotonic())
+    return recorder
+
+
+def assert_same_picture(cluster, ledger, sim_trace, *wall_traces):
+    """Drivers agree on the picture, not just the ledger: every measured
+    trace, put through the one view, has the simulated view's resource
+    rows and bytes per port, and the aggregation switch carried the
+    ledger's cross-rack bytes.  A wall-clock view has no op-level
+    critical path (and says so) but still renders."""
+    from repro.telemetry import RunTrace, render_gantt, render_report
+
+    predicted = RunTrace.from_telemetry(sim_trace, cluster)
+    assert predicted.path and predicted.path[-1].end == predicted.makespan
+    ports = {res.label: res.nbytes for res in predicted.resources}
+    for view in [predicted] + [RunTrace.from_telemetry(t, cluster) for t in wall_traces]:
+        assert {res.label: res.nbytes for res in view.resources} == ports
+        assert sum(view.switch_profile()["aggregation_bytes"]) == pytest.approx(
+            ledger.cross_rack_bytes
+        )
+        if view is not predicted:
+            assert view.clock == "wall" and view.path == []
+            assert "not computed on the wall clock" in render_report(view)
+            assert len(render_gantt(view).splitlines()) == len(ports) + 1
 
 
 def driver_cases():
@@ -273,15 +307,22 @@ class TestLedgers:
 
         expected = TrafficLedger.from_sim(simulated.sim, ctx.cluster)
         concrete = execute_plan(plan, ctx.cluster, copy.deepcopy(store))
-        live = run_plan_live_sync(plan, ctx.cluster, store, bandwidth=None)
+        live = run_plan_live_sync(
+            plan, ctx.cluster, store, bandwidth=None, recorder=wall_recorder()
+        )
+        session_recorder = wall_recorder()
         session_ledger, session_combines, session_recovered = run_sessions(
-            plan, ctx, stripe
+            plan, ctx, stripe, recorder=session_recorder
         )
 
         assert concrete.ledger == expected
         assert live.ledger == expected
         assert session_ledger == expected
         assert expected == plan.traffic(ctx.cluster)
+        assert_same_picture(
+            ctx.cluster, expected, simulated.telemetry(), live.telemetry,
+            session_recorder.trace(),
+        )
         assert (
             concrete.combine_count
             == live.combine_count

@@ -33,10 +33,10 @@ from repro.repair.plan import OpSlice, join_slices, op_from_dict, slice_bounds
 from repro.repair.rpr.cross import MAX_SLICES, chain_slices
 from repro.repair.selection import rack_aware_helpers
 from repro.rs import PAPER_SINGLE_FAILURE_CODES, DecodeCostModel
-from repro.sim import SimulationEngine
+from repro.sim import SimulationEngine, telemetry_from_sim
 
 from .conftest import COST, make_context, make_stripe
-from .test_executor import run_sessions
+from .test_executor import assert_same_picture, run_sessions, wall_recorder
 
 
 def chain_plan(ctx, slices: int) -> RepairPlan:
@@ -271,11 +271,16 @@ class TestDriversAgreeOnSlicedPlans:
         )
         expected = TrafficLedger.from_sim(sim, ctx.cluster)
         concrete = execute_plan(plan, ctx.cluster, copy.deepcopy(store))
-        memory = run_plan_live_sync(plan, ctx.cluster, copy.deepcopy(store), bandwidth=None)
+        memory = run_plan_live_sync(
+            plan, ctx.cluster, copy.deepcopy(store), bandwidth=None, recorder=wall_recorder()
+        )
         tcp = run_plan_live_sync(
             plan, ctx.cluster, copy.deepcopy(store), bandwidth=None, transport="tcp"
         )
-        session_ledger, session_combines, session_recovered = run_sessions(plan, ctx, stripe)
+        session_recorder = wall_recorder()
+        session_ledger, session_combines, session_recovered = run_sessions(
+            plan, ctx, stripe, recorder=session_recorder
+        )
 
         # whole ledgers — per node and per rack, and the send count — not just totals
         assert plan.traffic(ctx.cluster) == expected
@@ -283,6 +288,10 @@ class TestDriversAgreeOnSlicedPlans:
         assert expected.total_bytes == tree.traffic(ctx.cluster).total_bytes
         assert expected.cross_rack_bytes == tree.traffic(ctx.cluster).cross_rack_bytes
         assert set(memory.timings) == set(tcp.timings) == set(sim.timings)
+        assert_same_picture(
+            ctx.cluster, expected, telemetry_from_sim(sim, ctx.cluster),
+            memory.telemetry, session_recorder.trace(),
+        )
         assert (
             concrete.combine_count == memory.combine_count == tcp.combine_count
             == session_combines

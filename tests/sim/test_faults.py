@@ -231,17 +231,6 @@ class TestRandomFaultPlan:
 
 
 class TestFaultReport:
-    def test_round_trips_through_sim_result_dict(self, engine):
-        from repro.sim import SimResult
-
-        g = JobGraph()
-        g.add_transfer("t", 0, 1, 100)
-        g.add_compute("c", 2, 1.0, deps=["t"])
-        result = engine.run(g, kill(1, 0.5))
-        clone = SimResult.from_dict(result.to_dict())
-        assert clone.faults is not None
-        assert clone.faults.to_dict() == result.faults.to_dict()
-
     def test_fault_free_run_has_no_report(self, engine):
         g = JobGraph()
         g.add_transfer("t", 0, 1, 100)

@@ -14,7 +14,8 @@ import pytest
 
 from repro.experiments import build_simics_environment, context_for
 from repro.repair import RPRScheme, simulate_repair, simulate_repair_with_faults
-from repro.sim import FaultPlan, NodeDeath, RunTrace
+from repro.sim import FaultPlan, NodeDeath, telemetry_from_sim
+from repro.telemetry import RunTrace
 
 VICTIM = 6
 
@@ -99,7 +100,9 @@ class TestFaultFreePathUnchanged:
     def test_no_abort_vias_without_faults(self):
         env = build_simics_environment(8, 3)
         out = simulate_repair(RPRScheme(), context_for(env, [2]), env.bandwidth)
-        trace = RunTrace.from_result(out.sim, env.cluster)
+        trace = RunTrace.from_telemetry(
+            telemetry_from_sim(out.sim, env.cluster), env.cluster
+        )
         assert {seg.entered_via for seg in trace.path} <= {
             "start", "dependency", "resource", "completion",
         }

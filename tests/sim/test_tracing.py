@@ -1,11 +1,10 @@
-"""Tests for the observability layer (repro.sim.tracing).
+"""Tests for the utilization view (repro.telemetry.view) over simulated runs.
 
 The contracts documented in docs/OBSERVABILITY.md: per-resource timelines
 sum to busy time, the critical path is contiguous from t=0 to the
-makespan, exports round-trip, and the renderers stay text-only.
+makespan, the telemetry JSONL keeps enough to re-derive the view, and
+the renderers stay text-only.
 """
-
-import json
 
 import pytest
 
@@ -13,15 +12,8 @@ from repro.cluster import Cluster, HierarchicalBandwidth
 from repro.experiments import build_simics_environment, run_scheme
 from repro.metrics import TimeBreakdown, TrafficLedger
 from repro.repair import CARRepair, RPRScheme, TraditionalRepair
-from repro.sim import (
-    JobGraph,
-    RunTrace,
-    SimResult,
-    SimulationEngine,
-    critical_path,
-    render_gantt,
-    render_report,
-)
+from repro.sim import JobGraph, SimulationEngine, telemetry_from_sim
+from repro.telemetry import RunTrace, from_jsonl, render_gantt, render_report, to_jsonl
 
 
 @pytest.fixture
@@ -29,6 +21,10 @@ def engine():
     return SimulationEngine(
         Cluster.homogeneous(2, 2), HierarchicalBandwidth(intra=100.0, cross=10.0)
     )
+
+
+def view(result, cluster):
+    return RunTrace.from_telemetry(telemetry_from_sim(result, cluster), cluster)
 
 
 def assert_contiguous(trace):
@@ -46,7 +42,7 @@ class TestResourceTimelines:
         g.add_transfer("a", 0, 1, 100)          # intra, 1 s
         g.add_transfer("b", 0, 2, 300, deps=["a"])  # cross, 30 s
         g.add_compute("c", 2, 2.0, deps=["b"])
-        trace = RunTrace.from_result(engine.run(g), engine.cluster)
+        trace = view(engine.run(g), engine.cluster)
         up0 = trace.resource("n0:up")
         assert up0.busy == pytest.approx(sum(iv.duration for iv in up0.intervals))
         assert up0.busy == pytest.approx(31.0)
@@ -62,7 +58,7 @@ class TestResourceTimelines:
         env = build_simics_environment(6, 2)
         out = run_scheme(env, RPRScheme(), [1])
         trace = out.trace()
-        breakdown = TimeBreakdown.from_sim(out.sim)
+        breakdown = TimeBreakdown.from_telemetry(out.telemetry())
         port_busy = sum(r.busy for r in trace.resources if r.kind in ("up", "down"))
         cpu_busy = sum(r.busy for r in trace.resources if r.kind == "cpu")
         assert port_busy == pytest.approx(2 * breakdown.transfer_busy)
@@ -90,7 +86,7 @@ class TestResourceTimelines:
             )
 
     def test_empty_run(self, engine):
-        trace = RunTrace.from_result(engine.run(JobGraph()), engine.cluster)
+        trace = view(engine.run(JobGraph()), engine.cluster)
         assert trace.resources == [] and trace.path == []
         assert render_report(trace) == "(empty trace)"
         assert render_gantt(trace) == "(empty trace)"
@@ -114,7 +110,7 @@ class TestCriticalPath:
         g = JobGraph()
         g.add_transfer("t", 0, 1, 100)
         g.add_compute("c", 1, 2.0, deps=["t"])
-        path = critical_path(engine.run(g))
+        path = view(engine.run(g), engine.cluster).path
         assert [s.job_id for s in path] == ["t", "c"]
         assert path[1].entered_via == "dependency"
 
@@ -124,7 +120,7 @@ class TestCriticalPath:
         g = JobGraph()
         g.add_transfer("a", 0, 2, 100)
         g.add_transfer("b", 1, 2, 100)
-        path = critical_path(engine.run(g))
+        path = view(engine.run(g), engine.cluster).path
         assert [s.job_id for s in path] == ["a", "b"]
         assert path[0].entered_via == "start"
         assert path[1].entered_via == "resource"
@@ -139,7 +135,7 @@ class TestCriticalPath:
         g = JobGraph()
         g.add_transfer("a", 0, 2, 100)  # rack0 -> rack1
         g.add_transfer("b", 1, 4, 100)  # rack0 -> rack2, blocked by the token
-        path = critical_path(engine.run(g))
+        path = view(engine.run(g), engine.cluster).path
         assert [s.job_id for s in path] == ["a", "b"]
         assert path[1].entered_via == "completion"
 
@@ -159,7 +155,7 @@ class TestRackAccounting:
         g = JobGraph()
         g.add_transfer("a", 0, 2, 100)  # n0 and n1 upload in parallel:
         g.add_transfer("b", 1, 3, 100)  # rack 0 is active 10 s, not 20
-        trace = RunTrace.from_result(engine.run(g), engine.cluster)
+        trace = view(engine.run(g), engine.cluster)
         assert trace.rack_activity("up")[0] == pytest.approx(10.0)
         assert trace.rack_idle_fraction("up")[0] == pytest.approx(0.0)
 
@@ -193,43 +189,40 @@ class TestSwitchProfile:
         )
 
     def test_bucket_validation(self, engine):
-        trace = RunTrace.from_result(engine.run(JobGraph()), engine.cluster)
+        trace = view(engine.run(JobGraph()), engine.cluster)
         with pytest.raises(ValueError):
             trace.switch_profile(buckets=0)
 
 
 class TestExport:
-    def test_dict_round_trip_through_json(self):
-        env = build_simics_environment(6, 2)
-        trace = run_scheme(env, RPRScheme(), [1]).trace()
-        data = json.loads(json.dumps(trace.to_dict()))
-        restored = RunTrace.from_dict(data)
-        assert restored.to_dict() == trace.to_dict()
-        assert restored.makespan == trace.makespan
-        assert_contiguous(restored)
-
     def test_json_lines_round_trip(self):
-        env = build_simics_environment(6, 2)
-        trace = run_scheme(env, TraditionalRepair(), [1]).trace()
-        text = trace.to_json_lines()
-        assert all(json.loads(line) for line in text.splitlines())
-        restored = RunTrace.from_json_lines(text)
-        assert restored.to_dict() == trace.to_dict()
+        """The telemetry JSONL keeps enough to re-derive the report — for a
+        fault-free run and for both attempts of a faulted one."""
+        from repro.experiments import context_for
+        from repro.repair import simulate_repair, simulate_repair_with_faults
+        from repro.sim import FaultPlan, NodeDeath
 
-    def test_json_lines_rejects_unknown_records(self):
-        with pytest.raises(ValueError):
-            RunTrace.from_json_lines('{"record": "mystery"}')
-
-    def test_sim_result_round_trip(self):
-        """SimResult.to_dict/from_dict preserve enough to re-derive the trace."""
         env = build_simics_environment(6, 2)
         out = run_scheme(env, RPRScheme(), [1])
-        data = json.loads(json.dumps(out.sim.to_dict()))
-        restored = SimResult.from_dict(data)
-        assert restored.makespan == out.sim.makespan
-        assert restored.cross_rack_bytes() == out.sim.cross_rack_bytes()
-        re_trace = RunTrace.from_result(restored, env.cluster)
-        assert re_trace.to_dict() == out.trace().to_dict()
+        restored = from_jsonl(to_jsonl(out.telemetry()))
+        assert RunTrace.from_telemetry(restored, env.cluster) == out.trace()
+        assert_contiguous(out.trace())
+
+        env = build_simics_environment(8, 3)
+        ctx = context_for(env, [2])
+        horizon = simulate_repair(RPRScheme(), ctx, env.bandwidth).total_repair_time
+        vias = set()
+        for faults in (
+            FaultPlan(deaths=(NodeDeath(6, 0.5 * horizon),)),
+            FaultPlan(loss_probability=0.5, seed=0),
+        ):
+            degraded = simulate_repair_with_faults(RPRScheme(), ctx, env.bandwidth, faults)
+            for attempt, sim in enumerate(degraded.sims):
+                restored = from_jsonl(to_jsonl(telemetry_from_sim(sim, env.cluster)))
+                derived = RunTrace.from_telemetry(restored, env.cluster)
+                assert derived == degraded.trace(attempt)
+                vias |= {seg.entered_via for seg in derived.path}
+        assert {"abort", "retry"} <= vias  # both fault hops survived the JSONL
 
 
 class TestRenderers:
