@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Kill a storage daemon mid-flight and watch the service repair itself.
 
-This is the multi-process counterpart of ``object_store.py``: instead of
-one simulated :class:`~repro.system.StorageSystem`, it launches a *real*
+This is the multi-process counterpart of ``operational_timeline.py``:
+instead of driving the stripe catalog in one process, it launches a *real*
 coordinator plus six storage daemons as separate OS processes
 (``repro.store``), then:
 

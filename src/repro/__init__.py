@@ -24,8 +24,8 @@ Layer map:
 
 Extensions beyond the paper (flagged as such in their module docs):
 
-* :mod:`repro.multistripe` — full-node rebuilds over a stripe store.
-* :mod:`repro.system` — a StorageSystem facade (put/get/fail/repair).
+* :mod:`repro.multistripe` — the stripe catalog and full-node rebuilds over it.
+* :mod:`repro.store` — the multi-process object store built on that catalog.
 * :mod:`repro.reliability` — repair speed → MTTDL durability models.
 * :mod:`repro.lrc` — Locally Repairable Codes (Azure's (12,2,2)).
 * :class:`repro.repair.HeterogeneityAwareRPR` — link-speed-aware gather.
@@ -68,7 +68,6 @@ from .repair import (
     plan_degraded_read,
     simulate_repair,
 )
-from .system import StorageSystem
 from .rs import (
     EC2_DECODE,
     MB,
@@ -104,7 +103,6 @@ __all__ = [
     "RepairPlan",
     "SIMICS_BANDWIDTH",
     "SIMICS_DECODE",
-    "StorageSystem",
     "Stripe",
     "StripeStore",
     "TraditionalRepair",

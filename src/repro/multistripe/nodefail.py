@@ -86,14 +86,6 @@ def node_failure_contexts(
     if mode not in ("replacement", "scatter"):
         raise ValueError(f"unknown rebuild mode {mode!r}")
     lost = tuple(store.blocks_on_node(failed_node))
-    return _node_failure_contexts_from(
-        store, failed_node, lost, mode, block_size, cost_model
-    )
-
-
-def _node_failure_contexts_from(
-    store, failed_node, lost, mode, block_size, cost_model
-):
     failure = NodeFailure(failed_node=failed_node, lost=lost)
     if not lost:
         return failure, []
@@ -137,6 +129,7 @@ def _node_failure_contexts_from(
         )
     return failure, contexts
 
+
 def rack_failure_contexts(
     store: StripeStore,
     failed_rack: int,
@@ -167,7 +160,7 @@ def rack_failure_contexts(
 
     lost: list[tuple[int, int]] = []
     per_stripe: dict[int, list[int]] = {}
-    for stored in store.stripes:
+    for stored in store:
         blocks = [
             bid
             for bid, node in sorted(stored.placement.block_to_node.items())

@@ -39,7 +39,7 @@ def encode_store_payloads(
         raise ValueError("block_size must be positive")
     if not len(store):
         raise ValueError("store has no stripes")
-    code = store.stripes[0].code
+    code = store.code
     rng = np.random.default_rng(seed)
     data = rng.integers(
         0, 256, size=(len(store), code.n, block_size), dtype=np.uint8
@@ -71,7 +71,7 @@ def rebuild_node_payloads(
     lost = store.blocks_on_node(failed_node)
     if not lost:
         return {}
-    code = store.stripes[0].code
+    code = store.code
     if payloads.shape != (len(store), code.width, payloads.shape[2]):
         raise ValueError(
             f"payloads shape {payloads.shape} does not match store of "

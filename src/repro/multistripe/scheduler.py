@@ -26,7 +26,7 @@ from ..repair.plan import RepairPlan
 from ..rs import MB, DecodeCostModel, SIMICS_DECODE
 from ..sim import JobGraph, SimResult, SimulationEngine
 from .nodefail import NodeFailure, node_failure_contexts, rack_failure_contexts
-from .store import StripeStore
+from .store import StripeStore, most_at_risk_first
 
 __all__ = [
     "MultiStripeOutcome",
@@ -46,8 +46,8 @@ def order_repair_contexts(contexts, policy: str = "arrival", deadlines=None):
 
     * ``"arrival"`` — as given (stripe order).
     * ``"most-at-risk"`` — stripes with the most failed blocks first
-      (closest to unrecoverable), stable within a risk level.  This is
-      the ordering the store coordinator applies to its repair queue.
+      (closest to unrecoverable), stable within a risk level — the rule
+      :meth:`StripeStore.degraded` orders the coordinator's queue by.
     * ``"deadline"`` — earliest deadline first; ``deadlines`` maps a
       context's position in ``contexts`` to its deadline (seconds, any
       epoch), missing entries sort last.
@@ -60,11 +60,7 @@ def order_repair_contexts(contexts, policy: str = "arrival", deadlines=None):
     if policy == "arrival":
         return contexts
     if policy == "most-at-risk":
-        indexed = sorted(
-            enumerate(contexts),
-            key=lambda pair: (-len(pair[1].failed_blocks), pair[0]),
-        )
-        return [ctx for _, ctx in indexed]
+        return most_at_risk_first(contexts, lambda ctx: len(ctx.failed_blocks))
     if policy == "deadline":
         deadlines = deadlines or {}
         indexed = sorted(

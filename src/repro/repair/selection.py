@@ -159,11 +159,11 @@ def pick_live_spares(
 
     :func:`repro.repair.recovery_targets` implements the paper's pure
     policy — first spare in the failed block's rack — but assumes every
-    node is alive.  Systems that actually lose nodes (the in-process
-    :class:`repro.system.StorageSystem`, the multi-process store
-    service) need the same policy *minus dead nodes*: prefer a free live
-    node in the failed block's own rack, fall back to any free live node
-    when that rack is out of spares.  Nodes holding surviving blocks of
+    node is alive.  Systems that actually lose nodes (everything built on
+    :meth:`repro.multistripe.StripeStore.repair_context`, the
+    multi-process store service included) need the same policy *minus
+    dead nodes*: prefer a free live node in the failed block's own rack,
+    fall back to any free live node when that rack is out of spares.  Nodes holding surviving blocks of
     the stripe are never candidates, and distinct failed blocks get
     distinct targets.
 

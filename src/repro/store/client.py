@@ -27,9 +27,9 @@ from ..cluster import Cluster, Node, Rack
 from ..repair import ExecutionError, execute_plan
 from ..repair.plan import block_key
 from ..rs import get_code
-from ..system.objects import ObjectInfo, reassemble, split_into_stripes
 from ..telemetry import CLOCK_WALL, TelemetryRecorder, TraceContext
 from .messages import StoreError, call, close_idle_connections
+from .objects import ObjectInfo, reassemble, split_into_stripes
 from .repair import block_crc, plan_from_dict, stored_block_key
 
 __all__ = ["StoreClient", "SyncStoreClient"]

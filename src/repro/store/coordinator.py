@@ -3,11 +3,12 @@
 The namenode half of the store service.  It owns every decision the
 daemons are too dumb to make:
 
-* **Metadata** — object → stripes → block placement (the same
-  :class:`~repro.cluster.Placement` machinery and per-stripe
-  rack/slot rotation as the in-process :class:`repro.system.StorageSystem`),
-  plus write-time CRC32 per block, which later *proves* a repair rebuilt
-  the exact bytes.
+* **Metadata** — object → stripes, and for every stripe the one
+  catalog record (:class:`repro.multistripe.StripeStore`: rotated
+  placement, missing blocks, write-time CRC32 per block — which later
+  *proves* a repair rebuilt the exact bytes).  Every placement and
+  missing-block decision is the catalog's; this module adds RPC,
+  liveness and the byte-level cross-checks.
 * **Liveness** — a :class:`~repro.store.heartbeat.FailureDetector` fed
   by daemon heartbeats; a SIGKILLed daemon is noticed as silence.
 * **Repair** — on a death, affected stripes are re-planned with the
@@ -33,13 +34,12 @@ import asyncio
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..cluster import Cluster, Placement, RPRPlacement, SIMICS_BANDWIDTH
+from ..cluster import Cluster, Placement, SIMICS_BANDWIDTH
 from ..live.transport import cancel_and_wait
 from ..metrics import TrafficLedger
-from ..multistripe.store import rotate_placement
+from ..multistripe.store import StoredStripe, StripeStore
 from ..repair import (
     CARRepair,
     CombineOp,
@@ -47,7 +47,6 @@ from ..repair import (
     RepairPlanningError,
     RPRScheme,
     TraditionalRepair,
-    pick_live_spares,
     plan_degraded_read,
     simulate_repair,
 )
@@ -81,24 +80,8 @@ SCHEMES = {
 DEFAULT_REPAIR_TIMEOUT = 30.0
 
 
-@dataclass
-class StripeMeta:
-    """Coordinator-side record of one stored stripe."""
-
-    sid: int
-    placement: Placement
-    checksums: dict[int, int] = field(default_factory=dict)
-    missing: set[int] = field(default_factory=set)
-
-    def to_dict(self) -> dict:
-        return {
-            "sid": self.sid,
-            "placement": {
-                str(bid): node for bid, node in self.placement.block_to_node.items()
-            },
-            "missing": sorted(self.missing),
-            "checksums": {str(bid): crc for bid, crc in self.checksums.items()},
-        }
+def _placement_to_wire(placement: Placement) -> dict:
+    return {str(bid): node for bid, node in placement.block_to_node.items()}
 
 
 class Coordinator:
@@ -140,7 +123,9 @@ class Coordinator:
         #: Live metrics for the ``stats`` RPC — always on.
         self.stats = StatsRegistry("coordinator")
         self.detector = FailureDetector(suspect_after=suspect_after)
-        self.stripes: dict[int, StripeMeta] = {}
+        self.catalog = StripeStore(cluster, code)
+        #: sid -> catalog record of every *committed* stripe.
+        self.stripes = self.catalog.stripes
         self.objects: dict[str, dict] = {}
         self.repairs: list[dict] = []
         #: Repair failures per stripe, for client fail-fast: ``fatal``
@@ -148,9 +133,7 @@ class Coordinator:
         #: that waiting cannot fix.  Cleared per stripe on success.
         self.repair_errors: list[dict] = []
         self._pending_puts: dict[str, dict] = {}
-        self._sid_counter = itertools.count()
         self._rid_counter = itertools.count()
-        self._base_placement = RPRPlacement().place(cluster, code.n, code.k)
         self._rpc = RpcServer(self._dispatch)
         self._sweep_task: asyncio.Task | None = None
         self._repair_lock = asyncio.Lock()
@@ -189,6 +172,10 @@ class Coordinator:
             await asyncio.sleep(self.sweep_interval)
             self.on_nodes_dead([e.node_id for e in self.detector.sweep()])
 
+    def _dead_nodes(self) -> set[int]:
+        """Every node not known alive — never registered counts as dead."""
+        return set(self.cluster.node_ids()) - self.detector.alive_ids()
+
     def on_nodes_dead(self, node_ids) -> list[int]:
         """Mark blocks on dead nodes missing; kick off repair if needed.
 
@@ -199,11 +186,7 @@ class Coordinator:
         affected = []
         for node_id in node_ids:
             self.rec.event("node.dead", category="fault", node=node_id)
-            for meta in self.stripes.values():
-                for bid, node in meta.placement.block_to_node.items():
-                    if node == node_id and bid not in meta.missing:
-                        meta.missing.add(bid)
-                        affected.append(meta.sid)
+            affected += [sid for sid, _bid in self.catalog.fail_node(node_id)]
         if affected:
             task = asyncio.ensure_future(self._repair_degraded())
             self._repair_tasks.add(task)
@@ -216,11 +199,7 @@ class Coordinator:
         # Most-at-risk first: a stripe one failure from data loss jumps
         # every singly-degraded stripe in the queue.
         async with self._repair_lock:
-            order = sorted(
-                (sid for sid, meta in self.stripes.items() if meta.missing),
-                key=lambda sid: (-len(self.stripes[sid].missing), sid),
-            )
-            for sid in order:
+            for sid in self.catalog.degraded():
                 if sid in self.stripes and self.stripes[sid].missing:
                     try:
                         await self._repair_stripe(sid)
@@ -238,21 +217,11 @@ class Coordinator:
 
     async def _repair_stripe(self, sid: int) -> dict:
         meta = self.stripes[sid]
-        failed = tuple(sorted(meta.missing))
-        alive = self.detector.alive_ids()
-        dead = set(self.cluster.node_ids()) - alive
-        override = pick_live_spares(
-            self.cluster, meta.placement, failed, dead_nodes=dead
+        repair_ctx = self.catalog.repair_context(
+            sid, self._dead_nodes(), block_size=self.block_size
         )
-        ctx = RepairContext(
-            code=self.code,
-            cluster=self.cluster,
-            placement=meta.placement,
-            failed_blocks=failed,
-            block_size=self.block_size,
-            recovery_override=override,
-        )
-        outcome = simulate_repair(self.scheme, ctx, self.bandwidth)
+        failed, targets = repair_ctx.failed_blocks, dict(repair_ctx.recovery_override)
+        outcome = simulate_repair(self.scheme, repair_ctx, self.bandwidth)
         plan = outcome.plan
         parts = partition_plan(plan, meta.placement, sid, failed)
         routing = {}
@@ -326,7 +295,7 @@ class Coordinator:
             "sid": sid,
             "scheme": self.scheme_name,
             "failed_blocks": list(failed),
-            "targets": {str(bid): node for bid, node in override},
+            "targets": {str(bid): node for bid, node in targets.items()},
             "measured": measured,
             "simulated": simulated,
             "simulated_repair_time": outcome.total_repair_time,
@@ -346,13 +315,8 @@ class Coordinator:
         self.stats.count("repair_bytes_cross_rack", measured["cross_rack_bytes"])
         self.stats.latency("repair.stripe", record["wall_seconds"])
 
-        mapping = dict(meta.placement.block_to_node)
-        for bid, target in override:
-            mapping[bid] = target
-        meta.placement = Placement(
-            n=self.code.n, k=self.code.k, block_to_node=mapping
-        )
-        meta.missing.clear()
+        if sid in self.stripes:  # not deleted while the daemons rebuilt it
+            self.catalog.relocate(sid, targets)
         self.repair_errors = [e for e in self.repair_errors if e["sid"] != sid]
         return record
 
@@ -402,9 +366,7 @@ class Coordinator:
                 name: {"size": info["size"], "stripes": info["stripe_ids"]}
                 for name, info in self.objects.items()
             },
-            "degraded": sorted(
-                sid for sid, meta in self.stripes.items() if meta.missing
-            ),
+            "degraded": sorted(self.catalog.degraded()),
             "repairing": bool(self._repair_tasks),
             "repairs": self.repairs,
             "repair_errors": self.repair_errors,
@@ -422,43 +384,34 @@ class Coordinator:
     async def _rpc_put_begin(self, request: Request):
         body = request.body
         name, size, nstripes = body["name"], int(body["size"]), int(body["nstripes"])
-        if name in self.objects or name in self._pending_puts:
+        if name in self.objects:
             raise StoreError(f"object {name!r} already exists")
         if nstripes < 1:
             raise StoreError("object must span at least one stripe")
         alive = self.detector.alive_ids()
         stripes = []
         for _ in range(nstripes):
-            sid = next(self._sid_counter)
-            placement = rotate_placement(
-                self.cluster,
-                self._base_placement,
-                rack_offset=sid % self.cluster.num_racks,
-                slot_offset=sid // self.cluster.num_racks,
-            )
-            lands_on = set(placement.block_to_node.values())
+            stored = self.catalog.allocate()
+            lands_on = set(stored.placement.block_to_node.values())
             if not lands_on <= alive:
                 raise StoreError(
-                    f"stripe {sid} would land on dead nodes "
+                    f"stripe {stored.stripe_id} would land on dead nodes "
                     f"{sorted(lands_on - alive)}; repair or restart them first"
                 )
-            stripes.append((sid, placement))
+            stripes.append(stored)
+        # Only a committed object blocks its name: a grant whose client
+        # died before put.commit is superseded here, and of two racing
+        # PUTs the earlier grant's commit no longer matches these stripes.
         self._pending_puts[name] = {"size": size, "stripes": stripes}
-        involved = {n for _, p in stripes for n in p.block_to_node.values()}
+        involved = {n for s in stripes for n in s.placement.block_to_node.values()}
         return {
             "name": name,
             "block_size": self.block_size,
             "n": self.code.n,
             "k": self.code.k,
             "stripes": [
-                {
-                    "sid": sid,
-                    "placement": {
-                        str(bid): node
-                        for bid, node in placement.block_to_node.items()
-                    },
-                }
-                for sid, placement in stripes
+                {"sid": s.stripe_id, "placement": _placement_to_wire(s.placement)}
+                for s in stripes
             ],
             "routing": self._routing(involved),
         }, None
@@ -493,10 +446,11 @@ class Coordinator:
         # flight at once: a commit waits one round trip, not one per
         # holder and stripe.
         by_node: dict[int, dict[str, int]] = {}
-        for sid, placement in pending["stripes"]:
+        for stored in pending["stripes"]:
+            sid = stored.stripe_id
             if set(claimed.get(sid, {})) != set(range(self.code.width)):
                 raise StoreError(f"put.commit missing CRCs for stripe {sid}")
-            for bid, node in placement.block_to_node.items():
+            for bid, node in stored.placement.block_to_node.items():
                 by_node.setdefault(node, {})[stored_block_key(sid, bid)] = claimed[sid][bid]
         entries = {node: self.detector.entry(node) for node in by_node}
         for node, entry in entries.items():
@@ -506,19 +460,21 @@ class Coordinator:
             *(self._verify_held(node, entries[node], claims)
               for node, claims in by_node.items())
         )
-        for sid, placement in pending["stripes"]:
-            self.stripes[sid] = StripeMeta(
-                sid=sid, placement=placement, checksums=claimed[sid]
-            )
+        if self._pending_puts.get(name) is not pending:
+            # A newer put.begin took the name while the daemons were statted.
+            raise StoreError(f"put of {name!r} was superseded before its commit")
+        for stored in pending["stripes"]:
+            stored.checksums = claimed[stored.stripe_id]
+            self.catalog.add(stored)
         self.objects[name] = {
             "size": pending["size"],
-            "stripe_ids": [sid for sid, _ in pending["stripes"]],
+            "stripe_ids": [stored.stripe_id for stored in pending["stripes"]],
         }
         del self._pending_puts[name]
         self.rec.count("coordinator.objects_put")
         return {"name": name, "stripes": len(claimed)}, None
 
-    def _degraded_plan(self, meta: StripeMeta, alive: set[int]) -> dict | None:
+    def _degraded_plan(self, meta: StoredStripe, dead: set[int]) -> dict | None:
         """A client-executable degraded-read plan for one stripe, or None.
 
         Plannable when exactly one *data* block is unreachable: the
@@ -528,10 +484,7 @@ class Coordinator:
         loss or unplannable layouts return None — the client falls back
         to a full ``decode_many`` over any ``n`` survivors.
         """
-        dead_blocks = {
-            bid for bid, node in meta.placement.block_to_node.items()
-            if bid in meta.missing or node not in alive
-        }
+        dead_blocks = self.catalog.lost_blocks(meta.stripe_id, dead)
         lost_data = sorted(bid for bid in dead_blocks if bid < self.code.n)
         if len(lost_data) != 1:
             return None
@@ -551,7 +504,7 @@ class Coordinator:
             seeds = plan_seed_blocks(plan)
         except (RepairPlanningError, StoreError):
             return None
-        if any(node not in alive for node in seeds.values()):
+        if dead & set(seeds.values()):
             return None
         return {
             "block": target,
@@ -565,21 +518,26 @@ class Coordinator:
         info = self.objects.get(name)
         if info is None:
             raise StoreError(f"no object {name!r}")
-        stripes = [self.stripes[sid].to_dict() for sid in info["stripe_ids"]]
+        records = [self.stripes[sid] for sid in info["stripe_ids"]]
+        stripes = [
+            {
+                "sid": stored.stripe_id,
+                "placement": _placement_to_wire(stored.placement),
+                "missing": sorted(stored.missing),
+                "checksums": {str(bid): crc for bid, crc in stored.checksums.items()},
+            }
+            for stored in records
+        ]
         involved = {
-            node
-            for sid in info["stripe_ids"]
-            for node in self.stripes[sid].placement.block_to_node.values()
+            node for stored in records for node in stored.placement.block_to_node.values()
         }
         if degraded:
             # Route only what answers; the client treats unrouted nodes
             # as dead and reconstructs around them.
-            alive = self.detector.alive_ids()
-            routing = self._routing(involved & alive)
-            for entry in stripes:
-                entry["degraded_plan"] = self._degraded_plan(
-                    self.stripes[entry["sid"]], alive
-                )
+            dead = self._dead_nodes()
+            routing = self._routing(involved - dead)
+            for entry, stored in zip(stripes, records):
+                entry["degraded_plan"] = self._degraded_plan(stored, dead)
         else:
             routing = self._routing(involved)
         reply = {
@@ -619,7 +577,7 @@ class Coordinator:
             body, _ = await call(entry.host, entry.port, "block.delete", {"keys": keys})
             dropped += body["dropped"]
         for sid in info["stripe_ids"]:
-            del self.stripes[sid]
+            self.catalog.remove(sid)
         del self.objects[name]
         return {"name": name, "dropped": dropped}, None
 
@@ -637,9 +595,8 @@ class Coordinator:
         snap["role"] = "coordinator"
         snap["gauges"]["objects"] = float(len(self.objects))
         snap["gauges"]["stripes"] = float(len(self.stripes))
-        snap["gauges"]["degraded_stripes"] = float(
-            sum(1 for meta in self.stripes.values() if meta.missing)
-        )
+        snap["degraded"] = sorted(self.catalog.degraded())
+        snap["gauges"]["degraded_stripes"] = float(len(snap["degraded"]))
         snap["gauges"]["repairs_active"] = float(len(self._repair_tasks))
         snap["gauges"]["nodes_alive"] = float(len(self.detector.alive_ids()))
         snap["gauges"]["open_connections"] = float(self._rpc.open_connections)
@@ -649,9 +606,6 @@ class Coordinator:
             if age is not None:
                 snap["gauges"][f"beat_age_s:node-{nid}"] = float(age)
         snap["repairs_done"] = len(self.repairs)
-        snap["degraded"] = sorted(
-            sid for sid, meta in self.stripes.items() if meta.missing
-        )
         return snap, None
 
     async def _rpc_shutdown(self, request: Request):

@@ -3,8 +3,7 @@
 Generates the event sequence an operator would live through — node
 failures arriving as a Poisson process over a cluster — so higher layers
 (examples, soak tests) can replay months of operation deterministically
-against a :class:`repro.system.StorageSystem` or
-:class:`repro.multistripe.StripeStore` and verify nothing is ever lost
+against a :class:`repro.multistripe.StripeStore` and verify nothing is ever lost
 while accounting the repair work each incident triggers.
 """
 

@@ -13,12 +13,19 @@ imports none of the interpreters that emit into it (sim → telemetry is
 one-way), and only ``repro.sim`` compares against the engine's job
 end/abort/loss event kinds — every other reader of a run reads its
 trace.  ``SimResult.events`` used to be re-walked in five places.
+
+§3: ``repro.multistripe.store.StripeStore`` is the one stripe catalog.
+Only it rotates a placement by stripe id and only it mutates a stripe's
+``missing`` set — the coordinator, the node-rebuild scheduler, examples
+and benchmarks call its operations — and the ``system`` package, the
+third copy of that bookkeeping, stays deleted.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
 
 #: Modules allowed to branch on op kind / to fill per-rack upload counters.
 OP_CORE = {"repair/plan.py"}
@@ -111,9 +118,10 @@ def test_the_guard_sees_what_it_guards():
     assert violations(old_walker) == ([1, 3], [2, 4])
 
 
-def emitter_imports(tree: ast.AST, rel: str) -> list[int]:
-    """Lines of ``rel`` (a path under ``src/repro``) importing an emitter
-    package — absolutely or relatively, at module level or lazily."""
+def emitter_imports(tree: ast.AST, rel: str, packages=EMITTERS) -> list[int]:
+    """Lines of ``rel`` (a path under ``src/repro``) importing one of the
+    ``repro.<packages>`` (default: the emitters) — absolutely or
+    relatively, at module level or lazily."""
     package = ["repro", *rel.split("/")[:-1]]
     lines = []
     for node in ast.walk(tree):
@@ -126,7 +134,7 @@ def emitter_imports(tree: ast.AST, rel: str) -> list[int]:
         else:
             continue
         if any(
-            parts[0] == "repro" and len(parts) > 1 and parts[1] in EMITTERS
+            parts[0] == "repro" and len(parts) > 1 and parts[1] in packages
             for parts in (target.split(".") for target in targets)
         ):
             lines.append(node.lineno)
@@ -209,3 +217,88 @@ def test_the_trace_guard_sees_what_it_guards():
         "        pass\n"
     )
     assert job_event_comparisons(old_walker) == [2, 4]
+
+
+#: The one module allowed to rotate placements and mutate ``missing``.
+CATALOG = "src/repro/multistripe/store.py"
+#: The deleted facade package (``repro.<DELETED>``).
+DELETED = "system"
+SET_MUTATORS = {
+    "add", "discard", "remove", "clear", "pop", "update",
+    "difference_update", "intersection_update", "symmetric_difference_update",
+}
+
+
+def catalog_bypasses(tree: ast.AST) -> tuple[list[int], list[int]]:
+    """Lines that (call ``rotate_placement``, mutate a ``.missing`` set)."""
+    rotations, mutations = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "rotate_placement":
+                rotations.append(node.lineno)
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in SET_MUTATORS
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "missing"
+            ):
+                mutations.append(node.lineno)
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(isinstance(t, ast.Attribute) and t.attr == "missing" for t in targets):
+            mutations.append(node.lineno)
+    return rotations, sorted(mutations)
+
+
+def test_only_the_stripe_catalog_rotates_placements_and_mutates_missing():
+    rotated, mutated, imported = [], [], []
+    for top in ("src", "examples", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            rel = path.relative_to(ROOT).as_posix()
+            tree = ast.parse(path.read_text())
+            rotations, mutations = catalog_bypasses(tree) if rel != CATALOG else ([], [])
+            rotated += [f"{rel}:{line}" for line in rotations]
+            mutated += [f"{rel}:{line}" for line in mutations]
+            # A script outside the package has no relative imports to resolve.
+            inside = rel.removeprefix("src/repro/") if top == "src" else ""
+            imported += [
+                f"{rel}:{line}" for line in emitter_imports(tree, inside, {DELETED})
+            ]
+    assert not (rotated or mutated or imported), (
+        "stripe bookkeeping outside repro.multistripe.store — call StripeStore."
+        "allocate / fail_node / relocate instead:\n"
+        + "\n".join(
+            [f"rotate_placement() called: {x}" for x in rotated]
+            + [f".missing mutated: {x}" for x in mutated]
+            + [f"repro.{DELETED} imported: {x}" for x in imported]
+        )
+    )
+
+
+def test_the_catalog_guard_sees_what_it_guards():
+    """Not vacuous: the catalog does both, and the shapes the coordinator,
+    the facade and the examples used are each recognised."""
+    rotations, mutations = catalog_bypasses(ast.parse((ROOT / CATALOG).read_text()))
+    assert rotations and mutations
+    old_copies = ast.parse(
+        f"from repro.{DELETED} import Facade\n"
+        f"import repro.{DELETED}.storage\n"
+        f"from ..{DELETED}.objects import ObjectInfo\n"
+        f"from .. import {DELETED}\n"
+        "from repro.multistripe.store import rotate_placement\n"
+        "placement = rotate_placement(cluster, base, rack_offset=sid)\n"
+        "meta.missing.add(bid)\n"
+        "self._stripes[sid].missing.clear()\n"
+        "state.missing = set()\n"
+        "state.missing |= lost\n"
+        "if meta.missing and multistripe.rotate_placement(c, p, 1):\n"
+        "    failed = sorted(meta.missing)\n"
+    )
+    assert catalog_bypasses(old_copies) == ([6, 11], [7, 8, 9, 10])
+    assert emitter_imports(old_copies, "store/client.py", {DELETED}) == [1, 2, 3, 4]
+    assert emitter_imports(old_copies, "", {DELETED}) == [1, 2]

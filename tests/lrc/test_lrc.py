@@ -265,31 +265,42 @@ class TestExhaustiveRecoverability:
         assert split_22 == 5
 
 
-class TestLRCInStorageSystem:
+class TestLRCInStripeCatalog:
     def test_end_to_end_object_store_with_lrc(self):
-        """The StorageSystem facade is code-agnostic: LRC plugs in."""
+        """The stripe catalog is code-agnostic: LRC plugs in, and a dead
+        node's blocks are rebuilt byte-exact by local-group repairs."""
         import numpy as np
 
-        from repro.system import StorageSystem
+        from repro.multistripe import StripeStore
+        from repro.repair import execute_plan, initial_store_for
 
         cluster = Cluster.homogeneous(9, 4)
-        system = StorageSystem(
-            cluster,
-            LRCCode(12, 2, 2),
-            block_size=128,
-            placement_policy=ContiguousPlacement(per_rack=2),
-            scheme=LRCLocalRepair(),
+        code = LRCCode(12, 2, 2)
+        store = StripeStore.build(
+            cluster, code, 9, placement_policy=ContiguousPlacement(per_rack=2)
         )
         rng = np.random.default_rng(21)
-        data = rng.integers(0, 256, 5000, dtype=np.uint8)
-        system.put("obj", data)
-        assert system.verify()
-        system.fail_node(0)
-        report = system.repair()
-        assert system.verify()
-        np.testing.assert_array_equal(system.get("obj"), data)
-        if report.blocks_repaired:
-            assert report.simulated_seconds > 0
+        stripes = {
+            stored.stripe_id: code.encode_stripe(
+                list(rng.integers(0, 256, (code.n, 128), dtype=np.uint8))
+            )
+            for stored in store
+        }
+        assert all(code.verify_stripe(stripe) for stripe in stripes.values())
+        assert store.fail_node(0)
+        for sid in store.degraded():
+            ctx = store.repair_context(sid, {0}, block_size=128)
+            result = execute_plan(
+                LRCLocalRepair().plan(ctx),
+                cluster,
+                initial_store_for(stripes[sid], ctx.placement, ctx.failed_blocks),
+            )
+            for bid in ctx.failed_blocks:
+                np.testing.assert_array_equal(
+                    result.recovered[bid], stripes[sid].get_payload(bid)
+                )
+            store.relocate(sid, dict(ctx.recovery_override))
+        assert store.degraded() == [] and store.blocks_on_node(0) == []
 
 
 class TestLRCMultiStripe:

@@ -230,7 +230,7 @@ class TestRackFailure:
         rack_nodes = set(store.cluster.nodes_in_rack(0))
         expected = sum(
             1
-            for stored in store.stripes
+            for stored in store
             for node in stored.placement.block_to_node.values()
             if node in rack_nodes
         )
@@ -260,7 +260,7 @@ class TestRackFailure:
         for ctx in contexts[:5]:
             sid = next(
                 s.stripe_id
-                for s in store.stripes
+                for s in store
                 if s.placement is ctx.placement
             )
             stripe = encoded_stripe(ctx.code, 256, seed=sid)

@@ -127,28 +127,30 @@ class TestSingleRackRepairs:
 
 class TestStorageOverrideFallback:
     def test_recovery_falls_back_to_other_racks_when_rack_full(self):
-        """When the failed block's rack has no free live node, the storage
-        system scatters the rebuilt block to another rack."""
+        """When the failed block's rack has no free live node, the stripe
+        catalog scatters the rebuilt block to another rack."""
+        from repro.multistripe import StripeStore
         from repro.rs import get_code
-        from repro.system import StorageSystem
 
         # rack size 2 and per-rack quota 2: racks have zero spares.
         cluster = Cluster.homogeneous(5, 2)
-        system = StorageSystem(
-            cluster,
-            get_code(6, 2),
-            block_size=128,
-            placement_policy=RPRPlacement(),
-        )
-        rng = np.random.default_rng(1)
-        data = rng.integers(0, 256, 1500, dtype=np.uint8)
-        system.put("obj", data)
-        victim = system._stripes[0].stored.placement.node_of(0)
-        system.fail_node(victim)
-        system.repair()
-        assert system.verify()
-        np.testing.assert_array_equal(system.get("obj"), data)
-        # the rebuilt block cannot be in its original rack (no spares there)
-        state = system._stripes[0]
-        new_node = state.stored.placement.node_of(0)
-        assert new_node != victim
+        code = get_code(6, 2)
+        store = StripeStore.build(cluster, code, 2, placement_policy=RPRPlacement())
+        victim = store.stripe(0).placement.node_of(0)
+        store.fail_node(victim)
+        for sid in store.degraded():
+            ctx = store.repair_context(sid, {victim}, block_size=128)
+            stripe = encoded_stripe(code, 128, seed=sid)
+            result = execute_plan(
+                RPRScheme().plan(ctx),
+                cluster,
+                initial_store_for(stripe, ctx.placement, ctx.failed_blocks),
+            )
+            for bid, node in ctx.recovery_override:
+                np.testing.assert_array_equal(
+                    result.recovered[bid], stripe.get_payload(bid)
+                )
+                # no spares in the lost block's own rack
+                assert cluster.rack_of(node) != cluster.rack_of(victim)
+            store.relocate(sid, dict(ctx.recovery_override))
+        assert store.degraded() == [] and store.blocks_on_node(victim) == []

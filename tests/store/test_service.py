@@ -17,13 +17,16 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.live import audit_store_repairs
+from repro.metrics import TrafficLedger
+from repro.multistripe import StripeStore
+from repro.repair import simulate_repair
 from repro.rs import get_code
 from repro.store import (
+    SCHEMES,
     Coordinator,
     StorageDaemon,
     StoreClient,
     StoreError,
-    SyncStoreClient,
     messages,
 )
 from repro.telemetry import (
@@ -146,6 +149,53 @@ class TestObjectPath:
 
         asyncio.run(_run())
 
+    def test_a_put_that_died_before_commit_does_not_block_its_name(self):
+        """Only committed objects block a name: a grant whose client never
+        reached put.commit is superseded by the retry."""
+
+        async def _run():
+            async with Service() as svc:
+                await svc.client._coordinator(
+                    "put.begin", {"name": "obj", "size": 10, "nstripes": 1}
+                )  # ... and the client dies here.
+                data = os.urandom(N * BLOCK + 5)
+                await svc.client.put("obj", data)
+                assert await svc.client.get("obj") == data
+                with pytest.raises(StoreError, match="already exists"):
+                    await svc.client.put("obj", data)
+
+        asyncio.run(_run())
+
+    def test_the_loser_of_two_racing_puts_fails_its_commit(self):
+        async def _run():
+            async with Service() as svc:
+                begin = {"name": "obj", "size": 10, "nstripes": 1}
+                loser = await svc.client._coordinator("put.begin", begin)
+                data = os.urandom(100)
+                await svc.client.put("obj", data)  # begins after, commits first
+                claims = [{
+                    "sid": loser["stripes"][0]["sid"],
+                    "crcs": {str(b): 1 for b in range(N + K)},
+                }]
+                with pytest.raises(StoreError, match="no pending put"):
+                    await svc.client._coordinator(
+                        "put.commit", {"name": "obj", "stripes": claims}
+                    )
+                # The other interleaving: the winner has begun, not committed.
+                loser = await svc.client._coordinator(
+                    "put.begin", {**begin, "name": "obj2"}
+                )
+                await svc.client._coordinator("put.begin", {**begin, "name": "obj2"})
+                claims[0]["sid"] = loser["stripes"][0]["sid"]
+                with pytest.raises(StoreError, match="missing CRCs for stripe"):
+                    await svc.client._coordinator(
+                        "put.commit", {"name": "obj2", "stripes": claims}
+                    )
+                assert await svc.client.get("obj") == data
+                assert sorted(svc.coordinator.objects) == ["obj"]
+
+        asyncio.run(_run())
+
 
 class TestKillAndRepair:
     @pytest.mark.parametrize("scheme", ["traditional", "car", "rpr"])
@@ -205,6 +255,42 @@ class TestKillAndRepair:
                         assert key in svc.daemons[node].blocks
 
         asyncio.run(_run())
+
+    @pytest.mark.parametrize("scheme", ["traditional", "car", "rpr"])
+    def test_a_fresh_catalog_replays_the_repair_log(self, scheme):
+        """The catalog *is* the coordinator's model: fed the same deaths
+        offline, a fresh StripeStore queues the same stripes in the same
+        order, picks the same targets, its contexts simulate to the same
+        ledgers, and it ends on the coordinator's placements."""
+
+        async def _run():
+            async with Service(scheme=scheme, racks=3, per_rack=4, n=6, k=3) as svc:
+                await svc.client.put("a", os.urandom(6 * BLOCK * 4))
+                await svc.client.put("b", os.urandom(6 * BLOCK * 3 + 1))
+                victim = svc.coordinator.stripes[0].placement.node_of(0)
+                await svc.kill(victim)
+                await svc.client.wait_healthy(timeout=30.0, min_repairs=1)
+                return svc.cluster, victim, svc.coordinator
+
+        cluster, victim, coordinator = asyncio.run(_run())
+        catalog = StripeStore.build(cluster, coordinator.code, len(coordinator.stripes))
+        assert catalog.fail_node(victim)
+        assert catalog.degraded() == [r["sid"] for r in coordinator.repairs]
+        for record in coordinator.repairs:
+            assert record["ledger_match"], record
+            ctx = catalog.repair_context(record["sid"], {victim}, block_size=BLOCK)
+            targets = dict(ctx.recovery_override)
+            assert list(ctx.failed_blocks) == record["failed_blocks"]
+            assert {str(b): node for b, node in targets.items()} == record["targets"]
+            outcome = simulate_repair(SCHEMES[scheme](), ctx, coordinator.bandwidth)
+            assert record["simulated"] == {
+                **TrafficLedger.from_sim(outcome.sim, cluster).to_dict(),
+                "combines": len(outcome.plan.combines()),
+            }
+            catalog.relocate(record["sid"], targets)
+        assert catalog.degraded() == []
+        for sid, stored in coordinator.stripes.items():
+            assert catalog.stripe(sid).placement == stored.placement
 
     def test_telemetry_spans_cover_all_three_components(self):
         async def _run():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.system import ObjectInfo, reassemble, split_into_stripes
+from repro.store.objects import ObjectInfo, reassemble, split_into_stripes
 
 
 class TestSplit:
