@@ -25,25 +25,21 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments import build_simics_environment, context_for, format_table  # noqa: E402
+from repro.experiments import (  # noqa: E402
+    build_simics_environment,
+    context_for,
+    format_table,
+    run_scheme,
+)
 from repro.metrics import FaultRollup  # noqa: E402
 from repro.repair import (  # noqa: E402
-    CARRepair,
+    SCHEMES,
     IrrecoverableError,
     RPRScheme,
-    TraditionalRepair,
-    simulate_repair,
-    simulate_repair_with_faults,
+    simulate_fault_scenario,
 )
-from repro.sim import FaultPlan, NodeDeath, random_fault_plan  # noqa: E402
 
 MB = 1024 * 1024
-
-SCHEMES = [
-    ("traditional", TraditionalRepair),
-    ("car", CARRepair),
-    ("rpr", RPRScheme),
-]
 
 FULL_CODES = [(4, 2), (6, 3), (8, 3)]
 FULL_SEEDS = range(8)
@@ -57,23 +53,18 @@ def run_sweep(codes=FULL_CODES, seeds=FULL_SEEDS, deaths: int = 1):
     for n, k in codes:
         env = build_simics_environment(n, k)
         ctx = context_for(env, [1])
-        for name, factory in SCHEMES:
+        for name, factory in SCHEMES.items():
             scheme = factory()
-            fault_free = simulate_repair(scheme, ctx, env.bandwidth).total_repair_time
+            fault_free = run_scheme(env, scheme, [1]).total_repair_time
             outcomes = []
             for seed in seeds:
-                faults = random_fault_plan(
-                    env.cluster.node_ids(),
-                    seed=seed,
-                    deaths=deaths,
-                    death_window=(0.0, fault_free),
-                )
                 try:
-                    outcomes.append(
-                        simulate_repair_with_faults(scheme, ctx, env.bandwidth, faults)
+                    _, outcome = simulate_fault_scenario(
+                        scheme, ctx, env.bandwidth, deaths=deaths, seed=seed
                     )
                 except IrrecoverableError:
-                    outcomes.append(None)
+                    outcome = None
+                outcomes.append(outcome)
             rollup = FaultRollup.from_outcomes(outcomes)
             rows.append(
                 {
@@ -96,11 +87,10 @@ def pinned_reuse_outcome():
     re-gathering them.
     """
     env = build_simics_environment(8, 3)
-    ctx = context_for(env, [2])
-    scheme = RPRScheme()
-    fault_free = simulate_repair(scheme, ctx, env.bandwidth).total_repair_time
-    faults = FaultPlan(deaths=(NodeDeath(node=12, time=0.7 * fault_free),))
-    return simulate_repair_with_faults(scheme, ctx, env.bandwidth, faults)
+    _, outcome = simulate_fault_scenario(
+        RPRScheme(), context_for(env, [2]), env.bandwidth, kill=[(12, 0.7)]
+    )
+    return outcome
 
 
 def rows_to_table(rows) -> str:

@@ -8,38 +8,29 @@ an accelerated Monte-Carlo run for cross-validation.
 """
 
 from conftest import emit
-from repro.experiments import build_simics_environment, context_for, format_table
-from repro.reliability import mttdl_from_repair_times, simulate_stripe_lifetimes
-from repro.repair import RPRScheme, TraditionalRepair, simulate_repair
+from repro.experiments import build_simics_environment, durability_rows, format_table
+from repro.reliability import simulate_stripe_lifetimes
+from repro.repair import RPRScheme, TraditionalRepair
 
-YEAR = 365.25 * 24 * 3600
-LAM_PRODUCTION = 1 / (4 * YEAR)
 LAM_ACCELERATED = 1 / 2000.0
 CODES = [(6, 2), (8, 4), (12, 4)]
 
 
 def run_analysis():
     rows = []
-    for n, k in CODES:
+    for (n, k), analytic in zip(CODES, durability_rows(CODES, block_mtbf_years=4.0)):
         env = build_simics_environment(n, k)
-        for scheme in [TraditionalRepair(), RPRScheme()]:
-            times = [
-                simulate_repair(
-                    scheme, context_for(env, list(range(l))), env.bandwidth
-                ).total_repair_time
-                for l in range(1, k + 1)
-            ]
-            analytic = mttdl_from_repair_times(n + k, k, LAM_PRODUCTION, times)
+        for prefix, scheme in [("tra", TraditionalRepair()), ("rpr", RPRScheme())]:
             mc = simulate_stripe_lifetimes(
                 env, scheme, LAM_ACCELERATED, trials=80, seed=13
             )
             rows.append(
                 {
-                    "code": f"({n},{k})",
+                    "code": analytic["code"],
                     "scheme": scheme.name,
-                    "repair_1_s": times[0],
-                    "repair_k_s": times[-1],
-                    "mttdl_years": analytic / YEAR,
+                    "repair_1_s": analytic[f"{prefix}_repair_times_s"][0],
+                    "repair_k_s": analytic[f"{prefix}_repair_times_s"][-1],
+                    "mttdl_years": analytic[f"{prefix}_mttdl_years"],
                     "mc_accel_s": mc.mttdl_seconds,
                 }
             )

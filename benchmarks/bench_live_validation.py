@@ -59,9 +59,9 @@ def export_traces(reports, out_dir) -> list:
     """Chrome trace-event files, one per code, sim + live side by side,
     and one utilization report per (code, scheme).
 
-    The sweep's diffs only keep aligned span summaries; Chrome export
-    needs the full traces, so each scheme is replayed once with a
-    recorder attached.  Written files load directly in Perfetto /
+    ``reports`` must come from a ``telemetry=True`` sweep: each row then
+    carries the simulated and the measured trace of the run the table
+    shows.  Written files load directly in Perfetto /
     ``chrome://tracing``.  ``report_<code>_<scheme>.txt`` puts both
     traces through the one view (``RunTrace.from_telemetry``): bottleneck
     report + Gantt of the prediction above those of the measurement, so
@@ -69,55 +69,25 @@ def export_traces(reports, out_dir) -> list:
     long.
     """
     import json
-    from pathlib import Path
 
-    from repro.live import live_context, live_environment, run_plan_live_sync
-    from repro.repair import initial_store_for, simulate_repair
-    from repro.repair import CARRepair, RPRScheme, TraditionalRepair
-    from repro.telemetry import (
-        CLOCK_WALL,
-        RunTrace,
-        TelemetryRecorder,
-        render_gantt,
-        render_report,
-        to_chrome_trace,
-    )
-    from repro.workloads import encoded_stripe
+    from repro.live import live_environment
+    from repro.telemetry import RunTrace, render_gantt, render_report, to_chrome_trace
 
-    schemes = {
-        "traditional": TraditionalRepair,
-        "car": CARRepair,
-        "rpr": RPRScheme,
-    }
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for report in reports:
-        env = live_environment(report.n, report.k, block_size=report.block_size)
-        ctx = live_context(env, list(report.failed))
-        stripe = encoded_stripe(env.code, report.block_size, seed=0)
+        cluster = live_environment(report.n, report.k).cluster
         traces = []
         for row in report.rows:
-            predicted = simulate_repair(schemes[row.scheme](), ctx, env.bandwidth)
-            recorder = TelemetryRecorder(
-                CLOCK_WALL, meta={"source": "live", "scheme": row.scheme}
-            )
-            live = run_plan_live_sync(
-                predicted.plan,
-                env.cluster,
-                initial_store_for(stripe, env.placement, list(report.failed)),
-                bandwidth=env.bandwidth,
-                transport=report.transport,
-                recorder=recorder,
-            )
             pair = [
-                (f"sim:{row.scheme}", predicted.telemetry()),
-                (f"live:{row.scheme}", live.telemetry),
+                (f"sim:{row.scheme}", row.sim_trace),
+                (f"live:{row.scheme}", row.live_trace),
             ]
             traces.extend(pair)
             sections = []
             for name, trace in pair:
-                view = RunTrace.from_telemetry(trace, env.cluster)
+                view = RunTrace.from_telemetry(trace, cluster)
                 sections.append(
                     f"== {name} ({trace.clock} clock)\n"
                     f"{render_report(view)}\n\n{render_gantt(view)}\n"
@@ -218,12 +188,14 @@ def main(argv=None) -> int:
         "scheme) into DIR — the CI live-smoke build artifact",
     )
     args = parser.parse_args(argv)
+    telemetry = bool(args.trace_out)
     if args.smoke:
         reports = run_sweep(
-            codes=SMOKE_CODES, block_size=SMOKE_BLOCK, transport=args.transport
+            codes=SMOKE_CODES, block_size=SMOKE_BLOCK, transport=args.transport,
+            telemetry=telemetry,
         )
     else:
-        reports = run_sweep(transport=args.transport)
+        reports = run_sweep(transport=args.transport, telemetry=telemetry)
     print(reports_to_table(reports))
     check_reports(reports, SLICED_RATIO_LIMIT if args.smoke else None)
     if args.trace_out:

@@ -21,7 +21,6 @@ to healthy afterwards.
 
 from __future__ import annotations
 
-import asyncio
 import sys
 from pathlib import Path
 
@@ -30,12 +29,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments import format_table  # noqa: E402
-from repro.qos import (  # noqa: E402
-    LocalService,
-    preload_working_set,
-    replay_trace,
-)
-from repro.workloads import zipf_object_trace  # noqa: E402
+from repro.qos import kill_mid_trace_replay  # noqa: E402
 
 FULL_SHARES = (0.1, 0.2, 0.5, 0.8, 0.95)
 SMOKE_SHARES = (0.2,)
@@ -45,46 +39,25 @@ KILL_AT = 0.25
 SEED = 42
 
 
-async def _replay(
-    link_rate,
-    repair_share,
-    *,
-    objects: int,
-    requests: int,
-    concurrency: int = 8,
-    wait_repaired: bool = False,
-):
+def _replay(link_rate, repair_share, *, objects, requests, wait_repaired=False):
     """One kill-mid-trace replay; returns ``(report, repairs_done)``."""
-    async with LocalService(
+    report, status = kill_mid_trace_replay(
+        objects=objects,
+        requests=requests,
+        object_bytes=3 * BLOCK,
+        kill_at=KILL_AT,
+        seed=SEED,
+        get_fraction=0.95,
+        concurrency=8,
+        wait_repaired=wait_repaired,
         block_size=BLOCK,
         link_rate=link_rate,
         repair_share=repair_share,
         suspect_after=0.45,
         sweep_interval=0.05,
         heartbeat=0.1,
-    ) as svc:
-        expected = await preload_working_set(
-            svc.client, objects, 3 * BLOCK, seed=SEED
-        )
-        events = zipf_object_trace(
-            objects, requests, get_fraction=0.95, seed=SEED
-        )
-        victim = svc.coordinator.stripes[0].placement.node_of(0)
-        report = await replay_trace(
-            svc.client,
-            events,
-            mode="closed",
-            concurrency=concurrency,
-            expected=expected,
-            kills=[(KILL_AT, victim)],
-            kill_fn=svc.kill,
-            object_bytes=3 * BLOCK,
-            seed=SEED,
-        )
-        if wait_repaired:
-            await svc.client.wait_healthy(timeout=60.0, min_repairs=1)
-        status = await svc.client.status()
-        return report, len(status.get("repairs", []))
+    )
+    return report, len(status["repairs"])
 
 
 def run_sweep(shares=FULL_SHARES, *, objects=30, requests=350) -> list[dict]:
@@ -92,13 +65,11 @@ def run_sweep(shares=FULL_SHARES, *, objects=30, requests=350) -> list[dict]:
     rows = []
     for share in (None, *shares):
         link_rate = None if share is None else LINK_RATE
-        report, repairs = asyncio.run(
-            _replay(
-                link_rate,
-                0.5 if share is None else share,
-                objects=objects,
-                requests=requests,
-            )
+        report, repairs = _replay(
+            link_rate,
+            0.5 if share is None else share,
+            objects=objects,
+            requests=requests,
         )
         summary = report.to_dict()
         window = report.repair_window
@@ -197,11 +168,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.smoke:
-        report, repairs = asyncio.run(
-            _replay(
-                LINK_RATE, SMOKE_SHARES[0], objects=8, requests=80,
-                wait_repaired=True,
-            )
+        report, repairs = _replay(
+            LINK_RATE, SMOKE_SHARES[0], objects=8, requests=80, wait_repaired=True
         )
         summary = report.to_dict()
         print(

@@ -28,21 +28,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.perfharness import (  # noqa: E402
-    append_history,
-    coding_suite,
-    compare_reports,
-    engine_suite,
-    live_suite,
-    qos_suite,
-)
+from repro.perfharness import REPORT_SUITES, append_history, compare_reports  # noqa: E402
 
-SUITES = {
-    "BENCH_engine.json": engine_suite,
-    "BENCH_coding.json": coding_suite,
-    "BENCH_live.json": live_suite,
-    "BENCH_qos.json": qos_suite,
-}
+SUITES = dict(REPORT_SUITES)
 
 
 def main(argv=None) -> int:

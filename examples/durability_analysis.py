@@ -18,13 +18,11 @@ RS(12,4) buys ~70x the durability.
 Run:  python examples/durability_analysis.py
 """
 
-from repro.experiments import build_simics_environment, context_for
-from repro.reliability import mttdl_from_repair_times, simulate_stripe_lifetimes
-from repro.repair import RPRScheme, TraditionalRepair, simulate_repair
+from repro.experiments import build_simics_environment, durability_rows
+from repro.reliability import simulate_stripe_lifetimes
+from repro.repair import RPRScheme, TraditionalRepair
 
-YEAR = 365.25 * 24 * 3600
 N, K = 12, 4
-LAM_PRODUCTION = 1 / (4 * YEAR)
 LAM_ACCELERATED = 1 / 2000.0
 
 
@@ -33,33 +31,22 @@ def main() -> None:
     print(f"RS({N},{K}) stripe, Simics testbed, "
           f"failure rate 1/(4 years) per block\n")
 
-    results = {}
-    for scheme in [TraditionalRepair(), RPRScheme()]:
-        times = [
-            simulate_repair(
-                scheme, context_for(env, list(range(l))), env.bandwidth
-            ).total_repair_time
-            for l in range(1, K + 1)
-        ]
-        analytic = mttdl_from_repair_times(N + K, K, LAM_PRODUCTION, times)
+    (row,) = durability_rows([(N, K)], block_mtbf_years=4.0)
+    for prefix, scheme in [("tra", TraditionalRepair()), ("rpr", RPRScheme())]:
         mc = simulate_stripe_lifetimes(
             env, scheme, LAM_ACCELERATED, trials=100, seed=42
         )
-        results[scheme.name] = (times, analytic, mc)
         print(f"{scheme.name}:")
         print(f"  repair time by concurrent failures: "
-              f"{[f'{t:.0f}s' for t in times]}")
-        print(f"  analytic MTTDL: {analytic / YEAR:.3e} years")
+              f"{[f'{t:.0f}s' for t in row[f'{prefix}_repair_times_s']]}")
+        print(f"  analytic MTTDL: {row[f'{prefix}_mttdl_years']:.3e} years")
         print(f"  Monte-Carlo (accelerated failures): mean lifetime "
               f"{mc.mttdl_seconds:.0f} s over {mc.trials} trials\n")
 
-    tra_times, tra_mttdl, _ = results["traditional"]
-    rpr_times, rpr_mttdl, _ = results["rpr"]
-    speedup = tra_times[0] / rpr_times[0]
-    amplification = rpr_mttdl / tra_mttdl
+    speedup = row["tra_repair_s"] / row["rpr_repair_s"]
     print(
         f"repairing {speedup:.1f}x faster multiplies MTTDL by "
-        f"{amplification:.0f}x (super-linear: loss needs {K + 1} "
+        f"{row['amplification']:.0f}x (super-linear: loss needs {K + 1} "
         f"overlapping failures)"
     )
 

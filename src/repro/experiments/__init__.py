@@ -21,6 +21,7 @@ from .extensions import (
     durability_rows,
     lrc_rows,
     node_rebuild_rows,
+    rebuild_node,
     slice_pipelining_rows,
 )
 from .multi import (
@@ -64,6 +65,7 @@ __all__ = [
     "node_rebuild_rows",
     "model_vs_simulation_rows",
     "multi_failure_rows",
+    "rebuild_node",
     "run_scheme",
     "single_failure_rows",
     "slice_pipelining_rows",

@@ -3,8 +3,10 @@
 Mirrors the ``figureN_rows`` convention so the CLI and benches share one
 code path for extension results too:
 
-* :func:`node_rebuild_rows` — full-node rebuild orchestration matrix.
-* :func:`durability_rows` — per-scheme MTTDL from measured repair times.
+* :func:`node_rebuild_rows` — full-node rebuild orchestration matrix
+  (each cell a :func:`rebuild_node`, which is also ``rpr rebuild``).
+* :func:`durability_rows` — per-scheme MTTDL from measured repair times
+  (also ``rpr durability``, the durability bench and example).
 * :func:`lrc_rows` — LRC(12,2,2) vs RS(12,4) at equal overhead.
 * :func:`slice_pipelining_rows` — paper RPR (tree) vs the slice-pipelined
   chain at the Simics rates.
@@ -16,28 +18,53 @@ import itertools
 from dataclasses import replace
 
 from ..cluster import Cluster, ContiguousPlacement, SIMICS_BANDWIDTH
-from ..multistripe import StripeStore, repair_node_failure
+from ..multistripe import MultiStripeOutcome, StripeStore, repair_node_failure
 from ..reliability import mttdl_from_repair_times
-from ..repair import RepairContext, RPRScheme, TraditionalRepair, simulate_repair
+from ..repair import (
+    RepairContext,
+    RepairScheme,
+    RPRScheme,
+    TraditionalRepair,
+    simulate_repair,
+)
 from ..rs import MB, PAPER_SINGLE_FAILURE_CODES, SIMICS_DECODE, get_code
-from .common import build_simics_environment, context_for
+from .common import ExperimentEnv, build_simics_environment, context_for, run_scheme
 
-__all__ = ["node_rebuild_rows", "durability_rows", "lrc_rows", "slice_pipelining_rows"]
+__all__ = [
+    "durability_rows",
+    "lrc_rows",
+    "node_rebuild_rows",
+    "rebuild_node",
+    "slice_pipelining_rows",
+]
 
 YEAR = 365.25 * 24 * 3600
 
 
-def node_rebuild_rows(num_stripes: int = 30, failed_node: int = 0) -> list[dict]:
-    """Scheme x mode x rebuild-target matrix over a declustered store."""
-    cluster = Cluster.homogeneous(5, 6)
-    store = StripeStore.build(cluster, get_code(6, 2), num_stripes)
+def rebuild_node(
+    env: ExperimentEnv, scheme: RepairScheme, *, num_stripes: int, failed_node: int, **how
+) -> MultiStripeOutcome:
+    """Fail one node of a fresh ``num_stripes``-stripe declustered store on
+    ``env``'s cluster and rebuild everything it held (``outcome.failure.lost``
+    names the blocks); ``how`` is ``mode`` / ``rebuild`` / ``balance`` of
+    :func:`repro.multistripe.repair_node_failure`."""
+    store = StripeStore.build(env.cluster, env.code, num_stripes)
+    return repair_node_failure(
+        store, failed_node, scheme, env.bandwidth,
+        block_size=env.block_size, cost_model=env.cost_model, **how,
+    )
+
+
+def node_rebuild_rows() -> list[dict]:
+    """Scheme x mode x rebuild-target matrix: node 0 of a 30-stripe RS(6,2)
+    store on five racks of six."""
+    env = build_simics_environment(6, 2, nodes_per_rack=6)
     rows = []
     for scheme in [TraditionalRepair(), RPRScheme()]:
         for mode in ["sequential", "parallel"]:
             for rebuild in ["replacement", "scatter"]:
-                outcome = repair_node_failure(
-                    store, failed_node, scheme, SIMICS_BANDWIDTH,
-                    mode=mode, rebuild=rebuild,
+                outcome = rebuild_node(
+                    env, scheme, num_stripes=30, failed_node=0, mode=mode, rebuild=rebuild
                 )
                 rows.append(
                     {
@@ -45,7 +72,7 @@ def node_rebuild_rows(num_stripes: int = 30, failed_node: int = 0) -> list[dict]
                         "mode": mode,
                         "rebuild": rebuild,
                         "makespan_s": outcome.makespan,
-                        "cross_blocks": outcome.total_cross_rack_bytes / (256 * MB),
+                        "cross_blocks": outcome.total_cross_rack_bytes / env.block_size,
                         "rack_imbalance": outcome.rack_upload_imbalance[
                             "max_mean_ratio"
                         ],
@@ -55,34 +82,38 @@ def node_rebuild_rows(num_stripes: int = 30, failed_node: int = 0) -> list[dict]
 
 
 def durability_rows(
-    codes=((6, 2), (8, 4), (12, 4)), block_mtbf_years: float = 4.0
+    codes=((6, 2), (8, 4), (12, 4)),
+    block_mtbf_years: float = 4.0,
+    build_env=build_simics_environment,
 ) -> list[dict]:
-    """Analytic MTTDL per scheme at a production failure rate."""
+    """Analytic MTTDL per scheme at a production failure rate.
+
+    Per code (on ``build_env(n, k)``): each scheme's repair time with
+    ``l = 1..k`` blocks already lost (``*_repair_times_s``; ``*_repair_s``
+    is the single-failure one) fed to the birth-death model at one
+    failure per block per ``block_mtbf_years``.
+    """
     lam = 1 / (block_mtbf_years * YEAR)
     rows = []
     for n, k in codes:
-        env = build_simics_environment(n, k)
-        per_scheme = {}
-        for scheme in [TraditionalRepair(), RPRScheme()]:
-            times = [
-                simulate_repair(
-                    scheme, context_for(env, list(range(l))), env.bandwidth
-                ).total_repair_time
-                for l in range(1, k + 1)
-            ]
-            per_scheme[scheme.name] = (
-                times[0],
-                mttdl_from_repair_times(n + k, k, lam, times) / YEAR,
-            )
+        env = build_env(n, k)
+        tra, rpr = (
+            [run_scheme(env, scheme, range(l)).total_repair_time for l in range(1, k + 1)]
+            for scheme in (TraditionalRepair(), RPRScheme())
+        )
+        tra_mttdl, rpr_mttdl = (
+            mttdl_from_repair_times(n + k, k, lam, times) / YEAR for times in (tra, rpr)
+        )
         rows.append(
             {
                 "code": f"({n},{k})",
-                "tra_repair_s": per_scheme["traditional"][0],
-                "rpr_repair_s": per_scheme["rpr"][0],
-                "tra_mttdl_years": per_scheme["traditional"][1],
-                "rpr_mttdl_years": per_scheme["rpr"][1],
-                "amplification": per_scheme["rpr"][1]
-                / per_scheme["traditional"][1],
+                "tra_repair_s": tra[0],
+                "rpr_repair_s": rpr[0],
+                "tra_mttdl_years": tra_mttdl,
+                "rpr_mttdl_years": rpr_mttdl,
+                "amplification": rpr_mttdl / tra_mttdl,
+                "tra_repair_times_s": tra,
+                "rpr_repair_times_s": rpr,
             }
         )
     return rows

@@ -42,7 +42,6 @@ from .runtime import (
 from .shaper import (
     ClassedBucket,
     LinkShaper,
-    QoSLinkShaper,
     TokenBucket,
     WeightedTokenBucket,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ClassedBucket",
     "DEFAULT_LIVE_BANDWIDTH",
     "LinkShaper",
-    "QoSLinkShaper",
     "WeightedTokenBucket",
     "LiveError",
     "LiveOpTiming",

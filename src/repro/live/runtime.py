@@ -154,14 +154,6 @@ class _PortRegistry:
                 self._cond.notify_all()
 
 
-class _NullRegistry:
-    """Port model switched off: transfers share links freely."""
-
-    @asynccontextmanager
-    async def hold(self, *keys):
-        yield
-
-
 class _LiveRun:
     """One plan execution: nodes, shaper, transport, op tasks."""
 
@@ -175,7 +167,6 @@ class _LiveRun:
         transport,
         tables: GFTables,
         chunk_size: int,
-        exclusive_ports: bool,
         recorder: TelemetryRecorder | None = None,
     ) -> None:
         plan.validate()
@@ -190,7 +181,7 @@ class _LiveRun:
         # every emission site below is a single identity check when
         # telemetry is off.
         self.rec = recorder if recorder else None
-        self.ports = _PortRegistry() if exclusive_ports else _NullRegistry()
+        self.ports = _PortRegistry()
         self.parts = plan.parts()
         self.events = {
             part.op_id: asyncio.Event() for parts in self.parts.values() for part in parts
@@ -387,7 +378,6 @@ async def run_plan_live(
     transport: str | MemoryTransport | TcpTransport = "memory",
     tables: GFTables | None = None,
     chunk_size: int = DEFAULT_CHUNK,
-    exclusive_ports: bool = True,
     timeout: float | None = 120.0,
     recorder: TelemetryRecorder | None = None,
 ) -> LiveResult:
@@ -402,9 +392,6 @@ async def run_plan_live(
     transport:
         ``"memory"`` (in-process streams), ``"tcp"`` (localhost
         sockets), or a pre-built transport instance.
-    exclusive_ports:
-        Enforce the engine's one-upload/one-download/one-CPU port model;
-        turning it off lets transfers share links (pure backpressure).
     timeout:
         Hard wall-clock budget; a hang raises :class:`LiveTimeoutError`
         instead of stalling forever (CI jobs rely on this).
@@ -431,7 +418,6 @@ async def run_plan_live(
         transport=live_transport,
         tables=tables or get_tables(),
         chunk_size=chunk_size,
-        exclusive_ports=exclusive_ports,
         recorder=rec,
     )
     return await run.run(timeout)

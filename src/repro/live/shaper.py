@@ -28,7 +28,6 @@ __all__ = [
     "WeightedTokenBucket",
     "ClassedBucket",
     "LinkShaper",
-    "QoSLinkShaper",
 ]
 
 #: Default burst window in seconds: the bucket holds at most this much
@@ -418,71 +417,3 @@ class LinkShaper:
         if self.bandwidth is None:
             return 0.0
         return self.bandwidth.latency(self.cluster, src, dst)
-
-
-class QoSLinkShaper(LinkShaper):
-    """A :class:`LinkShaper` whose links are split across traffic classes.
-
-    Each directed link gets one :class:`WeightedTokenBucket` instead of a
-    plain :class:`TokenBucket`; :meth:`bucket` takes the traffic class
-    and hands back a :class:`ClassedBucket` view, so existing bucket
-    consumers keep their interface while every class on a link shares
-    one rate budget with weighted guarantees and work-conserving
-    borrowing.  Class names are caller-defined; the canonical
-    foreground/deadline-repair/background-repair split lives in
-    :mod:`repro.qos.classes`.
-    """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        bandwidth: BandwidthModel | None,
-        weights: dict[str, float],
-        *,
-        burst_s: float = DEFAULT_BURST_S,
-        clock: Callable[[], float] = time.monotonic,
-        sleep=asyncio.sleep,
-        recorder=None,
-    ) -> None:
-        super().__init__(
-            cluster, bandwidth, burst_s=burst_s, clock=clock, sleep=sleep,
-            recorder=recorder,
-        )
-        if not weights:
-            raise ValueError("need at least one traffic class")
-        self.weights = dict(weights)
-        self._links: dict[tuple[int, int], WeightedTokenBucket] = {}
-
-    def link(self, src: int, dst: int) -> WeightedTokenBucket | None:
-        """The shared weighted bucket for ``src -> dst`` (lazily built)."""
-        if self.bandwidth is None:
-            return None
-        key = (src, dst)
-        found = self._links.get(key)
-        if found is None:
-            rate = self.bandwidth.rate(self.cluster, src, dst)
-            found = self._links[key] = WeightedTokenBucket(
-                rate,
-                self.weights,
-                capacity=max(rate * self.burst_s, 1.0),
-                clock=self._clock,
-                sleep=self._sleep,
-                recorder=self._recorder,
-                label=f"n{src}->n{dst}",
-            )
-        return found
-
-    def bucket(self, src: int, dst: int, cls: str | None = None):
-        """The pacing bucket for one class on ``src -> dst``.
-
-        With ``cls=None`` this degrades to the base class's unclassed
-        bucket (so a :class:`QoSLinkShaper` can stand in anywhere a
-        :class:`LinkShaper` is expected); with a class name it returns
-        the weighted link's :class:`ClassedBucket` view.
-        """
-        if cls is None:
-            return super().bucket(src, dst)
-        link = self.link(src, dst)
-        if link is None:
-            return None
-        return ClassedBucket(link, cls)

@@ -32,16 +32,14 @@ import numpy as np
 
 from ..cluster import BandwidthModel, HierarchicalBandwidth
 from ..experiments import ExperimentEnv, build_simics_environment, context_for
-from ..repair import (
-    CARRepair,
-    RepairContext,
-    RepairScheme,
-    RPRScheme,
-    TraditionalRepair,
-    initial_store_for,
-    simulate_repair,
+from ..repair import SCHEMES, RepairContext, initial_store_for, simulate_repair
+from ..telemetry import (
+    CLOCK_WALL,
+    TelemetryRecorder,
+    TelemetryTrace,
+    TraceDiff,
+    diff_repair,
 )
-from ..telemetry import CLOCK_WALL, TelemetryRecorder, TraceDiff, diff_repair
 from ..workloads import encoded_stripe
 from .runtime import LiveResult, run_plan_live_sync
 
@@ -66,12 +64,6 @@ DEFAULT_LIVE_BANDWIDTH = HierarchicalBandwidth(intra=8e6, cross=8e5)
 #: Default live block size (bytes).
 DEFAULT_LIVE_BLOCK = 64 * 1024
 
-_SCHEMES: dict[str, type[RepairScheme]] = {
-    "traditional": TraditionalRepair,
-    "car": CARRepair,
-    "rpr": RPRScheme,
-}
-
 
 @dataclass(frozen=True)
 class LiveSchemeReport:
@@ -81,7 +73,10 @@ class LiveSchemeReport:
     attribution: when the validation ran with ``telemetry=True`` it
     holds the :class:`~repro.telemetry.TraceDiff` aligning every sim op
     span against its measured counterpart (so a drifted ``ratio`` can be
-    pinned to the transfer or port claim that caused it).
+    pinned to the transfer or port claim that caused it), and
+    ``sim_trace`` / ``live_trace`` hold the two full traces the diff was
+    taken from — what ``rpr telemetry export`` and the bench's
+    ``--trace-out`` write, so neither runs the plan a second time.
 
     ``slices`` is the plan's largest slice count (1 = whole blocks) and
     ``gather`` the shape of its cross-rack stage as the planner chose
@@ -100,6 +95,8 @@ class LiveSchemeReport:
     sim_cross_rack_bytes: int
     diff: TraceDiff | None = None
     slices: int = 1
+    sim_trace: TelemetryTrace | None = None
+    live_trace: TelemetryTrace | None = None
 
     @property
     def gather(self) -> str:
@@ -281,7 +278,8 @@ def run_live_validation(
     With ``telemetry=True`` every live run records a full wall-clock
     telemetry trace and each row carries the sim↔live
     :class:`~repro.telemetry.TraceDiff` (per-op measured/predicted
-    ratios, critical-path delta) in its ``diff`` field.
+    ratios, critical-path delta) in its ``diff`` field, beside the two
+    traces themselves (``sim_trace``, ``live_trace``).
 
     Multi-block failures drop CAR automatically (it is single-failure
     only, as in the paper).
@@ -291,13 +289,13 @@ def run_live_validation(
         n, k, block_size=block_size, bandwidth=bandwidth, placement=placement
     )
     if schemes is None:
-        schemes = ["traditional", "rpr"] if len(failed) > 1 else list(_SCHEMES)
+        schemes = ["traditional", "rpr"] if len(failed) > 1 else list(SCHEMES)
     stripe = encoded_stripe(env.code, block_size, seed=seed)
     ctx = live_context(env, failed)
 
     rows = []
     for name in schemes:
-        scheme = _SCHEMES[name]()
+        scheme = SCHEMES[name]()
         predicted = simulate_repair(scheme, ctx, env.bandwidth)
         store = initial_store_for(stripe, env.placement, failed)
         recorder = (
@@ -335,6 +333,8 @@ def run_live_validation(
                 sim_cross_rack_bytes=int(predicted.cross_rack_bytes),
                 diff=diff_repair(predicted, live) if telemetry else None,
                 slices=predicted.plan.slices,
+                sim_trace=predicted.telemetry() if telemetry else None,
+                live_trace=live.telemetry if telemetry else None,
             )
         )
     return LiveValidationReport(

@@ -385,10 +385,7 @@ def qos_suite(quick: bool = False) -> dict:
     violation means the QoS plane is broken, and the CI perf gate
     (which reruns this suite) turns that into a red build.
     """
-    import asyncio
-
-    from .qos import LocalService, percentiles, preload_working_set, replay_trace
-    from .workloads import zipf_object_trace
+    from .qos import kill_mid_trace_replay, percentiles
 
     block = 16 * 1024
     # The victim daemon holds a block of most stripes, so the repair
@@ -404,34 +401,6 @@ def qos_suite(quick: bool = False) -> dict:
     kill_at = 0.25
     seed = 42
 
-    async def one_run(rate, repair_share):
-        async with LocalService(
-            block_size=block,
-            link_rate=rate,
-            repair_share=repair_share,
-            suspect_after=0.45,
-            sweep_interval=0.05,
-            heartbeat=0.1,
-        ) as svc:
-            expected = await preload_working_set(
-                svc.client, objects, object_bytes, seed=seed
-            )
-            events = zipf_object_trace(
-                objects, requests, get_fraction=0.95, seed=seed
-            )
-            victim = svc.coordinator.stripes[0].placement.node_of(0)
-            return await replay_trace(
-                svc.client,
-                events,
-                mode="closed",
-                concurrency=8,
-                expected=expected,
-                kills=[(kill_at, victim)],
-                kill_fn=svc.kill,
-                object_bytes=object_bytes,
-                seed=seed,
-            )
-
     report = _env_info(quick)
     results: dict = {}
     report["results"] = results
@@ -439,7 +408,21 @@ def qos_suite(quick: bool = False) -> dict:
 
     def measure(name: str, rate, share: float) -> dict:
         t0 = time.perf_counter()
-        rep = asyncio.run(one_run(rate, share))
+        rep, _ = kill_mid_trace_replay(
+            objects=objects,
+            requests=requests,
+            object_bytes=object_bytes,
+            kill_at=kill_at,
+            seed=seed,
+            get_fraction=0.95,
+            concurrency=8,
+            block_size=block,
+            link_rate=rate,
+            repair_share=share,
+            suspect_after=0.45,
+            sweep_interval=0.05,
+            heartbeat=0.1,
+        )
         wall = time.perf_counter() - t0
         if rep.errors:
             first = rep.errors[0]
@@ -577,18 +560,22 @@ def append_history(out_dir: Path, reports: dict[str, dict]) -> Path:
     return path
 
 
+#: Report file -> the suite that fills it, in run order.
+REPORT_SUITES = (
+    ("BENCH_engine.json", engine_suite),
+    ("BENCH_coding.json", coding_suite),
+    ("BENCH_live.json", live_suite),
+    ("BENCH_qos.json", qos_suite),
+)
+
+
 def write_reports(out_dir: Path, quick: bool = False) -> list[Path]:
-    """Run both suites, write the ``BENCH_*.json`` reports, log history."""
+    """Run every suite, write the ``BENCH_*.json`` reports, log history."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     reports = {}
-    for name, suite in (
-        ("BENCH_engine.json", engine_suite),
-        ("BENCH_coding.json", coding_suite),
-        ("BENCH_live.json", live_suite),
-        ("BENCH_qos.json", qos_suite),
-    ):
+    for name, suite in REPORT_SUITES:
         report = suite(quick)
         reports[name.removeprefix("BENCH_").removesuffix(".json")] = report
         path = out_dir / name

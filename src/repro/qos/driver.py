@@ -19,12 +19,13 @@ from ..cluster import Cluster
 from ..rs import get_code
 from ..store import Coordinator, StorageDaemon, StoreClient, StoreError
 from ..telemetry import CLOCK_WALL, LogHistogram, TelemetryRecorder
-from ..workloads import RequestEvent
+from ..workloads import RequestEvent, zipf_object_trace
 
 __all__ = [
     "LocalService",
     "ReplayReport",
     "RequestSample",
+    "kill_mid_trace_replay",
     "object_payload",
     "percentiles",
     "preload_working_set",
@@ -426,3 +427,64 @@ class LocalService:
     async def kill(self, node_id: int) -> None:
         """In-process SIGKILL: the daemon stops serving AND beating."""
         await self.daemons.pop(node_id).aclose()
+
+
+def kill_mid_trace_replay(
+    *,
+    objects: int,
+    requests: int,
+    object_bytes: int,
+    kill_at: float | None,
+    seed: int = 0,
+    rate: float = 100.0,
+    zipf_s: float = 1.0,
+    get_fraction: float = 0.9,
+    mode: str = "closed",
+    concurrency: int = 4,
+    time_scale: float = 1.0,
+    wait_repaired: bool = False,
+    **service,
+) -> tuple[ReplayReport, dict]:
+    """The QoS scenario start to finish: serve a trace while a daemon dies.
+
+    Brings up a :class:`LocalService` (``**service`` are its keywords),
+    preloads ``objects`` objects of ``object_bytes``, replays a seeded
+    Zipfian trace of ``requests`` requests (``rate`` / ``zipf_s`` /
+    ``get_fraction`` shape it, ``mode`` / ``concurrency`` /
+    ``time_scale`` say how it is replayed) with every GET verified, and
+    ``kill_at`` seconds in kills the daemon holding block 0 of stripe 0
+    — the Zipf head's stripe, so later GETs keep hitting the hole
+    (``None``: nobody dies).  ``wait_repaired`` then blocks until the
+    service is healthy again with at least one repair done.
+
+    Returns ``(replay report, the service's final status reply)``.
+    Blocking: runs its own event loop.
+    """
+
+    async def run() -> tuple[ReplayReport, dict]:
+        async with LocalService(**service) as svc:
+            expected = await preload_working_set(
+                svc.client, objects, object_bytes, seed=seed
+            )
+            events = zipf_object_trace(
+                objects, requests, rate=rate, zipf_s=zipf_s,
+                get_fraction=get_fraction, seed=seed,
+            )
+            victim = svc.coordinator.stripes[0].placement.node_of(0)
+            report = await replay_trace(
+                svc.client,
+                events,
+                mode=mode,
+                concurrency=concurrency,
+                time_scale=time_scale,
+                expected=expected,
+                kills=[] if kill_at is None else [(kill_at, victim)],
+                kill_fn=svc.kill,
+                object_bytes=object_bytes,
+                seed=seed,
+            )
+            if wait_repaired:
+                await svc.client.wait_healthy(timeout=60.0, min_repairs=1)
+            return report, await svc.client.status()
+
+    return asyncio.run(run())

@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`RepairContext` — one stripe repair's inputs.
 * :class:`TraditionalRepair`, :class:`CARRepair`, :class:`RPRScheme` —
-  the three planners the paper compares.
+  the three planners the paper compares; :data:`SCHEMES` maps their
+  names to them.
 * :class:`RepairPlan` + :func:`execute_plan` — the op-DAG and its
   concrete (byte-level) executor; :func:`run_op` and
   :func:`collect_outputs` are the op step and output check every other
@@ -15,7 +16,10 @@ Public surface:
   discrete-event engine, returning time and traffic.
 * :func:`simulate_repair_with_faults` — the degraded path: run a repair
   under an injected :class:`repro.sim.FaultPlan`, re-planning around dead
-  helpers via :meth:`RepairScheme.replan` (see ``docs/FAULTS.md``).
+  helpers via :meth:`RepairScheme.replan` (see ``docs/FAULTS.md``);
+  :func:`simulate_fault_scenario` first anchors the faults to the
+  repair's own fault-free makespan (what ``rpr faults`` / ``rpr trace
+  --kill`` and ``bench_degraded_repair`` run).
 """
 
 from .base import (
@@ -41,6 +45,7 @@ from .faults import (
     RepairSnapshot,
     payload_compositions,
     plan_degraded_gather,
+    simulate_fault_scenario,
     simulate_repair_with_faults,
 )
 from .plan import CombineOp, OpSlice, PlanError, RepairPlan, SendOp, block_key
@@ -56,6 +61,14 @@ from .selection import (
 from .simulate import RepairOutcome, simulate_repair
 from .traditional import TraditionalRepair
 from .update import apply_update_payloads, plan_update
+
+#: The paper's three planners by the name every front end (CLI, store,
+#: live validation, benches) selects them with.
+SCHEMES: dict[str, type[RepairScheme]] = {
+    "traditional": TraditionalRepair,
+    "car": CARRepair,
+    "rpr": RPRScheme,
+}
 
 __all__ = [
     "CARRepair",
@@ -75,6 +88,7 @@ __all__ = [
     "RepairPlan",
     "RepairPlanningError",
     "RepairScheme",
+    "SCHEMES",
     "SendOp",
     "TraditionalRepair",
     "apply_update_payloads",
@@ -96,6 +110,7 @@ __all__ = [
     "recovery_targets",
     "remote_rack_count",
     "run_op",
+    "simulate_fault_scenario",
     "simulate_repair",
     "simulate_repair_with_faults",
 ]

@@ -44,14 +44,18 @@ from ..rs import InsufficientHelpersError, Stripe
 from ..sim import (
     FaultPlan,
     FaultReport,
+    NodeDeath,
     SimResult,
     SimulationEngine,
+    Straggler,
+    random_fault_plan,
     telemetry_from_sim,
 )
 from ..telemetry import RunTrace, TelemetryTrace
 from .base import RepairContext, RepairPlanningError, RepairScheme, recovery_targets
 from .executor import ExecutionResult, execute_plan, initial_store_for, run_op
 from .plan import RepairPlan, block_key
+from .simulate import simulate_repair
 
 __all__ = [
     "DegradedRepairOutcome",
@@ -59,6 +63,7 @@ __all__ = [
     "RepairSnapshot",
     "payload_compositions",
     "plan_degraded_gather",
+    "simulate_fault_scenario",
     "simulate_repair_with_faults",
 ]
 
@@ -617,4 +622,47 @@ def simulate_repair_with_faults(
         cluster=ctx.cluster,
         execution=execution,
         recovered=recovered,
+    )
+
+
+def simulate_fault_scenario(
+    scheme: RepairScheme,
+    ctx: RepairContext,
+    bandwidth: BandwidthModel,
+    *,
+    kill=(),
+    slow=(),
+    loss_probability: float = 0.0,
+    deaths: int = 0,
+    seed: int = 0,
+    stripe: Stripe | None = None,
+    max_attempts: int = 3,
+) -> tuple[float, DegradedRepairOutcome]:
+    """One repair under faults anchored to its own fault-free makespan.
+
+    ``kill`` is ``(node, fraction)`` pairs: the node dies at that
+    fraction of the fault-free makespan of ``ctx`` itself, so a scenario
+    means the same thing at any block size and on any testbed.  ``slow``
+    is ``(node, slowdown factor)`` pairs.  With none of ``kill`` /
+    ``slow`` / ``loss_probability`` given, ``deaths`` seeded random nodes
+    die at uniform times inside the fault-free makespan, so every draw
+    can strike while the repair is in flight.
+
+    Returns ``(fault-free makespan, degraded outcome)``; raises what
+    :func:`simulate_repair_with_faults` raises.
+    """
+    horizon = simulate_repair(scheme, ctx, bandwidth).total_repair_time
+    if kill or slow or loss_probability:
+        faults = FaultPlan(
+            deaths=tuple(NodeDeath(node, fraction * horizon) for node, fraction in kill),
+            stragglers=tuple(Straggler(node, factor) for node, factor in slow),
+            loss_probability=loss_probability,
+            seed=seed,
+        )
+    else:
+        faults = random_fault_plan(
+            ctx.cluster.node_ids(), seed=seed, deaths=deaths, death_window=(0.0, horizon)
+        )
+    return horizon, simulate_repair_with_faults(
+        scheme, ctx, bandwidth, faults, stripe=stripe, max_attempts=max_attempts
     )

@@ -41,12 +41,10 @@ from ..live.transport import cancel_and_wait
 from ..metrics import TrafficLedger
 from ..multistripe.store import StoredStripe, StripeStore
 from ..repair import (
-    CARRepair,
+    SCHEMES,
     CombineOp,
     RepairContext,
     RepairPlanningError,
-    RPRScheme,
-    TraditionalRepair,
     plan_degraded_read,
     simulate_repair,
 )
@@ -69,12 +67,6 @@ from .repair import (
 )
 
 __all__ = ["Coordinator", "SCHEMES", "main"]
-
-SCHEMES = {
-    "traditional": TraditionalRepair,
-    "car": CARRepair,
-    "rpr": RPRScheme,
-}
 
 #: Default per-repair deadline handed to daemons (seconds).
 DEFAULT_REPAIR_TIMEOUT = 30.0

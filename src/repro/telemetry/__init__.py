@@ -28,6 +28,10 @@ is a function of that trace:
 * :mod:`repro.telemetry.distributed` — cross-process assembly and the
   span-*tree* :func:`critical_path` (a different walk from the view's
   op-level one; the two are deliberately not merged).
+* :mod:`repro.telemetry.histogram` / :mod:`repro.telemetry.scrape` — the
+  live metrics plane: :class:`StatsRegistry` snapshots, and the views of
+  a cluster scrape (:func:`snapshots_to_prometheus`,
+  :func:`render_scrape`, :func:`render_top`).
 
 The package imports nothing from the interpreters (sim → telemetry is
 one-way): ``telemetry_from_sim`` in :mod:`repro.sim` is the engine's
@@ -58,6 +62,7 @@ from .histogram import (
     snapshots_to_prometheus,
     validate_prometheus_text,
 )
+from .scrape import render_scrape, render_top, scrape_snapshots
 from .stream import StreamingRecorder
 from .model import (
     ABORTED_CATEGORY,
@@ -116,7 +121,10 @@ __all__ = [
     "render_diff",
     "render_gantt",
     "render_report",
+    "render_scrape",
+    "render_top",
     "render_tree",
+    "scrape_snapshots",
     "snapshots_to_prometheus",
     "to_chrome_trace",
     "to_jsonl",

@@ -14,14 +14,16 @@ recorded:
   more at :meth:`close` — counter records carry the cumulative value
   (last one wins on parse), gauge/histogram records carry only the
   samples since the previous snapshot (the parser extends per name);
+* nothing that has been written is kept: a store process records spans
+  for as long as it lives, so the recorder's memory is the counters plus
+  whatever gauge/histogram samples await the next snapshot, and
+  :meth:`trace` reads the file back;
 * the file is opened in append mode, so external rotation (rename the
   file away; the next open recreates it) never loses a record, and
   :func:`~repro.telemetry.export.from_jsonl` accepts the resulting
   stream — including a repeated header after :meth:`reopen` — exactly
   like a one-shot dump.
 
-The recorder still keeps everything in memory too, so ``.trace()`` and
-the graceful-shutdown paths behave identically to the base class.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import json
 from pathlib import Path
 from typing import Callable
 
-from .model import CLOCK_WALL, TelemetryRecorder
+from .export import from_jsonl
+from .model import CLOCK_WALL, TelemetryRecorder, TelemetryTrace
 
 __all__ = ["StreamingRecorder"]
 
@@ -43,7 +46,7 @@ def _dump(record: dict) -> str:
 
 
 class StreamingRecorder(TelemetryRecorder):
-    """A :class:`TelemetryRecorder` that also appends JSONL incrementally.
+    """A :class:`TelemetryRecorder` whose memory is its JSONL file.
 
     Parameters beyond the base class:
 
@@ -71,10 +74,6 @@ class StreamingRecorder(TelemetryRecorder):
         self._fh = open(self.path, "a", buffering=1, encoding="utf-8")
         self._header_written = False
         self._last_metrics = 0.0
-        # High-water marks: how much of each gauge/histogram list has
-        # already been flushed to disk.
-        self._gauge_mark: dict[str, int] = {}
-        self._hist_mark: dict[str, int] = {}
 
     # -- writing ------------------------------------------------------
 
@@ -102,25 +101,19 @@ class StreamingRecorder(TelemetryRecorder):
         for name, value in self._counters.items():
             self._write({"record": "counter", "name": name, "value": value})
         for name, samples in self._gauges.items():
-            mark = self._gauge_mark.get(name, 0)
-            fresh = samples[mark:]
-            if fresh:
-                self._gauge_mark[name] = len(samples)
+            if samples:
                 self._write(
                     {
                         "record": "gauge",
                         "name": name,
-                        "samples": [[t, v] for t, v in fresh],
+                        "samples": [[t, v] for t, v in samples],
                     }
                 )
+                samples.clear()
         for name, values in self._histograms.items():
-            mark = self._hist_mark.get(name, 0)
-            fresh = values[mark:]
-            if fresh:
-                self._hist_mark[name] = len(values)
-                self._write(
-                    {"record": "histogram", "name": name, "values": list(fresh)}
-                )
+            if values:
+                self._write({"record": "histogram", "name": name, "values": list(values)})
+                values.clear()
 
     def close(self) -> None:
         """Final metrics snapshot, then close the file (idempotent)."""
@@ -136,14 +129,22 @@ class StreamingRecorder(TelemetryRecorder):
         self._fh = open(self.path, "a", buffering=1, encoding="utf-8")
         self._header_written = False
 
-    # -- recording (each also streams) --------------------------------
+    # -- recording (written, not kept) --------------------------------
 
     def span(self, name, start, end, **kwargs) -> None:
         super().span(name, start, end, **kwargs)
-        self._write({"record": "span", **self._spans[-1].to_dict()})
+        self._write({"record": "span", **self._spans.pop().to_dict()})
         self._maybe_flush_metrics()
 
     def event(self, name, at=None, **kwargs) -> None:
         super().event(name, at, **kwargs)
-        self._write({"record": "event", **self._events[-1].to_dict()})
+        self._write({"record": "event", **self._events.pop().to_dict()})
         self._maybe_flush_metrics()
+
+    def trace(self) -> TelemetryTrace:
+        """Everything recorded so far, read back from the file (after a
+        :meth:`reopen`: everything since the rotation)."""
+        self.flush_metrics()
+        if not self._header_written:
+            return super().trace()
+        return from_jsonl(self.path.read_text(encoding="utf-8"))

@@ -57,7 +57,7 @@ RESOURCE_KINDS = ("up", "down", "cpu")
 
 def _close(a: float, b: float) -> bool:
     """Engine-compatible instant equality (the engine batches at 1e-12)."""
-    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
 
 
 @dataclass(frozen=True)

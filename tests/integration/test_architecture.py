@@ -19,6 +19,12 @@ Only it rotates a placement by stripe id and only it mutates a stripe's
 ``missing`` set — the coordinator, the node-rebuild scheduler, examples
 and benchmarks call its operations — and the ``system`` package, the
 third copy of that bookkeeping, stays deleted.
+
+§4: front ends compute nothing.  ``repro.cli`` writes JSON in one place
+and reaches the simulator, the live runtime and the in-process store
+only through library functions; the kill-mid-trace replay is scripted
+once (``repro.qos``), and the name → scheme table exists once
+(``repro.repair.SCHEMES``).
 """
 
 import ast
@@ -302,3 +308,111 @@ def test_the_catalog_guard_sees_what_it_guards():
     assert catalog_bypasses(old_copies) == ([6, 11], [7, 8, 9, 10])
     assert emitter_imports(old_copies, "store/client.py", {DELETED}) == [1, 2, 3, 4]
     assert emitter_imports(old_copies, "", {DELETED}) == [1, 2]
+
+
+CLI = SRC / "cli"
+#: What a verb reaches through one library function, never directly.
+ENGINE_ROOM = {
+    "simulate_repair", "simulate_repair_with_faults", "SimulationEngine",
+    "run_plan_live", "run_plan_live_sync", "replay_trace", "LocalService",
+}
+#: The in-process store scenario: scripted once, in ``repro.qos``.
+QOS_SCENARIO = {"replay_trace", "LocalService"}
+
+
+def calls_to(tree: ast.AST, names: set[str]) -> list[int]:
+    """Lines calling one of ``names`` — bare, or as an attribute (``json.dumps``
+    is spelled ``{"dumps"}``)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        )
+        in names
+    )
+
+
+def scheme_tables(tree: ast.AST) -> list[int]:
+    """Lines of dict literals mapping ``"traditional"`` to ``TraditionalRepair``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        and any(
+            isinstance(key, ast.Constant)
+            and key.value == "traditional"
+            and "TraditionalRepair" in names_in(value)
+            for key, value in zip(node.keys, node.values)
+        )
+    ]
+
+
+def python_files(*tops: str):
+    """``(repo-relative path, tree)`` of every script under ``tops``, the
+    end-to-end benchmark (which binds its own names) excluded."""
+    for top in tops:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            rel = path.relative_to(ROOT).as_posix()
+            if not rel.startswith("benchmarks/e2e/"):
+                yield rel, ast.parse(path.read_text())
+
+
+def test_the_cli_writes_json_once_and_computes_nothing():
+    dumps, engine_room = [], []
+    for rel, tree in python_files("src/repro/cli"):
+        dumps += [f"{rel}:{line}" for line in calls_to(tree, {"dumps"})]
+        engine_room += [f"{rel}:{line}" for line in calls_to(tree, ENGINE_ROOM)]
+    assert len(dumps) == 1 and dumps[0].startswith("src/repro/cli/common.py:"), (
+        "json.dumps under repro.cli outside common.to_json — return a payload and "
+        "let the emitter print it:\n" + "\n".join(dumps)
+    )
+    assert not engine_room, (
+        "repro.cli drives the simulator / live runtime / in-process store itself — "
+        "call the library function that scripts the scenario:\n" + "\n".join(engine_room)
+    )
+
+
+def test_the_qos_scenario_and_the_scheme_table_exist_once():
+    scenario, tables = {}, []
+    for rel, tree in python_files("src", "benchmarks", "examples"):
+        if calls_to(tree, QOS_SCENARIO):
+            scenario[rel] = calls_to(tree, QOS_SCENARIO)
+        if not rel.startswith("examples/"):
+            tables += [f"{rel}:{line}" for line in scheme_tables(tree)]
+    assert list(scenario) == ["src/repro/qos/driver.py"], (
+        "replay_trace / LocalService called outside repro.qos.driver — call "
+        f"kill_mid_trace_replay instead: {scenario}"
+    )
+    assert len(tables) == 1 and tables[0].startswith("src/repro/repair/__init__.py:"), (
+        'a second {"traditional": TraditionalRepair, ...} table — import '
+        "repro.repair.SCHEMES:\n" + "\n".join(tables)
+    )
+
+
+def test_the_front_end_guard_sees_what_it_guards():
+    """Not vacuous: the emitter, the scenario and the table are found where
+    they live, and the shapes the old ``cli.py`` used are each recognised."""
+    assert calls_to(ast.parse((CLI / "common.py").read_text()), {"dumps"})
+    driver = ast.parse((SRC / "qos/driver.py").read_text())
+    assert calls_to(driver, QOS_SCENARIO) and calls_to(driver, {"replay_trace"})
+    assert scheme_tables(ast.parse((SRC / "repair/__init__.py").read_text()))
+    old_cli = ast.parse(
+        "import json\n"
+        '_SCHEMES = {"traditional": TraditionalRepair, "car": CARRepair}\n'
+        "def _cmd_qos(args):\n"
+        "    async def run():\n"
+        "        async with LocalService(racks=args.racks) as svc:\n"
+        "            return await qos.replay_trace(svc.client, events)\n"
+        "    horizon = simulate_repair(scheme, ctx, env.bandwidth).total_repair_time\n"
+        "    live = repro.live.run_plan_live_sync(plan, cluster, store)\n"
+        "    if args.json:\n"
+        "        print(json.dumps(result, indent=2))\n"
+        'names = {"rpr": RPRScheme, "traditional": repair.TraditionalRepair}\n'
+        'labels = {"traditional": "TRA"}\n'
+    )
+    assert calls_to(old_cli, {"dumps"}) == [10]
+    assert calls_to(old_cli, ENGINE_ROOM) == [5, 6, 7, 8]
+    assert calls_to(old_cli, QOS_SCENARIO) == [5, 6]
+    assert scheme_tables(old_cli) == [2, 11]

@@ -96,23 +96,17 @@ class TestTimeline:
         assert rows[-1].endswith("s") and "+" in rows[-1]  # the scale line
 
     def test_timeline_bad_code(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["trace", "--gantt", "--code", "oops"])
+        assert main(["trace", "--gantt", "--code", "oops"]) == 2
         assert "timeline" not in build_parser().format_help()
 
 
 def usage_error(argv, capsys) -> str:
-    """The one-line message a bad flag value dies with: ``SystemExit(msg)``
-    everywhere except ``repair``, which prints it and returns 2."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        assert isinstance(exc.code, str), f"{argv}: exited {exc.code!r} without a message"
-        message = exc.code
-    else:
-        assert code == 2
-        message = capsys.readouterr().err.strip()
-    assert capsys.readouterr().out == "", "something was printed before the flag was rejected"
+    """The one-line message a bad flag value dies with: on stderr, exit
+    status 2, nothing on stdout — the same way from every verb."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "", "something was printed before the flag was rejected"
+    message = captured.err.strip()
     assert "\n" not in message and "Traceback" not in message
     return message
 
@@ -385,31 +379,47 @@ class TestExtensionCommand:
 class TestJsonEverywhere:
     """Every report subcommand must emit parseable JSON under --json."""
 
-    REPORT_INVOCATIONS = [
-        ["figure", "6", "--json"],
-        ["repair", "--code", "6,2", "--json"],
-        ["compare", "--code", "6,2", "--json"],
-        ["trace", "--code", "6,2", "--json"],
-        ["rebuild", "--code", "6,2", "--stripes", "4", "--json"],
-        ["durability", "--code", "6,2", "--json"],
-        ["extension", "lrc", "--json"],
-        ["faults", "--code", "6,2", "--fail", "1", "--kill", "0@0.5", "--json"],
-        ["live", "--code", "6,2", "--schemes", "rpr", "--json"],
-        ["trace", "--code", "8,3", "--fail", "2", "--kill", "6@0.5", "--json"],
-        ["telemetry", "report", "--code", "6,2", "--json"],
-        [
-            "telemetry", "diff", "--code", "6,2", "--scheme", "rpr",
-            "--block-size", "8192", "--json",
+    #: report verb (as the verb table names it) -> invocations, sans --json
+    REPORT_INVOCATIONS = {
+        "figure": [["figure", "6"]],
+        "repair": [["repair", "--code", "6,2"]],
+        "compare": [["compare", "--code", "6,2"]],
+        "trace": [
+            ["trace", "--code", "6,2"],
+            ["trace", "--code", "8,3", "--fail", "2", "--kill", "6@0.5"],
         ],
-    ]
+        "rebuild": [["rebuild", "--code", "6,2", "--stripes", "4"]],
+        "durability": [["durability", "--code", "6,2"]],
+        "extension": [["extension", "lrc"]],
+        "faults": [["faults", "--code", "6,2", "--fail", "1", "--kill", "0@0.5"]],
+        "live": [["live", "--code", "6,2", "--schemes", "rpr"]],
+        "telemetry": [
+            ["telemetry", "report", "--code", "6,2"],
+            ["telemetry", "diff", "--code", "6,2", "--scheme", "rpr", "--block-size", "8192"],
+        ],
+        "store status": [["store", "status"]],
+        "store stats": [["store", "stats"]],
+        "store get": [["store", "get", "obj"]],
+        "qos": [["qos", "--objects", "2", "--requests", "10", "--block-size", "4096",
+                 "--object-bytes", "12288"]],
+    }
+
+    def test_every_report_verb_of_the_table_has_an_invocation(self):
+        from repro.cli.table import report_verbs
+
+        assert sorted(self.REPORT_INVOCATIONS) == sorted(report_verbs())
 
     @pytest.mark.parametrize(
-        "argv", REPORT_INVOCATIONS, ids=[argv[0] for argv in REPORT_INVOCATIONS]
+        "argv",
+        [argv for invocations in REPORT_INVOCATIONS.values() for argv in invocations],
+        ids=[argv[0] for invocations in REPORT_INVOCATIONS.values() for argv in invocations],
     )
-    def test_json_flag_emits_json(self, argv, capsys):
+    def test_json_flag_emits_json(self, argv, capsys, stub_launcher):
         import json
 
-        assert main(argv) == 0
+        if argv[:2] == ["store", "get"]:
+            stub_launcher.client.put("obj", b"x" * 100)
+        assert main([*argv, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert isinstance(data, dict) and data
 

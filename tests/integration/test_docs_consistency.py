@@ -20,15 +20,28 @@ Parsing rules (shared with the doc's house style):
   house style for method lists.
 * Chunks that are not Python identifiers (shell commands, flags, file
   names) are ignored, as is everything in CLI-labelled sections.
+
+The CLI section is checked the other way round: its verb table is a
+function of ``build_parser()`` (:func:`cli_table`), so every verb and
+flag is documented and every documented one exists.  After changing a
+verb or flag, ``python tests/integration/test_docs_consistency.py``
+rewrites the table.
 """
 
+import argparse
 import importlib
 import re
 from pathlib import Path
 
 import pytest
 
+from repro.cli import build_parser
+
 API = Path(__file__).resolve().parents[2] / "docs" / "API.md"
+CLI_TABLE_BEGIN = (
+    "<!-- cli-table:begin (generated, see tests/integration/test_docs_consistency.py) -->"
+)
+CLI_TABLE_END = "<!-- cli-table:end -->"
 
 _MODULE_RE = re.compile(r"repro(?:\.\w+)+|^repro$")
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
@@ -174,3 +187,69 @@ class TestObservabilityDoc:
         import repro.telemetry.view as view
 
         assert hasattr(view, name)
+
+
+def _usage(action: argparse.Action) -> str:
+    """One flag or positional, the way a usage line spells it."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        return "[" + "/".join(action.option_strings) + "]"
+    if action.choices:
+        value = "{" + ",".join(map(str, action.choices)) + "}"
+    else:
+        value = action.metavar or action.dest.upper()
+    if not action.option_strings:
+        return f"[{value} ...]" if action.nargs == "*" else value
+    if action.nargs == 0:
+        return f"[{action.option_strings[0]}]"
+    return f"[{action.option_strings[0]} {value}]"
+
+
+def cli_table(parser=None, words="rpr", what="") -> list[str]:
+    """One Markdown table row per leaf verb of the parser tree."""
+    parser = parser or build_parser()
+    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    subparsers = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    words = " ".join([words, *(_usage(a) for a in actions if a not in subparsers)])
+    if not subparsers:
+        return [f"| `{words}` | {what} |"]
+    helps = {c.dest: c.help for c in subparsers[0]._choices_actions}
+    return [
+        row
+        for name, sub in subparsers[0].choices.items()
+        for row in cli_table(sub, f"{words} {name}", helps[name])
+    ]
+
+
+def cli_section() -> str:
+    return "\n".join(
+        [CLI_TABLE_BEGIN, "| invocation | what it does |", "|---|---|", *cli_table(), CLI_TABLE_END]
+    )
+
+
+class TestCliDocs:
+    def test_cli_table_is_the_parser(self):
+        text = API.read_text()
+        begin, end = text.index(CLI_TABLE_BEGIN), text.index(CLI_TABLE_END) + len(CLI_TABLE_END)
+        assert text[begin:end] == cli_section(), (
+            "docs/API.md CLI table differs from build_parser(); regenerate with "
+            "`python tests/integration/test_docs_consistency.py`"
+        )
+
+    def test_every_verb_and_flag_is_in_the_table(self):
+        """Not vacuous: the table names nested verbs, inherited and
+        negatable flags, positionals and choices."""
+        section = cli_section()
+        for needle in (
+            "`rpr store [--dir DIR] up [--racks RACKS]",
+            "`rpr store [--dir DIR] get NAME [--out OUT] [--degraded/--no-degraded] [--json]`",
+            "`rpr telemetry {report,diff,export,assemble} [PATHS ...]",
+            "[--testbed {simics,ec2}]",
+            "`rpr list`",
+        ):
+            assert needle in section, needle
+
+
+if __name__ == "__main__":
+    text = API.read_text()
+    begin, end = text.index(CLI_TABLE_BEGIN), text.index(CLI_TABLE_END) + len(CLI_TABLE_END)
+    API.write_text(text[:begin] + cli_section() + text[end:])

@@ -4,22 +4,11 @@ import numpy as np
 import pytest
 
 from repro.experiments import build_simics_environment, context_for
-from repro.repair import (
-    CARRepair,
-    RPRScheme,
-    TraditionalRepair,
-    initial_store_for,
-)
+from repro.repair import SCHEMES, initial_store_for
 from repro.workloads import encoded_stripe
 
 #: Small blocks keep unshaped live runs near-instant.
 LIVE_BLOCK = 4 * 1024
-
-SCHEMES = {
-    "traditional": TraditionalRepair,
-    "car": CARRepair,
-    "rpr": RPRScheme,
-}
 
 
 def live_scenario(n, k, failed, scheme_name, block_size=LIVE_BLOCK, seed=7):

@@ -97,15 +97,6 @@ class TestShapedRuns:
                 plan, env.cluster, store, bandwidth=bw, timeout=0.2
             )
 
-    def test_exclusive_ports_off_still_recovers(self, scenario63):
-        plan, env, stripe, store = scenario63
-        live = run_plan_live_sync(
-            plan, env.cluster, store, exclusive_ports=False
-        )
-        np.testing.assert_array_equal(
-            live.recovered[1], lost_payloads(stripe, [1])[1]
-        )
-
 
 class TestErrors:
     def test_missing_send_payload_message_shape(self):

@@ -11,7 +11,6 @@ from repro.cluster import Cluster, HierarchicalBandwidth
 from repro.live import (
     ClassedBucket,
     LinkShaper,
-    QoSLinkShaper,
     TokenBucket,
     WeightedTokenBucket,
 )
@@ -419,51 +418,6 @@ class TestClassedBucket:
         shared.refund(50, "b")
         ClassedBucket(shared, "a").reset()
         assert shared._tokens == {"a": 50.0, "b": 50.0}
-
-
-class TestQoSLinkShaper:
-    WEIGHTS = {"foreground": 0.6, "repair": 0.4}
-
-    def test_rejects_empty_weights(self):
-        cluster = Cluster.homogeneous(2, 2)
-        with pytest.raises(ValueError):
-            QoSLinkShaper(cluster, HierarchicalBandwidth(1e6, 1e5), {})
-
-    def test_unshaped_mode(self):
-        cluster = Cluster.homogeneous(2, 2)
-        shaper = QoSLinkShaper(cluster, None, self.WEIGHTS)
-        assert not shaper.shaped
-        assert shaper.link(0, 1) is None
-        assert shaper.bucket(0, 1) is None
-        assert shaper.bucket(0, 1, "foreground") is None
-
-    def test_classes_share_one_weighted_link(self):
-        cluster = Cluster.homogeneous(2, 2)
-        shaper = QoSLinkShaper(
-            cluster, HierarchicalBandwidth(intra=1e6, cross=1e5), self.WEIGHTS
-        )
-        fg = shaper.bucket(0, 1, "foreground")
-        rp = shaper.bucket(0, 1, "repair")
-        assert isinstance(fg, ClassedBucket) and isinstance(rp, ClassedBucket)
-        # Same underlying budget: that is what makes the split a split.
-        assert fg.bucket is rp.bucket
-        assert fg.bucket is shaper.link(0, 1)
-        assert fg.rate + rp.rate == pytest.approx(1e6)
-        # Links are per directed pair and follow the bandwidth model.
-        assert shaper.link(0, 2).rate == pytest.approx(1e5)
-        assert shaper.link(1, 0) is not shaper.link(0, 1)
-
-    def test_classless_bucket_degrades_to_the_base_shaper(self):
-        """cls=None keeps the plain LinkShaper contract for old callers."""
-        cluster = Cluster.homogeneous(2, 2)
-        shaper = QoSLinkShaper(
-            cluster, HierarchicalBandwidth(intra=1e6, cross=1e5), self.WEIGHTS
-        )
-        plain = shaper.bucket(0, 1)
-        assert isinstance(plain, TokenBucket)
-        assert plain.rate == pytest.approx(1e6)
-        # The unclassed bucket is independent of the weighted link.
-        assert shaper.bucket(0, 1) is plain
 
 
 class TestLinkShaper:

@@ -251,3 +251,29 @@ class TestStreamingRecorder:
         roots = build_tree(merged, ctx.trace_id)
         assert len(roots) == 1
         assert [c.proc for c in roots[0].children] == ["node-3"]
+
+    def test_a_long_lived_recorder_keeps_nothing_it_has_written(self, tmp_path):
+        # A store process records spans for as long as it lives: what is
+        # on disk must not also pile up in memory.
+        path = tmp_path / "telemetry.jsonl"
+        ticks = iter(range(10**7))
+        rec = StreamingRecorder(
+            path, CLOCK_WALL, meta={"node": "node-0"}, metrics_interval_s=1000.0,
+            time_source=lambda: float(next(ticks)),
+        )
+        for i in range(100_000):
+            rec.span("rpc:block.get", float(i), i + 0.5, nbytes=4096)
+            if i % 10 == 0:
+                rec.gauge("nic_util", 0.5, at=float(i))
+                rec.observe("latency", 0.001)
+            if i % 1000 == 0:
+                rec.event("sweep", at=float(i))
+        held = len(rec._spans) + len(rec._events) + sum(
+            len(samples) for samples in (*rec._gauges.values(), *rec._histograms.values())
+        )
+        assert held <= 2 * 100  # only the samples since the last metrics snapshot
+        rec.close()
+        trace = rec.trace()  # read back from the file, which holds everything
+        assert len(trace.spans) == 100_000 and len(trace.events) == 100
+        assert len(trace.gauges["nic_util"]) == len(trace.histograms["latency"]) == 10_000
+        assert sum('"record":"span"' in line for line in path.open()) == 100_000
