@@ -15,7 +15,7 @@ Runs two ways:
 
 Exit status is nonzero if any recovered block differs from the lost
 original, the measured ordering disagrees with the simulator, or a
-slice-pipelined row runs more than 15 % over its prediction — the CI
+slice-pipelined row runs more than 10 % over its prediction — the CI
 ``live-smoke`` job fails on any of them.
 """
 
@@ -38,8 +38,11 @@ SMOKE_BLOCK = 32 * 1024
 
 #: A sliced plan runs many short transfers, each with a fixed cost the
 #: simulator does not model; past this measured/predicted ratio the
-#: simulator no longer predicts what runs (docs/LIVE.md §4).
-SLICED_RATIO_LIMIT = 1.15
+#: simulator no longer predicts what runs (docs/LIVE.md §4).  Sliced rows
+#: measure 1.01–1.03 in the smoke when the live runtime grants ports in
+#: the engine's order and 1.07–1.11 when it does not, so the limit also
+#: guards that order.
+SLICED_RATIO_LIMIT = 1.10
 
 
 def run_sweep(

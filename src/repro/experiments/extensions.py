@@ -8,8 +8,8 @@ code path for extension results too:
 * :func:`durability_rows` — per-scheme MTTDL from measured repair times
   (also ``rpr durability``, the durability bench and example).
 * :func:`lrc_rows` — LRC(12,2,2) vs RS(12,4) at equal overhead.
-* :func:`slice_pipelining_rows` — paper RPR (tree) vs the slice-pipelined
-  chain at the Simics rates.
+* :func:`slice_pipelining_rows` — paper RPR (model and tree) vs the
+  slice-pipelined land-and-fold gather at the Simics rates.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import replace
 
+from ..analysis import nonworst_cross_timesteps
 from ..cluster import Cluster, ContiguousPlacement, SIMICS_BANDWIDTH
 from ..multistripe import MultiStripeOutcome, StripeStore, repair_node_failure
 from ..reliability import mttdl_from_repair_times
@@ -174,12 +175,15 @@ def lrc_rows() -> list[dict]:
 
 def slice_pipelining_rows(codes=PAPER_SINGLE_FAILURE_CODES) -> list[dict]:
     """Paper RPR (binomial tree, whole blocks) vs what RPR plans when it is
-    told the links (slice-pipelined chain where faster), Simics testbed.
+    told the links (the slice-pipelined land-and-fold gather where
+    faster; the ``chain_*`` fields), Simics testbed.
 
     Every single-block failure of every code, averaged per code.  Times
     are also given as multiples of one cross-rack block time — the floor
-    any scheme that ships a block across racks pays — and cross-rack
-    blocks for both, which slicing must not change.
+    any scheme that ships a block across racks pays — beside the paper's
+    own model of the tree (§4.3: ``ceil(log2 q)`` cross timesteps for one
+    failure, :func:`repro.analysis.nonworst_cross_timesteps`), and
+    cross-rack blocks for both plans, which slicing must not change.
     """
     rows = []
     for n, k in codes:
@@ -210,6 +214,7 @@ def slice_pipelining_rows(codes=PAPER_SINGLE_FAILURE_CODES) -> list[dict]:
                 "chain_cross_blocks": mean([o.cross_rack_blocks for o in linked]),
                 "tree_time_s": tree_s,
                 "chain_time_s": linked_s,
+                "paper_block_times": nonworst_cross_timesteps(n, k, 1),
                 "tree_block_times": tree_s / block_time,
                 "chain_block_times": linked_s / block_time,
                 "time_reduction_pct": 100.0 * (1 - linked_s / tree_s),

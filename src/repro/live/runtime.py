@@ -16,7 +16,9 @@ takes, on this runtime's clock and transport:
   bucket's idle credit is dropped once, before the first, so the
   debt-based bucket absorbs per-slice overhead the way it absorbs
   per-chunk overhead; ports are still claimed slice by slice, as the
-  simulator's jobs claim them.
+  simulator's jobs claim them, and granted in the engine's order (a
+  released port goes to whoever queued for it first, never straight back
+  to the task that released it).
 * A part whose result stays put (a combine) claims the node's CPU slot
   and computes on the received bytes — combines happen *at the
   receiver*, like ECPipe's agents, not in a central reducer.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 
@@ -128,30 +131,59 @@ class LiveResult:
 
 
 class _PortRegistry:
-    """Atomic multi-resource claims, mirroring the engine's port model.
+    """Atomic multi-resource claims, granted in the engine's order.
 
-    A claim waits until *every* requested resource is free and then takes
-    them all at once — no hold-and-wait, hence no deadlock, and the same
-    semantics as :class:`repro.sim.SimulationEngine`'s scheduler (a job
-    starts only when all of its resources are simultaneously free).
+    A claim takes *every* requested resource at once — no hold-and-wait,
+    hence no deadlock — as a :class:`repro.sim.SimulationEngine` job
+    starts only when all of its resources are simultaneously free.  A
+    claim that cannot start queues; a release hands the freed resources
+    to the queued claims in the order they queued, granting each whose
+    resources are now all free before any task runs again.  So a task
+    that releases its ports and claims them straight back for its next
+    slice queues behind whoever was already waiting, exactly as the
+    engine starts the waiter with the smaller (ready-time,
+    insertion-order) key.  After every release no queued claim could
+    start, so a new claim whose resources are free takes them at once,
+    as a newly ready job does in the engine.
     """
 
     def __init__(self) -> None:
         self._busy: set[tuple[str, int]] = set()
-        self._cond = asyncio.Condition()
+        self._queue: deque[tuple[frozenset, asyncio.Future]] = deque()
 
     @asynccontextmanager
     async def hold(self, *keys: tuple[str, int]):
-        wanted = set(keys)
-        async with self._cond:
-            await self._cond.wait_for(lambda: not (self._busy & wanted))
+        wanted = frozenset(keys)
+        if self._busy & wanted:
+            granted = asyncio.get_running_loop().create_future()
+            self._queue.append((wanted, granted))
+            try:
+                await granted
+            except asyncio.CancelledError:
+                # Cancelled while queued, the next release drops the claim;
+                # granted and then cancelled before it ran, it gives back.
+                if not granted.cancelled():
+                    self._release(wanted)
+                raise
+        else:
             self._busy |= wanted
         try:
             yield
         finally:
-            async with self._cond:
-                self._busy -= wanted
-                self._cond.notify_all()
+            self._release(wanted)
+
+    def _release(self, keys: frozenset) -> None:
+        self._busy -= keys
+        waiting = self._queue
+        self._queue = deque()
+        for wanted, granted in waiting:
+            if granted.cancelled():
+                continue
+            if self._busy & wanted:
+                self._queue.append((wanted, granted))
+            else:
+                self._busy |= wanted
+                granted.set_result(None)
 
 
 class _LiveRun:

@@ -20,7 +20,7 @@ agree (RPR < CAR < traditional on single failures).
 
 The validation knows the links it shapes, so it hands them to the
 planner as the context's link model: RPR rows may therefore run the
-slice-pipelined chain where the simulator says it beats the paper's
+slice-pipelined plan where the simulator says it beats the paper's
 tree, and each row reports what was chosen (``slices``, ``gather``).
 """
 
@@ -80,8 +80,8 @@ class LiveSchemeReport:
 
     ``slices`` is the plan's largest slice count (1 = whole blocks) and
     ``gather`` the shape of its cross-rack stage as the planner chose
-    it: ``"chain"`` for the slice-pipelined chain, ``"tree"`` for the
-    scheme's whole-block gather.
+    it: ``"chain"`` for a slice-pipelined plan (RPR's land-and-fold
+    gather), ``"tree"`` for the scheme's whole-block gather.
     """
 
     scheme: str

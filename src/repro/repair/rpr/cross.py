@@ -18,10 +18,15 @@ gather costs (Fig. 5, schedule 2 vs schedule 1):
 Algorithm 2 pipelines *whole blocks*, so the recovery node's download
 port still carries ``ceil(log2 (r + 1))`` blocks back to back.
 :func:`build_chain_gather` is the sub-block alternative (ECPipe's repair
-pipelining, Li et al.): the rack aggregators form a chain ending at the
-recovery node and every hop moves its block in ``s`` slices, so slice
-*j* crosses hop *i + 1* while slice *j + 1* crosses hop *i* and the
-whole gather costs ``1 + (r - 1) / s`` cross-rack block times.  Both
+pipelining, Li et al.): every hop moves its block in ``s`` slices, so
+slice *j* crosses hop *i + 1* while slice *j + 1* crosses hop *i*.  The
+remote racks do not queue on one port: each lands its intermediate on
+its own helper in the recovery rack (*land and fold*), which folds its
+block into the arriving slices and streams the partial sum to the
+recovery node over the rack's fast links.  The cross-rack uploads run
+side by side and the gather costs one cross-rack block time plus a few
+slices; only racks beyond the recovery rack's helper count still chain
+(``1 + (g - 1) / s`` block times for a group of ``g``).  Both gathers
 move one block out of every remote rack; which one a repair uses is
 decided by :class:`~repro.repair.rpr.RPRScheme` from the link model.
 
@@ -30,6 +35,7 @@ The builders emit sends/combines; they perform no timing themselves.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..plan import RepairPlan
@@ -192,19 +198,47 @@ def build_chain_gather(
     sources: list[InnerResult],
     prefix: str,
     slices: int,
+    landings: Sequence[InnerResult] = (),
 ) -> list[CrossArrival]:
-    """Slice-pipelined chain of rack intermediates ending at ``target_node``.
+    """Slice-pipelined chains of rack intermediates ending at ``target_node``.
 
-    ``sources[0]`` sends its intermediate to ``sources[1]``'s node, which
-    folds in its own and sends on, and so on to the recovery node; every
-    cross-rack send and every fold runs in ``slices`` slices, so the hops
-    overlap.  The intra-rack stage that produced ``sources`` stays whole:
-    a 1 ms intra transfer cut up costs more in per-transfer overhead than
-    it moves, and would delay the chain through the aggregator's shared
-    download port.
+    Without ``landings`` this is one chain: ``sources[0]`` sends its
+    intermediate to ``sources[1]``'s node, which folds in its own and
+    sends on, and so on to the recovery node; every send and every fold
+    runs in ``slices`` slices, so the hops overlap.
 
-    Returns the single payload that reaches ``target_node``.
+    ``landings`` are helpers in the recovery rack (raw blocks with their
+    coefficients, at most one per source).  The sources are spread over
+    them in contiguous groups and each group chains into its landing as
+    above — the landing is the chain's last link: it folds its own block
+    into the arriving slices and forwards the partial sum to the recovery
+    node.  So the groups' cross-rack uploads run side by side, no port
+    carries more than one cross-rack block, and the recovery node's
+    download port only receives intra-rack slices.  With more sources
+    than landings the extra sources still chain within their group.
+
+    Returns one payload per chain that reaches ``target_node``.
     """
+    if not landings:
+        return [_chain(plan, target_node, sources, prefix, slices)]
+    size, longer = divmod(len(sources), len(landings))
+    arrivals, start = [], 0
+    for group, landing in enumerate(landings):
+        end = start + size + (group < longer)
+        chain = [*sources[start:end], landing]
+        arrivals.append(_chain(plan, target_node, chain, f"{prefix}:G{group}", slices))
+        start = end
+    return arrivals
+
+
+def _chain(
+    plan: RepairPlan,
+    target_node: int,
+    sources: list[InnerResult],
+    prefix: str,
+    slices: int,
+) -> CrossArrival:
+    """``sources`` folded hop by hop in ``slices`` slices, then sent on to ``target_node``."""
     carried = sources[0]
     for hop, here in enumerate(sources[1:]):
         send_op = plan.add_send(
@@ -236,4 +270,4 @@ def build_chain_gather(
         deps=[carried.dep] if carried.dep else [],
         slices=slices,
     )
-    return [CrossArrival(key=carried.key, dep=op, coeff=carried.coeff, slices=slices)]
+    return CrossArrival(key=carried.key, dep=op, coeff=carried.coeff, slices=slices)

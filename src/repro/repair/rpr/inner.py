@@ -13,6 +13,12 @@ The tree's *sends* of raw blocks are shared across equations (the bytes
 only need to reach the combining node once); only the per-equation
 combines (whose coefficients differ) are duplicated.  Higher tree levels
 carry per-equation intermediates, so their sends are per-equation.
+
+With ``slices=s > 1`` every send and combine of the tree runs in ``s``
+byte ranges, so a remote rack's intermediate streams into the
+slice-pipelined cross stage (:func:`~repro.repair.rpr.cross.build_chain_gather`)
+slice by slice: the first cross-rack slice leaves after one intra-rack
+slice per tree level, not after the whole tree.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ def build_inner_trees(
     positions: list[tuple[int, int]],
     eq_coeffs: list[dict[int, int]],
     prefix: str,
+    slices: int = 1,
 ) -> list[InnerResult | None]:
     """Emit the pairwise inner tree for one rack, for all equations at once.
 
@@ -79,6 +86,9 @@ def build_inner_trees(
         (blocks may be absent when their coefficient is zero).
     prefix:
         Unique op-id prefix for this rack.
+    slices:
+        Byte ranges every send and combine of the tree runs in; a sliced
+        tree's intermediates must be read by equally sliced ops.
 
     Returns
     -------
@@ -117,6 +127,7 @@ def build_inner_trees(
                 recv_states=states[recv],
                 send_states=states[send],
                 prefix=f"{prefix}:L{level}:p{p}",
+                slices=slices,
             )
             next_nodes.append(nodes[recv])
             next_states.append(merged)
@@ -145,6 +156,7 @@ def _merge_positions(
     recv_states: list[_EqState | None],
     send_states: list[_EqState | None],
     prefix: str,
+    slices: int,
 ) -> list[_EqState | None]:
     """Move the sender position's payloads to the receiver and combine.
 
@@ -163,6 +175,7 @@ def _merge_positions(
             dst=recv_node,
             key=state.key,
             deps=[state.dep] if state.dep else [],
+            slices=slices,
         )
         send_ops[state.key] = op
 
@@ -186,6 +199,7 @@ def _merge_positions(
                 out_key=out_key,
                 terms=[(a.key, a.coeff), (b.key, b.coeff)],
                 deps=deps,
+                slices=slices,
             )
             merged.append(_EqState(key=out_key, coeff=1, dep=op))
     return merged

@@ -11,8 +11,10 @@ This planner realises the full pipeline of §3:
    raw-block movements shared between equations.
 4. **Cross** (Alg. 2 / Alg. 4) — per equation: greedy binomial pipeline of
    the remote racks' intermediates onto that failure's recovery node —
-   or, when the context carries a link model that says it is faster, a
-   slice-pipelined chain of them (:mod:`repro.repair.rpr.cross`).
+   or, when the context carries a link model that says it is faster, the
+   slice-pipelined gather: each remote rack lands on its own helper in
+   the recovery rack, which folds its block in and forwards
+   (:mod:`repro.repair.rpr.cross`; the remote inner trees are sliced too).
 5. **Final decode** — XOR of the arrivals plus the recovery rack's own
    partial; pays the matrix-build surcharge only when the equations
    required ``M'^{-1}``.
@@ -64,18 +66,20 @@ class RPRScheme(RepairScheme):
             self.name = "rpr-nopipe"
 
     def plan(self, ctx: RepairContext) -> RepairPlan:
-        """The paper's plan — or, under a link model, the faster of it and the chain.
+        """The paper's plan — or, under a link model, the faster of it and the pipeline.
 
         Without ``ctx.link_model`` this is Algorithms 1–4 and nothing
-        else.  With one, the cross stage is also built as a
-        slice-pipelined chain (slice count from the block size and the
-        slowest cross-rack rate among the nodes involved), both plans
-        are simulated on the model, and the chain is kept only when it
-        is strictly faster — blocks too small to slice or a single remote
-        rack keep the tree.  So does every multi-block failure, without
-        sizing anything: its aggregators upload one block per equation
-        either way, so a chain has nothing to shorten until equations
-        spread over different aggregators (ROADMAP follow-on).
+        else.  With one, the repair is also built slice-pipelined (slice
+        count from the block size and the slowest cross-rack rate among
+        the nodes involved): remote inner trees and cross stage in
+        slices, each remote rack landing on its own helper in the
+        recovery rack.  Both plans are simulated on the model and the
+        pipelined one is kept only when it is strictly faster — blocks
+        too small to slice keep the tree.  So does every multi-block
+        failure, without sizing anything: its aggregators upload one
+        block per equation either way, so the pipeline has nothing to
+        shorten until equations spread over different aggregators
+        (ROADMAP follow-on).
         """
         helpers = rack_aware_helpers(ctx, prefer_xor=self.prefer_xor)
         targets = recovery_targets(ctx)
@@ -96,8 +100,6 @@ class RPRScheme(RepairScheme):
         if chain == 1:
             return plan
         chained = self._build(ctx, helpers, targets, chain=chain)
-        if chained.slices == 1:  # no equation had two remote racks to chain
-            return plan
         engine = SimulationEngine(ctx.cluster, ctx.link_model)
 
         def makespan(candidate: RepairPlan) -> float:
@@ -108,8 +110,9 @@ class RPRScheme(RepairScheme):
     def _build(
         self, ctx: RepairContext, helpers, targets: dict[int, int], chain: int
     ) -> RepairPlan:
-        """Inner + Cross + final decode; ``chain > 1`` chains the cross
-        stage in that many slices wherever an equation has racks to chain."""
+        """Inner + Cross + final decode; ``chain > 1`` runs the remote
+        racks' inner trees and the cross stage in that many slices, landing
+        the remote racks on the recovery rack's helpers (land and fold)."""
         equations = recovery_equations(ctx.code, list(ctx.failed_blocks), helpers)
         groups = ctx.placement.group_of_blocks(ctx.cluster)
 
@@ -156,6 +159,7 @@ class RPRScheme(RepairScheme):
                 positions=rack_positions[rack],
                 eq_coeffs=coeffs_per_eq,
                 prefix=f"rpr:inner:r{rack}",
+                slices=chain,
             )
 
         # Raw local streams, deduplicated per (block, target node).
@@ -227,11 +231,34 @@ class RPRScheme(RepairScheme):
         final_terms: list[tuple[str, int]] = []
         final_deps: list[str] = []
 
-        # Local helpers stream raw to the recovery node (shared across
-        # equations); their coefficients apply in the final combine.  A
-        # helper resident on the recovery node itself (degraded-read
-        # override) is consumed in place, transfer-free.
-        for block, coeff in sorted(rack_terms.get(target_rack, {}).items()):
+        remote: list[InnerResult] = []
+        for rack, results in sorted(rack_results.items()):
+            if rack == target_rack:
+                continue
+            result = results[eq_idx]
+            if result is not None:
+                remote.append(result)
+        remote = self._order_remote_sources(ctx, target, remote)
+
+        # A sliced cross stage lands each remote rack on its own local
+        # helper, which folds its block in on the way to the recovery node.
+        local = sorted(rack_terms.get(target_rack, {}).items())
+        landings = []
+        if chain > 1:
+            landings = [
+                InnerResult(block_key(block), ctx.node_of_block(block), None, coeff)
+                for block, coeff in local
+                if ctx.node_of_block(block) != target
+            ][: len(remote)]
+        landed = {landing.key for landing in landings}
+
+        # Other local helpers stream raw to the recovery node (shared
+        # across equations); their coefficients apply in the final
+        # combine.  A helper resident on the recovery node itself
+        # (degraded-read override) is consumed in place, transfer-free.
+        for block, coeff in local:
+            if block_key(block) in landed:
+                continue
             src = ctx.node_of_block(block)
             final_terms.append((block_key(block), coeff))
             if src == target:
@@ -246,18 +273,11 @@ class RPRScheme(RepairScheme):
                 )
             final_deps.append(raw_sends[key])
 
-        remote: list[InnerResult] = []
-        for rack, results in sorted(rack_results.items()):
-            if rack == target_rack:
-                continue
-            result = results[eq_idx]
-            if result is not None:
-                remote.append(result)
-        remote = self._order_remote_sources(ctx, target, remote)
-
         prefix = f"rpr:eq{eq_idx}:cross"
-        if chain > 1 and len(remote) > 1:
-            arrivals = build_chain_gather(plan, target, remote, prefix, slices=chain)
+        if chain > 1 and remote:
+            arrivals = build_chain_gather(
+                plan, target, remote, prefix, slices=chain, landings=landings
+            )
         else:
             gather = build_cross_gather if self.pipeline else build_direct_gather
             arrivals = gather(plan, target_node=target, sources=remote, prefix=prefix)

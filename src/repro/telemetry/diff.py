@@ -136,30 +136,55 @@ class TraceDiff:
         """The ``n`` most-diverged ops (slices folded), worst first."""
         return sorted(self.ops(), key=lambda a: (-a.divergence, a.op_id))[:n]
 
+    def _path(self) -> list[OpAlignment]:
+        """The aligned parts of the simulated critical path, in path order."""
+        by_id = {a.op_id: a for a in self.aligned}
+        return [by_id[op_id] for op_id in self.path_ops if op_id in by_id]
+
     def critical_path_delta(self) -> dict[str, float]:
         """Predicted vs measured time along the *simulated* critical path.
 
-        Sums the durations of the path's ops on each side.  A
-        ``delta_s`` close to ``measured_makespan - predicted_makespan``
-        means the drift lives on the predicted bottleneck chain; a small
-        ``delta_s`` under a large makespan gap means the live run's
-        bottleneck moved somewhere the simulator did not predict.
+        ``path_*_s`` sum the durations of the path's parts on each side.
+        A ``delta_s`` close to ``measured_makespan - predicted_makespan``
+        means the drift lives in the path's parts themselves.
+        ``path_*_elapsed_s`` run from the path's first start to its last
+        end, and ``path_*_wait_s`` are elapsed minus busy: time the path
+        spent between parts — waiting for a port, a dependency or the
+        event loop.  Drift that shows up in ``wait_delta_s`` rather than
+        ``delta_s`` was lost between parts, not inside them.
         """
-        by_id = {a.op_id: a for a in self.aligned}
-        predicted = measured = 0.0
-        for op_id in self.path_ops:
-            a = by_id.get(op_id)
-            if a is None:
-                continue
-            predicted += a.predicted_s
-            measured += a.measured_s
+        path = self._path()
+        predicted = sum(a.predicted_s for a in path)
+        measured = sum(a.measured_s for a in path)
+        predicted_elapsed = measured_elapsed = 0.0
+        if path:
+            predicted_elapsed = max(a.predicted_start + a.predicted_s for a in path) - min(
+                a.predicted_start for a in path
+            )
+            measured_elapsed = max(a.measured_start + a.measured_s for a in path) - min(
+                a.measured_start for a in path
+            )
         return {
             "path_predicted_s": predicted,
             "path_measured_s": measured,
             "delta_s": measured - predicted,
+            "path_predicted_elapsed_s": predicted_elapsed,
+            "path_measured_elapsed_s": measured_elapsed,
+            "path_predicted_wait_s": predicted_elapsed - predicted,
+            "path_measured_wait_s": measured_elapsed - measured,
+            "wait_delta_s": (measured_elapsed - measured) - (predicted_elapsed - predicted),
         }
 
+    def most_slipped(self) -> OpAlignment | None:
+        """The critical-path part whose measured start is furthest behind its predicted start."""
+        return max(
+            self._path(),
+            key=lambda a: a.measured_start - a.predicted_start,
+            default=None,
+        )
+
     def to_dict(self) -> dict:
+        slipped = self.most_slipped()
         return {
             "predicted_makespan": self.predicted_makespan,
             "measured_makespan": self.measured_makespan,
@@ -171,6 +196,12 @@ class TraceDiff:
             "critical_path": {
                 "ops": list(self.path_ops),
                 **self.critical_path_delta(),
+                "most_slipped": None
+                if slipped is None
+                else {
+                    "op_id": slipped.op_id,
+                    "slip_s": slipped.measured_start - slipped.predicted_start,
+                },
             },
         }
 
@@ -297,6 +328,21 @@ def render_diff(diff: TraceDiff, top: int = 8) -> str:
                 delta["delta_s"],
             )
         )
+        lines.append(
+            "  waits between path parts: predicted {:.4f} s, measured {:.4f} s, "
+            "delta {:+.4f} s".format(
+                delta["path_predicted_wait_s"],
+                delta["path_measured_wait_s"],
+                delta["wait_delta_s"],
+            )
+        )
+        slipped = diff.most_slipped()
+        if slipped is not None:
+            lines.append(
+                "  furthest slip: {} started {:+.4f} s from its predicted start".format(
+                    slipped.op_id, slipped.measured_start - slipped.predicted_start
+                )
+            )
     worst = diff.worst(top)
     if worst:
         lines.append("")

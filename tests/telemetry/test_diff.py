@@ -80,6 +80,41 @@ class TestDiffTraces:
         assert delta["path_measured_s"] == pytest.approx(4.0)
         assert delta["delta_s"] == pytest.approx(1.0)
 
+    @staticmethod
+    def drifted():
+        """Same durations on both sides; the live run waits between parts."""
+        sim = trace_of(CLOCK_SIM, {"a": (0.0, 1.0), "b": (1.0, 2.0), "c": (2.0, 3.0)})
+        live = trace_of(CLOCK_WALL, {"a": (0.0, 1.0), "b": (1.5, 2.5), "c": (3.0, 4.0)})
+        return diff_traces(sim, live, path_ops=("a", "b", "c"))
+
+    def test_waits_between_parts_carry_drift_the_durations_miss(self):
+        diff = self.drifted()
+        delta = diff.critical_path_delta()
+        assert delta["delta_s"] == pytest.approx(0.0)
+        assert delta["path_predicted_elapsed_s"] == pytest.approx(3.0)
+        assert delta["path_measured_elapsed_s"] == pytest.approx(4.0)
+        assert delta["path_predicted_wait_s"] == pytest.approx(0.0)
+        assert delta["path_measured_wait_s"] == pytest.approx(1.0)
+        assert delta["wait_delta_s"] == pytest.approx(1.0)
+        assert diff.most_slipped().op_id == "c"
+        path = diff.to_dict()["critical_path"]
+        assert path["path_measured_wait_s"] == pytest.approx(1.0)
+        assert path["most_slipped"]["op_id"] == "c"
+        assert path["most_slipped"]["slip_s"] == pytest.approx(1.0)
+
+    def test_render_names_the_waits_and_the_furthest_slip(self):
+        text = render_diff(self.drifted())
+        assert "delta +0.0000 s" in text
+        assert "waits between path parts: predicted 0.0000 s, measured 1.0000 s" in text
+        assert "furthest slip: c started +1.0000 s from its predicted start" in text
+
+    def test_without_a_path_there_is_no_slip(self):
+        sim = trace_of(CLOCK_SIM, {"a": (0.0, 1.0)})
+        diff = diff_traces(sim, trace_of(CLOCK_WALL, {"a": (0.5, 1.5)}))
+        assert diff.most_slipped() is None
+        assert diff.to_dict()["critical_path"]["most_slipped"] is None
+        assert diff.critical_path_delta()["path_measured_elapsed_s"] == 0.0
+
     def test_to_dict_shape(self):
         sim = trace_of(CLOCK_SIM, {"a": (0.0, 1.0)})
         live = trace_of(CLOCK_WALL, {"a": (0.0, 2.0)})
@@ -176,8 +211,9 @@ class TestSlicedOps:
 
     @pytest.mark.parametrize("telemetry", [True, False])
     def test_sliced_chain_repair_aligns(self, telemetry):
-        """RS(8,3) at the live defaults runs the 8-slice chain; with a
-        recorder or from bare timings, every part finds its prediction."""
+        """RS(8,3) at the live defaults runs the 8-slice land-and-fold
+        gather; with a recorder or from bare timings, every part finds its
+        prediction."""
         from repro.live import live_context, live_environment, run_plan_live_sync
         from repro.repair import RPRScheme, initial_store_for, simulate_repair
         from repro.telemetry import TelemetryRecorder, diff_repair
@@ -193,5 +229,5 @@ class TestSlicedOps:
         )
         diff = diff_repair(predicted, live)
         assert diff.all_aligned
-        assert len(diff.aligned) == 42 and len(diff.ops()) == len(predicted.plan.ops) == 14
-        assert {a.op_id: a.slices for a in diff.ops()}["rpr:eq0:cross:C0:send"] == 8
+        assert len(diff.aligned) == 120 and len(diff.ops()) == len(predicted.plan.ops) == 15
+        assert {a.op_id: a.slices for a in diff.ops()}["rpr:eq0:cross:G0:C0:send"] == 8
