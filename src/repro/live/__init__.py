@@ -19,8 +19,10 @@ Layers:
   memory streams (CI-safe) and localhost TCP servers.
 * :mod:`repro.live.wire` — the framed wire protocol (header + chunked
   payload + ack).
-* :mod:`repro.live.runtime` — the plan executor: per-op tasks,
-  dependency waits, port exclusivity, measured timings.
+* :mod:`repro.live.node` — the per-node executor (the store's daemons
+  run it too, behind RPC): a task per op, parts run as inputs arrive.
+* :mod:`repro.live.runtime` — the in-process runner: an executor per
+  node, port exclusivity, shaped streams, measured timings.
 * :mod:`repro.live.validate` — cross-validation against
   :class:`repro.sim.SimulationEngine`: byte-identical recovery plus
   measured-vs-predicted makespan per scheme, and
@@ -31,6 +33,7 @@ See ``docs/LIVE.md`` for the full specification and ``rpr live`` for the
 CLI entry point.
 """
 
+from .node import NodeExecutor, split_by_owner
 from .runtime import (
     LiveError,
     LiveOpTiming,
@@ -76,6 +79,7 @@ __all__ = [
     "LiveTimeoutError",
     "LiveValidationReport",
     "MemoryTransport",
+    "NodeExecutor",
     "StoreRepairAudit",
     "TcpTransport",
     "TokenBucket",
@@ -93,4 +97,5 @@ __all__ = [
     "run_plan_live",
     "run_plan_live_sync",
     "send_frame",
+    "split_by_owner",
 ]

@@ -1,38 +1,14 @@
-"""The live plan executor: real bytes, real concurrency, measured time.
+"""The live plan runner: real bytes, real concurrency, measured time.
 
-Every op of a :class:`repro.repair.RepairPlan` becomes one asyncio task
-that runs at the op's *owner* node and works through the op's
-:meth:`~repro.repair.RepairPlan.parts` in order — the op itself, or its
-slices — waiting for each part's dependencies and producing its payload
-with :func:`repro.repair.run_op`, the same op step the byte executor
-takes, on this runtime's clock and transport:
-
-* A part whose result lands on another node (a send) claims the owner's
-  upload port and the destination's download port (the engine's
-  port-exclusivity contract, held for the whole transfer), sleeps the
-  link latency, then streams the payload as a framed transfer through
-  the link's token bucket and waits for the receiver's ack.  The slices
-  of one send are one paced stream: they share a connection and the
-  bucket's idle credit is dropped once, before the first, so the
-  debt-based bucket absorbs per-slice overhead the way it absorbs
-  per-chunk overhead; ports are still claimed slice by slice, as the
-  simulator's jobs claim them, and granted in the engine's order (a
-  released port goes to whoever queued for it first, never straight back
-  to the task that released it).
-* A part whose result stays put (a combine) claims the node's CPU slot
-  and computes on the received bytes — combines happen *at the
-  receiver*, like ECPipe's agents, not in a central reducer.
-
-Dependency completion is the control plane (one ``asyncio.Event`` per
-part, held by the in-process coordinator — the moral equivalent of the
-testbed's command distributor); payload bytes are the data plane and
-only ever move through the transport.  Pipelining is emergent: nothing
+:func:`run_plan_live` runs a :class:`repro.repair.RepairPlan` as one
+:class:`~repro.live.node.NodeExecutor` per node in one process, wired
+over memory or TCP streams, and adds only what is its own: one
+:class:`_PortRegistry` for all nodes (the engine's port contract,
+granted in the engine's order), a paced stream per sent op
+(:func:`_stream_channel`), the receiving side, and the ledger and
+timings built from the parts' reports.  Pipelining is emergent: nothing
 here schedules overlap, it falls out of disjoint ports, shaped links and
 socket backpressure — the same mechanism the paper's testbed relied on.
-
-Missing payloads abort the run with the byte executor's own
-:class:`~repro.repair.executor.ExecutionError` (full missing-key set +
-op index), so a live failure is diagnosable without replaying it.
 """
 
 from __future__ import annotations
@@ -42,18 +18,20 @@ import time
 from collections import deque
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from ..cluster import BandwidthModel, Cluster
-from ..gf import GFTables, get_tables
-from ..metrics import TrafficLedger
-from ..repair.executor import collect_outputs, run_op
-from ..repair.plan import RepairPlan
-from ..telemetry.model import OP_CATEGORY, TelemetryRecorder, TelemetryTrace
+from ..gf import GFTables
+from ..metrics import TrafficLedger, ledger_from_reports
+from ..repair.executor import collect_outputs
+from ..repair.plan import CombineOp, RepairPlan
+from ..telemetry.model import TelemetryRecorder, TelemetryTrace
+from .node import NodeExecutor, split_by_owner
 from .shaper import LinkShaper
 from .transport import MemoryTransport, Stream, TcpTransport, open_transport, run_tasks
-from .wire import ACK, DEFAULT_CHUNK, WireClosed, read_ack, read_frame, send_frame
+from .wire import ACK, DEFAULT_CHUNK, read_ack, read_frame, send_frame
 
 __all__ = [
     "LiveError",
@@ -186,219 +164,84 @@ class _PortRegistry:
                 granted.set_result(None)
 
 
-class _LiveRun:
-    """One plan execution: nodes, shaper, transport, op tasks."""
+@asynccontextmanager
+async def _stream_channel(transport, shaper: LinkShaper, src: int, dst: int, *,
+                          chunk_size: int, recorder: TelemetryRecorder | None):
+    """One sent op's way to its destination: one paced stream.
 
-    def __init__(
-        self,
-        plan: RepairPlan,
-        cluster: Cluster,
-        store: dict[int, dict[str, np.ndarray]],
-        *,
-        shaper: LinkShaper,
-        transport,
-        tables: GFTables,
-        chunk_size: int,
-        recorder: TelemetryRecorder | None = None,
-    ) -> None:
-        plan.validate()
-        self.plan = plan
-        self.cluster = cluster
-        self.store = store
-        self.shaper = shaper
-        self.transport = transport
-        self.tables = tables
-        self.chunk_size = chunk_size
-        # A falsy recorder (NULL_RECORDER) collapses to None here, so
-        # every emission site below is a single identity check when
-        # telemetry is off.
-        self.rec = recorder if recorder else None
-        self.ports = _PortRegistry()
-        self.parts = plan.parts()
-        self.events = {
-            part.op_id: asyncio.Event() for parts in self.parts.values() for part in parts
-        }
-        self.result = LiveResult(
-            recovered={},
-            makespan=0.0,
-            timings={},
-            transport=getattr(transport, "name", "?"),
-            shaped=shaper.shaped,
+    Every part sleeps the link latency, then travels as one framed
+    transfer through the link's token bucket and waits for the
+    receiver's ack.  The slices of one send share a connection and the
+    bucket's idle credit is dropped once, before the first, so the
+    debt-based bucket absorbs per-slice overhead the way it absorbs
+    per-chunk overhead.
+    """
+    latency, bucket = shaper.latency(src, dst), shaper.bucket(src, dst)
+    stream: Stream | None = None
+
+    async def send(op_id: str, key: str, payload: np.ndarray, ctx):
+        nonlocal stream
+        if stream is None and bucket is not None:
+            bucket.reset()
+        start = time.monotonic()
+        if latency > 0:
+            await asyncio.sleep(latency)
+        t_lat = time.monotonic()
+        if stream is None:
+            stream = await transport.connect(src, dst)
+        t_conn = time.monotonic()
+        # The frame is chunked as memoryview slices of the payload itself —
+        # no tobytes() staging copy.
+        await send_frame(
+            stream,
+            {"op": op_id, "key": key},
+            payload.data,
+            bucket=bucket,
+            chunk_size=chunk_size,
+            recorder=recorder,
         )
-        self._t0 = 0.0
+        t_sent = time.monotonic()
+        # A vanished or wedged receiver surfaces as WireError (the run's
+        # outer timeout is the only other backstop).
+        await read_ack(stream)
+        end = time.monotonic()
+        if recorder is not None and t_sent > t_conn:
+            recorder.gauge(
+                f"throughput.n{src}->n{dst}", payload.nbytes / (t_sent - t_conn), at=end
+            )
+        return [
+            ("send.latency", start, t_lat),
+            ("send.connect", t_lat, t_conn),
+            ("send.stream", t_conn, t_sent),
+            ("send.ack_wait", t_sent, end),
+        ]
 
-    # -- server side -------------------------------------------------------
-
-    async def handle_connection(self, node_id: int, stream: Stream) -> None:
-        """Receive framed transfers until the sender hangs up; store and ack each."""
-        try:
-            while True:
-                try:
-                    header, payload = await read_frame(stream, chunk_size=self.chunk_size)
-                except WireClosed:
-                    break  # the sender's stream is done
-                # read_frame assembled the payload into one preallocated
-                # bytearray; wrap it in place rather than copying to bytes.
-                # Stored blocks are read-only by contract (combines write to
-                # fresh arenas), so drop writability at the boundary.
-                received = np.frombuffer(payload, dtype=np.uint8)
-                received.flags.writeable = False
-                self.store.setdefault(node_id, {})[header["key"]] = received
-                await stream.write(ACK)
-        except asyncio.CancelledError:  # teardown
-            raise
-        except (ConnectionError, asyncio.IncompleteReadError):
-            # The sender aborted (its task failed or was cancelled); the
-            # sender side reports the real error.
-            pass
-        finally:
+    try:
+        yield send
+    finally:
+        if stream is not None:
             await stream.aclose()
 
-    # -- op tasks ----------------------------------------------------------
 
-    async def _await_deps(self, deps) -> None:
-        for dep in deps:
-            await self.events[dep].wait()
-
-    def _record(self, oid: str, start: float, end: float) -> None:
-        self.result.timings[oid] = LiveOpTiming(
-            op_id=oid, start=start - self._t0, end=end - self._t0
-        )
-        self.events[oid].set()
-
-    async def _ship(self, op) -> None:
-        """An op whose result lands on another node: stream its parts there."""
-        rec = self.rec
-        src = op.owner
-        dst = op.writes[0]
-        latency = self.shaper.latency(src, dst)
-        bucket = self.shaper.bucket(src, dst)
-        cross_rack = not self.cluster.same_rack(src, dst)
-        stream = None
-        try:
-            for part in self.parts[op.op_id]:
-                oid, key = part.op_id, part.writes[1]
-                t_spawn = time.monotonic() if rec is not None else 0.0
-                await self._await_deps(part.deps)
-                payload = np.ascontiguousarray(
-                    run_op(self.plan, part, self.store.get(src, {}), self.tables)
-                )
-                nbytes = int(payload.nbytes)
-                t_deps = time.monotonic() if rec is not None else 0.0
-                async with self.ports.hold(("up", src), ("down", dst)):
-                    t_ports = time.monotonic() if rec is not None else 0.0
-                    if stream is None and bucket is not None:
-                        bucket.reset()
-                    start = time.monotonic()
-                    if latency > 0:
-                        await asyncio.sleep(latency)
-                    t_lat = time.monotonic() if rec is not None else 0.0
-                    if stream is None:
-                        stream = await self.transport.connect(src, dst)
-                    t_conn = time.monotonic() if rec is not None else 0.0
-                    t_sent = t_conn
-                    # The frame is chunked as memoryview slices of the stored
-                    # array itself — no tobytes() staging copy of the payload.
-                    await send_frame(
-                        stream,
-                        {"op": oid, "key": key},
-                        payload.data,
-                        bucket=bucket,
-                        chunk_size=self.chunk_size,
-                        recorder=rec,
-                    )
-                    if rec is not None:
-                        t_sent = time.monotonic()
-                    # A vanished or wedged receiver surfaces as WireError
-                    # (the run's outer timeout is the only other backstop).
-                    await read_ack(stream)
-                    end = time.monotonic()
-                self.result.ledger.add_send(self.cluster, src, dst, nbytes)
-                self._record(oid, start, end)
-                if rec is not None:
-                    rec.span(
-                        oid,
-                        start,
-                        end,
-                        category=OP_CATEGORY,
-                        op_id=oid,
-                        **part.span_attrs,
-                        cross_rack=cross_rack,
-                        nbytes=nbytes,
-                    )
-                    rec.span("send.dep_wait", t_spawn, t_deps, op_id=oid, parent=oid)
-                    rec.span("send.port_wait", t_deps, t_ports, op_id=oid, parent=oid)
-                    rec.span("send.latency", start, t_lat, op_id=oid, parent=oid)
-                    rec.span("send.connect", t_lat, t_conn, op_id=oid, parent=oid)
-                    rec.span("send.stream", t_conn, t_sent, op_id=oid, parent=oid)
-                    rec.span("send.ack_wait", t_sent, end, op_id=oid, parent=oid)
-                    if t_sent > t_conn:
-                        rec.gauge(
-                            f"throughput.n{src}->n{dst}",
-                            nbytes / (t_sent - t_conn),
-                            at=end,
-                        )
-        finally:
-            if stream is not None:
-                await stream.aclose()
-
-    async def _compute(self, op) -> None:
-        """An op whose result stays on its node: produce its parts under the CPU slot."""
-        rec = self.rec
-        node = op.owner
-        node_store = self.store.setdefault(node, {})
-        for part in self.parts[op.op_id]:
-            oid, key = part.op_id, part.writes[1]
-            t_spawn = time.monotonic() if rec is not None else 0.0
-            await self._await_deps(part.deps)
-            t_deps = time.monotonic() if rec is not None else 0.0
-            async with self.ports.hold(("cpu", node)):
-                start = time.monotonic()
-                # The GF kernel is a C-speed numpy pass over a (small, in the
-                # validation harness) block; yield once around it so other
-                # tasks are not starved at combine-heavy moments.
-                await asyncio.sleep(0)
-                node_store[key] = run_op(self.plan, part, node_store, self.tables)
-                end = time.monotonic()
-            self.result.combine_count += 1
-            self._record(oid, start, end)
-            if rec is not None:
-                rec.span(oid, start, end, category=OP_CATEGORY, op_id=oid, **part.span_attrs)
-                rec.span("combine.dep_wait", t_spawn, t_deps, op_id=oid, parent=oid)
-                rec.span("combine.cpu_wait", t_deps, start, op_id=oid, parent=oid)
-
-    # -- orchestration -----------------------------------------------------
-
-    async def run(self, timeout: float | None) -> LiveResult:
-        await self.transport.start(self.cluster.node_ids(), self.handle_connection)
-        try:
-            self._t0 = time.monotonic()
-            if self.rec is not None:
-                self.rec.set_origin(self._t0)
-            tasks = {}
-            for oid, op in self.plan.ops.items():
-                runner = self._compute if op.writes[0] == op.owner else self._ship
-                tasks[oid] = asyncio.ensure_future(runner(op))
-            stuck = await run_tasks(tasks, timeout)
-            if stuck:
-                raise LiveTimeoutError(
-                    f"live run exceeded {timeout}s; unfinished ops: {stuck}"
-                )
-        finally:
-            await self.transport.aclose()
-
-        self.result.recovered = collect_outputs(self.plan, self.store)
-        self.result.makespan = max(
-            (t.end for t in self.result.timings.values()), default=0.0
-        )
-        if self.rec is not None:
-            ledger = self.result.ledger
-            self.rec.count("bytes.cross_rack", float(ledger.cross_rack_bytes))
-            self.rec.count("bytes.intra_rack", float(ledger.intra_rack_bytes))
-            self.rec.count("ops.sends", float(ledger.sends))
-            self.rec.count("ops.combines", float(self.result.combine_count))
-            self.result.telemetry = self.rec.trace()
-        return self.result
+async def _receive(executor: NodeExecutor, stream: Stream, chunk_size: int) -> None:
+    """Serve one inbound connection: deliver and ack each frame until the sender hangs up."""
+    try:
+        while True:
+            header, payload = await read_frame(stream, chunk_size=chunk_size)
+            # read_frame assembled the payload into one preallocated
+            # bytearray; wrap it in place rather than copying to bytes.
+            # Stored blocks are read-only by contract (combines write to
+            # fresh arenas), so drop writability at the boundary.
+            received = np.frombuffer(payload, dtype=np.uint8)
+            received.flags.writeable = False
+            executor.deliver(header["key"], received)
+            await stream.write(ACK)
+    except (ConnectionError, asyncio.IncompleteReadError):
+        # The sender's stream is done (WireClosed), or the sender aborted
+        # (its task failed or was cancelled) and reports the real error.
+        pass
+    finally:
+        await stream.aclose()
 
 
 async def run_plan_live(
@@ -436,23 +279,75 @@ async def run_plan_live(
         :data:`~repro.telemetry.NULL_RECORDER`) keeps the hot path
         uninstrumented.
 
-    The store is mutated in place, exactly like the byte executor's.
+    The store is mutated in place, exactly like the byte executor's.  A
+    missing payload raises the byte executor's own
+    :class:`~repro.repair.ExecutionError` (full missing-key set + op
+    index); a plan with a cross-node dependency that delivers no input,
+    :class:`~repro.repair.PlanError` (:func:`~repro.live.node.split_by_owner`).
     """
     live_transport = (
         open_transport(transport) if isinstance(transport, str) else transport
     )
     rec = recorder if recorder else None
-    run = _LiveRun(
-        plan,
-        cluster,
-        store,
-        shaper=LinkShaper(cluster, bandwidth, recorder=rec),
-        transport=live_transport,
-        tables=tables or get_tables(),
-        chunk_size=chunk_size,
-        recorder=rec,
+    shaper = LinkShaper(cluster, bandwidth, recorder=rec)
+    owned = split_by_owner(plan)
+    arrivals: dict[int, set[str]] = {}
+    for part in plan.all_parts():
+        if part.writes[0] != part.owner:
+            arrivals.setdefault(part.writes[0], set()).add(part.writes[1])
+    ports = _PortRegistry()
+    connect = partial(_stream_channel, live_transport, shaper, chunk_size=chunk_size, recorder=rec)
+    executors = {
+        node: NodeExecutor(
+            plan, node, owned.get(node, []), payloads=store.setdefault(node, {}),
+            arrivals=arrivals.get(node, ()), connect=connect,
+            tables=tables, ports=ports, recorder=rec,
+        )
+        for node in owned.keys() | arrivals.keys()
+    }
+    await live_transport.start(
+        cluster.node_ids(),
+        lambda node, stream: _receive(executors[node], stream, chunk_size),
     )
-    return await run.run(timeout)
+    try:
+        t0 = time.monotonic()
+        if rec is not None:
+            rec.set_origin(t0)
+        # Tasks start in plan order across nodes: a port released to
+        # several queued claims goes to the earliest, as the engine breaks
+        # ready-time ties by insertion order.
+        tasks = {
+            oid: asyncio.ensure_future(executors[op.owner].run_parts(oid))
+            for oid, op in plan.ops.items()
+        }
+        stuck = await run_tasks(tasks, timeout)
+        if stuck:
+            raise LiveTimeoutError(f"live run exceeded {timeout}s; unfinished ops: {stuck}")
+    finally:
+        await live_transport.aclose()
+
+    reports = [report for executor in executors.values() for report in executor.reports]
+    timings = {
+        r["op_id"]: LiveOpTiming(op_id=r["op_id"], start=r["start"] - t0, end=r["end"] - t0)
+        for r in reports
+    }
+    result = LiveResult(
+        recovered=collect_outputs(plan, store),
+        makespan=max((t.end for t in timings.values()), default=0.0),
+        timings=timings,
+        transport=getattr(live_transport, "name", "?"),
+        shaped=shaper.shaped,
+        ledger=ledger_from_reports(cluster, reports),
+        combine_count=sum(r["kind"] == CombineOp.kind for r in reports),
+    )
+    if rec is not None:
+        ledger = result.ledger
+        rec.count("bytes.cross_rack", float(ledger.cross_rack_bytes))
+        rec.count("bytes.intra_rack", float(ledger.intra_rack_bytes))
+        rec.count("ops.sends", float(ledger.sends))
+        rec.count("ops.combines", float(result.combine_count))
+        result.telemetry = rec.trace()
+    return result
 
 
 def run_plan_live_sync(*args, **kwargs) -> LiveResult:

@@ -4,7 +4,7 @@ utilization and critical-path attribution (the observability rollups)."""
 from .faults import FaultRollup
 from .loadbalance import coefficient_of_variation, imbalance_summary, max_mean_ratio
 from .repairtime import TimeBreakdown, percent_reduction
-from .traffic import TrafficLedger
+from .traffic import TrafficLedger, ledger_from_reports
 from .utilization import UtilizationSummary, critical_path_breakdown
 
 __all__ = [
@@ -15,6 +15,7 @@ __all__ = [
     "coefficient_of_variation",
     "critical_path_breakdown",
     "imbalance_summary",
+    "ledger_from_reports",
     "max_mean_ratio",
     "percent_reduction",
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from ..cluster import Cluster
 from ..sim import SimResult
 
-__all__ = ["TrafficLedger"]
+__all__ = ["TrafficLedger", "ledger_from_reports"]
 
 
 def _str_keys(counts: dict[int, int]) -> dict[str, int]:
@@ -100,3 +100,15 @@ class TrafficLedger:
         if block_size < 1:
             raise ValueError("block_size must be positive")
         return self.cross_rack_bytes / block_size
+
+
+def ledger_from_reports(cluster: Cluster, reports) -> TrafficLedger:
+    """The ledger of the sends among the part reports of a wall-clock run
+    (:class:`repro.live.node.NodeExecutor`: live runtime and store alike)."""
+    ledger = TrafficLedger()
+    for report in reports:
+        if report["kind"] == "send":
+            ledger.add_send(
+                cluster, int(report["src"]), int(report["dst"]), int(report["nbytes"])
+            )
+    return ledger

@@ -8,9 +8,9 @@ integration tests additionally check the bytes equal the lost originals.
 
 :func:`run_op` (one op's result from its owner's payloads, or the pinned
 missing-payload diagnostic) and :func:`collect_outputs` are the steps
-every interpreter that touches payloads shares: this executor, the live
-runtime, the store's repair sessions and the symbolic composition
-tracker differ only in clock and transport.
+every interpreter that touches payloads shares: this executor, the
+wall-clock one (:class:`repro.live.node.NodeExecutor`) and the symbolic
+composition tracker differ only in clock and transport.
 """
 
 from __future__ import annotations

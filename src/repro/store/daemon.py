@@ -235,8 +235,7 @@ class StorageDaemon:
         session = RepairSession(
             rid,
             NodeAssignment.from_dict(body["assignment"]),
-            {int(nid): (host, int(port))
-             for nid, (host, port) in body["routing"].items()},
+            body["routing"],
             block_size=int(body["block_size"]),
             recorder=self.rec,
             throttle=(ClassedBucket(self.link, "repair")

@@ -1,29 +1,15 @@
 """Distributed repair: partition a plan across daemons, execute locally.
 
-The single-process live runtime (:mod:`repro.live.runtime`) holds every
-node's payloads in one dict and runs every op as a task in one loop.
-The store service crosses the process boundary: the coordinator
-*partitions* a :class:`repro.repair.RepairPlan` into per-node
-assignments — each daemon receives only the ops it owns (sends whose
-``src`` it is, combines at its node) — and the daemons execute them
-**data-driven**: an op fires once its input payloads exist locally and
-its same-node predecessor ops are done.  Cross-node dependencies need no
-control messages at all, because every remote dependency in a repair
-plan *is* the send that delivers one of the op's inputs (partitioning
-verifies this property and refuses plans that violate it); repair bytes
-travelling daemon→daemon double as the dependency tokens, exactly like
-the paper's testbed where pipelining emerges from data arrival.
-
-Each daemon produces an op's payload with the op's own ``apply`` — what
-the byte executor's op step calls — and delivers it by RPC or locally.
-What a daemon is assigned are the plan's *parts*
-(:meth:`repro.repair.RepairPlan.parts`): a sliced op arrives as its
-slices, already resolved against the whole plan, and a daemon runs and
-delivers a slice exactly as it does an op.
+The coordinator *partitions* a :class:`repro.repair.RepairPlan` by
+owner: each daemon receives only the parts it owns (a sliced op arrives
+as its slices) and runs them in a :class:`RepairSession`, the per-node
+executor (:class:`repro.live.node.NodeExecutor`) behind RPC.  Repair
+bytes travelling daemon→daemon double as the dependency tokens, exactly
+like the paper's testbed where pipelining emerges from data arrival.
 The coordinator's :class:`~repro.metrics.TrafficLedger` for a repair is
-then assembled from the daemons' op reports and compared with ``==``
-against the simulator's ledger for the same plan — the service-path half
-of the live cross-validation story.
+built from the daemons' part reports and compared with ``==`` against
+the simulator's ledger for the same plan — the service-path half of the
+live cross-validation story.
 """
 
 from __future__ import annotations
@@ -31,14 +17,17 @@ from __future__ import annotations
 import asyncio
 import time
 import zlib
+from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cluster import Cluster, Placement
-from ..gf import GFTables, get_tables
+from ..cluster import Placement
+from ..gf import GFTables
+from ..live.node import NodeExecutor, split_by_owner
 from ..live.transport import run_tasks
-from ..metrics import TrafficLedger
+from ..metrics import ledger_from_reports
+from ..repair.executor import ExecutionError
 from ..repair.plan import (
     CombineOp,
     OpSlice,
@@ -176,42 +165,21 @@ def partition_plan(
 ) -> dict[int, NodeAssignment]:
     """Split ``plan`` into per-daemon assignments.
 
-    Every op lands at its owner (a send's source, a combine's node), as
-    its :meth:`~repro.repair.RepairPlan.parts`.
-    The partition is only sound if cross-node dependencies are carried
-    by the data itself, so each remote dep is checked to be a send that
-    delivers one of the dependent op's inputs to its owner; any other
-    shape (e.g. a pure ordering edge between nodes) would need a control
-    channel the service deliberately does not have, and raises
-    :class:`StoreProtocolError` at planning time instead of deadlocking
-    daemons at run time.
+    Every op lands at its owner as its parts, by the live runtime's
+    :func:`~repro.live.node.split_by_owner`: a plan whose cross-node
+    dependency delivers no input (it would need a control channel the
+    service deliberately does not have) raises
+    :class:`StoreProtocolError` here instead of deadlocking daemons.
     """
-    plan.validate()
+    try:
+        owned = split_by_owner(plan)
+    except PlanError as exc:
+        raise StoreProtocolError(str(exc)) from exc
     failed = set(failed_blocks)
-    op_parts = plan.parts()
-    parts: dict[int, NodeAssignment] = {}
+    parts = {node: NodeAssignment(node=node, ops=ops) for node, ops in owned.items()}
 
     def part(node: int) -> NodeAssignment:
-        found = parts.get(node)
-        if found is None:
-            found = parts[node] = NodeAssignment(node=node)
-        return found
-
-    for op in plan.ops.values():
-        owner = op.owner
-        for dep in op.deps:
-            dep_op = plan.ops[dep]
-            if dep_op.owner == owner:
-                continue  # same daemon: ordinary local ordering
-            landed_at, landed_key = dep_op.writes
-            if landed_at == owner and landed_key in op.reads:
-                continue  # the dependency IS the payload arrival
-            raise StoreProtocolError(
-                f"op {op.op_id!r} at node {owner} depends on remote op "
-                f"{dep!r} that does not deliver any of its inputs; this "
-                f"plan cannot run data-driven across daemons"
-            )
-        part(owner).ops.extend(op_parts[op.op_id])
+        return parts.setdefault(node, NodeAssignment(node=node))
 
     # Seed every holder of a surviving original block that the plan reads.
     read_keys = {key for op in plan.ops.values() for key in op.reads}
@@ -229,27 +197,14 @@ def partition_plan(
     return parts
 
 
-def ledger_from_reports(cluster: Cluster, reports: list[dict]) -> TrafficLedger:
-    """The traffic ledger of the sends in daemons' op reports."""
-    ledger = TrafficLedger()
-    for report in reports:
-        if report["kind"] == SendOp.kind:
-            ledger.add_send(
-                cluster, int(report["src"]), int(report["dst"]), int(report["nbytes"])
-            )
-    return ledger
-
-
-class RepairSession:
-    """One repair's worth of work on one daemon.
-
-    Owns the repair-scoped payload namespace, fires assigned ops as
-    their inputs materialise, pushes sends to peer daemons as
-    ``repair.block`` RPCs, and commits finished outputs into the
-    daemon's block store.  ``deliver`` is the ingress the daemon calls
-    for every inbound ``repair.block``; payloads may arrive *before*
-    the session's assignment does (a fast peer), which is why the daemon
-    buffers early arrivals and replays them into the session.
+class RepairSession(NodeExecutor):
+    """One repair's worth of work on one daemon: the per-node executor
+    behind RPC.  Seeds come from the daemon's committed blocks, sends go
+    to peers as ``repair.block`` RPCs through ``rpc``, and outputs are
+    committed with their CRC.  ``deliver`` is the ingress for every
+    inbound ``repair.block`` (the daemon buffers payloads that beat the
+    assignment and replays them).  A daemon is shipped only its own ops,
+    so a missing-payload error names the part's position among those.
     """
 
     def __init__(
@@ -268,98 +223,51 @@ class RepairSession:
         self.rid = rid
         self.assignment = assignment
         self.routing = {int(nid): (host, int(port)) for nid, (host, port) in routing.items()}
-        self.block_size = block_size
-        self.tables = tables or get_tables()
         self.rpc = rpc
-        self.rec = recorder if recorder else None
-        #: Trace context of this daemon's repair span; every op span
-        #: descends from it and every outbound ``repair.block`` carries a
-        #: grandchild hop, so the assembled tree shows coordinator →
-        #: daemon → op → peer daemon.  ``None`` = no propagation.
-        self.ctx = ctx
         #: Optional pacing bucket (``await acquire(nbytes)``) charged
         #: before every outbound repair byte — the repair class of the
         #: daemon's QoS link split (docs/QOS.md).  ``None`` = unshaped.
         self.throttle = throttle
-        self.payloads: dict[str, np.ndarray] = {}
-        self._key_events: dict[str, asyncio.Event] = {}
-        self._op_done: dict[str, asyncio.Event] = {
-            op.op_id: asyncio.Event() for op in assignment.ops
-        }
-        self._local_ops = set(self._op_done)
-        self.reports: list[dict] = []
         self.committed: list[dict] = []
-
-    # -- payload plumbing ---------------------------------------------------
-
-    def _event_for(self, key: str) -> asyncio.Event:
-        event = self._key_events.get(key)
-        if event is None:
-            event = self._key_events[key] = asyncio.Event()
-        return event
-
-    def deliver(self, key: str, payload: np.ndarray) -> None:
-        """An inbound payload (seed, repair.block, or combine output)."""
-        self.payloads[key] = payload
-        self._event_for(key).set()
-
-    async def _await_key(self, key: str) -> np.ndarray:
-        await self._event_for(key).wait()
-        return self.payloads[key]
-
-    # -- op execution -------------------------------------------------------
-
-    async def _run_op(self, op: SendOp | CombineOp | OpSlice) -> None:
-        for dep in op.deps:
-            if dep in self._local_ops:
-                await self._op_done[dep].wait()
-        inputs = [await self._await_key(key) for key in op.reads]
-        node, key = op.writes
-        op_ctx = self.ctx.child() if self.ctx is not None else None
-        span = op.span_attrs
-        start = time.monotonic()
-        payload = op.apply(inputs, self.tables)
-        if node == op.owner:
-            self.deliver(key, payload)
-            facts = {"node": node, "out_key": key}
-        else:
-            try:
-                host, port = self.routing[node]
-            except KeyError:
-                raise StoreError(
-                    f"repair {self.rid}: send {op.op_id!r} targets node "
-                    f"{node} with no route (dead or uninvolved daemon?)"
-                ) from None
-            payload = np.ascontiguousarray(payload)
-            nbytes = int(payload.nbytes)
-            if self.throttle is not None:
-                await self.throttle.acquire(nbytes)
-            kwargs = {"blob": payload.data}
-            if op_ctx is not None:
-                kwargs["ctx"] = op_ctx.child()
-            start = time.monotonic()
-            await self.rpc(
-                host,
-                port,
-                "repair.block",
-                {"rid": self.rid, "key": key},
-                **kwargs,
-            )
-            facts = {"src": op.owner, "dst": node, "key": key, "nbytes": nbytes}
-            span["nbytes"] = nbytes
-        end = time.monotonic()
-        self.reports.append(
-            {"kind": op.kind, "op_id": op.op_id, **facts, "start": start, "end": end}
+        parts = assignment.ops
+        # A key a part or an output reads that no seed provides is
+        # computed here or sent by a peer.
+        reads = {key for part in parts for key in part.reads}
+        reads.update(key for _, keys, _ in assignment.outputs for key in keys)
+        # Every op span descends from this daemon's repair span (``ctx``)
+        # and every outbound repair.block carries a grandchild hop, so the
+        # assembled tree shows coordinator → daemon → op → peer daemon.
+        super().__init__(
+            RepairPlan(block_size=block_size, ops={part.op.op_id: part.op for part in parts}),
+            assignment.node, parts, payloads={}, arrivals=reads - set(assignment.seeds),
+            tables=tables, recorder=recorder, ctx=ctx, attrs={"rid": rid},
         )
-        if self.rec is not None:
-            self.rec.span(
-                op.op_id, start, end, category="op", op_id=op.op_id, rid=self.rid,
-                **span, **(op_ctx.attrs() if op_ctx is not None else {}),
+
+    @asynccontextmanager
+    async def channel(self, dst: int):
+        """Sends to one peer: a ``repair.block`` RPC per part through
+        ``rpc``, charged first to the daemon's repair share of its NIC."""
+        if dst not in self.routing:
+            raise StoreError(
+                f"repair {self.rid}: node {self.node} sends to node {dst}, which has "
+                f"no route (dead or uninvolved daemon?)"
             )
-        self._op_done[op.op_id].set()
+        host, port = self.routing[dst]
+
+        async def send(op_id: str, key: str, payload: np.ndarray, ctx):
+            start = time.monotonic()
+            if self.throttle is not None:
+                await self.throttle.acquire(int(payload.nbytes))
+            kwargs = {"blob": payload.data}
+            if ctx is not None:
+                kwargs["ctx"] = ctx.child()
+            await self.rpc(host, port, "repair.block", {"rid": self.rid, "key": key}, **kwargs)
+            return [("send.rpc", start, time.monotonic())]
+
+        yield send
 
     async def _commit_output(self, block_id: int, keys, stored_key: str, blocks: dict) -> None:
-        payload = join_slices([await self._await_key(key) for key in keys])
+        payload = join_slices([await self.payload(key) for key in keys])
         blocks[stored_key] = payload
         self.committed.append(
             {
@@ -371,36 +279,36 @@ class RepairSession:
         )
 
     async def run(self, blocks: dict, *, timeout: float) -> dict:
-        """Execute every assigned op and commit outputs; returns the report.
+        """Execute every assigned part and commit outputs; returns the report.
 
         ``blocks`` is the daemon's committed store: seeds are read from
-        it, rebuilt outputs land in it.  A deadline turns a stalled
-        session (dead peer, partitioned plan bug) into a
-        :class:`StoreError` naming the stuck ops — the distributed twin
-        of the runtime's :class:`~repro.live.runtime.LiveTimeoutError`.
+        it, rebuilt outputs land in it.  A seed it no longer holds (a
+        racing ``rm``, a loss) fails the part that reads it at once, as a
+        :class:`StoreError` naming the stored key.  A deadline turns a
+        stalled session (dead peer, partitioned plan bug) into a
+        :class:`StoreError` naming the stuck ops — the distributed twin of
+        the runtime's :class:`~repro.live.runtime.LiveTimeoutError`.
         """
-        for key, stored_key in self.assignment.seeds.items():
-            if stored_key in blocks:
-                self.deliver(key, blocks[stored_key])
-        tasks: dict[str, asyncio.Task] = {
-            op.op_id: asyncio.ensure_future(self._run_op(op))
-            for op in self.assignment.ops
-        }
+        node, seeds = self.assignment.node, self.assignment.seeds
+        self.payloads.update({key: blocks[held] for key, held in seeds.items() if held in blocks})
+        tasks = {oid: asyncio.ensure_future(self.run_parts(oid)) for oid in self.ops}
         for bid, keys, stored_key in self.assignment.outputs:
             tasks[f"commit:{bid}"] = asyncio.ensure_future(
                 self._commit_output(bid, keys, stored_key, blocks)
             )
-        stuck = await run_tasks(tasks, timeout)
+        try:
+            stuck = await run_tasks(tasks, timeout)
+        except ExecutionError as exc:
+            absent = {key: held for key, held in seeds.items() if key not in self.payloads}
+            lost = f"; seed blocks not held here: {absent}" if absent else ""
+            raise StoreError(f"repair {self.rid} failed on node {node}: {exc}{lost}") from exc
         if stuck:
             raise StoreError(
                 f"repair {self.rid} timed out after {timeout}s on node "
-                f"{self.assignment.node}; unfinished: {stuck}"
+                f"{node}; unfinished: {stuck}"
             )
-        return self.report()
-
-    def report(self) -> dict:
         return {
-            "node": self.assignment.node,
+            "node": node,
             "rid": self.rid,
             "reports": list(self.reports),
             "committed": list(self.committed),

@@ -8,6 +8,12 @@ that tells a ``SendOp`` from a ``CombineOp`` (every other consumer drives
 accounting.  Both used to be written out five to eight times; this test
 fails the tier-1 run when a copy reappears.
 
+Also §1.1: plan parts run in three places only — the byte executor
+(``execute_plan``), the symbolic tracker (``payload_compositions``) and
+the one wall-clock executor (``repro.live.node``), which the live
+runtime runs in-process and the store's daemons run behind RPC.  The
+runtime and the daemons used to carry a part loop each.
+
 §2.1: a ``TelemetryTrace`` is the one model of a run.  ``repro.telemetry``
 imports none of the interpreters that emit into it (sim → telemetry is
 one-way), and only ``repro.sim`` compares against the engine's job
@@ -416,3 +422,39 @@ def test_the_front_end_guard_sees_what_it_guards():
     assert calls_to(old_cli, ENGINE_ROOM) == [5, 6, 7, 8]
     assert calls_to(old_cli, QOS_SCENARIO) == [5, 6]
     assert scheme_tables(old_cli) == [2, 11]
+
+
+#: Modules allowed to run a plan part (``run_op``, or a part's ``apply``).
+PART_RUNNERS = {"repair/plan.py", "repair/executor.py", "repair/faults.py", "live/node.py"}
+PART_STEPS = {"run_op", "apply"}
+
+
+def test_plan_parts_run_only_in_the_executors():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel not in PART_RUNNERS:
+            found += [
+                f"src/repro/{rel}:{line}"
+                for line in calls_to(ast.parse(path.read_text()), PART_STEPS)
+            ]
+    assert not found, (
+        "run_op / part.apply called outside execute_plan, payload_compositions and "
+        "repro.live.node — run the parts through a NodeExecutor instead:\n"
+        + "\n".join(found)
+    )
+
+
+def test_the_part_loop_guard_sees_what_it_guards():
+    """Not vacuous: every allowed module does run parts, and the shapes the
+    deleted second part loops used are recognised."""
+    for rel in PART_RUNNERS:
+        assert calls_to(ast.parse((SRC / rel).read_text()), PART_STEPS), rel
+    old_loops = ast.parse(
+        "async def _run_op(self, op):\n"
+        "    payload = op.apply(inputs, self.tables)\n"
+        "    node_store[key] = run_op(self.plan, part, node_store, self.tables)\n"
+        "    tasks[oid] = asyncio.ensure_future(self._run_op(op))\n"
+        "    comps = executor.run_op(plan, op, comps)\n"
+    )
+    assert calls_to(old_loops, PART_STEPS) == [2, 3, 5]

@@ -159,10 +159,11 @@ class TestInitialStore:
             )
 
 
-def run_sessions(plan, ctx, stripe, stripe_id=0, recorder=None):
+def run_sessions(plan, ctx, stripe, stripe_id=0, recorder=None, lost=()):
     """The store's repair path without sockets: one ``RepairSession`` per
     involved node, ``repair.block`` RPCs delivered straight to the peer
-    session, every session's op spans into ``recorder``.  Returns
+    session, every session's op spans into ``recorder``; the daemons hold
+    every surviving block but the stored keys in ``lost``.  Returns
     ``(ledger, combines, recovered)``."""
     import asyncio
 
@@ -190,6 +191,9 @@ def run_sessions(plan, ctx, stripe, stripe_id=0, recorder=None):
         }
         for node in parts
     }
+    for held in blocks.values():
+        for key in lost:
+            held.pop(key, None)
 
     async def main():
         for node, part in parts.items():
@@ -253,6 +257,35 @@ def driver_cases():
                 yield pytest.param(
                     n, k, failed, scheme, id=f"{scheme.name}-rs{n}_{k}-fail{len(failed)}"
                 )
+
+
+class TestSessionFailures:
+    def test_a_missing_seed_fails_at_once_naming_its_stored_key(self):
+        """A daemon that no longer holds a seed block (a racing ``rm``, a
+        loss) fails the part that reads it straight away — it must not sit
+        out the session deadline while the coordinator holds its repair
+        lock — and says which stored block it lacks."""
+        import time
+
+        from repro.repair import RPRScheme
+        from repro.store.messages import StoreError
+        from repro.store.repair import partition_plan
+
+        ctx = make_context(6, 3, failed=[1])
+        plan = RPRScheme().plan(ctx)
+        seeds = {
+            key: stored
+            for part in partition_plan(plan, ctx.placement, 0, ctx.failed_blocks).values()
+            for key, stored in part.seeds.items()
+        }
+        key, stored = sorted(seeds.items())[0]
+        start = time.monotonic()
+        with pytest.raises(StoreError) as err:
+            run_sessions(plan, ctx, make_stripe(ctx), lost=[stored])
+        assert time.monotonic() - start < 1.0
+        message = str(err.value)
+        assert repr(stored) in message
+        assert f"missing payloads {[key]}" in message
 
 
 class TestLedgers:

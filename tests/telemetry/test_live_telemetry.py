@@ -24,6 +24,8 @@ SEND_PHASES = {
     "send.connect", "send.stream", "send.ack_wait",
 }
 COMBINE_PHASES = {"combine.dep_wait", "combine.cpu_wait"}
+#: A store session's send goes out as one ``repair.block`` RPC.
+SESSION_SEND_PHASES = {"send.dep_wait", "send.port_wait", "send.rpc"}
 
 
 def scenario(n=6, k=3, failed=(1,)):
@@ -97,6 +99,29 @@ class TestRecordedRun:
             span = live.telemetry.op_spans()[op_id]
             assert span.start == pytest.approx(timing.start)
             assert span.end == pytest.approx(timing.end)
+
+
+class TestSessionTrace:
+    """The store's repair sessions run the same per-node executor, so
+    their op spans say what each op waited on just as live ones do."""
+
+    def test_every_send_has_all_phases(self):
+        from ..repair.test_executor import run_sessions, wall_recorder
+
+        env = build_simics_environment(6, 3, block_size=BLOCK)
+        ctx = context_for(env, [1])
+        plan = RPRScheme().plan(ctx)
+        rec = wall_recorder()
+        run_sessions(plan, ctx, encoded_stripe(env.code, BLOCK, seed=7), recorder=rec)
+        trace = rec.trace()
+        assert trace.op_spans().keys() == set(plan.ops)
+        for oid, span in trace.op_spans().items():
+            assert span.attrs["rid"] == "r0"
+            names = {s.name for s in trace.spans if s.parent == oid and not s.category}
+            if span.attrs["kind"] == "transfer":
+                assert names == SESSION_SEND_PHASES
+            else:
+                assert names == COMBINE_PHASES
 
 
 class TestDisabledPath:
