@@ -14,7 +14,9 @@ socket backpressure, exactly as it did on the paper's testbed.
 
 Layers:
 
-* :mod:`repro.live.shaper` — token-bucket pacing per directed link.
+* :mod:`repro.live.shaper` — the one token bucket: one class per
+  directed link here, a foreground/repair split on each store daemon's
+  NIC.
 * :mod:`repro.live.transport` — byte-stream transports: in-process
   memory streams (CI-safe) and localhost TCP servers.
 * :mod:`repro.live.wire` — the framed wire protocol (header + chunked
@@ -42,12 +44,7 @@ from .runtime import (
     run_plan_live,
     run_plan_live_sync,
 )
-from .shaper import (
-    ClassedBucket,
-    LinkShaper,
-    TokenBucket,
-    WeightedTokenBucket,
-)
+from .shaper import LinkShaper, TokenBucket
 from .transport import (
     MemoryTransport,
     TcpTransport,
@@ -68,10 +65,8 @@ from .validate import (
 )
 
 __all__ = [
-    "ClassedBucket",
     "DEFAULT_LIVE_BANDWIDTH",
     "LinkShaper",
-    "WeightedTokenBucket",
     "LiveError",
     "LiveOpTiming",
     "LiveResult",

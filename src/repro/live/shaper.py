@@ -1,14 +1,17 @@
 """Token-bucket link shaping — the wondershaper stand-in.
 
-The paper's testbed throttled links with wondershaper (§5.1); here every
-directed node pair gets a :class:`TokenBucket` fed at the scenario's
-:meth:`repro.cluster.BandwidthModel.rate` and charged one chunk at a
-time by the sender.  Pacing is *debt-based*: a send deducts its bytes
-immediately and sleeps off any deficit, so long-run throughput converges
-to the configured rate regardless of sleep jitter — oversleeping one
-chunk accrues tokens for the next (bounded by ``capacity``), which is
-what keeps shaped transfers within a few percent of ``nbytes / rate``
-even on a noisy CI host.
+The paper's testbed throttled links with wondershaper (§5.1); here one
+:class:`TokenBucket` paces every shaped byte.  The live runtime gives
+every directed node pair a one-class bucket fed at the scenario's
+:meth:`repro.cluster.BandwidthModel.rate` (:class:`LinkShaper`), charged
+one chunk at a time by the sender; a store daemon gives its NIC one
+bucket split between ``foreground`` and ``repair`` classes
+(docs/QOS.md).  Pacing is *debt-based*: a send deducts its bytes
+immediately and sleeps off any deficit once, so long-run throughput
+converges to the configured rate regardless of sleep jitter —
+oversleeping one chunk accrues tokens for the next (bounded by
+``capacity``), which is what keeps shaped transfers within a few percent
+of ``nbytes / rate`` even on a noisy CI host.
 
 The clock and sleep functions are injectable so the bucket's accounting
 can be property-tested deterministically against a fake clock
@@ -25,8 +28,6 @@ from ..cluster import BandwidthModel, Cluster
 
 __all__ = [
     "TokenBucket",
-    "WeightedTokenBucket",
-    "ClassedBucket",
     "LinkShaper",
 ]
 
@@ -37,16 +38,30 @@ DEFAULT_BURST_S = 0.02
 
 
 class TokenBucket:
-    """Debt-based token bucket for one directed link.
+    """Debt-based token bucket for one link, optionally split by class.
+
+    Without ``weights`` the bucket has one class and every sender draws
+    on one budget.  With ``weights`` every class owns a guaranteed share
+    ``rate * weight / sum(weights)`` of the link, refilled continuously.
+    The split is *work-conserving* through borrowing: credit accrued to
+    a class with no outstanding debt (nobody of that class is waiting)
+    is donated to classes in debt, so a lone sender always sees the full
+    link rate while competing classes converge to their weight ratio.
+    Pacing waits serialise only *within* a class (one lock per class): a
+    foreground send never queues behind a repair send's pacing sleep.
 
     Parameters
     ----------
     rate:
         Bytes/second the link may carry.
     capacity:
-        Maximum accrued credit in bytes (the burst).  Defaults to
-        ``rate * DEFAULT_BURST_S``, floored at one typical chunk so tiny
-        rates still make progress.
+        Maximum accrued credit in bytes (the burst), split across the
+        classes by share.  Defaults to ``rate * DEFAULT_BURST_S``,
+        floored at one typical chunk so tiny rates still make progress.
+    weights:
+        ``{class: weight}`` for a classed bucket; ``None`` (the default)
+        for one class.  Classed calls name their class
+        (``acquire(nbytes, "repair")``).
     clock / sleep:
         Injectable time sources (monotonic seconds, async sleep); tests
         substitute a fake pair to verify the accounting without real
@@ -54,7 +69,8 @@ class TokenBucket:
     recorder / label:
         Optional :class:`repro.telemetry.TelemetryRecorder` the bucket
         reports pacing into (stall counts and durations, debt-at-stall
-        gauge samples tagged with ``label``).  ``None`` — the default —
+        gauge samples tagged with ``label``; a classed bucket adds a
+        ``:{class}`` suffix to each name).  ``None`` — the default —
         keeps :meth:`acquire` on the exact uninstrumented instruction
         path; the perf harness bounds the residue.
     """
@@ -64,6 +80,7 @@ class TokenBucket:
         rate: float,
         capacity: float | None = None,
         *,
+        weights: dict[str, float] | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep=asyncio.sleep,
         recorder=None,
@@ -73,150 +90,38 @@ class TokenBucket:
             raise ValueError(f"rate must be positive, got {rate}")
         if capacity is not None and capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self.rate = float(rate)
-        self.capacity = (
-            float(capacity)
-            if capacity is not None
-            else max(self.rate * DEFAULT_BURST_S, 16 * 1024.0)
-        )
-        self._clock = clock
-        self._sleep = sleep
-        # Start empty: the first transfer pays full fare from byte one,
-        # matching the simulator's nbytes/rate accounting.  Credit only
-        # accrues (up to ``capacity``) while the link sits idle, and as
-        # compensation for oversleeping a pacing wait.
-        self._tokens = 0.0
-        self._last = clock()
-        self._lock = asyncio.Lock()
-        self._recorder = recorder if recorder else None
-        self.label = label
-
-    def _refill(self) -> None:
-        now = self._clock()
-        elapsed = now - self._last
-        if elapsed > 0:
-            self._tokens = min(self.capacity, self._tokens + elapsed * self.rate)
-        self._last = now
-
-    def reset(self) -> None:
-        """Drop idle credit at the start of a transfer.
-
-        Credit accrued while the link sat idle (e.g. the sender was
-        waiting for ports) would let the next transfer start up to
-        ``capacity`` bytes ahead of the shaped rate; a transfer begins
-        from zero so its duration is ``nbytes / rate`` like the
-        simulator's.  Debt still owed is kept — resets never forgive
-        pacing — but time already slept pays it down first: the refill
-        runs before the credit is dropped, so back-to-back transfers on
-        one link do not pay the previous transfer's last chunk twice.
-        """
-        self._refill()
-        self._tokens = min(self._tokens, 0.0)
-
-    async def acquire(self, nbytes: int) -> None:
-        """Charge ``nbytes`` against the bucket, sleeping off any deficit.
-
-        The deduction happens before the wait, so concurrent senders on
-        one link serialise fairly behind the lock and the aggregate
-        long-run throughput is exactly ``rate``.
-
-        The charge is exception-safe: if the pacing sleep is cancelled
-        (the sender's task died mid-transfer), the deduction is rolled
-        back — those bytes never went out, and the bucket outlives the
-        transfer, so a leaked charge would tax the link's *next*
-        transfer.
-        """
-        if nbytes <= 0:
-            return
-        async with self._lock:
-            self._refill()
-            self._tokens -= nbytes
-            if self._tokens < 0:
-                wait = -self._tokens / self.rate
-                rec = self._recorder
-                if rec is not None:
-                    rec.count("pacing.stalls")
-                    rec.observe("pacing.stall_s", wait)
-                    rec.gauge(f"bucket.debt_bytes:{self.label}", -self._tokens)
-                try:
-                    await self._sleep(wait)
-                except BaseException:
-                    self._tokens = min(self._tokens + nbytes, self.capacity)
-                    raise
-
-    def refund(self, nbytes: int) -> None:
-        """Return ``nbytes`` of charge that never reached the wire.
-
-        Called by :func:`repro.live.wire.send_frame` when a chunk's
-        write raises after its tokens were acquired.  Capped at
-        ``capacity`` like any other credit, so a refund can never mint a
-        burst larger than the configured one.
-        """
-        if nbytes <= 0:
-            return
-        self._tokens = min(self._tokens + nbytes, self.capacity)
-
-
-class WeightedTokenBucket:
-    """One link's rate split across priority classes, work-conserving.
-
-    The QoS half of the shaper (docs/QOS.md): every class named in
-    ``weights`` owns a guaranteed share ``rate * weight / sum(weights)``
-    of the link, refilled continuously like :class:`TokenBucket`.  The
-    split is *work-conserving* through borrowing: credit accrued to a
-    class with no outstanding debt (nobody of that class is waiting) is
-    donated to classes in debt, so a lone sender always sees the full
-    link rate while competing classes converge to their weight ratio.
-
-    Unlike :class:`TokenBucket`, pacing waits serialise only *within* a
-    class (one lock per class): a foreground send never queues behind a
-    background-repair send's pacing sleep — that head-of-line blocking
-    is exactly what the priority split exists to remove.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        weights: dict[str, float],
-        *,
-        capacity: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep=asyncio.sleep,
-        recorder=None,
-        label: str = "",
-    ) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        if weights is None:
+            weights = {"": 1.0}
         if not weights:
             raise ValueError("need at least one traffic class")
         if any(w <= 0 for w in weights.values()):
             raise ValueError(f"weights must be positive, got {weights}")
         self.rate = float(rate)
-        total = float(sum(weights.values()))
-        self.shares: dict[str, float] = {
-            cls: w / total for cls, w in weights.items()
-        }
         self.capacity = (
             float(capacity)
             if capacity is not None
             else max(self.rate * DEFAULT_BURST_S, 16 * 1024.0)
         )
+        total = float(sum(weights.values()))
+        self.shares: dict[str, float] = {cls: w / total for cls, w in weights.items()}
+        self._caps = {
+            cls: max(self.capacity * share, 1.0) for cls, share in self.shares.items()
+        }
         self._clock = clock
         self._sleep = sleep
+        # Start empty: the first transfer pays full fare from byte one,
+        # matching the simulator's nbytes/rate accounting.  Credit only
+        # accrues (up to the class's cap) while the link sits idle, and
+        # as compensation for oversleeping a pacing wait.
+        self._tokens = {cls: 0.0 for cls in self.shares}
+        self._last = clock()
+        self._locks = {cls: asyncio.Lock() for cls in self.shares}
         self._recorder = recorder if recorder else None
         self.label = label
-        self._tokens: dict[str, float] = {cls: 0.0 for cls in weights}
-        self._last = clock()
-        self._locks: dict[str, asyncio.Lock] = {
-            cls: asyncio.Lock() for cls in weights
-        }
         #: Cumulative bytes successfully charged per class — the NIC
         #: utilization ledger the store's ``stats`` RPC reports from.
         #: Refunds (bytes that never reached the wire) are subtracted.
-        self.sent: dict[str, float] = {cls: 0.0 for cls in weights}
-
-    def _cap(self, cls: str) -> float:
-        return max(self.capacity * self.shares[cls], 1.0)
+        self.sent = {cls: 0.0 for cls in self.shares}
 
     def _refill(self) -> None:
         now = self._clock()
@@ -224,7 +129,7 @@ class WeightedTokenBucket:
         if elapsed > 0:
             overflow = 0.0
             for cls, share in self.shares.items():
-                cap = self._cap(cls)
+                cap = self._caps[cls]
                 new = self._tokens[cls] + elapsed * self.rate * share
                 if new > cap:
                     overflow += new - cap
@@ -278,14 +183,37 @@ class WeightedTokenBucket:
                 share += donor_share
         return share
 
-    async def acquire(self, nbytes: int, cls: str) -> None:
+    def reset(self) -> None:
+        """Drop idle credit at the start of a transfer.
+
+        Credit accrued while the link sat idle (e.g. the sender was
+        waiting for ports) would let the next transfer start up to
+        ``capacity`` bytes ahead of the shaped rate; a transfer begins
+        from zero so its duration is ``nbytes / rate`` like the
+        simulator's.  Debt still owed is kept — resets never forgive
+        pacing — but time already slept pays it down first: the refill
+        runs before the credit is dropped, so back-to-back transfers on
+        one link do not pay the previous transfer's last chunk twice.
+        """
+        self._refill()
+        for cls, tokens in self._tokens.items():
+            self._tokens[cls] = min(tokens, 0.0)
+
+    async def acquire(self, nbytes: int, cls: str = "") -> None:
         """Charge ``nbytes`` to class ``cls``, sleeping off any deficit.
 
-        Debt-based like :meth:`TokenBucket.acquire`, but the pacing wait
-        is recomputed each round at the class's *current* effective rate
-        (guaranteed share plus whatever idle classes donate), so a class
-        that becomes the lone sender speeds up mid-wait instead of
-        honouring a stale worst-case estimate.
+        The deduction happens before the wait, so concurrent senders of
+        one class serialise fairly behind its lock and the aggregate
+        long-run throughput is exactly ``rate``.  A stall takes one
+        sleep, sized at the class's current effective rate (its share
+        plus the shares of idle classes); debt the sleep did not pay off
+        is carried into the class's next ``acquire``.
+
+        The charge is exception-safe: if the pacing sleep is cancelled
+        (the sender's task died mid-transfer), the deduction is rolled
+        back — those bytes never went out, and the bucket outlives the
+        transfer, so a leaked charge would tax the link's *next*
+        transfer.
         """
         if nbytes <= 0:
             return
@@ -294,66 +222,35 @@ class WeightedTokenBucket:
         async with self._locks[cls]:
             self._refill()
             self._tokens[cls] -= nbytes
-            try:
-                while True:
-                    self._borrow(cls)
-                    debt = -self._tokens[cls]
-                    # Sub-byte residue is paid: a femtosecond wait would
-                    # vanish into float absorption on a large clock value
-                    # and spin this loop forever.
-                    if debt <= 1e-6:
-                        self.sent[cls] += nbytes
-                        return
-                    wait = debt / (self.rate * self._idle_share(cls))
-                    rec = self._recorder
-                    if rec is not None:
-                        rec.count(f"pacing.stalls:{cls}")
-                        rec.observe(f"pacing.stall_s:{cls}", wait)
-                        rec.gauge(f"bucket.debt_bytes:{cls}:{self.label}", debt)
+            self._borrow(cls)
+            debt = -self._tokens[cls]
+            if debt > 0:
+                wait = debt / (self.rate * self._idle_share(cls))
+                rec = self._recorder
+                if rec is not None:
+                    tag = f":{cls}" if cls else ""
+                    rec.count(f"pacing.stalls{tag}")
+                    rec.observe(f"pacing.stall_s{tag}", wait)
+                    rec.gauge(f"bucket.debt_bytes{tag}:{self.label}", debt)
+                try:
                     await self._sleep(wait)
-                    self._refill()
-            except BaseException:
-                # Cancelled mid-wait: those bytes never went out; a leaked
-                # charge would tax the class's next transfer.
-                self._tokens[cls] = min(self._tokens[cls] + nbytes, self._cap(cls))
-                raise
+                except BaseException:
+                    self._tokens[cls] = min(self._tokens[cls] + nbytes, self._caps[cls])
+                    raise
+            self.sent[cls] += nbytes
 
-    def refund(self, nbytes: int, cls: str) -> None:
-        """Return ``nbytes`` of ``cls`` charge that never reached the wire."""
+    def refund(self, nbytes: int, cls: str = "") -> None:
+        """Return ``nbytes`` of ``cls`` charge that never reached the wire.
+
+        Called by :func:`repro.live.wire.send_frame` when a chunk's
+        write raises after its tokens were acquired.  Capped at the
+        class's share of ``capacity`` like any other credit, so a refund
+        can never mint a burst larger than the configured one.
+        """
         if nbytes <= 0:
             return
-        self._tokens[cls] = min(self._tokens[cls] + nbytes, self._cap(cls))
+        self._tokens[cls] = min(self._tokens[cls] + nbytes, self._caps[cls])
         self.sent[cls] = max(0.0, self.sent[cls] - nbytes)
-
-
-class ClassedBucket:
-    """A single-class view of a :class:`WeightedTokenBucket`.
-
-    Exposes the :class:`TokenBucket` ``acquire``/``refund`` surface so
-    code written against plain buckets (the wire layer, repair sessions)
-    can be pointed at one QoS class without knowing about the split.
-    """
-
-    __slots__ = ("bucket", "cls")
-
-    def __init__(self, bucket: WeightedTokenBucket, cls: str) -> None:
-        if cls not in bucket.shares:
-            raise KeyError(f"unknown traffic class {cls!r}")
-        self.bucket = bucket
-        self.cls = cls
-
-    @property
-    def rate(self) -> float:
-        return self.bucket.rate * self.bucket.shares[self.cls]
-
-    async def acquire(self, nbytes: int) -> None:
-        await self.bucket.acquire(nbytes, self.cls)
-
-    def refund(self, nbytes: int) -> None:
-        self.bucket.refund(nbytes, self.cls)
-
-    def reset(self) -> None:
-        """No-op: QoS buckets are shared across transfers and classes."""
 
 
 class LinkShaper:
@@ -373,14 +270,12 @@ class LinkShaper:
         cluster: Cluster,
         bandwidth: BandwidthModel | None,
         *,
-        burst_s: float = DEFAULT_BURST_S,
         clock: Callable[[], float] = time.monotonic,
         sleep=asyncio.sleep,
         recorder=None,
     ) -> None:
         self.cluster = cluster
         self.bandwidth = bandwidth
-        self.burst_s = burst_s
         self._clock = clock
         self._sleep = sleep
         self._recorder = recorder if recorder else None
@@ -400,18 +295,13 @@ class LinkShaper:
             rate = self.bandwidth.rate(self.cluster, src, dst)
             found = self._buckets[key] = TokenBucket(
                 rate,
-                capacity=max(rate * self.burst_s, 1.0),
+                capacity=max(rate * DEFAULT_BURST_S, 1.0),
                 clock=self._clock,
                 sleep=self._sleep,
                 recorder=self._recorder,
                 label=f"n{src}->n{dst}",
             )
         return found
-
-    def rate(self, src: int, dst: int) -> float | None:
-        if self.bandwidth is None:
-            return None
-        return self.bandwidth.rate(self.cluster, src, dst)
 
     def latency(self, src: int, dst: int) -> float:
         if self.bandwidth is None:

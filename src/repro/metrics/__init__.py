@@ -3,13 +3,12 @@ utilization and critical-path attribution (the observability rollups)."""
 
 from .faults import FaultRollup
 from .loadbalance import coefficient_of_variation, imbalance_summary, max_mean_ratio
-from .repairtime import TimeBreakdown, percent_reduction
+from .repairtime import percent_reduction
 from .traffic import TrafficLedger, ledger_from_reports
 from .utilization import UtilizationSummary, critical_path_breakdown
 
 __all__ = [
     "FaultRollup",
-    "TimeBreakdown",
     "TrafficLedger",
     "UtilizationSummary",
     "coefficient_of_variation",

@@ -15,8 +15,8 @@ needed to ask it against the live store service (:mod:`repro.store`):
   :func:`kill_mid_trace_replay` is the whole scenario as one call.
 * **The two service classes** are the daemons' own: each shaped daemon
   splits its NIC between ``foreground`` block I/O and ``repair`` traffic
-  (:class:`repro.live.WeightedTokenBucket`, ``repair_share`` of the link
-  guaranteed to repair); *which* repair goes first is an ordering
+  (a classed :class:`repro.live.TokenBucket`, ``repair_share`` of the
+  link guaranteed to repair); *which* repair goes first is an ordering
   decision of the coordinator (most-at-risk stripe first), not a third
   bandwidth class.
 * **Degraded reads** live in the store client itself

@@ -219,6 +219,33 @@ class StoreClient:
         }
         return out.tobytes(), report
 
+    async def _fetch(
+        self, routing: dict, node: int, sid: int, bid: int,
+        ctx: TraceContext | None, *, lenient: bool = False,
+    ) -> np.ndarray | None:
+        """Stripe ``sid``'s block ``bid`` from its holder ``node``.
+
+        A healthy read is strict: a holder it cannot reach raises.  A
+        ``lenient`` (degraded) read tries twice and returns ``None``
+        instead — an unrouted holder is known dead, and an undetected
+        death looks like a refused connection — so the caller
+        reconstructs around the block.
+        """
+        route = routing.get(str(node))
+        try:
+            if route is None:
+                raise StoreError(f"no route to node {node} (dead daemon?)")
+            _, blob = await call(
+                route[0], route[1], "block.get",
+                {"key": stored_block_key(sid, bid)}, attempts=2 if lenient else 5,
+                ctx=ctx.child() if ctx is not None else None,
+            )
+        except (StoreError, ConnectionError, OSError):
+            if lenient:
+                return None
+            raise
+        return np.frombuffer(blob, dtype=np.uint8)
+
     async def _healthy_stripe(
         self, name: str, info: dict, spec: dict, n: int,
         *, ctx: TraceContext | None = None,
@@ -234,81 +261,63 @@ class StoreClient:
                     f"missing); retry with degraded=True to reconstruct, or "
                     f"wait for repair to finish"
                 )
-
-        async def fetch(bid: int) -> np.ndarray:
-            host, port = info["routing"][str(placement[bid])]
-            _, blob = await call(
-                host, port, "block.get", {"key": stored_block_key(sid, bid)},
-                ctx=ctx.child() if ctx is not None else None,
-            )
-            return np.frombuffer(blob, dtype=np.uint8)
-
         # gather preserves argument order, so blocks land data-order
         # even though the fetches race.
-        return list(await asyncio.gather(*(fetch(bid) for bid in range(n))))
+        return list(await asyncio.gather(
+            *(self._fetch(info["routing"], placement[bid], sid, bid, ctx) for bid in range(n))
+        ))
 
     async def _degraded_stripe(
         self, name: str, info: dict, spec: dict, cluster: Cluster, code,
         *, ctx: TraceContext | None = None,
     ) -> tuple[list[np.ndarray], list[dict]]:
-        """One stripe's data blocks, reconstructing whatever is lost."""
+        """One stripe's data blocks, reconstructing whatever is lost.
+
+        Every block is read at most once: the data blocks first, then
+        only those plan seeds (or, on the decode fallback, parity
+        blocks) that are not already held.
+        """
         sid = int(spec["sid"])
         n = code.n
-        routing = info["routing"]
         placement = {int(bid): node for bid, node in spec["placement"].items()}
         checksums = {
             int(bid): crc for bid, crc in spec.get("checksums", {}).items()
         }
         missing = set(spec["missing"])
+        held: dict[int, np.ndarray] = {}
 
-        async def fetch(bid: int) -> np.ndarray | None:
-            route = routing.get(str(placement[bid]))
-            if bid in missing or route is None:
-                return None
-            try:
-                _, blob = await call(
-                    route[0], route[1], "block.get",
-                    {"key": stored_block_key(sid, bid)}, attempts=2,
-                    ctx=ctx.child() if ctx is not None else None,
-                )
-            except (StoreError, ConnectionError, OSError):
-                # An undetected death looks like a refused connection;
-                # treat the block as lost and reconstruct around it.
-                return None
-            return np.frombuffer(blob, dtype=np.uint8)
+        async def fetch(holders: dict[int, int]) -> None:
+            bids = [bid for bid in holders if bid not in missing and bid not in held]
+            blocks = await asyncio.gather(*(
+                self._fetch(info["routing"], holders[bid], sid, bid, ctx, lenient=True)
+                for bid in bids
+            ))
+            held.update((bid, b) for bid, b in zip(bids, blocks) if b is not None)
 
-        data_blocks = list(
-            await asyncio.gather(*(fetch(bid) for bid in range(n)))
-        )
-        lost = [bid for bid in range(n) if data_blocks[bid] is None]
+        await fetch({bid: placement[bid] for bid in range(n)})
+        lost = [bid for bid in range(n) if bid not in held]
         if not lost:
-            return data_blocks, []
+            return [held[bid] for bid in range(n)], []
 
         recovered: dict[int, np.ndarray] = {}
         mode = "plan"
         plan_info = spec.get("degraded_plan")
         if plan_info is not None and lost == [int(plan_info["block"])]:
-            recovered = await self._run_degraded_plan(
-                sid, plan_info, routing, cluster, ctx=ctx
-            )
+            seeds = {int(bid): int(node) for bid, node in plan_info["seeds"].items()}
+            await fetch(seeds)
+            recovered = self._run_degraded_plan(plan_info, seeds, held, cluster)
         if not recovered:
             # Fallback: grab parity too and decode from any n survivors.
             mode = "decode"
-            parity = list(
-                await asyncio.gather(*(fetch(bid) for bid in range(n, code.width)))
-            )
-            available = {
-                bid: block
-                for bid, block in enumerate(data_blocks + parity)
-                if block is not None
-            }
-            if len(available) < n:
+            await fetch({bid: placement[bid] for bid in range(n, code.width)})
+            if len(held) < n:
                 raise StoreError(
                     f"object {name!r} stripe {sid} is unrecoverable: only "
-                    f"{len(available)} of {code.width} blocks reachable, "
+                    f"{len(held)} of {code.width} blocks reachable, "
                     f"need {n}"
                 )
-            recovered = code.decode_many(available, lost)
+            recovered = code.decode_many(held, lost)
+        data_blocks = [held.get(bid) for bid in range(n)]
         for bid in lost:
             block = np.ascontiguousarray(recovered[bid], dtype=np.uint8)
             want = checksums.get(bid)
@@ -323,49 +332,29 @@ class StoreClient:
         events = [{"sid": sid, "block": bid, "mode": mode} for bid in lost]
         return data_blocks, events
 
-    async def _run_degraded_plan(
-        self, sid: int, plan_info: dict, routing: dict, cluster: Cluster,
-        *, ctx: TraceContext | None = None,
+    def _run_degraded_plan(
+        self, plan_info: dict, seeds: dict[int, int],
+        held: dict[int, np.ndarray], cluster: Cluster,
     ) -> dict[int, np.ndarray]:
-        """Fetch a plan's helper blocks and execute it locally.
+        """Execute a plan locally on its helper blocks (``seeds`` of ``held``).
 
         Returns ``{block_id: payload}`` on success, ``{}`` when any
         helper is unreachable or execution fails — the caller then falls
         back to the full-decode path.
         """
-        target = int(plan_info["block"])
-        plan = plan_from_dict(plan_info["plan"])
-        seeds = {int(bid): int(node) for bid, node in plan_info["seeds"].items()}
-
-        async def fetch_seed(bid: int, node: int):
-            route = routing.get(str(node))
-            if route is None:
-                return bid, node, None
-            try:
-                _, blob = await call(
-                    route[0], route[1], "block.get",
-                    {"key": stored_block_key(sid, bid)}, attempts=2,
-                    ctx=ctx.child() if ctx is not None else None,
-                )
-            except (StoreError, ConnectionError, OSError):
-                return bid, node, None
-            return bid, node, np.frombuffer(blob, dtype=np.uint8)
-
-        fetched = await asyncio.gather(
-            *(fetch_seed(bid, node) for bid, node in seeds.items())
-        )
+        if not seeds.keys() <= held.keys():
+            return {}
         store: dict[int, dict[str, np.ndarray]] = {}
-        nbytes = 0
-        for bid, node, payload in fetched:
-            if payload is None:
-                return {}
-            nbytes += int(payload.nbytes)
-            store.setdefault(node, {})[block_key(bid)] = payload
+        for bid, node in seeds.items():
+            store.setdefault(node, {})[block_key(bid)] = held[bid]
         try:
-            result = execute_plan(plan, cluster, store)
+            result = execute_plan(plan_from_dict(plan_info["plan"]), cluster, store)
         except ExecutionError:
             return {}
-        self.rec.count("client.degraded_helper_bytes", nbytes)
+        self.rec.count(
+            "client.degraded_helper_bytes", sum(int(held[bid].nbytes) for bid in seeds)
+        )
+        target = int(plan_info["block"])
         return {target: np.asarray(result.recovered[target], dtype=np.uint8)}
 
     async def delete(self, name: str) -> dict:

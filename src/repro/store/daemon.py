@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import time
 
 import numpy as np
 
-from ..live.shaper import ClassedBucket, WeightedTokenBucket
+from ..live.shaper import TokenBucket
 from ..live.transport import cancel_and_wait
 from ..telemetry import CLOCK_WALL, StatsRegistry, StreamingRecorder, TelemetryRecorder
 from .heartbeat import DEFAULT_INTERVAL, HeartbeatSender
@@ -86,15 +87,15 @@ class StorageDaemon:
         #: I/O and repair traffic draw from separate guaranteed shares of
         #: one work-conserving bucket.  ``link_rate=None`` leaves the
         #: daemon unshaped (the pre-QoS behaviour).
-        self.link: WeightedTokenBucket | None = None
+        self.link: TokenBucket | None = None
         if link_rate is not None:
             if not 0.0 < repair_share < 1.0:
                 raise ValueError(
                     f"repair_share must be in (0, 1), got {repair_share}"
                 )
-            self.link = WeightedTokenBucket(
+            self.link = TokenBucket(
                 link_rate,
-                {"foreground": 1.0 - repair_share, "repair": repair_share},
+                weights={"foreground": 1.0 - repair_share, "repair": repair_share},
                 recorder=self.rec,
                 label=f"nic:{node_id}",
             )
@@ -238,7 +239,7 @@ class StorageDaemon:
             body["routing"],
             block_size=int(body["block_size"]),
             recorder=self.rec,
-            throttle=(ClassedBucket(self.link, "repair")
+            throttle=(functools.partial(self.link.acquire, cls="repair")
                       if self.link is not None else None),
             ctx=repair_ctx,
         )

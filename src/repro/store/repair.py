@@ -224,7 +224,7 @@ class RepairSession(NodeExecutor):
         self.assignment = assignment
         self.routing = {int(nid): (host, int(port)) for nid, (host, port) in routing.items()}
         self.rpc = rpc
-        #: Optional pacing bucket (``await acquire(nbytes)``) charged
+        #: Optional pacing callable (``await throttle(nbytes)``) charged
         #: before every outbound repair byte — the repair class of the
         #: daemon's QoS link split (docs/QOS.md).  ``None`` = unshaped.
         self.throttle = throttle
@@ -257,7 +257,7 @@ class RepairSession(NodeExecutor):
         async def send(op_id: str, key: str, payload: np.ndarray, ctx):
             start = time.monotonic()
             if self.throttle is not None:
-                await self.throttle.acquire(int(payload.nbytes))
+                await self.throttle(int(payload.nbytes))
             kwargs = {"blob": payload.data}
             if ctx is not None:
                 kwargs["ctx"] = ctx.child()

@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, HierarchicalBandwidth
-from repro.live import (
-    ClassedBucket,
-    LinkShaper,
-    TokenBucket,
-    WeightedTokenBucket,
-)
+from repro.live import LinkShaper, TokenBucket
 
 
 class FakeLoop:
@@ -63,6 +58,15 @@ class TestTokenBucketAccounting:
         bucket = TokenBucket(1000.0, clock=loop.clock, sleep=loop.sleep)
         drain(bucket, [0, -3])
         assert loop.slept == []
+
+    def test_one_sleep_per_stall(self):
+        """Every acquire that ends in debt sleeps once, for the whole debt."""
+        loop = FakeLoop()
+        bucket = TokenBucket(1000.0, capacity=100.0, clock=loop.clock, sleep=loop.sleep)
+        loop.advance(1.0)  # idle: 100 bytes of credit
+        # 60 rides free; the next three stall (owing 20, 60, 60 bytes).
+        drain(bucket, [60, 60, 60, 60])
+        assert loop.slept == pytest.approx([0.02, 0.06, 0.06])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -256,33 +260,35 @@ def drain_classed(bucket, cls, sizes):
 
 
 class TestWeightedTokenBucket:
+    """``TokenBucket(..., weights=...)``: one link split across classes."""
+
     WEIGHTS = {"foreground": 3.0, "repair": 1.0}
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            WeightedTokenBucket(0.0, self.WEIGHTS)
+            TokenBucket(0.0, weights=self.WEIGHTS)
         with pytest.raises(ValueError):
-            WeightedTokenBucket(1000.0, {})
+            TokenBucket(1000.0, weights={})
         with pytest.raises(ValueError):
-            WeightedTokenBucket(1000.0, {"foreground": 1.0, "repair": 0.0})
+            TokenBucket(1000.0, weights={"foreground": 1.0, "repair": 0.0})
         with pytest.raises(ValueError):
-            WeightedTokenBucket(1000.0, {"foreground": -1.0})
+            TokenBucket(1000.0, weights={"foreground": -1.0})
 
     def test_unknown_class_is_refused(self):
-        bucket = WeightedTokenBucket(1000.0, self.WEIGHTS)
+        bucket = TokenBucket(1000.0, weights=self.WEIGHTS)
         with pytest.raises(KeyError, match="unknown traffic class"):
             asyncio.run(bucket.acquire(10, "bulk"))
 
     def test_weights_normalise_to_shares(self):
-        bucket = WeightedTokenBucket(1000.0, self.WEIGHTS)
+        bucket = TokenBucket(1000.0, weights=self.WEIGHTS)
         assert bucket.shares["foreground"] == pytest.approx(0.75)
         assert bucket.shares["repair"] == pytest.approx(0.25)
 
     def test_lone_sender_sees_full_link_rate(self):
         """Work conservation: idle classes donate, so N bytes take N/rate."""
         loop = FakeLoop()
-        bucket = WeightedTokenBucket(
-            1000.0, self.WEIGHTS, clock=loop.clock, sleep=loop.sleep
+        bucket = TokenBucket(
+            1000.0, weights=self.WEIGHTS, clock=loop.clock, sleep=loop.sleep
         )
         drain_classed(bucket, "foreground", [1000])
         assert loop.now == pytest.approx(1.0, rel=1e-6)
@@ -290,9 +296,9 @@ class TestWeightedTokenBucket:
     def test_backlogged_competitor_confines_to_guaranteed_share(self):
         """With the other class in debt there is nothing to borrow."""
         loop = FakeLoop()
-        bucket = WeightedTokenBucket(
+        bucket = TokenBucket(
             1000.0,
-            {"foreground": 1.0, "repair": 1.0},
+            weights={"foreground": 1.0, "repair": 1.0},
             clock=loop.clock,
             sleep=loop.sleep,
         )
@@ -304,9 +310,9 @@ class TestWeightedTokenBucket:
 
     def test_refund_is_capped_at_the_class_capacity(self):
         loop = FakeLoop()
-        bucket = WeightedTokenBucket(
+        bucket = TokenBucket(
             1000.0,
-            {"a": 1.0, "b": 1.0},
+            weights={"a": 1.0, "b": 1.0},
             capacity=100.0,
             clock=loop.clock,
             sleep=loop.sleep,
@@ -319,7 +325,7 @@ class TestWeightedTokenBucket:
 
     def test_foreground_never_queues_behind_repair_pacing(self):
         """Per-class locks: the priority split's whole point."""
-        bucket = WeightedTokenBucket(10.0, self.WEIGHTS)  # 10 B/s: glacial
+        bucket = TokenBucket(10.0, weights=self.WEIGHTS)  # 10 B/s: glacial
 
         async def _run():
             # Repair owes 100s of pacing; foreground must not care.
@@ -335,7 +341,7 @@ class TestWeightedTokenBucket:
         asyncio.run(_run())
 
     def test_cancelled_acquire_rolls_back_the_class_charge(self):
-        bucket = WeightedTokenBucket(10.0, self.WEIGHTS)
+        bucket = TokenBucket(10.0, weights=self.WEIGHTS)
 
         async def _run():
             task = asyncio.ensure_future(bucket.acquire(1000, "repair"))
@@ -364,9 +370,9 @@ class TestWeightedTokenBucket:
         price of bounded bursts).
         """
         loop = FakeLoop()
-        bucket = WeightedTokenBucket(
+        bucket = TokenBucket(
             rate,
-            {"foreground": fg_weight, "repair": 1.0},
+            weights={"foreground": fg_weight, "repair": 1.0},
             clock=loop.clock,
             sleep=loop.sleep,
         )
@@ -375,49 +381,80 @@ class TestWeightedTokenBucket:
         slack = len(sizes) * bucket.capacity / rate
         assert ideal - 1e-9 <= loop.now <= ideal + slack + 1e-9
 
+    def test_frozen_clock_returns_after_one_sleep(self):
+        """A stall is one sleep; what it leaves unpaid is carried forward.
+
+        The clock never advances, so no sleep pays anything off: a
+        bucket that looped "sleep, refill, re-check" would spin here.
+        """
+        slept = []
+
+        async def sleep(seconds):
+            slept.append(seconds)
+            await asyncio.sleep(0)
+
+        bucket = TokenBucket(
+            1000.0, weights=self.WEIGHTS, clock=lambda: 0.0, sleep=sleep
+        )
+
+        async def _run():
+            await asyncio.wait_for(bucket.acquire(500, "repair"), 2.0)
+            await asyncio.wait_for(bucket.acquire(500, "repair"), 2.0)
+
+        asyncio.run(_run())
+        # Foreground is idle, so repair paces at the whole link rate; the
+        # second stall owes its own 500 bytes plus the first's unpaid 500.
+        assert slept == [pytest.approx(0.5), pytest.approx(1.0)]
+
 
 class TestClassedBucket:
+    """A classed bucket is charged by class name on the one shared budget."""
+
     def test_unknown_class_is_refused(self):
-        bucket = WeightedTokenBucket(1000.0, {"foreground": 1.0})
+        bucket = TokenBucket(1000.0, weights={"foreground": 1.0})
         with pytest.raises(KeyError, match="unknown traffic class"):
-            ClassedBucket(bucket, "repair")
+            asyncio.run(bucket.acquire(10, "repair"))
+        with pytest.raises(KeyError, match="unknown traffic class"):
+            asyncio.run(bucket.acquire(10))  # a classed bucket needs a class
+        with pytest.raises(KeyError):
+            bucket.refund(10, "repair")
 
     def test_rate_is_the_guaranteed_share(self):
-        bucket = WeightedTokenBucket(1000.0, {"foreground": 3.0, "repair": 1.0})
-        assert ClassedBucket(bucket, "foreground").rate == pytest.approx(750.0)
-        assert ClassedBucket(bucket, "repair").rate == pytest.approx(250.0)
+        """Against a backlogged competitor each class gets its weight."""
+        for cls, share_rate in (("foreground", 750.0), ("repair", 250.0)):
+            loop = FakeLoop()
+            bucket = TokenBucket(
+                1000.0,
+                weights={"foreground": 3.0, "repair": 1.0},
+                clock=loop.clock,
+                sleep=loop.sleep,
+            )
+            other = "repair" if cls == "foreground" else "foreground"
+            bucket._tokens[other] = -1e9
+            drain_classed(bucket, cls, [500])
+            assert loop.now == pytest.approx(500 / share_rate, rel=1e-6)
 
     def test_acquire_and_refund_delegate_to_the_shared_bucket(self):
+        """Class charges draw on, and feed, the one shared budget."""
         loop = FakeLoop()
-        shared = WeightedTokenBucket(
+        shared = TokenBucket(
             1000.0,
-            {"a": 1.0, "b": 1.0},
+            weights={"a": 1.0, "b": 1.0},
             capacity=100.0,
             clock=loop.clock,
             sleep=loop.sleep,
         )
-        view = ClassedBucket(shared, "a")
-        view.refund(10_000)
-        drain(view, [100])
-        # Identical to charging the weighted bucket directly (see
-        # TestWeightedTokenBucket.test_refund_is_capped_at_the_class_capacity).
-        assert loop.now == pytest.approx(50 / 1000.0, rel=1e-6)
-
-    def test_reset_is_a_noop_on_the_shared_bucket(self):
-        """QoS buckets outlive transfers; a per-transfer reset must not
-        confiscate the other classes' (or its own) accrued credit."""
-        loop = FakeLoop()
-        shared = WeightedTokenBucket(
-            1000.0,
-            {"a": 1.0, "b": 1.0},
-            capacity=100.0,
-            clock=loop.clock,
-            sleep=loop.sleep,
-        )
-        shared.refund(50, "a")
-        shared.refund(50, "b")
-        ClassedBucket(shared, "a").reset()
-        assert shared._tokens == {"a": 50.0, "b": 50.0}
+        loop.advance(1.0)  # both classes fill to their 50-byte caps
+        drain_classed(shared, "a", [100])
+        # a's own 50 plus idle b's 50: no stall at all.
+        assert loop.slept == []
+        assert shared.sent == {"a": 100.0, "b": 0.0}
+        shared.refund(30, "a")
+        assert shared.sent == {"a": 70.0, "b": 0.0}
+        drain_classed(shared, "b", [30])
+        # b lent its credit to a; the refund went to a, which now lends it
+        # back, so b's 30 bytes still ride free.
+        assert loop.slept == []
 
 
 class TestLinkShaper:
@@ -426,7 +463,6 @@ class TestLinkShaper:
         shaper = LinkShaper(cluster, None)
         assert not shaper.shaped
         assert shaper.bucket(0, 1) is None
-        assert shaper.rate(0, 1) is None
         assert shaper.latency(0, 1) == 0.0
 
     def test_buckets_follow_the_bandwidth_model(self):

@@ -1,11 +1,10 @@
-"""Tests for traffic, repair-time and load-balance metrics."""
+"""Tests for traffic, repair-time reduction and load-balance metrics."""
 
 import pytest
 
 from repro.cluster import Cluster, HierarchicalBandwidth, SIMICS_BANDWIDTH
 from repro.experiments import build_simics_environment, context_for
 from repro.metrics import (
-    TimeBreakdown,
     TrafficLedger,
     coefficient_of_variation,
     imbalance_summary,
@@ -13,7 +12,7 @@ from repro.metrics import (
     percent_reduction,
 )
 from repro.repair import RPRScheme, TraditionalRepair, simulate_repair
-from repro.sim import JobGraph, SimulationEngine, telemetry_from_sim
+from repro.sim import JobGraph, SimulationEngine
 
 
 @pytest.fixture
@@ -64,29 +63,6 @@ class TestPercentReduction:
     def test_zero_baseline_rejected(self):
         with pytest.raises(ValueError):
             percent_reduction(0.0, 1.0)
-
-
-class TestTimeBreakdown:
-    def test_busy_times(self, engine):
-        g = JobGraph()
-        g.add_transfer("t", 0, 1, 100)  # 1 s
-        g.add_compute("c", 1, 2.0, deps=["t"])
-        breakdown = TimeBreakdown.from_telemetry(telemetry_from_sim(engine.run(g)))
-        assert breakdown.makespan == pytest.approx(3.0)
-        assert breakdown.transfer_busy == pytest.approx(1.0)
-        assert breakdown.compute_busy == pytest.approx(2.0)
-        assert breakdown.parallelism == pytest.approx(1.0)
-
-    def test_parallelism_above_one_when_overlapping(self, engine):
-        g = JobGraph()
-        g.add_transfer("a", 0, 2, 100)
-        g.add_transfer("b", 1, 3, 100)
-        breakdown = TimeBreakdown.from_telemetry(telemetry_from_sim(engine.run(g)))
-        assert breakdown.parallelism == pytest.approx(2.0)
-
-    def test_empty(self, engine):
-        breakdown = TimeBreakdown.from_telemetry(telemetry_from_sim(engine.run(JobGraph())))
-        assert breakdown.parallelism == 0.0
 
 
 class TestLoadBalance:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import Cluster, HierarchicalBandwidth
 from repro.experiments import build_simics_environment, run_scheme
-from repro.metrics import TimeBreakdown, TrafficLedger
+from repro.metrics import TrafficLedger
 from repro.repair import CARRepair, RPRScheme, TraditionalRepair
 from repro.sim import JobGraph, SimulationEngine, telemetry_from_sim
 from repro.telemetry import RunTrace, from_jsonl, render_gantt, render_report, to_jsonl
@@ -51,18 +51,20 @@ class TestResourceTimelines:
         assert trace.resource("n2:cpu").nbytes == 0.0
 
     def test_total_busy_matches_time_breakdown(self):
-        """Tracing and the metrics layer agree on aggregate busy time.
+        """The view and the raw op spans agree on aggregate busy time.
 
         Every transfer occupies exactly two ports, so port busy time is
         twice the summed transfer durations; CPU busy equals compute."""
         env = build_simics_environment(6, 2)
         out = run_scheme(env, RPRScheme(), [1])
         trace = out.trace()
-        breakdown = TimeBreakdown.from_telemetry(out.telemetry())
+        busy = {"transfer": 0.0, "compute": 0.0}
+        for span in out.telemetry().op_spans().values():
+            busy[span.attrs["kind"]] += span.duration
         port_busy = sum(r.busy for r in trace.resources if r.kind in ("up", "down"))
         cpu_busy = sum(r.busy for r in trace.resources if r.kind == "cpu")
-        assert port_busy == pytest.approx(2 * breakdown.transfer_busy)
-        assert cpu_busy == pytest.approx(breakdown.compute_busy)
+        assert port_busy == pytest.approx(2 * busy["transfer"])
+        assert cpu_busy == pytest.approx(busy["compute"])
 
     def test_port_bytes_match_traffic_ledger(self):
         env = build_simics_environment(6, 2)

@@ -548,6 +548,34 @@ class TestDegradedReads:
 
         asyncio.run(_run())
 
+    def test_degraded_get_reads_each_block_once(self):
+        """The plan runs on the data blocks the client already holds: one
+        RS(3,2) degraded GET reads the two survivors plus one parity seed,
+        never a surviving data block twice."""
+
+        def block_gets(svc):
+            return sum(
+                d.stats.snapshot()["counters"].get("rpc:block.get", 0)
+                for d in svc.daemons.values()
+            )
+
+        async def _run():
+            async with Service(suspect_after=30.0) as svc:
+                data = os.urandom(N * BLOCK - 5)  # one stripe
+                await svc.client.put("obj", data)
+                victim = svc.coordinator.stripes[0].placement.node_of(0)
+                await svc.kill(victim)
+                svc.coordinator.stripes[0].missing.add(0)
+                before = block_gets(svc)
+                got, report = await svc.client.get_with_report(
+                    "obj", degraded=True
+                )
+                assert got == data
+                assert [e["mode"] for e in report["reconstructed"]] == ["plan"]
+                assert block_gets(svc) - before == 3
+
+        asyncio.run(_run())
+
     def test_healthy_get_fetches_stripe_blocks_concurrently(self, monkeypatch):
         """All n data blocks of a stripe are fetched in parallel: each
         block.get blocks until every sibling is in flight, so a
