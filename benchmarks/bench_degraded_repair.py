@@ -9,6 +9,9 @@ fault tolerance costs: degraded makespan vs fault-free, re-plan attempts,
 retried/wasted wire bytes, and how often RPR's re-plan reused partial
 sums already delivered by the failed attempt — the recovery property that
 distinguishes it from traditional/CAR, which must restart their gathers.
+One fixed row runs RPR told its links (RS(8,3), block 2 lost, 1 MiB
+blocks, so the plan is slice-pipelined) with each helper killed halfway,
+and checks every repair rebuilds the exact bytes.
 
 Runs two ways:
 
@@ -19,7 +22,10 @@ Runs two ways:
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if str(REPO_ROOT / "src") not in sys.path:
@@ -36,8 +42,10 @@ from repro.repair import (  # noqa: E402
     SCHEMES,
     IrrecoverableError,
     RPRScheme,
+    recovery_targets,
     simulate_fault_scenario,
 )
+from repro.workloads import encoded_stripe  # noqa: E402
 
 MB = 1024 * 1024
 
@@ -74,7 +82,39 @@ def run_sweep(codes=FULL_CODES, seeds=FULL_SEEDS, deaths: int = 1):
                     "rollup": rollup,
                 }
             )
+    rows.append(linked_row())
     return rows
+
+
+def linked_row():
+    """RS(8,3), block 2 lost, 1 MiB blocks, the context told its links:
+    each helper of the sliced plan dies at half its makespan."""
+    env = build_simics_environment(8, 3, block_size=MB)
+    ctx = replace(context_for(env, [2]), link_model=env.bandwidth)
+    stripe = encoded_stripe(env.code, MB, seed=0)
+    scheme = RPRScheme()
+    plan = scheme.plan(ctx)
+    helpers = {op.src for op in plan.sends()} - set(recovery_targets(ctx).values())
+    outcomes = []
+    for node in sorted(helpers):
+        fault_free, outcome = simulate_fault_scenario(
+            scheme, ctx, env.bandwidth, kill=[(node, 0.5)], stripe=stripe
+        )
+        outcomes.append(outcome)
+    return {
+        "code": "(8,3) 1MiB linked",
+        "scheme": scheme.name,
+        "fault_free_s": fault_free,
+        "rollup": FaultRollup.from_outcomes(outcomes),
+        "sliced": plan.slices,
+        "exact": sum(
+            all(
+                np.array_equal(o.recovered[b], stripe.get_payload(b))
+                for b in ctx.failed_blocks
+            )
+            for o in outcomes
+        ),
+    }
 
 
 def pinned_reuse_outcome():
@@ -134,6 +174,9 @@ def check_rows(rows) -> None:
         # A degraded repair is never faster than its fault-free baseline.
         assert rollup.mean_makespan >= r["fault_free_s"] - 1e-9, r
         assert 1.0 <= rollup.mean_attempts <= rollup.max_attempts or rollup.scenarios == 0
+        if "exact" in r:  # the linked row: sliced, and every rebuild byte-exact
+            assert r["sliced"] > 1, r
+            assert r["exact"] == rollup.scenarios, r
     # RPR's re-plan must reuse delivered intermediates in the pinned
     # helper-death scenario — the property the scheme exists to provide.
     pinned = pinned_reuse_outcome()

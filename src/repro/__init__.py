@@ -28,7 +28,8 @@ Extensions beyond the paper (flagged as such in their module docs):
 * :mod:`repro.store` — the multi-process object store built on that catalog.
 * :mod:`repro.reliability` — repair speed → MTTDL durability models.
 * :mod:`repro.lrc` — Locally Repairable Codes (Azure's (12,2,2)).
-* :class:`repro.repair.HeterogeneityAwareRPR` — link-speed-aware gather.
+* :attr:`repro.repair.RepairContext.link_model` — RPR told its links plans a
+  slice-pipelined land-and-fold repair where that is faster.
 * :func:`repro.repair.plan_degraded_read` — degraded reads at any client.
 """
 
@@ -57,7 +58,6 @@ from .multistripe import StripeStore, repair_node_failure
 from .reliability import mttdl_from_repair_times, simulate_stripe_lifetimes
 from .repair import (
     CARRepair,
-    HeterogeneityAwareRPR,
     RepairContext,
     RepairOutcome,
     RepairPlan,
@@ -87,7 +87,6 @@ __all__ = [
     "ContiguousPlacement",
     "EC2_DECODE",
     "FlatPlacement",
-    "HeterogeneityAwareRPR",
     "HierarchicalBandwidth",
     "LRCCode",
     "LRCLocalRepair",

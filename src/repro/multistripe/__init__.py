@@ -15,9 +15,7 @@ from .nodefail import (
 )
 from .scheduler import (
     MultiStripeOutcome,
-    PRIORITY_POLICIES,
     merge_plans,
-    order_repair_contexts,
     repair_node_failure,
     repair_rack_failure,
 )
@@ -26,8 +24,6 @@ from .store import StoredStripe, StripeStore, rotate_placement
 __all__ = [
     "MultiStripeOutcome",
     "NodeFailure",
-    "PRIORITY_POLICIES",
-    "order_repair_contexts",
     "StoredStripe",
     "StripeStore",
     "encode_store_payloads",

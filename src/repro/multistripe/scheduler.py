@@ -26,52 +26,14 @@ from ..repair.plan import RepairPlan
 from ..rs import MB, DecodeCostModel, SIMICS_DECODE
 from ..sim import JobGraph, SimResult, SimulationEngine
 from .nodefail import NodeFailure, node_failure_contexts, rack_failure_contexts
-from .store import StripeStore, most_at_risk_first
+from .store import StripeStore
 
 __all__ = [
     "MultiStripeOutcome",
-    "PRIORITY_POLICIES",
     "merge_plans",
-    "order_repair_contexts",
     "repair_node_failure",
     "repair_rack_failure",
 ]
-
-#: Orderings :func:`order_repair_contexts` understands.
-PRIORITY_POLICIES = ("arrival", "most-at-risk", "deadline")
-
-
-def order_repair_contexts(contexts, policy: str = "arrival", deadlines=None):
-    """Order per-stripe repair contexts for scheduling.
-
-    * ``"arrival"`` — as given (stripe order).
-    * ``"most-at-risk"`` — stripes with the most failed blocks first
-      (closest to unrecoverable), stable within a risk level — the rule
-      :meth:`StripeStore.degraded` orders the coordinator's queue by.
-    * ``"deadline"`` — earliest deadline first; ``deadlines`` maps a
-      context's position in ``contexts`` to its deadline (seconds, any
-      epoch), missing entries sort last.
-
-    In ``sequential`` mode the ordering *is* the execution order; in
-    ``parallel`` mode it decides which stripe's plan is laid down first,
-    which steers the balance tiebreak and port-contention arbitration.
-    """
-    contexts = list(contexts)
-    if policy == "arrival":
-        return contexts
-    if policy == "most-at-risk":
-        return most_at_risk_first(contexts, lambda ctx: len(ctx.failed_blocks))
-    if policy == "deadline":
-        deadlines = deadlines or {}
-        indexed = sorted(
-            enumerate(contexts),
-            key=lambda pair: (deadlines.get(pair[0], float("inf")), pair[0]),
-        )
-        return [ctx for _, ctx in indexed]
-    raise ValueError(
-        f"unknown priority policy {policy!r}; expected one of {PRIORITY_POLICIES}"
-    )
-
 
 @dataclass(frozen=True)
 class MultiStripeOutcome:
@@ -149,10 +111,8 @@ def repair_node_failure(
     balance: bool = False,
     block_size: int = 256 * MB,
     cost_model: DecodeCostModel = SIMICS_DECODE,
-    priority: str = "arrival",
-    deadlines=None,
 ) -> MultiStripeOutcome:
-    """Rebuild everything ``failed_node`` held.
+    """Rebuild everything ``failed_node`` held, stripes in store order.
 
     Parameters
     ----------
@@ -164,15 +124,12 @@ def repair_node_failure(
         :func:`repro.multistripe.nodefail.node_failure_contexts`.
     balance:
         Enable the CAR-style load-aware rack tiebreak across stripes.
-    priority / deadlines:
-        Stripe scheduling order — see :func:`order_repair_contexts`.
     """
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"unknown mode {mode!r}")
     failure, contexts = node_failure_contexts(
         store, failed_node, mode=rebuild, block_size=block_size, cost_model=cost_model
     )
-    contexts = order_repair_contexts(contexts, priority, deadlines)
     return _execute_contexts(
         store, failure, contexts, scheme, bandwidth, mode, balance, cost_model
     )
@@ -187,23 +144,19 @@ def repair_rack_failure(
     balance: bool = False,
     block_size: int = 256 * MB,
     cost_model: DecodeCostModel = SIMICS_DECODE,
-    priority: str = "arrival",
-    deadlines=None,
 ) -> MultiStripeOutcome:
     """Rebuild everything a whole rack held (the §4.3 worst case at
     store scale).
 
     Each resident stripe loses up to ``k`` blocks; rebuilt blocks scatter
     over the surviving racks.  Orchestration options are as in
-    :func:`repair_node_failure`, including ``priority``/``deadlines``
-    scheduling.
+    :func:`repair_node_failure`.
     """
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"unknown mode {mode!r}")
     failure, contexts = rack_failure_contexts(
         store, failed_rack, block_size=block_size, cost_model=cost_model
     )
-    contexts = order_repair_contexts(contexts, priority, deadlines)
     return _execute_contexts(
         store, failure, contexts, scheme, bandwidth, mode, balance, cost_model
     )

@@ -25,7 +25,7 @@ from ..cluster import Cluster, Placement, PlacementError, RPRPlacement
 from ..repair import RepairContext, pick_live_spares
 from ..rs import RSCode
 
-__all__ = ["StoredStripe", "StripeStore", "most_at_risk_first", "rotate_placement"]
+__all__ = ["StoredStripe", "StripeStore", "rotate_placement"]
 
 
 def rotate_placement(
@@ -69,15 +69,6 @@ class StoredStripe:
     placement: Placement
     missing: set[int] = field(default_factory=set)
     checksums: dict[int, int] = field(default_factory=dict)
-
-
-def most_at_risk_first(items: Iterable, lost) -> list:
-    """Order a repair queue: most lost blocks (``lost(item)``) first.
-
-    A stripe one failure from data loss jumps every singly-degraded one;
-    the sort is stable, so equally exposed items keep their given order.
-    """
-    return sorted(items, key=lambda item: -lost(item))
 
 
 class StripeStore:
@@ -185,10 +176,14 @@ class StripeStore:
     # -- what the repair paths read ----------------------------------------
 
     def degraded(self) -> list[int]:
-        """Ids of stripes with missing blocks, most at risk first."""
-        return most_at_risk_first(
-            sorted(sid for sid, stored in self.stripes.items() if stored.missing),
-            lambda sid: len(self.stripes[sid].missing),
+        """Ids of stripes with missing blocks, most at risk first.
+
+        A stripe one failure from data loss jumps every singly-degraded
+        one; equally exposed stripes keep id order.
+        """
+        return sorted(
+            (sid for sid, stored in self.stripes.items() if stored.missing),
+            key=lambda sid: (-len(self.stripes[sid].missing), sid),
         )
 
     def lost_blocks(self, stripe_id: int, dead_nodes: Iterable[int] = ()) -> set[int]:

@@ -50,7 +50,7 @@ from .faults import (
 )
 from .plan import CombineOp, OpSlice, PlanError, RepairPlan, SendOp, block_key
 from .planstats import PlanStats, critical_path_hops
-from .rpr import HeterogeneityAwareRPR, RPRScheme
+from .rpr import RPRScheme
 from .selection import (
     first_n_helpers,
     group_survivors_by_rack,
@@ -76,7 +76,6 @@ __all__ = [
     "DegradedRepairOutcome",
     "ExecutionError",
     "ExecutionResult",
-    "HeterogeneityAwareRPR",
     "IrrecoverableError",
     "OpSlice",
     "RepairSnapshot",

@@ -53,12 +53,13 @@ class RepairContext:
         :attr:`surviving_blocks`, so every scheme's helper selection
         avoids them automatically.
     link_model:
-        The links the repair will run on, when the caller knows them.
-        ``None`` — every paper figure, the store, fault re-planning —
-        makes every scheme plan exactly as the paper describes.  Given
-        one, :class:`repro.repair.rpr.RPRScheme` sizes a slice-pipelined
-        chain against its binomial gather on these rates and plans
-        whichever finishes sooner.
+        The links the repair will run on, when the caller knows them —
+        the one way a planner learns link speeds.  ``None`` (every paper
+        figure, the store) makes every scheme plan exactly as the paper
+        describes.  Given one, :class:`repro.repair.rpr.RPRScheme` sizes
+        a slice-pipelined chain against its binomial gather on these
+        rates and plans whichever finishes sooner, in a first plan and in
+        every re-plan after a fault alike.
     """
 
     code: RSCode

@@ -174,11 +174,13 @@ def execute_plan(
 
     ``ops`` restricts the run to a dependency-closed subset of op ids —
     the byte-level mirror of a *partially completed* simulated run (fault
-    injection): the engine reports which jobs finished before a fault,
-    job ids are op ids and the engine enforces dependencies, so replaying
-    exactly those ops leaves the store in the state a real degraded
-    repair would see.  A partial run collects no outputs (it normally has
-    not produced them) and its ledger covers only the executed ops.
+    injection): the engine reports which parts finished before a fault
+    and :meth:`~repro.repair.RepairPlan.ops_done` the ops all of whose
+    parts did.  Each of those runs *whole*, so the store holds whole
+    payloads only (slices of an op that did not finish are dropped) and
+    is in the state a degraded repair that re-plans at op granularity
+    sees.  A partial run collects no outputs (it normally has not
+    produced them) and its ledger covers only the executed ops.
 
     Raises
     ------
@@ -187,7 +189,9 @@ def execute_plan(
         names an unknown op or is not dependency-closed.
     """
     order = plan.validate()
-    if ops is not None:
+    if ops is None:
+        parts = plan.parts()
+    else:
         wanted = set(ops)
         unknown = wanted - set(plan.ops)
         if unknown:
@@ -200,8 +204,8 @@ def execute_plan(
                     f"{sorted(unmet)}"
                 )
         order = [oid for oid in order if oid in wanted]
+        parts = {oid: (plan.ops[oid],) for oid in order}
     t = tables or get_tables()
-    parts = plan.parts()
     result = ExecutionResult(recovered={})
     for oid in order:
         for op in parts[oid]:

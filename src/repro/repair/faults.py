@@ -5,10 +5,11 @@ assume every helper survives the whole repair.  Here a repair runs under
 an injected :class:`repro.sim.FaultPlan`; when a helper node dies
 mid-gather the orchestrator
 
-1. replays the *completed* prefix of the plan on the byte store (the
-   engine's job ids are op ids, and finished jobs form a
-   dependency-closed set — :func:`repro.repair.execute_plan` with
-   ``ops=``),
+1. replays the *completed* prefix of the plan on the byte store: the
+   ops all of whose parts (engine jobs; a sliced op has one per slice)
+   finished, a dependency-closed set
+   (:meth:`~repro.repair.RepairPlan.ops_done`), each run whole —
+   :func:`repro.repair.execute_plan` with ``ops=``,
 2. drops everything the dead node held,
 3. asks the scheme to re-plan via :meth:`RepairScheme.replan` with a
    :class:`RepairSnapshot` of what survived — including
@@ -302,8 +303,9 @@ class DegradedRepairOutcome:
     wasted_bytes:
         Wire work that did not contribute to the final repair: completed
         sends of failed attempts whose delivered payload no later plan
-        consumed, plus lost-attempt bytes, plus the pro-rata bytes of
-        transfers aborted mid-flight.
+        consumed, plus the finished slices of sends that did not finish
+        whole (the commit drops them), plus lost-attempt bytes, plus the
+        pro-rata bytes of transfers aborted mid-flight.
     reused_payloads:
         Intermediate payload keys minted by a failed attempt and consumed
         by the final plan — RPR's reusable partial sums.  Empty when the
@@ -457,14 +459,16 @@ def simulate_repair_with_faults(
 
     Simulates the scheme's plan on the event engine with ``faults``
     injected.  If the attempt completes (possibly after lost-transfer
-    retries), done.  If a node death aborted part of it, the completed
-    op prefix is committed — symbolically always, and on real bytes when
-    ``stripe`` is given — the dead node's payloads are dropped, and the
-    scheme re-plans via :meth:`RepairScheme.replan` against the surviving
-    state; the next attempt runs under the same fault plan shifted by the
-    elapsed time.  With a stripe, the final plan is executed on the byte
-    store so ``recovered`` holds the reconstructed payloads (the
-    correctness oracle for degraded repairs).
+    retries), done.  If a node death aborted part of it, the ops whose
+    every part finished are committed whole — symbolically always, and
+    on real bytes when ``stripe`` is given — the dead node's payloads
+    are dropped, and the scheme re-plans via :meth:`RepairScheme.replan`
+    against the surviving state; the next attempt runs under the same
+    fault plan shifted by the elapsed time.  Every plan comes from
+    ``ctx`` as given, link model included, so the first attempt is the
+    plan :func:`simulate_repair` times.  With a stripe, the final plan is
+    executed on the byte store so ``recovered`` holds the reconstructed
+    payloads (the correctness oracle for degraded repairs).
 
     Raises
     ------
@@ -475,9 +479,6 @@ def simulate_repair_with_faults(
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     t = tables or get_tables()
-    # Whole-block plans only: the committed prefix is read off engine job
-    # ids as op ids, which a sliced op's per-slice jobs are not.
-    ctx = replace(ctx, link_model=None)
     code = ctx.code
     engine = SimulationEngine(ctx.cluster, bandwidth)
 
@@ -500,6 +501,7 @@ def simulate_repair_with_faults(
     sims: list[SimResult] = []
     plans: list[RepairPlan] = []
     finished_per_attempt: list[set[str]] = []
+    orphaned_bytes = 0
     offset = 0.0
     current_ctx = ctx
     plan = scheme.plan(ctx)
@@ -515,7 +517,8 @@ def simulate_repair_with_faults(
 
         # A timing alone is not delivery: an aborted job has one, and so
         # does a transfer whose lost attempt ran before its retry failed.
-        finished = set(sim.timings) - report.incomplete
+        finished_parts = set(sim.timings) - report.incomplete
+        finished = plan.ops_done(finished_parts)
         finished_per_attempt.append(finished)
         for node, when in report.dead_nodes.items():
             if node not in dead:
@@ -526,7 +529,18 @@ def simulate_repair_with_faults(
             success = True
             break
 
-        # Commit the completed prefix — the same partial execution on
+        # Finished slices of a send that did not finish whole moved bytes
+        # the commit drops (an unsliced op is one part, so it has none).
+        parts = plan.parts()
+        orphaned_bytes += sum(
+            part.hi - part.lo
+            for op in plan.sends()
+            if op.op_id not in finished
+            for part in parts[op.op_id]
+            if part.op_id in finished_parts
+        )
+
+        # Commit the completed ops — the same partial execution on
         # compositions and on bytes — then drop the dead nodes' state.
         execute_plan(plan, ctx.cluster, sym, tables=t, ops=finished)
         if store is not None:
@@ -588,7 +602,7 @@ def simulate_repair_with_faults(
     aborted_bytes = sum(
         s.faults.aborted_bytes for s in sims if s.faults is not None
     )
-    wasted = retried_bytes + aborted_bytes
+    wasted = retried_bytes + aborted_bytes + orphaned_bytes
     for idx in range(len(plans) - 1):
         later_consumed: set[tuple[str, int]] = set()
         for later in plans[idx + 1 :]:

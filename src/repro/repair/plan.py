@@ -33,7 +33,9 @@ any other, and for its own slice *j − 1*) and resolved payload keys (a
 payload written in slices is resident as ``key#j`` payloads; a whole
 resident payload is read through a view).  A driver delivers a part's
 result the way it delivers an op's.  :meth:`RepairPlan.output_keys` and
-:func:`join_slices` turn a block rebuilt in slices back into one array.
+:func:`join_slices` turn a block rebuilt in slices back into one array;
+:meth:`RepairPlan.ops_done` turns the parts a driver finished back into
+the ops they complete.
 
 Payload keys are strings; :func:`block_key` names original stripe blocks
 and schemes mint their own keys for intermediates.
@@ -605,6 +607,21 @@ class RepairPlan:
         if self.slices == 1:
             return self.ops.values()
         return [part for chain in self.parts().values() for part in chain]
+
+    def ops_done(self, part_ids) -> set[str]:
+        """Ids of the ops all of whose :meth:`parts` are in ``part_ids``.
+
+        ``part_ids`` is what a driver reports finished (the engine's job
+        ids).  When a driver honours part dependencies the result is
+        dependency-closed: an op's last part waits, directly or through
+        its own earlier slices, for the last part of every dependency.
+        """
+        done = set(part_ids)
+        return {
+            oid
+            for oid, chain in self.parts().items()
+            if all(part.op_id in done for part in chain)
+        }
 
     def output_keys(self, block_id: int) -> tuple[str, ...]:
         """Keys, in byte order, holding rebuilt ``block_id`` at its recovery node.

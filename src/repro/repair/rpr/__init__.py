@@ -20,11 +20,6 @@ from .cross import (
     build_direct_gather,
     chain_slices,
 )
-from .hetero import (
-    HeterogeneityAwareRPR,
-    estimate_gather_makespan,
-    order_sources_by_link_speed,
-)
 from .inner import InnerResult, build_inner_trees
 from .preplacement import (
     matrix_build_free_probability,
@@ -35,11 +30,8 @@ from .scheme import RPRScheme
 
 __all__ = [
     "CrossArrival",
-    "HeterogeneityAwareRPR",
     "InnerResult",
     "RPRScheme",
-    "estimate_gather_makespan",
-    "order_sources_by_link_speed",
     "build_chain_gather",
     "build_cross_gather",
     "build_direct_gather",

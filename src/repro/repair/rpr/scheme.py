@@ -203,18 +203,6 @@ class RPRScheme(RepairScheme):
                 raise
             return plan_degraded_gather(ctx, snapshot, prefix="rpr:degraded")
 
-    def _order_remote_sources(
-        self, ctx: RepairContext, target: int, remote: list[InnerResult]
-    ) -> list[InnerResult]:
-        """Hook: ordering of remote intermediates entering the gather.
-
-        Position 0 reaches the recovery node in the first round.  The base
-        scheme keeps rack-id order (all links equal under the paper's
-        uniform model); :class:`~repro.repair.rpr.hetero.HeterogeneityAwareRPR`
-        overrides this with a link-speed ordering.
-        """
-        return remote
-
     def _finish_equation(
         self,
         ctx: RepairContext,
@@ -231,14 +219,12 @@ class RPRScheme(RepairScheme):
         final_terms: list[tuple[str, int]] = []
         final_deps: list[str] = []
 
-        remote: list[InnerResult] = []
-        for rack, results in sorted(rack_results.items()):
-            if rack == target_rack:
-                continue
-            result = results[eq_idx]
-            if result is not None:
-                remote.append(result)
-        remote = self._order_remote_sources(ctx, target, remote)
+        # Remote racks enter the gather in rack-id order (Algorithm 2).
+        remote = [
+            results[eq_idx]
+            for rack, results in sorted(rack_results.items())
+            if rack != target_rack and results[eq_idx] is not None
+        ]
 
         # A sliced cross stage lands each remote rack on its own local
         # helper, which folds its block in on the way to the recovery node.

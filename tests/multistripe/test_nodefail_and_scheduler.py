@@ -5,11 +5,9 @@ import pytest
 
 from repro.cluster import Cluster, FlatPlacement, SIMICS_BANDWIDTH
 from repro.multistripe import (
-    PRIORITY_POLICIES,
     StripeStore,
     merge_plans,
     node_failure_contexts,
-    order_repair_contexts,
     pick_replacement_node,
     repair_node_failure,
 )
@@ -293,50 +291,40 @@ class TestRackFailure:
             repair_rack_failure(store, 0, RPRScheme(), SIMICS_BANDWIDTH, mode="warp")
 
 
-class _Ctx:
-    """Minimal stand-in: ordering only ever reads ``failed_blocks``."""
-
-    def __init__(self, tag, nfailed):
-        self.tag = tag
-        self.failed_blocks = tuple(range(nfailed))
-
-    def __repr__(self):
-        return f"_Ctx({self.tag}, {len(self.failed_blocks)})"
-
-
 class TestOrderRepairContexts:
-    """The scheduler-priority half of the QoS plane: which stripe's
-    repair runs first (the store coordinator uses most-at-risk)."""
+    """The order repairs are taken in: a simulated rebuild plans the lost
+    stripes in the order the node held them, and the store's queue
+    (``StripeStore.degraded()``) puts the stripes closest to loss first."""
 
-    def test_arrival_keeps_the_given_order(self):
-        contexts = [_Ctx("a", 1), _Ctx("b", 2), _Ctx("c", 1)]
-        assert order_repair_contexts(contexts, "arrival") == contexts
-
-    def test_most_at_risk_puts_the_closest_to_loss_first(self):
-        a, b, c, d = _Ctx("a", 1), _Ctx("b", 3), _Ctx("c", 2), _Ctx("d", 1)
-        ordered = order_repair_contexts([a, b, c, d], "most-at-risk")
-        assert ordered == [b, c, a, d]
-
-    def test_most_at_risk_is_stable_within_a_risk_level(self):
-        contexts = [_Ctx(i, 2) for i in range(5)]
-        assert order_repair_contexts(contexts, "most-at-risk") == contexts
-
-    def test_deadline_sorts_earliest_first_missing_last(self):
-        a, b, c = _Ctx("a", 1), _Ctx("b", 1), _Ctx("c", 1)
-        ordered = order_repair_contexts(
-            [a, b, c], "deadline", deadlines={0: 30.0, 2: 5.0}
+    def test_arrival_keeps_the_given_order(self, store):
+        _, contexts = node_failure_contexts(store, 0, block_size=1024, cost_model=COST)
+        outcome = repair_node_failure(
+            store, 0, RPRScheme(), SIMICS_BANDWIDTH, block_size=1024, cost_model=COST
         )
-        assert ordered == [c, a, b]  # b has no deadline: it waits
+        assert outcome.plans == [RPRScheme().plan(ctx) for ctx in contexts]
 
-    def test_unknown_policy_is_refused_and_all_known_ones_work(self):
-        contexts = [_Ctx("a", 1)]
-        with pytest.raises(ValueError, match="unknown priority policy"):
-            order_repair_contexts(contexts, "loudest-operator")
-        for policy in PRIORITY_POLICIES:
-            assert order_repair_contexts(contexts, policy) == contexts
+    @staticmethod
+    def doubly_degraded(store):
+        """Fail two holders of the last stripe: some stripes lose two blocks."""
+        last = store.stripe(len(store) - 1).placement
+        store.fail_node(last.node_of(0))
+        store.fail_node(last.node_of(1))
+        return store.degraded()
 
-    def test_input_is_not_mutated(self):
-        contexts = [_Ctx("a", 1), _Ctx("b", 3)]
-        snapshot = list(contexts)
-        order_repair_contexts(contexts, "most-at-risk")
-        assert contexts == snapshot
+    def test_most_at_risk_puts_the_closest_to_loss_first(self, store):
+        order = self.doubly_degraded(store)
+        lost = [len(store.stripe(sid).missing) for sid in order]
+        assert lost[0] == 2 and lost[-1] == 1
+        assert lost == sorted(lost, reverse=True)
+
+    def test_most_at_risk_is_stable_within_a_risk_level(self, store):
+        order = self.doubly_degraded(store)
+        for count in (2, 1):
+            level = [sid for sid in order if len(store.stripe(sid).missing) == count]
+            assert level == sorted(level)
+
+    def test_input_is_not_mutated(self, store):
+        order = self.doubly_degraded(store)
+        missing = {sid: set(store.stripe(sid).missing) for sid in order}
+        assert store.degraded() == order
+        assert {sid: store.stripe(sid).missing for sid in order} == missing

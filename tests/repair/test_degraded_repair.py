@@ -28,6 +28,7 @@ from repro.repair import (
     RPRScheme,
     TraditionalRepair,
     recovery_targets,
+    simulate_fault_scenario,
     simulate_repair,
     simulate_repair_with_faults,
 )
@@ -49,6 +50,33 @@ def helper_death(scheme, ctx, frac=0.6):
         if timing.start < t < timing.end and op.src not in targets:
             return FaultPlan(deaths=(NodeDeath(node=op.src, time=t),))
     raise AssertionError(f"no helper send in flight at {t}")
+
+
+def wasted_bytes_by_hand(outcome):
+    """``wasted_bytes`` recounted from each aborted attempt's delivered
+    transfers: sends delivered whole whose payload no later plan read
+    (one block each), slices of sends not delivered whole (the commit
+    drops them), lost attempts and pro-rata aborts."""
+    total = sum(s.faults.retried_bytes + s.faults.aborted_bytes for s in outcome.sims)
+    orphaned = 0
+    for idx, (plan, sim) in enumerate(zip(outcome.plans[:-1], outcome.sims)):
+        delivered = {e.job_id: e.nbytes for e in sim.transfers()}
+        whole = plan.ops_done(delivered)
+        later = {
+            (key, op.owner)
+            for other in outcome.plans[idx + 1 :]
+            for op in other.ops.values()
+            for key in op.reads
+        }
+        for op_id, parts in plan.parts().items():
+            op = plan.ops[op_id]
+            if op.kind != "send":
+                continue
+            if op_id not in whole:
+                orphaned += sum(delivered.get(part.op_id, 0) for part in parts)
+            elif (op.key, op.dst) not in later:
+                total += plan.block_size
+    return {"total": total + orphaned, "orphaned": orphaned}
 
 
 def assert_oracle(outcome, ctx, stripe):
@@ -139,24 +167,50 @@ class TestHelperDeathMidRepair:
             + ctx.block_size * len(unused)
         )
 
-    def test_a_link_model_does_not_reach_the_fault_path(self):
-        """Under a link model RS(8,3) plans an 8-slice chain, whose engine
-        jobs are slices, not ops; the fault loop commits op prefixes, so it
-        plans whole blocks whatever the caller's context says."""
-        ctx = make_context(8, 3, failed=[2], block_size=1 << 20)
-        linked = replace(ctx, link_model=SIMICS_BANDWIDTH)
-        scheme = RPRScheme()
-        assert scheme.plan(linked).slices == 8
-        stripe = make_stripe(ctx)
-        faults = helper_death(scheme, ctx)
-        plain, under_links = (
-            simulate_repair_with_faults(scheme, c, SIMICS_BANDWIDTH, faults, stripe=stripe)
-            for c in (ctx, linked)
+    def test_sliced_plans_recover_exact_bytes(self):
+        """Under a link model RS(8,3) plans an 8-slice chain.  Kill each
+        helper at 0.05 ... 0.95 of it: every repair rebuilds the exact
+        bytes, an attempt aborted mid-chain was sliced, and what the
+        aborted attempts moved for nothing adds up."""
+        ctx = replace(
+            make_context(8, 3, failed=[2], block_size=1 << 20),
+            link_model=SIMICS_BANDWIDTH,
         )
-        assert under_links.attempts == 2
-        assert all(plan.slices == 1 for plan in under_links.plans)
-        assert under_links.to_dict() == plain.to_dict()
-        assert_oracle(under_links, linked, stripe)
+        scheme = RPRScheme()
+        plan = scheme.plan(ctx)
+        assert plan.slices == 8
+        stripe = make_stripe(ctx)
+        helpers = {op.src for op in plan.sends()} - set(recovery_targets(ctx).values())
+        aborted_slices, orphaned = [], []
+        for node in sorted(helpers):
+            for tenth in range(10):
+                _, outcome = simulate_fault_scenario(
+                    scheme, ctx, SIMICS_BANDWIDTH,
+                    kill=((node, 0.05 + tenth / 10),), stripe=stripe,
+                )
+                assert_oracle(outcome, ctx, stripe)
+                aborted_slices += [p.slices for p in outcome.plans[:-1]]
+                wasted = wasted_bytes_by_hand(outcome)
+                assert outcome.wasted_bytes == pytest.approx(wasted["total"])
+                orphaned.append(wasted["orphaned"])
+        assert 8 in aborted_slices
+        assert max(orphaned) > 0
+
+    def test_deaths_are_anchored_to_the_plan_that_runs(self):
+        """The fault-free horizon and attempt 0 are one plan, link model
+        and all, so a death just past the horizon strikes nothing."""
+        ctx = replace(
+            make_context(8, 3, failed=[2], block_size=1 << 20),
+            link_model=SIMICS_BANDWIDTH,
+        )
+        scheme = RPRScheme()
+        horizon, outcome = simulate_fault_scenario(
+            scheme, ctx, SIMICS_BANDWIDTH, kill=((12, 1.01),)
+        )
+        fault_free = simulate_repair(scheme, ctx, SIMICS_BANDWIDTH)
+        assert list(outcome.plans[0].ops) == list(fault_free.plan.ops)
+        assert outcome.sims[0].makespan == horizon
+        assert not outcome.degraded
 
     def test_deterministic_outcome(self):
         ctx = make_context(6, 3, failed=[1])

@@ -1,11 +1,12 @@
 """Targeted tests for less-travelled paths across the repair stack."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.cluster import Cluster, RPRPlacement, SIMICS_BANDWIDTH
-from repro.ec2 import build_ec2_environment
+from repro.experiments import build_ec2_env, context_for
 from repro.repair import (
-    HeterogeneityAwareRPR,
     RepairContext,
     RPRScheme,
     execute_plan,
@@ -16,21 +17,14 @@ from repro.rs import SIMICS_DECODE
 from repro.workloads import encoded_stripe
 
 
-
 class TestHeteroMultiFailure:
+    """Multi-block failures of RPR told the EC2 links."""
+
     def test_multi_failure_reconstructs_on_ec2(self):
-        env = build_ec2_environment(8, 4, block_size=512)
-        ctx = RepairContext(
-            code=env.code,
-            cluster=env.cluster,
-            placement=env.placement,
-            failed_blocks=(0, 5, 9),
-            block_size=512,
-            cost_model=env.cost_model,
-        )
-        scheme = HeterogeneityAwareRPR(env.bandwidth)
-        stripe = encoded_stripe(env.code, 512, seed=42)
-        plan = scheme.plan(ctx)
+        env = build_ec2_env(8, 4, block_size=1 << 20)
+        ctx = replace(context_for(env, (0, 5, 9)), link_model=env.bandwidth)
+        stripe = encoded_stripe(env.code, ctx.block_size, seed=42)
+        plan = RPRScheme().plan(ctx)
         store = initial_store_for(stripe, env.placement, ctx.failed_blocks)
         result = execute_plan(plan, env.cluster, store)
         for b in ctx.failed_blocks:
@@ -39,21 +33,14 @@ class TestHeteroMultiFailure:
             )
 
     def test_multi_failure_not_slower_than_plain(self):
-        env = build_ec2_environment(12, 4)
-        ctx = RepairContext(
-            code=env.code,
-            cluster=env.cluster,
-            placement=env.placement,
-            failed_blocks=(0, 4),
-            block_size=env.block_size,
-            cost_model=env.cost_model,
-        )
-        hetero = simulate_repair(
-            HeterogeneityAwareRPR(env.bandwidth), ctx, env.bandwidth
+        env = build_ec2_env(12, 4)
+        ctx = context_for(env, (0, 4))
+        told = simulate_repair(
+            RPRScheme(), replace(ctx, link_model=env.bandwidth), env.bandwidth
         )
         plain = simulate_repair(RPRScheme(), ctx, env.bandwidth)
-        assert hetero.total_repair_time <= plain.total_repair_time + 1e-9
-        assert hetero.cross_rack_blocks == plain.cross_rack_blocks
+        assert told.total_repair_time <= plain.total_repair_time + 1e-9
+        assert told.cross_rack_blocks == plain.cross_rack_blocks
 
 
 class TestSingleRackRepairs:

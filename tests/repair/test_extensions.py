@@ -1,13 +1,13 @@
-"""Tests for the extension schemes: hetero-aware RPR and degraded reads."""
+"""Tests for the extensions: RPR told the EC2 links, and degraded reads."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.cluster import SIMICS_BANDWIDTH
-from repro.ec2 import build_ec2_environment
+from repro.experiments import build_ec2_env, context_for
 from repro.repair import (
-    HeterogeneityAwareRPR,
-    RepairContext,
     RepairPlanningError,
     RPRScheme,
     degraded_read_context,
@@ -16,114 +16,62 @@ from repro.repair import (
     plan_degraded_read,
     simulate_repair,
 )
-from repro.repair.rpr.hetero import estimate_gather_makespan, order_sources_by_link_speed
-from repro.repair.rpr.inner import InnerResult
 from repro.workloads import encoded_stripe, single_failure_scenarios
 
 from .conftest import make_context, make_stripe
 
 
-def ec2_context(n, k, failed, block_size=512):
-    env = build_ec2_environment(n, k, block_size=block_size)
-    return (
-        RepairContext(
-            code=env.code,
-            cluster=env.cluster,
-            placement=env.placement,
-            failed_blocks=tuple(failed),
-            block_size=block_size,
-            cost_model=env.cost_model,
-        ),
-        env,
-    )
+def told_the_links(env, failed):
+    """The context of ``failed`` on ``env``, told its links."""
+    return replace(context_for(env, failed), link_model=env.bandwidth)
+
+
+def single_failures_on_ec2(n, k):
+    """(env, paper context, context told the Table 1 links) per single failure."""
+    env = build_ec2_env(n, k)
+    for scenario in single_failure_scenarios(env.code):
+        failed = scenario.failed_blocks
+        yield env, context_for(env, failed), told_the_links(env, failed)
 
 
 class TestHeterogeneityAwareRPR:
+    """RPR told the EC2 links (``RepairContext.link_model``) against the
+    paper's plan on the same links."""
+
     def test_reconstructs_correctly(self):
-        ctx, env = ec2_context(8, 2, [3])
-        scheme = HeterogeneityAwareRPR(env.bandwidth)
+        # 1 MiB blocks: large enough that the EC2 links slice the chain.
+        env = build_ec2_env(8, 2, block_size=1 << 20)
+        ctx = told_the_links(env, [3])
+        plan = RPRScheme().plan(ctx)
+        assert plan.slices > 1
         stripe = encoded_stripe(env.code, ctx.block_size, seed=3)
-        plan = scheme.plan(ctx)
         store = initial_store_for(stripe, env.placement, [3])
         result = execute_plan(plan, env.cluster, store)
         np.testing.assert_array_equal(result.recovered[3], stripe.get_payload(3))
 
     @pytest.mark.parametrize("n,k", [(6, 2), (8, 2), (12, 4)])
     def test_never_slower_than_plain_rpr_on_ec2(self, n, k):
-        env = build_ec2_environment(n, k)
-        scheme = HeterogeneityAwareRPR(env.bandwidth)
-        plain = RPRScheme()
-        for scenario in single_failure_scenarios(env.code, data_only=True):
-            ctx = RepairContext(
-                code=env.code,
-                cluster=env.cluster,
-                placement=env.placement,
-                failed_blocks=scenario.failed_blocks,
-                block_size=env.block_size,
-                cost_model=env.cost_model,
-            )
-            h = simulate_repair(scheme, ctx, env.bandwidth)
-            p = simulate_repair(plain, ctx, env.bandwidth)
-            assert h.total_repair_time <= p.total_repair_time + 1e-9
-            assert h.cross_rack_blocks == p.cross_rack_blocks
+        for env, ctx, told in single_failures_on_ec2(n, k):
+            t = simulate_repair(RPRScheme(), told, env.bandwidth)
+            p = simulate_repair(RPRScheme(), ctx, env.bandwidth)
+            assert t.total_repair_time <= p.total_repair_time + 1e-9
+            assert t.cross_rack_blocks == p.cross_rack_blocks
 
     def test_strict_gain_exists_somewhere(self):
-        """With >= 3 remote racks the exhaustive ordering must find wins."""
-        env = build_ec2_environment(12, 4)
-        scheme = HeterogeneityAwareRPR(env.bandwidth)
-        plain = RPRScheme()
-        gains = []
-        for scenario in single_failure_scenarios(env.code, data_only=True):
-            ctx = RepairContext(
-                code=env.code,
-                cluster=env.cluster,
-                placement=env.placement,
-                failed_blocks=scenario.failed_blocks,
-                block_size=env.block_size,
-                cost_model=env.cost_model,
-            )
-            h = simulate_repair(scheme, ctx, env.bandwidth).total_repair_time
-            p = simulate_repair(plain, ctx, env.bandwidth).total_repair_time
-            gains.append(p - h)
+        gains = [
+            simulate_repair(RPRScheme(), ctx, env.bandwidth).total_repair_time
+            - simulate_repair(RPRScheme(), told, env.bandwidth).total_repair_time
+            for env, ctx, told in single_failures_on_ec2(12, 4)
+        ]
         assert max(gains) > 1.0  # seconds saved on at least one position
 
     def test_identical_to_plain_on_uniform_links(self):
-        """Under the uniform Simics model the ordering is a no-op."""
+        """Told the uniform Simics links, a 512-byte block is too small to
+        slice (≈ 41 µs across a rack, under the 10 ms slice floor), so RPR
+        plans the paper's op list."""
         ctx = make_context(12, 4, failed=[1])
-        scheme = HeterogeneityAwareRPR(SIMICS_BANDWIDTH)
-        plain = RPRScheme()
-        h = simulate_repair(scheme, ctx, SIMICS_BANDWIDTH)
-        p = simulate_repair(plain, ctx, SIMICS_BANDWIDTH)
-        assert h.total_repair_time == pytest.approx(p.total_repair_time)
-
-    def test_order_helper_is_stable(self):
-        ctx = make_context(6, 2, failed=[1])
-        sources = [
-            InnerResult(key=f"i{i}", node=n, dep=None)
-            for i, n in enumerate([4, 8, 12])
-        ]
-        ordered = order_sources_by_link_speed(
-            ctx.cluster, SIMICS_BANDWIDTH, sources, target=0
-        )
-        assert [s.key for s in ordered] == ["i0", "i1", "i2"]
-
-    def test_estimator_empty(self):
-        ctx = make_context(6, 2, failed=[1])
-        assert (
-            estimate_gather_makespan(ctx.cluster, SIMICS_BANDWIDTH, [], 0, 100)
-            == 0.0
-        )
-
-    def test_estimator_single_source(self):
-        ctx = make_context(6, 2, failed=[1])
-        [rack1_node] = [ctx.cluster.nodes_in_rack(1)[0]]
-        t = estimate_gather_makespan(
-            ctx.cluster, SIMICS_BANDWIDTH,
-            [InnerResult(key="x", node=rack1_node, dep=None)],
-            target=0,
-            block_size=12_500_000,  # 0.1 s at 125 MB/s... cross: 1 s
-        )
-        assert t == pytest.approx(1.0)
+        told = replace(ctx, link_model=SIMICS_BANDWIDTH)
+        assert RPRScheme().plan(told) == RPRScheme().plan(ctx)
 
 
 class TestDegradedRead:

@@ -1,9 +1,11 @@
 """Tests for the RepairPlan op-DAG."""
 
+import numpy as np
 import pytest
 
+from repro.cluster import Cluster
 from repro.rs import DecodeCostModel
-from repro.repair import CombineOp, PlanError, RepairPlan, SendOp, block_key
+from repro.repair import CombineOp, PlanError, RepairPlan, SendOp, block_key, execute_plan
 from repro.sim import ComputeJob, TransferJob
 
 
@@ -115,3 +117,34 @@ class TestCompilation:
         plan.mark_output(0, 1, "y")
         graph = plan.to_job_graph(DecodeCostModel(xor_speed=1.0))
         assert graph.jobs["c"].deps == ("s",)
+
+
+class TestOpsDone:
+    """Finished parts back to finished ops: what a faulted run commits."""
+
+    def sliced_plan(self):
+        plan = RepairPlan(block_size=90)
+        a = plan.add_send("a", 0, 2, "x", slices=3)
+        c = plan.add_combine("c", 2, "y", [("x", 1), ("w", 1)], deps=[a], slices=3)
+        plan.add_send("b", 2, 4, "y", deps=[c], slices=3)
+        plan.mark_output(0, 4, "y")
+        return plan
+
+    def test_an_op_is_done_when_every_slice_is(self):
+        plan = self.sliced_plan()
+        assert plan.ops_done(["a#0", "a#1", "a#2", "c#0", "c#1", "b#0"]) == {"a"}
+        assert plan.ops_done([]) == set()
+
+    def test_an_unsliced_op_is_its_own_part(self):
+        plan = TestPlanStructure().make_plan()
+        assert plan.ops_done(["s"]) == {"s"}
+
+    def test_a_partial_commit_runs_each_done_op_whole(self):
+        plan = self.sliced_plan()
+        x, w = np.arange(90, dtype=np.uint8), np.full(90, 7, dtype=np.uint8)
+        store = {0: {"x": x}, 2: {"w": w}}
+        done = plan.ops_done(["a#0", "a#1", "a#2", "c#0", "c#1", "c#2", "b#0"])
+        result = execute_plan(plan, Cluster.homogeneous(3, 2), store, ops=done)
+        assert set(store[2]) == {"w", "x", "y"} and 4 not in store  # no slice keys
+        np.testing.assert_array_equal(store[2]["y"], x ^ w)
+        assert result.ledger.cross_rack_bytes == 90
