@@ -35,7 +35,6 @@ from repro.experiments import (  # noqa: E402
     build_simics_environment,
     context_for,
     format_table,
-    run_scheme,
 )
 from repro.metrics import FaultRollup  # noqa: E402
 from repro.repair import (  # noqa: E402
@@ -63,11 +62,10 @@ def run_sweep(codes=FULL_CODES, seeds=FULL_SEEDS, deaths: int = 1):
         ctx = context_for(env, [1])
         for name, factory in SCHEMES.items():
             scheme = factory()
-            fault_free = run_scheme(env, scheme, [1]).total_repair_time
-            outcomes = []
+            fault_free, outcomes = None, []
             for seed in seeds:
                 try:
-                    _, outcome = simulate_fault_scenario(
+                    fault_free, outcome = simulate_fault_scenario(
                         scheme, ctx, env.bandwidth, deaths=deaths, seed=seed
                     )
                 except IrrecoverableError:

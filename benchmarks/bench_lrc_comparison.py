@@ -1,8 +1,9 @@
 """Extension bench: LRC(12,2,2) vs RS(12,4) — the §4.3.1 industry codes.
 
 Both codes store 12 data blocks with 4 parities (33 % overhead).  The
-sweep compares single-failure repair over every data-block position on
-the same 9-rack cluster (2 blocks/rack), plus fault-tolerance reach:
+sweep (:func:`repro.experiments.lrc_rows`, also ``rpr extension lrc``)
+compares single-failure repair over every data-block position on the
+same 9-rack cluster (2 blocks/rack), plus fault-tolerance reach:
 
 * RS(12,4)+RPR needs 12 helpers per repair; LRC needs 6 (its local
   group) — roughly half the traffic and repair time;
@@ -10,76 +11,28 @@ the same 9-rack cluster (2 blocks/rack), plus fault-tolerance reach:
   concentrate in one local group (quantified below).
 """
 
-import itertools
-
 from conftest import emit
-from repro.cluster import Cluster, ContiguousPlacement, SIMICS_BANDWIDTH
-from repro.experiments import format_table
-from repro.lrc import LRCCode, LRCLocalRepair, is_recoverable
-from repro.repair import RepairContext, RPRScheme, simulate_repair
-from repro.rs import SIMICS_DECODE, get_code
-
-
-def make_ctx(code, failed):
-    cluster = Cluster.homogeneous(9, 4)
-    placement = ContiguousPlacement(per_rack=2).place(cluster, code.n, code.k)
-    return RepairContext(
-        code=code,
-        cluster=cluster,
-        placement=placement,
-        failed_blocks=tuple(failed),
-        block_size=256_000_000,
-        cost_model=SIMICS_DECODE,
-    )
-
-
-def run_comparison():
-    lrc_code = LRCCode(12, 2, 2)
-    rs_code = get_code(12, 4)
-    lrc_scheme, rs_scheme = LRCLocalRepair(), RPRScheme()
-    lrc_time = lrc_traffic = rs_time = rs_traffic = 0.0
-    for block in range(12):
-        lrc = simulate_repair(lrc_scheme, make_ctx(lrc_code, [block]), SIMICS_BANDWIDTH)
-        rs = simulate_repair(rs_scheme, make_ctx(rs_code, [block]), SIMICS_BANDWIDTH)
-        lrc_time += lrc.total_repair_time
-        rs_time += rs.total_repair_time
-        lrc_traffic += lrc.cross_rack_blocks
-        rs_traffic += rs.cross_rack_blocks
-
-    # fault-tolerance census over every 4-failure pattern
-    recoverable = sum(
-        1
-        for combo in itertools.combinations(range(16), 4)
-        if is_recoverable(lrc_code, combo)
-    )
-    total = sum(1 for _ in itertools.combinations(range(16), 4))
-
-    return {
-        "lrc_time": lrc_time / 12,
-        "rs_time": rs_time / 12,
-        "lrc_traffic": lrc_traffic / 12,
-        "rs_traffic": rs_traffic / 12,
-        "lrc_4fail_coverage": recoverable / total,
-    }
+from repro.experiments import format_table, lrc_rows
 
 
 def test_lrc_vs_rs(bench_once):
-    r = bench_once(run_comparison)
+    lrc, rs = bench_once(lrc_rows)
     emit(
         "Extension — LRC(12,2,2)+local repair vs RS(12,4)+RPR "
         "(same 33% overhead)",
         format_table(
             ["metric", "LRC(12,2,2)", "RS(12,4)"],
             [
-                ["mean repair time (s)", r["lrc_time"], r["rs_time"]],
-                ["mean cross-rack blocks", r["lrc_traffic"], r["rs_traffic"]],
+                ["mean repair time (s)", lrc["mean_repair_s"], rs["mean_repair_s"]],
+                ["mean cross-rack blocks", lrc["mean_cross_blocks"], rs["mean_cross_blocks"]],
                 ["4-failure patterns recoverable",
-                 f"{100 * r['lrc_4fail_coverage']:.1f}%", "100%"],
+                 f"{lrc['four_failure_coverage_pct']:.1f}%",
+                 f"{rs['four_failure_coverage_pct']:.0f}%"],
             ],
         ),
     )
     # the trade-off, asserted: cheaper common case...
-    assert r["lrc_time"] < r["rs_time"]
-    assert r["lrc_traffic"] < r["rs_traffic"]
+    assert lrc["mean_repair_s"] < rs["mean_repair_s"]
+    assert lrc["mean_cross_blocks"] < rs["mean_cross_blocks"]
     # ...for less-than-MDS worst-case coverage.
-    assert 0.5 < r["lrc_4fail_coverage"] < 1.0
+    assert 50.0 < lrc["four_failure_coverage_pct"] < 100.0

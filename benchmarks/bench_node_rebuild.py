@@ -5,44 +5,18 @@ to serve.  A node holding one block from each of many stripes dies; the
 harness compares schemes (traditional vs RPR), orchestration (sequential
 vs parallel) and rebuild targets (single replacement vs scatter), plus
 the CAR-style cross-stripe balancing ablation on a flat-placement store.
+The matrix is :func:`repro.experiments.node_rebuild_rows` (also ``rpr
+extension node-rebuild``).
 """
 
 from conftest import emit
 from repro.cluster import Cluster, FlatPlacement, SIMICS_BANDWIDTH
-from repro.experiments import format_table
+from repro.experiments import format_table, node_rebuild_rows
 from repro.multistripe import StripeStore, repair_node_failure
-from repro.repair import CARRepair, RPRScheme, TraditionalRepair
-from repro.rs import MB, get_code
+from repro.repair import CARRepair, RPRScheme
+from repro.rs import get_code
 
 FAILED_NODE = 0
-
-
-def build_store():
-    cluster = Cluster.homogeneous(5, 6)
-    return StripeStore.build(cluster, get_code(6, 2), num_stripes=30)
-
-
-def run_matrix():
-    store = build_store()
-    rows = []
-    for scheme in [TraditionalRepair(), RPRScheme()]:
-        for mode in ["sequential", "parallel"]:
-            for rebuild in ["replacement", "scatter"]:
-                o = repair_node_failure(
-                    store, FAILED_NODE, scheme, SIMICS_BANDWIDTH,
-                    mode=mode, rebuild=rebuild,
-                )
-                rows.append(
-                    [
-                        scheme.name,
-                        mode,
-                        rebuild,
-                        o.makespan,
-                        o.total_cross_rack_bytes / (256 * MB),
-                        o.rack_upload_imbalance["max_mean_ratio"],
-                    ]
-                )
-    return rows
 
 
 def run_balance_ablation():
@@ -70,15 +44,13 @@ def run_balance_ablation():
 
 
 def test_node_rebuild_matrix(bench_once):
-    rows = bench_once(run_matrix)
+    rows = bench_once(node_rebuild_rows)
+    columns = ["scheme", "mode", "rebuild", "makespan_s", "cross_blocks", "rack_imbalance"]
     emit(
         "Node rebuild — 30-stripe RS(6,2) store, node loses 8 blocks",
-        format_table(
-            ["scheme", "mode", "rebuild", "makespan_s", "cross_blocks", "rack_imbalance"],
-            rows,
-        ),
+        format_table(columns, [[r[c] for c in columns] for r in rows]),
     )
-    by_key = {(r[0], r[1], r[2]): r[3] for r in rows}
+    by_key = {(r["scheme"], r["mode"], r["rebuild"]): r["makespan_s"] for r in rows}
     # Parallel+scatter dominates within each scheme.
     for scheme in ["traditional", "rpr"]:
         best = by_key[(scheme, "parallel", "scatter")]

@@ -4,7 +4,8 @@
 The paper's schemes repair one stripe; real incidents kill a *node*,
 losing one block from every stripe it held.  This example builds a
 30-stripe RS(6,2) store (rotated placements, so layout is perfectly
-declustered), fails a node holding 8 blocks, and rebuilds it four ways:
+declustered), fails a node holding 8 blocks, and rebuilds it four ways
+(:func:`repro.experiments.node_rebuild_rows`):
 
   scheme x {sequential, parallel} x {single replacement node, scatter}
 
@@ -18,9 +19,10 @@ Run:  python examples/node_rebuild.py
 """
 
 from repro.cluster import Cluster, FlatPlacement, SIMICS_BANDWIDTH
+from repro.experiments import node_rebuild_rows
 from repro.multistripe import StripeStore, repair_node_failure
-from repro.repair import CARRepair, RPRScheme, TraditionalRepair
-from repro.rs import MB, get_code
+from repro.repair import CARRepair
+from repro.rs import get_code
 
 FAILED_NODE = 0
 
@@ -36,19 +38,11 @@ def main() -> None:
 
     print(f"{'scheme':>12} {'mode':>10} {'rebuild':>12} "
           f"{'makespan':>10} {'cross blk':>10} {'imbalance':>10}")
-    for scheme in [TraditionalRepair(), RPRScheme()]:
-        for mode in ["sequential", "parallel"]:
-            for rebuild in ["replacement", "scatter"]:
-                o = repair_node_failure(
-                    store, FAILED_NODE, scheme, SIMICS_BANDWIDTH,
-                    mode=mode, rebuild=rebuild,
-                )
-                print(
-                    f"{scheme.name:>12} {mode:>10} {rebuild:>12} "
-                    f"{o.makespan:9.1f}s "
-                    f"{o.total_cross_rack_bytes / (256 * MB):10.0f} "
-                    f"{o.rack_upload_imbalance['max_mean_ratio']:10.2f}"
-                )
+    for r in node_rebuild_rows():
+        print(
+            f"{r['scheme']:>12} {r['mode']:>10} {r['rebuild']:>12} "
+            f"{r['makespan_s']:9.1f}s {r['cross_blocks']:10.0f} {r['rack_imbalance']:10.2f}"
+        )
 
     print("\ncross-stripe balancing (flat placement, where helper racks are free):")
     flat_cluster = Cluster.homogeneous(10, 4)

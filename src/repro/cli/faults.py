@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..experiments import context_for, run_scheme
+from ..experiments import context_for
 from ..repair import IrrecoverableError, simulate_fault_scenario
 from ..sim import telemetry_from_sim
 from ..telemetry import RunTrace, TelemetryTrace, render_gantt, render_report, to_jsonl
@@ -111,34 +111,35 @@ class TraceReport:
 
 
 def cmd_trace(args):
-    """Utilization + bottleneck report, fault-free or degraded.
+    """Utilization + bottleneck report of one attempt of the repair.
 
-    Any fault flag (``--kill``, ``--slow``, ``--loss-prob``, or
-    ``--deaths`` > 0) switches the command onto the faulted engine: the
-    repair replays under the injected scenario and the trace comes from
-    one attempt of the degraded outcome (``--attempt``, default the
-    final one).  Aborted occupancy shows up as zero-byte intervals and
-    the critical path walks across abort and retry boundaries.
+    The repair runs under whatever fault flags are given (``--kill``,
+    ``--slow``, ``--loss-prob``, ``--deaths`` > 0; none is one fault-free
+    attempt) and the trace is one attempt of its outcome (``--attempt``,
+    default the final one).  Aborted occupancy shows up as zero-byte
+    intervals and the critical path walks across abort and retry
+    boundaries.
     """
     env, scheme, failed = scenario(args)
+    try:
+        _, outcome = _degraded(args, env, scheme, context_for(env, failed))
+    except IrrecoverableError as exc:
+        print(f"IRRECOVERABLE: {exc}", file=sys.stderr)
+        return 1, None
+    if not -outcome.attempts <= args.attempt < outcome.attempts:
+        raise UsageError(
+            f"--attempt {args.attempt} out of range; outcome has "
+            f"{outcome.attempts} attempts"
+        )
+    telemetry = telemetry_from_sim(
+        outcome.sims[args.attempt], env.cluster, meta={"scheme": outcome.scheme}
+    )
     if args.kill or args.slow or args.loss_prob or args.deaths:
-        try:
-            _, degraded = _degraded(args, env, scheme, context_for(env, failed))
-        except IrrecoverableError as exc:
-            print(f"IRRECOVERABLE: {exc}", file=sys.stderr)
-            return 1, None
-        if not -degraded.attempts <= args.attempt < degraded.attempts:
-            raise UsageError(
-                f"--attempt {args.attempt} out of range; outcome has "
-                f"{degraded.attempts} attempts"
-            )
-        telemetry = telemetry_from_sim(degraded.sims[args.attempt], env.cluster)
         suffix = (
             f" under injected faults (seed {args.seed}) — attempt "
-            f"{args.attempt % degraded.attempts + 1} of {degraded.attempts}"
+            f"{args.attempt % outcome.attempts + 1} of {outcome.attempts}"
         )
     else:
-        telemetry = run_scheme(env, scheme, failed).telemetry()
         suffix = f", {args.placement} placement"
     return 0, TraceReport(
         headline(args) + suffix, telemetry, RunTrace.from_telemetry(telemetry, env.cluster)

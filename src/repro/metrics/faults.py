@@ -1,10 +1,11 @@
 """Rollups over degraded-repair outcomes (fault-injection sweeps).
 
-Aggregates :class:`repro.repair.DegradedRepairOutcome` objects — and the
-``None`` placeholders a sweep records for irrecoverable scenarios — into
-the quantities ``benchmarks/bench_degraded_repair.py`` and the ``rpr
-faults`` CLI report: degraded makespans, retried/wasted work, re-plan
-rates, and how often a scheme reused already-delivered intermediates.
+Aggregates the :class:`repro.repair.RepairOutcome` objects of faulted
+repairs — and the ``None`` placeholders a sweep records for
+irrecoverable scenarios — into the quantities
+``benchmarks/bench_degraded_repair.py`` and the ``rpr faults`` CLI
+report: degraded makespans, retried/wasted work, re-plan rates, and how
+often a scheme reused already-delivered intermediates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from ..repair import DegradedRepairOutcome
+    from ..repair import RepairOutcome
 
 __all__ = ["FaultRollup"]
 
@@ -53,7 +54,7 @@ class FaultRollup:
 
     @classmethod
     def from_outcomes(
-        cls, outcomes: Iterable["DegradedRepairOutcome | None"]
+        cls, outcomes: Iterable["RepairOutcome | None"]
     ) -> "FaultRollup":
         """Aggregate a sweep; ``None`` entries count as irrecoverable."""
         all_outcomes = list(outcomes)

@@ -13,13 +13,13 @@ Public surface:
   shares with it; :class:`OpSlice` is one slice of a sliced op, as
   :meth:`RepairPlan.parts` hands it to them.
 * :func:`simulate_repair` — compile a plan and run it on the
-  discrete-event engine, returning time and traffic.
-* :func:`simulate_repair_with_faults` — the degraded path: run a repair
-  under an injected :class:`repro.sim.FaultPlan`, re-planning around dead
-  helpers via :meth:`RepairScheme.replan` (see ``docs/FAULTS.md``);
+  discrete-event engine, returning time and traffic as a
+  :class:`RepairOutcome`; given a :class:`repro.sim.FaultPlan` it is the
+  degraded path too, re-planning around dead helpers via
+  :meth:`RepairScheme.replan` (see ``docs/FAULTS.md``).
   :func:`simulate_fault_scenario` first anchors the faults to the
-  repair's own fault-free makespan (what ``rpr faults`` / ``rpr trace
-  --kill`` and ``bench_degraded_repair`` run).
+  repair's own fault-free makespan (what ``rpr faults`` / ``rpr trace``
+  and ``bench_degraded_repair`` run).
 """
 
 from .base import (
@@ -40,13 +40,11 @@ from .executor import (
     run_op,
 )
 from .faults import (
-    DegradedRepairOutcome,
     IrrecoverableError,
     RepairSnapshot,
     payload_compositions,
     plan_degraded_gather,
     simulate_fault_scenario,
-    simulate_repair_with_faults,
 )
 from .plan import CombineOp, OpSlice, PlanError, RepairPlan, SendOp, block_key
 from .planstats import PlanStats, critical_path_hops
@@ -73,7 +71,6 @@ SCHEMES: dict[str, type[RepairScheme]] = {
 __all__ = [
     "CARRepair",
     "CombineOp",
-    "DegradedRepairOutcome",
     "ExecutionError",
     "ExecutionResult",
     "IrrecoverableError",
@@ -111,5 +108,4 @@ __all__ = [
     "run_op",
     "simulate_fault_scenario",
     "simulate_repair",
-    "simulate_repair_with_faults",
 ]

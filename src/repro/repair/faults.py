@@ -1,20 +1,13 @@
 """Degraded repair: re-planning around helpers that die mid-repair.
 
 This is the robustness layer the paper's evaluation skips: its schemes
-assume every helper survives the whole repair.  Here a repair runs under
-an injected :class:`repro.sim.FaultPlan`; when a helper node dies
-mid-gather the orchestrator
-
-1. replays the *completed* prefix of the plan on the byte store: the
-   ops all of whose parts (engine jobs; a sliced op has one per slice)
-   finished, a dependency-closed set
-   (:meth:`~repro.repair.RepairPlan.ops_done`), each run whole —
-   :func:`repro.repair.execute_plan` with ``ops=``,
-2. drops everything the dead node held,
-3. asks the scheme to re-plan via :meth:`RepairScheme.replan` with a
-   :class:`RepairSnapshot` of what survived — including
-   already-delivered intermediates, and
-4. re-simulates under the remaining faults, up to ``max_attempts``.
+assume every helper survives the whole repair.
+:func:`repro.repair.simulate_repair` runs a repair under an injected
+:class:`repro.sim.FaultPlan`; when a helper node dies mid-gather it
+commits the completed prefix of the plan and asks the scheme to re-plan
+via :meth:`RepairScheme.replan` with a :class:`RepairSnapshot` of what
+survived — including already-delivered intermediates.  This module is
+that re-planning.
 
 Traditional and CAR re-plan from scratch with fresh helper selection
 (their intermediate state is a half-summed buffer on a node that may be
@@ -25,47 +18,36 @@ linear combination of the data blocks and solves for coefficients that
 re-express the failed block, preferring payloads already at the recovery
 node, then delivered partial sums, then raw blocks.  A repair below the
 decode threshold (no payload combination spans the failed block) raises
-the typed :class:`IrrecoverableError`.
-
-Determinism: every step is a pure function of (plan, fault plan), so the
-same seed reproduces the same degraded schedule bit-for-bit (golden
-tests pin this).  See ``docs/FAULTS.md`` for the full model.
+the typed :class:`IrrecoverableError`.  :func:`simulate_fault_scenario`
+anchors a fault scenario to the repair's own fault-free makespan.
+See ``docs/FAULTS.md`` for the full model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..cluster import BandwidthModel, Cluster
+from ..cluster import BandwidthModel
 from ..gf import GFTables, get_tables, gf_mul
 from ..gf.matrix import mat_solve
 from ..rs import InsufficientHelpersError, Stripe
-from ..sim import (
-    FaultPlan,
-    FaultReport,
-    NodeDeath,
-    SimResult,
-    SimulationEngine,
-    Straggler,
-    random_fault_plan,
-    telemetry_from_sim,
-)
-from ..telemetry import RunTrace, TelemetryTrace
+from ..sim import FaultPlan, NodeDeath, Straggler, random_fault_plan
 from .base import RepairContext, RepairPlanningError, RepairScheme, recovery_targets
-from .executor import ExecutionResult, execute_plan, initial_store_for, run_op
-from .plan import RepairPlan, block_key
-from .simulate import simulate_repair
+from .executor import run_op
+from .plan import RepairPlan
+
+if TYPE_CHECKING:  # pragma: no cover - simulate imports this module
+    from .simulate import RepairOutcome
 
 __all__ = [
-    "DegradedRepairOutcome",
     "IrrecoverableError",
     "RepairSnapshot",
     "payload_compositions",
     "plan_degraded_gather",
     "simulate_fault_scenario",
-    "simulate_repair_with_faults",
 ]
 
 
@@ -281,139 +263,6 @@ def plan_degraded_gather(
     return plan
 
 
-@dataclass
-class DegradedRepairOutcome:
-    """Result of one repair run under fault injection.
-
-    Attributes
-    ----------
-    scheme / attempts:
-        Scheme name and how many simulated attempts it took (1 = no
-        re-plan was needed).
-    total_repair_time:
-        Degraded makespan: the attempt makespans summed — attempts are
-        composed sequentially (failure detection and re-planning are
-        assumed to take no simulated time, but no work overlaps a
-        re-plan; a conservative accounting).
-    cross_rack_bytes / intra_rack_bytes:
-        Bytes moved by *completed* transfers across all attempts,
-        including transfers whose payloads were later wasted.
-    retry_count / retried_bytes:
-        Lost-transfer retries and the bytes their lost attempts carried.
-    wasted_bytes:
-        Wire work that did not contribute to the final repair: completed
-        sends of failed attempts whose delivered payload no later plan
-        consumed, plus the finished slices of sends that did not finish
-        whole (the commit drops them), plus lost-attempt bytes, plus the
-        pro-rata bytes of transfers aborted mid-flight.
-    reused_payloads:
-        Intermediate payload keys minted by a failed attempt and consumed
-        by the final plan — RPR's reusable partial sums.  Empty when the
-        re-plan started from scratch.
-    dead_nodes:
-        Node → absolute death time on the concatenated attempt timeline.
-    sims / plans:
-        Per-attempt simulation results (each carrying its
-        :class:`~repro.sim.FaultReport`) and plans.
-    execution / recovered:
-        Byte-level oracle results for the final plan when a stripe was
-        supplied: the executor ledgers and the reconstructed payloads
-        (``None`` in symbolic-only runs).
-    """
-
-    scheme: str
-    total_repair_time: float
-    attempts: int
-    cross_rack_bytes: float
-    intra_rack_bytes: float
-    retry_count: int
-    retried_bytes: float
-    wasted_bytes: float
-    reused_payloads: tuple[str, ...]
-    dead_nodes: dict[int, float]
-    sims: list[SimResult] = field(default_factory=list)
-    plans: list[RepairPlan] = field(default_factory=list)
-    cluster: Cluster | None = None
-    execution: ExecutionResult | None = None
-    recovered: dict[int, np.ndarray] | None = None
-
-    @property
-    def degraded(self) -> bool:
-        """True when any fault actually altered the run."""
-        return self.attempts > 1 or self.retry_count > 0 or bool(self.dead_nodes)
-
-    def trace(self, attempt: int = -1) -> RunTrace:
-        """Observability view of one attempt (default: the final one).
-
-        The returned :class:`~repro.telemetry.RunTrace` covers that
-        attempt's schedule on its own clock (each attempt restarts at
-        t=0); aborted jobs appear as occupancy intervals and — when an
-        abort set the makespan or released a critical resource — as
-        critical-path segments flagged ``aborted``.
-        """
-        if self.cluster is None:
-            raise ValueError(
-                "outcome has no cluster; build RunTrace.from_telemetry directly"
-            )
-        return RunTrace.from_telemetry(
-            telemetry_from_sim(self.sims[attempt], self.cluster), self.cluster
-        )
-
-    def telemetry(self) -> TelemetryTrace:
-        """All attempts stitched onto one sim-clock telemetry timeline.
-
-        Attempt ``i``'s spans/events are shifted by the summed makespans
-        of the attempts before it (the same sequential composition
-        ``total_repair_time`` uses) and tagged ``attempt=i+1``; fault
-        counters accumulate across attempts.
-        """
-        combined: TelemetryTrace | None = None
-        offset = 0.0
-        for i, sim in enumerate(self.sims):
-            part = telemetry_from_sim(
-                sim,
-                self.cluster,
-                meta={"scheme": self.scheme, "attempts": self.attempts},
-                offset=offset,
-                attempt=i + 1,
-            )
-            combined = part if combined is None else combined.merged(part)
-            offset += sim.makespan
-        if combined is None:
-            combined = TelemetryTrace(
-                clock="sim", meta={"scheme": self.scheme, "attempts": 0}
-            )
-        elif self.dead_nodes:
-            # Each attempt's shifted fault plan re-reports nodes that are
-            # already dead, so the per-attempt sum over-counts; the
-            # outcome's own ledger is authoritative.
-            combined.counters["fault.deaths"] = float(len(self.dead_nodes))
-        return combined
-
-    def to_dict(self) -> dict:
-        """JSON-serializable summary (payload bytes omitted)."""
-        return {
-            "scheme": self.scheme,
-            "total_repair_time": self.total_repair_time,
-            "attempts": self.attempts,
-            "cross_rack_bytes": self.cross_rack_bytes,
-            "intra_rack_bytes": self.intra_rack_bytes,
-            "retry_count": self.retry_count,
-            "retried_bytes": self.retried_bytes,
-            "wasted_bytes": self.wasted_bytes,
-            "reused_payloads": list(self.reused_payloads),
-            "dead_nodes": {str(n): t for n, t in self.dead_nodes.items()},
-            "recovered_blocks": (
-                sorted(self.recovered) if self.recovered is not None else None
-            ),
-        }
-
-
-def _consumed_at(plan: RepairPlan) -> set[tuple[str, int]]:
-    """(payload key, node) pairs a plan reads: send sources + combine inputs."""
-    return {(key, op.owner) for op in plan.ops.values() for key in op.reads}
-
-
 def _retarget(
     plan: RepairPlan, ctx: RepairContext, dead: set[int], attempt: int
 ) -> tuple[tuple[int, int], ...]:
@@ -446,197 +295,44 @@ def _retarget(
     return tuple(override)
 
 
-def simulate_repair_with_faults(
+def _replan(
     scheme: RepairScheme,
     ctx: RepairContext,
-    bandwidth: BandwidthModel,
-    faults: FaultPlan | None,
-    stripe: Stripe | None = None,
-    max_attempts: int = 3,
-    tables: GFTables | None = None,
-) -> DegradedRepairOutcome:
-    """Run one repair under fault injection, re-planning as helpers die.
+    plan: RepairPlan,
+    sym: dict[int, dict[str, np.ndarray]],
+    dead: dict[int, float],
+    attempt: int,
+) -> RepairPlan:
+    """``scheme``'s re-plan of ``ctx`` after ``plan`` lost the ``dead`` nodes.
 
-    Simulates the scheme's plan on the event engine with ``faults``
-    injected.  If the attempt completes (possibly after lost-transfer
-    retries), done.  If a node death aborted part of it, the ops whose
-    every part finished are committed whole — symbolically always, and
-    on real bytes when ``stripe`` is given — the dead node's payloads
-    are dropped, and the scheme re-plans via :meth:`RepairScheme.replan`
-    against the surviving state; the next attempt runs under the same
-    fault plan shifted by the elapsed time.  Every plan comes from
-    ``ctx`` as given, link model included, so the first attempt is the
-    plan :func:`simulate_repair` times.  With a stripe, the final plan is
-    executed on the byte store so ``recovered`` holds the reconstructed
-    payloads (the correctness oracle for degraded repairs).
-
-    Raises
-    ------
-    IrrecoverableError
-        When survivors drop below the decode threshold, a recovery rack
-        runs out of live spares, or ``max_attempts`` is exhausted.
+    The re-plan sees the post-fault world — the dead nodes' blocks
+    unavailable, dead recovery targets replaced (:func:`_retarget`) — and
+    a :class:`RepairSnapshot` of the surviving compositions ``sym``.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
-    t = tables or get_tables()
-    code = ctx.code
-    engine = SimulationEngine(ctx.cluster, bandwidth)
-
-    # Symbolic store: node -> key -> composition over the data blocks.
-    sym: dict[int, dict[str, np.ndarray]] = {}
-    failed_set = set(ctx.failed_blocks)
-    for block in range(code.width):
-        if block in failed_set:
-            continue
-        node = ctx.placement.node_of(block)
-        sym.setdefault(node, {})[block_key(block)] = code.generator_row(block)
-    store = (
-        initial_store_for(stripe, ctx.placement, ctx.failed_blocks)
-        if stripe is not None
-        else None
+    unavailable = tuple(
+        sorted(
+            block
+            for block in range(ctx.code.width)
+            if block not in ctx.failed_blocks and ctx.placement.node_of(block) in dead
+        )
     )
-
-    dead: dict[int, float] = {}
-    produced_earlier: set[str] = set()
-    sims: list[SimResult] = []
-    plans: list[RepairPlan] = []
-    finished_per_attempt: list[set[str]] = []
-    orphaned_bytes = 0
-    offset = 0.0
-    current_ctx = ctx
-    plan = scheme.plan(ctx)
-    success = False
-
-    for attempt in range(max_attempts):
-        graph = plan.to_job_graph(current_ctx.cost_model)
-        shifted = faults.shifted(offset) if faults else None
-        sim = engine.run(graph, shifted)
-        report = sim.faults if sim.faults is not None else FaultReport()
-        sims.append(sim)
-        plans.append(plan)
-
-        # A timing alone is not delivery: an aborted job has one, and so
-        # does a transfer whose lost attempt ran before its retry failed.
-        finished_parts = set(sim.timings) - report.incomplete
-        finished = plan.ops_done(finished_parts)
-        finished_per_attempt.append(finished)
-        for node, when in report.dead_nodes.items():
-            if node not in dead:
-                dead[node] = offset + when
-        offset += sim.makespan
-
-        if report.complete:
-            success = True
-            break
-
-        # Finished slices of a send that did not finish whole moved bytes
-        # the commit drops (an unsliced op is one part, so it has none).
-        parts = plan.parts()
-        orphaned_bytes += sum(
-            part.hi - part.lo
-            for op in plan.sends()
-            if op.op_id not in finished
-            for part in parts[op.op_id]
-            if part.op_id in finished_parts
+    override = _retarget(plan, ctx, set(dead), attempt)
+    snapshot = RepairSnapshot(
+        payloads={node: dict(keys) for node, keys in sym.items()},
+        dead_nodes=frozenset(dead),
+        attempt=attempt,
+    )
+    try:
+        return scheme.replan(
+            replace(ctx, unavailable_blocks=unavailable, recovery_override=override),
+            snapshot,
         )
-
-        # Commit the completed ops — the same partial execution on
-        # compositions and on bytes — then drop the dead nodes' state.
-        execute_plan(plan, ctx.cluster, sym, tables=t, ops=finished)
-        if store is not None:
-            execute_plan(plan, ctx.cluster, store, tables=t, ops=finished)
-        for node in report.dead_nodes:
-            sym.pop(node, None)
-            if store is not None:
-                store.pop(node, None)
-        produced_earlier.update(
-            op.out_key for op in plan.combines() if op.op_id in finished
-        )
-
-        if attempt + 1 >= max_attempts:
-            break
-
-        # Re-plan against the surviving world.
-        unavailable = tuple(
-            sorted(
-                block
-                for block in range(code.width)
-                if block not in failed_set
-                and ctx.placement.node_of(block) in dead
-            )
-        )
-        override = _retarget(plan, ctx, set(dead), attempt + 1)
-        current_ctx = replace(
-            ctx, unavailable_blocks=unavailable, recovery_override=override
-        )
-        snapshot = RepairSnapshot(
-            payloads={node: dict(keys) for node, keys in sym.items()},
-            dead_nodes=frozenset(dead),
-            attempt=attempt + 1,
-        )
-        try:
-            plan = scheme.replan(current_ctx, snapshot)
-        except (InsufficientHelpersError, RepairPlanningError) as exc:
-            raise IrrecoverableError(
-                f"re-planning failed after node deaths {sorted(dead)}: {exc}",
-                failed_blocks=ctx.failed_blocks,
-                attempt=attempt + 1,
-            ) from exc
-
-    if not success:
+    except (InsufficientHelpersError, RepairPlanningError) as exc:
         raise IrrecoverableError(
-            f"repair of blocks {sorted(ctx.failed_blocks)} did not complete "
-            f"within {max_attempts} attempts (dead nodes: {sorted(dead)})",
+            f"re-planning failed after node deaths {sorted(dead)}: {exc}",
             failed_blocks=ctx.failed_blocks,
-            attempt=len(sims),
-        )
-
-    # Accounting over the failed prefix attempts + the successful final one.
-    final_plan = plans[-1]
-    consumed_keys = {key for key, _ in _consumed_at(final_plan)}
-    reused = tuple(sorted(consumed_keys & produced_earlier))
-    retried_bytes = sum(
-        s.faults.retried_bytes for s in sims if s.faults is not None
-    )
-    retry_count = sum(s.faults.retry_count for s in sims if s.faults is not None)
-    aborted_bytes = sum(
-        s.faults.aborted_bytes for s in sims if s.faults is not None
-    )
-    wasted = retried_bytes + aborted_bytes + orphaned_bytes
-    for idx in range(len(plans) - 1):
-        later_consumed: set[tuple[str, int]] = set()
-        for later in plans[idx + 1 :]:
-            later_consumed |= _consumed_at(later)
-        for op in plans[idx].sends():
-            if (
-                op.op_id in finished_per_attempt[idx]
-                and (op.key, op.dst) not in later_consumed
-            ):
-                wasted += plans[idx].block_size
-
-    execution = None
-    recovered = None
-    if store is not None:
-        execution = execute_plan(final_plan, ctx.cluster, store, tables=t)
-        recovered = execution.recovered
-
-    return DegradedRepairOutcome(
-        scheme=scheme.name,
-        total_repair_time=offset,
-        attempts=len(sims),
-        cross_rack_bytes=sum(s.cross_rack_bytes() for s in sims),
-        intra_rack_bytes=sum(s.intra_rack_bytes() for s in sims),
-        retry_count=retry_count,
-        retried_bytes=retried_bytes,
-        wasted_bytes=wasted,
-        reused_payloads=reused,
-        dead_nodes=dead,
-        sims=sims,
-        plans=plans,
-        cluster=ctx.cluster,
-        execution=execution,
-        recovered=recovered,
-    )
+            attempt=attempt,
+        ) from exc
 
 
 def simulate_fault_scenario(
@@ -651,7 +347,7 @@ def simulate_fault_scenario(
     seed: int = 0,
     stripe: Stripe | None = None,
     max_attempts: int = 3,
-) -> tuple[float, DegradedRepairOutcome]:
+) -> tuple[float, RepairOutcome]:
     """One repair under faults anchored to its own fault-free makespan.
 
     ``kill`` is ``(node, fraction)`` pairs: the node dies at that
@@ -663,8 +359,10 @@ def simulate_fault_scenario(
     can strike while the repair is in flight.
 
     Returns ``(fault-free makespan, degraded outcome)``; raises what
-    :func:`simulate_repair_with_faults` raises.
+    :func:`~repro.repair.simulate_repair` raises.
     """
+    from .simulate import simulate_repair  # it imports this module's re-planning
+
     horizon = simulate_repair(scheme, ctx, bandwidth).total_repair_time
     if kill or slow or loss_probability:
         faults = FaultPlan(
@@ -677,6 +375,6 @@ def simulate_fault_scenario(
         faults = random_fault_plan(
             ctx.cluster.node_ids(), seed=seed, deaths=deaths, death_window=(0.0, horizon)
         )
-    return horizon, simulate_repair_with_faults(
+    return horizon, simulate_repair(
         scheme, ctx, bandwidth, faults, stripe=stripe, max_attempts=max_attempts
     )

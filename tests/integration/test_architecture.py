@@ -26,6 +26,12 @@ Only it rotates a placement by stripe id and only it mutates a stripe's
 and benchmarks call its operations — and the ``system`` package, the
 third copy of that bookkeeping, stays deleted.
 
+§2: a simulated repair is one function.  Outside ``repro.sim`` only
+``simulate_repair`` builds a ``SimulationEngine`` for a repair, beside
+the planner's candidate race, the merged rebuild graph and the perf
+harness; the faulted repair used to run its own engine as a second
+fork of it.
+
 §4: front ends compute nothing.  ``repro.cli`` writes JSON in one place
 and reaches the simulator, the live runtime and the in-process store
 only through library functions; the kill-mid-trace replay is scripted
@@ -319,7 +325,7 @@ def test_the_catalog_guard_sees_what_it_guards():
 CLI = SRC / "cli"
 #: What a verb reaches through one library function, never directly.
 ENGINE_ROOM = {
-    "simulate_repair", "simulate_repair_with_faults", "SimulationEngine",
+    "simulate_repair", "SimulationEngine",
     "run_plan_live", "run_plan_live_sync", "replay_trace", "LocalService",
 }
 #: The in-process store scenario: scripted once, in ``repro.qos``.
@@ -458,3 +464,41 @@ def test_the_part_loop_guard_sees_what_it_guards():
         "    comps = executor.run_op(plan, op, comps)\n"
     )
     assert calls_to(old_loops, PART_STEPS) == [2, 3, 5]
+
+
+#: Modules outside ``repro.sim`` allowed to build a ``SimulationEngine``.
+ENGINE_BUILDERS = {
+    "repair/simulate.py",  # simulate_repair: every simulated repair, faulted or not
+    "repair/rpr/scheme.py",  # the planner's candidate race
+    "multistripe/scheduler.py",  # the merged rebuild graph
+    "perfharness.py",
+}
+
+
+def test_only_simulate_repair_builds_an_engine_for_a_repair():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel.startswith("sim/") or rel in ENGINE_BUILDERS:
+            continue
+        found += [
+            f"src/repro/{rel}:{line}"
+            for line in calls_to(ast.parse(path.read_text()), {"SimulationEngine"})
+        ]
+    assert not found, (
+        "SimulationEngine built outside simulate_repair — pass the fault plan to "
+        "simulate_repair instead of running a second engine loop:\n" + "\n".join(found)
+    )
+
+
+def test_the_engine_guard_sees_what_it_guards():
+    """Not vacuous: every allowed module does build an engine, and the
+    shapes the deleted faulted fork used are recognised."""
+    for rel in ENGINE_BUILDERS:
+        assert calls_to(ast.parse((SRC / rel).read_text()), {"SimulationEngine"}), rel
+    old_fork = ast.parse(
+        "def simulate_repair_with_faults(scheme, ctx, bandwidth, faults):\n"
+        "    engine = SimulationEngine(ctx.cluster, bandwidth)\n"
+        "    sim = sim.SimulationEngine(ctx.cluster, bandwidth).run(graph, faults)\n"
+    )
+    assert calls_to(old_fork, {"SimulationEngine"}) == [2, 3]

@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments import build_simics_environment, context_for, run_scheme
 from repro.metrics import UtilizationSummary, critical_path_breakdown
-from repro.repair import RPRScheme, simulate_repair, simulate_repair_with_faults
+from repro.repair import RPRScheme, simulate_repair
 from repro.sim import FaultPlan, NodeDeath
 
 from ..sim.test_tracing import view
@@ -23,7 +23,7 @@ def degraded():
     ctx = context_for(env, [2])
     horizon = simulate_repair(RPRScheme(), ctx, env.bandwidth).total_repair_time
     faults = FaultPlan(deaths=(NodeDeath(6, 0.5 * horizon),))
-    return simulate_repair_with_faults(RPRScheme(), ctx, env.bandwidth, faults)
+    return simulate_repair(RPRScheme(), ctx, env.bandwidth, faults)
 
 
 class TestMultiBlockRollups:

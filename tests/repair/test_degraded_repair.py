@@ -30,7 +30,6 @@ from repro.repair import (
     recovery_targets,
     simulate_fault_scenario,
     simulate_repair,
-    simulate_repair_with_faults,
 )
 from repro.sim import EventKind, FaultPlan, NodeDeath, TransferLoss
 
@@ -93,7 +92,7 @@ class TestHelperDeathMidRepair:
         ctx = make_context(6, 3, failed=[1])
         stripe = make_stripe(ctx)
         faults = helper_death(scheme, ctx)
-        outcome = simulate_repair_with_faults(
+        outcome = simulate_repair(
             scheme, ctx, SIMICS_BANDWIDTH, faults, stripe=stripe
         )
         assert outcome.degraded
@@ -113,7 +112,7 @@ class TestHelperDeathMidRepair:
         ctx = make_context(8, 4, failed=[1, 5])
         stripe = make_stripe(ctx)
         faults = helper_death(scheme, ctx)
-        outcome = simulate_repair_with_faults(
+        outcome = simulate_repair(
             scheme, ctx, SIMICS_BANDWIDTH, faults, stripe=stripe
         )
         assert outcome.degraded
@@ -123,7 +122,7 @@ class TestHelperDeathMidRepair:
         ctx = make_context(6, 3, failed=[1])
         stripe = make_stripe(ctx)
         faults = FaultPlan(loss_probability=0.4, seed=5)
-        outcome = simulate_repair_with_faults(
+        outcome = simulate_repair(
             RPRScheme(), ctx, SIMICS_BANDWIDTH, faults, stripe=stripe
         )
         # Losses are absorbed within the attempt (requeue, not re-plan).
@@ -145,7 +144,7 @@ class TestHelperDeathMidRepair:
             # completions fire before deaths at one instant, starts after
             deaths=(NodeDeath(first.src, clean.sim.timings[first.op_id].end),),
         )
-        outcome = simulate_repair_with_faults(scheme, ctx, SIMICS_BANDWIDTH, faults)
+        outcome = simulate_repair(scheme, ctx, SIMICS_BANDWIDTH, faults)
         attempt = outcome.sims[0]
         assert first.op_id in attempt.faults.failed
         assert first.op_id in attempt.timings  # the lost attempt ran
@@ -217,7 +216,7 @@ class TestHelperDeathMidRepair:
         scheme = RPRScheme()
         faults = helper_death(scheme, ctx)
         runs = [
-            simulate_repair_with_faults(scheme, ctx, SIMICS_BANDWIDTH, faults)
+            simulate_repair(scheme, ctx, SIMICS_BANDWIDTH, faults)
             for _ in range(2)
         ]
         assert repr(runs[0].total_repair_time) == repr(runs[1].total_repair_time)
@@ -238,7 +237,7 @@ class TestPinnedIntermediateReuse:
         faults = FaultPlan(
             deaths=(NodeDeath(node=12, time=0.7 * fault_free.total_repair_time),)
         )
-        outcome = simulate_repair_with_faults(
+        outcome = simulate_repair(
             RPRScheme(), ctx, SIMICS_BANDWIDTH, faults, stripe=stripe
         )
         return ctx, stripe, outcome
@@ -270,7 +269,7 @@ class TestIrrecoverable:
             deaths=tuple(NodeDeath(node=n, time=0.0) for n in doomed)
         )
         with pytest.raises(IrrecoverableError) as err:
-            simulate_repair_with_faults(scheme, ctx, SIMICS_BANDWIDTH, faults)
+            simulate_repair(scheme, ctx, SIMICS_BANDWIDTH, faults)
         assert err.value.failed_blocks == (1,)
         assert err.value.attempt >= 1
 
@@ -279,14 +278,14 @@ class TestIrrecoverable:
         scheme = RPRScheme()
         faults = helper_death(scheme, ctx)
         with pytest.raises(IrrecoverableError):
-            simulate_repair_with_faults(
+            simulate_repair(
                 scheme, ctx, SIMICS_BANDWIDTH, faults, max_attempts=1
             )
 
     def test_max_attempts_must_be_positive(self):
         ctx = make_context(6, 3, failed=[1])
         with pytest.raises(ValueError):
-            simulate_repair_with_faults(
+            simulate_repair(
                 RPRScheme(), ctx, SIMICS_BANDWIDTH, None, max_attempts=0
             )
 
@@ -297,7 +296,7 @@ class TestZeroFaultIdentity:
         ctx = make_context(6, 3, failed=[1])
         base = simulate_repair(scheme, ctx, SIMICS_BANDWIDTH)
         for faults in (None, FaultPlan()):
-            outcome = simulate_repair_with_faults(
+            outcome = simulate_repair(
                 scheme, ctx, SIMICS_BANDWIDTH, faults
             )
             assert not outcome.degraded
@@ -310,7 +309,7 @@ class TestZeroFaultIdentity:
         ctx = make_context(6, 3, failed=[1])
         base = simulate_repair(RPRScheme(), ctx, SIMICS_BANDWIDTH)
         faults = FaultPlan(deaths=(NodeDeath(node=0, time=1e9),))
-        outcome = simulate_repair_with_faults(
+        outcome = simulate_repair(
             RPRScheme(), ctx, SIMICS_BANDWIDTH, faults
         )
         assert not outcome.degraded
@@ -325,7 +324,7 @@ class TestOutcomeExport:
         stripe = make_stripe(ctx)
         scheme = RPRScheme()
         faults = helper_death(scheme, ctx)
-        outcome = simulate_repair_with_faults(
+        outcome = simulate_repair(
             scheme, ctx, SIMICS_BANDWIDTH, faults, stripe=stripe
         )
         data = json.loads(json.dumps(outcome.to_dict()))
@@ -339,10 +338,10 @@ class TestOutcomeExport:
         ctx = make_context(6, 3, failed=[1])
         scheme = RPRScheme()
         outcomes = [
-            simulate_repair_with_faults(
+            simulate_repair(
                 scheme, ctx, SIMICS_BANDWIDTH, helper_death(scheme, ctx)
             ),
-            simulate_repair_with_faults(scheme, ctx, SIMICS_BANDWIDTH, None),
+            simulate_repair(scheme, ctx, SIMICS_BANDWIDTH, None),
             None,  # an irrecoverable scenario
         ]
         rollup = FaultRollup.from_outcomes(outcomes)

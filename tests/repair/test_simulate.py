@@ -1,11 +1,20 @@
-"""Tests for the simulate_repair wrapper (plan → engine → outcome)."""
+"""Tests for simulate_repair (plan → engine → outcome, faults and all)."""
 
 import pytest
 
 from repro.cluster import SIMICS_BANDWIDTH, HierarchicalBandwidth
-from repro.repair import RPRScheme, TraditionalRepair, simulate_repair
+from repro.repair import (
+    SCHEMES,
+    RepairScheme,
+    RPRScheme,
+    TraditionalRepair,
+    recovery_targets,
+    simulate_repair,
+)
+from repro.rs import RSCode
+from repro.sim import FaultPlan, NodeDeath
 
-from .conftest import make_context
+from .conftest import make_context, make_stripe
 
 
 class TestRepairOutcome:
@@ -57,3 +66,92 @@ class TestRepairOutcome:
         b = simulate_repair(RPRScheme(), ctx, SIMICS_BANDWIDTH)
         assert a.plan is not b.plan
         assert a.total_repair_time == b.total_repair_time
+
+
+def paper_single_failures():
+    from repro.experiments import build_simics_environment, context_for
+    from repro.rs import PAPER_SINGLE_FAILURE_CODES
+
+    for n, k in PAPER_SINGLE_FAILURE_CODES:
+        env = build_simics_environment(n, k)
+        for block in range(n + k):
+            yield env, context_for(env, [block])
+
+
+class _Planned(RepairScheme):
+    """A scheme that hands back a plan made before the spy went in."""
+
+    name = "planned"
+
+    def __init__(self, plan):
+        self._plan = plan
+
+    def plan(self, ctx):
+        return self._plan
+
+
+class TestOneSimulatedRepair:
+    """A fault-free repair is one attempt of the faulted loop: no fault
+    plan, an empty one and the plain call are the same run."""
+
+    def test_no_fault_plan_and_an_empty_one_are_the_plain_run(self):
+        cases = 0
+        for env, ctx in paper_single_failures():
+            for name, factory in SCHEMES.items():
+                runs = [
+                    simulate_repair(factory(), ctx, env.bandwidth),
+                    simulate_repair(factory(), ctx, env.bandwidth, None),
+                    simulate_repair(factory(), ctx, env.bandwidth, FaultPlan()),
+                ]
+                base = runs[0]
+                assert base.attempts == 1
+                for run in runs[1:]:
+                    assert run.attempts == 1
+                    assert list(run.plan.ops) == list(base.plan.ops), (ctx, name)
+                    assert run.sim.events == base.sim.events
+                    assert repr(run.total_repair_time) == repr(base.total_repair_time)
+                    assert run.cross_rack_bytes == base.cross_rack_bytes
+                    assert run.intra_rack_bytes == base.intra_rack_bytes
+                    assert run.cross_rack_blocks == base.cross_rack_blocks
+                cases += 1
+        assert cases == 183
+
+    def test_a_fault_free_run_does_no_symbolic_bookkeeping(self, monkeypatch):
+        ctx = make_context(6, 3, failed=[1])
+        stripe = make_stripe(ctx)
+        plans = {name: factory().plan(ctx) for name, factory in SCHEMES.items()}
+        calls = []
+        real = RSCode.generator_row
+        monkeypatch.setattr(
+            RSCode, "generator_row", lambda code, block: calls.append(block) or real(code, block)
+        )
+        for plan in plans.values():
+            simulate_repair(_Planned(plan), ctx, SIMICS_BANDWIDTH)
+            simulate_repair(_Planned(plan), ctx, SIMICS_BANDWIDTH, FaultPlan(), stripe=stripe)
+        assert calls == []
+        # The spy does see the bookkeeping once a death aborts an attempt:
+        # a composition per surviving block, on top of the two plans.
+        fault_free = simulate_repair(_Planned(plans["rpr"]), ctx, SIMICS_BANDWIDTH)
+        victim = next(
+            op.src
+            for op in plans["rpr"].sends()
+            if op.src not in set(recovery_targets(ctx).values())
+        )
+        death = FaultPlan(deaths=(NodeDeath(victim, 0.01 * fault_free.total_repair_time),))
+        assert simulate_repair(RPRScheme(), ctx, SIMICS_BANDWIDTH, death).attempts == 2
+        assert len(calls) > ctx.code.width - 1
+
+    def test_a_fault_free_run_recovers_the_bytes(self):
+        ctx = make_context(6, 3, failed=[1])
+        stripe = make_stripe(ctx)
+        outcome = simulate_repair(RPRScheme(), ctx, SIMICS_BANDWIDTH, stripe=stripe)
+        assert outcome.attempts == 1 and not outcome.degraded
+        assert sorted(outcome.recovered) == [1]
+        assert (outcome.recovered[1] == stripe.get_payload(1)).all()
+
+    def test_a_fault_free_trace_is_not_tagged_with_attempts(self):
+        ctx = make_context(6, 2, failed=[1])
+        tel = simulate_repair(RPRScheme(), ctx, SIMICS_BANDWIDTH).telemetry()
+        assert tel.meta == {"source": "sim", "scheme": "rpr"}
+        assert tel.spans
+        assert not any("attempt" in span.attrs for span in tel.spans)

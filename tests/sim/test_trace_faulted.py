@@ -13,7 +13,7 @@ and retry boundaries cannot silently regress.
 import pytest
 
 from repro.experiments import build_simics_environment, context_for
-from repro.repair import RPRScheme, simulate_repair, simulate_repair_with_faults
+from repro.repair import RPRScheme, simulate_repair
 from repro.sim import FaultPlan, NodeDeath, telemetry_from_sim
 from repro.telemetry import RunTrace
 
@@ -27,7 +27,7 @@ def outcome():
     horizon = simulate_repair(RPRScheme(), ctx, env.bandwidth).total_repair_time
     assert repr(horizon) == "45.568"
     faults = FaultPlan(deaths=(NodeDeath(VICTIM, 0.5 * horizon),))
-    return simulate_repair_with_faults(RPRScheme(), ctx, env.bandwidth, faults)
+    return simulate_repair(RPRScheme(), ctx, env.bandwidth, faults)
 
 
 class TestPinnedDegradedOutcome:

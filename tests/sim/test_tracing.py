@@ -201,7 +201,7 @@ class TestExport:
         """The telemetry JSONL keeps enough to re-derive the report — for a
         fault-free run and for both attempts of a faulted one."""
         from repro.experiments import context_for
-        from repro.repair import simulate_repair, simulate_repair_with_faults
+        from repro.repair import simulate_repair
         from repro.sim import FaultPlan, NodeDeath
 
         env = build_simics_environment(6, 2)
@@ -218,7 +218,7 @@ class TestExport:
             FaultPlan(deaths=(NodeDeath(6, 0.5 * horizon),)),
             FaultPlan(loss_probability=0.5, seed=0),
         ):
-            degraded = simulate_repair_with_faults(RPRScheme(), ctx, env.bandwidth, faults)
+            degraded = simulate_repair(RPRScheme(), ctx, env.bandwidth, faults)
             for attempt, sim in enumerate(degraded.sims):
                 restored = from_jsonl(to_jsonl(telemetry_from_sim(sim, env.cluster)))
                 derived = RunTrace.from_telemetry(restored, env.cluster)
