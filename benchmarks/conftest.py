@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables/figures and prints
-the rows (the textual equivalent of the plotted bars) alongside the
-pytest-benchmark timing of the harness itself.  Sweep benchmarks run one
+Every benchmark runs one ablation or extension of the paper's evaluation
+and prints its rows alongside the pytest-benchmark timing of the harness
+itself.  Sweep benchmarks run one
 round — the interesting output is the experiment numbers, not the
 harness's wall-clock variance.
 """

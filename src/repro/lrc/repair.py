@@ -12,8 +12,8 @@ simulator, metrics and benchmarks apply unchanged:
   pipeline (Algorithm 2) toward the recovery node.
 
 In other words: LRC brings the smaller helper sets, RPR brings the
-scheduling — the bench ``bench_lrc_comparison.py`` quantifies the
-combination against RS(12,4)+RPR.
+scheduling — :func:`repro.experiments.lrc_rows` (``rpr extension lrc``)
+quantifies the combination against RS(12,4)+RPR.
 """
 
 from __future__ import annotations

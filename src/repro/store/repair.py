@@ -82,7 +82,7 @@ def plan_to_dict(plan: RepairPlan) -> dict:
 
     The coordinator plans a degraded read server-side (it owns topology
     and scheme) and ships the plan to the client, which executes it
-    locally on fetched helper blocks — see :mod:`repro.qos.degraded`.
+    locally on fetched helper blocks — ``StoreClient.get(degraded=True)``.
     """
     return {
         "block_size": plan.block_size,

@@ -24,6 +24,8 @@ from repro.repair import (
 )
 from repro.rs import SIMICS_DECODE
 
+from ..integration.test_experiments import rows
+
 
 @pytest.fixture(scope="module")
 def azure():
@@ -185,7 +187,9 @@ class TestLRCRepairScheme:
             np.testing.assert_array_equal(result.recovered[b], stripe.get_payload(b))
 
     def test_single_failure_cheaper_than_rs(self, azure):
-        """The LRC selling point: ~half the repair traffic of RS(12,4)."""
+        """The LRC selling point: ~half the repair traffic of RS(12,4), for
+        block 2 and on average over every data block (the
+        ``rpr extension lrc`` rows EXPERIMENTS.md prints)."""
         from repro.repair import RPRScheme
         from repro.rs import get_code
         from repro.cluster import RPRPlacement
@@ -206,6 +210,9 @@ class TestLRCRepairScheme:
         rs = simulate_repair(RPRScheme(), rs_ctx, SIMICS_BANDWIDTH)
         assert lrc.cross_rack_bytes < rs.cross_rack_bytes
         assert lrc.total_repair_time < rs.total_repair_time
+        lrc_mean, rs_mean = rows("lrc_rows")
+        assert lrc_mean["mean_cross_blocks"] < rs_mean["mean_cross_blocks"]
+        assert lrc_mean["mean_repair_s"] < rs_mean["mean_repair_s"]
 
     def test_requires_lrc_code(self):
         from repro.rs import get_code

@@ -6,6 +6,7 @@ from repro.cluster import Cluster, HierarchicalBandwidth
 from repro.experiments import build_simics_environment, run_scheme
 from repro.metrics import UtilizationSummary, critical_path_breakdown
 from repro.repair import RPRScheme, TraditionalRepair
+from repro.rs import PAPER_SINGLE_FAILURE_CODES
 from repro.sim import JobGraph, SimulationEngine
 from repro.telemetry import RunTrace
 
@@ -35,17 +36,21 @@ class TestUtilizationSummary:
         assert summary.peak_resource == ""
         assert summary.mean_rack_upload_idle == 0.0
 
-    def test_traditional_bottleneck_is_recovery_download(self):
+    @pytest.mark.parametrize("n,k", PAPER_SINGLE_FAILURE_CODES)
+    def test_traditional_bottleneck_is_recovery_download(self, n, k):
         """§2.3 measured: the busiest resource of a traditional repair is
         the recovery node's download port, at near-total utilization."""
-        env = build_simics_environment(12, 4)
+        env = build_simics_environment(n, k)
         out = run_scheme(env, TraditionalRepair(), [1])
         summary = UtilizationSummary.from_trace(out.trace())
         assert summary.peak_resource.endswith(":down")
         assert summary.peak_port_utilization > 0.9
 
-    def test_rpr_less_idle_than_traditional(self):
-        env = build_simics_environment(12, 4)
+    @pytest.mark.parametrize("n,k", PAPER_SINGLE_FAILURE_CODES)
+    def test_rpr_less_idle_than_traditional(self, n, k):
+        """Fig. 5's idle argument: RPR keeps racks uploading more of the
+        repair than traditional does."""
+        env = build_simics_environment(n, k)
         tra = UtilizationSummary.from_trace(
             view(run_scheme(env, TraditionalRepair(), [1]).sim, env.cluster)
         )
