@@ -39,10 +39,9 @@ async def cancel_and_wait(task: asyncio.Task, *, poke_interval: float = 0.25) ->
 
     A bare ``task.cancel(); await task`` can hang forever on a task that
     does network I/O: the one injected ``CancelledError`` can be absorbed
-    mid-RPC — a ``finally`` await raising its own error over it, or the
-    ``wait_for`` race where the inner future completes just as the cancel
-    arrives — after which the task goes back to its idle loop with nobody
-    left to cancel it again.  Re-issuing the cancel every
+    mid-RPC — a ``finally`` await (closing the connection) raising its
+    own error over it — after which the task goes back to its idle loop
+    with nobody left to cancel it again.  Re-issuing the cancel every
     ``poke_interval`` seconds until ``task.done()`` makes teardown
     converge no matter where the first cancel landed.
     """

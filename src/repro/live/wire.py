@@ -28,6 +28,9 @@ Failure semantics (the part a single process never exercises):
 * ``timeout`` bounds how long a read may sit without progress, so a
   live-but-silent peer (SIGSTOP, dropped ack, wedged event loop on the
   other side) surfaces as :class:`WireError` instead of a stuck task.
+  It is one ``asyncio.timeout`` deadline per frame, pushed ``timeout``
+  seconds out each time a read step completes — not a deadline (and a
+  task) per read step, which bytes already buffered would pay for too.
 * Adversarial headers — an oversized ``!I`` length, non-JSON bytes, a
   negative or absurd payload length — are rejected before any large
   allocation happens.
@@ -88,29 +91,6 @@ class WireClosed(WireError):
     a half-delivered answer."""
 
 
-async def _read_step(awaitable, timeout: float | None, what: str, *, closed=WireError):
-    """One bounded read: EOF and timeouts both surface as WireError.
-
-    ``closed`` is the error raised when the stream ends with no byte of
-    this step read — :class:`WireClosed` for a frame's first read.
-    """
-    try:
-        if timeout is None:
-            return await awaitable
-        return await asyncio.wait_for(awaitable, timeout)
-    except asyncio.TimeoutError:
-        raise WireError(f"frame read timed out after {timeout}s ({what})") from None
-    except asyncio.IncompleteReadError as exc:
-        raise (WireError if exc.partial else closed)(
-            f"peer closed mid-frame ({what}: got {len(exc.partial)} of "
-            f"{exc.expected} bytes)"
-        ) from exc
-    except WireError:
-        raise
-    except (ConnectionError, EOFError) as exc:
-        raise closed(f"connection lost mid-frame ({what}): {exc}") from exc
-
-
 async def send_frame(
     stream: Stream,
     header: dict,
@@ -121,6 +101,11 @@ async def send_frame(
     recorder=None,
 ) -> None:
     """Write one frame, pacing payload chunks through ``bucket``.
+
+    The payload goes to the transport as ``chunk_size`` slices of the
+    caller's buffer — no per-chunk copies; both transports accept views
+    directly.  A frame whose payload fits one chunk goes out in a single
+    write, header included.
 
     With a truthy ``recorder`` (a
     :class:`repro.telemetry.TelemetryRecorder`), every chunk write lands
@@ -141,26 +126,63 @@ async def send_frame(
     head = dict(header)
     head["nbytes"] = len(view)
     encoded = json.dumps(head, separators=(",", ":")).encode()
-    await stream.write(_HEADER_LEN.pack(len(encoded)) + encoded)
+    lead = _HEADER_LEN.pack(len(encoded)) + encoded
+    if len(view) > chunk_size or not view:
+        await stream.write(lead)
+        lead = b""
     rec = recorder if recorder else None
-    # Chunks go to the transport as slices of the caller's buffer — no
-    # per-chunk bytes() copies; both transports accept views directly.
     for offset in range(0, len(view), chunk_size):
         chunk = view[offset : offset + chunk_size]
+        size = len(chunk)
         if bucket is not None:
-            await bucket.acquire(len(chunk))
+            await bucket.acquire(size)
         try:
+            # A one-chunk frame copies its chunk behind the header: one
+            # write instead of two.
+            data = lead + chunk if lead else chunk
             if rec is not None:
                 t0 = rec.now()
-                await stream.write(chunk)
+                await stream.write(data)
                 rec.observe("chunk.write_s", rec.now() - t0)
                 rec.count("chunks.sent")
             else:
-                await stream.write(chunk)
+                await stream.write(data)
         except BaseException:
             if bucket is not None:
-                bucket.refund(len(chunk))
+                bucket.refund(size)
             raise
+
+
+def _parse_header(raw: bytes, max_payload: int) -> tuple[dict, int]:
+    """The header dict and its payload length, or :class:`WireError`."""
+    try:
+        header = json.loads(raw)
+        nbytes = int(header["nbytes"])
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise WireError(f"malformed frame: {exc}") from exc
+    if nbytes < 0:
+        raise WireError(f"malformed frame: negative payload length {nbytes}")
+    if nbytes > max_payload:
+        raise WireError(
+            f"payload length {nbytes} exceeds the {max_payload}-byte cap"
+        )
+    return header, nbytes
+
+
+def _read_failed(
+    exc: Exception, timeout: float | None, what: str, closed: type[WireError]
+) -> WireError:
+    """The :class:`WireError` a read step that ended without its bytes
+    surfaces as.  ``closed`` is raised when the stream ended with no byte
+    of the step read — :class:`WireClosed` for a frame's first read."""
+    if isinstance(exc, TimeoutError):
+        return WireError(f"frame read timed out after {timeout}s ({what})")
+    if isinstance(exc, asyncio.IncompleteReadError):
+        return (WireError if exc.partial else closed)(
+            f"peer closed mid-frame ({what}: got {len(exc.partial)} of "
+            f"{exc.expected} bytes)"
+        )
+    return closed(f"connection lost mid-frame ({what}): {exc}")
 
 
 async def read_frame(
@@ -178,11 +200,15 @@ async def read_frame(
     join, no final copy.  The bytearray is handed to the caller, who
     typically wraps it zero-copy (``np.frombuffer``) for storage.
 
-    ``timeout`` bounds each individual read (a *progress* timeout, not a
-    whole-frame budget, so a long payload at a shaped rate is fine as
-    long as bytes keep arriving).  Truncation at any boundary, a stalled
-    peer, or a malformed header all raise :class:`WireError`; a stream
-    that ends before the frame's first byte raises its subclass
+    ``timeout`` is a *progress* timeout, not a whole-frame budget: one
+    deadline covers the frame and is pushed ``timeout`` seconds out each
+    time a read step (length prefix, header, payload chunk) completes,
+    so a long payload at a shaped rate is fine as long as bytes keep
+    arriving.  One deadline per frame, not one per step: a step whose
+    bytes are already buffered costs no task, timer or loop iteration.
+    Truncation at any boundary, a stalled peer, or a malformed header
+    all raise :class:`WireError`, naming the step; a stream that ends
+    before the frame's first byte raises its subclass
     :class:`WireClosed`.
 
     ``park=True`` is for a connection that carries many frames and may
@@ -190,46 +216,48 @@ async def read_frame(
     unbounded (idle is not a stall), and ``timeout`` applies from the
     second byte on.
     """
-    if park:
-        raw_len = await _read_step(
-            stream.read_exactly(1), None, "frame start", closed=WireClosed
-        )
-        raw_len += await _read_step(
-            stream.read_exactly(_HEADER_LEN.size - 1), timeout, "header length"
-        )
-    else:
-        raw_len = await _read_step(
-            stream.read_exactly(_HEADER_LEN.size), timeout, "header length",
-            closed=WireClosed,
-        )
+    loop = asyncio.get_running_loop()
+    what, closed = ("frame start" if park else "header length"), WireClosed
+    offset = nbytes = 0
     try:
-        (hlen,) = _HEADER_LEN.unpack(raw_len)
-    except struct.error as exc:  # pragma: no cover - read_exactly guarantees 4
-        raise WireError(f"malformed frame: {exc}") from exc
-    if hlen > MAX_HEADER_BYTES:
-        raise WireError(
-            f"header length {hlen} exceeds the {MAX_HEADER_BYTES}-byte cap"
-        )
-    raw_header = await _read_step(stream.read_exactly(hlen), timeout, "header")
-    try:
-        header = json.loads(raw_header)
-        nbytes = int(header["nbytes"])
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise WireError(f"malformed frame: {exc}") from exc
-    if nbytes < 0:
-        raise WireError(f"malformed frame: negative payload length {nbytes}")
-    if nbytes > max_payload:
-        raise WireError(
-            f"payload length {nbytes} exceeds the {max_payload}-byte cap"
-        )
-    payload = bytearray(nbytes)
-    with memoryview(payload) as view:
-        for offset in range(0, nbytes, chunk_size):
-            await _read_step(
-                stream.read_exactly_into(view[offset : offset + chunk_size]),
-                timeout,
-                f"payload byte {offset} of {nbytes}",
-            )
+        async with asyncio.timeout(None) as deadline:
+
+            def progress() -> None:
+                # A step completed (or the frame began): the next step
+                # gets the whole ``timeout``.
+                if timeout is not None:
+                    deadline.reschedule(loop.time() + timeout)
+
+            if park:
+                raw_len = await stream.read_exactly(1)
+                what, closed = "header length", WireError
+                progress()
+                raw_len += await stream.read_exactly(_HEADER_LEN.size - 1)
+            else:
+                progress()
+                raw_len = await stream.read_exactly(_HEADER_LEN.size)
+                closed = WireError
+            (hlen,) = _HEADER_LEN.unpack(raw_len)
+            if hlen > MAX_HEADER_BYTES:
+                raise WireError(
+                    f"header length {hlen} exceeds the {MAX_HEADER_BYTES}-byte cap"
+                )
+            what = "header"
+            progress()
+            header, nbytes = _parse_header(await stream.read_exactly(hlen), max_payload)
+            what = "payload"
+            progress()
+            payload = bytearray(nbytes)
+            with memoryview(payload) as view:
+                for offset in range(0, nbytes, chunk_size):
+                    await stream.read_exactly_into(view[offset : offset + chunk_size])
+                    progress()
+    except WireError:
+        raise
+    except (TimeoutError, ConnectionError, EOFError) as exc:
+        if what == "payload":
+            what = f"payload byte {offset} of {nbytes}"
+        raise _read_failed(exc, timeout, what, closed) from exc
     return header, payload
 
 
@@ -240,6 +268,10 @@ async def read_ack(stream: Stream, *, timeout: float | None = None) -> None:
     stray byte that is not :data:`ACK` — raises :class:`WireError`; the
     sender can always distinguish "delivered" from "unknown".
     """
-    byte = await _read_step(stream.read_exactly(1), timeout, "ack")
+    try:
+        async with asyncio.timeout(timeout):
+            byte = await stream.read_exactly(1)
+    except (TimeoutError, ConnectionError, EOFError) as exc:
+        raise _read_failed(exc, timeout, "ack", WireError) from exc
     if byte != ACK:
         raise WireError(f"bad ack {byte!r} (expected {ACK!r})")

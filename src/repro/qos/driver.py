@@ -198,8 +198,9 @@ async def _phase_tracker(client, t0, poll, window, stop):
             elif window[0] is not None and window[1] is None:
                 window[1] = now
         try:
-            await asyncio.wait_for(stop.wait(), timeout=poll)
-        except asyncio.TimeoutError:
+            async with asyncio.timeout(poll):
+                await stop.wait()
+        except TimeoutError:
             pass
 
 

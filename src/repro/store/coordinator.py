@@ -144,8 +144,9 @@ class Coordinator:
 
     async def aclose(self) -> None:
         if self._sweep_task is not None:
-            # cancel_and_wait, not cancel+await: repair RPCs can absorb a
-            # single cancel and leave teardown parked forever.
+            # cancel_and_wait, not cancel+await: a cancel that lands in
+            # a repair RPC's cleanup (the connection's close) can be
+            # absorbed there and leave teardown parked forever.
             await cancel_and_wait(self._sweep_task)
             self._sweep_task = None
         pending = {t for t in self._repair_tasks if not t.done()}

@@ -137,9 +137,9 @@ class StorageDaemon:
 
     async def aclose(self) -> None:
         if self._hb_task is not None:
-            # cancel_and_wait, not cancel+await: a cancel absorbed inside
-            # the beat RPC would leave the task looping and this await
-            # parked forever.
+            # cancel_and_wait, not cancel+await: a cancel absorbed by the
+            # beat RPC's cleanup (the connection's close) would leave the
+            # task looping and this await parked forever.
             await cancel_and_wait(self._hb_task)
             self._hb_task = None
         # Inbound connections die with the daemon — their peers see the

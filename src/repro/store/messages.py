@@ -42,9 +42,10 @@ after another, never two at once.
 * **Server side** — :class:`RpcServer` serves each accepted connection
   in a loop (read request, dispatch, respond, next) until EOF or a
   malformed frame.  Waiting for the *next* request is unbounded; once a
-  frame has begun the per-read progress timeout applies.  On shutdown
-  parked connections are closed at once and only requests in mid-flight
-  get a grace period.
+  frame has begun the progress timeout applies (one deadline per frame,
+  pushed out as its bytes arrive; :func:`~repro.live.wire.read_frame`).
+  On shutdown parked connections are closed at once and only requests
+  in mid-flight get a grace period.
 
 All three components — coordinator, daemons, clients — speak only this
 shape.
@@ -75,7 +76,8 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 
-#: Default per-read progress timeout for service frames (seconds).
+#: Default progress timeout for service frames (seconds): how long a
+#: frame that has begun may go without a read step completing.
 DEFAULT_RPC_TIMEOUT = 30.0
 
 #: How long a closing server lets requests in mid-flight finish (the
@@ -121,10 +123,15 @@ TraceContext` when the request frame carried one (header ``"tc"``), so
 
 
 def _pack(body: dict | None, blob) -> tuple[int, bytes]:
+    """``(body length, frame payload)``: the JSON body, then the blob.
+
+    The payload is built with one copy of the blob; ``send_frame`` then
+    streams it as views.
+    """
     encoded = b"" if body is None else json.dumps(body, separators=(",", ":")).encode()
     if blob is None or len(blob) == 0:
         return len(encoded), encoded
-    return len(encoded), encoded + bytes(blob)
+    return len(encoded), b"".join((encoded, blob))
 
 
 def _split(header: dict, payload: bytearray) -> tuple[dict, memoryview]:

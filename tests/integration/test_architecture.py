@@ -37,6 +37,11 @@ and reaches the simulator, the live runtime and the in-process store
 only through library functions; the kill-mid-trace replay is scripted
 once (``repro.qos``), and the name → scheme table exists once
 (``repro.repair.SCHEMES``).
+
+§2.2: one deadline idiom.  No module under ``src/repro`` calls
+``asyncio.wait_for``, which spawns a task per call; a bounded wait is an
+``asyncio.timeout`` block, and a frame read is one deadline pushed out
+on progress (``repro.live.wire``), not one ``wait_for`` per read step.
 """
 
 import ast
@@ -502,3 +507,63 @@ def test_the_engine_guard_sees_what_it_guards():
         "    sim = sim.SimulationEngine(ctx.cluster, bandwidth).run(graph, faults)\n"
     )
     assert calls_to(old_fork, {"SimulationEngine"}) == [2, 3]
+
+
+def asyncio_wait_for_calls(tree: ast.AST) -> list[int]:
+    """Lines calling ``asyncio.wait_for`` — through the module, or bare
+    after ``from asyncio import wait_for``.  (``Condition.wait_for`` is
+    another function and is not flagged.)"""
+    imported = any(
+        isinstance(node, ast.ImportFrom)
+        and node.module == "asyncio"
+        and any(alias.name == "wait_for" for alias in node.names)
+        for node in ast.walk(tree)
+    )
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "wait_for"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "asyncio"
+            or imported
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "wait_for"
+        )
+    )
+
+
+def test_no_module_calls_asyncio_wait_for():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        found += [
+            f"src/repro/{rel}:{line}"
+            for line in asyncio_wait_for_calls(ast.parse(path.read_text()))
+        ]
+    assert not found, (
+        "asyncio.wait_for under src/repro — it spawns a task per call; bound the "
+        "wait with `async with asyncio.timeout(...)` (a frame read: one deadline, "
+        "rescheduled on progress):\n" + "\n".join(found)
+    )
+
+
+def test_the_deadline_guard_sees_what_it_guards():
+    """Not vacuous: the wire and the QoS driver bound their waits with
+    ``asyncio.timeout``, and the shapes the per-step read and the old
+    poll used are recognised."""
+    for rel in ("live/wire.py", "qos/driver.py"):
+        assert calls_to(ast.parse((SRC / rel).read_text()), {"timeout"}), rel
+    old_waits = ast.parse(
+        "async def _read_step(awaitable, timeout):\n"
+        "    return await asyncio.wait_for(awaitable, timeout)\n"
+        "async def poll(stop, cond):\n"
+        "    await asyncio.wait_for(stop.wait(), timeout=0.25)\n"
+        "    await cond.wait_for(lambda: stop.is_set())\n"
+        "    from asyncio import wait_for\n"
+        "    await wait_for(stop.wait(), 1.0)\n"
+    )
+    assert asyncio_wait_for_calls(old_waits) == [2, 4, 7]
+    assert asyncio_wait_for_calls(ast.parse("await cond.wait_for(ready)\n")) == []

@@ -195,6 +195,7 @@ class TestChargeRefund:
         # 3rd chunk's charge was rolled back when its write raised.
         t_fail = loop.now
         assert t_fail == pytest.approx(3.0)  # 3 pacing stalls elapsed
+        assert bucket.sent[""] == 2 * self.CHUNK  # the 3rd chunk's charge is back
         # The runtime starts every transfer with reset(): idle credit is
         # dropped, debt is kept.  With the refund there is no debt, so
         # the next transfer pays exactly full fare; before the fix the
@@ -202,6 +203,27 @@ class TestChargeRefund:
         bucket.reset()
         drain(bucket, [self.CHUNK])
         assert loop.now - t_fail == pytest.approx(1.0)
+
+    def test_failed_one_write_frame_refunds_its_charge(self):
+        """A frame whose payload fits one chunk goes out header and all
+        in one write; when that write fails, its charge is rolled back
+        just the same."""
+        from repro.live import send_frame
+
+        loop = FakeLoop()
+        bucket = TokenBucket(float(self.CHUNK), clock=loop.clock, sleep=loop.sleep)
+        stream = _ExplodingStream(ok_writes=0)
+
+        async def _run():
+            with pytest.raises(ConnectionResetError):
+                await send_frame(
+                    stream, {"op": "s0"}, b"x" * self.CHUNK, bucket=bucket,
+                    chunk_size=self.CHUNK,
+                )
+
+        asyncio.run(_run())
+        assert stream.writes == 1
+        assert bucket.sent[""] == 0  # nothing reached the wire, nothing is owed
 
     def test_refund_never_mints_extra_burst(self):
         loop = FakeLoop()

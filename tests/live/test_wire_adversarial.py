@@ -10,6 +10,7 @@ bytes handed to the caller.
 import asyncio
 import json
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,102 @@ class TestTruncation:
     def test_timeout_covers_the_header_too(self):
         with pytest.raises(WireError, match="timed out"):
             feed_and_read(b"", close=False, timeout=0.05)
+
+
+class TestProgressTimeout:
+    """``timeout`` is one deadline per frame, pushed out each time a read
+    step completes: progress keeps a frame alive, a stall ends it, and a
+    cancel is never absorbed."""
+
+    def test_trickling_payload_reads_whole(self):
+        """Gaps of 0.6x the timeout, 3x the timeout in all: no step
+        stalls, so the frame arrives whole."""
+        payload = bytes(range(256)) * 5
+        frame = make_frame({"op": "s0"}, payload)
+        head = len(frame) - len(payload)
+        timeout, gap, pieces = 0.4, 0.24, 5
+
+        async def _run():
+            a, b = MemoryStream.pair()
+            reading = asyncio.ensure_future(read_frame(b, chunk_size=256, timeout=timeout))
+            await a.write(frame[:head])
+            for i in range(pieces):
+                await asyncio.sleep(gap)
+                await a.write(payload[i * 256 : (i + 1) * 256])
+            return await reading
+
+        started = time.monotonic()
+        header, got = asyncio.run(_run())
+        assert time.monotonic() - started > 2 * timeout
+        assert header["op"] == "s0" and bytes(got) == payload
+
+    def test_stall_after_the_header_names_the_payload_byte(self):
+        frame = make_frame({"op": "s0"}, b"x" * 64)
+        head = len(frame) - 64
+
+        async def _run():
+            a, b = MemoryStream.pair()
+            await a.write(frame[: head + 40])  # two 16-byte chunks and a bit
+            await read_frame(b, chunk_size=16, timeout=0.05)
+
+        with pytest.raises(WireError, match=r"timed out after 0\.05s \(payload byte 32 of 64\)"):
+            asyncio.run(_run())
+
+    @pytest.mark.parametrize("with_bytes", [False, True])
+    def test_one_cancel_ends_a_read_blocked_mid_payload(self, with_bytes):
+        """The first cancel ends the read — also when the missing bytes
+        land in the same loop iteration as the cancel (the race in which
+        a per-step ``wait_for`` could hand back the result instead)."""
+        frame = make_frame({"op": "s0"}, b"x" * 64)
+
+        async def _run():
+            a, b = MemoryStream.pair()
+            reading = asyncio.ensure_future(read_frame(b, chunk_size=16, timeout=5.0))
+            await a.write(frame[:-10])
+            await asyncio.sleep(0.01)  # blocked mid-payload
+            if with_bytes:
+                await a.write(frame[-10:])
+            reading.cancel()
+            await asyncio.wait({reading}, timeout=1.0)
+            return reading
+
+        reading = asyncio.run(_run())
+        assert reading.done() and reading.cancelled()
+
+
+class TestOneDeadlinePerFrame:
+    """The property the deadline exists for: reading bytes that are
+    already buffered spawns no task (a ``wait_for`` per read step would
+    spawn one per step, 66 for this frame)."""
+
+    @staticmethod
+    async def _tasks_spawned(read) -> int:
+        loop = asyncio.get_running_loop()
+        spawned = []
+
+        def counting_factory(loop, coro, **kwargs):
+            spawned.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        loop.set_task_factory(counting_factory)
+        try:
+            await read
+        finally:
+            loop.set_task_factory(None)
+        return len(spawned)
+
+    def test_buffered_megabyte_frame_spawns_no_task(self):
+        payload = bytes(range(256)) * 4096  # 1 MiB: 64 default chunks
+
+        async def _run():
+            a, b = MemoryStream.pair(high_water=4 << 20)
+            await send_frame(a, {"op": "s0"}, payload)
+            await a.write(ACK)
+            frame_tasks = await self._tasks_spawned(read_frame(b, timeout=5.0))
+            ack_tasks = await self._tasks_spawned(read_ack(b, timeout=5.0))
+            return frame_tasks, ack_tasks
+
+        assert asyncio.run(_run()) == (0, 0)
 
 
 class TestFrameBoundary:

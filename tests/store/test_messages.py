@@ -6,9 +6,10 @@ import time
 import warnings
 import weakref
 
+import numpy as np
 import pytest
 
-from repro.live.transport import MemoryStream, connect_tcp
+from repro.live.transport import MemoryStream, Stream, connect_tcp
 from repro.live.wire import WireClosed, WireError, read_frame, send_frame
 from repro.store import messages
 from repro.store.messages import (
@@ -27,6 +28,7 @@ from repro.store.messages import (
     send_response,
     serve_connection,
 )
+from repro.telemetry.distributed import TraceContext
 
 
 class TestPackSplit:
@@ -35,6 +37,20 @@ class TestPackSplit:
         body, blob = _split({"blen": blen}, bytearray(payload))
         assert body == {"a": 1}
         assert bytes(blob) == b"\x00\x01\x02"
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"\x00\x01\x02",
+            bytearray(b"\x00\x01\x02"),
+            memoryview(b"--\x00\x01\x02--")[2:5],
+            np.array([[0, 1, 2]], dtype=np.uint8),
+        ],
+        ids=["bytes", "bytearray", "view", "ndarray"],
+    )
+    def test_any_buffer_blob_packs_byte_exact(self, blob):
+        blen, payload = _pack({"a": 1}, blob)
+        assert bytes(payload) == b'{"a":1}\x00\x01\x02' and blen == 7
 
     def test_empty_body_and_blob(self):
         blen, payload = _pack(None, None)
@@ -55,6 +71,72 @@ class TestPackSplit:
     def test_garbage_body_is_protocol_error(self):
         with pytest.raises(StoreProtocolError, match="not valid JSON"):
             _split({"blen": 4}, bytearray(b"[1ableftover"))
+
+
+class Tape(Stream):
+    """A write-only stream that keeps every write, as it was handed over."""
+
+    def __init__(self) -> None:
+        self.writes: list[bytes] = []
+
+    async def write(self, data) -> None:
+        self.writes.append(bytes(data))
+
+
+class TestGoldenBytes:
+    """The exact bytes the request and response senders put on the wire,
+    captured before the send path stopped copying blobs: the frame
+    format is frozen byte for byte (header key order included)."""
+
+    BLOB = bytes(range(256)) * 160 + b"tail"  # 40 964 bytes: three 16 KiB chunks
+    BODY = {"key": "b:7:2", "crc": 305419896, "nested": {"x": [1, 2.5, None, True]}, "s": "é"}
+    CTX = TraceContext(
+        trace_id="0123456789abcdef", span_id="fedcba9876543210", parent_id="00000000000000aa"
+    )
+    BODY_BYTES = (
+        b'{"key":"b:7:2","crc":305419896,"nested":{"x":[1,2.5,null,true]},"s":"\\u00e9"}'
+    )
+    TC = b'"tc":{"t":"0123456789abcdef","s":"fedcba9876543210","p":"00000000000000aa"}'
+
+    @staticmethod
+    def _tape(send) -> Tape:
+        tape = Tape()
+        asyncio.run(send(tape))
+        return tape
+
+    def test_request_with_trace_context_and_blob(self):
+        tape = self._tape(
+            lambda t: send_request(t, "block.put", self.BODY, self.BLOB, ctx=self.CTX)
+        )
+        assert b"".join(tape.writes) == (
+            b'\x00\x00\x00|{"t":"block.put","v":1,"blen":77,' + self.TC
+            + b',"nbytes":41041}' + self.BODY_BYTES + self.BLOB
+        )
+
+    def test_response_with_blob(self):
+        tape = self._tape(lambda t: send_response(t, self.BODY, memoryview(self.BLOB)))
+        assert b"".join(tape.writes) == (
+            b'\x00\x00\x005{"t":"resp","v":1,"ok":true,"blen":77,"nbytes":41041}'
+            + self.BODY_BYTES + self.BLOB
+        )
+
+    def test_one_chunk_request_goes_out_in_one_write(self):
+        tape = self._tape(
+            lambda t: send_request(t, "block.put", self.BODY, self.BLOB[:100], ctx=self.CTX)
+        )
+        assert tape.writes == [
+            b'\x00\x00\x00z{"t":"block.put","v":1,"blen":77,' + self.TC
+            + b',"nbytes":177}' + self.BODY_BYTES + self.BLOB[:100]
+        ]
+
+    def test_bare_request_and_error_response(self):
+        assert self._tape(lambda t: send_request(t, "ping")).writes == [
+            b'\x00\x00\x00&{"t":"ping","v":1,"blen":0,"nbytes":0}'
+        ]
+        assert self._tape(lambda t: response_error(t, "no such block")).writes == [
+            b'\x00\x00\x00I{"t":"resp","v":1,"ok":false,"blen":0,'
+            b'"error":"no such block","nbytes":0}'
+        ]
 
 
 class TestRequestRoundTrip:
