@@ -223,11 +223,11 @@ async def _stream_channel(transport, shaper: LinkShaper, src: int, dst: int, *,
             await stream.aclose()
 
 
-async def _receive(executor: NodeExecutor, stream: Stream, chunk_size: int) -> None:
+async def _receive(executor: NodeExecutor, stream: Stream) -> None:
     """Serve one inbound connection: deliver and ack each frame until the sender hangs up."""
     try:
         while True:
-            header, payload = await read_frame(stream, chunk_size=chunk_size)
+            header, payload = await read_frame(stream)
             # read_frame assembled the payload into one preallocated
             # bytearray; wrap it in place rather than copying to bytes.
             # Stored blocks are read-only by contract (combines write to
@@ -307,7 +307,7 @@ async def run_plan_live(
     }
     await live_transport.start(
         cluster.node_ids(),
-        lambda node, stream: _receive(executors[node], stream, chunk_size),
+        lambda node, stream: _receive(executors[node], stream),
     )
     try:
         t0 = time.monotonic()

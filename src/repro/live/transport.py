@@ -12,8 +12,9 @@ Two interchangeable transports carry the wire protocol:
   blocks once the buffered bytes exceed the high-water mark, exactly
   like a full TCP window.
 
-Both hand out :class:`Stream` objects (``read_exactly`` / ``write`` /
-``aclose``) so the runtime and wire layers never branch on the mode.
+Both hand out :class:`Stream` objects (``read_exactly`` / ``read_into``
+/ ``write`` / ``aclose``) so the runtime and wire layers never branch on
+the mode.
 """
 
 from __future__ import annotations
@@ -91,24 +92,26 @@ class Stream:
     """Minimal duplex byte-stream interface shared by both transports.
 
     ``write`` accepts any bytes-like object — the wire layer passes
-    ``memoryview`` slices of the sender's payload arena straight
-    through, so chunking a frame never copies on the send side.
-    ``read_exactly_into`` is the receive-side counterpart: it fills a
-    caller-provided view (a slice of one preallocated frame buffer), so
-    transports that can copy straight from their internal buffer skip
-    the intermediate ``bytes`` object ``read_exactly`` must build.
+    ``memoryview`` views of the sender's payload straight through, so a
+    frame is never copied on the send side.  ``read_exactly`` reads the
+    small fixed-size parts of a frame (length prefix, header);
+    ``read_into`` is the payload's receive side: it copies *whatever has
+    arrived* — at least one byte, at most ``len(view)`` — into a
+    caller-provided view of one preallocated frame buffer, so a payload
+    read takes as many steps as the transport delivered pieces, not one
+    per fixed-size chunk.
     """
 
     async def read_exactly(self, n: int) -> bytes:
         raise NotImplementedError
 
-    async def read_exactly_into(self, view: memoryview) -> None:
-        """Fill ``view`` completely from the stream.
+    async def read_into(self, view: memoryview) -> int:
+        """Copy the bytes that have arrived into ``view``; returns the count.
 
-        Default falls back to :meth:`read_exactly` plus one copy;
-        transports override it when they can do better.
+        Waits for at least one byte and fills at most ``len(view)``.  The
+        stream ending first raises :class:`asyncio.IncompleteReadError`.
         """
-        view[:] = await self.read_exactly(len(view))
+        raise NotImplementedError
 
     async def write(self, data: "bytes | bytearray | memoryview") -> None:
         """Write ``data`` honouring the transport's backpressure."""
@@ -150,18 +153,19 @@ class _MemoryDuct:
             self._cond.notify_all()
             return out
 
-    async def read_into(self, view: memoryview) -> None:
-        """Copy straight from the duct buffer into ``view`` (one copy)."""
-        n = len(view)
+    async def read_into(self, view: memoryview) -> int:
+        """Copy what is buffered, up to ``len(view)``, straight into ``view``."""
         async with self._cond:
-            while len(self._buffer) < n:
+            while not self._buffer:
                 if self._eof:
-                    raise asyncio.IncompleteReadError(bytes(self._buffer), n)
+                    raise asyncio.IncompleteReadError(b"", len(view))
                 await self._cond.wait()
+            n = min(len(view), len(self._buffer))
             with memoryview(self._buffer) as buffered:
-                view[:] = buffered[:n]
+                view[:n] = buffered[:n]
             del self._buffer[:n]
             self._cond.notify_all()
+            return n
 
     async def close(self) -> None:
         async with self._cond:
@@ -186,8 +190,8 @@ class MemoryStream(Stream):
     async def read_exactly(self, n: int) -> bytes:
         return await self._read.read_exactly(n)
 
-    async def read_exactly_into(self, view: memoryview) -> None:
-        await self._read.read_into(view)
+    async def read_into(self, view: memoryview) -> int:
+        return await self._read.read_into(view)
 
     async def write(self, data: "bytes | bytearray | memoryview") -> None:
         await self._write.feed(data)
@@ -206,6 +210,14 @@ class TcpStream(Stream):
 
     async def read_exactly(self, n: int) -> bytes:
         return await self._reader.readexactly(n)
+
+    async def read_into(self, view: memoryview) -> int:
+        data = await self._reader.read(len(view))
+        if not data:
+            raise asyncio.IncompleteReadError(b"", len(view))
+        n = len(data)
+        view[:n] = data
+        return n
 
     async def write(self, data: "bytes | bytearray | memoryview") -> None:
         # StreamWriter.write copies bytes-like data into the transport

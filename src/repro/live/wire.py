@@ -7,17 +7,19 @@ frame on each (:mod:`repro.store.messages`), which is what
 
 ```
 +----------+----------------+--------------------------+
-| !I hlen  | hlen JSON hdr  | payload bytes (chunked)  |
+| !I hlen  | hlen JSON hdr  | payload bytes            |
 +----------+----------------+--------------------------+
 ```
 
-The header names the op and the payload key; the payload streams in
-``chunk_size`` pieces, each charged against the link's
-:class:`~repro.live.shaper.TokenBucket` *before* it is written, so the
-shaped rate bounds the wire rate and backpressure from a slow receiver
-propagates to the sender naturally.  The receiver stores the payload and
-answers a single :data:`ACK` byte; the sender treats the ack as transfer
-completion (the moment the simulator calls ``TRANSFER_END``).
+The header names the op and the payload key.  On a shaped link the
+payload streams in ``chunk_size`` pieces, each charged against the
+link's :class:`~repro.live.shaper.TokenBucket` *before* it is written,
+so the shaped rate bounds the wire rate and backpressure from a slow
+receiver propagates to the sender naturally; an unpaced payload is one
+write.  The receiver reads whatever has arrived straight into the frame
+buffer, stores the payload and answers a single :data:`ACK` byte; the
+sender treats the ack as transfer completion (the moment the simulator
+calls ``TRANSFER_END``).
 
 Failure semantics (the part a single process never exercises):
 
@@ -28,9 +30,9 @@ Failure semantics (the part a single process never exercises):
 * ``timeout`` bounds how long a read may sit without progress, so a
   live-but-silent peer (SIGSTOP, dropped ack, wedged event loop on the
   other side) surfaces as :class:`WireError` instead of a stuck task.
-  It is one ``asyncio.timeout`` deadline per frame, pushed ``timeout``
-  seconds out each time a read step completes — not a deadline (and a
-  task) per read step, which bytes already buffered would pay for too.
+  It is one timer per frame, which read steps only stamp — not a
+  deadline (and a task, or a timer) per read step, which bytes already
+  buffered would pay for too.
 * Adversarial headers — an oversized ``!I`` length, non-JSON bytes, a
   negative or absurd payload length — are rejected before any large
   allocation happens.
@@ -65,9 +67,11 @@ _HEADER_LEN = struct.Struct("!I")
 #: Single ack byte the receiver returns once the payload is stored.
 ACK = b"\x06"
 
-#: Default streaming chunk; small enough that shaping is smooth at the
-#: validation harness's scaled-down rates, large enough to amortise
-#: per-chunk overhead on real sockets.
+#: Pacing unit of a shaped frame: each chunk is charged against the
+#: link's bucket before it is written.  Small enough that shaping is
+#: smooth at the validation harness's scaled-down rates, large enough to
+#: amortise per-chunk overhead.  An unpaced frame is not chunked; a
+#: payload of at most one chunk rides in the header's write.
 DEFAULT_CHUNK = 16 * 1024
 
 #: Headers are small JSON envelopes; anything claiming more than this is
@@ -102,17 +106,18 @@ async def send_frame(
 ) -> None:
     """Write one frame, pacing payload chunks through ``bucket``.
 
-    The payload goes to the transport as ``chunk_size`` slices of the
-    caller's buffer — no per-chunk copies; both transports accept views
-    directly.  A frame whose payload fits one chunk goes out in a single
-    write, header included.
+    Chunking exists for the bucket: a paced frame goes to the transport
+    as ``chunk_size`` views of the caller's buffer, each charged before
+    it is written; an unpaced frame's payload is one view, one write.
+    Either way a frame whose payload fits one chunk goes out in a single
+    write, header included, and a longer one writes its header first and
+    the payload behind it — never joined into one copy.
 
     With a truthy ``recorder`` (a
-    :class:`repro.telemetry.TelemetryRecorder`), every chunk write lands
-    in the ``chunk.write_s`` histogram plus a ``chunks.sent`` counter —
-    the per-chunk half of the live runtime's send timing (the pacing
-    half is the bucket's own ``pacing.*`` emission).  ``None`` keeps the
-    loop on the uninstrumented path.
+    :class:`repro.telemetry.TelemetryRecorder`), every payload write
+    lands in the ``chunk.write_s`` histogram plus a ``chunks.sent``
+    counter — the per-write half of the live runtime's send timing (the
+    pacing half is the bucket's own ``pacing.*`` emission).
 
     Bucket accounting is exception-safe: a chunk's tokens are charged
     before its write, and refunded if that write raises (the bytes never
@@ -130,23 +135,22 @@ async def send_frame(
     if len(view) > chunk_size or not view:
         await stream.write(lead)
         lead = b""
+    # Chunks are the bucket's pacing unit; unpaced, the payload is one.
+    step = chunk_size if bucket is not None else len(view) or 1
     rec = recorder if recorder else None
-    for offset in range(0, len(view), chunk_size):
-        chunk = view[offset : offset + chunk_size]
+    for offset in range(0, len(view), step):
+        chunk = view[offset : offset + step]
         size = len(chunk)
         if bucket is not None:
             await bucket.acquire(size)
         try:
             # A one-chunk frame copies its chunk behind the header: one
             # write instead of two.
-            data = lead + chunk if lead else chunk
+            t0 = rec.now() if rec is not None else 0.0
+            await stream.write(lead + chunk if lead else chunk)
             if rec is not None:
-                t0 = rec.now()
-                await stream.write(data)
                 rec.observe("chunk.write_s", rec.now() - t0)
                 rec.count("chunks.sent")
-            else:
-                await stream.write(data)
         except BaseException:
             if bucket is not None:
                 bucket.refund(size)
@@ -185,31 +189,61 @@ def _read_failed(
     return closed(f"connection lost mid-frame ({what}): {exc}")
 
 
+class _Watchdog:
+    """A frame read's one progress timer.
+
+    Read steps only stamp :attr:`last`; the timer looks at the stamp
+    when it fires.  Bytes since it was armed re-arm it ``timeout`` after
+    the last of them; none end the frame through ``deadline`` (an
+    ``asyncio.timeout``, which does the cancel and the ``TimeoutError``).
+
+    The timer handle holds this object and this object holds the handle;
+    cancelling the handle breaks that cycle.  The reader cancels it in a
+    ``finally``, so a finished read leaves no garbage cycle keeping its
+    task (and payload) alive until the cyclic collector runs.
+    """
+
+    __slots__ = ("loop", "deadline", "timeout", "last", "when", "handle")
+
+    def __init__(self, loop, deadline: asyncio.Timeout, timeout: float) -> None:
+        self.loop, self.deadline, self.timeout = loop, deadline, timeout
+        self.last = loop.time()
+        self.when = self.last + timeout
+        self.handle = loop.call_at(self.when, self.fire)
+
+    def fire(self) -> None:
+        if self.last + self.timeout > self.when:
+            self.when = self.last + self.timeout
+            self.handle = self.loop.call_at(self.when, self.fire)
+        else:
+            self.deadline.reschedule(self.loop.time())
+
+
 async def read_frame(
     stream: Stream,
     *,
-    chunk_size: int = DEFAULT_CHUNK,
     timeout: float | None = None,
     max_payload: int = MAX_FRAME_PAYLOAD,
     park: bool = False,
 ) -> tuple[dict, bytearray]:
     """Read one frame; returns ``(header, payload)``.
 
-    The payload is assembled chunk by chunk straight into one bytearray
-    preallocated at the header's ``nbytes`` — no growing, no chunk-list
-    join, no final copy.  The bytearray is handed to the caller, who
-    typically wraps it zero-copy (``np.frombuffer``) for storage.
+    The payload is read straight into one bytearray preallocated at the
+    header's ``nbytes`` — no growing, no chunk-list join, no final copy —
+    in steps of whatever the transport has delivered
+    (:meth:`Stream.read_into`), not fixed-size chunks.  The bytearray is
+    handed to the caller, who typically wraps it zero-copy
+    (``np.frombuffer``) for storage.
 
-    ``timeout`` is a *progress* timeout, not a whole-frame budget: one
-    deadline covers the frame and is pushed ``timeout`` seconds out each
-    time a read step (length prefix, header, payload chunk) completes,
-    so a long payload at a shaped rate is fine as long as bytes keep
-    arriving.  One deadline per frame, not one per step: a step whose
-    bytes are already buffered costs no task, timer or loop iteration.
+    ``timeout`` is a *progress* timeout, not a whole-frame budget: a
+    frame ends once ``timeout`` seconds pass with no byte arriving, so a
+    long payload at a shaped rate is fine as long as bytes keep coming.
+    It costs one timer per frame, not one per read step: a step only
+    stamps the time, and the timer checks the stamp when it fires.
     Truncation at any boundary, a stalled peer, or a malformed header
-    all raise :class:`WireError`, naming the step; a stream that ends
-    before the frame's first byte raises its subclass
-    :class:`WireClosed`.
+    all raise :class:`WireError`, naming the step (a payload stall names
+    the bytes received); a stream that ends before the frame's first
+    byte raises its subclass :class:`WireClosed`.
 
     ``park=True`` is for a connection that carries many frames and may
     sit idle between them: the wait for the frame's *first byte* is
@@ -219,22 +253,24 @@ async def read_frame(
     loop = asyncio.get_running_loop()
     what, closed = ("frame start" if park else "header length"), WireClosed
     offset = nbytes = 0
+    watch = None
+
+    def progress() -> None:
+        # A read step completed: stamp it for the watchdog to look at.
+        if watch is not None:
+            watch.last = loop.time()
+
     try:
         async with asyncio.timeout(None) as deadline:
-
-            def progress() -> None:
-                # A step completed (or the frame began): the next step
-                # gets the whole ``timeout``.
-                if timeout is not None:
-                    deadline.reschedule(loop.time() + timeout)
-
             if park:
                 raw_len = await stream.read_exactly(1)
                 what, closed = "header length", WireError
-                progress()
+                if timeout is not None:
+                    watch = _Watchdog(loop, deadline, timeout)
                 raw_len += await stream.read_exactly(_HEADER_LEN.size - 1)
             else:
-                progress()
+                if timeout is not None:
+                    watch = _Watchdog(loop, deadline, timeout)
                 raw_len = await stream.read_exactly(_HEADER_LEN.size)
                 closed = WireError
             (hlen,) = _HEADER_LEN.unpack(raw_len)
@@ -249,8 +285,8 @@ async def read_frame(
             progress()
             payload = bytearray(nbytes)
             with memoryview(payload) as view:
-                for offset in range(0, nbytes, chunk_size):
-                    await stream.read_exactly_into(view[offset : offset + chunk_size])
+                while offset < nbytes:
+                    offset += await stream.read_into(view[offset:])
                     progress()
     except WireError:
         raise
@@ -258,6 +294,9 @@ async def read_frame(
         if what == "payload":
             what = f"payload byte {offset} of {nbytes}"
         raise _read_failed(exc, timeout, what, closed) from exc
+    finally:
+        if watch is not None:
+            watch.handle.cancel()
     return header, payload
 
 

@@ -46,8 +46,14 @@ RPC_CLASS = {
 
 
 def _as_block(blob) -> np.ndarray:
-    """An inbound blob as a uint8 array (owns its bytes after the frame)."""
-    arr = np.frombuffer(bytes(blob), dtype=np.uint8)
+    """An inbound blob as a read-only uint8 array over the frame's own bytes.
+
+    ``read_frame`` hands each frame its own fresh buffer, so the stored
+    block can keep it: no copy.  Stored blocks are read-only by contract
+    (repairs and degraded reads combine into fresh arenas).
+    """
+    arr = np.frombuffer(blob, dtype=np.uint8)
+    arr.flags.writeable = False
     return arr
 
 
@@ -176,6 +182,12 @@ class StorageDaemon:
         return {"node_id": self.node_id, "blocks": len(self.blocks)}, None
 
     async def _rpc_block_put(self, request: Request):
+        """Store the request's blob under ``key``; replies ``{key, nbytes}``.
+
+        No CRC: the client claims its own in ``put.commit``, and the
+        coordinator checks those against ``block.stat``, which hashes
+        the bytes at rest.
+        """
         key = request.body["key"]
         payload = _as_block(request.blob)
         if self.link is not None:
@@ -183,8 +195,7 @@ class StorageDaemon:
         self.blocks[key] = payload
         self.rec.count("daemon.block_put_bytes", payload.nbytes)
         self.stats.count("block_put_bytes", int(payload.nbytes))
-        return {"key": key, "nbytes": int(payload.nbytes),
-                "crc": block_crc(payload)}, None
+        return {"key": key, "nbytes": int(payload.nbytes)}, None
 
     async def _rpc_block_get(self, request: Request):
         key = request.body["key"]

@@ -13,8 +13,11 @@ header        = {"t": <type>, "v": 1, "blen": <json length>, ...}
 ```
 
 so a large message (a serialized repair plan, a block transfer) never
-fights the header cap, and the blob half is moved with the wire layer's
-zero-copy chunking.
+fights the header cap.  The frame payload is built with one copy of the
+blob and then written without another (a service frame is unpaced, so
+:func:`~repro.live.wire.send_frame` writes it whole); the receiver reads
+it straight into one frame buffer, whose blob view a daemon stores as
+the block.
 
 Connections are **persistent**: one carries any number of RPCs, one
 after another, never two at once.

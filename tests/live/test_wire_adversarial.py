@@ -8,6 +8,7 @@ bytes handed to the caller.
 """
 
 import asyncio
+import gc
 import json
 import struct
 import time
@@ -16,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.live import WireClosed, WireError, read_ack, read_frame, send_frame
-from repro.live.transport import MemoryStream
-from repro.live.wire import ACK, MAX_FRAME_PAYLOAD, MAX_HEADER_BYTES
+from repro.live import TokenBucket, WireClosed, WireError, read_ack, read_frame, send_frame
+from repro.live.transport import MemoryStream, Stream
+from repro.live.wire import ACK, DEFAULT_CHUNK, MAX_FRAME_PAYLOAD, MAX_HEADER_BYTES
 
 
 def make_frame(header: dict, payload: bytes) -> bytes:
@@ -74,9 +75,9 @@ class TestTruncation:
 
 
 class TestProgressTimeout:
-    """``timeout`` is one deadline per frame, pushed out each time a read
-    step completes: progress keeps a frame alive, a stall ends it, and a
-    cancel is never absorbed."""
+    """``timeout`` is one progress timer per frame, which each read step
+    stamps: progress keeps a frame alive, a stall ends it, and a cancel
+    is never absorbed."""
 
     def test_trickling_payload_reads_whole(self):
         """Gaps of 0.6x the timeout, 3x the timeout in all: no step
@@ -88,7 +89,7 @@ class TestProgressTimeout:
 
         async def _run():
             a, b = MemoryStream.pair()
-            reading = asyncio.ensure_future(read_frame(b, chunk_size=256, timeout=timeout))
+            reading = asyncio.ensure_future(read_frame(b, timeout=timeout))
             await a.write(frame[:head])
             for i in range(pieces):
                 await asyncio.sleep(gap)
@@ -106,10 +107,10 @@ class TestProgressTimeout:
 
         async def _run():
             a, b = MemoryStream.pair()
-            await a.write(frame[: head + 40])  # two 16-byte chunks and a bit
-            await read_frame(b, chunk_size=16, timeout=0.05)
+            await a.write(frame[: head + 40])  # 40 of the 64 payload bytes
+            await read_frame(b, timeout=0.05)
 
-        with pytest.raises(WireError, match=r"timed out after 0\.05s \(payload byte 32 of 64\)"):
+        with pytest.raises(WireError, match=r"timed out after 0\.05s \(payload byte 40 of 64\)"):
             asyncio.run(_run())
 
     @pytest.mark.parametrize("with_bytes", [False, True])
@@ -121,7 +122,7 @@ class TestProgressTimeout:
 
         async def _run():
             a, b = MemoryStream.pair()
-            reading = asyncio.ensure_future(read_frame(b, chunk_size=16, timeout=5.0))
+            reading = asyncio.ensure_future(read_frame(b, timeout=5.0))
             await a.write(frame[:-10])
             await asyncio.sleep(0.01)  # blocked mid-payload
             if with_bytes:
@@ -288,6 +289,98 @@ class TestAck:
         self.run(_run())
 
 
+class TestOneTimerPerFrame:
+    """A frame read arms one timer, however many steps its payload takes
+    (a reschedule per step would arm 67 for this frame), and leaves no
+    garbage cycle behind (one would keep the finished task and its
+    payload alive until the cyclic collector ran)."""
+
+    PAYLOAD = bytes(range(256)) * 4096  # 1 MiB
+
+    def test_buffered_megabyte_frame_arms_one_timer(self):
+        async def _run():
+            loop = asyncio.get_running_loop()
+            a, b = MemoryStream.pair(high_water=4 << 20)
+            await send_frame(a, {"op": "s0"}, self.PAYLOAD)
+            armed = 0
+            call_at = loop.call_at
+
+            def counting_call_at(when, callback, *args, **kwargs):
+                nonlocal armed
+                armed += 1
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = counting_call_at
+            try:
+                _, got = await read_frame(b, timeout=5.0)
+            finally:
+                del loop.call_at
+            return armed, got
+
+        armed, got = asyncio.run(_run())
+        assert armed == 1
+        assert got == self.PAYLOAD
+
+    def test_a_finished_read_leaves_no_garbage_cycle(self):
+        async def _run():
+            a, b = MemoryStream.pair(high_water=4 << 20)
+            await send_frame(a, {"op": "s0"}, self.PAYLOAD)
+            gc.collect()
+            gc.disable()
+            try:
+                _, got = await asyncio.ensure_future(read_frame(b, timeout=5.0))
+                del got
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        assert asyncio.run(_run()) == 0
+
+
+class _Tape(Stream):
+    """A stream that records every write."""
+
+    def __init__(self) -> None:
+        self.writes: list[bytes] = []
+
+    async def write(self, data) -> None:
+        self.writes.append(bytes(data))
+
+
+class _CountingBucket(TokenBucket):
+    """A bucket fast enough never to matter that records every charge."""
+
+    def __init__(self) -> None:
+        super().__init__(1e12)
+        self.charges: list[int] = []
+
+    async def acquire(self, nbytes: int, cls: str = "") -> None:
+        self.charges.append(nbytes)
+        await super().acquire(nbytes, cls)
+
+
+class TestSendWrites:
+    """Chunking is for the bucket: an unpaced frame is at most a header
+    write and a payload write, a paced one is charged chunk by chunk."""
+
+    PAYLOAD = bytes(range(256)) * 4096  # 1 MiB: 64 default chunks
+
+    def _send(self, bucket=None) -> _Tape:
+        tape = _Tape()
+        asyncio.run(send_frame(tape, {"op": "s0"}, self.PAYLOAD, bucket=bucket))
+        assert b"".join(tape.writes) == make_frame({"op": "s0"}, self.PAYLOAD)
+        return tape
+
+    def test_unpaced_megabyte_frame_is_at_most_two_writes(self):
+        assert len(self._send().writes) <= 2
+
+    def test_paced_megabyte_frame_is_chunked_and_charged_per_chunk(self):
+        bucket = _CountingBucket()
+        tape = self._send(bucket)
+        assert bucket.charges == [DEFAULT_CHUNK] * 64
+        assert [len(w) for w in tape.writes[1:]] == [DEFAULT_CHUNK] * 64
+
+
 class TestRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -297,14 +390,20 @@ class TestRoundTrip:
         ),
         payload=st.binary(max_size=32 * 1024),
         chunk=st.integers(min_value=1, max_value=8192),
+        paced=st.booleans(),
     )
-    def test_send_then_read_round_trips(self, key, payload, chunk):
-        """Any header/payload/chunking combination survives the wire."""
+    def test_send_then_read_round_trips(self, key, payload, chunk, paced):
+        """Any header/payload/chunking combination survives the wire,
+        unpaced and paced (a bucket too fast to matter still chunks the
+        send side at ``chunk``)."""
 
         async def _run():
             a, b = MemoryStream.pair()
-            await send_frame(a, {"op": "s0", "key": key}, payload, chunk_size=chunk)
-            return await read_frame(b, chunk_size=chunk, timeout=5.0)
+            bucket = TokenBucket(1e12) if paced else None
+            await send_frame(
+                a, {"op": "s0", "key": key}, payload, bucket=bucket, chunk_size=chunk
+            )
+            return await read_frame(b, timeout=5.0)
 
         header, got = asyncio.run(_run())
         assert header["key"] == key

@@ -606,6 +606,53 @@ class TestDegradedReads:
         asyncio.run(_run())
 
 
+class TestBlockBytes:
+    """A PUT hashes each block twice — the client's write-time CRC and
+    the commit's ``block.stat`` — and a daemon stores the bytes it
+    received: the request frame's own buffer, read-only, not a copy."""
+
+    def test_one_stripe_put_computes_two_crcs_per_block(self, monkeypatch):
+        from repro.store import client as client_mod
+        from repro.store import daemon as daemon_mod
+
+        real_crc = client_mod.block_crc
+        crcs = 0
+
+        def counting_crc(payload):
+            nonlocal crcs
+            crcs += 1
+            return real_crc(payload)
+
+        monkeypatch.setattr(client_mod, "block_crc", counting_crc)
+        monkeypatch.setattr(daemon_mod, "block_crc", counting_crc)
+
+        async def _run():
+            async with Service(racks=3, per_rack=3, n=6, k=3) as svc:
+                data = os.urandom(6 * BLOCK - 1)  # one RS(6,3) stripe: 9 blocks
+                await svc.client.put("obj", data)
+
+        asyncio.run(_run())
+        assert crcs == 2 * 9
+
+    def test_block_put_and_repair_block_keep_the_frame_bytes(self):
+        frame = bytearray(b"{}" + bytes(range(64)))
+        blob = memoryview(frame)[2:]
+
+        async def _run():
+            daemon = StorageDaemon(0)
+            await daemon._rpc_block_put(messages.Request("block.put", {"key": "b"}, blob))
+            await daemon._rpc_repair_block(
+                messages.Request("repair.block", {"rid": "r", "key": "s"}, blob)
+            )
+            return daemon.blocks["b"], daemon._early["r"][0][1]
+
+        for block in asyncio.run(_run()):
+            assert not block.flags.writeable
+            frame[2] = 0xFF  # the frame's buffer *is* the block
+            assert block[0] == 0xFF
+            frame[2] = 0
+
+
 class TestPersistentConnections:
     """The service on reused connections: bounded sockets, clean exits."""
 
