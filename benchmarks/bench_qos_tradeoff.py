@@ -2,8 +2,8 @@
 """QoS trade-off bench: foreground latency vs repair bandwidth share.
 
 One seeded Zipfian GET/PUT trace is replayed against an in-process store
-cluster (:class:`repro.qos.LocalService`) whose daemon NICs are shaped;
-a daemon is killed mid-trace every time.  The sweep varies the link's
+cluster (:class:`repro.store.LocalService`) whose daemon NICs are shaped;
+a daemon is killed mid-trace every time (:func:`repro.qos.tradeoff_replay`).  The sweep varies the link's
 guaranteed repair share and reports the foreground percentiles against
 the observed repair window — the latency/repair-throughput curve behind
 ``docs/QOS.md``: give repair more of the link and it finishes sooner,
@@ -29,33 +29,18 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments import format_table  # noqa: E402
-from repro.qos import kill_mid_trace_replay  # noqa: E402
+from repro.qos import tradeoff_replay  # noqa: E402
 
 FULL_SHARES = (0.1, 0.2, 0.5, 0.8, 0.95)
 SMOKE_SHARES = (0.2,)
 LINK_RATE = 1.5e6
-BLOCK = 16 * 1024
-KILL_AT = 0.25
-SEED = 42
 
 
 def _replay(link_rate, repair_share, *, objects, requests, wait_repaired=False):
     """One kill-mid-trace replay; returns ``(report, repairs_done)``."""
-    report, status = kill_mid_trace_replay(
-        objects=objects,
-        requests=requests,
-        object_bytes=3 * BLOCK,
-        kill_at=KILL_AT,
-        seed=SEED,
-        get_fraction=0.95,
-        concurrency=8,
+    report, status = tradeoff_replay(
+        link_rate, repair_share, objects=objects, requests=requests,
         wait_repaired=wait_repaired,
-        block_size=BLOCK,
-        link_rate=link_rate,
-        repair_share=repair_share,
-        suspect_after=0.45,
-        sweep_interval=0.05,
-        heartbeat=0.1,
     )
     return report, len(status["repairs"])
 

@@ -366,9 +366,10 @@ def live_suite(quick: bool = False) -> dict:
 def qos_suite(quick: bool = False) -> dict:
     """Foreground tail latency vs repair bandwidth on the live store.
 
-    Replays one seeded Zipfian GET trace three times against an
-    in-process store cluster (:class:`repro.qos.LocalService`), killing
-    the same daemon mid-run each time:
+    Replays the trade-off scenario (:func:`repro.qos.tradeoff_replay`:
+    one seeded Zipfian GET trace against the in-process store cluster,
+    :class:`repro.store.LocalService`) three times, killing the same
+    daemon mid-run each time:
 
     * ``replay_unshaped`` — no link shaping (reference point);
     * ``replay_repair_hog`` — links shaped, 95% guaranteed to repair
@@ -385,9 +386,8 @@ def qos_suite(quick: bool = False) -> dict:
     violation means the QoS plane is broken, and the CI perf gate
     (which reruns this suite) turns that into a red build.
     """
-    from .qos import kill_mid_trace_replay, percentiles
+    from .qos import TRADEOFF, percentiles, tradeoff_replay
 
-    block = 16 * 1024
     # The victim daemon holds a block of most stripes, so the repair
     # volume — and with it how long repair traffic occupies the links —
     # scales with the object count.  Sized so the repair-hog run spends
@@ -396,10 +396,7 @@ def qos_suite(quick: bool = False) -> dict:
     # the trade-off disappears into sampling noise.
     objects = 30 if quick else 40
     requests = 350 if quick else 500
-    object_bytes = 3 * block
     link_rate = 1.5e6
-    kill_at = 0.25
-    seed = 42
 
     report = _env_info(quick)
     results: dict = {}
@@ -408,21 +405,7 @@ def qos_suite(quick: bool = False) -> dict:
 
     def measure(name: str, rate, share: float) -> dict:
         t0 = time.perf_counter()
-        rep, _ = kill_mid_trace_replay(
-            objects=objects,
-            requests=requests,
-            object_bytes=object_bytes,
-            kill_at=kill_at,
-            seed=seed,
-            get_fraction=0.95,
-            concurrency=8,
-            block_size=block,
-            link_rate=rate,
-            repair_share=share,
-            suspect_after=0.45,
-            sweep_interval=0.05,
-            heartbeat=0.1,
-        )
+        rep, _ = tradeoff_replay(rate, share, objects=objects, requests=requests)
         wall = time.perf_counter() - t0
         if rep.errors:
             first = rep.errors[0]
@@ -476,10 +459,10 @@ def qos_suite(quick: bool = False) -> dict:
                 f"throttled repair must serve users strictly better"
             )
     report["derived"] = {
-        "block_bytes": block,
+        "block_bytes": TRADEOFF["block_size"],
         "objects": objects,
         "requests": requests,
-        "kill_at_s": kill_at,
+        "kill_at_s": TRADEOFF["kill_at"],
         "curve": curve,
         "qos_repair_p99_improvement_x": round(hog / qos, 3),
     }

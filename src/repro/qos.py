@@ -1,12 +1,36 @@
-"""Replay a user workload against a live store while nodes die.
+"""repro.qos — the foreground traffic plane: replay a user workload
+against a live store while nodes die.
 
-The harness the trade-off curve comes from: preload a working set,
-replay a seeded Zipfian GET/PUT trace (closed- or open-loop) through
-:class:`repro.store.StoreClient`, SIGKILL-equivalent daemons mid-run,
-and record one latency sample per request plus the repair window the
-status poller observed.  Everything is wall-clock honest — the store is
-real sockets and real GF arithmetic — but runs in one process
-(:class:`LocalService`) so a full curve fits in a CI job.
+Everything up to here measures repair in a vacuum: a node dies, a plan
+runs, the makespan is the verdict.  Real clusters repair *while serving
+users*, and the operative question becomes a trade-off — how much does
+repair throughput cost in foreground tail latency, and how much tail
+latency does throttling repair buy?  This module asks it against the
+live store service (:mod:`repro.store`):
+
+* **Workload driver** — preload a working set, replay a seeded Zipfian
+  GET/PUT trace (:func:`repro.workloads.zipf_object_trace`, closed- or
+  open-loop) through :class:`repro.store.StoreClient`, SIGKILL-equivalent
+  daemons mid-run, and record one latency sample per request plus the
+  repair window the status poller observed, with p50/p99/p999 summaries
+  per phase.  Everything is wall-clock honest — real sockets, real GF
+  arithmetic — but runs in one process (:class:`repro.store.LocalService`)
+  so a full curve fits in a CI job.
+* **The two service classes** are the daemons' own: each shaped daemon
+  splits its NIC between ``foreground`` block I/O and ``repair`` traffic
+  (a classed :class:`repro.live.TokenBucket`, ``repair_share`` of the
+  link guaranteed to repair); *which* repair goes first is an ordering
+  decision of the coordinator (most-at-risk stripe first), not a third
+  bandwidth class.
+* **Degraded reads** live in the store client itself
+  (:meth:`repro.store.StoreClient.get` with ``degraded=True``); the
+  driver exercises them whenever a GET lands in the repair window.
+
+:func:`kill_mid_trace_replay` is the whole scenario as one call: ``rpr
+qos`` runs one replay of it, and the perf harness's ``qos_suite`` and
+``benchmarks/bench_qos_tradeoff.py`` (the curve gated in CI) run points
+of the latency-vs-repair trade-off, :func:`tradeoff_replay`.  See
+``docs/QOS.md``.
 """
 
 from __future__ import annotations
@@ -15,21 +39,20 @@ import asyncio
 import random
 from dataclasses import dataclass, field
 
-from ..cluster import Cluster
-from ..rs import get_code
-from ..store import Coordinator, StorageDaemon, StoreClient, StoreError
-from ..telemetry import CLOCK_WALL, LogHistogram, TelemetryRecorder
-from ..workloads import RequestEvent, zipf_object_trace
+from .store import LocalService, StoreClient, StoreError
+from .telemetry import LogHistogram
+from .workloads import RequestEvent, zipf_object_trace
 
 __all__ = [
-    "LocalService",
     "ReplayReport",
     "RequestSample",
+    "TRADEOFF",
     "kill_mid_trace_replay",
     "object_payload",
     "percentiles",
     "preload_working_set",
     "replay_trace",
+    "tradeoff_replay",
 ]
 
 
@@ -347,89 +370,6 @@ async def replay_trace(
     return report
 
 
-class LocalService:
-    """One in-process store cluster: coordinator + a daemon per node.
-
-    The replay harness's stand-in for ``rpr store up`` — identical
-    components over real localhost TCP, but as tasks in one loop so a
-    bench or test can bring a cluster up, kill nodes, and tear it down
-    in milliseconds.  ``link_rate``/``repair_share`` switch on the
-    daemons' QoS NIC split.
-    """
-
-    def __init__(
-        self,
-        *,
-        racks: int = 3,
-        per_rack: int = 2,
-        n: int = 3,
-        k: int = 2,
-        scheme: str = "rpr",
-        block_size: int = 16 * 1024,
-        suspect_after: float = 0.8,
-        sweep_interval: float = 0.1,
-        heartbeat: float = 0.15,
-        link_rate: float | None = None,
-        repair_share: float = 0.5,
-    ) -> None:
-        self.cluster = Cluster.homogeneous(racks, per_rack)
-        self.code = get_code(n, k)
-        self.scheme = scheme
-        self.block_size = block_size
-        self.heartbeat = heartbeat
-        self.link_rate = link_rate
-        self.repair_share = repair_share
-        self.coordinator = Coordinator(
-            self.cluster,
-            self.code,
-            scheme=scheme,
-            block_size=block_size,
-            suspect_after=suspect_after,
-            sweep_interval=sweep_interval,
-        )
-        self.daemons: dict[int, StorageDaemon] = {}
-        self.client: StoreClient | None = None
-
-    async def __aenter__(self) -> "LocalService":
-        port = await self.coordinator.start()
-        for nid in self.cluster.node_ids():
-            daemon = StorageDaemon(
-                nid,
-                ("127.0.0.1", port),
-                heartbeat_interval=self.heartbeat,
-                link_rate=self.link_rate,
-                repair_share=self.repair_share,
-            )
-            await daemon.start()
-            self.daemons[nid] = daemon
-        self.client = StoreClient(
-            "127.0.0.1",
-            port,
-            recorder=TelemetryRecorder(CLOCK_WALL, meta={"component": "qos"}),
-        )
-        deadline = asyncio.get_event_loop().time() + 10.0
-        while True:
-            status = await self.client.status()
-            alive = sum(1 for e in status["nodes"].values() if e["alive"])
-            if alive == len(self.daemons):
-                return self
-            if asyncio.get_event_loop().time() > deadline:
-                raise RuntimeError("daemons never registered")
-            await asyncio.sleep(0.05)
-
-    async def __aexit__(self, *exc) -> None:
-        for daemon in self.daemons.values():
-            await daemon.aclose()
-        await self.coordinator.aclose()
-        # The cluster's parties shared this loop's RPC connections; the
-        # loop ends with the cluster, so close what is left idle.
-        await self.client.aclose()
-
-    async def kill(self, node_id: int) -> None:
-        """In-process SIGKILL: the daemon stops serving AND beating."""
-        await self.daemons.pop(node_id).aclose()
-
-
 def kill_mid_trace_replay(
     *,
     objects: int,
@@ -489,3 +429,31 @@ def kill_mid_trace_replay(
             return report, await svc.client.status()
 
     return asyncio.run(run())
+
+
+#: The trade-off curve's fixed arguments to :func:`kill_mid_trace_replay`:
+#: RS(3,2) with 16 KiB blocks and three-block objects, a seeded 95 %-GET
+#: trace on eight workers, the stripe-0 holder killed 0.25 s in, and a
+#: detector quick enough (0.1 s beats, 0.45 s silence) that repair starts
+#: inside the trace.
+TRADEOFF = dict(
+    object_bytes=3 * 16 * 1024, kill_at=0.25, seed=42, get_fraction=0.95, concurrency=8,
+    block_size=16 * 1024, suspect_after=0.45, sweep_interval=0.05, heartbeat=0.1,
+)
+
+
+def tradeoff_replay(
+    link_rate: float | None,
+    repair_share: float,
+    *,
+    objects: int,
+    requests: int,
+    wait_repaired: bool = False,
+) -> tuple[ReplayReport, dict]:
+    """One point of the trade-off curve: :data:`TRADEOFF` replayed with
+    the daemons' NICs at ``link_rate`` (``None``: unshaped), of which
+    ``repair_share`` is guaranteed to repair."""
+    return kill_mid_trace_replay(
+        objects=objects, requests=requests, wait_repaired=wait_repaired,
+        link_rate=link_rate, repair_share=repair_share, **TRADEOFF,
+    )

@@ -17,6 +17,9 @@ plans across real process boundaries:
   data-driven execution; repair bytes flow daemon→daemon.
 * :mod:`~repro.store.launcher` — plain-subprocess harness behind
   ``rpr store up/down/status/kill``.
+* :mod:`~repro.store.local` — the same parties as tasks on one event
+  loop (:class:`LocalService`): the one in-process cluster that tests,
+  the QoS replay and the perf harness bring up.
 
 See ``docs/LIVE.md`` ("Store service") for the architecture tour and
 ``examples/store_kill_demo.py`` for the headline PUT → SIGKILL →
@@ -28,6 +31,7 @@ from .coordinator import Coordinator, SCHEMES
 from .daemon import StorageDaemon
 from .heartbeat import DEFAULT_INTERVAL, FailureDetector, HeartbeatSender, NodeEntry
 from .launcher import LauncherError, StoreLauncher
+from .local import LocalService
 from .messages import (
     PROTOCOL_VERSION,
     Request,
@@ -57,6 +61,7 @@ __all__ = [
     "FailureDetector",
     "HeartbeatSender",
     "LauncherError",
+    "LocalService",
     "NodeAssignment",
     "NodeEntry",
     "PROTOCOL_VERSION",

@@ -95,15 +95,11 @@ class StoreClient:
         payload = _as_bytes_array(data)
         ctx = TraceContext.root()
         start = self.rec.raw_now()
-        status = await self._coordinator("status", ctx=ctx.child())
-        n, k = status["code"]["n"], status["code"]["k"]
-        code = get_code(n, k)
-        stripes = split_into_stripes(payload, n, status["block_size"])
         grant = await self._coordinator(
-            "put.begin",
-            {"name": name, "size": int(payload.size), "nstripes": len(stripes)},
-            ctx=ctx.child(),
+            "put.begin", {"name": name, "size": int(payload.size)}, ctx=ctx.child()
         )
+        code = get_code(grant["n"], grant["k"])
+        stripes = split_into_stripes(payload, code.n, grant["block_size"])
         routing = grant["routing"]
         claims = []
         for spec, data_blocks in zip(grant["stripes"], stripes):

@@ -58,6 +58,7 @@ from ..telemetry import (
 )
 from .heartbeat import FailureDetector
 from .messages import Request, RpcServer, StoreError, call, close_idle_connections
+from .objects import stripe_count
 from .repair import (
     ledger_from_reports,
     partition_plan,
@@ -217,14 +218,7 @@ class Coordinator:
         outcome = simulate_repair(self.scheme, repair_ctx, self.bandwidth)
         plan = outcome.plan
         parts = partition_plan(plan, meta.placement, sid, failed)
-        routing = {}
-        for node_id in parts:
-            entry = self.detector.entry(node_id)
-            if entry is None or not entry.alive:
-                raise StoreError(
-                    f"repair of stripe {sid} needs node {node_id}, which is dead"
-                )
-            routing[node_id] = [entry.host, entry.port]
+        routing = self._routing(parts)
         rid = f"r{next(self._rid_counter)}"
         # Every heartbeat-triggered repair is a trace entry point: the
         # coordinator roots a fresh trace here and each daemon's
@@ -235,7 +229,7 @@ class Coordinator:
         results = await asyncio.gather(
             *(
                 call(
-                    *routing[node_id],
+                    *routing[str(node_id)],
                     "repair.exec",
                     {
                         "rid": rid,
@@ -376,14 +370,14 @@ class Coordinator:
 
     async def _rpc_put_begin(self, request: Request):
         body = request.body
-        name, size, nstripes = body["name"], int(body["size"]), int(body["nstripes"])
+        name, size = body["name"], int(body["size"])
         if name in self.objects:
             raise StoreError(f"object {name!r} already exists")
-        if nstripes < 1:
-            raise StoreError("object must span at least one stripe")
+        if size < 0:
+            raise StoreError(f"object size must not be negative, got {size}")
         alive = self.detector.alive_ids()
         stripes = []
-        for _ in range(nstripes):
+        for _ in range(stripe_count(size, self.code.n, self.block_size)):
             stored = self.catalog.allocate()
             lands_on = set(stored.placement.block_to_node.values())
             if not lands_on <= alive:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ObjectInfo", "split_into_stripes", "reassemble"]
+__all__ = ["ObjectInfo", "reassemble", "split_into_stripes", "stripe_count"]
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,11 @@ class ObjectInfo:
         return self.n * self.block_size
 
 
+def stripe_count(size: int, n: int, block_size: int) -> int:
+    """Stripes a ``size``-byte object spans (at least one)."""
+    return -(-max(size, 1) // (n * block_size))
+
+
 def split_into_stripes(data: np.ndarray, n: int, block_size: int) -> list[list[np.ndarray]]:
     """Split raw bytes into per-stripe lists of ``n`` data blocks.
 
@@ -39,8 +44,7 @@ def split_into_stripes(data: np.ndarray, n: int, block_size: int) -> list[list[n
     """
     data = np.asarray(data, dtype=np.uint8).ravel()
     capacity = n * block_size
-    total = max(len(data), 1)
-    num_stripes = -(-total // capacity)
+    num_stripes = stripe_count(len(data), n, block_size)
     padded = np.zeros(num_stripes * capacity, dtype=np.uint8)
     padded[: len(data)] = data
     stripes = []

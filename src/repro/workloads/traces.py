@@ -137,7 +137,7 @@ def zipf_object_trace(
     write fresh ``<prefix>-put-<i>`` names.
 
     Deterministic for a given argument tuple; the driver
-    (:mod:`repro.qos.driver`) preloads the working set and replays the
+    (:mod:`repro.qos`) preloads the working set and replays the
     list against a live store.
     """
     if num_requests < 0:

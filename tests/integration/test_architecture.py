@@ -42,6 +42,12 @@ once (``repro.qos``), and the name → scheme table exists once
 ``asyncio.wait_for``, which spawns a task per call; a bounded wait is an
 ``asyncio.timeout`` block, and a frame read is one deadline pushed out
 on progress (``repro.live.wire``), not one ``wait_for`` per read step.
+
+§2.3: one in-process store cluster.  A ``Coordinator`` is built only by
+its own process entry point and by ``repro.store.LocalService``; tests,
+the QoS replay and the perf harness bring that cluster up instead of
+wiring a coordinator and daemons together themselves.  The test suite
+and the QoS driver used to carry a cluster each.
 """
 
 import ast
@@ -398,8 +404,8 @@ def test_the_qos_scenario_and_the_scheme_table_exist_once():
             scenario[rel] = calls_to(tree, QOS_SCENARIO)
         if not rel.startswith("examples/"):
             tables += [f"{rel}:{line}" for line in scheme_tables(tree)]
-    assert list(scenario) == ["src/repro/qos/driver.py"], (
-        "replay_trace / LocalService called outside repro.qos.driver — call "
+    assert list(scenario) == ["src/repro/qos.py"], (
+        "replay_trace / LocalService called outside repro.qos — call "
         f"kill_mid_trace_replay instead: {scenario}"
     )
     assert len(tables) == 1 and tables[0].startswith("src/repro/repair/__init__.py:"), (
@@ -412,7 +418,7 @@ def test_the_front_end_guard_sees_what_it_guards():
     """Not vacuous: the emitter, the scenario and the table are found where
     they live, and the shapes the old ``cli.py`` used are each recognised."""
     assert calls_to(ast.parse((CLI / "common.py").read_text()), {"dumps"})
-    driver = ast.parse((SRC / "qos/driver.py").read_text())
+    driver = ast.parse((SRC / "qos.py").read_text())
     assert calls_to(driver, QOS_SCENARIO) and calls_to(driver, {"replay_trace"})
     assert scheme_tables(ast.parse((SRC / "repair/__init__.py").read_text()))
     old_cli = ast.parse(
@@ -554,7 +560,7 @@ def test_the_deadline_guard_sees_what_it_guards():
     """Not vacuous: the wire and the QoS driver bound their waits with
     ``asyncio.timeout``, and the shapes the per-step read and the old
     poll used are recognised."""
-    for rel in ("live/wire.py", "qos/driver.py"):
+    for rel in ("live/wire.py", "qos.py"):
         assert calls_to(ast.parse((SRC / rel).read_text()), {"timeout"}), rel
     old_waits = ast.parse(
         "async def _read_step(awaitable, timeout):\n"
@@ -567,3 +573,40 @@ def test_the_deadline_guard_sees_what_it_guards():
     )
     assert asyncio_wait_for_calls(old_waits) == [2, 4, 7]
     assert asyncio_wait_for_calls(ast.parse("await cond.wait_for(ready)\n")) == []
+
+
+#: The only modules that build a ``Coordinator``: its process entry point
+#: (``_amain``) and the one in-process cluster.
+COORDINATOR_BUILDERS = {"src/repro/store/coordinator.py", "src/repro/store/local.py"}
+
+
+def test_one_in_process_cluster_builds_the_coordinator():
+    found = [
+        f"{rel}:{line}"
+        for rel, tree in python_files("src", "tests", "examples", "benchmarks")
+        if rel not in COORDINATOR_BUILDERS
+        for line in calls_to(tree, {"Coordinator"})
+    ]
+    assert not found, (
+        "Coordinator built outside repro.store.coordinator / repro.store.local — "
+        "bring up repro.store.LocalService (start_daemon / kill) instead of a "
+        "second in-process cluster:\n" + "\n".join(found)
+    )
+
+
+def test_the_cluster_guard_sees_what_it_guards():
+    """Not vacuous: both builders do build one, and the shape of the
+    deleted test-suite cluster is recognised."""
+    for rel in COORDINATOR_BUILDERS:
+        assert calls_to(ast.parse((ROOT / rel).read_text()), {"Coordinator"}), rel
+    old_service = ast.parse(
+        "class Service:\n"
+        "    def __init__(self, scheme='rpr'):\n"
+        "        self.coordinator = Coordinator(\n"
+        "            Cluster.homogeneous(3, 2), get_code(3, 2), scheme=scheme,\n"
+        "        )\n"
+        "    async def __aenter__(self):\n"
+        "        self.port = await self.coordinator.start()\n"
+        "coordinator = store.Coordinator(cluster, code, block_size=2048)\n"
+    )
+    assert calls_to(old_service, {"Coordinator"}) == [3, 8]

@@ -11,11 +11,8 @@ import asyncio
 
 import pytest
 
-from repro.qos import (
-    LocalService,
-    preload_working_set,
-    replay_trace,
-)
+from repro.qos import preload_working_set, replay_trace
+from repro.store import LocalService
 from repro.workloads import zipf_object_trace
 
 OBJECTS = 6

@@ -15,17 +15,14 @@ import time
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.live import audit_store_repairs
 from repro.metrics import TrafficLedger
 from repro.multistripe import StripeStore
 from repro.repair import simulate_repair
-from repro.rs import get_code
 from repro.store import (
     SCHEMES,
-    Coordinator,
+    LocalService,
     StorageDaemon,
-    StoreClient,
     StoreError,
     messages,
 )
@@ -41,70 +38,17 @@ from repro.telemetry import (
 )
 
 BLOCK = 2048
-RACKS, PER_RACK, N, K = 3, 2, 3, 2
+N, K = 3, 2
 
 
-class Service:
-    """One in-process cluster: coordinator + a daemon per node."""
-
-    def __init__(
-        self,
-        scheme="rpr",
-        suspect_after=0.8,
-        heartbeat=0.15,
-        racks=RACKS,
-        per_rack=PER_RACK,
-        n=N,
-        k=K,
-    ):
-        self.cluster = Cluster.homogeneous(racks, per_rack)
-        self.n, self.k = n, k
-        self.coordinator = Coordinator(
-            self.cluster,
-            get_code(n, k),
-            scheme=scheme,
-            block_size=BLOCK,
-            suspect_after=suspect_after,
-            sweep_interval=0.1,
-        )
-        self.heartbeat = heartbeat
-        self.daemons: dict[int, StorageDaemon] = {}
-        self.client: StoreClient | None = None
-
-    async def __aenter__(self):
-        port = await self.coordinator.start()
-        for nid in self.cluster.node_ids():
-            daemon = StorageDaemon(
-                nid, ("127.0.0.1", port), heartbeat_interval=self.heartbeat
-            )
-            await daemon.start()
-            self.daemons[nid] = daemon
-        self.client = StoreClient("127.0.0.1", port)
-        deadline = asyncio.get_event_loop().time() + 10.0
-        while True:
-            status = await self.client.status()
-            if sum(1 for e in status["nodes"].values() if e["alive"]) == len(self.daemons):
-                return self
-            if asyncio.get_event_loop().time() > deadline:
-                raise AssertionError("daemons never registered")
-            await asyncio.sleep(0.05)
-
-    async def __aexit__(self, *exc):
-        for daemon in self.daemons.values():
-            await daemon.aclose()
-        await self.coordinator.aclose()
-        # This cluster's loop is about to end: so must its connections.
-        await self.client.aclose()
-
-    async def kill(self, node_id: int) -> None:
-        """In-process stand-in for SIGKILL: stop serving AND beating."""
-        await self.daemons.pop(node_id).aclose()
+def service(**keywords) -> LocalService:
+    return LocalService(block_size=BLOCK, **keywords)
 
 
 class TestObjectPath:
     def test_put_get_delete_round_trip(self):
         async def _run():
-            async with Service() as svc:
+            async with service() as svc:
                 data = os.urandom(N * BLOCK * 2 + 777)  # 3 stripes, ragged tail
                 await svc.client.put("obj", data)
                 assert await svc.client.get("obj") == data
@@ -119,9 +63,45 @@ class TestObjectPath:
 
         asyncio.run(_run())
 
+    def test_a_one_stripe_put_is_begin_block_puts_commit(self, monkeypatch):
+        """The grant carries the code and block size: no ``status`` first."""
+        from repro.store import client as client_mod
+
+        real_call = client_mod.call
+        sent = []
+
+        async def recording_call(host, port, mtype, body=None, blob=None, **kw):
+            sent.append(mtype)
+            return await real_call(host, port, mtype, body, blob, **kw)
+
+        async def _run():
+            async with service() as svc:
+                monkeypatch.setattr(client_mod, "call", recording_call)
+                await svc.client.put("obj", os.urandom(N * BLOCK - 1))
+
+        asyncio.run(_run())
+        assert sent == ["put.begin", *["block.put"] * (N + K), "put.commit"]
+
+    def test_put_begin_grants_the_stripes_the_size_needs(self):
+        async def _run():
+            async with service() as svc:
+                grants = [
+                    await svc.client._coordinator(
+                        "put.begin", {"name": f"obj-{size}", "size": size}
+                    )
+                    for size in (0, N * BLOCK, N * BLOCK * 2 + 1)
+                ]
+                assert [len(g["stripes"]) for g in grants] == [1, 1, 3]
+                with pytest.raises(StoreError, match="must not be negative"):
+                    await svc.client._coordinator(
+                        "put.begin", {"name": "neg", "size": -1}
+                    )
+
+        asyncio.run(_run())
+
     def test_duplicate_put_rejected(self):
         async def _run():
-            async with Service() as svc:
+            async with service() as svc:
                 await svc.client.put("obj", b"x" * 100)
                 with pytest.raises(StoreError, match="already exists"):
                     await svc.client.put("obj", b"y" * 100)
@@ -132,10 +112,10 @@ class TestObjectPath:
         """The coordinator verifies daemons against claimed CRCs."""
 
         async def _run():
-            async with Service() as svc:
+            async with service() as svc:
                 client = svc.client
                 grant = await client._coordinator(
-                    "put.begin", {"name": "obj", "size": 10, "nstripes": 1}
+                    "put.begin", {"name": "obj", "size": 10}
                 )
                 # Claim CRCs for blocks nobody ever wrote.
                 claims = [{
@@ -154,9 +134,9 @@ class TestObjectPath:
         reached put.commit is superseded by the retry."""
 
         async def _run():
-            async with Service() as svc:
+            async with service() as svc:
                 await svc.client._coordinator(
-                    "put.begin", {"name": "obj", "size": 10, "nstripes": 1}
+                    "put.begin", {"name": "obj", "size": 10}
                 )  # ... and the client dies here.
                 data = os.urandom(N * BLOCK + 5)
                 await svc.client.put("obj", data)
@@ -168,8 +148,8 @@ class TestObjectPath:
 
     def test_the_loser_of_two_racing_puts_fails_its_commit(self):
         async def _run():
-            async with Service() as svc:
-                begin = {"name": "obj", "size": 10, "nstripes": 1}
+            async with service() as svc:
+                begin = {"name": "obj", "size": 10}
                 loser = await svc.client._coordinator("put.begin", begin)
                 data = os.urandom(100)
                 await svc.client.put("obj", data)  # begins after, commits first
@@ -201,7 +181,7 @@ class TestKillAndRepair:
     @pytest.mark.parametrize("scheme", ["traditional", "car", "rpr"])
     def test_daemon_death_triggers_byte_exact_repair(self, scheme):
         async def _run():
-            async with Service(scheme=scheme) as svc:
+            async with service(scheme=scheme) as svc:
                 data = os.urandom(N * BLOCK + 99)  # 2 stripes
                 await svc.client.put("obj", data)
                 # Kill the daemon holding stripe 0's block 0.
@@ -238,7 +218,7 @@ class TestKillAndRepair:
 
     def test_repair_lands_blocks_on_live_spares_only(self):
         async def _run():
-            async with Service() as svc:
+            async with service() as svc:
                 data = os.urandom(N * BLOCK)
                 await svc.client.put("obj", data)
                 victim = svc.coordinator.stripes[0].placement.node_of(0)
@@ -264,7 +244,7 @@ class TestKillAndRepair:
         ledgers, and it ends on the coordinator's placements."""
 
         async def _run():
-            async with Service(scheme=scheme, racks=3, per_rack=4, n=6, k=3) as svc:
+            async with service(scheme=scheme, racks=3, per_rack=4, n=6, k=3) as svc:
                 await svc.client.put("a", os.urandom(6 * BLOCK * 4))
                 await svc.client.put("b", os.urandom(6 * BLOCK * 3 + 1))
                 victim = svc.coordinator.stripes[0].placement.node_of(0)
@@ -294,7 +274,7 @@ class TestKillAndRepair:
 
     def test_telemetry_spans_cover_all_three_components(self):
         async def _run():
-            async with Service() as svc:
+            async with service() as svc:
                 data = os.urandom(N * BLOCK)
                 await svc.client.put("obj", data)
                 victim = svc.coordinator.stripes[0].placement.node_of(0)
@@ -327,7 +307,7 @@ class TestKillAndRepair:
         survive the JSONL and Perfetto exporters unchanged."""
 
         async def _run():
-            async with Service() as svc:
+            async with service() as svc:
                 data = os.urandom(N * BLOCK + 99)  # 2 stripes
                 await svc.client.put("obj", data)
                 victim = svc.coordinator.stripes[0].placement.node_of(0)
@@ -410,7 +390,7 @@ class TestKillAndRepair:
         """
 
         async def _run():
-            async with Service(suspect_after=30.0) as svc:
+            async with service(suspect_after=30.0) as svc:
                 data = os.urandom(N * BLOCK - 17)  # one stripe
                 await svc.client.put("obj", data)
                 placement = svc.coordinator.stripes[0].placement
@@ -430,7 +410,7 @@ class TestKillAndRepair:
         """A GET during the degraded window fails loudly, never hangs."""
 
         async def _run():
-            async with Service(suspect_after=30.0) as svc:
+            async with service(suspect_after=30.0) as svc:
                 # suspect_after is huge: the coordinator will NOT notice
                 # the death, freezing the degraded window open.
                 data = os.urandom(N * BLOCK)
@@ -465,7 +445,7 @@ class TestDegradedReads:
         async def _run():
             # suspect_after is huge so detection/repair never races the
             # read: the window is frozen open, the GET must reconstruct.
-            async with Service(
+            async with service(
                 scheme=scheme, suspect_after=30.0,
                 racks=racks, per_rack=per_rack, n=n, k=k,
             ) as svc:
@@ -495,7 +475,7 @@ class TestDegradedReads:
         """
 
         async def _run():
-            async with Service(scheme=scheme) as svc:
+            async with service(scheme=scheme) as svc:
                 data = os.urandom(N * BLOCK + 99)
                 await svc.client.put("obj", data)
                 victim = svc.coordinator.stripes[0].placement.node_of(0)
@@ -532,7 +512,7 @@ class TestDegradedReads:
         falling back to a full decode."""
 
         async def _run():
-            async with Service(suspect_after=30.0) as svc:
+            async with service(suspect_after=30.0) as svc:
                 data = os.urandom(N * BLOCK - 5)  # one stripe
                 await svc.client.put("obj", data)
                 victim = svc.coordinator.stripes[0].placement.node_of(0)
@@ -560,7 +540,7 @@ class TestDegradedReads:
             )
 
         async def _run():
-            async with Service(suspect_after=30.0) as svc:
+            async with service(suspect_after=30.0) as svc:
                 data = os.urandom(N * BLOCK - 5)  # one stripe
                 await svc.client.put("obj", data)
                 victim = svc.coordinator.stripes[0].placement.node_of(0)
@@ -596,7 +576,7 @@ class TestDegradedReads:
             return await real_call(host, port, mtype, body, blob, **kw)
 
         async def _run():
-            async with Service() as svc:
+            async with service() as svc:
                 data = os.urandom(N * BLOCK - 1)  # one stripe
                 await svc.client.put("obj", data)
                 monkeypatch.setattr(client_mod, "call", gated_call)
@@ -627,7 +607,7 @@ class TestBlockBytes:
         monkeypatch.setattr(daemon_mod, "block_crc", counting_crc)
 
         async def _run():
-            async with Service(racks=3, per_rack=3, n=6, k=3) as svc:
+            async with service(racks=3, per_rack=3, n=6, k=3) as svc:
                 data = os.urandom(6 * BLOCK - 1)  # one RS(6,3) stripe: 9 blocks
                 await svc.client.put("obj", data)
 
@@ -662,7 +642,7 @@ class TestPersistentConnections:
         and the stats plane must say so."""
 
         async def _run():
-            async with Service(suspect_after=30.0) as svc:
+            async with service(suspect_after=30.0) as svc:
                 for i in range(200):
                     await svc.client.put(f"obj-{i}", os.urandom(N * BLOCK - 3))
                 scrape = await svc.client.stats()
@@ -695,7 +675,7 @@ class TestPersistentConnections:
         that awaited them first would hang on Python >= 3.12.1)."""
 
         async def _run():
-            async with Service(suspect_after=30.0) as svc:
+            async with service(suspect_after=30.0) as svc:
                 await svc.client.put("obj", os.urandom(N * BLOCK * 2))
                 assert await svc.client.get("obj")
                 if party == "daemon":
@@ -717,22 +697,15 @@ class TestPersistentConnections:
         break a later request nor pile up."""
 
         async def _run():
-            async with Service(suspect_after=0.6) as svc:
+            async with service(suspect_after=0.6) as svc:
                 data = os.urandom(N * BLOCK + 5)
                 await svc.client.put("obj", data)
                 victim = svc.coordinator.stripes[0].placement.node_of(0)
                 old_port = svc.daemons[victim].port
                 await svc.kill(victim)
                 await svc.client.wait_healthy(timeout=20.0, min_repairs=1)
-                port = svc.coordinator.port
-                reborn = StorageDaemon(
-                    victim, ("127.0.0.1", port), heartbeat_interval=svc.heartbeat
-                )
-                await reborn.start()
-                svc.daemons[victim] = reborn
+                reborn = await svc.start_daemon(victim)
                 assert reborn.port != old_port
-                while not svc.coordinator.detector.entry(victim).alive:
-                    await asyncio.sleep(0.02)
                 assert await svc.client.get("obj") == data
                 for i in range(6):  # new stripes land on the reborn node too
                     await svc.client.put(f"more-{i}", os.urandom(N * BLOCK))
@@ -787,7 +760,7 @@ class TestSyncClientSockets:
             async def _main():
                 box["stop"] = asyncio.Event()
                 box["loop"] = asyncio.get_running_loop()
-                async with Service(suspect_after=30.0) as svc:
+                async with service(suspect_after=30.0) as svc:
                     box["port"] = svc.coordinator.port
                     ready.set()
                     await box["stop"].wait()
