@@ -33,14 +33,16 @@ def _cluster(args) -> dict:
 
 
 def _store_verb(handler):
-    """A launcher or service failure is one ``error:`` line and exit 1."""
+    """A launcher or service failure is one ``error:`` line and exit 1;
+    a service failure names its kind: ``error (not_found): ...``."""
 
     @functools.wraps(handler)
     def run(args):
         try:
             return handler(args, StoreLauncher(args.dir))
         except (LauncherError, StoreError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            kind = f" ({exc.kind})" if isinstance(exc, StoreError) else ""
+            print(f"error{kind}: {exc}", file=sys.stderr)
             return 1, None
 
     return run

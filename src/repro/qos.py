@@ -39,7 +39,7 @@ import asyncio
 import random
 from dataclasses import dataclass, field
 
-from .store import LocalService, StoreClient, StoreError
+from .store import LocalService, StoreClient, StoreError, Unavailable
 from .telemetry import LogHistogram
 from .workloads import RequestEvent, zipf_object_trace
 
@@ -314,14 +314,7 @@ async def replay_trace(
             # the store never re-grants placements.  That whole family
             # is write unavailability, not a data-path failure.  GETs
             # are held to the hard standard — they must always succeed.
-            rejected = "would land on dead nodes" in str(exc) or (
-                ev.op == "put"
-                and (
-                    isinstance(exc, (ConnectionError, OSError))
-                    or "Connection" in str(exc)
-                    or "died during put" in str(exc)
-                )
-            )
+            rejected = ev.op == "put" and isinstance(exc, (Unavailable, OSError))
         end = loop.time() - t0
         samples.append(
             RequestSample(

@@ -33,11 +33,17 @@ from .heartbeat import DEFAULT_INTERVAL, FailureDetector, HeartbeatSender, NodeE
 from .launcher import LauncherError, StoreLauncher
 from .local import LocalService
 from .messages import (
+    KINDS,
     PROTOCOL_VERSION,
+    Corrupt,
+    Exists,
+    NotFound,
     Request,
     RpcServer,
     StoreError,
     StoreProtocolError,
+    Unavailable,
+    Unrecoverable,
     call,
     close_idle_connections,
     read_request,
@@ -57,13 +63,17 @@ from .repair import (
 
 __all__ = [
     "Coordinator",
+    "Corrupt",
     "DEFAULT_INTERVAL",
+    "Exists",
+    "KINDS",
     "FailureDetector",
     "HeartbeatSender",
     "LauncherError",
     "LocalService",
     "NodeAssignment",
     "NodeEntry",
+    "NotFound",
     "PROTOCOL_VERSION",
     "RepairSession",
     "Request",
@@ -75,6 +85,8 @@ __all__ = [
     "StoreLauncher",
     "StoreProtocolError",
     "SyncStoreClient",
+    "Unavailable",
+    "Unrecoverable",
     "call",
     "close_idle_connections",
     "ledger_from_reports",

@@ -28,7 +28,7 @@ from ..repair import ExecutionError, execute_plan
 from ..repair.plan import block_key
 from ..rs import get_code
 from ..telemetry import CLOCK_WALL, TelemetryRecorder, TraceContext
-from .messages import StoreError, call, close_idle_connections
+from .messages import Corrupt, StoreError, Unavailable, Unrecoverable, call, close_idle_connections
 from .objects import ObjectInfo, reassemble, split_into_stripes
 from .repair import block_crc, plan_from_dict, stored_block_key
 
@@ -156,15 +156,13 @@ class StoreClient:
         """
         try:
             return await self._get_once(name, degraded=degraded)
-        except StoreError as exc:
-            if not degraded or "unrecoverable" not in str(exc):
-                raise
-            # "Unrecoverable" mid-outage is usually a transient mass
-            # false-death: the detector marked busy-but-alive nodes dead
-            # between heartbeats, so the degraded lookup routed nothing.
-            # The next beat revives them — one retry turns a spurious
-            # hard failure into a slow read; genuinely lost stripes fail
-            # again.
+        except Unrecoverable:
+            # Only a degraded read raises it, and mid-outage it is usually
+            # a transient mass false-death: the detector marked
+            # busy-but-alive nodes dead between heartbeats, so the
+            # degraded lookup routed nothing.  The next beat revives them
+            # — one retry turns a spurious hard failure into a slow read;
+            # genuinely lost stripes fail again.
             await asyncio.sleep(0.2)
             return await self._get_once(name, degraded=degraded)
 
@@ -230,7 +228,7 @@ class StoreClient:
         route = routing.get(str(node))
         try:
             if route is None:
-                raise StoreError(f"no route to node {node} (dead daemon?)")
+                raise Unavailable(f"no route to node {node} (dead daemon?)")
             _, blob = await call(
                 route[0], route[1], "block.get",
                 {"key": stored_block_key(sid, bid)}, attempts=2 if lenient else 5,
@@ -252,7 +250,7 @@ class StoreClient:
         placement = {int(bid): node for bid, node in spec["placement"].items()}
         for bid in range(n):
             if bid in missing:
-                raise StoreError(
+                raise Unavailable(
                     f"object {name!r} is degraded (stripe {sid} block {bid} "
                     f"missing); retry with degraded=True to reconstruct, or "
                     f"wait for repair to finish"
@@ -307,7 +305,7 @@ class StoreClient:
             mode = "decode"
             await fetch({bid: placement[bid] for bid in range(n, code.width)})
             if len(held) < n:
-                raise StoreError(
+                raise Unrecoverable(
                     f"object {name!r} stripe {sid} is unrecoverable: only "
                     f"{len(held)} of {code.width} blocks reachable, "
                     f"need {n}"
@@ -319,7 +317,7 @@ class StoreClient:
             want = checksums.get(bid)
             got = block_crc(block)
             if want is not None and got != want:
-                raise StoreError(
+                raise Corrupt(
                     f"object {name!r} stripe {sid} block {bid}: degraded "
                     f"reconstruction produced wrong bytes "
                     f"(crc {got:#x} != {want:#x})"
@@ -397,25 +395,24 @@ class StoreClient:
     ) -> dict:
         """Poll until no stripe is degraded (and ``min_repairs`` finished).
 
-        Returns the final status; raises :class:`StoreError` when
+        Returns the final status; raises :class:`Unavailable` when
         ``timeout`` elapses first — a repair that should have happened
         and didn't is a test failure, not something to wait out forever.
-        Fails *fast* (no timeout wait) when the coordinator reports a
-        fatal repair error — too many losses or no live spares are
-        planning-level verdicts that more polling cannot change.
+        Fails *fast* (no timeout wait) with :class:`Unrecoverable` when
+        the coordinator reports a repair error of that kind — too many
+        losses or no live spares are planning-level verdicts that more
+        polling cannot change.
         """
         loop = asyncio.get_event_loop()
         deadline = loop.time() + timeout
         while True:
             status = await self.status()
-            fatal = [
-                e for e in status.get("repair_errors", []) if e.get("fatal")
-            ]
+            fatal = [e for e in status["repair_errors"] if e["kind"] == Unrecoverable.kind]
             if fatal:
                 details = "; ".join(
                     f"stripe {e['sid']}: {e['error']}" for e in fatal
                 )
-                raise StoreError(
+                raise Unrecoverable(
                     f"service cannot self-heal ({details}); waiting will not "
                     f"fix it — restore nodes or accept data loss"
                 )
@@ -427,7 +424,7 @@ class StoreClient:
             if healthy:
                 return status
             if loop.time() >= deadline:
-                raise StoreError(
+                raise Unavailable(
                     f"service still degraded after {timeout}s: "
                     f"degraded={status['degraded']} "
                     f"repairs={len(status['repairs'])}/{min_repairs}"

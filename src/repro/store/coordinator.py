@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import itertools
 import json
 import time
@@ -57,7 +58,10 @@ from ..telemetry import (
     TraceContext,
 )
 from .heartbeat import FailureDetector
-from .messages import Request, RpcServer, StoreError, call, close_idle_connections
+from .messages import (
+    Corrupt, Exists, NotFound, Request, RpcServer, StoreError, StoreProtocolError, Unavailable,
+    Unrecoverable, call, close_idle_connections, dispatch, error_kind,
+)
 from .objects import stripe_count
 from .repair import (
     ledger_from_reports,
@@ -121,13 +125,14 @@ class Coordinator:
         self.stripes = self.catalog.stripes
         self.objects: dict[str, dict] = {}
         self.repairs: list[dict] = []
-        #: Repair failures per stripe, for client fail-fast: ``fatal``
-        #: marks planning-level outcomes (too many losses, no spares)
-        #: that waiting cannot fix.  Cleared per stripe on success.
+        #: Repair failures per stripe as ``{sid, kind, error}``, for
+        #: client fail-fast: kind ``unrecoverable`` marks planning-level
+        #: outcomes (too many losses, no spares) that waiting cannot fix.
+        #: Cleared per stripe on success.
         self.repair_errors: list[dict] = []
         self._pending_puts: dict[str, dict] = {}
         self._rid_counter = itertools.count()
-        self._rpc = RpcServer(self._dispatch)
+        self._rpc = RpcServer(functools.partial(dispatch, self, {}))
         self._sweep_task: asyncio.Task | None = None
         self._repair_lock = asyncio.Lock()
         self._repair_tasks: set[asyncio.Task] = set()
@@ -197,17 +202,16 @@ class Coordinator:
                 if sid in self.stripes and self.stripes[sid].missing:
                     try:
                         await self._repair_stripe(sid)
-                    except (StoreError, RepairPlanningError, ConnectionError, OSError) as exc:
-                        fatal = isinstance(exc, RepairPlanningError)
+                    except (StoreError, RepairPlanningError, OSError) as exc:
+                        kind = (Unrecoverable.kind if isinstance(exc, RepairPlanningError)
+                                else error_kind(exc))
                         self.rec.event(
                             "repair.failed", category="fault", sid=sid,
-                            error=str(exc), fatal=fatal,
+                            error=str(exc), kind=kind,
                         )
-                        self.repair_errors.append({
-                            "sid": sid,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "fatal": fatal,
-                        })
+                        self.repair_errors.append(
+                            {"sid": sid, "kind": kind, "error": f"{type(exc).__name__}: {exc}"}
+                        )
 
     async def _repair_stripe(self, sid: int) -> dict:
         meta = self.stripes[sid]
@@ -264,7 +268,7 @@ class Coordinator:
                 f"repair {rid} committed {rebuilt} blocks, expected {len(failed)}"
             )
         if not crc_ok:
-            raise StoreError(f"repair {rid} rebuilt wrong bytes for stripe {sid}")
+            raise Corrupt(f"repair {rid} rebuilt wrong bytes for stripe {sid}")
 
         # Ledger cross-check: the whole measured daemon→daemon ledger (per
         # link class, node and rack) and the op counts vs the simulator's.
@@ -307,29 +311,7 @@ class Coordinator:
         self.repair_errors = [e for e in self.repair_errors if e["sid"] != sid]
         return record
 
-    # -- RPC dispatch -------------------------------------------------------
-
-    async def _dispatch(self, request: Request):
-        handler = getattr(self, "_rpc_" + request.mtype.replace(".", "_"), None)
-        if handler is None:
-            raise StoreError(f"coordinator: unknown rpc {request.mtype!r}")
-        if request.ctx is not None:
-            # Adopt the caller's hop context: our span carries its id, so
-            # the assembled tree links caller span -> this rpc span.
-            request.server_ctx = request.ctx
-        start = time.monotonic()
-        try:
-            return await handler(request)
-        finally:
-            elapsed = time.monotonic() - start
-            if request.mtype != "heartbeat":  # beats would swamp the stats
-                self.stats.count(f"rpc:{request.mtype}")
-                self.stats.latency(request.mtype, elapsed)
-            if self.rec and request.server_ctx is not None:
-                self.rec.span(
-                    f"rpc:{request.mtype}", start, start + elapsed,
-                    category="rpc", **request.server_ctx.attrs(),
-                )
+    # -- RPC handlers (served by messages.dispatch) --------------------------
 
     async def _rpc_heartbeat(self, request: Request):
         body = request.body
@@ -364,7 +346,7 @@ class Coordinator:
         for node_id in node_ids:
             entry = self.detector.entry(node_id)
             if entry is None or not entry.alive:
-                raise StoreError(f"node {node_id} is not alive")
+                raise Unavailable(f"node {node_id} is not alive")
             routing[str(node_id)] = [entry.host, entry.port]
         return routing
 
@@ -372,16 +354,16 @@ class Coordinator:
         body = request.body
         name, size = body["name"], int(body["size"])
         if name in self.objects:
-            raise StoreError(f"object {name!r} already exists")
+            raise Exists(f"object {name!r} already exists")
         if size < 0:
-            raise StoreError(f"object size must not be negative, got {size}")
+            raise StoreProtocolError(f"object size must not be negative, got {size}")
         alive = self.detector.alive_ids()
         stripes = []
         for _ in range(stripe_count(size, self.code.n, self.block_size)):
             stored = self.catalog.allocate()
             lands_on = set(stored.placement.block_to_node.values())
             if not lands_on <= alive:
-                raise StoreError(
+                raise Unavailable(
                     f"stripe {stored.stripe_id} would land on dead nodes "
                     f"{sorted(lands_on - alive)}; repair or restart them first"
                 )
@@ -403,20 +385,18 @@ class Coordinator:
             "routing": self._routing(involved),
         }, None
 
-    async def _verify_held(self, node: int, entry, claims: dict[str, int]) -> None:
+    async def _verify_held(self, node: int, route, claims: dict[str, int]) -> None:
         """``block.stat`` one daemon: it must hold these keys with these CRCs."""
-        found, _ = await call(
-            entry.host, entry.port, "block.stat", {"keys": list(claims)}
-        )
+        found, _ = await call(*route, "block.stat", {"keys": list(claims)})
         for key, crc in claims.items():
             stat = found["found"].get(key)
             if stat is None:
-                raise StoreError(
+                raise NotFound(
                     f"daemon {node} holds no block {key!r}; "
                     f"client must rewrite before committing"
                 )
             if stat["crc"] != crc:
-                raise StoreError(
+                raise Corrupt(
                     f"daemon {node} holds different bytes for {key!r}"
                 )
 
@@ -425,7 +405,7 @@ class Coordinator:
         name = body["name"]
         pending = self._pending_puts.get(name)
         if pending is None:
-            raise StoreError(f"no pending put for object {name!r}")
+            raise NotFound(f"no pending put for object {name!r}")
         claimed = {int(s["sid"]): {int(b): int(c) for b, c in s["crcs"].items()}
                    for s in body["stripes"]}
         # Trust nothing: stat the daemons and compare CRCs before the
@@ -436,20 +416,17 @@ class Coordinator:
         for stored in pending["stripes"]:
             sid = stored.stripe_id
             if set(claimed.get(sid, {})) != set(range(self.code.width)):
-                raise StoreError(f"put.commit missing CRCs for stripe {sid}")
+                raise StoreProtocolError(f"put.commit missing CRCs for stripe {sid}")
             for bid, node in stored.placement.block_to_node.items():
                 by_node.setdefault(node, {})[stored_block_key(sid, bid)] = claimed[sid][bid]
-        entries = {node: self.detector.entry(node) for node in by_node}
-        for node, entry in entries.items():
-            if entry is None or not entry.alive:
-                raise StoreError(f"node {node} died during put of {name!r}")
+        routing = self._routing(by_node)
         await asyncio.gather(
-            *(self._verify_held(node, entries[node], claims)
+            *(self._verify_held(node, routing[str(node)], claims)
               for node, claims in by_node.items())
         )
         if self._pending_puts.get(name) is not pending:
             # A newer put.begin took the name while the daemons were statted.
-            raise StoreError(f"put of {name!r} was superseded before its commit")
+            raise Exists(f"put of {name!r} was superseded before its commit")
         for stored in pending["stripes"]:
             stored.checksums = claimed[stored.stripe_id]
             self.catalog.add(stored)
@@ -504,7 +481,7 @@ class Coordinator:
         degraded = bool(request.body.get("degraded"))
         info = self.objects.get(name)
         if info is None:
-            raise StoreError(f"no object {name!r}")
+            raise NotFound(f"no object {name!r}")
         records = [self.stripes[sid] for sid in info["stripe_ids"]]
         stripes = [
             {
@@ -549,7 +526,7 @@ class Coordinator:
         name = request.body["name"]
         info = self.objects.get(name)
         if info is None:
-            raise StoreError(f"no object {name!r}")
+            raise NotFound(f"no object {name!r}")
         by_node: dict[int, list[str]] = {}
         for sid in info["stripe_ids"]:
             meta = self.stripes[sid]

@@ -26,7 +26,7 @@ from ..live.shaper import TokenBucket
 from ..live.transport import cancel_and_wait
 from ..telemetry import CLOCK_WALL, StatsRegistry, StreamingRecorder, TelemetryRecorder
 from .heartbeat import DEFAULT_INTERVAL, HeartbeatSender
-from .messages import Request, RpcServer, StoreError, close_idle_connections
+from .messages import Exists, NotFound, Request, RpcServer, close_idle_connections, dispatch
 from .repair import NodeAssignment, RepairSession, block_crc
 
 __all__ = ["StorageDaemon", "main"]
@@ -34,15 +34,6 @@ __all__ = ["StorageDaemon", "main"]
 #: Generous ceiling for one repair session (the coordinator passes the
 #: real deadline per repair; this guards a coordinator that forgot).
 DEFAULT_REPAIR_TIMEOUT = 60.0
-
-#: QoS class each RPC's latency is attributed to in the live stats
-#: (mirrors the NIC split: block I/O is foreground, repair is repair).
-RPC_CLASS = {
-    "block.put": "foreground",
-    "block.get": "foreground",
-    "repair.block": "repair",
-    "repair.exec": "repair",
-}
 
 
 def _as_block(blob) -> np.ndarray:
@@ -105,7 +96,7 @@ class StorageDaemon:
                 recorder=self.rec,
                 label=f"nic:{node_id}",
             )
-        self._rpc = RpcServer(self._dispatch)
+        self._rpc = RpcServer(functools.partial(dispatch, self, {"node": node_id}))
         self._hb: HeartbeatSender | None = None
         self._hb_task: asyncio.Task | None = None
         self._sessions: dict[str, RepairSession] = {}
@@ -152,31 +143,7 @@ class StorageDaemon:
         # connection drop, like a killed process.
         await self._rpc.aclose()
 
-    # -- RPC dispatch -------------------------------------------------------
-
-    async def _dispatch(self, request: Request):
-        handler = getattr(self, "_rpc_" + request.mtype.replace(".", "_"), None)
-        if handler is None:
-            raise StoreError(f"daemon {self.node_id}: unknown rpc {request.mtype!r}")
-        if request.ctx is not None:
-            # The caller minted this context *for this hop*; recording our
-            # span under its id is what links the cross-process tree.
-            request.server_ctx = request.ctx
-        start = time.monotonic()
-        try:
-            return await handler(request)
-        finally:
-            elapsed = time.monotonic() - start
-            self.stats.count(f"rpc:{request.mtype}")
-            self.stats.latency(
-                request.mtype, elapsed, cls=RPC_CLASS.get(request.mtype, "")
-            )
-            if self.rec and request.server_ctx is not None:
-                self.rec.span(
-                    f"rpc:{request.mtype}", start, start + elapsed,
-                    category="rpc", node=self.node_id,
-                    **request.server_ctx.attrs(),
-                )
+    # -- RPC handlers (served by messages.dispatch) --------------------------
 
     async def _rpc_ping(self, request: Request):
         return {"node_id": self.node_id, "blocks": len(self.blocks)}, None
@@ -201,7 +168,7 @@ class StorageDaemon:
         key = request.body["key"]
         payload = self.blocks.get(key)
         if payload is None:
-            raise StoreError(f"daemon {self.node_id}: no block {key!r}")
+            raise NotFound(f"daemon {self.node_id}: no block {key!r}")
         if self.link is not None:
             await self.link.acquire(int(payload.nbytes), "foreground")
         self.rec.count("daemon.block_get_bytes", payload.nbytes)
@@ -240,10 +207,8 @@ class StorageDaemon:
         body = request.body
         rid = body["rid"]
         if rid in self._sessions:
-            raise StoreError(f"daemon {self.node_id}: repair {rid!r} already running")
-        repair_ctx = (
-            request.server_ctx.child() if request.server_ctx is not None else None
-        )
+            raise Exists(f"daemon {self.node_id}: repair {rid!r} already running")
+        repair_ctx = request.ctx.child() if request.ctx is not None else None
         session = RepairSession(
             rid,
             NodeAssignment.from_dict(body["assignment"]),

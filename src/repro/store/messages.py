@@ -44,11 +44,17 @@ after another, never two at once.
   also reaps every idle one whose peer is seen to have hung up.
 * **Server side** — :class:`RpcServer` serves each accepted connection
   in a loop (read request, dispatch, respond, next) until EOF or a
-  malformed frame.  Waiting for the *next* request is unbounded; once a
-  frame has begun the progress timeout applies (one deadline per frame,
-  pushed out as its bytes arrive; :func:`~repro.live.wire.read_frame`).
-  On shutdown parked connections are closed at once and only requests
-  in mid-flight get a grace period.
+  malformed frame.  The coordinator and the daemons both serve through
+  :func:`dispatch`: it finds the party's ``_rpc_<type>`` handler and
+  records the call's stats and span.  Waiting for the *next* request is
+  unbounded; once a frame has begun the progress timeout applies (one
+  deadline per frame, pushed out as its bytes arrive;
+  :func:`~repro.live.wire.read_frame`).  On shutdown parked connections
+  are closed at once and only requests in mid-flight get a grace period.
+* **Errors** — a failed RPC answers ``ok: false`` with the message in
+  ``error`` and its kind in ``kind``: one of :data:`KINDS`, each a
+  :class:`StoreError` subclass, which :func:`call` raises again on the
+  caller's side.  An absent ``kind`` means ``internal``.
 
 All three components — coordinator, daemons, clients — speak only this
 shape.
@@ -58,19 +64,29 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 from ..live.transport import Stream, TcpStream, connect_tcp
 from ..live.wire import WireClosed, WireError, read_frame, send_frame
 from ..telemetry.distributed import TraceContext
 
 __all__ = [
+    "Corrupt",
+    "Exists",
+    "KINDS",
+    "NotFound",
     "PROTOCOL_VERSION",
+    "RPC_CLASS",
     "StoreError",
     "StoreProtocolError",
     "Request",
     "RpcServer",
+    "Unavailable",
+    "Unrecoverable",
     "call",
     "close_idle_connections",
+    "dispatch",
+    "error_kind",
     "read_request",
     "send_response",
     "response_error",
@@ -88,28 +104,89 @@ DEFAULT_RPC_TIMEOUT = 30.0
 SHUTDOWN_GRACE = 0.25
 
 
+#: QoS class each RPC's latency is attributed to in the live stats
+#: (mirrors a daemon's NIC split: block I/O is foreground, repair is repair).
+RPC_CLASS = {
+    "block.put": "foreground",
+    "block.get": "foreground",
+    "repair.block": "repair",
+    "repair.exec": "repair",
+}
+
+
 class StoreError(RuntimeError):
-    """A store operation failed (service-side errors travel back as this)."""
+    """A store operation failed; ``kind`` names how.
+
+    The base class is the ``internal`` kind: a failure no other kind
+    explains (a handler bug, a broken invariant) is always a finding.
+    Service-side errors travel back as their own subclass.
+    """
+
+    kind = "internal"
 
 
 class StoreProtocolError(StoreError):
-    """The peer spoke a frame this protocol cannot interpret."""
+    """A frame or request this protocol cannot serve: a malformed frame
+    or body, an unknown rpc, a request missing what it must carry."""
+
+    kind = "protocol"
+
+
+class NotFound(StoreError):
+    """No such object, pending put or block."""
+
+    kind = "not_found"
+
+
+class Exists(StoreError):
+    """The name is taken, the put was superseded, or the repair already runs."""
+
+    kind = "exists"
+
+
+class Unavailable(StoreError):
+    """A node the operation needs is dead or unreachable, or the object
+    is degraded: waiting, a degraded read or a repair may fix it."""
+
+    kind = "unavailable"
+
+
+class Unrecoverable(StoreError):
+    """Too much is lost for any wait or repair to bring the bytes back."""
+
+    kind = "unrecoverable"
+
+
+class Corrupt(StoreError):
+    """Bytes that do not match their write-time CRC."""
+
+    kind = "corrupt"
+
+
+#: Every outcome kind -> the class :func:`call` raises for it.
+KINDS = {cls.kind: cls for cls in (StoreError, *StoreError.__subclasses__())}
+
+
+def error_kind(exc: BaseException) -> str:
+    """The kind ``exc`` travels as: its own for a :class:`StoreError`,
+    ``unavailable`` for a connection or socket failure, else ``internal``."""
+    if isinstance(exc, StoreError):
+        return exc.kind
+    return Unavailable.kind if isinstance(exc, OSError) else StoreError.kind
 
 
 class Request:
     """One parsed incoming request: type, JSON body, binary blob.
 
     ``ctx`` is the caller's :class:`~repro.telemetry.distributed.\
-TraceContext` when the request frame carried one (header ``"tc"``), so
-    a server can record its handling span as a child of the caller's
-    hop; ``None`` from un-instrumented callers.  ``server_ctx`` is
-    filled by the server's dispatch wrapper — the context its handling
-    span is recorded under (the wire context itself: the caller minted
-    it *for this hop*) — so handlers that fan out further work (a
-    repair session's sends) mint children of it and parent correctly.
+TraceContext` when the request frame carried one (header ``"tc"``):
+    the caller minted it *for this hop*, so the server records its
+    handling span under it, and handlers that fan out further work (a
+    repair session's sends) mint children of it.  ``None`` from
+    un-instrumented callers.
     """
 
-    __slots__ = ("mtype", "body", "blob", "ctx", "server_ctx")
+    __slots__ = ("mtype", "body", "blob", "ctx")
 
     def __init__(
         self,
@@ -122,7 +199,6 @@ TraceContext` when the request frame carried one (header ``"tc"``), so
         self.body = body
         self.blob = blob
         self.ctx = ctx
-        self.server_ctx: TraceContext | None = None
 
 
 def _pack(body: dict | None, blob) -> tuple[int, bytes]:
@@ -189,20 +265,19 @@ async def read_request(
     return Request(mtype, body, blob, ctx)
 
 
-async def send_response(
-    stream: Stream, body: dict | None = None, blob=None, *, ok: bool = True,
-    error: str | None = None,
-) -> None:
+async def send_response(stream: Stream, body: dict | None = None, blob=None) -> None:
     blen, payload = _pack(body, blob)
-    head = {"t": "resp", "v": PROTOCOL_VERSION, "ok": ok, "blen": blen}
-    if error is not None:
-        head["error"] = error
+    head = {"t": "resp", "v": PROTOCOL_VERSION, "ok": True, "blen": blen}
     await send_frame(stream, head, payload)
 
 
-async def response_error(stream: Stream, error: str) -> None:
-    """Shorthand for a failed response with no body."""
-    await send_response(stream, ok=False, error=error)
+async def response_error(stream: Stream, error: str, kind: str = StoreError.kind) -> None:
+    """A failed response with no body; ``kind`` rides the header unless
+    it is ``internal``, which an absent ``kind`` means."""
+    head = {"t": "resp", "v": PROTOCOL_VERSION, "ok": False, "blen": 0, "error": error}
+    if kind != StoreError.kind:
+        head["kind"] = kind
+    await send_frame(stream, head, b"")
 
 
 #: Idle connections: event loop -> peer -> streams.  A stream is bound
@@ -296,10 +371,10 @@ async def call(
 
     ``ctx`` rides the request frame header so the server's handling
     span joins the caller's trace.  A response with ``ok: false``
-    raises :class:`StoreError` carrying the service-side message;
-    wire-level trouble (truncation, timeout, refused after backoff)
-    raises :class:`WireError` / ``ConnectionError`` for the caller's
-    retry policy to judge.
+    raises the :class:`StoreError` subclass of its ``kind`` carrying the
+    service-side message; wire-level trouble (truncation, timeout,
+    refused after backoff) raises :class:`WireError` /
+    ``ConnectionError`` for the caller's retry policy to judge.
     """
     peer = (host, port)
     response = None
@@ -319,19 +394,45 @@ async def call(
         response = await _round_trip(stream, peer, mtype, body, blob, timeout, ctx)
     header, payload = response
     if not header.get("ok", False):
-        raise StoreError(
+        raise KINDS.get(header.get("kind"), StoreError)(
             header.get("error") or f"rpc {mtype!r} failed with no error message"
         )
     return _split(header, payload)
+
+
+async def dispatch(party, span_attrs: dict, request: Request):
+    """Serve ``request`` with ``party``'s ``_rpc_<type>`` handler.
+
+    The one dispatch of the coordinator and the daemons (each serves
+    ``functools.partial(dispatch, self, span_attrs)``): an unknown type
+    is a :class:`StoreProtocolError`; every call but a heartbeat counts
+    into ``party.stats`` under its :data:`RPC_CLASS`, and a traced call
+    records its span in ``party.rec`` under the caller's hop context.
+    """
+    handler = getattr(party, "_rpc_" + request.mtype.replace(".", "_"), None)
+    if handler is None:
+        raise StoreProtocolError(f"unknown rpc {request.mtype!r}")
+    start = time.monotonic()
+    try:
+        return await handler(request)
+    finally:
+        elapsed = time.monotonic() - start
+        if request.mtype != "heartbeat":  # beats would swamp the stats
+            party.stats.count(f"rpc:{request.mtype}")
+            party.stats.latency(request.mtype, elapsed, cls=RPC_CLASS.get(request.mtype, ""))
+        if party.rec and request.ctx is not None:
+            party.rec.span(
+                f"rpc:{request.mtype}", start, start + elapsed,
+                category="rpc", **span_attrs, **request.ctx.attrs(),
+            )
 
 
 class RpcServer:
     """One party's listening socket and the connections it has accepted.
 
     ``dispatch(request)`` returns ``(body, blob)`` (either may be
-    ``None``) or raises :class:`StoreError` for a client-visible
-    failure; anything else is reported as an internal error string so a
-    server never dies from one bad request.
+    ``None``) or raises; the error response carries the exception's
+    :func:`error_kind`, so a server never dies from one bad request.
     """
 
     def __init__(self, dispatch, *, timeout: float | None = DEFAULT_RPC_TIMEOUT) -> None:
@@ -385,7 +486,7 @@ class RpcServer:
                 try:
                     request = await read_request(stream, timeout=self._timeout, park=True)
                 except StoreProtocolError as exc:
-                    await response_error(stream, f"protocol error: {exc}")
+                    await response_error(stream, f"protocol error: {exc}", exc.kind)
                     return
                 except (WireError, ConnectionError):
                     return  # peer hung up or spoke garbage: nothing to answer
@@ -394,9 +495,10 @@ class RpcServer:
                 try:
                     body, blob = await self._dispatch(request)
                 except StoreError as exc:
-                    await response_error(stream, str(exc))
+                    await response_error(stream, str(exc), exc.kind)
                 except Exception as exc:  # noqa: BLE001 - service must stay up
-                    await response_error(stream, f"internal error: {exc!r}")
+                    kind = error_kind(exc)
+                    await response_error(stream, f"{kind} error: {exc!r}", kind)
                 else:
                     await send_response(stream, body, blob)
                 # A parked connection must not pin the last request's or

@@ -39,7 +39,7 @@ from ..repair.plan import (
     op_from_dict,
 )
 from ..telemetry.distributed import TraceContext
-from .messages import StoreError, StoreProtocolError, call
+from .messages import NotFound, StoreError, StoreProtocolError, Unavailable, call
 
 __all__ = [
     "stored_block_key",
@@ -248,7 +248,7 @@ class RepairSession(NodeExecutor):
         """Sends to one peer: a ``repair.block`` RPC per part through
         ``rpc``, charged first to the daemon's repair share of its NIC."""
         if dst not in self.routing:
-            raise StoreError(
+            raise Unavailable(
                 f"repair {self.rid}: node {self.node} sends to node {dst}, which has "
                 f"no route (dead or uninvolved daemon?)"
             )
@@ -284,9 +284,9 @@ class RepairSession(NodeExecutor):
         ``blocks`` is the daemon's committed store: seeds are read from
         it, rebuilt outputs land in it.  A seed it no longer holds (a
         racing ``rm``, a loss) fails the part that reads it at once, as a
-        :class:`StoreError` naming the stored key.  A deadline turns a
-        stalled session (dead peer, partitioned plan bug) into a
-        :class:`StoreError` naming the stuck ops — the distributed twin of
+        :class:`NotFound` naming the stored key.  A deadline turns a
+        stalled session (dead peer, partitioned plan bug) into an
+        :class:`Unavailable` naming the stuck ops — the distributed twin of
         the runtime's :class:`~repro.live.runtime.LiveTimeoutError`.
         """
         node, seeds = self.assignment.node, self.assignment.seeds
@@ -301,9 +301,9 @@ class RepairSession(NodeExecutor):
         except ExecutionError as exc:
             absent = {key: held for key, held in seeds.items() if key not in self.payloads}
             lost = f"; seed blocks not held here: {absent}" if absent else ""
-            raise StoreError(f"repair {self.rid} failed on node {node}: {exc}{lost}") from exc
+            raise NotFound(f"repair {self.rid} failed on node {node}: {exc}{lost}") from exc
         if stuck:
-            raise StoreError(
+            raise Unavailable(
                 f"repair {self.rid} timed out after {timeout}s on node "
                 f"{node}; unfinished: {stuck}"
             )

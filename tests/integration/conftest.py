@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.store import LauncherError, StoreError, StoreLauncher
+from repro.store import LauncherError, NotFound, StoreLauncher
 from repro.telemetry import StatsRegistry
 
 
@@ -61,7 +61,7 @@ class StubClient:
 
     def get_with_report(self, name, degraded=True):
         if name not in self.objects:
-            raise StoreError(f"no such object {name!r}")
+            raise NotFound(f"no such object {name!r}")
         return self.objects[name], {"degraded": degraded, "reconstructed": [[0, 1]]}
 
     def delete(self, name):

@@ -610,3 +610,83 @@ def test_the_cluster_guard_sees_what_it_guards():
         "coordinator = store.Coordinator(cluster, code, block_size=2048)\n"
     )
     assert calls_to(old_service, {"Coordinator"}) == [3, 8]
+
+
+def message_text_branches(tree: ast.AST) -> list[int]:
+    """Lines that branch on a caught exception's message: an ``in`` /
+    ``not in`` comparison against ``str(<exception>)``, or
+    ``str(<exception>).startswith(...)``, inside its ``except ... as``."""
+    found = set()
+    for handler in ast.walk(tree):
+        if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+            continue
+
+        def is_text(node, name=handler.name):
+            return (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "str"
+                and len(node.args) == 1
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id == name
+            )
+
+        for node in ast.walk(handler):
+            if (
+                isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+                and any(is_text(side) for side in (node.left, *node.comparators))
+                or isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "startswith"
+                and is_text(node.func.value)
+            ):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_branches_on_an_error_message():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        found += [
+            f"src/repro/{rel}:{line}"
+            for line in message_text_branches(ast.parse(path.read_text()))
+        ]
+    assert not found, (
+        "control flow on an exception's message text under src/repro — raise and "
+        "catch the StoreError subclass of its kind (repro.store.messages.KINDS) "
+        "instead:\n" + "\n".join(found)
+    )
+
+
+def test_the_message_text_guard_sees_what_it_guards():
+    """Not vacuous: the retry test the store client used and the QoS
+    driver's rejection test are recognised, and so is a prefix test;
+    reading the text for a report is not flagged."""
+    old_branches = ast.parse(
+        "async def get_with_report(self, name, *, degraded=False):\n"
+        "    try:\n"
+        "        return await self._get_once(name, degraded=degraded)\n"
+        "    except StoreError as exc:\n"
+        "        if not degraded or 'unrecoverable' not in str(exc):\n"
+        "            raise\n"
+        "async def run_one(ev):\n"
+        "    try:\n"
+        "        await client.put(ev.obj, b'')\n"
+        "    except (StoreError, ConnectionError, OSError) as exc:\n"
+        "        ok, error = False, f'{type(exc).__name__}: {exc}'\n"
+        "        rejected = 'would land on dead nodes' in str(exc) or (\n"
+        "            ev.op == 'put'\n"
+        "            and (\n"
+        "                isinstance(exc, (ConnectionError, OSError))\n"
+        "                or 'Connection' in str(exc)\n"
+        "                or 'died during put' in str(exc)\n"
+        "            )\n"
+        "        )\n"
+        "    except ValueError as err:\n"
+        "        if str(err).startswith('unknown'):\n"
+        "            raise\n"
+        "        print(f'failed: {err}', str(err))\n"
+    )
+    assert message_text_branches(old_branches) == [5, 12, 16, 17, 21]

@@ -206,7 +206,7 @@ class TestStoreVerbs:
         assert main(["store", "rm", "obj"]) == 0
         assert capsys.readouterr().out == "deleted obj (5 blocks dropped)\n"
         assert main(["store", "get", "obj"]) == 1
-        assert capsys.readouterr().err == "error: no such object 'obj'\n"
+        assert capsys.readouterr().err == "error (not_found): no such object 'obj'\n"
 
 
 class TestTop:

@@ -5,6 +5,8 @@ error/rejection split.  The live end of the driver (real sockets, real
 kills) is covered by ``test_replay_live.py``.
 """
 
+import asyncio
+
 import pytest
 
 from repro.qos import (
@@ -12,7 +14,10 @@ from repro.qos import (
     RequestSample,
     object_payload,
     percentiles,
+    replay_trace,
 )
+from repro.store import Exists, NotFound, StoreError, Unavailable
+from repro.workloads import RequestEvent
 
 
 class TestPercentiles:
@@ -117,3 +122,68 @@ class TestObjectPayload:
 
     def test_exact_size(self):
         assert len(object_payload("obj-0", 12345)) == 12345
+
+
+class FailingClient:
+    """A store client whose every GET and PUT fails with ``exc``."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    async def status(self):
+        return {"degraded": [], "repairing": False}
+
+    async def put(self, name, data):
+        raise self.exc
+
+    async def get_with_report(self, name, *, degraded=False):
+        raise self.exc
+
+    get = get_with_report
+
+
+def replay_one(op, exc, **kwargs) -> RequestSample:
+    report = asyncio.run(
+        replay_trace(FailingClient(exc), [RequestEvent(0.0, op, "obj-0")], **kwargs)
+    )
+    (sample,) = report.samples
+    assert not sample.ok
+    return sample
+
+
+class TestFailureClassification:
+    """A PUT the service cannot place is a rejection; a GET is held to the
+    hard standard, so every failure of one is an error.  The split is
+    made on the error's kind, never on its text."""
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            Unavailable("stripe 3 would land on dead nodes [2]"),
+            Unavailable("node 2 is not alive"),
+            ConnectionRefusedError("refused"),
+            OSError("reset"),
+        ],
+        ids=["dead-placement", "dead-at-commit", "refused", "oserror"],
+    )
+    def test_a_put_the_service_cannot_place_is_rejected(self, exc):
+        assert replay_one("put", exc).rejected
+
+    @pytest.mark.parametrize("degraded", [True, False])
+    def test_an_unavailable_get_is_an_error(self, degraded):
+        sample = replay_one("get", Unavailable("object 'obj-0' is degraded"), degraded=degraded)
+        assert not sample.rejected
+        assert sample.error == "Unavailable: object 'obj-0' is degraded"
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            StoreError("internal error: KeyError('x')"),
+            NotFound("daemon 2 holds no block 'b:0:1'"),
+            Exists("put of 'obj-0' was superseded before its commit"),
+            StoreError("Connection reset; died during put"),
+        ],
+        ids=["internal", "not-found", "exists", "old-text"],
+    )
+    def test_any_other_put_failure_is_an_error(self, exc):
+        assert not replay_one("put", exc).rejected

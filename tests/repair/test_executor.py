@@ -268,7 +268,7 @@ class TestSessionFailures:
         import time
 
         from repro.repair import RPRScheme
-        from repro.store.messages import StoreError
+        from repro.store.messages import NotFound
         from repro.store.repair import partition_plan
 
         ctx = make_context(6, 3, failed=[1])
@@ -280,7 +280,7 @@ class TestSessionFailures:
         }
         key, stored = sorted(seeds.items())[0]
         start = time.monotonic()
-        with pytest.raises(StoreError) as err:
+        with pytest.raises(NotFound) as err:
             run_sessions(plan, ctx, make_stripe(ctx), lost=[stored])
         assert time.monotonic() - start < 1.0
         message = str(err.value)

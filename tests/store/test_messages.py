@@ -9,25 +9,31 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.live.transport import MemoryStream, Stream, connect_tcp
+from repro.live.transport import MemoryStream, Stream, TcpStream, connect_tcp
 from repro.live.wire import WireClosed, WireError, read_frame, send_frame
 from repro.store import messages
 from repro.store.messages import (
+    KINDS,
     PROTOCOL_VERSION,
     SHUTDOWN_GRACE,
+    NotFound,
+    Request,
     RpcServer,
     StoreError,
     StoreProtocolError,
+    Unavailable,
     _pack,
     _split,
     call,
     close_idle_connections,
+    dispatch,
     read_request,
     response_error,
     send_request,
     send_response,
     serve_connection,
 )
+from repro.telemetry import CLOCK_WALL, StatsRegistry, TelemetryRecorder
 from repro.telemetry.distributed import TraceContext
 
 
@@ -138,6 +144,13 @@ class TestGoldenBytes:
             b'"error":"no such block","nbytes":0}'
         ]
 
+    def test_error_response_of_a_kind_carries_it_after_the_message(self):
+        tape = self._tape(lambda t: response_error(t, "no object 'obj'", NotFound.kind))
+        assert tape.writes == [
+            b'\x00\x00\x00^{"t":"resp","v":1,"ok":false,"blen":0,'
+            b'"error":"no object \'obj\'","kind":"not_found","nbytes":0}'
+        ]
+
 
 class TestRequestRoundTrip:
     def _round_trip(self, mtype, body=None, blob=None):
@@ -227,16 +240,6 @@ class TestServeConnection:
 
         header = asyncio.run(_run())
         assert header["ok"] is False and header["error"] == "nope"
-
-    def test_ok_false_raises_store_error_client_side(self):
-        async def _run():
-            client, server = MemoryStream.pair()
-            await send_response(server, ok=False, error="denied")
-            # client side of call(): parse the response frame directly
-            header, _ = await read_frame(client, timeout=2.0)
-            assert not header.get("ok")
-
-        asyncio.run(_run())
 
     def test_many_requests_ride_one_connection(self):
         async def dispatch(request):
@@ -560,6 +563,158 @@ class TestPersistentCalls:
             asyncio.run(leak())
             assert asyncio.run(later()) == []
             gc.collect()
+
+
+class TestTypedErrors:
+    """Every outcome kind crosses the wire as its own ``StoreError``
+    subclass: the server writes the kind beside the message, and ``call``
+    raises the class it names."""
+
+    HOST = "127.0.0.1"
+
+    def _call(self, dispatch_fn):
+        """One ``call`` against ``dispatch_fn`` served by an RpcServer;
+        returns the exception it raised."""
+
+        async def _main():
+            server = RpcServer(dispatch_fn)
+            port = await server.start(self.HOST)
+            try:
+                with pytest.raises(StoreError) as err:
+                    await call(self.HOST, port, "x")
+                await call(self.HOST, port, "echo")  # still serving
+                return err.value
+            finally:
+                await close_idle_connections()
+                await server.aclose()
+
+        return asyncio.run(_main())
+
+    @staticmethod
+    def _raising(exc):
+        async def handler(request):
+            if request.mtype == "echo":
+                return {}, None
+            raise exc
+
+        return handler
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_every_kind_arrives_as_its_class(self, kind):
+        exc = self._call(self._raising(KINDS[kind](f"a {kind} outcome")))
+        assert type(exc) is KINDS[kind] and exc.kind == kind
+        assert str(exc) == f"a {kind} outcome"
+
+    def test_the_kinds_are_one_closed_set(self):
+        assert sorted(KINDS) == [
+            "corrupt", "exists", "internal", "not_found", "protocol", "unavailable",
+            "unrecoverable",
+        ]
+        assert KINDS["internal"] is StoreError and KINDS["protocol"] is StoreProtocolError
+
+    def test_a_handler_bug_arrives_as_internal(self):
+        exc = self._call(self._raising(ValueError("boom")))
+        assert type(exc) is StoreError and exc.kind == "internal"
+        assert str(exc) == "internal error: ValueError('boom')"
+
+    @pytest.mark.parametrize(
+        "raised", [OSError("disk gone"), ConnectionResetError("peer reset"), WireClosed("eof")],
+        ids=["oserror", "connection", "wire"],
+    )
+    def test_a_socket_failure_in_a_handler_arrives_as_unavailable(self, raised):
+        exc = self._call(self._raising(raised))
+        assert type(exc) is Unavailable
+        assert str(exc).startswith("unavailable error: ") and repr(raised) in str(exc)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"t": "resp", "v": PROTOCOL_VERSION, "ok": False, "blen": 0, "error": "old"},
+            {"t": "resp", "v": PROTOCOL_VERSION, "ok": False, "blen": 0, "error": "old",
+             "kind": "martian"},
+        ],
+        ids=["absent", "unknown"],
+    )
+    def test_an_absent_or_unknown_kind_is_a_plain_store_error(self, header):
+        async def on_connect(reader, writer):
+            stream = TcpStream(reader, writer)
+            await read_frame(stream, timeout=2.0)
+            await send_frame(stream, header, b"")
+            await stream.aclose()
+
+        async def _main():
+            server = await asyncio.start_server(on_connect, self.HOST, 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                with pytest.raises(StoreError) as err:
+                    await call(self.HOST, port, "x", attempts=1)
+                return err.value
+            finally:
+                await close_idle_connections()
+                server.close()
+                await server.wait_closed()
+
+        exc = asyncio.run(_main())
+        assert type(exc) is StoreError and str(exc) == "old"
+
+    def test_an_invalid_request_frame_is_answered_as_protocol(self):
+        async def dispatch_fn(request):  # pragma: no cover - never reached
+            return {}, None
+
+        async def _run():
+            client, server = MemoryStream.pair()
+            serving = asyncio.ensure_future(serve_connection(server, dispatch_fn))
+            await send_frame(client, {"v": PROTOCOL_VERSION, "blen": 0}, b"")
+            reply, _ = await read_frame(client, timeout=2.0)
+            await asyncio.wait_for(serving, timeout=2.0)
+            return reply
+
+        reply = asyncio.run(_run())
+        assert reply["kind"] == "protocol" and reply["error"].startswith("protocol error:")
+
+
+class Party:
+    """A minimal served party: what ``dispatch`` reads off a coordinator
+    or a daemon."""
+
+    def __init__(self):
+        self.stats = StatsRegistry("party")
+        self.rec = TelemetryRecorder(CLOCK_WALL)
+
+    async def _rpc_block_get(self, request):
+        return {"key": request.body["key"]}, None
+
+    async def _rpc_heartbeat(self, request):
+        return {}, None
+
+
+class TestDispatch:
+    def _dispatch(self, party, mtype, ctx=None, attrs=None):
+        request = Request(mtype, {"key": "k"}, memoryview(b""), ctx)
+        return asyncio.run(dispatch(party, attrs or {}, request))
+
+    def test_finds_the_handler_and_counts_the_call_under_its_class(self):
+        party = Party()
+        assert self._dispatch(party, "block.get") == ({"key": "k"}, None)
+        snap = party.stats.snapshot()
+        assert snap["counters"]["rpc:block.get"] == 1
+        assert any(name.endswith("block.get:foreground") for name in snap["histograms"])
+
+    def test_heartbeats_are_not_counted(self):
+        party = Party()
+        self._dispatch(party, "heartbeat")
+        assert "rpc:heartbeat" not in party.stats.snapshot()["counters"]
+
+    def test_an_unknown_rpc_is_a_protocol_error(self):
+        with pytest.raises(StoreProtocolError, match="unknown rpc 'nope'"):
+            self._dispatch(Party(), "nope")
+
+    def test_a_traced_call_records_its_span_under_the_callers_hop(self):
+        party = Party()
+        ctx = TraceContext.root().child()
+        self._dispatch(party, "block.get", ctx=ctx, attrs={"node": 3})
+        (span,) = [s for s in party.rec.trace().spans if s.name == "rpc:block.get"]
+        assert span.attrs["node"] == 3 and span.attrs == {"node": 3, **ctx.attrs()}
 
 
 class TestRpcServerShutdown:

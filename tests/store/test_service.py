@@ -21,9 +21,13 @@ from repro.multistripe import StripeStore
 from repro.repair import simulate_repair
 from repro.store import (
     SCHEMES,
+    Exists,
     LocalService,
+    NotFound,
     StorageDaemon,
-    StoreError,
+    StoreProtocolError,
+    Unavailable,
+    Unrecoverable,
     messages,
 )
 from repro.telemetry import (
@@ -55,7 +59,7 @@ class TestObjectPath:
                 listing = await svc.client.list_objects()
                 assert [o["name"] for o in listing] == ["obj"]
                 await svc.client.delete("obj")
-                with pytest.raises(StoreError, match="no object"):
+                with pytest.raises(NotFound, match="no object"):
                     await svc.client.get("obj")
                 # Daemons must actually be empty again.
                 for daemon in svc.daemons.values():
@@ -92,7 +96,7 @@ class TestObjectPath:
                     for size in (0, N * BLOCK, N * BLOCK * 2 + 1)
                 ]
                 assert [len(g["stripes"]) for g in grants] == [1, 1, 3]
-                with pytest.raises(StoreError, match="must not be negative"):
+                with pytest.raises(StoreProtocolError, match="must not be negative"):
                     await svc.client._coordinator(
                         "put.begin", {"name": "neg", "size": -1}
                     )
@@ -103,7 +107,7 @@ class TestObjectPath:
         async def _run():
             async with service() as svc:
                 await svc.client.put("obj", b"x" * 100)
-                with pytest.raises(StoreError, match="already exists"):
+                with pytest.raises(Exists, match="already exists"):
                     await svc.client.put("obj", b"y" * 100)
 
         asyncio.run(_run())
@@ -122,7 +126,7 @@ class TestObjectPath:
                     "sid": grant["stripes"][0]["sid"],
                     "crcs": {str(b): 1 for b in range(N + K)},
                 }]
-                with pytest.raises(StoreError, match="holds no block"):
+                with pytest.raises(NotFound, match="holds no block"):
                     await client._coordinator(
                         "put.commit", {"name": "obj", "stripes": claims}
                     )
@@ -141,7 +145,7 @@ class TestObjectPath:
                 data = os.urandom(N * BLOCK + 5)
                 await svc.client.put("obj", data)
                 assert await svc.client.get("obj") == data
-                with pytest.raises(StoreError, match="already exists"):
+                with pytest.raises(Exists, match="already exists"):
                     await svc.client.put("obj", data)
 
         asyncio.run(_run())
@@ -157,7 +161,7 @@ class TestObjectPath:
                     "sid": loser["stripes"][0]["sid"],
                     "crcs": {str(b): 1 for b in range(N + K)},
                 }]
-                with pytest.raises(StoreError, match="no pending put"):
+                with pytest.raises(NotFound, match="no pending put"):
                     await svc.client._coordinator(
                         "put.commit", {"name": "obj", "stripes": claims}
                     )
@@ -167,7 +171,7 @@ class TestObjectPath:
                 )
                 await svc.client._coordinator("put.begin", {**begin, "name": "obj2"})
                 claims[0]["sid"] = loser["stripes"][0]["sid"]
-                with pytest.raises(StoreError, match="missing CRCs for stripe"):
+                with pytest.raises(StoreProtocolError, match="missing CRCs for stripe"):
                     await svc.client._coordinator(
                         "put.commit", {"name": "obj2", "stripes": claims}
                     )
@@ -398,11 +402,17 @@ class TestKillAndRepair:
                 svc.coordinator.on_nodes_dead(doomed)
                 loop = asyncio.get_event_loop()
                 start = loop.time()
-                with pytest.raises(StoreError, match="cannot self-heal"):
+                with pytest.raises(Unrecoverable, match="cannot self-heal"):
                     await svc.client.wait_healthy(timeout=30.0)
                 # Fail-fast, not a timeout wait: the planning-level
                 # verdict must surface in a poll or two.
                 assert loop.time() - start < 10.0
+                # The verdict crossed the wire as a kind, not as a flag.
+                errors = (await svc.client.status())["repair_errors"]
+                assert errors and all(
+                    set(e) == {"sid", "kind", "error"} and e["kind"] == "unrecoverable"
+                    for e in errors
+                )
 
         asyncio.run(_run())
 
@@ -421,7 +431,7 @@ class TestKillAndRepair:
                 # Mark missing manually (what detection would have done)
                 # without triggering repair, to pin the degraded read path.
                 svc.coordinator.stripes[0].missing.add(0)
-                with pytest.raises(StoreError, match="degraded"):
+                with pytest.raises(Unavailable, match="degraded"):
                     await svc.client.get("obj")
 
         asyncio.run(_run())
