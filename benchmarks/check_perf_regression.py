@@ -11,8 +11,8 @@ writes the fresh report plus a ``BENCH_history.jsonl`` trend record to
     python benchmarks/check_perf_regression.py                # gate vs repo baselines
     python benchmarks/check_perf_regression.py --threshold 0.5
 
-Baselines are refreshed deliberately — run ``rpr perf`` (or
-``benchmarks/run_perf.py``) at the repo root and commit the updated
+Baselines are refreshed deliberately — run ``rpr perf`` (or ``python -m
+repro.perfharness``) at the repo root and commit the updated
 ``BENCH_*.json`` alongside the change that moved the numbers.  See
 ``docs/PERFORMANCE.md``.
 """

@@ -1,10 +1,8 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the ``bench_*.py`` sweeps under pytest-benchmark.
 
-Every benchmark runs one ablation or extension of the paper's evaluation
-and prints its rows alongside the pytest-benchmark timing of the harness
-itself.  Sweep benchmarks run one
-round — the interesting output is the experiment numbers, not the
-harness's wall-clock variance.
+Each sweep prints its rows alongside the pytest-benchmark timing of the
+harness itself, and runs one round: the interesting output is the
+sweep's numbers, not the harness's wall-clock variance.
 """
 
 import pytest

@@ -1,12 +1,12 @@
 """Row generators for the extension experiments (beyond the paper).
 
-Mirrors the ``figureN_rows`` convention so the CLI and benches share one
-code path for extension results too:
+Mirrors the ``figureN_rows`` convention so the CLI, the examples and
+EXPERIMENTS.md share one code path for extension results too:
 
 * :func:`node_rebuild_rows` — full-node rebuild orchestration matrix
   (each cell a :func:`rebuild_node`, which is also ``rpr rebuild``).
 * :func:`durability_rows` — per-scheme MTTDL from measured repair times
-  (also ``rpr durability``, the durability bench and example).
+  (also ``rpr durability`` and the durability example).
 * :func:`lrc_rows` — LRC(12,2,2) vs RS(12,4) at equal overhead.
 * :func:`slice_pipelining_rows` — paper RPR (model and tree) vs the
   slice-pipelined land-and-fold gather at the Simics rates.

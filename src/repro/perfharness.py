@@ -5,8 +5,9 @@ kernels (single-stripe vs batched), and the live asyncio runtime
 (telemetry off vs on), then writes machine-readable reports —
 ``BENCH_engine.json``, ``BENCH_coding.json`` and ``BENCH_live.json`` —
 so perf changes show up in review diffs instead of anecdotes.  Run it
-via ``benchmarks/run_perf.py``, ``rpr perf``, or ``python -m
-repro.perfharness``; pass ``--quick`` for the CI-sized variant.
+via ``rpr perf`` or ``python -m repro.perfharness`` (reports land in
+``--out-dir``, default the current directory); pass ``--quick`` for the
+CI-sized variant.
 :func:`compare_reports` turns two such reports into a pass/fail gate
 (see ``benchmarks/check_perf_regression.py``).
 
@@ -87,7 +88,8 @@ def engine_suite(quick: bool = False) -> dict:
 
     Exercises the resource-indexed scheduler end to end: RS(6,2) over a
     5x8 cluster, scatter rebuild of node 0, all stripes' plans merged
-    into one graph (the ``benchmarks/bench_engine_scale.py`` scenario).
+    into one graph (its 40- and 200-stripe graphs are pinned by
+    ``tests/sim/test_engine_golden.py``).
     """
     from .cluster import Cluster, SIMICS_BANDWIDTH
     from .multistripe import StripeStore, merge_plans, node_failure_contexts

@@ -13,7 +13,8 @@ d_i_new`` (linearity of the code).  The update plan is therefore:
 This module exists for two reasons: it completes the write path a real
 store needs, and it lets us *measure* §3.3's claim that the RPR
 pre-placement "has no negative effect on other performance metrics" —
-update traffic included (see ``benchmarks/bench_update_traffic.py``).
+update traffic included (see
+:func:`repro.experiments.update_traffic_rows`).
 Cross-rack-optimal update scheduling (CAU, Shen & Lee ICPP'18) is out of
 scope; the plan here is the straightforward delta broadcast.
 """

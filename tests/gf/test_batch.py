@@ -29,6 +29,7 @@ class TestGfMatmulBlocks:
         m = rng.integers(0, 256, (2, 4), dtype=np.uint8)
         from_stack = gf_matmul_blocks(m, stack)
         from_list = gf_matmul_blocks(m, [stack[j] for j in range(4)])
+        assert from_stack.shape == (2, 6, 33)
         assert np.array_equal(from_stack, from_list)
 
     def test_strided_block_views_match_contiguous(self):

@@ -48,9 +48,17 @@ its own process entry point and by ``repro.store.LocalService``; tests,
 the QoS replay and the perf harness bring that cluster up instead of
 wiring a coordinator and daemons together themselves.  The test suite
 and the QoS driver used to carry a cluster each.
+
+§6: a number the repo reports comes from a row function, and a script
+that prints one is run.  Every ``benchmarks/*.py`` is named in a ``run:``
+step of the CI workflow, and every ``benchmarks/….py`` path a document
+or a source file names exists.  Fourteen pytest-benchmark scripts that
+no CI step ran used to print ablation tables nobody checked, and the
+docs went on citing them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -483,6 +491,9 @@ ENGINE_BUILDERS = {
     "repair/rpr/scheme.py",  # the planner's candidate race
     "multistripe/scheduler.py",  # the merged rebuild graph
     "perfharness.py",
+    # a cross-rack transfer cap and update plans: neither is a repair
+    # simulate_repair runs (the switch-capacity and update ablations)
+    "experiments/ablations.py",
 }
 
 
@@ -690,3 +701,123 @@ def test_the_message_text_guard_sees_what_it_guards():
         "        print(f'failed: {err}', str(err))\n"
     )
     assert message_text_branches(old_branches) == [5, 12, 16, 17, 21]
+
+
+CI = ROOT / ".github" / "workflows" / "ci.yml"
+#: ``benchmarks/*.py`` that no CI step runs by name: pytest's fixtures.
+NOT_SCRIPTS = {"conftest.py"}
+#: Documents that may name what is gone: the change log is history.
+HISTORY = {"CHANGES.md"}
+BENCH_PATH = re.compile(r"benchmarks/[\w/.-]+?\.py\b")
+
+
+def run_steps(workflow: str) -> str:
+    """The commands of every ``run:`` step of ``workflow`` (a GitHub
+    Actions file): one-line values and ``|`` / ``>`` blocks."""
+    lines, steps = workflow.splitlines(), []
+    for i, line in enumerate(lines):
+        key = re.match(r"(\s*)(?:- )?run:\s*(.*)$", line)
+        if not key:
+            continue
+        indent, value = len(key.group(1)), key.group(2)
+        if value[:1] not in ("|", ">"):
+            steps.append(value)
+            continue
+        for body in lines[i + 1 :]:
+            if body.strip() and len(body) - len(body.lstrip()) <= indent:
+                break
+            steps.append(body)
+    return "\n".join(steps)
+
+
+def unrun_scripts(scripts, workflow: str) -> list[str]:
+    """The ``benchmarks/<name>`` of ``scripts`` (file names) that no
+    ``run:`` step of ``workflow`` names."""
+    steps = run_steps(workflow)
+    return [
+        f"benchmarks/{name}"
+        for name in sorted(scripts)
+        if name not in NOT_SCRIPTS and f"benchmarks/{name}" not in steps
+    ]
+
+
+def missing_benchmark_paths(texts: dict[str, str]) -> list[str]:
+    """``<file>:<line>: <path>`` for every ``benchmarks/….py`` path named in
+    ``texts`` (repo-relative name → contents) that the checkout lacks."""
+    return [
+        f"{rel}:{number}: {path}"
+        for rel, text in sorted(texts.items())
+        for number, line in enumerate(text.splitlines(), 1)
+        for path in BENCH_PATH.findall(line)
+        if not (ROOT / path).exists()
+    ]
+
+
+def documents() -> dict[str, str]:
+    """Every Markdown file of the checkout outside hidden directories and
+    :data:`HISTORY`, and every source file under ``src/``."""
+    paths = [
+        path
+        for path in ROOT.rglob("*.md")
+        if not any(part.startswith(".") for part in path.relative_to(ROOT).parts)
+    ]
+    paths += SRC.rglob("*.py")
+    texts = {path.relative_to(ROOT).as_posix(): path.read_text() for path in paths}
+    return {rel: text for rel, text in texts.items() if rel not in HISTORY}
+
+
+def test_every_benchmark_script_is_run_by_ci():
+    scripts = [path.name for path in (ROOT / "benchmarks").glob("*.py")]
+    unrun = unrun_scripts(scripts, CI.read_text())
+    assert not unrun, (
+        "benchmarks/*.py that no run: step of .github/workflows/ci.yml runs — "
+        "make its numbers a repro.experiments row checked in tier-1, or run it "
+        "in CI, or delete it:\n" + "\n".join(unrun)
+    )
+
+
+def test_every_named_benchmark_path_exists():
+    missing = missing_benchmark_paths(documents())
+    assert not missing, (
+        "benchmarks/….py paths named in a document or under src/ that do not "
+        "exist:\n" + "\n".join(missing)
+    )
+
+
+def test_the_script_guard_sees_what_it_guards():
+    """Not vacuous: the CI scripts are found in their run: steps, and the
+    parent's fourteen unrun scripts and a docs row naming a deleted one
+    are each recognised."""
+    ci = CI.read_text()
+    assert "benchmarks/check_prom_exposition.py" in run_steps(ci)  # a | block
+    assert "benchmarks/bench_degraded_repair.py" in run_steps(ci)  # one line
+    unrun = [
+        "bench_ablation_bandwidth_ratio.py", "bench_ablation_blocksize.py",
+        "bench_ablation_hetero.py", "bench_ablation_pipeline.py",
+        "bench_ablation_preplacement.py", "bench_ablation_rack_count.py",
+        "bench_ablation_switch_capacity.py", "bench_coding_throughput.py",
+        "bench_durability.py", "bench_engine_scale.py", "bench_loadbalance.py",
+        "bench_node_rebuild.py", "bench_update_traffic.py", "run_perf.py",
+    ]
+    ran = [
+        "bench_degraded_repair.py", "bench_live_validation.py", "bench_qos_tradeoff.py",
+        "check_perf_regression.py", "check_prom_exposition.py", "conftest.py",
+    ]
+    assert unrun_scripts(unrun + ran, ci) == [f"benchmarks/{name}" for name in unrun]
+    old_design = {
+        "DESIGN.md": (
+            "| Ablation | Question | Bench target |\n"
+            '| Pipeline on/off | Value of Alg. 2 vs naive "all racks send to recovery '
+            'rack" (schedule 1 vs 2 of Fig. 5) | `benchmarks/bench_ablation_pipeline.py` |\n'
+            "Run `python benchmarks/run_perf.py --quick` or "
+            "`benchmarks/check_perf_regression.py`.\n"
+        )
+    }
+    assert missing_benchmark_paths(old_design) == [
+        "DESIGN.md:2: benchmarks/bench_ablation_pipeline.py",
+        "DESIGN.md:3: benchmarks/run_perf.py",
+    ]
+    checked = documents()
+    assert "CHANGES.md" not in checked and {"DESIGN.md", "src/repro/perfharness.py"} <= set(
+        checked
+    )

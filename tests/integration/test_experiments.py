@@ -1,11 +1,12 @@
 """Integration tests: the experiment harness reproduces the paper's shapes,
 and EXPERIMENTS.md prints exactly what it measures.
 
-The shape tests state one qualitative claim of the evaluation section
-each and check the measured rows uphold it.  The doc tests check every
-block of EXPERIMENTS.md between ``<!-- experiments:<name>:begin ... -->``
-and ``<!-- experiments:<name>:end -->`` (the result tables of Figs 6–14
-and slice-pipelining, the "Measured:" lines) against the rows rendered
+The shape tests state one qualitative claim of the evaluation section,
+or of an ablation, each and check the measured rows uphold it.  The doc
+tests check every block of EXPERIMENTS.md between ``<!--
+experiments:<name>:begin ... -->`` and ``<!-- experiments:<name>:end -->``
+(the result tables of Figs 6–14, the link-model ablation and
+slice-pipelining, the "Measured:" lines) against the rows rendered
 by :data:`BLOCKS`; prose outside the markers is hand-written.  After a
 deliberate change to a row function, ``python
 tests/integration/test_experiments.py`` rewrites the blocks.  Each row
@@ -33,6 +34,7 @@ from repro.experiments import (  # noqa: E402
     run_scheme,
     single_failure_rows,
 )
+from repro.reliability import simulate_stripe_lifetimes  # noqa: E402
 from repro.repair import RPRScheme, TraditionalRepair  # noqa: E402
 from repro.rs import get_code  # noqa: E402
 from repro.workloads import scenario_count  # noqa: E402
@@ -148,6 +150,122 @@ def lrc_measured() -> str:
     )
 
 
+def by_code(fn: str) -> dict[str, dict]:
+    return {row["code"]: row for row in rows(fn)}
+
+
+def pipeline_measured() -> str:
+    gains = ", ".join(f"{r['code']} {r['gain_pct']:.1f} %" for r in rows("pipeline_rows"))
+    idle = ", ".join(
+        f"{r['code']} {r['direct_idle_pct']:.1f} → {r['pipeline_idle_pct']:.1f} %"
+        for r in rows("pipeline_rows")
+        if r["gain_pct"] > 0
+    )
+    return (
+        f"Measured: mean repair time saved by the pipeline {gains}; where it saves "
+        f"time, the mean rack upload idle share of one repair drops, direct → "
+        f"pipelined, {idle}."
+    )
+
+
+def preplacement_measured() -> str:
+    table = rows("preplacement_rows")
+    ec2 = span([r["ec2_contiguous_s"] - r["ec2_preplaced_s"] for r in table], ".1f")
+    simics = span(
+        [100 * (1 - r["simics_preplaced_s"] / r["simics_contiguous_s"]) for r in table], ".1f"
+    )
+    xor = span([r["ec2_preplaced_s"] - r["ec2_xor_s"] for r in table], ".1f")
+    return (
+        f"Measured: pre-placement saves {ec2} s per repair on the EC2 decode model and "
+        f"{simics} % on Simics; preferring the XOR helper set saves a further {xor} s "
+        f"on EC2."
+    )
+
+
+def bandwidth_ratio_measured() -> str:
+    sweep = ", ".join(
+        f"{r['rpr_vs_tra_pct']:.1f} % at {r['ratio']}:1" for r in rows("bandwidth_ratio_rows")
+    )
+    return f"Measured: RS(12,4), block 1 lost, RPR vs traditional {sweep}."
+
+
+def link_model_measured() -> str:
+    table = rows("link_model_rows")
+    total = sum(r["failures"] for r in table)
+    slower = sum(r["slower"] for r in table)
+    changed = sum(r["traffic_changed"] for r in table)
+    gains = span([r["all_gain_pct"] for r in table], ".1f")
+    return (
+        f"Measured over all {total} single failures, parity included: told the links is "
+        f"slower in {slower} and moves different cross-rack bytes in {changed}; "
+        f"{gains} % faster per code."
+    )
+
+
+def block_size_measured() -> str:
+    table = rows("block_size_rows")
+    sweep = ", ".join(f"{r['rpr_vs_tra_pct']:.1f} % at {r['block']}" for r in table)
+    return (
+        f"Measured: RS(12,4), block 1 lost, RPR vs traditional {sweep}; the time saved "
+        f"falls from {table[0]['saving_s']:.2f} s to {table[-1]['saving_s']:.2f} s."
+    )
+
+
+def switch_capacity_measured() -> str:
+    table = rows("switch_capacity_rows")
+    rpr = ", ".join(
+        f"{r['rpr_s']:.1f} s " + ("uncapped" if r["capacity"] is None else f"at {r['capacity']}")
+        for r in table
+    )
+    return (
+        f"Measured: RS(12,4), block 1 lost: traditional "
+        f"{span([r['traditional_s'] for r in table], '.1f')} s and CAR "
+        f"{span([r['car_s'] for r in table], '.1f')} s under every cap; RPR {rpr}."
+    )
+
+
+def update_traffic_measured() -> str:
+    table = rows("update_traffic_rows")
+    blocks = ", ".join(
+        f"{r['code']} {r['preplaced_blocks']:.3g} vs {r['contiguous_blocks']:.3g}" for r in table
+    )
+    return (
+        f"Measured: mean cross-rack blocks per update, pre-placed vs contiguous, {blocks}; "
+        f"mean update time {span([r['preplaced_s'] for r in table], '.1f')} s vs "
+        f"{span([r['contiguous_s'] for r in table], '.1f')} s."
+    )
+
+
+def load_balance_measured() -> str:
+    row = by_code("load_balance_rows")["(12,4)"]
+    schemes = ("traditional", "car", "rpr")
+    peak = " / ".join(f"{row[s + '_peak_mb']:.0f}" for s in schemes)
+    spread = " / ".join(f"{row[s + '_spread']:.2f}" for s in schemes)
+    return (
+        f"Measured: RS(12,4), block 1 lost, traditional / CAR / RPR: largest download of "
+        f"one node {peak} MB; cross-rack upload max/mean over racks {spread}."
+    )
+
+
+def rack_failure_measured() -> str:
+    time = {r["scheme"]: r["makespan_s"] for r in rows("rack_failure_rows")}
+    return (
+        f"Measured: RPR rebuilds in {time['rpr']:.1f} s vs traditional "
+        f"{time['traditional']:.1f} s."
+    )
+
+
+def rack_count_measured() -> str:
+    table = rows("rack_count_rows")
+    tra, rpr = (" / ".join(f"{r[key]:.1f}" for r in table) for key in ("tra_s", "rpr_s"))
+    slack = span([r["eq13_bound_s"] - r["rpr_s"] for r in table], ".1f")
+    return (
+        f"Measured: {table[0]['code']} to {table[-1]['code']}, q = {table[0]['q']} to "
+        f"{table[-1]['q']}, block 1 lost: traditional {tra} s; RPR {rpr} s; eq. (13) "
+        f"lies {slack} s above each RPR point."
+    )
+
+
 CODE, TRA_S = ("code", "{code}"), ("Tra (s)", "{tra_time_s:.1f}")
 RPR_S = ("RPR (s)", "{rpr_time_s:.1f}")
 REDUCTION = ("reduction", "{time_reduction_pct:.1f} %")
@@ -198,9 +316,23 @@ BLOCKS = {
     "fig13-measured": measured("figure13_rows", "time_reduction_pct"),
     "fig14": table("figure14_rows", MULTI_TIMES),
     "fig14-measured": measured("figure14_rows", "time_reduction_pct"),
+    "pipeline-measured": pipeline_measured,
+    "preplacement-measured": preplacement_measured,
+    "bandwidth-ratio-measured": bandwidth_ratio_measured,
+    "link-model": table("link_model_rows", [
+        CODE, ("paper RPR (s)", "{paper_s:.2f}"),
+        ("told the links (s)", "{told_s:.2f} ({gain_pct:.1f} %)"),
+    ]),
+    "link-model-measured": link_model_measured,
     "node-rebuild-measured": node_rebuild_measured,
     "durability-measured": durability_measured,
+    "block-size-measured": block_size_measured,
+    "switch-capacity-measured": switch_capacity_measured,
+    "update-traffic-measured": update_traffic_measured,
+    "load-balance-measured": load_balance_measured,
+    "rack-failure-measured": rack_failure_measured,
     "lrc-measured": lrc_measured,
+    "rack-count-measured": rack_count_measured,
     "slice-pipelining": table("slice_pipelining_rows", [
         CODE, ("failures pipelined", "{chained_failures} / {failures}"), ("s", "{slices}"),
         ("cross-rack blocks, tree", "{tree_cross_blocks:g}"),
@@ -420,6 +552,174 @@ class TestModelCrossChecks:
         decode overhead."""
         for row in model_vs_simulation_rows():
             assert row["sim_rpr_s"] <= row["eq13_rpr_bound_s"] + 5.0
+
+
+# --- the ablations' shapes ---------------------------------------------------
+
+
+class TestPipelineAblation:
+    def test_pipeline_never_hurts_and_keeps_the_traffic(self):
+        for row in rows("pipeline_rows"):
+            assert row["pipeline_s"] <= row["direct_s"] + 1e-9
+            assert row["pipeline_cross_blocks"] == row["direct_cross_blocks"]
+
+    def test_pipeline_wins_with_three_remote_racks(self):
+        by = by_code("pipeline_rows")
+        assert by["(6,2)"]["gain_pct"] > 10.0
+        assert by["(12,4)"]["gain_pct"] > 10.0
+
+    def test_pipeline_leaves_racks_less_idle(self):
+        """Fig. 5: schedule 1 leaves racks idle while the others drain."""
+        for row in rows("pipeline_rows"):
+            assert row["pipeline_idle_pct"] <= row["direct_idle_pct"] + 1e-9
+        by = by_code("pipeline_rows")
+        assert by["(6,2)"]["pipeline_idle_pct"] < by["(6,2)"]["direct_idle_pct"]
+        assert by["(12,4)"]["pipeline_idle_pct"] < by["(12,4)"]["direct_idle_pct"]
+
+
+class TestPreplacementAblation:
+    def test_preplacement_never_hurts_and_keeps_the_traffic_on_simics(self):
+        """§3.3: no negative effect, on traffic included."""
+        for row in rows("preplacement_rows"):
+            assert row["simics_preplaced_s"] <= row["simics_contiguous_s"] + 1e-9
+            assert row["simics_same_traffic"]
+
+    def test_preplacement_skips_the_matrix_build_on_ec2(self):
+        """The slow-decode testbed exposes the ~17.5 s matrix-build saving."""
+        for row in rows("preplacement_rows"):
+            assert row["ec2_contiguous_s"] - row["ec2_preplaced_s"] > 10.0
+
+    def test_xor_selection_never_hurts_on_ec2(self):
+        for row in rows("preplacement_rows"):
+            assert row["ec2_xor_s"] <= row["ec2_preplaced_s"] + 1e-9
+
+
+class TestBandwidthRatio:
+    def test_advantage_grows_with_the_skew(self):
+        table = rows("bandwidth_ratio_rows")
+        reductions = [row["rpr_vs_tra_pct"] for row in table]
+        assert all(b >= a - 1.0 for a, b in zip(reductions, reductions[1:]))
+        assert reductions[-1] > reductions[0]
+        for row in table:
+            assert row["rpr_s"] <= row["tra_s"] + 1e-9
+
+
+class TestLinkModel:
+    def test_told_the_links_is_never_slower_nor_moves_other_bytes(self):
+        """Checked per scenario, over every single failure, parity included."""
+        for row in rows("link_model_rows"):
+            assert row["slower"] == 0, row["code"]
+            assert row["traffic_changed"] == 0, row["code"]
+
+    def test_told_the_links_gains_at_least_40_percent_per_code(self):
+        for row in rows("link_model_rows"):
+            assert row["all_gain_pct"] >= 40.0, row["code"]
+
+
+class TestNodeRebuild:
+    def makespans(self) -> dict[tuple[str, str, str], float]:
+        return {
+            (r["scheme"], r["mode"], r["rebuild"]): r["makespan_s"]
+            for r in rows("node_rebuild_rows")
+        }
+
+    def test_parallel_scatter_dominates_within_each_scheme(self):
+        time = self.makespans()
+        for scheme in ["traditional", "rpr"]:
+            best = time[scheme, "parallel", "scatter"]
+            assert all(
+                best <= time[scheme, mode, rebuild] + 1e-9
+                for mode in ["sequential", "parallel"]
+                for rebuild in ["replacement", "scatter"]
+            )
+
+    def test_rpr_beats_traditional_in_every_configuration(self):
+        time = self.makespans()
+        for mode in ["sequential", "parallel"]:
+            for rebuild in ["replacement", "scatter"]:
+                assert time["rpr", mode, rebuild] < time["traditional", mode, rebuild]
+
+
+class TestDurability:
+    def test_faster_repair_is_more_durable_beyond_its_speedup(self):
+        """The amplification is super-linear (~ (T_tra/T_rpr)^k in the rare
+        regime); demand at least the linear factor."""
+        for row in rows("durability_rows"):
+            assert row["rpr_mttdl_years"] > row["tra_mttdl_years"]
+            assert row["amplification"] > row["tra_repair_s"] / row["rpr_repair_s"]
+
+    def test_monte_carlo_ranks_the_schemes_the_same_way(self):
+        """An accelerated failure rate (one per block per 2000 s), so that
+        trials end."""
+        for row in rows("durability_rows"):
+            env = build_simics_environment(*triple(row))
+            tra, rpr = (
+                simulate_stripe_lifetimes(env, scheme, 1 / 2000.0, trials=80, seed=13)
+                for scheme in (TraditionalRepair(), RPRScheme())
+            )
+            assert rpr.mttdl_seconds > tra.mttdl_seconds, row["code"]
+
+
+class TestBlockSize:
+    def test_relative_advantage_holds_at_every_block_size(self):
+        """The shortest critical path also wins the latency game."""
+        for row in rows("block_size_rows"):
+            assert row["rpr_vs_tra_pct"] > 60.0
+            assert row["rpr_s"] <= row["car_s"] + 1e-9
+
+    def test_absolute_saving_scales_with_block_size(self):
+        savings = [row["saving_s"] for row in rows("block_size_rows")]
+        assert savings == sorted(savings, reverse=True)
+
+
+class TestSwitchCapacity:
+    def test_only_rpr_gives_back_time_under_a_cap(self):
+        """Traditional already serialises through the recovery node, so the
+        cap barely moves it; RPR gives back its pipeline win."""
+        unlimited, tight = rows("switch_capacity_rows")[0], rows("switch_capacity_rows")[-1]
+        assert tight["traditional_s"] == pytest.approx(unlimited["traditional_s"], rel=0.05)
+        assert tight["rpr_s"] >= unlimited["rpr_s"]
+
+    def test_ordering_holds_under_every_cap(self):
+        """Even fully serialised, RPR is never worse than CAR (same
+        transfers, minus CAR's star gather)."""
+        for row in rows("switch_capacity_rows"):
+            assert row["rpr_s"] <= row["car_s"] + 1e-9
+            assert row["car_s"] <= row["traditional_s"] + 1e-9
+
+
+class TestUpdateTraffic:
+    def test_preplacement_is_neutral_on_updates(self):
+        """§3.3's "no negative effect": never worse, for traffic or time."""
+        for row in rows("update_traffic_rows"):
+            assert row["preplaced_blocks"] <= row["contiguous_blocks"] + 1e-9
+            assert row["preplaced_s"] <= row["contiguous_s"] + 1e-9
+
+
+class TestLoadBalance:
+    def test_partial_decoding_shrinks_the_recovery_hotspot(self):
+        for row in rows("load_balance_rows"):
+            assert row["car_peak_mb"] < row["traditional_peak_mb"]
+            assert row["rpr_peak_mb"] <= row["car_peak_mb"] + 1e-9
+
+
+class TestRackFailure:
+    def test_rpr_rebuilds_a_rack_faster(self):
+        time = {r["scheme"]: r["makespan_s"] for r in rows("rack_failure_rows")}
+        assert time["rpr"] < time["traditional"]
+
+
+class TestRackCount:
+    def test_reduction_grows_with_the_rack_span(self):
+        """Traditional grows ~linearly in n, RPR ~logarithmically in q."""
+        reductions = [row["reduction_pct"] for row in rows("rack_count_rows")]
+        assert all(b >= a - 3.0 for a, b in zip(reductions, reductions[1:]))
+        assert reductions[-1] > reductions[0]
+
+    def test_eq13_bounds_every_point(self):
+        """Up to decode slack."""
+        for row in rows("rack_count_rows"):
+            assert row["rpr_s"] <= row["eq13_bound_s"] + 5.0
 
 
 class TestHarnessUtilities:

@@ -169,19 +169,20 @@ class TestRepairNodeFailure:
         store = StripeStore.build(
             cluster, get_code(6, 2), 30, placement_policy=FlatPlacement()
         )
-        plain = repair_node_failure(
-            store, 0, CARRepair(), SIMICS_BANDWIDTH, rebuild="scatter"
-        )
-        balanced = repair_node_failure(
-            store, 0, CARRepair(), SIMICS_BANDWIDTH, rebuild="scatter", balance=True
-        )
-        assert (
-            balanced.rack_upload_imbalance["max_mean_ratio"]
-            <= plain.rack_upload_imbalance["max_mean_ratio"]
-        )
-        assert balanced.total_cross_rack_bytes == pytest.approx(
-            plain.total_cross_rack_bytes
-        )
+        for scheme in (CARRepair(), RPRScheme(prefer_xor=False)):
+            plain = repair_node_failure(
+                store, 0, scheme, SIMICS_BANDWIDTH, rebuild="scatter"
+            )
+            balanced = repair_node_failure(
+                store, 0, scheme, SIMICS_BANDWIDTH, rebuild="scatter", balance=True
+            )
+            assert (
+                balanced.rack_upload_imbalance["max_mean_ratio"]
+                <= plain.rack_upload_imbalance["max_mean_ratio"]
+            ), scheme.name
+            assert balanced.total_cross_rack_bytes == pytest.approx(
+                plain.total_cross_rack_bytes
+            ), scheme.name
 
     def test_empty_node_rebuild(self):
         cluster = Cluster.homogeneous(5, 6)

@@ -67,6 +67,7 @@ class TestEncode:
         code = RSCode(4, 2)
         data = random_data(rng, 4)
         blocks = code.encode(data)
+        assert len(blocks) == code.width
         for i in range(4):
             np.testing.assert_array_equal(blocks[i], data[i])
 

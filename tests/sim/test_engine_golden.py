@@ -91,6 +91,7 @@ class TestMergedNodeRebuildGraphs:
     def test_200_stripe_rebuild_exact(self):
         graph, sim = self.rebuild_sim(200)
         assert len(graph) == 405
+        assert len(sim.timings) == len(graph)
         assert repr(sim.makespan) == "409.85600000000005"
         assert len(sim.events) == 810
         assert event_digest(sim) == (
@@ -103,6 +104,7 @@ class TestMergedNodeRebuildGraphs:
     def test_40_stripe_rebuild_exact(self):
         graph, sim = self.rebuild_sim(40)
         assert len(graph) == 81
+        assert len(sim.timings) == len(graph)
         assert repr(sim.makespan) == "125.44000000000001"
         assert event_digest(sim) == (
             "6ea1bd643e6f1ef35790da1b781a09d9f5ed3c1ec71f11aa4f2982330b88579e"
