@@ -227,7 +227,7 @@ def link_model_rows() -> list[dict]:
             ctx = context_for(env, scenario.failed_blocks)
             paper.append(simulate_repair(scheme, ctx, env.bandwidth))
             told.append(
-                simulate_repair(scheme, replace(ctx, link_model=env.bandwidth), env.bandwidth)
+                simulate_repair(scheme, replace(ctx, link_model=env.bandwidth))
             )
         paper_t, told_t = ([o.total_repair_time for o in run] for run in (paper, told))
         rows.append(

@@ -11,7 +11,6 @@ behind RPC (:class:`repro.store.repair.RepairSession`).
 from __future__ import annotations
 
 import asyncio
-import time
 from contextlib import nullcontext
 
 import numpy as np
@@ -64,7 +63,7 @@ class NodeExecutor:
     (claims from the shared ``ports`` registry, if any) and goes out
     through the op's :meth:`channel`.  Each part appends one report
     (``kind``, ``op_id``, ``src``/``dst``/``key``/``nbytes`` or
-    ``node``/``out_key``, monotonic ``start``/``end``) and, given a
+    ``node``/``out_key``, ``start``/``end`` on the loop's clock) and, given a
     ``recorder``, one op span (``attrs`` added, a child of ``ctx``) over
     its wait phases and its channel's.
     """
@@ -128,9 +127,10 @@ class NodeExecutor:
         parts = self.ops[op_id]
         dst = parts[0].writes[0]
         channel = nullcontext() if dst == self.node else self.channel(dst)
+        clock = asyncio.get_running_loop().time
         async with channel as send:
             for part in parts:
-                t_spawn = time.monotonic()
+                t_spawn = clock()
                 for dep in part.deps:
                     if dep in self._done:
                         await self._done[dep].wait()
@@ -140,15 +140,15 @@ class NodeExecutor:
                 oid, key = part.op_id, part.writes[1]
                 ctx = self.ctx.child() if self.ctx is not None else None
                 if send is None:
-                    t_ready = time.monotonic()
+                    t_ready = clock()
                     async with self.hold(("cpu", dst)):
-                        start = time.monotonic()
+                        start = clock()
                         # The GF pass is one C-speed numpy call; yield once
                         # around it so other tasks are not starved at
                         # combine-heavy moments.
                         await asyncio.sleep(0)
                         self.deliver(key, run_op(self.plan, part, self.payloads, self.tables))
-                        end = time.monotonic()
+                        end = clock()
                     facts = {"node": dst, "out_key": key}
                     phases = [("combine.dep_wait", t_spawn, t_ready),
                               ("combine.cpu_wait", t_ready, start)]
@@ -157,11 +157,11 @@ class NodeExecutor:
                         run_op(self.plan, part, self.payloads, self.tables)
                     )
                     facts = {"src": self.node, "dst": dst, "key": key, "nbytes": payload.nbytes}
-                    t_ready = time.monotonic()
+                    t_ready = clock()
                     async with self.hold(("up", self.node), ("down", dst)):
-                        start = time.monotonic()
+                        start = clock()
                         sent = await send(oid, key, payload, ctx)
-                        end = time.monotonic()
+                        end = clock()
                     phases = [("send.dep_wait", t_spawn, t_ready),
                               ("send.port_wait", t_ready, start), *sent]
                 self.reports.append(

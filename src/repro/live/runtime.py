@@ -14,7 +14,6 @@ socket backpressure — the same mechanism the paper's testbed relied on.
 from __future__ import annotations
 
 import asyncio
-import time
 from collections import deque
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
@@ -177,19 +176,20 @@ async def _stream_channel(transport, shaper: LinkShaper, src: int, dst: int, *,
     per-chunk overhead.
     """
     latency, bucket = shaper.latency(src, dst), shaper.bucket(src, dst)
+    clock = asyncio.get_running_loop().time
     stream: Stream | None = None
 
     async def send(op_id: str, key: str, payload: np.ndarray, ctx):
         nonlocal stream
         if stream is None and bucket is not None:
             bucket.reset()
-        start = time.monotonic()
+        start = clock()
         if latency > 0:
             await asyncio.sleep(latency)
-        t_lat = time.monotonic()
+        t_lat = clock()
         if stream is None:
             stream = await transport.connect(src, dst)
-        t_conn = time.monotonic()
+        t_conn = clock()
         # The frame is chunked as memoryview slices of the payload itself —
         # no tobytes() staging copy.
         await send_frame(
@@ -200,11 +200,11 @@ async def _stream_channel(transport, shaper: LinkShaper, src: int, dst: int, *,
             chunk_size=chunk_size,
             recorder=recorder,
         )
-        t_sent = time.monotonic()
+        t_sent = clock()
         # A vanished or wedged receiver surfaces as WireError (the run's
         # outer timeout is the only other backstop).
         await read_ack(stream)
-        end = time.monotonic()
+        end = clock()
         if recorder is not None and t_sent > t_conn:
             recorder.gauge(
                 f"throughput.n{src}->n{dst}", payload.nbytes / (t_sent - t_conn), at=end
@@ -310,7 +310,7 @@ async def run_plan_live(
         lambda node, stream: _receive(executors[node], stream),
     )
     try:
-        t0 = time.monotonic()
+        t0 = asyncio.get_running_loop().time()
         if rec is not None:
             rec.set_origin(t0)
         # Tasks start in plan order across nodes: a port released to

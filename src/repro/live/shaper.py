@@ -13,16 +13,15 @@ oversleeping one chunk accrues tokens for the next (bounded by
 ``capacity``), which is what keeps shaped transfers within a few percent
 of ``nbytes / rate`` even on a noisy CI host.
 
-The clock and sleep functions are injectable so the bucket's accounting
-can be property-tested deterministically against a fake clock
-(``tests/live/test_shaper.py``).
+The bucket reads time from the running event loop (``loop.time()``) and
+waits with ``asyncio.sleep``: on a real loop that is the monotonic
+clock, and ``tests/live/test_shaper.py`` checks the accounting exactly
+on a virtual-time loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
-from typing import Callable
 
 from ..cluster import BandwidthModel, Cluster
 
@@ -62,10 +61,6 @@ class TokenBucket:
         ``{class: weight}`` for a classed bucket; ``None`` (the default)
         for one class.  Classed calls name their class
         (``acquire(nbytes, "repair")``).
-    clock / sleep:
-        Injectable time sources (monotonic seconds, async sleep); tests
-        substitute a fake pair to verify the accounting without real
-        waiting.
     recorder / label:
         Optional :class:`repro.telemetry.TelemetryRecorder` the bucket
         reports pacing into (stall counts and durations, debt-at-stall
@@ -81,8 +76,6 @@ class TokenBucket:
         capacity: float | None = None,
         *,
         weights: dict[str, float] | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep=asyncio.sleep,
         recorder=None,
         label: str = "",
     ) -> None:
@@ -107,14 +100,16 @@ class TokenBucket:
         self._caps = {
             cls: max(self.capacity * share, 1.0) for cls, share in self.shares.items()
         }
-        self._clock = clock
-        self._sleep = sleep
         # Start empty: the first transfer pays full fare from byte one,
         # matching the simulator's nbytes/rate accounting.  Credit only
         # accrues (up to the class's cap) while the link sits idle, and
-        # as compensation for oversleeping a pacing wait.
+        # as compensation for oversleeping a pacing wait.  Time is the
+        # running loop's; a bucket built outside one starts at first use.
         self._tokens = {cls: 0.0 for cls in self.shares}
-        self._last = clock()
+        try:
+            self._last: float | None = asyncio.get_running_loop().time()
+        except RuntimeError:
+            self._last = None
         self._locks = {cls: asyncio.Lock() for cls in self.shares}
         self._recorder = recorder if recorder else None
         self.label = label
@@ -124,8 +119,8 @@ class TokenBucket:
         self.sent = {cls: 0.0 for cls in self.shares}
 
     def _refill(self) -> None:
-        now = self._clock()
-        elapsed = now - self._last
+        now = asyncio.get_running_loop().time()
+        elapsed = 0.0 if self._last is None else now - self._last
         if elapsed > 0:
             overflow = 0.0
             for cls, share in self.shares.items():
@@ -233,7 +228,7 @@ class TokenBucket:
                     rec.observe(f"pacing.stall_s{tag}", wait)
                     rec.gauge(f"bucket.debt_bytes{tag}:{self.label}", debt)
                 try:
-                    await self._sleep(wait)
+                    await asyncio.sleep(wait)
                 except BaseException:
                     self._tokens[cls] = min(self._tokens[cls] + nbytes, self._caps[cls])
                     raise
@@ -270,14 +265,10 @@ class LinkShaper:
         cluster: Cluster,
         bandwidth: BandwidthModel | None,
         *,
-        clock: Callable[[], float] = time.monotonic,
-        sleep=asyncio.sleep,
         recorder=None,
     ) -> None:
         self.cluster = cluster
         self.bandwidth = bandwidth
-        self._clock = clock
-        self._sleep = sleep
         self._recorder = recorder if recorder else None
         self._buckets: dict[tuple[int, int], TokenBucket] = {}
 
@@ -296,8 +287,6 @@ class LinkShaper:
             found = self._buckets[key] = TokenBucket(
                 rate,
                 capacity=max(rate * DEFAULT_BURST_S, 1.0),
-                clock=self._clock,
-                sleep=self._sleep,
                 recorder=self._recorder,
                 label=f"n{src}->n{dst}",
             )

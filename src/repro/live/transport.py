@@ -281,15 +281,14 @@ async def connect_tcp(
     *,
     attempts: int = 5,
     initial_backoff: float = 0.05,
-    max_backoff: float = 1.0,
 ) -> TcpStream:
     """Open a TCP connection, retrying ``ConnectionRefusedError``.
 
     A freshly-spawned daemon (or a node server racing a back-to-back
     validation run) may not be listening yet when the first connect
-    lands; refusals are retried with capped exponential backoff instead
-    of failing the whole run on a startup race.  Any other error — and
-    the final refusal — propagates.
+    lands; refusals are retried with exponential backoff (capped at 1 s)
+    instead of failing the whole run on a startup race.  Any other error
+    — and the final refusal — propagates.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
@@ -302,7 +301,7 @@ async def connect_tcp(
             if attempt == attempts - 1:
                 raise
             await asyncio.sleep(delay)
-            delay = min(delay * 2, max_backoff)
+            delay = min(delay * 2, 1.0)
     raise AssertionError("unreachable")  # pragma: no cover
 
 

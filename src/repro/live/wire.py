@@ -157,7 +157,7 @@ async def send_frame(
             raise
 
 
-def _parse_header(raw: bytes, max_payload: int) -> tuple[dict, int]:
+def _parse_header(raw: bytes) -> tuple[dict, int]:
     """The header dict and its payload length, or :class:`WireError`."""
     try:
         header = json.loads(raw)
@@ -166,9 +166,9 @@ def _parse_header(raw: bytes, max_payload: int) -> tuple[dict, int]:
         raise WireError(f"malformed frame: {exc}") from exc
     if nbytes < 0:
         raise WireError(f"malformed frame: negative payload length {nbytes}")
-    if nbytes > max_payload:
+    if nbytes > MAX_FRAME_PAYLOAD:
         raise WireError(
-            f"payload length {nbytes} exceeds the {max_payload}-byte cap"
+            f"payload length {nbytes} exceeds the {MAX_FRAME_PAYLOAD}-byte cap"
         )
     return header, nbytes
 
@@ -223,7 +223,6 @@ async def read_frame(
     stream: Stream,
     *,
     timeout: float | None = None,
-    max_payload: int = MAX_FRAME_PAYLOAD,
     park: bool = False,
 ) -> tuple[dict, bytearray]:
     """Read one frame; returns ``(header, payload)``.
@@ -280,7 +279,7 @@ async def read_frame(
                 )
             what = "header"
             progress()
-            header, nbytes = _parse_header(await stream.read_exactly(hlen), max_payload)
+            header, nbytes = _parse_header(await stream.read_exactly(hlen))
             what = "payload"
             progress()
             payload = bytearray(nbytes)

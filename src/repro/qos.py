@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from .store import LocalService, StoreClient, StoreError, Unavailable
 from .telemetry import LogHistogram
 from .workloads import RequestEvent, zipf_object_trace
+from .workloads.traces import OBJECT_PREFIX
 
 __all__ = [
     "ReplayReport",
@@ -191,20 +192,20 @@ async def preload_working_set(
     object_bytes: int,
     *,
     seed: int = 0,
-    name_prefix: str = "obj",
 ) -> dict[str, bytes]:
     """PUT the trace's GET targets; returns name → bytes for verification."""
     expected: dict[str, bytes] = {}
     for rank in range(num_objects):
-        name = f"{name_prefix}-{rank}"
+        name = f"{OBJECT_PREFIX}-{rank}"
         payload = object_payload(name, object_bytes, seed)
         await client.put(name, payload)
         expected[name] = payload
     return expected
 
 
-async def _phase_tracker(client, t0, poll, window, stop):
-    """Record when the service enters and leaves its repair window."""
+async def _phase_tracker(client, t0, window, stop):
+    """Record when the service enters and leaves its repair window,
+    polling its status every 50 ms."""
     loop = asyncio.get_event_loop()
     while not stop.is_set():
         try:
@@ -221,7 +222,7 @@ async def _phase_tracker(client, t0, poll, window, stop):
             elif window[0] is not None and window[1] is None:
                 window[1] = now
         try:
-            async with asyncio.timeout(poll):
+            async with asyncio.timeout(0.05):
                 await stop.wait()
         except TimeoutError:
             pass
@@ -240,7 +241,6 @@ async def replay_trace(
     expected: dict[str, bytes] | None = None,
     kills: list[tuple[float, int]] | None = None,
     kill_fn=None,
-    status_poll: float = 0.05,
 ) -> ReplayReport:
     """Replay ``events`` against a live store; returns per-request samples.
 
@@ -274,7 +274,7 @@ async def replay_trace(
     stop = asyncio.Event()
     window: list[float | None] = [None, None]
     tracker = asyncio.ensure_future(
-        _phase_tracker(client, t0, status_poll, window, stop)
+        _phase_tracker(client, t0, window, stop)
     )
 
     async def killer(at: float, node_id: int) -> None:

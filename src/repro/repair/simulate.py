@@ -194,7 +194,7 @@ def _consumed_at(plan: RepairPlan) -> set[tuple[str, int]]:
 def simulate_repair(
     scheme: RepairScheme,
     ctx: RepairContext,
-    bandwidth: BandwidthModel,
+    bandwidth: BandwidthModel | None = None,
     faults: FaultPlan | None = None,
     *,
     stripe: Stripe | None = None,
@@ -203,7 +203,8 @@ def simulate_repair(
     """Plan ``ctx``'s repair with ``scheme`` and simulate it under ``faults``.
 
     The plan is compiled with the context's decode cost model; transfer
-    durations come from ``bandwidth`` over the context's cluster.  An
+    durations come from ``bandwidth`` over the context's cluster, by
+    default the context's own ``link_model``.  An
     attempt that completes — always, without a fault plan; possibly
     after lost-transfer retries — is the outcome.  If a node death
     aborted part of it, the completed ops are committed, the dead nodes'
@@ -221,9 +222,15 @@ def simulate_repair(
     IrrecoverableError
         When survivors drop below the decode threshold, a recovery rack
         runs out of live spares, or ``max_attempts`` is exhausted.
+    ValueError
+        With neither a ``bandwidth`` nor a context ``link_model``.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
+    if bandwidth is None:
+        bandwidth = ctx.link_model
+    if bandwidth is None:
+        raise ValueError("no bandwidth model: pass one or give the context a link_model")
     engine = SimulationEngine(ctx.cluster, bandwidth)
     plan = scheme.plan(ctx)
     sims: list[SimResult] = []

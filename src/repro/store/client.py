@@ -19,7 +19,6 @@ does so after every verb, because every verb runs on a loop of its own.
 from __future__ import annotations
 
 import asyncio
-import time
 
 import numpy as np
 
@@ -76,7 +75,7 @@ class StoreClient:
         if recorder is None:
             # Own recorder: anchor t=0 so assembled traces can align
             # this client's spans with the service processes'.
-            self.rec.set_origin(time.monotonic())
+            self.rec.set_origin(self.rec.raw_now())
 
     async def aclose(self) -> None:
         """Close the running loop's idle RPC connections (call it last)."""
@@ -391,9 +390,10 @@ class StoreClient:
     # -- service-level helpers ----------------------------------------------
 
     async def wait_healthy(
-        self, *, timeout: float = 30.0, poll: float = 0.2, min_repairs: int = 0
+        self, *, timeout: float = 30.0, min_repairs: int = 0
     ) -> dict:
-        """Poll until no stripe is degraded (and ``min_repairs`` finished).
+        """Poll every 0.2 s until no stripe is degraded (and ``min_repairs``
+        finished).
 
         Returns the final status; raises :class:`Unavailable` when
         ``timeout`` elapses first — a repair that should have happened
@@ -429,7 +429,7 @@ class StoreClient:
                     f"degraded={status['degraded']} "
                     f"repairs={len(status['repairs'])}/{min_repairs}"
                 )
-            await asyncio.sleep(poll)
+            await asyncio.sleep(0.2)
 
     async def shutdown_service(self) -> None:
         """Gracefully stop every daemon, then the coordinator."""

@@ -34,7 +34,6 @@ import asyncio
 import functools
 import itertools
 import json
-import time
 from pathlib import Path
 
 from ..cluster import Cluster, Placement, SIMICS_BANDWIDTH
@@ -73,8 +72,8 @@ from .repair import (
 
 __all__ = ["Coordinator", "SCHEMES", "main"]
 
-#: Default per-repair deadline handed to daemons (seconds).
-DEFAULT_REPAIR_TIMEOUT = 30.0
+#: Per-repair deadline handed to daemons (seconds).
+REPAIR_TIMEOUT = 30.0
 
 
 def _placement_to_wire(placement: Placement) -> dict:
@@ -94,8 +93,6 @@ class Coordinator:
         host: str = "127.0.0.1",
         suspect_after: float = 2.0,
         sweep_interval: float = 0.25,
-        repair_timeout: float = DEFAULT_REPAIR_TIMEOUT,
-        bandwidth=SIMICS_BANDWIDTH,
         recorder: TelemetryRecorder | None = None,
     ) -> None:
         if scheme not in SCHEMES:
@@ -107,8 +104,6 @@ class Coordinator:
         self.block_size = block_size
         self.host = host
         self.sweep_interval = sweep_interval
-        self.repair_timeout = repair_timeout
-        self.bandwidth = bandwidth
         self.port: int | None = None
         self.rec = recorder if recorder is not None else TelemetryRecorder(
             CLOCK_WALL, meta={"component": "coordinator", "scheme": scheme}
@@ -116,7 +111,7 @@ class Coordinator:
         if recorder is None:
             # Own recorder: anchor t=0 so assembly can align this
             # process's spans against the daemons' (meta["origin_unix"]).
-            self.rec.set_origin(time.monotonic())
+            self.rec.set_origin(self.rec.raw_now())
         #: Live metrics for the ``stats`` RPC — always on.
         self.stats = StatsRegistry("coordinator")
         self.detector = FailureDetector(suspect_after=suspect_after)
@@ -219,7 +214,7 @@ class Coordinator:
             sid, self._dead_nodes(), block_size=self.block_size
         )
         failed, targets = repair_ctx.failed_blocks, dict(repair_ctx.recovery_override)
-        outcome = simulate_repair(self.scheme, repair_ctx, self.bandwidth)
+        outcome = simulate_repair(self.scheme, repair_ctx, SIMICS_BANDWIDTH)
         plan = outcome.plan
         parts = partition_plan(plan, meta.placement, sid, failed)
         routing = self._routing(parts)
@@ -229,7 +224,9 @@ class Coordinator:
         # repair.exec hop rides the RPC header, so the assembled tree
         # hangs every daemon's repair work under this repair root.
         ctx = TraceContext.root()
-        start = self.rec.raw_now()
+        # The loop's clock, not the recorder's: timed with spans off too.
+        clock = asyncio.get_running_loop().time
+        start = clock()
         results = await asyncio.gather(
             *(
                 call(
@@ -240,9 +237,9 @@ class Coordinator:
                         "assignment": part.to_dict(),
                         "routing": routing,
                         "block_size": self.block_size,
-                        "timeout": self.repair_timeout,
+                        "timeout": REPAIR_TIMEOUT,
                     },
-                    timeout=self.repair_timeout + 10.0,
+                    timeout=REPAIR_TIMEOUT + 10.0,
                     ctx=ctx.child(),
                 )
                 for node_id, part in parts.items()
@@ -291,11 +288,11 @@ class Coordinator:
             "simulated": simulated,
             "simulated_repair_time": outcome.total_repair_time,
             "ledger_match": measured == simulated,
-            "wall_seconds": self.rec.raw_now() - start,
+            "wall_seconds": clock() - start,
         }
         self.repairs.append(record)
         self.rec.span(
-            f"repair:{rid}", start, self.rec.raw_now(), category="repair",
+            f"repair:{rid}", start, start + record["wall_seconds"], category="repair",
             rid=rid, sid=sid, scheme=self.scheme_name,
             cross_rack_bytes=measured["cross_rack_bytes"],
             ledger_match=record["ledger_match"],
@@ -588,7 +585,7 @@ async def _amain(args: argparse.Namespace) -> None:
             meta={"component": "coordinator", "node": "coordinator",
                   "scheme": args.scheme},
         )
-        recorder.set_origin(time.monotonic())
+        recorder.set_origin(recorder.raw_now())
     coordinator = Coordinator(
         cluster,
         get_code(args.n, args.k),

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import functools
-import time
 
 import numpy as np
 
@@ -76,7 +75,7 @@ class StorageDaemon:
         if recorder is None:
             # Own recorder: anchor t=0 now so cross-process assembly can
             # align this daemon's spans (meta["origin_unix"]).
-            self.rec.set_origin(time.monotonic())
+            self.rec.set_origin(self.rec.raw_now())
         #: Live metrics for the ``stats`` RPC — always on, bounded
         #: memory, independent of whether span telemetry is enabled.
         self.stats = StatsRegistry(f"node-{node_id}")
@@ -278,7 +277,7 @@ async def _amain(args: argparse.Namespace) -> None:
             CLOCK_WALL,
             meta={"component": "daemon", "node": f"node-{args.node_id}"},
         )
-        recorder.set_origin(time.monotonic())
+        recorder.set_origin(recorder.raw_now())
     daemon = StorageDaemon(
         args.node_id,
         (host, int(port)),

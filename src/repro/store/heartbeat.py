@@ -8,14 +8,14 @@ per node and declares a node dead once its last beat is older than
 ``suspect_after`` — exactly how a SIGKILLed daemon is noticed, since a
 killed process simply stops beating.
 
-Both halves take injectable clocks so the detector's arithmetic is unit
-tested without sleeping.
+Both halves read time from the running event loop (``loop.time()``,
+``asyncio.sleep``) and nothing else, so on a real loop they run on the
+monotonic clock and a test runs them in virtual time.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -111,21 +111,15 @@ class FailureDetector:
     been (or are being) rebuilt elsewhere.
     """
 
-    def __init__(
-        self,
-        *,
-        suspect_after: float,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, *, suspect_after: float) -> None:
         if suspect_after <= 0:
             raise ValueError(f"suspect_after must be positive, got {suspect_after}")
         self.suspect_after = suspect_after
-        self._clock = clock
         self.nodes: dict[int, NodeEntry] = {}
 
     def beat(self, node_id: int, host: str, port: int, meta: dict | None = None) -> NodeEntry:
         """Record one heartbeat; returns the (possibly new) entry."""
-        now = self._clock()
+        now = asyncio.get_running_loop().time()
         entry = self.nodes.get(node_id)
         if entry is None:
             entry = self.nodes[node_id] = NodeEntry(
@@ -142,7 +136,7 @@ class FailureDetector:
 
     def sweep(self) -> list[NodeEntry]:
         """Mark overdue nodes dead; returns only the *newly* dead ones."""
-        now = self._clock()
+        now = asyncio.get_running_loop().time()
         newly_dead = []
         for entry in self.nodes.values():
             if entry.alive and now - entry.last_beat > self.suspect_after:
@@ -160,7 +154,7 @@ class FailureDetector:
         return self.nodes.get(node_id)
 
     def to_dict(self) -> dict:
-        now = self._clock()
+        now = asyncio.get_running_loop().time()
         return {
             str(nid): {
                 "host": e.host,

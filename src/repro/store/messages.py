@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 
 from ..live.transport import Stream, TcpStream, connect_tcp
 from ..live.wire import WireClosed, WireError, read_frame, send_frame
@@ -412,11 +411,12 @@ async def dispatch(party, span_attrs: dict, request: Request):
     handler = getattr(party, "_rpc_" + request.mtype.replace(".", "_"), None)
     if handler is None:
         raise StoreProtocolError(f"unknown rpc {request.mtype!r}")
-    start = time.monotonic()
+    loop = asyncio.get_running_loop()
+    start = loop.time()
     try:
         return await handler(request)
     finally:
-        elapsed = time.monotonic() - start
+        elapsed = loop.time() - start
         if request.mtype != "heartbeat":  # beats would swamp the stats
             party.stats.count(f"rpc:{request.mtype}")
             party.stats.latency(request.mtype, elapsed, cls=RPC_CLASS.get(request.mtype, ""))

@@ -15,7 +15,6 @@ live cross-validation story.
 from __future__ import annotations
 
 import asyncio
-import time
 import zlib
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
@@ -254,15 +253,17 @@ class RepairSession(NodeExecutor):
             )
         host, port = self.routing[dst]
 
+        clock = asyncio.get_running_loop().time
+
         async def send(op_id: str, key: str, payload: np.ndarray, ctx):
-            start = time.monotonic()
+            start = clock()
             if self.throttle is not None:
                 await self.throttle(int(payload.nbytes))
             kwargs = {"blob": payload.data}
             if ctx is not None:
                 kwargs["ctx"] = ctx.child()
             await self.rpc(host, port, "repair.block", {"rid": self.rid, "key": key}, **kwargs)
-            return [("send.rpc", start, time.monotonic())]
+            return [("send.rpc", start, clock())]
 
         yield send
 

@@ -29,6 +29,10 @@ __all__ = [
 DAY = 24 * 3600.0
 YEAR = 365.25 * DAY
 
+#: Name prefix of a Zipf trace's objects: ``obj-<rank>`` is what
+#: :func:`repro.qos.preload_working_set` writes, ``obj-put-<i>`` a fresh PUT.
+OBJECT_PREFIX = "obj"
+
 
 @dataclass(frozen=True)
 class FailureEvent:
@@ -125,7 +129,6 @@ def zipf_object_trace(
     zipf_s: float = 1.0,
     get_fraction: float = 0.9,
     seed: int = 0,
-    name_prefix: str = "obj",
 ) -> list[RequestEvent]:
     """A seeded hot/cold GET/PUT trace over a preloaded object set.
 
@@ -133,8 +136,8 @@ def zipf_object_trace(
     schedule; closed-loop replay ignores the times).  Each request is a
     GET with probability ``get_fraction``, targeting an object drawn
     from a Zipf(``zipf_s``) popularity over the ``num_objects``
-    preloaded names ``<prefix>-<rank>`` — rank 0 is the hottest.  PUTs
-    write fresh ``<prefix>-put-<i>`` names.
+    preloaded names ``obj-<rank>`` — rank 0 is the hottest.  PUTs
+    write fresh ``obj-put-<i>`` names (:data:`OBJECT_PREFIX`).
 
     Deterministic for a given argument tuple; the driver
     (:mod:`repro.qos`) preloads the working set and replays the
@@ -163,11 +166,11 @@ def zipf_object_trace(
             rank = bisect.bisect_left(cdf, u)
             rank = min(rank, num_objects - 1)
             events.append(
-                RequestEvent(time=time, op="get", obj=f"{name_prefix}-{rank}")
+                RequestEvent(time=time, op="get", obj=f"{OBJECT_PREFIX}-{rank}")
             )
         else:
             events.append(
-                RequestEvent(time=time, op="put", obj=f"{name_prefix}-put-{puts}")
+                RequestEvent(time=time, op="put", obj=f"{OBJECT_PREFIX}-put-{puts}")
             )
             puts += 1
     return events

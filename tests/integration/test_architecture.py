@@ -43,6 +43,15 @@ once (``repro.qos``), and the name → scheme table exists once
 ``asyncio.timeout`` block, and a frame read is one deadline pushed out
 on progress (``repro.live.wire``), not one ``wait_for`` per read step.
 
+§2.2: one clock.  ``repro.store`` and ``repro.live`` read time only from
+the running event loop (``loop.time()``; waits are asyncio sleeps and
+timeouts), never ``time.monotonic`` / ``perf_counter`` / ``time`` —
+except the launcher, which polls subprocesses with no loop running.  On
+a real loop that is the monotonic clock; under a virtual-time loop
+(``tests/vtime.py``) a test runs the store's timing exactly and fast.
+The detector, the token bucket and the link shaper used to take a
+clock of their own, and 22 call sites read the host clock directly.
+
 §2.3: one in-process store cluster.  A ``Coordinator`` is built only by
 its own process entry point and by ``repro.store.LocalService``; tests,
 the QoS replay and the perf harness bring that cluster up instead of
@@ -584,6 +593,81 @@ def test_the_deadline_guard_sees_what_it_guards():
     )
     assert asyncio_wait_for_calls(old_waits) == [2, 4, 7]
     assert asyncio_wait_for_calls(ast.parse("await cond.wait_for(ready)\n")) == []
+
+
+#: The host-clock reads; ``repro.store`` and ``repro.live`` read the loop's.
+CLOCK_READS = {"monotonic", "perf_counter", "time"}
+#: Where the guard looks, and the one module that may read the host clock
+#: (it polls subprocesses with no event loop running).
+LOOP_CLOCKED = ("store", "live")
+LOOPLESS = {"store/launcher.py"}
+
+
+def clock_reads(tree: ast.AST) -> list[int]:
+    """Lines calling ``time.monotonic`` / ``time.perf_counter`` /
+    ``time.time`` — through the module, or bare (or renamed) after
+    ``from time import ...``.  (``loop.time()`` is not flagged.)"""
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "time"
+        for alias in node.names
+        if alias.name in CLOCK_READS
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in CLOCK_READS
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "time"
+            or isinstance(node.func, ast.Name)
+            and node.func.id in imported
+        )
+    )
+
+
+def test_the_store_and_the_live_runtime_read_only_the_loop_clock():
+    found = [
+        f"src/repro/{rel}:{line}"
+        for top in LOOP_CLOCKED
+        for path in sorted((SRC / top).rglob("*.py"))
+        if (rel := path.relative_to(SRC).as_posix()) not in LOOPLESS
+        for line in clock_reads(ast.parse(path.read_text()))
+    ]
+    assert not found, (
+        "host-clock read under repro.store / repro.live — read the running "
+        "loop's clock (`asyncio.get_running_loop().time()`) and wait with "
+        "asyncio sleeps and timeouts, so a virtual-time loop runs it:\n"
+        + "\n".join(found)
+    )
+
+
+def test_the_clock_guard_sees_what_it_guards():
+    """Not vacuous: the launcher's loop-less polls are seen, and so are
+    the shapes the RPC dispatch and the live runtime's paced channel
+    used; the loop's clock is not flagged."""
+    for rel in LOOPLESS:
+        assert clock_reads(ast.parse((SRC / rel).read_text())), rel
+    old_reads = ast.parse(
+        "async def dispatch(party, span_attrs, request):\n"
+        "    start = time.monotonic()\n"
+        "    try:\n"
+        "        return await handler(request)\n"
+        "    finally:\n"
+        "        elapsed = time.monotonic() - start\n"
+        "async def send(op_id, key, payload, ctx):\n"
+        "    start = time.monotonic()\n"
+        "    await asyncio.sleep(latency)\n"
+        "    t_lat = time.perf_counter()\n"
+        "    from time import monotonic as now, time as wall\n"
+        "    t_conn, t_sent = now(), wall()\n"
+        "    end = asyncio.get_running_loop().time()\n"
+        "    return [('send.latency', start, t_lat), ('send.ack_wait', t_sent, loop.time())]\n"
+    )
+    assert clock_reads(old_reads) == [2, 6, 8, 10, 12, 12]
 
 
 #: The only modules that build a ``Coordinator``: its process entry point

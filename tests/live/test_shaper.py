@@ -1,4 +1,4 @@
-"""Token-bucket shaper tests: deterministic accounting + wall-clock rate."""
+"""Token-bucket shaper tests: exact accounting in virtual time + wall-clock rate."""
 
 import asyncio
 import time
@@ -10,32 +10,12 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, HierarchicalBandwidth
 from repro.live import LinkShaper, TokenBucket
 
-
-class FakeLoop:
-    """Deterministic clock/sleep pair: time advances only by sleeping."""
-
-    def __init__(self, oversleep: float = 1.0):
-        self.now = 0.0
-        self.oversleep = oversleep
-        self.slept = []
-
-    def clock(self):
-        return self.now
-
-    async def sleep(self, seconds):
-        self.slept.append(seconds)
-        self.now += seconds * self.oversleep
-
-    def advance(self, seconds):
-        self.now += seconds
+from ..vtime import VirtualTimeLoop
 
 
-def drain(bucket, sizes):
-    async def _run():
-        for n in sizes:
-            await bucket.acquire(n)
-
-    asyncio.run(_run())
+async def drain(bucket, sizes, cls=""):
+    for n in sizes:
+        await bucket.acquire(n, cls)
 
 
 class TestTokenBucketAccounting:
@@ -48,24 +28,38 @@ class TestTokenBucketAccounting:
             TokenBucket(100.0, capacity=0.0)
 
     def test_first_transfer_pays_full_fare(self):
-        loop = FakeLoop()
-        bucket = TokenBucket(1000.0, clock=loop.clock, sleep=loop.sleep)
-        drain(bucket, [500])
-        assert loop.now == pytest.approx(0.5)
+        loop = VirtualTimeLoop()
+        loop.run(drain(TokenBucket(1000.0), [500]))
+        assert loop.time() == pytest.approx(0.5)
+
+    def test_a_bucket_built_outside_a_loop_starts_at_first_use(self):
+        """Idle time before a loop-less bucket's first use earns nothing."""
+        loop = VirtualTimeLoop()
+        bucket = TokenBucket(1000.0, capacity=100.0)
+
+        async def _run():
+            loop.advance(60.0)
+            await drain(bucket, [200])
+
+        loop.run(_run())
+        assert loop.time() == pytest.approx(60.0 + 0.2)
 
     def test_zero_and_negative_sizes_are_free(self):
-        loop = FakeLoop()
-        bucket = TokenBucket(1000.0, clock=loop.clock, sleep=loop.sleep)
-        drain(bucket, [0, -3])
+        loop = VirtualTimeLoop()
+        loop.run(drain(TokenBucket(1000.0), [0, -3]))
         assert loop.slept == []
 
     def test_one_sleep_per_stall(self):
         """Every acquire that ends in debt sleeps once, for the whole debt."""
-        loop = FakeLoop()
-        bucket = TokenBucket(1000.0, capacity=100.0, clock=loop.clock, sleep=loop.sleep)
-        loop.advance(1.0)  # idle: 100 bytes of credit
-        # 60 rides free; the next three stall (owing 20, 60, 60 bytes).
-        drain(bucket, [60, 60, 60, 60])
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            bucket = TokenBucket(1000.0, capacity=100.0)
+            loop.advance(1.0)  # idle: 100 bytes of credit
+            # 60 rides free; the next three stall (owing 20, 60, 60 bytes).
+            await drain(bucket, [60, 60, 60, 60])
+
+        loop.run(_run())
         assert loop.slept == pytest.approx([0.02, 0.06, 0.06])
 
     @settings(max_examples=60, deadline=None)
@@ -75,10 +69,9 @@ class TestTokenBucketAccounting:
     )
     def test_back_to_back_elapsed_is_total_over_rate(self, rate, sizes):
         """With exact sleeps and no idle gaps, N bytes take exactly N/rate."""
-        loop = FakeLoop()
-        bucket = TokenBucket(rate, clock=loop.clock, sleep=loop.sleep)
-        drain(bucket, sizes)
-        assert loop.now == pytest.approx(sum(sizes) / rate, rel=1e-9)
+        loop = VirtualTimeLoop()
+        loop.run(drain(TokenBucket(rate), sizes))
+        assert loop.time() == pytest.approx(sum(sizes) / rate, rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -88,38 +81,45 @@ class TestTokenBucketAccounting:
     )
     def test_oversleep_never_runs_ahead_of_rate(self, rate, sizes, oversleep):
         """A jittery sleeper can only be late, never ahead of the rate."""
-        loop = FakeLoop(oversleep=oversleep)
-        bucket = TokenBucket(rate, clock=loop.clock, sleep=loop.sleep)
-        drain(bucket, sizes)
-        assert loop.now >= sum(sizes) / rate - 1e-9
+        loop = VirtualTimeLoop(stretch=oversleep)
+        loop.run(drain(TokenBucket(rate), sizes))
+        assert loop.time() >= sum(sizes) / rate - 1e-9
 
     def test_idle_credit_is_capped_at_capacity(self):
-        loop = FakeLoop()
-        bucket = TokenBucket(1000.0, capacity=100.0, clock=loop.clock, sleep=loop.sleep)
-        loop.advance(60.0)  # idles way past the burst window
-        drain(bucket, [200])
-        # Only `capacity` bytes ride for free, the rest pays full fare.
-        assert loop.now == pytest.approx(60.0 + 100.0 / 1000.0)
-
-    def test_reset_drops_idle_credit_but_keeps_debt(self):
-        loop = FakeLoop()
-        bucket = TokenBucket(1000.0, capacity=100.0, clock=loop.clock, sleep=loop.sleep)
-        loop.advance(60.0)
-        bucket.reset()
-        drain(bucket, [200])
-        assert loop.now == pytest.approx(60.0 + 0.2)
-        # Debt survives a reset: an interleaved reset cannot forgive pacing.
-        loop2 = FakeLoop()
-        b2 = TokenBucket(1000.0, clock=loop2.clock, sleep=loop2.sleep)
+        loop = VirtualTimeLoop()
 
         async def _run():
+            bucket = TokenBucket(1000.0, capacity=100.0)
+            loop.advance(60.0)  # idles way past the burst window
+            await drain(bucket, [200])
+
+        loop.run(_run())
+        # Only `capacity` bytes ride for free, the rest pays full fare.
+        assert loop.time() == pytest.approx(60.0 + 100.0 / 1000.0)
+
+    def test_reset_drops_idle_credit_but_keeps_debt(self):
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            bucket = TokenBucket(1000.0, capacity=100.0)
+            loop.advance(60.0)
+            bucket.reset()
+            await drain(bucket, [200])
+
+        loop.run(_run())
+        assert loop.time() == pytest.approx(60.0 + 0.2)
+        # Debt survives a reset: an interleaved reset cannot forgive pacing.
+        loop2 = VirtualTimeLoop()
+        b2 = TokenBucket(1000.0)
+
+        async def _run2():
             task = asyncio.ensure_future(b2.acquire(500))
             await asyncio.sleep(0)
             b2.reset()
             await task
 
-        asyncio.run(_run())
-        assert loop2.now == pytest.approx(0.5)
+        loop2.run(_run2())
+        assert loop2.time() == pytest.approx(0.5)
 
     def test_reset_credits_time_already_slept(self):
         """Back-to-back transfers on one link each take nbytes / rate.
@@ -129,17 +129,17 @@ class TestTokenBucketAccounting:
         previous one's last chunk: these four rounds ended at 0.5 / 1.5 /
         3.0 / 5.0 s.  Sliced sends and merged plans reuse links.
         """
-        loop = FakeLoop()
-        bucket = TokenBucket(1000.0, clock=loop.clock, sleep=loop.sleep)
+        loop = VirtualTimeLoop()
+        bucket = TokenBucket(1000.0)
         ends = []
 
         async def _run():
             for _ in range(4):
                 bucket.reset()
                 await bucket.acquire(500)
-                ends.append(loop.now)
+                ends.append(loop.time())
 
-        asyncio.run(_run())
+        loop.run(_run())
         assert ends == pytest.approx([0.5, 1.0, 1.5, 2.0])
 
 
@@ -169,40 +169,38 @@ class TestChargeRefund:
 
     CHUNK = 16 * 1024
 
-    def _failing_send(self, bucket, ok_chunks):
+    async def _failing_send(self, bucket, ok_chunks):
         from repro.live import send_frame
 
         # +1: the header write is write #1 and is never charged.
         stream = _ExplodingStream(ok_writes=ok_chunks + 1)
         payload = b"x" * (3 * self.CHUNK)
-
-        async def _run():
-            with pytest.raises(ConnectionResetError):
-                await send_frame(
-                    stream, {"op": "s0"}, payload, bucket=bucket,
-                    chunk_size=self.CHUNK,
-                )
-
-        asyncio.run(_run())
+        with pytest.raises(ConnectionResetError):
+            await send_frame(
+                stream, {"op": "s0"}, payload, bucket=bucket,
+                chunk_size=self.CHUNK,
+            )
 
     def test_failed_chunk_write_refunds_its_charge(self):
-        loop = FakeLoop()
-        bucket = TokenBucket(
-            float(self.CHUNK), clock=loop.clock, sleep=loop.sleep
-        )
-        self._failing_send(bucket, ok_chunks=2)
-        # 2 chunks actually hit the wire (1s each at CHUNK bytes/s); the
-        # 3rd chunk's charge was rolled back when its write raised.
-        t_fail = loop.now
-        assert t_fail == pytest.approx(3.0)  # 3 pacing stalls elapsed
-        assert bucket.sent[""] == 2 * self.CHUNK  # the 3rd chunk's charge is back
-        # The runtime starts every transfer with reset(): idle credit is
-        # dropped, debt is kept.  With the refund there is no debt, so
-        # the next transfer pays exactly full fare; before the fix the
-        # unwritten chunk's charge survived and it paid double.
-        bucket.reset()
-        drain(bucket, [self.CHUNK])
-        assert loop.now - t_fail == pytest.approx(1.0)
+        loop = VirtualTimeLoop()
+        bucket = TokenBucket(float(self.CHUNK))
+
+        async def _run():
+            await self._failing_send(bucket, ok_chunks=2)
+            # 2 chunks actually hit the wire (1s each at CHUNK bytes/s); the
+            # 3rd chunk's charge was rolled back when its write raised.
+            t_fail = loop.time()
+            assert t_fail == pytest.approx(3.0)  # 3 pacing stalls elapsed
+            assert bucket.sent[""] == 2 * self.CHUNK  # the 3rd chunk's charge is back
+            # The runtime starts every transfer with reset(): idle credit is
+            # dropped, debt is kept.  With the refund there is no debt, so
+            # the next transfer pays exactly full fare; before the fix the
+            # unwritten chunk's charge survived and it paid double.
+            bucket.reset()
+            await drain(bucket, [self.CHUNK])
+            assert loop.time() - t_fail == pytest.approx(1.0)
+
+        loop.run(_run())
 
     def test_failed_one_write_frame_refunds_its_charge(self):
         """A frame whose payload fits one chunk goes out header and all
@@ -210,8 +208,7 @@ class TestChargeRefund:
         just the same."""
         from repro.live import send_frame
 
-        loop = FakeLoop()
-        bucket = TokenBucket(float(self.CHUNK), clock=loop.clock, sleep=loop.sleep)
+        bucket = TokenBucket(float(self.CHUNK))
         stream = _ExplodingStream(ok_writes=0)
 
         async def _run():
@@ -221,18 +218,16 @@ class TestChargeRefund:
                     chunk_size=self.CHUNK,
                 )
 
-        asyncio.run(_run())
+        VirtualTimeLoop().run(_run())
         assert stream.writes == 1
         assert bucket.sent[""] == 0  # nothing reached the wire, nothing is owed
 
     def test_refund_never_mints_extra_burst(self):
-        loop = FakeLoop()
-        bucket = TokenBucket(
-            1000.0, capacity=100.0, clock=loop.clock, sleep=loop.sleep
-        )
+        loop = VirtualTimeLoop()
+        bucket = TokenBucket(1000.0, capacity=100.0)
         bucket.refund(10_000)  # absurd refund: capped at capacity
-        drain(bucket, [200])
-        assert loop.now == pytest.approx(100.0 / 1000.0)
+        loop.run(drain(bucket, [200]))
+        assert loop.time() == pytest.approx(100.0 / 1000.0)
 
     def test_cancelled_pacing_sleep_rolls_back_the_charge(self):
         """A sender task killed mid-stall leaves the bucket clean."""
@@ -273,14 +268,6 @@ class TestWallClockRate:
         assert achieved == pytest.approx(rate, rel=0.10)
 
 
-def drain_classed(bucket, cls, sizes):
-    async def _run():
-        for n in sizes:
-            await bucket.acquire(n, cls)
-
-    asyncio.run(_run())
-
-
 class TestWeightedTokenBucket:
     """``TokenBucket(..., weights=...)``: one link split across classes."""
 
@@ -308,42 +295,28 @@ class TestWeightedTokenBucket:
 
     def test_lone_sender_sees_full_link_rate(self):
         """Work conservation: idle classes donate, so N bytes take N/rate."""
-        loop = FakeLoop()
-        bucket = TokenBucket(
-            1000.0, weights=self.WEIGHTS, clock=loop.clock, sleep=loop.sleep
-        )
-        drain_classed(bucket, "foreground", [1000])
-        assert loop.now == pytest.approx(1.0, rel=1e-6)
+        loop = VirtualTimeLoop()
+        loop.run(drain(TokenBucket(1000.0, weights=self.WEIGHTS), [1000], "foreground"))
+        assert loop.time() == pytest.approx(1.0, rel=1e-6)
 
     def test_backlogged_competitor_confines_to_guaranteed_share(self):
         """With the other class in debt there is nothing to borrow."""
-        loop = FakeLoop()
-        bucket = TokenBucket(
-            1000.0,
-            weights={"foreground": 1.0, "repair": 1.0},
-            clock=loop.clock,
-            sleep=loop.sleep,
-        )
+        loop = VirtualTimeLoop()
+        bucket = TokenBucket(1000.0, weights={"foreground": 1.0, "repair": 1.0})
         # A repair sender is mid-stall: its balance is negative for the
         # whole window, so foreground gets exactly its 50% guarantee.
         bucket._tokens["repair"] = -1e9
-        drain_classed(bucket, "foreground", [500])
-        assert loop.now == pytest.approx(500 / (1000.0 * 0.5), rel=1e-6)
+        loop.run(drain(bucket, [500], "foreground"))
+        assert loop.time() == pytest.approx(500 / (1000.0 * 0.5), rel=1e-6)
 
     def test_refund_is_capped_at_the_class_capacity(self):
-        loop = FakeLoop()
-        bucket = TokenBucket(
-            1000.0,
-            weights={"a": 1.0, "b": 1.0},
-            capacity=100.0,
-            clock=loop.clock,
-            sleep=loop.sleep,
-        )
+        loop = VirtualTimeLoop()
+        bucket = TokenBucket(1000.0, weights={"a": 1.0, "b": 1.0}, capacity=100.0)
         bucket.refund(10_000, "a")  # absurd refund: capped at 50 (share of 100)
-        drain_classed(bucket, "a", [100])
+        loop.run(drain(bucket, [100], "a"))
         # 50 bytes ride on the refunded credit; the rest pays at the full
         # link rate because b never enters debt.
-        assert loop.now == pytest.approx(50 / 1000.0, rel=1e-6)
+        assert loop.time() == pytest.approx(50 / 1000.0, rel=1e-6)
 
     def test_foreground_never_queues_behind_repair_pacing(self):
         """Per-class locks: the priority split's whole point."""
@@ -391,42 +364,36 @@ class TestWeightedTokenBucket:
         earned during a long stall can clip — bounded conservatism, the
         price of bounded bursts).
         """
-        loop = FakeLoop()
-        bucket = TokenBucket(
-            rate,
-            weights={"foreground": fg_weight, "repair": 1.0},
-            clock=loop.clock,
-            sleep=loop.sleep,
-        )
-        drain_classed(bucket, "foreground", sizes)
+        loop = VirtualTimeLoop()
+        bucket = TokenBucket(rate, weights={"foreground": fg_weight, "repair": 1.0})
+        loop.run(drain(bucket, sizes, "foreground"))
         ideal = sum(sizes) / rate
         slack = len(sizes) * bucket.capacity / rate
-        assert ideal - 1e-9 <= loop.now <= ideal + slack + 1e-9
+        assert ideal - 1e-9 <= loop.time() <= ideal + slack + 1e-9
 
     def test_frozen_clock_returns_after_one_sleep(self):
         """A stall is one sleep; what it leaves unpaid is carried forward.
 
-        The clock never advances, so no sleep pays anything off: a
-        bucket that looped "sleep, refill, re-check" would spin here.
+        The clock never advances (every sleep is stretched to nothing),
+        so no sleep pays anything off: a bucket that looped "sleep,
+        refill, re-check" would spin here, and frozen time bounds no
+        wait, so a bounded number of loop turns does.
         """
-        slept = []
-
-        async def sleep(seconds):
-            slept.append(seconds)
-            await asyncio.sleep(0)
-
-        bucket = TokenBucket(
-            1000.0, weights=self.WEIGHTS, clock=lambda: 0.0, sleep=sleep
-        )
+        loop = VirtualTimeLoop(stretch=0.0)
+        bucket = TokenBucket(1000.0, weights=self.WEIGHTS)
 
         async def _run():
-            await asyncio.wait_for(bucket.acquire(500, "repair"), 2.0)
-            await asyncio.wait_for(bucket.acquire(500, "repair"), 2.0)
+            task = asyncio.ensure_future(drain(bucket, [500, 500], "repair"))
+            for _ in range(20):
+                await asyncio.sleep(0)
+            assert task.done()
+            await task
 
-        asyncio.run(_run())
+        loop.run(_run())
+        assert loop.time() == 0.0
         # Foreground is idle, so repair paces at the whole link rate; the
         # second stall owes its own 500 bytes plus the first's unpaid 500.
-        assert slept == [pytest.approx(0.5), pytest.approx(1.0)]
+        assert loop.slept == [pytest.approx(0.5), pytest.approx(1.0)]
 
 
 class TestClassedBucket:
@@ -444,39 +411,32 @@ class TestClassedBucket:
     def test_rate_is_the_guaranteed_share(self):
         """Against a backlogged competitor each class gets its weight."""
         for cls, share_rate in (("foreground", 750.0), ("repair", 250.0)):
-            loop = FakeLoop()
-            bucket = TokenBucket(
-                1000.0,
-                weights={"foreground": 3.0, "repair": 1.0},
-                clock=loop.clock,
-                sleep=loop.sleep,
-            )
+            loop = VirtualTimeLoop()
+            bucket = TokenBucket(1000.0, weights={"foreground": 3.0, "repair": 1.0})
             other = "repair" if cls == "foreground" else "foreground"
             bucket._tokens[other] = -1e9
-            drain_classed(bucket, cls, [500])
-            assert loop.now == pytest.approx(500 / share_rate, rel=1e-6)
+            loop.run(drain(bucket, [500], cls))
+            assert loop.time() == pytest.approx(500 / share_rate, rel=1e-6)
 
     def test_acquire_and_refund_delegate_to_the_shared_bucket(self):
         """Class charges draw on, and feed, the one shared budget."""
-        loop = FakeLoop()
-        shared = TokenBucket(
-            1000.0,
-            weights={"a": 1.0, "b": 1.0},
-            capacity=100.0,
-            clock=loop.clock,
-            sleep=loop.sleep,
-        )
-        loop.advance(1.0)  # both classes fill to their 50-byte caps
-        drain_classed(shared, "a", [100])
-        # a's own 50 plus idle b's 50: no stall at all.
-        assert loop.slept == []
-        assert shared.sent == {"a": 100.0, "b": 0.0}
-        shared.refund(30, "a")
-        assert shared.sent == {"a": 70.0, "b": 0.0}
-        drain_classed(shared, "b", [30])
-        # b lent its credit to a; the refund went to a, which now lends it
-        # back, so b's 30 bytes still ride free.
-        assert loop.slept == []
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            shared = TokenBucket(1000.0, weights={"a": 1.0, "b": 1.0}, capacity=100.0)
+            loop.advance(1.0)  # both classes fill to their 50-byte caps
+            await drain(shared, [100], "a")
+            # a's own 50 plus idle b's 50: no stall at all.
+            assert loop.slept == []
+            assert shared.sent == {"a": 100.0, "b": 0.0}
+            shared.refund(30, "a")
+            assert shared.sent == {"a": 70.0, "b": 0.0}
+            await drain(shared, [30], "b")
+            # b lent its credit to a; the refund went to a, which now lends it
+            # back, so b's 30 bytes still ride free.
+            assert loop.slept == []
+
+        loop.run(_run())
 
 
 class TestLinkShaper:

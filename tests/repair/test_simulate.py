@@ -60,6 +60,18 @@ class TestRepairOutcome:
             10 * fast.total_repair_time, rel=0.2
         )
 
+    def test_bandwidth_defaults_to_the_context_link_model(self):
+        from dataclasses import replace
+
+        ctx = make_context(6, 2, failed=[1])
+        links = HierarchicalBandwidth(intra=1e8, cross=1e7)
+        told = replace(ctx, link_model=links)
+        assert simulate_repair(RPRScheme(), told).total_repair_time == (
+            simulate_repair(RPRScheme(), told, links).total_repair_time
+        )
+        with pytest.raises(ValueError, match="no bandwidth model"):
+            simulate_repair(RPRScheme(), ctx)
+
     def test_plan_is_fresh_per_call(self):
         ctx = make_context(6, 2, failed=[1])
         a = simulate_repair(RPRScheme(), ctx, SIMICS_BANDWIDTH)

@@ -1,4 +1,4 @@
-"""Failure detector arithmetic (fake clock) and heartbeat registration."""
+"""Failure detector arithmetic (virtual time) and heartbeat registration."""
 
 import asyncio
 
@@ -6,13 +6,7 @@ import pytest
 
 from repro.store.heartbeat import FailureDetector, HeartbeatSender
 
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
+from ..vtime import VirtualTimeLoop
 
 
 class TestFailureDetector:
@@ -21,46 +15,54 @@ class TestFailureDetector:
             FailureDetector(suspect_after=0.0)
 
     def test_first_beat_registers(self):
-        clock = FakeClock()
-        det = FailureDetector(suspect_after=1.0, clock=clock)
-        entry = det.beat(3, "127.0.0.1", 4242, {"blocks": 0})
-        assert entry.addr == ("127.0.0.1", 4242)
-        assert det.alive_ids() == {3}
+        async def _run():
+            det = FailureDetector(suspect_after=1.0)
+            entry = det.beat(3, "127.0.0.1", 4242, {"blocks": 0})
+            assert entry.addr == ("127.0.0.1", 4242)
+            assert det.alive_ids() == {3}
+
+        VirtualTimeLoop().run(_run())
 
     def test_silence_past_threshold_is_death_reported_once(self):
-        clock = FakeClock()
-        det = FailureDetector(suspect_after=1.0, clock=clock)
-        det.beat(0, "h", 1)
-        det.beat(1, "h", 2)
-        clock.now = 0.9
-        det.beat(1, "h", 2)
-        clock.now = 1.5  # node 0 silent for 1.5 > 1.0; node 1 for 0.6
-        newly = det.sweep()
-        assert [e.node_id for e in newly] == [0]
-        assert det.dead_ids() == {0}
-        # A second sweep must not re-report the same death (repairs would
-        # double-trigger).
-        assert det.sweep() == []
+        async def _run():
+            det = FailureDetector(suspect_after=1.0)
+            det.beat(0, "h", 1)
+            det.beat(1, "h", 2)
+            await asyncio.sleep(0.9)
+            det.beat(1, "h", 2)
+            await asyncio.sleep(0.6)  # node 0 silent for 1.5 > 1.0; node 1 for 0.6
+            newly = det.sweep()
+            assert [e.node_id for e in newly] == [0]
+            assert det.dead_ids() == {0}
+            # A second sweep must not re-report the same death (repairs would
+            # double-trigger).
+            assert det.sweep() == []
+
+        VirtualTimeLoop().run(_run())
 
     def test_beat_after_death_revives(self):
-        clock = FakeClock()
-        det = FailureDetector(suspect_after=1.0, clock=clock)
-        det.beat(0, "h", 1)
-        clock.now = 5.0
-        det.sweep()
-        assert det.dead_ids() == {0}
-        det.beat(0, "h", 9)  # restarted daemon, new port
-        assert det.alive_ids() == {0}
-        assert det.entry(0).port == 9
+        async def _run():
+            det = FailureDetector(suspect_after=1.0)
+            det.beat(0, "h", 1)
+            await asyncio.sleep(5.0)
+            det.sweep()
+            assert det.dead_ids() == {0}
+            det.beat(0, "h", 9)  # restarted daemon, new port
+            assert det.alive_ids() == {0}
+            assert det.entry(0).port == 9
+
+        VirtualTimeLoop().run(_run())
 
     def test_to_dict_reports_ages(self):
-        clock = FakeClock()
-        det = FailureDetector(suspect_after=10.0, clock=clock)
-        det.beat(2, "h", 7, {"blocks": 4})
-        clock.now = 3.0
-        snap = det.to_dict()
-        assert snap["2"]["beat_age_s"] == pytest.approx(3.0)
-        assert snap["2"]["meta"] == {"blocks": 4}
+        async def _run():
+            det = FailureDetector(suspect_after=10.0)
+            det.beat(2, "h", 7, {"blocks": 4})
+            await asyncio.sleep(3.0)
+            snap = det.to_dict()
+            assert snap["2"]["beat_age_s"] == pytest.approx(3.0)
+            assert snap["2"]["meta"] == {"blocks": 4}
+
+        VirtualTimeLoop().run(_run())
 
 
 class TestHeartbeatSender:

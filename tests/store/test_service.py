@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.cluster import SIMICS_BANDWIDTH
 from repro.live import audit_store_repairs
 from repro.metrics import TrafficLedger
 from repro.multistripe import StripeStore
@@ -31,6 +32,7 @@ from repro.store import (
     messages,
 )
 from repro.telemetry import (
+    NULL_RECORDER,
     assemble_trace,
     build_tree,
     from_jsonl,
@@ -266,7 +268,7 @@ class TestKillAndRepair:
             targets = dict(ctx.recovery_override)
             assert list(ctx.failed_blocks) == record["failed_blocks"]
             assert {str(b): node for b, node in targets.items()} == record["targets"]
-            outcome = simulate_repair(SCHEMES[scheme](), ctx, coordinator.bandwidth)
+            outcome = simulate_repair(SCHEMES[scheme](), ctx, SIMICS_BANDWIDTH)
             assert record["simulated"] == {
                 **TrafficLedger.from_sim(outcome.sim, cluster).to_dict(),
                 "combines": len(outcome.plan.combines()),
@@ -275,6 +277,25 @@ class TestKillAndRepair:
         assert catalog.degraded() == []
         for sid, stored in coordinator.stripes.items():
             assert catalog.stripe(sid).placement == stored.placement
+
+    def test_repairs_are_timed_with_span_telemetry_off(self):
+        """The null recorder's clock reads 0; a repair's wall time and the
+        always-on ``repair.stripe`` histogram must not depend on it."""
+
+        async def _run():
+            async with service() as svc:
+                svc.coordinator.rec = NULL_RECORDER
+                await svc.client.put("obj", os.urandom(N * BLOCK * 3))
+                victim = svc.coordinator.stripes[0].placement.node_of(0)
+                await svc.kill(victim)
+                status = await svc.client.wait_healthy(timeout=20.0, min_repairs=1)
+                return status["repairs"], svc.coordinator.stats.histograms
+
+        repairs, histograms = asyncio.run(_run())
+        assert repairs and all(r["wall_seconds"] > 0 for r in repairs), repairs
+        timed = histograms["latency_s:repair.stripe"]
+        assert timed.count == len(repairs)
+        assert timed.sum == pytest.approx(sum(r["wall_seconds"] for r in repairs))
 
     def test_telemetry_spans_cover_all_three_components(self):
         async def _run():

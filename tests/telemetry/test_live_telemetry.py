@@ -1,8 +1,6 @@
 """Live-runtime telemetry: recorded spans, pacing metrics, and the
 zero-cost disabled path."""
 
-import asyncio
-
 import pytest
 
 from repro.experiments import build_simics_environment, context_for
@@ -16,6 +14,8 @@ from repro.telemetry import (
     TelemetryTrace,
 )
 from repro.workloads import encoded_stripe
+
+from ..vtime import VirtualTimeLoop
 
 BLOCK = 4 * 1024
 
@@ -153,32 +153,19 @@ class TestShapedRunPacing:
 
 class TestTokenBucketEmission:
     def test_stall_is_counted_and_measured(self):
-        sleeps = []
-
-        async def fake_sleep(s):
-            sleeps.append(s)
-
+        loop = VirtualTimeLoop()
         rec = TelemetryRecorder(CLOCK_WALL, time_source=lambda: 0.0)
-        bucket = TokenBucket(
-            1000.0, clock=lambda: 0.0, sleep=fake_sleep,
-            recorder=rec, label="n0->n1",
-        )
-        asyncio.run(bucket.acquire(500))
+        bucket = TokenBucket(1000.0, recorder=rec, label="n0->n1")
+        loop.run(bucket.acquire(500))
         trace = rec.trace()
         assert trace.counters["pacing.stalls"] == pytest.approx(1.0)
         assert trace.histograms["pacing.stall_s"] == [pytest.approx(0.5)]
         assert trace.gauges["bucket.debt_bytes:n0->n1"][0][1] == pytest.approx(500.0)
-        assert sleeps == [pytest.approx(0.5)]
+        assert loop.slept == [pytest.approx(0.5)]
 
     def test_disabled_bucket_emits_nothing_but_still_paces(self):
-        sleeps = []
-
-        async def fake_sleep(s):
-            sleeps.append(s)
-
-        bucket = TokenBucket(
-            1000.0, clock=lambda: 0.0, sleep=fake_sleep, recorder=NULL_RECORDER
-        )
+        loop = VirtualTimeLoop()
+        bucket = TokenBucket(1000.0, recorder=NULL_RECORDER)
         assert bucket._recorder is None  # the guard collapsed the falsy recorder
-        asyncio.run(bucket.acquire(500))
-        assert sleeps == [pytest.approx(0.5)]
+        loop.run(bucket.acquire(500))
+        assert loop.slept == [pytest.approx(0.5)]
