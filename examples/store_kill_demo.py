@@ -10,9 +10,11 @@ coordinator plus six storage daemons as separate OS processes
    writes blocks straight to the daemons,
 2. SIGKILLs the daemon holding stripe 0's first block (a genuinely
    unclean death: no goodbye, no flushing),
-3. waits while the coordinator notices the missed heartbeats, plans a
-   rack-aware pipeline repair (RPR), and drives the surviving daemons
-   to rebuild the lost blocks onto live spares,
+3. waits while the coordinator notices the missed heartbeats, probes
+   the silent daemon (its port refuses: the process is gone, so the
+   death is confirmed rather than waited out), plans a rack-aware
+   pipeline repair (RPR), and drives the surviving daemons to rebuild
+   the lost blocks onto live spares,
 4. GETs the object back and asserts the bytes are identical,
 5. prints each repair's measured cross-rack traffic next to the
    simulator's prediction — the two must match exactly
@@ -21,7 +23,8 @@ coordinator plus six storage daemons as separate OS processes
    every daemon, *including the SIGKILLed one's pre-kill spans* — each
    process appends JSONL span-by-span, so nothing needed a graceful
    exit) into one cross-process trace and prints the repair's
-   end-to-end critical path.
+   end-to-end critical path, and checks that the coordinator recorded
+   the victim's death with evidence ``refused``.
 
 Run:  python examples/store_kill_demo.py [--smoke]
 
@@ -84,6 +87,13 @@ def show_assembled_trace(state_dir: Path, victim: int) -> None:
         f"  node {victim} was SIGKILLed, yet {len(victim_spans)} of its "
         f"spans survived (streamed before the kill)"
     )
+    deaths = [e.attrs for e in trace.events if e.name == "node.dead"]
+    evidence = [d["evidence"] for d in deaths if d["node"] == victim]
+    assert evidence == ["refused"], f"node {victim}'s death: {deaths}"
+    print(
+        f"  node {victim}'s death was confirmed by a refused probe, "
+        f"not waited out"
+    )
     repair_roots = [
         root
         for tid in trace_ids(trace)
@@ -136,7 +146,7 @@ def main(argv=None) -> None:
 
             status = client.wait_healthy(timeout=45.0, min_repairs=1)
             print(
-                f"coordinator noticed the silence and repaired "
+                f"coordinator confirmed the death and repaired "
                 f"{len(status['repairs'])} stripes:"
             )
             for rec in status["repairs"]:

@@ -29,7 +29,7 @@ automatic repair → byte-identical GET walk-through.
 from .client import StoreClient, SyncStoreClient
 from .coordinator import Coordinator, SCHEMES
 from .daemon import StorageDaemon
-from .heartbeat import DEFAULT_INTERVAL, FailureDetector, HeartbeatSender, NodeEntry
+from .heartbeat import DEFAULT_INTERVAL, PROBE_AFTER, FailureDetector, HeartbeatSender, NodeEntry
 from .launcher import LauncherError, StoreLauncher
 from .local import LocalService
 from .messages import (
@@ -74,6 +74,7 @@ __all__ = [
     "NodeAssignment",
     "NodeEntry",
     "NotFound",
+    "PROBE_AFTER",
     "PROTOCOL_VERSION",
     "RepairSession",
     "Request",

@@ -153,21 +153,6 @@ class StoreClient:
         per rebuilt block, ``mode`` being ``"plan"`` (scheme plan
         executed locally) or ``"decode"`` (full RS decode fallback).
         """
-        try:
-            return await self._get_once(name, degraded=degraded)
-        except Unrecoverable:
-            # Only a degraded read raises it, and mid-outage it is usually
-            # a transient mass false-death: the detector marked
-            # busy-but-alive nodes dead between heartbeats, so the
-            # degraded lookup routed nothing.  The next beat revives them
-            # — one retry turns a spurious hard failure into a slow read;
-            # genuinely lost stripes fail again.
-            await asyncio.sleep(0.2)
-            return await self._get_once(name, degraded=degraded)
-
-    async def _get_once(
-        self, name: str, *, degraded: bool = False
-    ) -> tuple[bytes, dict]:
         ctx = TraceContext.root()
         start = self.rec.raw_now()
         info = await self._coordinator(

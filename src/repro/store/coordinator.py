@@ -10,7 +10,13 @@ daemons are too dumb to make:
   missing-block decision is the catalog's; this module adds RPC,
   liveness and the byte-level cross-checks.
 * **Liveness** — a :class:`~repro.store.heartbeat.FailureDetector` fed
-  by daemon heartbeats; a SIGKILLed daemon is noticed as silence.
+  by daemon heartbeats, plus evidence the sweep gathers itself: a node
+  silent past :data:`~repro.store.heartbeat.PROBE_AFTER` of
+  ``suspect_after`` is pinged once.  A refused connection (a SIGKILLed
+  daemon) is death at once; an answer refreshes the node, so a
+  coordinator that was itself stalled never declares death off stale
+  beats; silence past ``suspect_after`` stays the bound for a node that
+  neither answers nor refuses.
 * **Repair** — on a death, affected stripes are re-planned with the
   configured scheme (traditional / CAR / RPR — the paper's three), the
   plan is partitioned across surviving daemons
@@ -56,7 +62,7 @@ from ..telemetry import (
     TelemetryRecorder,
     TraceContext,
 )
-from .heartbeat import FailureDetector
+from .heartbeat import PROBE_AFTER, FailureDetector, NodeEntry
 from .messages import (
     Corrupt, Exists, NotFound, Request, RpcServer, StoreError, StoreProtocolError, Unavailable,
     Unrecoverable, call, close_idle_connections, dispatch, error_kind,
@@ -74,6 +80,9 @@ __all__ = ["Coordinator", "SCHEMES", "main"]
 
 #: Per-repair deadline handed to daemons (seconds).
 REPAIR_TIMEOUT = 30.0
+
+#: The ``stats`` counter of each kind of evidence a death is declared on.
+DEATH_COUNTERS = {"refused": "deaths_refused", "silence": "deaths_silent"}
 
 
 def _placement_to_wire(placement: Placement) -> dict:
@@ -114,7 +123,12 @@ class Coordinator:
             self.rec.set_origin(self.rec.raw_now())
         #: Live metrics for the ``stats`` RPC — always on.
         self.stats = StatsRegistry("coordinator")
+        for name in ("probes_sent", *DEATH_COUNTERS.values()):
+            self.stats.count(name, 0)
         self.detector = FailureDetector(suspect_after=suspect_after)
+        #: node -> the last beat of the silence it was probed in: one
+        #: probe per silence, however many sweeps it lasts.
+        self._probed: dict[int, float] = {}
         self.catalog = StripeStore(cluster, code)
         #: sid -> catalog record of every *committed* stripe.
         self.stripes = self.catalog.stripes
@@ -164,7 +178,55 @@ class Coordinator:
     async def _sweep_loop(self) -> None:
         while True:
             await asyncio.sleep(self.sweep_interval)
-            self.on_nodes_dead([e.node_id for e in self.detector.sweep()])
+            await self._probe_suspects()
+            self._declare_dead([e.node_id for e in self.detector.sweep()], "silence")
+
+    async def _probe_suspects(self) -> None:
+        """Ping every suspect not yet probed in its silence, all at once.
+
+        A refusal declares the node dead; an answer refreshes it before
+        the sweep that follows judges silence.  A ping waits at most
+        ``PROBE_AFTER * suspect_after``, and a node is probed once per
+        silence, so a node that neither answers nor refuses is still
+        declared dead within ``suspect_after`` plus one sweep.
+        """
+        suspects = [
+            (e, e.last_beat) for e in self.detector.suspects()
+            if self._probed.get(e.node_id) != e.last_beat
+        ]
+        if not suspects:
+            return
+        for entry, beat in suspects:
+            self._probed[entry.node_id] = beat
+        answers = await asyncio.gather(*(self._ping(entry) for entry, _ in suspects))
+        refused = []
+        for (entry, beat), answer in zip(suspects, answers):
+            if not entry.alive or entry.last_beat != beat:
+                continue  # beat (perhaps from a new port) while the ping was out
+            if answer == "answered":
+                self.detector.answered(entry.node_id)
+            elif answer == "refused":
+                self.detector.refused(entry.node_id)
+                refused.append(entry.node_id)
+        self._declare_dead(refused, "refused")
+
+    async def _ping(self, entry: NodeEntry) -> str | None:
+        """``"answered"``, ``"refused"``, or None when the ping proves nothing."""
+        self.stats.count("probes_sent")
+        try:
+            async with asyncio.timeout(PROBE_AFTER * self.detector.suspect_after):
+                body, _ = await call(entry.host, entry.port, "ping", attempts=1)
+        except ConnectionRefusedError:
+            return "refused"
+        except (StoreError, OSError, TimeoutError):
+            return None
+        return "answered" if body.get("node_id") == entry.node_id else None
+
+    def _declare_dead(self, node_ids: list[int], evidence: str) -> None:
+        for node_id in node_ids:
+            self.rec.event("node.dead", category="fault", node=node_id, evidence=evidence)
+            self.stats.count(DEATH_COUNTERS[evidence])
+        self.on_nodes_dead(node_ids)
 
     def _dead_nodes(self) -> set[int]:
         """Every node not known alive — never registered counts as dead."""
@@ -175,11 +237,11 @@ class Coordinator:
 
         Returns the affected stripe ids.  Public so tests (and an
         impatient operator RPC) can force the reaction without waiting
-        for the sweep timer.
+        for the sweep timer; a death the sweep declares is recorded
+        first as a ``node.dead`` event with its evidence.
         """
         affected = []
         for node_id in node_ids:
-            self.rec.event("node.dead", category="fault", node=node_id)
             affected += [sid for sid, _bid in self.catalog.fail_node(node_id)]
         if affected:
             task = asyncio.ensure_future(self._repair_degraded())

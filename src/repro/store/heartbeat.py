@@ -4,9 +4,14 @@ A daemon announces itself by heartbeating — the first beat *is* the
 registration, carrying the ephemeral port the daemon actually bound
 (never a configured guess; see the transport layer's port-registry
 rationale).  The coordinator's :class:`FailureDetector` keeps one entry
-per node and declares a node dead once its last beat is older than
-``suspect_after`` — exactly how a SIGKILLed daemon is noticed, since a
-killed process simply stops beating.
+per node.  Silence is the evidence it takes by itself: a node whose last
+beat is older than ``suspect_after`` is dead.  The coordinator adds
+evidence of its own before that: a node silent past
+:data:`PROBE_AFTER` of ``suspect_after`` is a *suspect*, and the
+coordinator pings it once.  A refused connection is a SIGKILLed daemon
+on a live host, dead at once; an answer is as good as a beat; a probe
+that times out proves nothing, and ``suspect_after`` stays the bound for
+a silent, unreachable node.
 
 Both halves read time from the running event loop (``loop.time()``,
 ``asyncio.sleep``) and nothing else, so on a real loop they run on the
@@ -21,11 +26,19 @@ from typing import Callable
 
 from .messages import call
 
-__all__ = ["HeartbeatSender", "FailureDetector", "NodeEntry", "DEFAULT_INTERVAL"]
+__all__ = [
+    "HeartbeatSender", "FailureDetector", "NodeEntry", "DEFAULT_INTERVAL", "PROBE_AFTER",
+]
 
 #: Default seconds between beats; the detector's default suspicion
 #: threshold is a few multiples of this.
 DEFAULT_INTERVAL = 0.5
+
+#: Silence, as a share of ``suspect_after``, that makes a node a suspect
+#: worth a ping; also the longest a ping waits for its answer.  At the
+#: default timing (2.0 s, beats every 0.5 s) a third is more than one
+#: beat interval, so a node whose beat is merely late is not pinged.
+PROBE_AFTER = 1 / 3
 
 
 class HeartbeatSender:
@@ -105,10 +118,12 @@ class FailureDetector:
 
     ``suspect_after`` is the silence threshold: :meth:`sweep` returns
     the nodes that just crossed it (newly dead) so the caller can kick
-    off repair exactly once per death.  A node that beats again after
-    being declared dead is *revived* as empty capacity — its in-memory
-    payloads died with the old process, and any blocks it held have
-    been (or are being) rebuilt elsewhere.
+    off repair exactly once per death.  :meth:`suspects` names the nodes
+    silent past :data:`PROBE_AFTER` of it, for the caller to probe;
+    :meth:`answered` and :meth:`refused` record what the probe found.
+    A node that beats again after being declared dead is *revived* as
+    empty capacity — its in-memory payloads died with the old process,
+    and any blocks it held have been (or are being) rebuilt elsewhere.
     """
 
     def __init__(self, *, suspect_after: float) -> None:
@@ -143,6 +158,19 @@ class FailureDetector:
                 entry.alive = False
                 newly_dead.append(entry)
         return newly_dead
+
+    def suspects(self) -> list[NodeEntry]:
+        """Live nodes silent past :data:`PROBE_AFTER` of ``suspect_after``."""
+        since = asyncio.get_running_loop().time() - PROBE_AFTER * self.suspect_after
+        return [e for e in self.nodes.values() if e.alive and e.last_beat < since]
+
+    def answered(self, node_id: int) -> None:
+        """A probe's answer: evidence of life, as fresh as a beat."""
+        self.nodes[node_id].last_beat = asyncio.get_running_loop().time()
+
+    def refused(self, node_id: int) -> None:
+        """A probe's refused connection: the process is gone, dead now."""
+        self.nodes[node_id].alive = False
 
     def alive_ids(self) -> set[int]:
         return {nid for nid, e in self.nodes.items() if e.alive}

@@ -32,6 +32,10 @@ def _gauge(snap: dict, name: str) -> int:
     return int(snap.get("gauges", {}).get(name, 0))
 
 
+def _counter(snap: dict, name: str) -> int:
+    return int(snap.get("counters", {}).get(name, 0))
+
+
 def _up(snap: dict) -> str:
     return f"up {snap.get('uptime_s', 0.0):.1f}s"
 
@@ -67,6 +71,9 @@ def render_scrape(scrape: dict) -> str:
         f"{_gauge(coord, 'repairs_active')} repairs active, "
         f"{coord.get('repairs_done', 0)} repairs done, "
         f"{_gauge(coord, 'open_connections')} connections open",
+        f"  detection: {_counter(coord, 'probes_sent')} probes sent, "
+        f"{_counter(coord, 'deaths_refused')} deaths on a refused probe, "
+        f"{_counter(coord, 'deaths_silent')} on silence",
         *_latency_lines(coord),
     ]
     for nid, body in _nodes(scrape):

@@ -15,6 +15,8 @@ def canned_scrape() -> dict:
     for name, value in (("nodes_alive", 1), ("objects", 3), ("degraded_stripes", 2),
                         ("repairs_active", 1), ("open_connections", 4)):
         coord.gauge(name, value)
+    coord.count("probes_sent", 2)
+    coord.count("deaths_refused", 1)
     coord.latency("lookup", 0.002)
     coord.latency("lookup", 0.004)
     node = StatsRegistry("node-0", clock=iter([0.0] + [9.25] * 8).__next__)

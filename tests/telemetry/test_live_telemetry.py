@@ -4,7 +4,7 @@ zero-cost disabled path."""
 import pytest
 
 from repro.experiments import build_simics_environment, context_for
-from repro.live import TokenBucket, run_plan_live_sync
+from repro.live import TokenBucket, run_plan_live, run_plan_live_sync
 from repro.repair import RPRScheme, initial_store_for
 from repro.telemetry import (
     CLOCK_WALL,
@@ -139,9 +139,13 @@ class TestDisabledPath:
 
 class TestShapedRunPacing:
     def test_shaped_run_records_pacing_and_throughput(self):
+        # In virtual time: on a slow loop (``python -X dev``) each chunk's
+        # refill would pay for it and nothing would ever stall.
         plan, env, store = scenario()
         rec = TelemetryRecorder(CLOCK_WALL)
-        live = run(plan, env, store, bandwidth=env.bandwidth, recorder=rec)
+        live = VirtualTimeLoop().run(run_plan_live(
+            plan, env.cluster, store, bandwidth=env.bandwidth, recorder=rec
+        ))
         tel = live.telemetry
         # Buckets start empty, so every shaped transfer stalls at least once.
         assert tel.counters["pacing.stalls"] >= 1
