@@ -10,11 +10,12 @@ coordinator plus six storage daemons as separate OS processes
    writes blocks straight to the daemons,
 2. SIGKILLs the daemon holding stripe 0's first block (a genuinely
    unclean death: no goodbye, no flushing),
-3. waits while the coordinator notices the missed heartbeats, probes
-   the silent daemon (its port refuses: the process is gone, so the
-   death is confirmed rather than waited out), plans a rack-aware
-   pipeline repair (RPR), and drives the surviving daemons to rebuild
-   the lost blocks onto live spares,
+3. waits while the coordinator notices the dropped connection it
+   watches the daemon's port on (the kernel closed the dead process's
+   sockets), probes the daemon (its port refuses: the process is gone,
+   so the death is confirmed rather than waited out), plans a
+   rack-aware pipeline repair (RPR), and drives the surviving daemons
+   to rebuild the lost blocks onto live spares,
 4. GETs the object back and asserts the bytes are identical,
 5. prints each repair's measured cross-rack traffic next to the
    simulator's prediction — the two must match exactly
@@ -24,7 +25,7 @@ coordinator plus six storage daemons as separate OS processes
    process appends JSONL span-by-span, so nothing needed a graceful
    exit) into one cross-process trace and prints the repair's
    end-to-end critical path, and checks that the coordinator recorded
-   the victim's death with evidence ``refused``.
+   the victim's death with evidence ``refused``, after a hangup.
 
 Run:  python examples/store_kill_demo.py [--smoke]
 
@@ -88,11 +89,11 @@ def show_assembled_trace(state_dir: Path, victim: int) -> None:
         f"spans survived (streamed before the kill)"
     )
     deaths = [e.attrs for e in trace.events if e.name == "node.dead"]
-    evidence = [d["evidence"] for d in deaths if d["node"] == victim]
-    assert evidence == ["refused"], f"node {victim}'s death: {deaths}"
+    evidence = [(d["evidence"], d["after"]) for d in deaths if d["node"] == victim]
+    assert evidence == [("refused", "hangup")], f"node {victim}'s death: {deaths}"
     print(
-        f"  node {victim}'s death was confirmed by a refused probe, "
-        f"not waited out"
+        f"  node {victim}'s kill dropped the coordinator's watch connection, "
+        f"and a refused probe confirmed the death"
     )
     repair_roots = [
         root

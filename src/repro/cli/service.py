@@ -4,7 +4,7 @@
 node, rooted at a state directory; the other ``store`` verbs and ``top``
 find the cluster through that directory, so each can run as its own
 invocation (see docs/LIVE.md).  ``store kill`` SIGKILLs a daemon — the
-coordinator notices the missed heartbeats and repairs the lost blocks
+coordinator sees the dropped connection and repairs the lost blocks
 onto live spares with the configured scheme.  ``qos`` needs no running
 cluster: it brings one up in-process for the length of a replay.
 """
@@ -111,7 +111,7 @@ def cmd_store_kill(args, launcher):
     pid = launcher.kill_daemon(args.node)
     return 0, (
         f"SIGKILLed daemon for node {args.node} (pid {pid}); the "
-        f"coordinator will notice the missed heartbeats and repair"
+        f"coordinator will notice the dropped connection and repair"
     )
 
 

@@ -417,15 +417,19 @@ class StoreClient:
             await asyncio.sleep(0.2)
 
     async def shutdown_service(self) -> None:
-        """Gracefully stop every daemon, then the coordinator."""
+        """Gracefully stop the coordinator, then every daemon.
+
+        The coordinator goes first: it watches each daemon's port, and a
+        daemon that stopped under it would be declared dead and repaired.
+        """
         status = await self.status()
+        await self._coordinator("shutdown")
         for info in status["nodes"].values():
             if info["alive"]:
                 try:
                     await call(info["host"], info["port"], "shutdown", attempts=1)
                 except (StoreError, ConnectionError, OSError):
                     pass  # a daemon dying mid-shutdown is still shut down
-        await self._coordinator("shutdown")
 
 
 class SyncStoreClient:

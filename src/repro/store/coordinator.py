@@ -10,13 +10,18 @@ daemons are too dumb to make:
   missing-block decision is the catalog's; this module adds RPC,
   liveness and the byte-level cross-checks.
 * **Liveness** — a :class:`~repro.store.heartbeat.FailureDetector` fed
-  by daemon heartbeats, plus evidence the sweep gathers itself: a node
-  silent past :data:`~repro.store.heartbeat.PROBE_AFTER` of
-  ``suspect_after`` is pinged once.  A refused connection (a SIGKILLed
-  daemon) is death at once; an answer refreshes the node, so a
-  coordinator that was itself stalled never declares death off stale
-  beats; silence past ``suspect_after`` stays the bound for a node that
-  neither answers nor refuses.
+  by daemon heartbeats, plus evidence the coordinator gathers itself.
+  It holds one idle *watch* connection to each daemon's registered port;
+  a daemon's server drops it only when the process dies (the kernel
+  closes a SIGKILLed process's sockets at once), so its end is a
+  *hangup*.  A node that hung up, or is silent past
+  :data:`~repro.store.heartbeat.PROBE_AFTER` of ``suspect_after``, is
+  pinged once at the next sweep.  A refused connection is death at
+  once; an answer refreshes the node, so a coordinator that was itself
+  stalled never declares death off stale beats; silence past
+  ``suspect_after`` stays the bound for a node that neither answers nor
+  refuses (a dead host sends no hangup).  Only the sweep declares a
+  death.
 * **Repair** — on a death, affected stripes are re-planned with the
   configured scheme (traditional / CAR / RPR — the paper's three), the
   plan is partitioned across surviving daemons
@@ -43,13 +48,14 @@ import json
 from pathlib import Path
 
 from ..cluster import Cluster, Placement, SIMICS_BANDWIDTH
-from ..live.transport import cancel_and_wait
+from ..live.transport import cancel_and_wait, connect_tcp
 from ..metrics import TrafficLedger
 from ..multistripe.store import StoredStripe, StripeStore
 from ..repair import (
     SCHEMES,
     CombineOp,
     RepairContext,
+    RepairOutcome,
     RepairPlanningError,
     plan_degraded_read,
     simulate_repair,
@@ -123,12 +129,15 @@ class Coordinator:
             self.rec.set_origin(self.rec.raw_now())
         #: Live metrics for the ``stats`` RPC — always on.
         self.stats = StatsRegistry("coordinator")
-        for name in ("probes_sent", *DEATH_COUNTERS.values()):
+        for name in ("probes_sent", "hangups", *DEATH_COUNTERS.values()):
             self.stats.count(name, 0)
         self.detector = FailureDetector(suspect_after=suspect_after)
         #: node -> the last beat of the silence it was probed in: one
-        #: probe per silence, however many sweeps it lasts.
+        #: probe per silence, however many sweeps it lasts (a hangup
+        #: earns one more).
         self._probed: dict[int, float] = {}
+        #: node -> (watched port, the task holding its watch connection).
+        self._watches: dict[int, tuple[int, asyncio.Task]] = {}
         self.catalog = StripeStore(cluster, code)
         #: sid -> catalog record of every *committed* stripe.
         self.stripes = self.catalog.stripes
@@ -164,6 +173,11 @@ class Coordinator:
             # absorbed there and leave teardown parked forever.
             await cancel_and_wait(self._sweep_task)
             self._sweep_task = None
+        watches = [task for _port, task in self._watches.values()]
+        self._watches.clear()
+        for task in watches:
+            task.cancel()
+        await asyncio.gather(*watches, return_exceptions=True)
         pending = {t for t in self._repair_tasks if not t.done()}
         while pending:
             for task in pending:
@@ -181,8 +195,51 @@ class Coordinator:
             await self._probe_suspects()
             self._declare_dead([e.node_id for e in self.detector.sweep()], "silence")
 
+    def _watch(self, entry: NodeEntry) -> None:
+        """Watch ``entry``'s port, unless a watch on it is still open.
+
+        A watch on a port the node has left is cancelled: the old
+        process's later hangup is not the new one's.
+        """
+        watched = self._watches.get(entry.node_id)
+        if watched is not None:
+            port, task = watched
+            if port == entry.port and not task.done():
+                return
+            task.cancel()
+        task = asyncio.ensure_future(self._hold_watch(entry.node_id, entry.host, entry.port))
+        self._watches[entry.node_id] = (entry.port, task)
+
+    async def _hold_watch(self, node_id: int, host: str, port: int) -> None:
+        """Hold one connection to a daemon and send nothing on it.
+
+        The daemon's server parks it like any idle connection and closes
+        it only when the process dies, so its end, or a refused connect,
+        is a hangup: the node becomes a suspect for the next sweep.
+        """
+        try:
+            stream = await connect_tcp(host, port, attempts=1)
+        except ConnectionRefusedError:
+            pass  # nothing listens there any more
+        except OSError:
+            return  # proves nothing
+        else:
+            try:
+                await stream.read_exactly(1)  # the daemon never writes here
+            except (asyncio.IncompleteReadError, OSError):
+                pass
+            finally:
+                stream.abort()
+        entry = self.detector.entry(node_id)
+        if entry is None or not entry.alive or entry.port != port:
+            return  # dead already, or an old process's port
+        self.detector.hangup(node_id)
+        self._probed.pop(node_id, None)
+        self.stats.count("hangups")
+
     async def _probe_suspects(self) -> None:
-        """Ping every suspect not yet probed in its silence, all at once.
+        """Ping every suspect not yet probed in its silence or since its
+        hangup, all at once.
 
         A refusal declares the node dead; an answer refreshes it before
         the sweep that follows judges silence.  A ping waits at most
@@ -224,8 +281,14 @@ class Coordinator:
 
     def _declare_dead(self, node_ids: list[int], evidence: str) -> None:
         for node_id in node_ids:
-            self.rec.event("node.dead", category="fault", node=node_id, evidence=evidence)
+            after = "hangup" if self.detector.entry(node_id).hung_up else "silence"
+            self.rec.event(
+                "node.dead", category="fault", node=node_id, evidence=evidence, after=after,
+            )
             self.stats.count(DEATH_COUNTERS[evidence])
+            watched = self._watches.pop(node_id, None)
+            if watched is not None:
+                watched[1].cancel()
         self.on_nodes_dead(node_ids)
 
     def _dead_nodes(self) -> set[int]:
@@ -254,11 +317,14 @@ class Coordinator:
         # (matching the paper's serial per-stripe repair accounting).
         # Most-at-risk first: a stripe one failure from data loss jumps
         # every singly-degraded stripe in the queue.
+        # Stripes that lost the same blocks of the same placement to
+        # the same spares share one simulated outcome within the wave.
         async with self._repair_lock:
+            simulated: dict[tuple, RepairOutcome] = {}
             for sid in self.catalog.degraded():
                 if sid in self.stripes and self.stripes[sid].missing:
                     try:
-                        await self._repair_stripe(sid)
+                        await self._repair_stripe(sid, simulated)
                     except (StoreError, RepairPlanningError, OSError) as exc:
                         kind = (Unrecoverable.kind if isinstance(exc, RepairPlanningError)
                                 else error_kind(exc))
@@ -270,13 +336,20 @@ class Coordinator:
                             {"sid": sid, "kind": kind, "error": f"{type(exc).__name__}: {exc}"}
                         )
 
-    async def _repair_stripe(self, sid: int) -> dict:
+    async def _repair_stripe(self, sid: int, simulated: dict[tuple, RepairOutcome]) -> dict:
         meta = self.stripes[sid]
         repair_ctx = self.catalog.repair_context(
             sid, self._dead_nodes(), block_size=self.block_size
         )
         failed, targets = repair_ctx.failed_blocks, dict(repair_ctx.recovery_override)
-        outcome = simulate_repair(self.scheme, repair_ctx, SIMICS_BANDWIDTH)
+        key = (
+            tuple(sorted(meta.placement.block_to_node.items())),
+            failed,
+            tuple(sorted(targets.items())),
+        )
+        outcome = simulated.get(key)
+        if outcome is None:
+            outcome = simulated[key] = simulate_repair(self.scheme, repair_ctx, SIMICS_BANDWIDTH)
         plan = outcome.plan
         parts = partition_plan(plan, meta.placement, sid, failed)
         routing = self._routing(parts)
@@ -375,9 +448,9 @@ class Coordinator:
     async def _rpc_heartbeat(self, request: Request):
         body = request.body
         meta = {k: v for k, v in body.items() if k not in ("node_id", "host", "port")}
-        self.detector.beat(
+        self._watch(self.detector.beat(
             int(body["node_id"]), body["host"], int(body["port"]), meta
-        )
+        ))
         return {"nodes": len(self.detector.nodes)}, None
 
     async def _rpc_status(self, request: Request):

@@ -6,12 +6,15 @@ registration, carrying the ephemeral port the daemon actually bound
 rationale).  The coordinator's :class:`FailureDetector` keeps one entry
 per node.  Silence is the evidence it takes by itself: a node whose last
 beat is older than ``suspect_after`` is dead.  The coordinator adds
-evidence of its own before that: a node silent past
-:data:`PROBE_AFTER` of ``suspect_after`` is a *suspect*, and the
-coordinator pings it once.  A refused connection is a SIGKILLed daemon
-on a live host, dead at once; an answer is as good as a beat; a probe
-that times out proves nothing, and ``suspect_after`` stays the bound for
-a silent, unreachable node.
+evidence of its own before that.  A node is a *suspect* when it has been
+silent past :data:`PROBE_AFTER` of ``suspect_after``, or when it *hung
+up*: the coordinator holds one idle connection to each daemon's port,
+and a daemon's server drops it only when the process dies (the kernel
+closes a SIGKILLed process's sockets at once).  The coordinator pings a
+suspect once.  A refused connection is a dead daemon on a live host,
+dead at once; an answer is as good as a beat; a probe that times out
+proves nothing, and ``suspect_after`` stays the bound for a silent,
+unreachable node (a dead host sends no hangup).
 
 Both halves read time from the running event loop (``loop.time()``,
 ``asyncio.sleep``) and nothing else, so on a real loop they run on the
@@ -105,6 +108,9 @@ class NodeEntry:
     port: int
     last_beat: float
     alive: bool = True
+    #: The coordinator's watch connection to this node dropped since its
+    #: last sign of life: a suspect until a probe or a beat settles it.
+    hung_up: bool = False
     beats: int = 0
     meta: dict = field(default_factory=dict)
 
@@ -119,8 +125,10 @@ class FailureDetector:
     ``suspect_after`` is the silence threshold: :meth:`sweep` returns
     the nodes that just crossed it (newly dead) so the caller can kick
     off repair exactly once per death.  :meth:`suspects` names the nodes
-    silent past :data:`PROBE_AFTER` of it, for the caller to probe;
-    :meth:`answered` and :meth:`refused` record what the probe found.
+    silent past :data:`PROBE_AFTER` of it or reported by
+    :meth:`hangup`, for the caller to probe; :meth:`answered` and
+    :meth:`refused` record what the probe found.  A hangup alone never
+    kills: only silence, or a refusal the caller saw, does.
     A node that beats again after being declared dead is *revived* as
     empty capacity — its in-memory payloads died with the old process,
     and any blocks it held have been (or are being) rebuilt elsewhere.
@@ -144,6 +152,7 @@ class FailureDetector:
         entry.port = port
         entry.last_beat = now
         entry.alive = True
+        entry.hung_up = False
         entry.beats += 1
         if meta:
             entry.meta.update(meta)
@@ -160,13 +169,21 @@ class FailureDetector:
         return newly_dead
 
     def suspects(self) -> list[NodeEntry]:
-        """Live nodes silent past :data:`PROBE_AFTER` of ``suspect_after``."""
+        """Live nodes that hung up or are silent past :data:`PROBE_AFTER`
+        of ``suspect_after``."""
         since = asyncio.get_running_loop().time() - PROBE_AFTER * self.suspect_after
-        return [e for e in self.nodes.values() if e.alive and e.last_beat < since]
+        return [e for e in self.nodes.values()
+                if e.alive and (e.hung_up or e.last_beat < since)]
+
+    def hangup(self, node_id: int) -> None:
+        """The node's watched connection dropped: a suspect, still alive."""
+        self.nodes[node_id].hung_up = True
 
     def answered(self, node_id: int) -> None:
         """A probe's answer: evidence of life, as fresh as a beat."""
-        self.nodes[node_id].last_beat = asyncio.get_running_loop().time()
+        entry = self.nodes[node_id]
+        entry.last_beat = asyncio.get_running_loop().time()
+        entry.hung_up = False
 
     def refused(self, node_id: int) -> None:
         """A probe's refused connection: the process is gone, dead now."""

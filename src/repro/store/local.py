@@ -60,9 +60,11 @@ class LocalService:
         return self
 
     async def __aexit__(self, *exc) -> None:
+        # The coordinator first: it watches every daemon's port, and a
+        # daemon stopped under it would be a death to repair.
+        await self.coordinator.aclose()
         for daemon in self.daemons.values():
             await daemon.aclose()
-        await self.coordinator.aclose()
         # The cluster's parties shared this loop's RPC connections; the
         # loop ends with the cluster, so close what is left idle.
         await self.client.aclose()

@@ -71,7 +71,8 @@ def render_scrape(scrape: dict) -> str:
         f"{_gauge(coord, 'repairs_active')} repairs active, "
         f"{coord.get('repairs_done', 0)} repairs done, "
         f"{_gauge(coord, 'open_connections')} connections open",
-        f"  detection: {_counter(coord, 'probes_sent')} probes sent, "
+        f"  detection: {_counter(coord, 'hangups')} hangups, "
+        f"{_counter(coord, 'probes_sent')} probes sent, "
         f"{_counter(coord, 'deaths_refused')} deaths on a refused probe, "
         f"{_counter(coord, 'deaths_silent')} on silence",
         *_latency_lines(coord),

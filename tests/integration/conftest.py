@@ -15,6 +15,7 @@ def canned_scrape() -> dict:
     for name, value in (("nodes_alive", 1), ("objects", 3), ("degraded_stripes", 2),
                         ("repairs_active", 1), ("open_connections", 4)):
         coord.gauge(name, value)
+    coord.count("hangups", 1)
     coord.count("probes_sent", 2)
     coord.count("deaths_refused", 1)
     coord.latency("lookup", 0.002)

@@ -118,7 +118,7 @@ class TestTelemetryAssemble:
 STATS_TEXT = """\
 coordinator: up 12.5s, 1 nodes alive, 3 objects, 2 degraded stripes, 1 repairs active, \
 6 repairs done, 4 connections open
-  detection: 2 probes sent, 1 deaths on a refused probe, 0 on silence
+  detection: 1 hangups, 2 probes sent, 1 deaths on a refused probe, 0 on silence
   lookup                   n=2      mean=    3.00ms p50=    2.05ms p99=    4.10ms
 node-0: up 9.2s, 7 blocks, 1 repairs in flight, 2 connections open, NIC 37.5% of 1500000 B/s
   block.get:foreground     n=1      mean=   10.00ms p50=   16.38ms p99=   16.38ms

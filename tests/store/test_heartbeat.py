@@ -53,6 +53,22 @@ class TestFailureDetector:
 
         VirtualTimeLoop().run(_run())
 
+    def test_a_hangup_is_a_suspect_until_a_sign_of_life(self):
+        async def _run():
+            det = FailureDetector(suspect_after=1.0)
+            det.beat(0, "h", 1)
+            det.beat(1, "h", 2)
+            det.hangup(0)
+            assert [e.node_id for e in det.suspects()] == [0]
+            assert det.sweep() == [] and det.alive_ids() == {0, 1}
+            det.answered(0)
+            assert det.suspects() == []
+            det.hangup(1)
+            det.beat(1, "h", 2)
+            assert det.suspects() == []
+
+        VirtualTimeLoop().run(_run())
+
     def test_to_dict_reports_ages(self):
         async def _run():
             det = FailureDetector(suspect_after=10.0)

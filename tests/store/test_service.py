@@ -20,6 +20,7 @@ from repro.live import audit_store_repairs
 from repro.metrics import TrafficLedger
 from repro.multistripe import StripeStore
 from repro.repair import simulate_repair
+from repro.store import coordinator as coordinator_module
 from repro.store import (
     SCHEMES,
     Exists,
@@ -273,10 +274,39 @@ class TestKillAndRepair:
                 **TrafficLedger.from_sim(outcome.sim, cluster).to_dict(),
                 "combines": len(outcome.plan.combines()),
             }
+            assert record["simulated_repair_time"] == outcome.total_repair_time
             catalog.relocate(record["sid"], targets)
         assert catalog.degraded() == []
         for sid, stored in coordinator.stripes.items():
             assert catalog.stripe(sid).placement == stored.placement
+
+    def test_a_wave_simulates_each_repair_context_once(self, monkeypatch):
+        """Stripes that lost the same blocks of the same placement to the
+        same spares share one simulation within a wave (the records stay
+        exact per stripe: the replay test above)."""
+        simulated = []
+
+        def counting(scheme, ctx, bandwidth):
+            simulated.append(ctx)
+            return simulate_repair(scheme, ctx, bandwidth)
+
+        monkeypatch.setattr(coordinator_module, "simulate_repair", counting)
+
+        async def _run():
+            async with service(racks=3, per_rack=4, n=6, k=3) as svc:
+                await svc.client.put("a", os.urandom(6 * BLOCK * 36))
+                await svc.kill(0)
+                status = await svc.client.wait_healthy(timeout=30.0, min_repairs=1)
+                return status["repairs"]
+
+        repairs = asyncio.run(_run())
+        assert all(record["ledger_match"] for record in repairs)
+        contexts = {
+            (tuple(sorted(ctx.placement.block_to_node.items())), ctx.failed_blocks,
+             tuple(sorted(ctx.recovery_override)))
+            for ctx in simulated
+        }
+        assert len(contexts) == len(simulated) < len(repairs)
 
     def test_repairs_are_timed_with_span_telemetry_off(self):
         """The null recorder's clock reads 0; a repair's wall time and the

@@ -6,7 +6,9 @@ deployed timing (``suspect_after`` 2.0 s, a sweep every 0.25 s, beats
 every :data:`~repro.store.DEFAULT_INTERVAL`).  Detection, pacing and
 polling all wait on the loop's clock, so the seconds of silence a death
 takes to notice cost a fraction of a second of wall time, and the run
-replays exactly.
+replays exactly.  A killed daemon drops the coordinator's watch on its
+port at once, so the kill is a suspect within one sweep; what silence
+alone can prove is tested here too, with the hangup taken away.
 """
 
 import asyncio
@@ -14,12 +16,16 @@ import random
 
 import pytest
 
-from repro.store import DEFAULT_INTERVAL, PROBE_AFTER, LocalService
+from repro.live.transport import connect_tcp
+from repro.store import DEFAULT_INTERVAL, PROBE_AFTER, LocalService, StorageDaemon
+from repro.store import coordinator as coordinator_module
 
 from ..vtime import VirtualTimeLoop
 
 SUSPECT_AFTER = 2.0
 SWEEP = 0.25
+#: ``StoreClient.wait_healthy``'s poll interval.
+HEALTH_POLL = 0.2
 VICTIM = 1
 OBJECTS = 6
 
@@ -42,17 +48,23 @@ async def put_objects(svc: LocalService) -> dict[str, bytes]:
 
 
 def detection(svc: LocalService) -> dict[str, int]:
-    """The coordinator's probe and death counters."""
+    """The coordinator's hangup, probe and death counters."""
     counters = svc.coordinator.stats.counters
     return {name: int(counters[name])
-            for name in ("probes_sent", "deaths_refused", "deaths_silent")}
+            for name in ("hangups", "probes_sent", "deaths_refused", "deaths_silent")}
 
 
-def kill_repair_get(**qos) -> tuple[float, int, float, dict[str, int]]:
+def deaths(svc: LocalService) -> list[dict]:
+    """The attributes of every ``node.dead`` event the coordinator recorded."""
+    return [e.attrs for e in svc.coordinator.rec.trace().events if e.name == "node.dead"]
+
+
+def kill_repair_get(**qos) -> tuple[float, float, int, float, dict[str, int]]:
     """PUT six one-stripe objects, kill node 1, read one of its objects
     degraded, wait until healthy, and read every object back; returns
-    (virtual seconds from the kill to healthy, repairs, bytes the
-    survivors' NICs paced as repair traffic, detection counters)."""
+    (virtual seconds from the kill to healthy, the repairs' summed wall
+    seconds, repairs, bytes the survivors' NICs paced as repair traffic,
+    detection counters)."""
     loop = VirtualTimeLoop()
 
     async def _run():
@@ -78,32 +90,39 @@ def kill_repair_get(**qos) -> tuple[float, int, float, dict[str, int]]:
             assert len(status["repairs"]) == len(held)
             assert all(r["ledger_match"] for r in status["repairs"])
             paced = sum(d.link.sent["repair"] for d in svc.daemons.values() if d.link)
-            return healthy_after, len(status["repairs"]), paced, detection(svc)
+            assert deaths(svc) == [{"node": VICTIM, "evidence": "refused", "after": "hangup"}]
+            repair_s = sum(r["wall_seconds"] for r in status["repairs"])
+            return healthy_after, repair_s, len(status["repairs"]), paced, detection(svc)
 
     return loop.run(_run())
 
 
-#: One probe, one refusal: the kill is confirmed, not waited out.
-CONFIRMED = {"probes_sent": 1, "deaths_refused": 1, "deaths_silent": 0}
+#: One hangup, one probe, one refusal: the kill is seen, then confirmed.
+CONFIRMED = {"hangups": 1, "probes_sent": 1, "deaths_refused": 1, "deaths_silent": 0}
+
+
+def healthy_within_a_sweep(healthy_after: float, repair_s: float) -> bool:
+    """The kill's hangup is probed at the next sweep, so the cluster is
+    healthy one sweep, the repair and one health poll after the kill, and
+    before the silence a probe would otherwise wait for."""
+    return healthy_after <= SWEEP + repair_s + HEALTH_POLL < PROBE_AFTER * SUSPECT_AFTER
 
 
 class TestKillRepairGetInVirtualTime:
     def test_unshaped_cycle_replays_exactly(self):
         first = kill_repair_get()
-        healthy_after, repairs, _, deaths = first
-        # The killed daemon refuses its probe, so its death is known once
-        # it has been silent PROBE_AFTER of suspect_after, not all of it.
-        assert PROBE_AFTER * SUSPECT_AFTER <= healthy_after < SUSPECT_AFTER
-        assert deaths == CONFIRMED
+        healthy_after, repair_s, repairs, _, counters = first
+        assert healthy_within_a_sweep(healthy_after, repair_s)
+        assert counters == CONFIRMED
         assert repairs == 5  # rotated placement: node 1 holds 5 of 6 stripes
         assert kill_repair_get() == first
 
     def test_shaped_cycle_paces_the_repair_share(self):
-        healthy_after, repairs, paced, deaths = kill_repair_get(
+        healthy_after, repair_s, repairs, paced, counters = kill_repair_get(
             link_rate=1.5e6, repair_share=0.2
         )
-        assert PROBE_AFTER * SUSPECT_AFTER <= healthy_after < SUSPECT_AFTER
-        assert deaths == CONFIRMED
+        assert healthy_within_a_sweep(healthy_after, repair_s)
+        assert counters == CONFIRMED
         assert repairs == 5
         assert paced > 0
 
@@ -131,9 +150,11 @@ class TestStall:
                 assert coordinator.detector.alive_ids() == set(coordinator.cluster.node_ids())
                 for name, data in objects.items():
                     assert await svc.client.get(name) == data, name
-                # Every node was probed once on resume, and every one answered.
+                # Every node was probed once on resume, and every one
+                # answered; a stall closes no socket, so nobody hung up.
                 assert detection(svc) == {
-                    "probes_sent": len(svc.daemons), "deaths_refused": 0, "deaths_silent": 0,
+                    "hangups": 0, "probes_sent": len(svc.daemons),
+                    "deaths_refused": 0, "deaths_silent": 0,
                 }
 
         loop.run(_run())
@@ -141,7 +162,8 @@ class TestStall:
     def test_a_node_that_never_answers_dies_of_silence(self):
         """Accepting connections proves nothing: a daemon that stops beating
         and parks every ping is declared dead within ``suspect_after``
-        plus one sweep, on silence, after one probe that timed out."""
+        plus one sweep, on silence, after one probe that timed out.  Its
+        server still holds the watch, so it never hung up."""
         loop = VirtualTimeLoop()
 
         async def _run():
@@ -159,10 +181,128 @@ class TestStall:
                     await asyncio.sleep(0.01)
                 assert loop.time() - entry.last_beat <= SUSPECT_AFTER + SWEEP + 0.01
                 assert detection(svc) == {
-                    "probes_sent": 1, "deaths_refused": 0, "deaths_silent": 1,
+                    "hangups": 0, "probes_sent": 1, "deaths_refused": 0, "deaths_silent": 1,
                 }
-                dead = [e.attrs for e in svc.coordinator.rec.trace().events
-                        if e.name == "node.dead"]
-                assert dead == [{"node": VICTIM, "evidence": "silence"}]
+                assert deaths(svc) == [{"node": VICTIM, "evidence": "silence", "after": "silence"}]
+
+        loop.run(_run())
+
+
+#: Nothing hung up, nobody probed, nobody died.
+QUIET = {"hangups": 0, "probes_sent": 0, "deaths_refused": 0, "deaths_silent": 0}
+
+
+class TestHangup:
+    """The coordinator's watch on each daemon's port: a dropped connection
+    makes a suspect for the sweep to probe, never a death by itself."""
+
+    def test_a_dropped_watch_is_probed_and_reopened(self, monkeypatch):
+        """The watch drops at the coordinator's end while the daemon still
+        serves: the node is probed, answers, stays alive, and its next
+        beat re-opens the watch."""
+        watches: dict[int, list] = {}
+
+        async def recording(host, port, **options):
+            stream = await connect_tcp(host, port, **options)
+            watches.setdefault(port, []).append(stream)
+            return stream
+
+        monkeypatch.setattr(coordinator_module, "connect_tcp", recording)
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            async with deployed() as svc:
+                port = svc.daemons[VICTIM].port
+                entry = svc.coordinator.detector.entry(VICTIM)
+                beats = entry.beats
+                while entry.beats == beats:  # drop it just after a beat,
+                    await asyncio.sleep(0.001)  # so a sweep comes before the next
+                watches[port][-1].abort()
+                await asyncio.sleep(2 * DEFAULT_INTERVAL)
+                assert entry.alive and VICTIM in svc.coordinator.detector.alive_ids()
+                assert detection(svc) == {**QUIET, "hangups": 1, "probes_sent": 1}
+                assert deaths(svc) == []
+                assert len(watches[port]) == 2 and not watches[port][-1].peer_closed()
+
+        loop.run(_run())
+
+    def test_a_replaced_daemon_survives_the_old_ports_hangup(self):
+        """A daemon replaced on a new port: when the old process goes
+        later, its hangup is not the new daemon's."""
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            async with deployed() as svc:
+                old = svc.daemons[VICTIM]
+                old._hb_task.cancel()
+                new = await svc.start_daemon(VICTIM)
+                await old.aclose()
+                await asyncio.sleep(SUSPECT_AFTER)
+                entry = svc.coordinator.detector.entry(VICTIM)
+                assert entry.alive and entry.port == new.port != old.port
+                assert detection(svc) == QUIET
+                assert deaths(svc) == []
+
+        loop.run(_run())
+
+    def test_without_a_sweep_a_kill_declares_no_death(self):
+        """Only the sweep declares a death: with it never running, a kill
+        is a hangup and a suspect, and the death stays undeclared."""
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            async with LocalService(
+                suspect_after=SUSPECT_AFTER, sweep_interval=1e9, heartbeat=DEFAULT_INTERVAL
+            ) as svc:
+                await put_objects(svc)
+                await svc.kill(VICTIM)
+                await asyncio.sleep(3 * SUSPECT_AFTER)
+                coordinator = svc.coordinator
+                assert VICTIM in coordinator.detector.alive_ids()
+                assert coordinator.detector.entry(VICTIM).hung_up
+                assert detection(svc) == {**QUIET, "hangups": 1}
+                assert deaths(svc) == [] and coordinator.repairs == []
+                assert not [sid for sid, meta in coordinator.stripes.items() if meta.missing]
+
+        loop.run(_run())
+
+    def test_a_graceful_stop_is_not_a_mass_death(self, monkeypatch):
+        """Daemons that take a sweep each to stop, as separate processes
+        may: the coordinator stops first, so no stop is a death."""
+        aclose = StorageDaemon.aclose
+
+        async def slow_aclose(daemon):
+            await aclose(daemon)
+            await asyncio.sleep(SWEEP)
+
+        monkeypatch.setattr(StorageDaemon, "aclose", slow_aclose)
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            async with deployed() as svc:
+                await put_objects(svc)
+            assert detection(svc) == QUIET
+            assert deaths(svc) == [] and svc.coordinator.repair_errors == []
+
+        loop.run(_run())
+
+    def test_shutdown_service_stops_the_coordinator_first(self):
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            async with deployed() as svc:
+                stopped = []
+
+                def recording(party):
+                    async def shutdown(request):
+                        stopped.append(party)
+                        return {}, None
+                    return shutdown
+
+                svc.coordinator._rpc_shutdown = recording("coordinator")
+                for nid, daemon in svc.daemons.items():
+                    daemon._rpc_shutdown = recording(nid)
+                await svc.client.shutdown_service()
+                assert stopped == ["coordinator", *sorted(svc.daemons)]
 
         loop.run(_run())
