@@ -19,7 +19,6 @@ from .arithmetic import (
 )
 from .batch import adaptive_tile, gf_matmul_blocks
 from .bufferpool import DEFAULT_POOL_MAX_BYTES, BufferPool, scratch_pool
-from .cauchy import cauchy_coding_matrix, systematic_cauchy_generator
 from .matrix import (
     SingularMatrixError,
     apply_matrix_to_blocks,
@@ -44,7 +43,6 @@ __all__ = [
     "TableCache",
     "adaptive_tile",
     "apply_matrix_to_blocks",
-    "cauchy_coding_matrix",
     "get_tables",
     "gf_add",
     "gf_div",
@@ -62,7 +60,6 @@ __all__ = [
     "scale_accumulate",
     "scratch_pool",
     "table_cache",
-    "systematic_cauchy_generator",
     "systematic_vandermonde_generator",
     "vandermonde",
 ]

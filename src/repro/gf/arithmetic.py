@@ -19,7 +19,7 @@ import numpy as np
 
 from .batch import gf_matmul_blocks
 from .splittable import combine_tile
-from .tables import GFTables, get_tables
+from .tables import get_tables
 
 __all__ = [
     "gf_add",
@@ -72,13 +72,12 @@ def gf_add(a, b) -> np.ndarray:
 gf_sub = gf_add
 
 
-def gf_mul(a, b, tables: GFTables | None = None) -> np.ndarray:
+def gf_mul(a, b) -> np.ndarray:
     """Element-wise field multiplication via the full product table."""
-    t = tables or get_tables()
-    return t.mul_table[_as_u8(a).astype(np.intp), _as_u8(b).astype(np.intp)]
+    return get_tables().mul_table[_as_u8(a).astype(np.intp), _as_u8(b).astype(np.intp)]
 
 
-def gf_inv(a, tables: GFTables | None = None) -> np.ndarray:
+def gf_inv(a) -> np.ndarray:
     """Element-wise multiplicative inverse.
 
     Raises
@@ -86,14 +85,13 @@ def gf_inv(a, tables: GFTables | None = None) -> np.ndarray:
     ZeroDivisionError
         If any element is zero.
     """
-    t = tables or get_tables()
     arr = _as_u8(a)
     if np.any(arr == 0):
         raise ZeroDivisionError("0 has no multiplicative inverse in GF(256)")
-    return t.inv[arr.astype(np.intp)]
+    return get_tables().inv[arr.astype(np.intp)]
 
 
-def gf_div(a, b, tables: GFTables | None = None) -> np.ndarray:
+def gf_div(a, b) -> np.ndarray:
     """Element-wise field division ``a / b``.
 
     Raises
@@ -101,18 +99,17 @@ def gf_div(a, b, tables: GFTables | None = None) -> np.ndarray:
     ZeroDivisionError
         If any element of ``b`` is zero.
     """
-    t = tables or get_tables()
-    return gf_mul(a, gf_inv(b, t), t)
+    return gf_mul(a, gf_inv(b))
 
 
-def gf_pow(a, e: int, tables: GFTables | None = None) -> np.ndarray:
+def gf_pow(a, e: int) -> np.ndarray:
     """Element-wise exponentiation ``a ** e`` for an integer ``e >= 0``.
 
     ``0 ** 0`` is defined as 1, matching the Vandermonde convention.
     """
     if e < 0:
         raise ValueError("negative exponents are not supported; invert first")
-    t = tables or get_tables()
+    t = get_tables()
     arr = _as_u8(a)
     if e == 0:
         return np.ones_like(arr)
@@ -124,7 +121,7 @@ def gf_pow(a, e: int, tables: GFTables | None = None) -> np.ndarray:
     return out
 
 
-def scale(coeff: int, block: np.ndarray, tables: GFTables | None = None) -> np.ndarray:
+def scale(coeff: int, block: np.ndarray) -> np.ndarray:
     """Multiply every byte of ``block`` by the scalar ``coeff``.
 
     Returns a fresh array of ``block``'s shape: the one-term case of the
@@ -135,7 +132,7 @@ def scale(coeff: int, block: np.ndarray, tables: GFTables | None = None) -> np.n
         raise ValueError(f"coefficient {coeff} outside GF(256)")
     src = np.ascontiguousarray(block, dtype=np.uint8)
     out = np.empty_like(src)
-    combine_tile([[int(coeff)]], [src.reshape(-1)], [out.reshape(-1)], tables)
+    combine_tile([[int(coeff)]], [src.reshape(-1)], [out.reshape(-1)])
     return out
 
 
@@ -143,7 +140,6 @@ def scale_accumulate(
     acc: np.ndarray,
     coeff: int,
     block: np.ndarray,
-    tables: GFTables | None = None,
 ) -> np.ndarray:
     """``acc ^= coeff * block`` in place; returns ``acc``.
 
@@ -164,18 +160,17 @@ def scale_accumulate(
         return acc
     if not acc.flags.c_contiguous:
         # A strided accumulator has no flat view to combine into.
-        np.bitwise_xor(acc, scale(coeff, block, tables), out=acc)
+        np.bitwise_xor(acc, scale(coeff, block), out=acc)
         return acc
     src = np.ascontiguousarray(block)
     flat = acc.reshape(-1)
-    combine_tile([[1, int(coeff)]], [flat, src.reshape(-1)], [flat], tables)
+    combine_tile([[1, int(coeff)]], [flat, src.reshape(-1)], [flat])
     return acc
 
 
 def linear_combine(
     coeffs,
     blocks,
-    tables: GFTables | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Return ``sum_i coeffs[i] * blocks[i]`` over GF(256).
@@ -204,6 +199,6 @@ def linear_combine(
     if any(not 0 <= c <= 255 for c in coeffs):
         raise ValueError("GF(256) elements must be in [0, 255]")
     if out is None:
-        return gf_matmul_blocks([coeffs], blocks, tables)[0]
-    gf_matmul_blocks([coeffs], blocks, tables, out=out[None])
+        return gf_matmul_blocks([coeffs], blocks)[0]
+    gf_matmul_blocks([coeffs], blocks, out=out[None])
     return out

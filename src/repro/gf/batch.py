@@ -108,6 +108,10 @@ def gf_matmul_blocks(
     blocks:
         A sequence of ``c`` equal-shaped uint8 arrays, or one array whose
         leading axis indexes the ``c`` blocks.
+    tables:
+        The field's tables (:func:`repro.gf.tables.get_tables`), for
+        callers that hand a code's ``tables`` through; the tree has one
+        field, so any other table set is refused.
     out:
         Optional pre-allocated ``(r, *block_shape)`` uint8 output.  The
         whole array need not be contiguous — each row ``out[i]`` must
@@ -118,6 +122,8 @@ def gf_matmul_blocks(
     -------
     ``(r, *block_shape)`` uint8 array of output blocks.
     """
+    if tables is not None and tables is not get_tables():
+        raise ValueError("gf_matmul_blocks works over the one GF(2^8) field only")
     m = np.asarray(matrix, dtype=np.uint8)
     if m.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {m.shape}")
@@ -138,7 +144,6 @@ def gf_matmul_blocks(
     ):
         raise ValueError("every out row must be C-contiguous")
 
-    t = tables or get_tables()
     num_blocks = len(rows)
     coeffs = m.tolist()  # Python ints once, not per tile
 
@@ -157,6 +162,5 @@ def gf_matmul_blocks(
             coeffs,
             [b[lo:hi] for b in flat_blocks],
             [f[lo:hi] for f in flat_out],
-            t,
         )
     return out

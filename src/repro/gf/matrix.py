@@ -20,7 +20,7 @@ import numpy as np
 
 from .arithmetic import gf_div, gf_inv, gf_mul, gf_pow
 from .batch import gf_matmul_blocks
-from .tables import GFTables, get_tables
+from .tables import get_tables
 
 __all__ = [
     "SingularMatrixError",
@@ -43,7 +43,7 @@ def mat_identity(size: int) -> np.ndarray:
     return np.eye(size, dtype=np.uint8)
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray, tables: GFTables | None = None) -> np.ndarray:
+def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(256).
 
     Implemented as a log-domain gather + XOR reduction, fully vectorised:
@@ -51,7 +51,7 @@ def mat_mul(a: np.ndarray, b: np.ndarray, tables: GFTables | None = None) -> np.
     ``exp[log a + log b]`` and the sum over ``l`` is a bitwise XOR
     reduction.
     """
-    t = tables or get_tables()
+    t = get_tables()
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -64,7 +64,7 @@ def mat_mul(a: np.ndarray, b: np.ndarray, tables: GFTables | None = None) -> np.
     return np.bitwise_xor.reduce(products, axis=1)
 
 
-def mat_inv(m: np.ndarray, tables: GFTables | None = None) -> np.ndarray:
+def mat_inv(m: np.ndarray) -> np.ndarray:
     """Invert a square matrix over GF(256) by Gauss--Jordan elimination.
 
     Raises
@@ -72,7 +72,6 @@ def mat_inv(m: np.ndarray, tables: GFTables | None = None) -> np.ndarray:
     SingularMatrixError
         If the matrix is singular.
     """
-    t = tables or get_tables()
     m = np.asarray(m, dtype=np.uint8)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got {m.shape}")
@@ -90,9 +89,9 @@ def mat_inv(m: np.ndarray, tables: GFTables | None = None) -> np.ndarray:
             work[[col, pivot]] = work[[pivot, col]]
             inv[[col, pivot]] = inv[[pivot, col]]
 
-        pivot_inv = int(gf_inv(work[col, col], t))
-        work[col] = gf_mul(work[col], pivot_inv, t)
-        inv[col] = gf_mul(inv[col], pivot_inv, t)
+        pivot_inv = int(gf_inv(work[col, col]))
+        work[col] = gf_mul(work[col], pivot_inv)
+        inv[col] = gf_mul(inv[col], pivot_inv)
 
         # Eliminate the column everywhere else (Jordan step).
         for row in range(size):
@@ -100,14 +99,12 @@ def mat_inv(m: np.ndarray, tables: GFTables | None = None) -> np.ndarray:
                 continue
             factor = int(work[row, col])
             if factor:
-                work[row] ^= gf_mul(factor, work[col], t)
-                inv[row] ^= gf_mul(factor, inv[col], t)
+                work[row] ^= gf_mul(factor, work[col])
+                inv[row] ^= gf_mul(factor, inv[col])
     return inv
 
 
-def mat_solve(
-    a: np.ndarray, b: np.ndarray, tables: GFTables | None = None
-) -> np.ndarray | None:
+def mat_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """Solve ``a @ x = b`` over GF(256); return one solution or None.
 
     ``a`` is ``r x c`` (possibly rectangular, possibly rank-deficient),
@@ -116,7 +113,6 @@ def mat_solve(
     can bias *which* solution comes back by ordering the columns (used by
     the LRC decoder to prefer local-group helpers).
     """
-    t = tables or get_tables()
     a = np.asarray(a, dtype=np.uint8)
     b = np.asarray(b, dtype=np.uint8)
     if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
@@ -135,11 +131,11 @@ def mat_solve(
         pivot = row + int(pivots[0])
         if pivot != row:
             work[[row, pivot]] = work[[pivot, row]]
-        inv = int(gf_inv(work[row, col], t))
-        work[row] = gf_mul(work[row], inv, t)
+        inv = int(gf_inv(work[row, col]))
+        work[row] = gf_mul(work[row], inv)
         for other in range(rows):
             if other != row and work[other, col]:
-                work[other] ^= gf_mul(int(work[other, col]), work[row], t)
+                work[other] ^= gf_mul(int(work[other, col]), work[row])
         pivot_col_of_row.append(col)
         row += 1
 
@@ -154,21 +150,18 @@ def mat_solve(
     return x
 
 
-def vandermonde(rows: int, cols: int, tables: GFTables | None = None) -> np.ndarray:
+def vandermonde(rows: int, cols: int) -> np.ndarray:
     """The ``rows x cols`` Vandermonde matrix ``V[i, j] = i^j`` over GF(256)."""
-    t = tables or get_tables()
     if rows > 256:
         raise ValueError("at most 256 distinct evaluation points exist in GF(256)")
     out = np.empty((rows, cols), dtype=np.uint8)
     points = np.arange(rows, dtype=np.uint8)
     for j in range(cols):
-        out[:, j] = gf_pow(points, j, t)
+        out[:, j] = gf_pow(points, j)
     return out
 
 
-def systematic_vandermonde_generator(
-    n: int, k: int, tables: GFTables | None = None
-) -> np.ndarray:
+def systematic_vandermonde_generator(n: int, k: int) -> np.ndarray:
     """Jerasure-style systematic generator matrix for an RS(n, k) code.
 
     Returns an ``(n + k) x n`` matrix whose top ``n`` rows are the identity
@@ -187,13 +180,12 @@ def systematic_vandermonde_generator(
     matching the paper's (n, k) convention (which is the reverse of the
     classical coding-theory one).
     """
-    t = tables or get_tables()
     if n < 1 or k < 0:
         raise ValueError(f"invalid code parameters n={n}, k={k}")
     if n + k > 256:
         raise ValueError(f"RS over GF(256) supports at most 256 blocks, got {n + k}")
 
-    m = vandermonde(n + k, n, t)
+    m = vandermonde(n + k, n)
 
     # Column-reduce so the top n x n block becomes the identity.  Elementary
     # column operations preserve the MDS property (any n rows invertible).
@@ -209,10 +201,10 @@ def systematic_vandermonde_generator(
             m[:, [i, swap]] = m[:, [swap, i]]
         diag = int(m[i, i])
         if diag != 1:
-            m[:, i] = gf_div(m[:, i], diag, t)
+            m[:, i] = gf_div(m[:, i], diag)
         for j in range(n):
             if j != i and m[i, j] != 0:
-                m[:, j] ^= gf_mul(int(m[i, j]), m[:, i], t)
+                m[:, j] ^= gf_mul(int(m[i, j]), m[:, i])
 
     # Normalise the coding block column-wise so the first coding row becomes
     # all ones.  Scaling column ``j`` of the coding block by a non-zero
@@ -229,13 +221,11 @@ def systematic_vandermonde_generator(
                     f"(column {j}); RS({n},{k}) is not constructible this way"
                 )
             if lead != 1:
-                m[n:, j] = gf_div(m[n:, j], lead, t)
+                m[n:, j] = gf_div(m[n:, j], lead)
     return m
 
 
-def apply_matrix_to_blocks(
-    matrix: np.ndarray, blocks, tables: GFTables | None = None
-) -> list[np.ndarray]:
+def apply_matrix_to_blocks(matrix: np.ndarray, blocks) -> list[np.ndarray]:
     """Apply an ``r x c`` GF matrix to ``c`` data blocks, yielding ``r`` blocks.
 
     Each output block ``i`` is ``sum_j matrix[i, j] * blocks[j]`` — the
@@ -243,4 +233,4 @@ def apply_matrix_to_blocks(
     The returned blocks are the rows of one fresh array (see
     :func:`repro.gf.batch.gf_matmul_blocks`); none aliases an input.
     """
-    return list(gf_matmul_blocks(matrix, list(blocks), tables))
+    return list(gf_matmul_blocks(matrix, list(blocks)))

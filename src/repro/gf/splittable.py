@@ -47,7 +47,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .bufferpool import scratch_pool
-from .tables import GFTables, get_tables
+from .tables import get_tables
 
 __all__ = [
     "TableCache",
@@ -79,7 +79,7 @@ DEFAULT_TABLE_BYTES = 16 * 1024 * 1024
 class TableCache:
     """Byte-budgeted LRU for built multiply tables.
 
-    Keys are ``(prim_poly, kind, coeff)``; values are whatever the
+    Keys are ``(kind, coeff)``; values are whatever the
     builder produced (bytes for translate tables, arrays for the rest).
     ``get`` refreshes recency; inserting past ``max_bytes`` evicts the
     least recently used entries first.  A lock serialises the structural
@@ -147,7 +147,7 @@ class TableCache:
 table_cache = TableCache()
 
 
-def pair_table(coeff: int, tables: GFTables | None = None) -> np.ndarray:
+def pair_table(coeff: int) -> np.ndarray:
     """The 65536-entry uint16 split-pair table for ``coeff`` (cached).
 
     ``pair[hi_byte * 256 + lo_byte] = mul[lo_byte] | mul[hi_byte] << 8``
@@ -156,27 +156,25 @@ def pair_table(coeff: int, tables: GFTables | None = None) -> np.ndarray:
     one outer OR (~50 µs); planned traffic reuses a few dozen
     coefficients, so steady state is all cache hits.
     """
-    t = tables or get_tables()
-    key = (t.prim_poly, "split16", coeff)
+    key = ("split16", coeff)
     found = table_cache.get(key)
     if found is None:
-        row = t.mul_table[coeff].astype(np.uint16)
+        row = get_tables().mul_table[coeff].astype(np.uint16)
         found = (row[None, :] | (row[:, None] << 8)).reshape(-1)
         found.setflags(write=False)
         table_cache.put(key, found, found.nbytes)
     return found
 
 
-def translate_table(coeff: int, tables: GFTables | None = None) -> bytes:
+def translate_table(coeff: int) -> bytes:
     """The 256-byte ``bytes.translate`` table for ``coeff`` (cached).
 
     Only :func:`combine_tile_reference` reads it.
     """
-    t = tables or get_tables()
-    key = (t.prim_poly, "translate", coeff)
+    key = ("translate", coeff)
     found = table_cache.get(key)
     if found is None:
-        found = t.mul_table[coeff].tobytes()
+        found = get_tables().mul_table[coeff].tobytes()
         table_cache.put(key, found, len(found))
     return found
 
@@ -196,9 +194,9 @@ def translate_table(coeff: int, tables: GFTables | None = None) -> bytes:
 # copy); outputs must otherwise be disjoint from all sources.
 
 
-def _odd_tail(coeffs, srcs, outs, t: GFTables, pos: int) -> None:
+def _odd_tail(coeffs, srcs, outs, pos: int) -> None:
     """Scalar combine of the single unpaired trailing byte."""
-    mul = t.mul_table
+    mul = get_tables().mul_table
     for i, row in enumerate(coeffs):
         val = 0
         for j, coeff in enumerate(row):
@@ -207,7 +205,7 @@ def _odd_tail(coeffs, srcs, outs, t: GFTables, pos: int) -> None:
         outs[i][pos] = val
 
 
-def combine_tile(coeffs, srcs, outs, tables: GFTables | None = None) -> None:
+def combine_tile(coeffs, srcs, outs) -> None:
     """``outs[i][:] = xor_j coeffs[i][j] * srcs[j]`` over one tile.
 
     ``coeffs`` is an ``r x c`` list of Python ints, ``srcs`` are ``c``
@@ -215,7 +213,6 @@ def combine_tile(coeffs, srcs, outs, tables: GFTables | None = None) -> None:
     length.  This is the one bulk multiply of the tree (the split-pair
     gather described in the module docstring).
     """
-    t = tables or get_tables()
     n = srcs[0].size
     even = n & ~1
     # Unit coefficients first: whole-tile copy / XOR passes that need
@@ -237,7 +234,7 @@ def combine_tile(coeffs, srcs, outs, tables: GFTables | None = None) -> None:
     gathers = []
     for j, src in enumerate(srcs):
         rows = [
-            (i, pair_table(row[j], t)) for i, row in enumerate(coeffs) if row[j] > 1
+            (i, pair_table(row[j])) for i, row in enumerate(coeffs) if row[j] > 1
         ]
         if rows:
             gathers.append((src[:even].view(np.uint16), rows))
@@ -271,22 +268,19 @@ def combine_tile(coeffs, srcs, outs, tables: GFTables | None = None) -> None:
         finally:
             scratch_pool.give(scratch)
         if even != n:
-            _odd_tail(coeffs, srcs, outs, t, n - 1)
+            _odd_tail(coeffs, srcs, outs, n - 1)
     for row, out in zip(coeffs, outs):
         if not any(row):
             out[...] = 0
 
 
-def combine_tile_reference(
-    coeffs, srcs, outs, tables: GFTables | None = None
-) -> None:
+def combine_tile_reference(coeffs, srcs, outs) -> None:
     """:func:`combine_tile`'s contract through ``bytes.translate``.
 
     The test oracle: one 256-entry table per coefficient pushed through
     CPython's translation loop, sharing no code with the split-pair
     gather.  Nothing at run time calls it.
     """
-    t = tables or get_tables()
     num_rows = len(outs)
     written = [False] * num_rows
     for j in range(len(srcs)):
@@ -303,7 +297,7 @@ def combine_tile_reference(
                 if src_bytes is None:
                     src_bytes = src.tobytes()
                 term = np.frombuffer(
-                    src_bytes.translate(translate_table(coeff, t)), dtype=np.uint8
+                    src_bytes.translate(translate_table(coeff)), dtype=np.uint8
                 )
             if written[i]:
                 np.bitwise_xor(dst, term, out=dst)

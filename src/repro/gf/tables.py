@@ -12,9 +12,11 @@ group of the field.  Multiplication is implemented through discrete
 logarithm tables: ``a * b = exp[log[a] + log[b]]`` for non-zero ``a, b``.
 
 The tables are built once at import time and shared, read-only, by the
-vectorised kernels in :mod:`repro.gf.arithmetic`.  Table construction is
-pure Python (256 iterations) and therefore costs microseconds; all hot
-paths are table lookups via numpy fancy indexing.
+vectorised kernels in :mod:`repro.gf.arithmetic`.  There is no other
+field to select: kernels read :func:`get_tables` rather than taking a
+table set as an argument.  Table construction is pure Python (256
+iterations) and therefore costs microseconds; all hot paths are table
+lookups via numpy fancy indexing.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: The default irreducible polynomial for GF(2^8) (Jerasure / AES-adjacent
+#: The irreducible polynomial for GF(2^8) (Jerasure / AES-adjacent
 #: storage convention).  Bit ``i`` is the coefficient of ``x^i``; the value
 #: includes the leading ``x^8`` term.
 DEFAULT_PRIM_POLY = 0x11D
@@ -140,13 +142,10 @@ class GFTables:
         return tables
 
 
-_TABLE_CACHE: dict[int, GFTables] = {}
+#: The one field every code in the tree works over.
+_TABLES = GFTables.build()
 
 
-def get_tables(prim_poly: int = DEFAULT_PRIM_POLY) -> GFTables:
-    """Return the (cached) tables for ``prim_poly``."""
-    tables = _TABLE_CACHE.get(prim_poly)
-    if tables is None:
-        tables = GFTables.build(prim_poly)
-        _TABLE_CACHE[prim_poly] = tables
-    return tables
+def get_tables() -> GFTables:
+    """Return the GF(2^8) tables under :data:`DEFAULT_PRIM_POLY`."""
+    return _TABLES

@@ -15,7 +15,6 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from ..gf import GFTables, get_tables
 from ..repair.executor import run_op
 from ..repair.plan import PlanError, RepairPlan
 from ..telemetry.distributed import TraceContext
@@ -77,7 +76,6 @@ class NodeExecutor:
         payloads: dict[str, np.ndarray],
         arrivals,
         connect=None,
-        tables: GFTables | None = None,
         ports=None,
         recorder: TelemetryRecorder | None = None,
         ctx: TraceContext | None = None,
@@ -87,7 +85,6 @@ class NodeExecutor:
         self.node = node
         self.payloads = payloads
         self.connect = connect
-        self.tables = tables or get_tables()
         self.hold = ports.hold if ports is not None else lambda *_: nullcontext()
         # A falsy recorder (NULL_RECORDER) collapses to None, so every
         # emission site is a single identity check when telemetry is off.
@@ -147,14 +144,14 @@ class NodeExecutor:
                         # around it so other tasks are not starved at
                         # combine-heavy moments.
                         await asyncio.sleep(0)
-                        self.deliver(key, run_op(self.plan, part, self.payloads, self.tables))
+                        self.deliver(key, run_op(self.plan, part, self.payloads))
                         end = clock()
                     facts = {"node": dst, "out_key": key}
                     phases = [("combine.dep_wait", t_spawn, t_ready),
                               ("combine.cpu_wait", t_ready, start)]
                 else:
                     payload = np.ascontiguousarray(
-                        run_op(self.plan, part, self.payloads, self.tables)
+                        run_op(self.plan, part, self.payloads)
                     )
                     facts = {"src": self.node, "dst": dst, "key": key, "nbytes": payload.nbytes}
                     t_ready = clock()

@@ -22,7 +22,6 @@ from functools import partial
 import numpy as np
 
 from ..cluster import BandwidthModel, Cluster
-from ..gf import GFTables
 from ..metrics import TrafficLedger, ledger_from_reports
 from ..repair.executor import collect_outputs
 from ..repair.plan import CombineOp, RepairPlan
@@ -30,7 +29,7 @@ from ..telemetry.model import TelemetryRecorder, TelemetryTrace
 from .node import NodeExecutor, split_by_owner
 from .shaper import LinkShaper
 from .transport import MemoryTransport, Stream, TcpTransport, open_transport, run_tasks
-from .wire import ACK, DEFAULT_CHUNK, read_ack, read_frame, send_frame
+from .wire import ACK, read_ack, read_frame, send_frame
 
 __all__ = [
     "LiveError",
@@ -165,7 +164,7 @@ class _PortRegistry:
 
 @asynccontextmanager
 async def _stream_channel(transport, shaper: LinkShaper, src: int, dst: int, *,
-                          chunk_size: int, recorder: TelemetryRecorder | None):
+                          recorder: TelemetryRecorder | None):
     """One sent op's way to its destination: one paced stream.
 
     Every part sleeps the link latency, then travels as one framed
@@ -197,7 +196,6 @@ async def _stream_channel(transport, shaper: LinkShaper, src: int, dst: int, *,
             {"op": op_id, "key": key},
             payload.data,
             bucket=bucket,
-            chunk_size=chunk_size,
             recorder=recorder,
         )
         t_sent = clock()
@@ -251,8 +249,6 @@ async def run_plan_live(
     *,
     bandwidth: BandwidthModel | None = None,
     transport: str | MemoryTransport | TcpTransport = "memory",
-    tables: GFTables | None = None,
-    chunk_size: int = DEFAULT_CHUNK,
     timeout: float | None = 120.0,
     recorder: TelemetryRecorder | None = None,
 ) -> LiveResult:
@@ -296,12 +292,12 @@ async def run_plan_live(
         if part.writes[0] != part.owner:
             arrivals.setdefault(part.writes[0], set()).add(part.writes[1])
     ports = _PortRegistry()
-    connect = partial(_stream_channel, live_transport, shaper, chunk_size=chunk_size, recorder=rec)
+    connect = partial(_stream_channel, live_transport, shaper, recorder=rec)
     executors = {
         node: NodeExecutor(
             plan, node, owned.get(node, []), payloads=store.setdefault(node, {}),
             arrivals=arrivals.get(node, ()), connect=connect,
-            tables=tables, ports=ports, recorder=rec,
+            ports=ports, recorder=rec,
         )
         for node in owned.keys() | arrivals.keys()
     }

@@ -33,13 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gf import (
-    GFTables,
-    apply_matrix_to_blocks,
-    get_tables,
-    mat_identity,
-    systematic_vandermonde_generator,
-)
+from ..gf import apply_matrix_to_blocks, mat_identity, systematic_vandermonde_generator
 from ..rs import Stripe
 
 __all__ = ["LRCCode"]
@@ -54,9 +48,7 @@ class LRCCode:
     unchanged.
     """
 
-    def __init__(
-        self, n: int, l: int, g: int, tables: GFTables | None = None
-    ) -> None:
+    def __init__(self, n: int, l: int, g: int) -> None:
         if n < 1 or l < 1 or g < 0:
             raise ValueError(f"invalid LRC parameters n={n}, l={l}, g={g}")
         if n % l != 0:
@@ -66,7 +58,6 @@ class LRCCode:
         self.n = n
         self.l = l
         self.g = g
-        self.tables = tables or get_tables()
         self.group_size = n // l
 
         generator = np.zeros((n + l + g, n), dtype=np.uint8)
@@ -76,7 +67,7 @@ class LRCCode:
         if g > 0:
             # Vandermonde coding rows 1..g (row 0 is the all-ones row the
             # local parities already span).
-            rs = systematic_vandermonde_generator(n, g + 1, self.tables)
+            rs = systematic_vandermonde_generator(n, g + 1)
             generator[n + l :] = rs[n + 1 :]
         self.generator = generator
         self.generator.setflags(write=False)
@@ -136,7 +127,7 @@ class LRCCode:
         data_blocks = list(data_blocks)
         if len(data_blocks) != self.n:
             raise ValueError(f"expected {self.n} data blocks, got {len(data_blocks)}")
-        return apply_matrix_to_blocks(self.generator, data_blocks, self.tables)
+        return apply_matrix_to_blocks(self.generator, data_blocks)
 
     def encode_stripe(self, data_blocks, block_size: int | None = None) -> Stripe:
         blocks = self.encode(data_blocks)

@@ -97,7 +97,7 @@ def lrc_recovery_equations(
         ordered = _helper_order(code, target, available)
         a = code.generator[ordered].T.astype(np.uint8)  # n x m
         b = code.generator_row(target).astype(np.uint8)
-        x = mat_solve(a, b, code.tables)
+        x = mat_solve(a, b)
         if x is None:
             raise UnrecoverableError(
                 f"block {target} cannot be recovered from survivors "

@@ -235,7 +235,6 @@ async def replay_trace(
     mode: str = "closed",
     concurrency: int = 4,
     time_scale: float = 1.0,
-    degraded: bool = True,
     object_bytes: int = 8192,
     seed: int = 0,
     expected: dict[str, bytes] | None = None,
@@ -253,9 +252,6 @@ async def replay_trace(
         ``"open"`` — every request fires at its trace time scaled by
         ``time_scale``, regardless of how slow the store is (the honest
         way to measure tail latency under a fixed offered load).
-    degraded:
-        GETs use the degraded-read path, so a request landing in the
-        repair window reconstructs instead of failing.
     expected:
         Name → bytes (from :func:`preload_working_set`); GETs of known
         objects are verified and a mismatch counts as an error.
@@ -291,13 +287,8 @@ async def replay_trace(
         ok, was_degraded, error, rejected = True, False, "", False
         try:
             if ev.op == "get":
-                if degraded:
-                    data, report = await client.get_with_report(
-                        ev.obj, degraded=True
-                    )
-                    was_degraded = report["degraded"]
-                else:
-                    data = await client.get(ev.obj)
+                data, report = await client.get_with_report(ev.obj, degraded=True)
+                was_degraded = report["degraded"]
                 if expected is not None and ev.obj in expected:
                     if data != expected[ev.obj]:
                         ok, error = False, "bytes differ from written payload"

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster import Cluster, Placement
-from ..gf import GFTables, get_tables
 from ..metrics import TrafficLedger
 from ..rs import Stripe
 from .plan import CombineOp, OpSlice, RepairPlan, SendOp, block_key, join_slices
@@ -106,7 +105,6 @@ def run_op(
     plan: RepairPlan,
     op: SendOp | CombineOp | OpSlice,
     payloads: dict[str, np.ndarray],
-    tables: GFTables | None = None,
 ):
     """The payload ``op`` produces from ``payloads``, its owner's key → payload map.
 
@@ -131,7 +129,7 @@ def run_op(
                 op.owner,
             )
         )
-    return op.apply([payloads[key] for key in op.reads], tables)
+    return op.apply([payloads[key] for key in op.reads])
 
 
 def collect_outputs(
@@ -161,7 +159,6 @@ def execute_plan(
     plan: RepairPlan,
     cluster: Cluster,
     store: dict[int, dict[str, np.ndarray]],
-    tables: GFTables | None = None,
     ops=None,
 ) -> ExecutionResult:
     """Run ``plan`` against ``store`` (mutated in place) and collect outputs.
@@ -205,11 +202,10 @@ def execute_plan(
                 )
         order = [oid for oid in order if oid in wanted]
         parts = {oid: (plan.ops[oid],) for oid in order}
-    t = tables or get_tables()
     result = ExecutionResult(recovered={})
     for oid in order:
         for op in parts[oid]:
-            payload = run_op(plan, op, store.get(op.owner, {}), t)
+            payload = run_op(plan, op, store.get(op.owner, {}))
             node, key = op.writes
             store.setdefault(node, {})[key] = payload
             if node == op.owner:

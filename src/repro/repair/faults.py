@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..cluster import BandwidthModel
-from ..gf import GFTables, get_tables, gf_mul
+from ..gf import gf_inv, gf_mul
 from ..gf.matrix import mat_solve
 from ..rs import InsufficientHelpersError, Stripe
 from ..sim import FaultPlan, NodeDeath, Straggler, random_fault_plan
@@ -113,7 +113,6 @@ def payload_compositions(
     plan: RepairPlan,
     code,
     base: dict[str, np.ndarray] | None = None,
-    tables: GFTables | None = None,
 ) -> dict[str, np.ndarray]:
     """Composition of every payload key a plan touches, in the data basis.
 
@@ -130,7 +129,6 @@ def payload_compositions(
     ExecutionError
         If an op reads a key whose composition is unknown.
     """
-    t = tables or get_tables()
     comps: dict[str, np.ndarray] = dict(base) if base else {}
     for op in plan.ops.values():
         for key in op.reads:
@@ -138,7 +136,7 @@ def payload_compositions(
                 comps[key] = code.generator_row(int(key.split(":", 1)[1]))
     for oid in plan.topo_order():
         op = plan.ops[oid]
-        comps[op.writes[1]] = run_op(plan, op, comps, t)
+        comps[op.writes[1]] = run_op(plan, op, comps)
     return comps
 
 
@@ -146,7 +144,6 @@ def plan_degraded_gather(
     ctx: RepairContext,
     snapshot: RepairSnapshot,
     prefix: str = "degraded",
-    tables: GFTables | None = None,
 ) -> RepairPlan:
     """Re-plan a repair from surviving payloads via a GF(256) solve.
 
@@ -166,7 +163,6 @@ def plan_degraded_gather(
     IrrecoverableError
         When the surviving payloads do not span a failed block.
     """
-    t = tables or get_tables()
     code = ctx.code
     targets = recovery_targets(ctx)
     plan = RepairPlan(block_size=ctx.block_size)
@@ -205,23 +201,18 @@ def plan_degraded_gather(
             vec = comp.copy()
             for pivot, row in echelon.items():
                 if vec[pivot]:
-                    vec ^= gf_mul(int(vec[pivot]), row, t)
+                    vec ^= gf_mul(int(vec[pivot]), row)
             nz = np.nonzero(vec)[0]
             if nz.size == 0:
                 continue  # linearly dependent on the selection so far
             pivot = int(nz[0])
             lead = int(vec[pivot])
             if lead != 1:
-                inv = int(mat_solve(
-                    np.array([[lead]], dtype=np.uint8),
-                    np.array([1], dtype=np.uint8),
-                    t,
-                )[0])
-                vec = gf_mul(inv, vec, t)
+                vec = gf_mul(int(gf_inv(lead)), vec)
             echelon[pivot] = vec
             selected.append((key, node, comp))
             a = np.stack([c for _, _, c in selected], axis=1)
-            solution = mat_solve(a, want, t)
+            solution = mat_solve(a, want)
             if solution is not None:
                 break
         if solution is None:

@@ -50,7 +50,7 @@ from typing import ClassVar, Iterable
 import numpy as np
 
 from ..cluster import Cluster
-from ..gf import GFTables, linear_combine
+from ..gf import linear_combine
 from ..metrics import TrafficLedger
 from ..rs import DecodeCostModel
 from ..sim import ComputeJob, JobGraph, TransferJob
@@ -147,7 +147,7 @@ class SendOp:
         """How traces describe the op, in the simulator's job vocabulary."""
         return {"kind": "transfer", "node": self.src, "peer": self.dst}
 
-    def apply(self, inputs, tables: GFTables | None = None):
+    def apply(self, inputs):
         """The payload that travels: the one input, untouched."""
         return inputs[0]
 
@@ -230,13 +230,13 @@ class CombineOp:
         """How traces describe the op, in the simulator's job vocabulary."""
         return {"kind": "compute", "node": self.node}
 
-    def apply(self, inputs, tables: GFTables | None = None):
+    def apply(self, inputs):
         """``sum(coeff * input)`` over GF(2^8), inputs in ``reads`` order.
 
         Works on anything :func:`repro.gf.linear_combine` does: block
         payloads, or length-``n`` composition vectors (symbolic runs).
         """
-        return linear_combine([coeff for _, coeff in self.terms], inputs, tables)
+        return linear_combine([coeff for _, coeff in self.terms], inputs)
 
     def to_job(
         self, block_size: int, cost_model: DecodeCostModel, prefix: str = "", extra_deps=()
@@ -324,15 +324,14 @@ class OpSlice:
             "slices": self.op.slices,
         }
 
-    def apply(self, inputs, tables: GFTables | None = None):
+    def apply(self, inputs):
         """The op's result over this slice's bytes, inputs in ``reads`` order."""
         window = slice(self.lo, self.hi)
         return self.op.apply(
             [
                 payload if key in self.sliced_reads else payload[window]
                 for key, payload in zip(self.op.reads, inputs)
-            ],
-            tables,
+            ]
         )
 
     def to_job(

@@ -17,12 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..gf import (
-    GFTables,
-    get_tables,
-    gf_matmul_blocks,
-    systematic_vandermonde_generator,
-)
+from ..gf import get_tables, gf_matmul_blocks, systematic_vandermonde_generator
 from .stripe import Stripe
 
 __all__ = [
@@ -61,22 +56,13 @@ class RSCode:
         Number of data blocks per stripe.
     k:
         Number of parity blocks per stripe.
-    tables:
-        Optional GF table set (defaults to the shared GF(2^8) tables).
-    matrix:
-        Generator construction: ``"vandermonde"`` (Jerasure's default,
-        what the paper's prototype uses) or ``"cauchy"`` (provably MDS by
-        construction).  Both yield an all-ones first coding row, so the
-        eq. (2)/(6) XOR-parity properties hold identically.
+
+    ``generator`` is the systematic Vandermonde matrix (the construction
+    the paper's Jerasure prototype uses) and ``tables`` the field's
+    lookup tables (:func:`repro.gf.get_tables`).
     """
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        tables: GFTables | None = None,
-        matrix: str = "vandermonde",
-    ) -> None:
+    def __init__(self, n: int, k: int) -> None:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         if k < 0:
@@ -85,19 +71,8 @@ class RSCode:
             raise ValueError(f"n + k must be <= 256 over GF(256), got {n + k}")
         self.n = n
         self.k = k
-        self.tables = tables or get_tables()
-        self.matrix_type = matrix
-        if matrix == "vandermonde":
-            self.generator = systematic_vandermonde_generator(n, k, self.tables)
-        elif matrix == "cauchy":
-            from ..gf.cauchy import systematic_cauchy_generator
-
-            self.generator = systematic_cauchy_generator(n, k, self.tables)
-        else:
-            raise ValueError(
-                f"unknown matrix construction {matrix!r}; "
-                f"use 'vandermonde' or 'cauchy'"
-            )
+        self.tables = get_tables()
+        self.generator = systematic_vandermonde_generator(n, k)
         self.generator.setflags(write=False)
 
     # -- structural properties ---------------------------------------------
@@ -126,16 +101,10 @@ class RSCode:
         return f"RSCode(n={self.n}, k={self.k})"
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RSCode)
-            and other.n == self.n
-            and other.k == self.k
-            and other.matrix_type == self.matrix_type
-            and other.tables.prim_poly == self.tables.prim_poly
-        )
+        return isinstance(other, RSCode) and (other.n, other.k) == (self.n, self.k)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.k, self.matrix_type, self.tables.prim_poly))
+        return hash((self.n, self.k))
 
     # -- encoding ------------------------------------------------------------
 
@@ -149,7 +118,6 @@ class RSCode:
             gf_matmul_blocks(
                 self.generator[self.n :],
                 stripe[: self.n],
-                self.tables,
                 out=stripe[self.n :],
             )
 
@@ -268,7 +236,7 @@ class RSCode:
             for helper, coeff in eq.terms:
                 matrix[row, helpers.index(helper)] = coeff
         blocks = [np.asarray(available[h], dtype=np.uint8) for h in helpers]
-        recovered = gf_matmul_blocks(matrix, blocks, self.tables)
+        recovered = gf_matmul_blocks(matrix, blocks)
         return {eq.target: recovered[i] for i, eq in enumerate(equations)}
 
     def encode_stripe(self, data_blocks, block_size: int | None = None) -> Stripe:
@@ -298,5 +266,5 @@ def _cached_code(n: int, k: int) -> RSCode:
 
 
 def get_code(n: int, k: int) -> RSCode:
-    """Shared, cached code instance for (n, k) with the default tables."""
+    """Shared, cached code instance for (n, k)."""
     return _cached_code(n, k)

@@ -183,15 +183,13 @@ def recovery_equations(
     # M' rows express each helper over the data blocks; M'^{-1} expresses each
     # data block over the helpers.
     m_prime = code.generator[helper_ids]
-    m_inv = mat_inv(m_prime, code.tables)
+    m_inv = mat_inv(m_prime)
 
     equations = []
     for target in failed_ids:
         # generator_row(target) expresses the target over the data blocks;
         # composing with m_inv expresses it over the helpers (eq. (8)).
-        row = mat_mul(
-            code.generator_row(target)[None, :], m_inv, code.tables
-        )[0]
+        row = mat_mul(code.generator_row(target)[None, :], m_inv)[0]
         eq = _equation_from_row(target, helper_ids, row, requires_matrix_build=True)
         if len(failed_ids) == 1 and eq.is_xor_only:
             # Same coefficients as eq. (6): the decode could have skipped the
@@ -223,5 +221,5 @@ def decode_blocks(code: RSCode, available: dict, failed_ids) -> dict:
     for eq in equations:
         coeffs = [c for _, c in eq.terms]
         blocks = [available[h] for h, _ in eq.terms]
-        out[eq.target] = linear_combine(coeffs, blocks, code.tables)
+        out[eq.target] = linear_combine(coeffs, blocks)
     return out

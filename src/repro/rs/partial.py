@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..gf import GFTables, get_tables, linear_combine
+from ..gf import linear_combine
 from .decode import RecoveryEquation
 
 __all__ = ["PartialSlice", "slice_equation_by_group", "combine_intermediates"]
@@ -41,14 +41,11 @@ class PartialSlice:
     def is_xor_only(self) -> bool:
         return all(c == 1 for _, c in self.terms)
 
-    def materialise(
-        self, payloads: Mapping[int, np.ndarray], tables: GFTables | None = None
-    ) -> np.ndarray:
+    def materialise(self, payloads: Mapping[int, np.ndarray]) -> np.ndarray:
         """Compute the intermediate block from concrete helper payloads."""
-        t = tables or get_tables()
         coeffs = [c for _, c in self.terms]
         blocks = [payloads[h] for h, _ in self.terms]
-        return linear_combine(coeffs, blocks, t)
+        return linear_combine(coeffs, blocks)
 
 
 def slice_equation_by_group(
@@ -84,7 +81,7 @@ def slice_equation_by_group(
     }
 
 
-def combine_intermediates(intermediates, tables: GFTables | None = None) -> np.ndarray:
+def combine_intermediates(intermediates) -> np.ndarray:
     """XOR intermediate blocks into the reconstructed target block.
 
     The final step of eq. (4)/(9): ``I_0 ^ I_1 ^ ... = d_f``.  Coefficients
@@ -94,5 +91,4 @@ def combine_intermediates(intermediates, tables: GFTables | None = None) -> np.n
     intermediates = list(intermediates)
     if not intermediates:
         raise ValueError("need at least one intermediate block")
-    t = tables or get_tables()
-    return linear_combine([1] * len(intermediates), intermediates, t)
+    return linear_combine([1] * len(intermediates), intermediates)

@@ -18,7 +18,9 @@ process per cluster node, all ``python -m`` children of whoever calls
 so ``up``/``status``/``kill``/``down`` can run as *separate CLI
 invocations* (the `rpr store` subcommands) and still find the cluster.
 ``kill`` is the service's whole reason to exist: SIGKILL a daemon, watch
-the coordinator notice the silence and orchestrate a real repair.
+the coordinator see its watch connection drop, confirm the death with a
+refused probe at the next sweep and orchestrate a real repair.  (Silence
+bounds detection only for a dead host, which sends no hangup.)
 """
 
 from __future__ import annotations

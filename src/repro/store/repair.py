@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cluster import Placement
-from ..gf import GFTables
 from ..live.node import NodeExecutor, split_by_owner
 from ..live.transport import run_tasks
 from ..metrics import ledger_from_reports
@@ -213,7 +212,6 @@ class RepairSession(NodeExecutor):
         routing: dict[int, tuple[str, int]],
         *,
         block_size: int,
-        tables: GFTables | None = None,
         rpc=call,
         recorder=None,
         throttle=None,
@@ -239,7 +237,7 @@ class RepairSession(NodeExecutor):
         super().__init__(
             RepairPlan(block_size=block_size, ops={part.op.op_id: part.op for part in parts}),
             assignment.node, parts, payloads={}, arrivals=reads - set(assignment.seeds),
-            tables=tables, recorder=recorder, ctx=ctx, attrs={"rid": rid},
+            recorder=recorder, ctx=ctx, attrs={"rid": rid},
         )
 
     @asynccontextmanager

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gf import BufferPool, gf_matmul_blocks, scale
-from repro.gf.tables import get_tables
+from repro.gf.tables import GFTables, get_tables
 
 
 class TestGfMatmulBlocks:
@@ -79,6 +79,15 @@ class TestGfMatmulBlocks:
             )
         with pytest.raises(ValueError, match="at least one block"):
             gf_matmul_blocks(np.zeros((1, 0), dtype=np.uint8), [])
+
+    def test_only_the_one_field_is_accepted(self):
+        """A code's ``tables`` may be handed through; another field's are refused."""
+        m, blocks = [[37]], [np.arange(8, dtype=np.uint8)]
+        assert np.array_equal(
+            gf_matmul_blocks(m, blocks, get_tables())[0], scale(37, blocks[0])
+        )
+        with pytest.raises(ValueError, match="one GF"):
+            gf_matmul_blocks(m, blocks, GFTables.build(0x12D))
 
     def test_spans_multiple_tiles(self):
         """Inputs larger than one cache tile must still be exact."""

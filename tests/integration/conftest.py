@@ -1,11 +1,29 @@
-"""Shared fixture for the CLI tests: a store launcher that needs no processes."""
+"""Shared fixtures for the CLI tests: a store launcher that needs no
+processes, and the LRC extension computed once per session."""
 
+import copy
+import functools
 from types import SimpleNamespace
 
 import pytest
 
+from repro import experiments
 from repro.store import LauncherError, NotFound, StoreLauncher
 from repro.telemetry import StatsRegistry
+
+
+@pytest.fixture(scope="session", autouse=True)
+def lrc_rows_once():
+    """``repro.experiments.lrc_rows`` is pure, takes no argument and costs
+    seconds; ``rpr extension lrc`` runs it in four CLI tests and the
+    ``EXPERIMENTS.md`` check in one more.  The first call computes it and
+    every call returns a fresh copy of that result, so the pinned outputs
+    are still the real function's."""
+    once = functools.cache(experiments.lrc_rows)
+    patch = pytest.MonkeyPatch()
+    patch.setattr(experiments, "lrc_rows", lambda: copy.deepcopy(once()))
+    yield
+    patch.undo()
 
 
 def canned_scrape() -> dict:

@@ -58,6 +58,15 @@ the QoS replay and the perf harness bring that cluster up instead of
 wiring a coordinator and daemons together themselves.  The test suite
 and the QoS driver used to carry a cluster each.
 
+§5: one field, one generator.  The codes work over the one GF(2^8)
+field ``repro.gf.tables`` builds at import, so no function under
+``src/repro`` takes a table set — except ``gf_matmul_blocks``, whose
+third parameter the end-to-end benchmark's coding probe passes — and
+``RSCode`` builds only Jerasure's systematic Vandermonde generator: no
+module imports the deleted ``repro.gf.cauchy`` and no call passes
+``matrix=`` to ``RSCode``.  A ``tables=None`` option no caller set used
+to ride on 34 functions in 14 modules.
+
 §6: a number the repo reports comes from a row function, and a script
 that prints one is run.  Every ``benchmarks/*.py`` is named in a ``run:``
 step of the CI workflow, and every ``benchmarks/….py`` path a document
@@ -905,3 +914,106 @@ def test_the_script_guard_sees_what_it_guards():
     assert "CHANGES.md" not in checked and {"DESIGN.md", "src/repro/perfharness.py"} <= set(
         checked
     )
+
+
+#: The one function that still takes a table set (the frozen coding
+#: probe calls ``gf_matmul_blocks(coding, data, code.tables, out=...)``).
+TABLE_TAKERS = {("gf/batch.py", "gf_matmul_blocks")}
+
+
+def table_parameters(tree: ast.AST) -> list[tuple[int, str]]:
+    """``(line, name)`` of every function with a parameter named ``tables``."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            arg.arg == "tables"
+            for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        )
+    )
+
+
+def second_generators(tree: ast.AST) -> list[int]:
+    """Lines importing ``repro.gf.cauchy`` (absolute, relative or as a
+    name from ``repro.gf``) or calling ``RSCode(..., matrix=...)``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name.split(".")[-1] == "cauchy" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            hit = module[-1] == "cauchy" or (
+                module[-1] == "gf" and any(alias.name == "cauchy" for alias in node.names)
+            )
+        elif isinstance(node, ast.Call):
+            hit = (
+                node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            ) == "RSCode" and any(kw.arg == "matrix" for kw in node.keywords)
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_coding_kernel_takes_a_table_set():
+    found = [
+        f"src/repro/{rel}:{line} {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, name in table_parameters(ast.parse(path.read_text()))
+        if ((rel := path.relative_to(SRC).as_posix()), name) not in TABLE_TAKERS
+    ]
+    assert not found, (
+        "a `tables` parameter outside repro.gf.batch.gf_matmul_blocks — the "
+        "field is fixed; read repro.gf.get_tables() where the tables are "
+        "needed:\n" + "\n".join(found)
+    )
+
+
+def test_rscode_has_one_generator_construction():
+    found = [
+        f"{rel}:{line}"
+        for rel, tree in python_files("src", "tests", "examples", "benchmarks")
+        for line in second_generators(tree)
+    ]
+    assert not found, (
+        "repro.gf.cauchy imported or RSCode(matrix=...) called — the code has "
+        "one generator, Jerasure's systematic Vandermonde:\n" + "\n".join(found)
+    )
+
+
+def test_the_field_guard_sees_what_it_guards():
+    """Not vacuous: the kept kernel parameter is seen, and the parent's
+    shapes — a ``tables`` option on a kernel, a method, a keyword-only
+    constructor argument, the Cauchy imports and the construction
+    switch — are each recognised."""
+    for rel, name in TABLE_TAKERS:
+        assert name in {n for _, n in table_parameters(ast.parse((SRC / rel).read_text()))}
+    old_field = ast.parse(
+        "def gf_mul(a, b, tables: GFTables | None = None):\n"
+        "    return (tables or get_tables()).mul_table[a, b]\n"
+        "class CombineOp:\n"
+        "    def apply(self, inputs, tables=None):\n"
+        "        return linear_combine(self.coeffs, inputs, tables)\n"
+        "class RepairSession:\n"
+        "    def __init__(self, rid, *, block_size, tables=None, rpc=call):\n"
+        "        self.tables = tables\n"
+        "async def run_plan_live(plan, *, tables=None, chunk_size=DEFAULT_CHUNK):\n"
+        "    pass\n"
+    )
+    assert table_parameters(old_field) == [
+        (1, "gf_mul"), (4, "apply"), (7, "__init__"), (9, "run_plan_live"),
+    ]
+    old_generator = ast.parse(
+        "from .cauchy import cauchy_coding_matrix, systematic_cauchy_generator\n"
+        "from ..gf.cauchy import systematic_cauchy_generator\n"
+        "from repro.gf import cauchy\n"
+        "import repro.gf.cauchy\n"
+        "from repro.gf import systematic_vandermonde_generator\n"
+        "code = RSCode(6, 3, matrix='cauchy')\n"
+        "code = repro.rs.RSCode(n, k, matrix=matrix)\n"
+        "code = RSCode(6, 3)\n"
+    )
+    assert second_generators(old_generator) == [1, 2, 3, 4, 6, 7]
+

@@ -30,24 +30,13 @@ from repro.repair import (
     initial_store_for,
     simulate_repair,
 )
-from repro.rs import MB, DecodeCostModel, RSCode
+from repro.rs import MB, DecodeCostModel, get_code
 
 BLOCK = 256
 COST = DecodeCostModel(xor_speed=1000 * MB, matrix_build_factor=4.0)
 
 codes = st.sampled_from([(4, 2), (6, 2), (8, 2), (6, 3), (8, 4), (12, 4), (10, 4), (9, 3)])
 placements = st.sampled_from(["rpr", "contiguous"])
-constructions = st.sampled_from(["vandermonde", "cauchy"])
-
-_CODE_CACHE: dict = {}
-
-
-def cached_code(n, k, matrix):
-    key = (n, k, matrix)
-    if key not in _CODE_CACHE:
-        _CODE_CACHE[key] = RSCode(n, k, matrix=matrix)
-    return _CODE_CACHE[key]
-
 
 @st.composite
 def repair_scenarios(draw, multi=True):
@@ -59,18 +48,17 @@ def repair_scenarios(draw, multi=True):
         sorted(draw(st.sets(st.integers(0, width - 1), min_size=l, max_size=l)))
     )
     placement_kind = draw(placements)
-    matrix = draw(constructions)
     seed = draw(st.integers(0, 2**31 - 1))
-    return n, k, failed, placement_kind, seed, matrix
+    return n, k, failed, placement_kind, seed
 
 
-def build_context(n, k, failed, placement_kind, matrix="vandermonde"):
+def build_context(n, k, failed, placement_kind):
     racks = -(-(n + k) // k) + 1
     cluster = Cluster.homogeneous(racks, 2 * k + 1)
     policy = RPRPlacement() if placement_kind == "rpr" else ContiguousPlacement()
     placement = policy.place(cluster, n, k)
     return RepairContext(
-        code=cached_code(n, k, matrix),
+        code=get_code(n, k),
         cluster=cluster,
         placement=placement,
         failed_blocks=failed,
@@ -106,8 +94,8 @@ class TestReconstructionProperty:
 
     @staticmethod
     def _check(scheme, scenario):
-        n, k, failed, placement_kind, seed, matrix = scenario
-        ctx = build_context(n, k, failed, placement_kind, matrix)
+        n, k, failed, placement_kind, seed = scenario
+        ctx = build_context(n, k, failed, placement_kind)
         stripe = encode_stripe(ctx, seed)
         plan = scheme.plan(ctx)
         store = initial_store_for(stripe, ctx.placement, failed)
@@ -122,8 +110,8 @@ class TestTrafficConsistency:
     @given(repair_scenarios())
     @settings(max_examples=40, deadline=None)
     def test_executor_and_simulator_agree(self, scenario):
-        n, k, failed, placement_kind, seed, matrix = scenario
-        ctx = build_context(n, k, failed, placement_kind, matrix)
+        n, k, failed, placement_kind, seed = scenario
+        ctx = build_context(n, k, failed, placement_kind)
         stripe = encode_stripe(ctx, seed)
         for scheme in [TraditionalRepair(), RPRScheme()]:
             plan = scheme.plan(ctx)
@@ -135,14 +123,14 @@ class TestTrafficConsistency:
             )
 
 
-def simulation_context(n, k, failed, placement_kind, matrix="vandermonde"):
+def simulation_context(n, k, failed, placement_kind):
     """Context at the paper's operating point (256 MB blocks, Simics decode).
 
     Timing orderings only hold in the regime the paper analyses — where a
     cross-rack transfer dwarfs a partial-decode pass.  Pure simulation needs
     no payload bytes, so the realistic block size costs nothing.
     """
-    base = build_context(n, k, failed, placement_kind, matrix)
+    base = build_context(n, k, failed, placement_kind)
     from repro.rs import SIMICS_DECODE
 
     return RepairContext(
@@ -159,8 +147,8 @@ class TestOrderingProperties:
     @given(repair_scenarios(multi=False))
     @settings(max_examples=40, deadline=None)
     def test_rpr_never_slower_than_car_or_traditional(self, scenario):
-        n, k, failed, placement_kind, seed, matrix = scenario
-        ctx = simulation_context(n, k, failed, placement_kind, matrix)
+        n, k, failed, placement_kind, seed = scenario
+        ctx = simulation_context(n, k, failed, placement_kind)
         rpr = simulate_repair(RPRScheme(), ctx, SIMICS_BANDWIDTH)
         car = simulate_repair(CARRepair(), ctx, SIMICS_BANDWIDTH)
         tra = simulate_repair(TraditionalRepair(), ctx, SIMICS_BANDWIDTH)
@@ -175,8 +163,8 @@ class TestOrderingProperties:
         """For single failures each remote rack sends at most one block, so
         RPR's cross traffic cannot exceed traditional's (which ships every
         remote helper)."""
-        n, k, failed, placement_kind, seed, matrix = scenario
-        ctx = build_context(n, k, failed, placement_kind, matrix)
+        n, k, failed, placement_kind, seed = scenario
+        ctx = build_context(n, k, failed, placement_kind)
         rpr = simulate_repair(RPRScheme(), ctx, SIMICS_BANDWIDTH)
         tra = simulate_repair(TraditionalRepair(), ctx, SIMICS_BANDWIDTH)
         assert rpr.cross_rack_bytes <= tra.cross_rack_bytes + 1e-9
@@ -189,8 +177,8 @@ class TestOrderingProperties:
         worst-case traffic never exceeds traditional's assumes k | n; for
         other shapes l * (remote racks) can exceed n (see EXPERIMENTS.md).
         """
-        n, k, failed, placement_kind, seed, matrix = scenario
-        ctx = build_context(n, k, failed, placement_kind, matrix)
+        n, k, failed, placement_kind, seed = scenario
+        ctx = build_context(n, k, failed, placement_kind)
         rpr = simulate_repair(RPRScheme(), ctx, SIMICS_BANDWIDTH)
         racks_used = len(ctx.placement.racks_used(ctx.cluster))
         bound = len(failed) * racks_used * ctx.block_size
@@ -200,8 +188,8 @@ class TestOrderingProperties:
     @settings(max_examples=30, deadline=None)
     def test_rpr_time_scales_down_with_bandwidth_ratio(self, scenario, ratio):
         """RPR keeps winning as the cross/intra bandwidth skew varies."""
-        n, k, failed, placement_kind, seed, matrix = scenario
-        ctx = simulation_context(n, k, failed, placement_kind, matrix)
+        n, k, failed, placement_kind, seed = scenario
+        ctx = simulation_context(n, k, failed, placement_kind)
         bw = HierarchicalBandwidth(intra=100e6, cross=100e6 / ratio)
         rpr = simulate_repair(RPRScheme(), ctx, bw)
         tra = simulate_repair(TraditionalRepair(), ctx, bw)

@@ -169,9 +169,8 @@ class TestFailureClassification:
     def test_a_put_the_service_cannot_place_is_rejected(self, exc):
         assert replay_one("put", exc).rejected
 
-    @pytest.mark.parametrize("degraded", [True, False])
-    def test_an_unavailable_get_is_an_error(self, degraded):
-        sample = replay_one("get", Unavailable("object 'obj-0' is degraded"), degraded=degraded)
+    def test_an_unavailable_get_is_an_error(self):
+        sample = replay_one("get", Unavailable("object 'obj-0' is degraded"))
         assert not sample.rejected
         assert sample.error == "Unavailable: object 'obj-0' is degraded"
 

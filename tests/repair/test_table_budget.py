@@ -43,5 +43,5 @@ def test_table_cache_counts_evictions_past_its_budget():
     """The counter the check above reads does move when tables do not fit."""
     small = TableCache(max_bytes=2 * 128 * 1024)
     for coeff in (2, 3, 4):
-        small.put(("poly", "split16", coeff), object(), 128 * 1024)
+        small.put(("split16", coeff), object(), 128 * 1024)
     assert small.stats()["evictions"] == 1
