@@ -30,7 +30,10 @@ daemons are too dumb to make:
   rebuilt CRCs against write-time CRCs (byte-exactness) and the
   measured transfer ledger against :func:`~repro.repair.simulate_repair`'s
   prediction for the same plan (the simulator cross-validation the live
-  runtime already does in one process).
+  runtime already does in one process).  A wave goes out in windows of
+  :data:`REPAIR_WINDOW` stripes: one ``repair.exec`` per daemon per
+  window carries that daemon's part of every stripe of the window, and
+  its reply holds one result per stripe, so a stripe fails alone.
 
 Clients never proxy bytes through the coordinator: ``put.begin`` hands
 out placements and routing, the client talks to daemons directly, and
@@ -45,6 +48,7 @@ import asyncio
 import functools
 import itertools
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..cluster import Cluster, Placement, SIMICS_BANDWIDTH
@@ -70,11 +74,12 @@ from ..telemetry import (
 )
 from .heartbeat import PROBE_AFTER, FailureDetector, NodeEntry
 from .messages import (
-    Corrupt, Exists, NotFound, Request, RpcServer, StoreError, StoreProtocolError, Unavailable,
-    Unrecoverable, call, close_idle_connections, dispatch, error_kind,
+    KINDS, Corrupt, Exists, NotFound, Request, RpcServer, StoreError, StoreProtocolError,
+    Unavailable, Unrecoverable, call, close_idle_connections, dispatch, error_kind,
 )
 from .objects import stripe_count
 from .repair import (
+    NodeAssignment,
     ledger_from_reports,
     partition_plan,
     plan_seed_blocks,
@@ -87,12 +92,71 @@ __all__ = ["Coordinator", "SCHEMES", "main"]
 #: Per-repair deadline handed to daemons (seconds).
 REPAIR_TIMEOUT = 30.0
 
+#: Stripes per repair window.  A wave goes out in windows of this many
+#: stripes, with one ``repair.exec`` per daemon per window carrying that
+#: daemon's part of every stripe it helps with.  The window must be
+#: bounded: each stripe in flight holds its payloads on every helper.  A
+#: width sweep on ``node_repair`` (docs/PERFORMANCE.md) put 4, 8 and 16
+#: on one throughput plateau and 32 past the peak-RSS bound.
+REPAIR_WINDOW = 8
+
+#: Category of a window's root span.  The per-stripe ``repair:<rid>``
+#: spans alone carry category ``repair``: one span per unit of work.
+WINDOW_CATEGORY = "repair.window"
+
 #: The ``stats`` counter of each kind of evidence a death is declared on.
 DEATH_COUNTERS = {"refused": "deaths_refused", "silence": "deaths_silent"}
 
 
 def _placement_to_wire(placement: Placement) -> dict:
     return {str(bid): node for bid, node in placement.block_to_node.items()}
+
+
+@dataclass
+class _StripeRepair:
+    """One stripe planned into a repair window."""
+
+    rid: str
+    meta: StoredStripe
+    failed: tuple[int, ...]
+    targets: dict[int, int]
+    outcome: RepairOutcome
+    parts: dict[int, NodeAssignment]
+    #: the stripe's hop: its span, and the parent of its daemon sessions.
+    ctx: TraceContext
+
+
+def _node_failure(node_id: int, exc: BaseException) -> StoreError:
+    """A daemon's failure as the typed error of its kind, naming the daemon."""
+    detail = exc if isinstance(exc, StoreError) else repr(exc)
+    return KINDS[error_kind(exc)](f"node {node_id}: {detail}")
+
+
+def _stripe_reports(job: _StripeRepair, results: dict) -> list[dict]:
+    """The stripe's session report from each of its daemons.
+
+    ``results`` maps each daemon of the window to its per-rid results,
+    or to the failure of its whole ``repair.exec``.  Raises when any of
+    the stripe's daemons failed it: a failure of another kind before an
+    ``unavailable``, since a peer left waiting on the failed part times
+    out as unavailable too and names the echo, not the cause.
+    """
+    reports, failures = [], []
+    for node_id in job.parts:
+        result = results[node_id]
+        if isinstance(result, StoreError):
+            failures.append(result)
+            continue
+        result = result[job.rid]
+        if "error" in result:
+            failures.append(KINDS.get(result["kind"], StoreError)(
+                f"node {node_id}: {result['error']}"
+            ))
+        else:
+            reports.append(result)
+    if failures:
+        raise min(failures, key=lambda exc: exc.kind == Unavailable.kind)
+    return reports
 
 
 class Coordinator:
@@ -129,7 +193,8 @@ class Coordinator:
             self.rec.set_origin(self.rec.raw_now())
         #: Live metrics for the ``stats`` RPC — always on.
         self.stats = StatsRegistry("coordinator")
-        for name in ("probes_sent", "hangups", *DEATH_COUNTERS.values()):
+        for name in ("probes_sent", "hangups", *DEATH_COUNTERS.values(), "repair_windows",
+                     *(f"repair_failed:{kind}" for kind in KINDS)):
             self.stats.count(name, 0)
         self.detector = FailureDetector(suspect_after=suspect_after)
         #: node -> the last beat of the silence it was probed in: one
@@ -150,6 +215,7 @@ class Coordinator:
         self.repair_errors: list[dict] = []
         self._pending_puts: dict[str, dict] = {}
         self._rid_counter = itertools.count()
+        self._window_counter = itertools.count()
         self._rpc = RpcServer(functools.partial(dispatch, self, {}))
         self._sweep_task: asyncio.Task | None = None
         self._repair_lock = asyncio.Lock()
@@ -313,30 +379,33 @@ class Coordinator:
         return affected
 
     async def _repair_degraded(self) -> None:
-        # One repair wave at a time; each stripe sequentially within it
-        # (matching the paper's serial per-stripe repair accounting).
+        # One repair wave at a time, in windows of REPAIR_WINDOW stripes:
+        # a window's stripes run concurrently, and each daemon gets one
+        # repair.exec carrying its part of every stripe of the window.
         # Most-at-risk first: a stripe one failure from data loss jumps
         # every singly-degraded stripe in the queue.
         # Stripes that lost the same blocks of the same placement to
         # the same spares share one simulated outcome within the wave.
         async with self._repair_lock:
             simulated: dict[tuple, RepairOutcome] = {}
-            for sid in self.catalog.degraded():
-                if sid in self.stripes and self.stripes[sid].missing:
-                    try:
-                        await self._repair_stripe(sid, simulated)
-                    except (StoreError, RepairPlanningError, OSError) as exc:
-                        kind = (Unrecoverable.kind if isinstance(exc, RepairPlanningError)
-                                else error_kind(exc))
-                        self.rec.event(
-                            "repair.failed", category="fault", sid=sid,
-                            error=str(exc), kind=kind,
-                        )
-                        self.repair_errors.append(
-                            {"sid": sid, "kind": kind, "error": f"{type(exc).__name__}: {exc}"}
-                        )
+            queue = self.catalog.degraded()
+            for first in range(0, len(queue), REPAIR_WINDOW):
+                await self._repair_window(queue[first:first + REPAIR_WINDOW], simulated)
 
-    async def _repair_stripe(self, sid: int, simulated: dict[tuple, RepairOutcome]) -> dict:
+    def _repair_failed(self, sid: int, exc: BaseException) -> None:
+        kind = (Unrecoverable.kind if isinstance(exc, RepairPlanningError)
+                else error_kind(exc))
+        self.rec.event(
+            "repair.failed", category="fault", sid=sid, error=str(exc), kind=kind,
+        )
+        self.stats.count(f"repair_failed:{kind}")
+        self.repair_errors.append(
+            {"sid": sid, "kind": kind, "error": f"{type(exc).__name__}: {exc}"}
+        )
+
+    def _plan_stripe(
+        self, sid: int, simulated: dict[tuple, RepairOutcome], window: TraceContext
+    ) -> _StripeRepair:
         meta = self.stripes[sid]
         repair_ctx = self.catalog.repair_context(
             sid, self._dead_nodes(), block_size=self.block_size
@@ -350,26 +419,65 @@ class Coordinator:
         outcome = simulated.get(key)
         if outcome is None:
             outcome = simulated[key] = simulate_repair(self.scheme, repair_ctx, SIMICS_BANDWIDTH)
-        plan = outcome.plan
-        parts = partition_plan(plan, meta.placement, sid, failed)
-        routing = self._routing(parts)
-        rid = f"r{next(self._rid_counter)}"
-        # Every heartbeat-triggered repair is a trace entry point: the
-        # coordinator roots a fresh trace here and each daemon's
-        # repair.exec hop rides the RPC header, so the assembled tree
-        # hangs every daemon's repair work under this repair root.
+        return _StripeRepair(
+            rid=f"r{next(self._rid_counter)}",
+            meta=meta,
+            failed=failed,
+            targets=targets,
+            outcome=outcome,
+            parts=partition_plan(outcome.plan, meta.placement, sid, failed),
+            ctx=window.child(),
+        )
+
+    async def _repair_window(
+        self, sids: list[int], simulated: dict[tuple, RepairOutcome]
+    ) -> None:
+        """Plan ``sids``, run them as one window, and check each stripe.
+
+        A stripe that fails to plan, or whose daemons report a failure,
+        fails alone; a daemon whose whole ``repair.exec`` fails (it
+        died) fails only the stripes it was part of.  Failed stripes
+        stay degraded for the wave a later death starts.
+        """
+        window = f"w{next(self._window_counter)}"
+        # Every heartbeat-triggered window is a trace entry point: its
+        # root span parents each stripe's repair:<rid> span, each
+        # daemon's repair.exec hop rides the RPC header, and each
+        # daemon session descends from its stripe's span.
         ctx = TraceContext.root()
         # The loop's clock, not the recorder's: timed with spans off too.
         clock = asyncio.get_running_loop().time
         start = clock()
-        results = await asyncio.gather(
+        jobs: list[_StripeRepair] = []
+        routing: dict[str, list] = {}
+        for sid in sids:
+            if sid not in self.stripes or not self.stripes[sid].missing:
+                continue  # deleted or healed since the wave began
+            try:
+                job = self._plan_stripe(sid, simulated, ctx)
+                routing.update(self._routing(job.parts))
+            except (StoreError, RepairPlanningError) as exc:
+                self._repair_failed(sid, exc)
+            else:
+                jobs.append(job)
+        if not jobs:
+            return
+        self.stats.count("repair_windows")
+        by_node: dict[int, list[dict]] = {}
+        for job in jobs:
+            for node_id, part in job.parts.items():
+                by_node.setdefault(node_id, []).append({
+                    "rid": job.rid,
+                    "assignment": part.to_dict(),
+                    "tc": job.ctx.child().to_wire(),
+                })
+        replies = await asyncio.gather(
             *(
                 call(
                     *routing[str(node_id)],
                     "repair.exec",
                     {
-                        "rid": rid,
-                        "assignment": part.to_dict(),
+                        "repairs": items,
                         "routing": routing,
                         "block_size": self.block_size,
                         "timeout": REPAIR_TIMEOUT,
@@ -377,11 +485,47 @@ class Coordinator:
                     timeout=REPAIR_TIMEOUT + 10.0,
                     ctx=ctx.child(),
                 )
-                for node_id, part in parts.items()
-            )
+                for node_id, items in by_node.items()
+            ),
+            return_exceptions=True,
         )
-        reports = [body for body, _blob in results]
+        end = clock()
+        results: dict[int, dict | StoreError] = {}
+        for node_id, reply in zip(by_node, replies):
+            if isinstance(reply, (StoreError, OSError)):
+                results[node_id] = _node_failure(node_id, reply)
+            elif isinstance(reply, BaseException):
+                raise reply
+            else:
+                results[node_id] = reply[0]["results"]
+        share = (end - start) / len(jobs)
+        for job in jobs:
+            try:
+                self._commit_stripe(job, window, _stripe_reports(job, results), start, end, share)
+            except StoreError as exc:
+                self._repair_failed(job.meta.stripe_id, exc)
+        self.rec.span(
+            f"repair:{window}", start, clock(), category=WINDOW_CATEGORY,
+            window=window, stripes=len(jobs), nodes=len(by_node), **ctx.attrs(),
+        )
 
+    def _commit_stripe(
+        self, job: _StripeRepair, window: str, reports: list[dict],
+        start: float, end: float, share: float,
+    ) -> None:
+        """Check one stripe of a finished window and record its repair.
+
+        The record (one entry of ``repairs``) names the stripe, its
+        window, the failed blocks and their targets, and the measured
+        and simulated ledgers.  Its ``wall_seconds`` is the stripe's
+        share of its window: the window's wall time divided by the
+        stripes that went out in it, so the records of a wave sum to
+        the wave's repair time, as the ``repair.stripe`` histogram does.
+        Its ``repair:<rid>`` span covers the whole window it ran in.
+        """
+        meta, sid, rid, failed, plan = (
+            job.meta, job.meta.stripe_id, job.rid, job.failed, job.outcome.plan
+        )
         # Byte-exactness: every rebuilt block must carry its write-time CRC.
         crc_ok = True
         rebuilt = 0
@@ -410,38 +554,41 @@ class Coordinator:
             "combines": sum(r["kind"] == CombineOp.kind for r in op_reports),
         }
         simulated = {
-            **TrafficLedger.from_sim(outcome.sim, self.cluster).to_dict(),
+            **TrafficLedger.from_sim(job.outcome.sim, self.cluster).to_dict(),
             "combines": len(plan.combines()),
         }
         record = {
             "rid": rid,
             "sid": sid,
+            "window": window,
             "scheme": self.scheme_name,
             "failed_blocks": list(failed),
-            "targets": {str(bid): node for bid, node in targets.items()},
+            "targets": {str(bid): node for bid, node in job.targets.items()},
             "measured": measured,
             "simulated": simulated,
-            "simulated_repair_time": outcome.total_repair_time,
+            "simulated_repair_time": job.outcome.total_repair_time,
             "ledger_match": measured == simulated,
-            "wall_seconds": clock() - start,
+            "wall_seconds": share,
         }
         self.repairs.append(record)
         self.rec.span(
-            f"repair:{rid}", start, start + record["wall_seconds"], category="repair",
-            rid=rid, sid=sid, scheme=self.scheme_name,
+            f"repair:{rid}", start, end, category="repair",
+            rid=rid, sid=sid, window=window, scheme=self.scheme_name,
             cross_rack_bytes=measured["cross_rack_bytes"],
             ledger_match=record["ledger_match"],
-            **ctx.attrs(),
+            **job.ctx.attrs(),
         )
         self.stats.count("repairs_done")
         self.stats.count("repair_ledger_mismatch", 0 if record["ledger_match"] else 1)
         self.stats.count("repair_bytes_cross_rack", measured["cross_rack_bytes"])
-        self.stats.latency("repair.stripe", record["wall_seconds"])
+        self.stats.latency("repair.stripe", share)
 
         if sid in self.stripes:  # not deleted while the daemons rebuilt it
-            self.catalog.relocate(sid, targets)
+            self.catalog.relocate(sid, job.targets)
+            # A target declared dead after it committed, while the rest
+            # of its window ran, took the rebuilt block with it.
+            self.on_nodes_dead(sorted(set(job.targets.values()) & self._dead_nodes()))
         self.repair_errors = [e for e in self.repair_errors if e["sid"] != sid]
-        return record
 
     # -- RPC handlers (served by messages.dispatch) --------------------------
 

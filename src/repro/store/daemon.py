@@ -23,9 +23,13 @@ import numpy as np
 
 from ..live.shaper import TokenBucket
 from ..live.transport import cancel_and_wait
-from ..telemetry import CLOCK_WALL, StatsRegistry, StreamingRecorder, TelemetryRecorder
+from ..telemetry import (
+    CLOCK_WALL, StatsRegistry, StreamingRecorder, TelemetryRecorder, TraceContext,
+)
 from .heartbeat import DEFAULT_INTERVAL, HeartbeatSender
-from .messages import Exists, NotFound, Request, RpcServer, close_idle_connections, dispatch
+from .messages import (
+    Exists, NotFound, Request, RpcServer, StoreError, close_idle_connections, dispatch, error_kind,
+)
 from .repair import NodeAssignment, RepairSession, block_crc
 
 __all__ = ["StorageDaemon", "main"]
@@ -33,6 +37,13 @@ __all__ = ["StorageDaemon", "main"]
 #: Generous ceiling for one repair session (the coordinator passes the
 #: real deadline per repair; this guards a coordinator that forgot).
 DEFAULT_REPAIR_TIMEOUT = 60.0
+
+
+def _failure(exc: BaseException) -> dict:
+    """One stripe's failure in a ``repair.exec`` reply; as the RPC server
+    answers a failed request, a type that names no kind keeps its name."""
+    message = str(exc) if isinstance(exc, StoreError) else repr(exc)
+    return {"error": message, "kind": error_kind(exc)}
 
 
 def _as_block(blob) -> np.ndarray:
@@ -203,39 +214,68 @@ class StorageDaemon:
         return {"rid": rid, "key": key}, None
 
     async def _rpc_repair_exec(self, request: Request):
+        """Run this daemon's part of every stripe of one repair window.
+
+        The body carries ``repairs`` (one ``{rid, assignment, tc}`` per
+        stripe this daemon helps with, ``tc`` the stripe's trace hop),
+        the window's ``routing``, ``block_size`` and ``timeout``.  The
+        sessions run concurrently, and the reply maps each rid to its
+        session report or to ``{error, kind}``: one stripe's failure
+        never fails another's.
+        """
         body = request.body
-        rid = body["rid"]
+        results: dict[str, dict] = {}
+        sessions: list[RepairSession] = []
+        # Every session is registered before any runs, so a repair.block
+        # for any stripe of the window finds its session from here on.
+        for item in body["repairs"]:
+            try:
+                sessions.append(self._open_session(item, body))
+            except StoreError as exc:
+                results[item["rid"]] = _failure(exc)
+        timeout = float(body.get("timeout", DEFAULT_REPAIR_TIMEOUT))
+        reports = await asyncio.gather(*(self._run_session(s, timeout) for s in sessions))
+        results.update((session.rid, report) for session, report in zip(sessions, reports))
+        return {"node": self.node_id, "results": results}, None
+
+    def _open_session(self, item: dict, body: dict) -> RepairSession:
+        rid = item["rid"]
         if rid in self._sessions:
             raise Exists(f"daemon {self.node_id}: repair {rid!r} already running")
-        repair_ctx = request.ctx.child() if request.ctx is not None else None
         session = RepairSession(
             rid,
-            NodeAssignment.from_dict(body["assignment"]),
+            NodeAssignment.from_dict(item["assignment"]),
             body["routing"],
             block_size=int(body["block_size"]),
             recorder=self.rec,
             throttle=(functools.partial(self.link.acquire, cls="repair")
                       if self.link is not None else None),
-            ctx=repair_ctx,
+            ctx=TraceContext.from_wire(item.get("tc")),
         )
         self._sessions[rid] = session
         for key, payload in self._early.pop(rid, []):
             session.deliver(key, payload)
+        return session
+
+    async def _run_session(self, session: RepairSession, timeout: float) -> dict:
+        """One stripe's session to its report, or to ``{error, kind}``: a
+        failure of any type stays this stripe's (``internal`` when the
+        type names no kind)."""
         start = self.rec.raw_now()
         try:
-            report = await session.run(
-                self.blocks, timeout=float(body.get("timeout", DEFAULT_REPAIR_TIMEOUT))
-            )
+            report = await session.run(self.blocks, timeout=timeout)
+        except Exception as exc:  # noqa: BLE001 - typed into the reply
+            return _failure(exc)
         finally:
-            self._sessions.pop(rid, None)
+            self._sessions.pop(session.rid, None)
         self.stats.count("repairs_done")
         self.rec.span(
-            f"repair:{rid}:{self.node_id}", start, self.rec.raw_now(),
-            category="repair", rid=rid, node=self.node_id,
+            f"repair:{session.rid}:{self.node_id}", start, self.rec.raw_now(),
+            category="repair", rid=session.rid, node=self.node_id,
             ops=len(session.reports), committed=len(session.committed),
-            **(repair_ctx.attrs() if repair_ctx is not None else {}),
+            **(session.ctx.attrs() if session.ctx is not None else {}),
         )
-        return report, None
+        return report
 
     async def _rpc_stats(self, request: Request):
         """Live metrics snapshot: the scrape side of ``rpr store stats``."""

@@ -3,7 +3,10 @@
 The coordinator *partitions* a :class:`repro.repair.RepairPlan` by
 owner: each daemon receives only the parts it owns (a sliced op arrives
 as its slices) and runs them in a :class:`RepairSession`, the per-node
-executor (:class:`repro.live.node.NodeExecutor`) behind RPC.  Repair
+executor (:class:`repro.live.node.NodeExecutor`) behind RPC.  One
+``repair.exec`` hands a daemon its :class:`NodeAssignment` for every
+stripe of a repair window, and the daemon runs one session per stripe,
+all at once.  Repair
 bytes travelling daemon→daemon double as the dependency tokens, exactly
 like the paper's testbed where pipelining emerges from data arrival.
 The coordinator's :class:`~repro.metrics.TrafficLedger` for a repair is

@@ -36,6 +36,21 @@ def _counter(snap: dict, name: str) -> int:
     return int(snap.get("counters", {}).get(name, 0))
 
 
+def _repair_line(coord: dict) -> str:
+    """Stripes repaired, the windows they went out in, and failures by kind."""
+    failed = {
+        name.split(":", 1)[1]: int(value)
+        for name, value in sorted(coord.get("counters", {}).items())
+        if name.startswith("repair_failed:") and value
+    }
+    kinds = ", ".join(f"{count} {kind}" for kind, count in failed.items())
+    return (
+        f"  repair: {coord.get('repairs_done', 0)} stripes in "
+        f"{_counter(coord, 'repair_windows')} windows, "
+        f"{sum(failed.values())} failed" + (f" ({kinds})" if kinds else "")
+    )
+
+
 def _up(snap: dict) -> str:
     return f"up {snap.get('uptime_s', 0.0):.1f}s"
 
@@ -75,6 +90,7 @@ def render_scrape(scrape: dict) -> str:
         f"{_counter(coord, 'probes_sent')} probes sent, "
         f"{_counter(coord, 'deaths_refused')} deaths on a refused probe, "
         f"{_counter(coord, 'deaths_silent')} on silence",
+        _repair_line(coord),
         *_latency_lines(coord),
     ]
     for nid, body in _nodes(scrape):

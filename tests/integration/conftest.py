@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import experiments
-from repro.store import LauncherError, NotFound, StoreLauncher
+from repro.store import KINDS, LauncherError, NotFound, StoreLauncher
 from repro.telemetry import StatsRegistry
 
 
@@ -36,6 +36,10 @@ def canned_scrape() -> dict:
     coord.count("hangups", 1)
     coord.count("probes_sent", 2)
     coord.count("deaths_refused", 1)
+    coord.count("repair_windows", 2)
+    for kind in KINDS:
+        coord.count(f"repair_failed:{kind}", 0)
+    coord.count("repair_failed:unavailable", 1)
     coord.latency("lookup", 0.002)
     coord.latency("lookup", 0.004)
     node = StatsRegistry("node-0", clock=iter([0.0] + [9.25] * 8).__next__)

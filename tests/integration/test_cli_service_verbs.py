@@ -119,6 +119,7 @@ STATS_TEXT = """\
 coordinator: up 12.5s, 1 nodes alive, 3 objects, 2 degraded stripes, 1 repairs active, \
 6 repairs done, 4 connections open
   detection: 1 hangups, 2 probes sent, 1 deaths on a refused probe, 0 on silence
+  repair: 6 stripes in 2 windows, 1 failed (1 unavailable)
   lookup                   n=2      mean=    3.00ms p50=    2.05ms p99=    4.10ms
 node-0: up 9.2s, 7 blocks, 1 repairs in flight, 2 connections open, NIC 37.5% of 1500000 B/s
   block.get:foreground     n=1      mean=   10.00ms p50=   16.38ms p99=   16.38ms
@@ -189,6 +190,9 @@ class TestStoreVerbs:
         prom = capsys.readouterr().out
         assert validate_prometheus_text(prom) == []
         assert 'node="node-0"' in prom and 'node="node-1"' not in prom
+        assert 'rpr_events_total{name="repair_windows",node="coordinator"} 2' in prom
+        assert 'rpr_events_total{name="repair_failed:unavailable",node="coordinator"} 1' in prom
+        assert 'rpr_events_total{name="repair_failed:not_found",node="coordinator"} 0' in prom
 
     def test_object_round_trip(self, stub_launcher, tmp_path, capsys):
         src, back = tmp_path / "o.bin", tmp_path / "b.bin"

@@ -8,17 +8,26 @@ polling all wait on the loop's clock, so the seconds of silence a death
 takes to notice cost a fraction of a second of wall time, and the run
 replays exactly.  A killed daemon drops the coordinator's watch on its
 port at once, so the kill is a suspect within one sweep; what silence
-alone can prove is tested here too, with the hangup taken away.
+alone can prove is tested here too, with the hangup taken away, and so
+are repair windows: one ``repair.exec`` per daemon per window, and a
+stripe that fails without failing the rest of its window.
 """
 
 import asyncio
+import math
 import random
 
 import pytest
 
+from repro.cluster import SIMICS_BANDWIDTH
 from repro.live.transport import connect_tcp
-from repro.store import DEFAULT_INTERVAL, PROBE_AFTER, LocalService, StorageDaemon
+from repro.repair import simulate_repair
+from repro.store import (
+    DEFAULT_INTERVAL, PROBE_AFTER, LocalService, StorageDaemon, plan_seed_blocks,
+    stored_block_key,
+)
 from repro.store import coordinator as coordinator_module
+from repro.store.coordinator import REPAIR_WINDOW
 
 from ..vtime import VirtualTimeLoop
 
@@ -37,11 +46,11 @@ def deployed(**qos) -> LocalService:
     )
 
 
-async def put_objects(svc: LocalService) -> dict[str, bytes]:
-    """Six one-stripe objects; returns name -> bytes."""
+async def put_objects(svc: LocalService, count: int = OBJECTS) -> dict[str, bytes]:
+    """``count`` one-stripe objects; returns name -> bytes."""
     rng = random.Random(7)
     size = svc.coordinator.code.n * svc.coordinator.block_size
-    objects = {f"o{i}": rng.randbytes(size) for i in range(OBJECTS)}
+    objects = {f"o{i}": rng.randbytes(size) for i in range(count)}
     for name, data in objects.items():
         await svc.client.put(name, data)
     return objects
@@ -306,3 +315,195 @@ class TestHangup:
                 assert stopped == ["coordinator", *sorted(svc.daemons)]
 
         loop.run(_run())
+
+
+#: One-stripe objects enough for the victim's stripes to fill more than
+#: one repair window.
+MANY = REPAIR_WINDOW + 4
+
+
+#: The per-repair deadline of the tests that wait one out: a failed part
+#: holds its window's replies that long, and every virtual second of it
+#: costs real time in beats and sweeps.
+SHORT_REPAIR_TIMEOUT = 3.0
+
+
+@pytest.fixture
+def short_repair_timeout(monkeypatch):
+    monkeypatch.setattr(coordinator_module, "REPAIR_TIMEOUT", SHORT_REPAIR_TIMEOUT)
+    return SHORT_REPAIR_TIMEOUT
+
+
+def held_by(svc: LocalService, node_id: int) -> list[int]:
+    """The stripes with a block on ``node_id``, in repair order."""
+    return sorted(sid for sid, _bid in svc.coordinator.catalog.blocks_on_node(node_id))
+
+
+class TestRepairWindows:
+    """A wave goes out in windows of ``REPAIR_WINDOW`` stripes, with one
+    ``repair.exec`` per daemon per window; a stripe fails alone."""
+
+    def test_one_repair_exec_per_daemon_per_window(self, monkeypatch):
+        participants: dict[int, set[int]] = {}
+        partition_plan = coordinator_module.partition_plan
+
+        def recording(plan, placement, stripe_id, failed_blocks):
+            parts = partition_plan(plan, placement, stripe_id, failed_blocks)
+            participants[stripe_id] = set(parts)
+            return parts
+
+        monkeypatch.setattr(coordinator_module, "partition_plan", recording)
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            async with deployed() as svc:
+                objects = await put_objects(svc, MANY)
+                held = held_by(svc, VICTIM)
+                await svc.kill(VICTIM)
+                status = await svc.client.wait_healthy(timeout=30.0, min_repairs=len(held))
+                for name, data in objects.items():
+                    assert await svc.client.get(name) == data, name
+                served = sum(
+                    d.stats.counters.get("rpc:repair.exec", 0) for d in svc.daemons.values()
+                )
+                return held, status["repairs"], served, dict(svc.coordinator.stats.counters)
+
+        held, records, served, counters = loop.run(_run())
+        assert sorted(r["sid"] for r in records) == held
+        assert all(r["ledger_match"] for r in records)
+        windows: dict[str, set[int]] = {}
+        for record in records:
+            windows.setdefault(record["window"], set()).update(participants[record["sid"]])
+        assert len(windows) == math.ceil(len(held) / REPAIR_WINDOW) >= 2
+        assert counters["repair_windows"] == len(windows)
+        assert served == sum(len(nodes) for nodes in windows.values())
+        assert served < sum(len(participants[sid]) for sid in held)
+        assert not any(v for k, v in counters.items() if k.startswith("repair_failed:"))
+
+    def test_a_missing_seed_fails_its_stripe_alone(self, short_repair_timeout):
+        """A daemon that lost a seed block fails that stripe as
+        ``not_found``; the peers left waiting on it time out as
+        unavailable, which names the echo, not the cause.  The rest of
+        its window commits."""
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            async with deployed() as svc:
+                objects = await put_objects(svc, REPAIR_WINDOW)
+                coordinator = svc.coordinator
+                held = held_by(svc, VICTIM)
+                doomed = held[0]
+                plan = simulate_repair(
+                    coordinator.scheme,
+                    coordinator.catalog.repair_context(
+                        doomed, {VICTIM}, block_size=coordinator.block_size
+                    ),
+                    SIMICS_BANDWIDTH,
+                ).plan
+                bid, node = min(plan_seed_blocks(plan).items())
+                del svc.daemons[node].blocks[stored_block_key(doomed, bid)]
+                await svc.kill(VICTIM)
+                start = loop.time()
+                while len(coordinator.repairs) + len(coordinator.repair_errors) < len(held):
+                    assert loop.time() - start < 2 * short_repair_timeout
+                    await asyncio.sleep(HEALTH_POLL)
+                doomed_object = next(
+                    name for name, info in coordinator.objects.items()
+                    if info["stripe_ids"] == [doomed]
+                )
+                for name, data in objects.items():
+                    if name != doomed_object:
+                        assert await svc.client.get(name) == data, name
+                return (held, coordinator.repairs, coordinator.repair_errors,
+                        dict(coordinator.stats.counters))
+
+        held, records, errors, counters = loop.run(_run())
+        doomed, *rest = held
+        assert [(e["sid"], e["kind"]) for e in errors] == [(doomed, "not_found")]
+        assert sorted(r["sid"] for r in records) == rest
+        assert all(r["ledger_match"] for r in records)
+        assert len(rest) >= 2 and {r["window"] for r in records} == {"w0"}
+        assert counters["repair_failed:not_found"] == 1
+        assert counters["repair_failed:unavailable"] == 0
+
+    def test_a_helper_that_dies_mid_window_is_repaired_around(self, short_repair_timeout):
+        """A second death while a window is in flight: the stripes that
+        needed the dead helper fail typed, the wave its death starts
+        repairs them, and every object reads back."""
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            async with LocalService(
+                racks=3, per_rack=4, n=6, k=3, suspect_after=SUSPECT_AFTER,
+                sweep_interval=SWEEP, heartbeat=DEFAULT_INTERVAL,
+                link_rate=1.5e6, repair_share=0.2,
+            ) as svc:
+                coordinator = svc.coordinator
+                objects = await put_objects(svc, REPAIR_WINDOW)
+                await svc.kill(VICTIM)
+                while not (busy := sorted(n for n, d in svc.daemons.items() if d._sessions)):
+                    await asyncio.sleep(0.01)
+                await svc.kill(busy[0])
+                killed_at = loop.time()
+                status = await svc.client.wait_healthy(timeout=3 * short_repair_timeout)
+                healthy_after = loop.time() - killed_at
+                for name, data in objects.items():
+                    assert await svc.client.get(name) == data, name
+                failed = [e.attrs for e in coordinator.rec.trace().events
+                          if e.name == "repair.failed"]
+                return status, failed, healthy_after
+
+        status, failed, healthy_after = loop.run(_run())
+        assert failed and {f["kind"] for f in failed} == {"unavailable"}
+        assert status["repair_errors"] == []
+        assert {f["sid"] for f in failed} <= {r["sid"] for r in status["repairs"]}
+        assert all(r["ledger_match"] for r in status["repairs"])
+        assert healthy_after < 2 * short_repair_timeout
+
+    def test_a_target_that_dies_after_it_committed_is_repaired_again(self, monkeypatch):
+        """A spare commits its rebuilt block and replies, then dies while
+        the rest of its window is still out.  Its death is declared
+        before the window's stripes are recorded, so the catalog must
+        mark the block it just placed there lost again, not trust it."""
+        exec_window = StorageDaemon._rpc_repair_exec
+        release = asyncio.Event()
+        first_target: list[int] = []
+
+        async def gated(daemon, request):
+            reply = await exec_window(daemon, request)
+            rebuilt = any(r.get("committed") for r in reply[0]["results"].values())
+            if rebuilt and not first_target:
+                first_target.append(daemon.node_id)
+            elif not release.is_set():
+                await release.wait()
+            return reply
+
+        monkeypatch.setattr(StorageDaemon, "_rpc_repair_exec", gated)
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            async with LocalService(
+                racks=3, per_rack=4, n=6, k=3, suspect_after=SUSPECT_AFTER,
+                sweep_interval=SWEEP, heartbeat=DEFAULT_INTERVAL,
+            ) as svc:
+                coordinator = svc.coordinator
+                objects = await put_objects(svc, REPAIR_WINDOW)
+                await svc.kill(VICTIM)
+                while not first_target:
+                    await asyncio.sleep(0.01)
+                target = first_target[0]
+                await svc.kill(target)
+                while coordinator.detector.entry(target).alive:
+                    await asyncio.sleep(0.01)
+                release.set()
+                await svc.client.wait_healthy(timeout=10.0)
+                for name, data in objects.items():
+                    assert await svc.client.get(name) == data, name
+                alive = coordinator.detector.alive_ids()
+                return {
+                    sid: sorted(set(meta.placement.block_to_node.values()) - alive)
+                    for sid, meta in coordinator.stripes.items()
+                }
+
+        dead_holders = loop.run(_run())
+        assert dead_holders == {sid: [] for sid in dead_holders}
