@@ -184,10 +184,10 @@ class StoreClient:
         out = reassemble(shape, stripe_blocks)
         self.rec.span(
             f"get:{name}", start, self.rec.raw_now(), category="client",
-            op="get", nbytes=int(out.size), degraded=bool(reconstructed),
+            op="get", nbytes=len(out), degraded=bool(reconstructed),
             **ctx.attrs(),
         )
-        self.rec.count("client.get_bytes", int(out.size))
+        self.rec.count("client.get_bytes", len(out))
         if reconstructed:
             self.rec.count("client.degraded_gets")
         report = {
@@ -195,7 +195,7 @@ class StoreClient:
             "degraded": bool(reconstructed),
             "reconstructed": reconstructed,
         }
-        return out.tobytes(), report
+        return out, report
 
     async def _fetch(
         self, routing: dict, node: int, sid: int, bid: int,

@@ -499,11 +499,29 @@ class Coordinator:
             else:
                 results[node_id] = reply[0]["results"]
         share = (end - start) / len(jobs)
+        orphans: dict[int, list[str]] = {}
         for job in jobs:
             try:
                 self._commit_stripe(job, window, _stripe_reports(job, results), start, end, share)
             except StoreError as exc:
                 self._repair_failed(job.meta.stripe_id, exc)
+                for node_id in job.parts:
+                    result = results[node_id]
+                    if not isinstance(result, StoreError) and "error" not in result[job.rid]:
+                        orphans.setdefault(node_id, []).extend(
+                            out["stored_key"] for out in result[job.rid]["committed"]
+                        )
+        # A failed stripe's rebuilt blocks are in no catalog: drop them
+        # where they were committed, best effort (a dead target took its
+        # own with it).
+        await asyncio.gather(
+            *(
+                call(*routing[str(node_id)], "block.delete", {"keys": keys}, attempts=1)
+                for node_id, keys in orphans.items()
+                if keys
+            ),
+            return_exceptions=True,
+        )
         self.rec.span(
             f"repair:{window}", start, clock(), category=WINDOW_CATEGORY,
             window=window, stripes=len(jobs), nodes=len(by_node), **ctx.attrs(),

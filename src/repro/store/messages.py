@@ -65,7 +65,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from ..live.transport import Stream, TcpStream, connect_tcp
+from ..live.transport import Stream, TcpStream, connect_tcp, serve_tcp
 from ..live.wire import WireClosed, WireError, read_frame, send_frame
 from ..telemetry.distributed import TraceContext
 
@@ -455,12 +455,12 @@ class RpcServer:
         """Bind (port 0: the kernel picks) and serve; returns the port."""
         if self._server is not None:
             raise RuntimeError("rpc server already started")
-        self._server = await asyncio.start_server(self._on_connect, host, port)
+        self._server = await serve_tcp(self._on_connect, host, port)
         return self._server.sockets[0].getsockname()[1]
 
-    async def _on_connect(self, reader, writer) -> None:
+    async def _on_connect(self, stream: TcpStream) -> None:
         task = asyncio.current_task()
-        stream = self._conns[task] = TcpStream(reader, writer)
+        self._conns[task] = stream
         self.accepted += 1
         try:
             await self.serve(stream)

@@ -43,6 +43,13 @@ once (``repro.qos``), and the name → scheme table exists once
 ``asyncio.timeout`` block, and a frame read is one deadline pushed out
 on progress (``repro.live.wire``), not one ``wait_for`` per read step.
 
+§2.2: one TCP receive path.  Every socket under ``src/repro`` is a
+``repro.live.transport.TcpStream`` — a buffered protocol that lends a
+waiting reader's frame buffer to ``recv_into`` — built by
+``connect_tcp`` or ``serve_tcp``; no module opens an asyncio stream
+pair (``asyncio.open_connection`` / ``asyncio.start_server``) or builds
+an ``asyncio.StreamReader``, whose reads copy each byte three times.
+
 §2.2: one clock.  ``repro.store`` and ``repro.live`` read time only from
 the running event loop (``loop.time()``; waits are asyncio sleeps and
 timeouts), never ``time.monotonic`` / ``perf_counter`` / ``time`` —
@@ -1017,3 +1024,37 @@ def test_the_field_guard_sees_what_it_guards():
     )
     assert second_generators(old_generator) == [1, 2, 3, 4, 6, 7]
 
+
+
+#: What builds an asyncio stream pair instead of a ``TcpStream``.
+STREAM_BUILDERS = {"open_connection", "start_server", "StreamReader"}
+
+
+def test_every_tcp_stream_is_the_buffered_protocol():
+    found = [
+        f"src/repro/{path.relative_to(SRC).as_posix()}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in calls_to(ast.parse(path.read_text()), STREAM_BUILDERS)
+    ]
+    assert not found, (
+        "an asyncio stream pair under src/repro — open sockets with "
+        "repro.live.transport.connect_tcp / serve_tcp, so every byte is "
+        "received by TcpStream:\n" + "\n".join(found)
+    )
+
+
+def test_the_stream_guard_sees_what_it_guards():
+    """Not vacuous: the transport builds its streams through the loop,
+    and the shapes the client, the servers and a hand-made reader used
+    are recognised."""
+    transport = ast.parse((SRC / "live/transport.py").read_text())
+    assert calls_to(transport, {"create_connection", "create_server"})
+    old_streams = ast.parse(
+        "async def connect_tcp(host, port):\n"
+        "    reader, writer = await asyncio.open_connection(host, port)\n"
+        "    server = await asyncio.start_server(on_connect, host, 0)\n"
+        "    reader = asyncio.StreamReader(limit=2 ** 16)\n"
+        "    from asyncio import start_server\n"
+        "    return await start_server(on_connect, host, port)\n"
+    )
+    assert calls_to(old_streams, STREAM_BUILDERS) == [2, 3, 4, 6]

@@ -451,9 +451,23 @@ class TestRepairWindows:
                     assert await svc.client.get(name) == data, name
                 failed = [e.attrs for e in coordinator.rec.trace().events
                           if e.name == "repair.failed"]
-                return status, failed, healthy_after
+                # A failed stripe's rebuilt blocks were dropped where they
+                # were committed: no daemon holds a block placed elsewhere.
+                placed = {
+                    stored_block_key(sid, bid): node
+                    for sid, meta in coordinator.stripes.items()
+                    for bid, node in meta.placement.block_to_node.items()
+                }
+                stray = sorted(
+                    (node_id, key)
+                    for node_id, daemon in svc.daemons.items()
+                    for key in daemon.blocks
+                    if placed.get(key) != node_id
+                )
+                return status, failed, healthy_after, stray
 
-        status, failed, healthy_after = loop.run(_run())
+        status, failed, healthy_after, stray = loop.run(_run())
+        assert stray == []
         assert failed and {f["kind"] for f in failed} == {"unavailable"}
         assert status["repair_errors"] == []
         assert {f["sid"] for f in failed} <= {r["sid"] for r in status["repairs"]}

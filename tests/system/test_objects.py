@@ -40,6 +40,34 @@ class TestSplit:
         for block in stripes[0]:
             assert block.dtype == np.uint8 and block.shape == (4,)
 
+    @given(st.integers(1, 4), st.integers(1, 16))
+    @settings(max_examples=40, deadline=None)
+    def test_stripes_match_padding_the_whole_object(self, n, block_size):
+        """Full stripes are views of the input and the tail a padded copy:
+        byte for byte what zero-filling the whole object gives."""
+        b, s = block_size, n * block_size
+        for size in sorted({0, 1, b - 1, b + 1, s - 1, s, s + 1, 2 * s + 1}):
+            data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8)
+            stripes = split_into_stripes(data, n, block_size)
+            assert _as_bytes(stripes) == _as_bytes(_padded_reference(data, n, block_size))
+            for row in stripes[: size // s]:
+                assert all(np.shares_memory(block, data) for block in row)
+
+
+def _padded_reference(data, n, block_size):
+    """The split by zero-filling a copy of the whole object."""
+    capacity = n * block_size
+    padded = np.zeros(max(1, -(-len(data) // capacity)) * capacity, dtype=np.uint8)
+    padded[: len(data)] = data
+    return [
+        [padded[base + b * block_size : base + (b + 1) * block_size] for b in range(n)]
+        for base in range(0, len(padded), capacity)
+    ]
+
+
+def _as_bytes(stripes):
+    return [[block.tobytes() for block in row] for row in stripes]
+
 
 class TestReassemble:
     @given(st.integers(0, 200), st.integers(1, 4), st.integers(1, 16))
@@ -55,7 +83,7 @@ class TestReassemble:
             block_size=block_size,
             n=n,
         )
-        np.testing.assert_array_equal(reassemble(info, stripes), data)
+        assert reassemble(info, stripes) == data.tobytes()
 
     def test_stripe_count_mismatch(self):
         info = ObjectInfo(name="x", size=4, stripe_ids=(0, 1), block_size=4, n=1)

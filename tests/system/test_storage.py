@@ -125,7 +125,7 @@ class Blocks:
                 result = execute_plan(plan, self.cluster, self.payloads(sid))
                 blocks.append(result.recovered[bid])
             stripes.append(blocks)
-        return reassemble(info, stripes)
+        return np.frombuffer(reassemble(info, stripes), dtype=np.uint8)
 
     def overwrite(self, info: ObjectInfo, data) -> int:
         """Same-size in-place update by parity deltas; returns the number
