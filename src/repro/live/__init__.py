@@ -51,6 +51,7 @@ from .transport import (
     cancel_and_wait,
     connect_tcp,
     open_transport,
+    serve_tcp,
 )
 from .wire import WireClosed, WireError, read_ack, read_frame, send_frame
 from .validate import (
@@ -92,5 +93,6 @@ __all__ = [
     "run_plan_live",
     "run_plan_live_sync",
     "send_frame",
+    "serve_tcp",
     "split_by_owner",
 ]
