@@ -7,21 +7,10 @@ daemons are too dumb to make:
   catalog record (:class:`repro.multistripe.StripeStore`: rotated
   placement, missing blocks, write-time CRC32 per block — which later
   *proves* a repair rebuilt the exact bytes).  Every placement and
-  missing-block decision is the catalog's; this module adds RPC,
-  liveness and the byte-level cross-checks.
-* **Liveness** — a :class:`~repro.store.heartbeat.FailureDetector` fed
-  by daemon heartbeats, plus evidence the coordinator gathers itself.
-  It holds one idle *watch* connection to each daemon's registered port;
-  a daemon's server drops it only when the process dies (the kernel
-  closes a SIGKILLed process's sockets at once), so its end is a
-  *hangup*.  A node that hung up, or is silent past
-  :data:`~repro.store.heartbeat.PROBE_AFTER` of ``suspect_after``, is
-  pinged once at the next sweep.  A refused connection is death at
-  once; an answer refreshes the node, so a coordinator that was itself
-  stalled never declares death off stale beats; silence past
-  ``suspect_after`` stays the bound for a node that neither answers nor
-  refuses (a dead host sends no hangup).  Only the sweep declares a
-  death.
+  missing-block decision is the catalog's; this module adds RPC and
+  the byte-level cross-checks.
+* **Liveness** — the :class:`~repro.store.heartbeat.FailureDetector`'s;
+  the coordinator runs its loop and reacts to each death it declares.
 * **Repair** — on a death, affected stripes are re-planned with the
   configured scheme (traditional / CAR / RPR — the paper's three), the
   plan is partitioned across surviving daemons
@@ -52,7 +41,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..cluster import Cluster, Placement, SIMICS_BANDWIDTH
-from ..live.transport import cancel_and_wait, connect_tcp
 from ..metrics import TrafficLedger
 from ..multistripe.store import StoredStripe, StripeStore
 from ..repair import (
@@ -72,7 +60,7 @@ from ..telemetry import (
     TelemetryRecorder,
     TraceContext,
 )
-from .heartbeat import PROBE_AFTER, FailureDetector, NodeEntry
+from .heartbeat import FailureDetector
 from .messages import (
     KINDS, Corrupt, Exists, NotFound, Request, RpcServer, StoreError, StoreProtocolError,
     Unavailable, Unrecoverable, call, close_idle_connections, dispatch, error_kind,
@@ -103,9 +91,6 @@ REPAIR_WINDOW = 8
 #: Category of a window's root span.  The per-stripe ``repair:<rid>``
 #: spans alone carry category ``repair``: one span per unit of work.
 WINDOW_CATEGORY = "repair.window"
-
-#: The ``stats`` counter of each kind of evidence a death is declared on.
-DEATH_COUNTERS = {"refused": "deaths_refused", "silence": "deaths_silent"}
 
 
 def _placement_to_wire(placement: Placement) -> dict:
@@ -193,16 +178,9 @@ class Coordinator:
             self.rec.set_origin(self.rec.raw_now())
         #: Live metrics for the ``stats`` RPC — always on.
         self.stats = StatsRegistry("coordinator")
-        for name in ("probes_sent", "hangups", *DEATH_COUNTERS.values(), "repair_windows",
-                     *(f"repair_failed:{kind}" for kind in KINDS)):
+        for name in ("repair_windows", *(f"repair_failed:{kind}" for kind in KINDS)):
             self.stats.count(name, 0)
         self.detector = FailureDetector(suspect_after=suspect_after)
-        #: node -> the last beat of the silence it was probed in: one
-        #: probe per silence, however many sweeps it lasts (a hangup
-        #: earns one more).
-        self._probed: dict[int, float] = {}
-        #: node -> (watched port, the task holding its watch connection).
-        self._watches: dict[int, tuple[int, asyncio.Task]] = {}
         self.catalog = StripeStore(cluster, code)
         #: sid -> catalog record of every *committed* stripe.
         self.stripes = self.catalog.stripes
@@ -217,7 +195,6 @@ class Coordinator:
         self._rid_counter = itertools.count()
         self._window_counter = itertools.count()
         self._rpc = RpcServer(functools.partial(dispatch, self, {}))
-        self._sweep_task: asyncio.Task | None = None
         self._repair_lock = asyncio.Lock()
         self._repair_tasks: set[asyncio.Task] = set()
         self._stopping = asyncio.Event()
@@ -226,24 +203,14 @@ class Coordinator:
 
     async def start(self) -> int:
         self.port = await self._rpc.start(self.host)
-        self._sweep_task = asyncio.ensure_future(self._sweep_loop())
+        self.detector.start(self.sweep_interval, self.on_nodes_dead, self.stats, self.rec)
         return self.port
 
     async def run_until_shutdown(self) -> None:
         await self._stopping.wait()
 
     async def aclose(self) -> None:
-        if self._sweep_task is not None:
-            # cancel_and_wait, not cancel+await: a cancel that lands in
-            # a repair RPC's cleanup (the connection's close) can be
-            # absorbed there and leave teardown parked forever.
-            await cancel_and_wait(self._sweep_task)
-            self._sweep_task = None
-        watches = [task for _port, task in self._watches.values()]
-        self._watches.clear()
-        for task in watches:
-            task.cancel()
-        await asyncio.gather(*watches, return_exceptions=True)
+        await self.detector.aclose()
         pending = {t for t in self._repair_tasks if not t.done()}
         while pending:
             for task in pending:
@@ -253,109 +220,7 @@ class Coordinator:
         self._repair_tasks.clear()
         await self._rpc.aclose()
 
-    # -- liveness & repair orchestration ------------------------------------
-
-    async def _sweep_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.sweep_interval)
-            await self._probe_suspects()
-            self._declare_dead([e.node_id for e in self.detector.sweep()], "silence")
-
-    def _watch(self, entry: NodeEntry) -> None:
-        """Watch ``entry``'s port, unless a watch on it is still open.
-
-        A watch on a port the node has left is cancelled: the old
-        process's later hangup is not the new one's.
-        """
-        watched = self._watches.get(entry.node_id)
-        if watched is not None:
-            port, task = watched
-            if port == entry.port and not task.done():
-                return
-            task.cancel()
-        task = asyncio.ensure_future(self._hold_watch(entry.node_id, entry.host, entry.port))
-        self._watches[entry.node_id] = (entry.port, task)
-
-    async def _hold_watch(self, node_id: int, host: str, port: int) -> None:
-        """Hold one connection to a daemon and send nothing on it.
-
-        The daemon's server parks it like any idle connection and closes
-        it only when the process dies, so its end, or a refused connect,
-        is a hangup: the node becomes a suspect for the next sweep.
-        """
-        try:
-            stream = await connect_tcp(host, port, attempts=1)
-        except ConnectionRefusedError:
-            pass  # nothing listens there any more
-        except OSError:
-            return  # proves nothing
-        else:
-            try:
-                await stream.read_exactly(1)  # the daemon never writes here
-            except (asyncio.IncompleteReadError, OSError):
-                pass
-            finally:
-                stream.abort()
-        entry = self.detector.entry(node_id)
-        if entry is None or not entry.alive or entry.port != port:
-            return  # dead already, or an old process's port
-        self.detector.hangup(node_id)
-        self._probed.pop(node_id, None)
-        self.stats.count("hangups")
-
-    async def _probe_suspects(self) -> None:
-        """Ping every suspect not yet probed in its silence or since its
-        hangup, all at once.
-
-        A refusal declares the node dead; an answer refreshes it before
-        the sweep that follows judges silence.  A ping waits at most
-        ``PROBE_AFTER * suspect_after``, and a node is probed once per
-        silence, so a node that neither answers nor refuses is still
-        declared dead within ``suspect_after`` plus one sweep.
-        """
-        suspects = [
-            (e, e.last_beat) for e in self.detector.suspects()
-            if self._probed.get(e.node_id) != e.last_beat
-        ]
-        if not suspects:
-            return
-        for entry, beat in suspects:
-            self._probed[entry.node_id] = beat
-        answers = await asyncio.gather(*(self._ping(entry) for entry, _ in suspects))
-        refused = []
-        for (entry, beat), answer in zip(suspects, answers):
-            if not entry.alive or entry.last_beat != beat:
-                continue  # beat (perhaps from a new port) while the ping was out
-            if answer == "answered":
-                self.detector.answered(entry.node_id)
-            elif answer == "refused":
-                self.detector.refused(entry.node_id)
-                refused.append(entry.node_id)
-        self._declare_dead(refused, "refused")
-
-    async def _ping(self, entry: NodeEntry) -> str | None:
-        """``"answered"``, ``"refused"``, or None when the ping proves nothing."""
-        self.stats.count("probes_sent")
-        try:
-            async with asyncio.timeout(PROBE_AFTER * self.detector.suspect_after):
-                body, _ = await call(entry.host, entry.port, "ping", attempts=1)
-        except ConnectionRefusedError:
-            return "refused"
-        except (StoreError, OSError, TimeoutError):
-            return None
-        return "answered" if body.get("node_id") == entry.node_id else None
-
-    def _declare_dead(self, node_ids: list[int], evidence: str) -> None:
-        for node_id in node_ids:
-            after = "hangup" if self.detector.entry(node_id).hung_up else "silence"
-            self.rec.event(
-                "node.dead", category="fault", node=node_id, evidence=evidence, after=after,
-            )
-            self.stats.count(DEATH_COUNTERS[evidence])
-            watched = self._watches.pop(node_id, None)
-            if watched is not None:
-                watched[1].cancel()
-        self.on_nodes_dead(node_ids)
+    # -- repair orchestration ------------------------------------------------
 
     def _dead_nodes(self) -> set[int]:
         """Every node not known alive — never registered counts as dead."""
@@ -364,10 +229,10 @@ class Coordinator:
     def on_nodes_dead(self, node_ids) -> list[int]:
         """Mark blocks on dead nodes missing; kick off repair if needed.
 
-        Returns the affected stripe ids.  Public so tests (and an
-        impatient operator RPC) can force the reaction without waiting
-        for the sweep timer; a death the sweep declares is recorded
-        first as a ``node.dead`` event with its evidence.
+        Returns the affected stripe ids.  The detector calls it with
+        every death it declares, after recording the ``node.dead``
+        event; public so tests (and an impatient operator RPC) can force
+        the reaction without waiting for the sweep timer.
         """
         affected = []
         for node_id in node_ids:
@@ -512,16 +377,8 @@ class Coordinator:
                             out["stored_key"] for out in result[job.rid]["committed"]
                         )
         # A failed stripe's rebuilt blocks are in no catalog: drop them
-        # where they were committed, best effort (a dead target took its
-        # own with it).
-        await asyncio.gather(
-            *(
-                call(*routing[str(node_id)], "block.delete", {"keys": keys}, attempts=1)
-                for node_id, keys in orphans.items()
-                if keys
-            ),
-            return_exceptions=True,
-        )
+        # where they were committed.
+        await self._drop_blocks(orphans)
         self.rec.span(
             f"repair:{window}", start, clock(), category=WINDOW_CATEGORY,
             window=window, stripes=len(jobs), nodes=len(by_node), **ctx.attrs(),
@@ -608,14 +465,25 @@ class Coordinator:
             self.on_nodes_dead(sorted(set(job.targets.values()) & self._dead_nodes()))
         self.repair_errors = [e for e in self.repair_errors if e["sid"] != sid]
 
+    async def _drop_blocks(self, by_node: dict[int, list[str]]) -> int:
+        """``block.delete`` each live node's keys, all at once and best
+        effort (a dead node took its blocks with it, and one that is not
+        yet declared dead fails only its own delete); returns the blocks
+        dropped."""
+        alive = self.detector.alive_ids()
+        replies = await asyncio.gather(
+            *(call(*self.detector.entry(node).addr, "block.delete", {"keys": keys}, attempts=1)
+              for node, keys in by_node.items() if keys and node in alive),
+            return_exceptions=True,
+        )
+        return sum(r[0]["dropped"] for r in replies if not isinstance(r, BaseException))
+
     # -- RPC handlers (served by messages.dispatch) --------------------------
 
     async def _rpc_heartbeat(self, request: Request):
         body = request.body
         meta = {k: v for k, v in body.items() if k not in ("node_id", "host", "port")}
-        self._watch(self.detector.beat(
-            int(body["node_id"]), body["host"], int(body["port"]), meta
-        ))
+        self.detector.beat(int(body["node_id"]), body["host"], int(body["port"]), meta)
         return {"nodes": len(self.detector.nodes)}, None
 
     async def _rpc_status(self, request: Request):
@@ -821,7 +689,9 @@ class Coordinator:
 
     async def _rpc_object_delete(self, request: Request):
         name = request.body["name"]
-        info = self.objects.get(name)
+        # Out of the catalog before any daemon is asked: the object is
+        # gone even when a holder cannot drop its blocks.
+        info = self.objects.pop(name, None)
         if info is None:
             raise NotFound(f"no object {name!r}")
         by_node: dict[int, list[str]] = {}
@@ -830,17 +700,8 @@ class Coordinator:
             for bid, node in meta.placement.block_to_node.items():
                 if bid not in meta.missing:
                     by_node.setdefault(node, []).append(stored_block_key(sid, bid))
-        dropped = 0
-        for node, keys in by_node.items():
-            entry = self.detector.entry(node)
-            if entry is None or not entry.alive:
-                continue  # its blocks died with it
-            body, _ = await call(entry.host, entry.port, "block.delete", {"keys": keys})
-            dropped += body["dropped"]
-        for sid in info["stripe_ids"]:
             self.catalog.remove(sid)
-        del self.objects[name]
-        return {"name": name, "dropped": dropped}, None
+        return {"name": name, "dropped": await self._drop_blocks(by_node)}, None
 
     async def _rpc_object_list(self, request: Request):
         return {

@@ -59,6 +59,13 @@ a real loop that is the monotonic clock; under a virtual-time loop
 The detector, the token bucket and the link shaper used to take a
 clock of their own, and 22 call sites read the host clock directly.
 
+§2.3: one owner for liveness.  ``repro.store.heartbeat.FailureDetector``
+holds the watches, sends the probes and declares the deaths; the
+coordinator starts its loop and reacts in ``on_nodes_dead``, and names
+none of the watch's connect, the probe deadline, the per-node record
+or the evidence calls.  The coordinator used to keep half of that
+policy in two dicts beside the detector's own.
+
 §2.3: one in-process store cluster.  A ``Coordinator`` is built only by
 its own process entry point and by ``repro.store.LocalService``; tests,
 the QoS replay and the perf harness bring that cluster up instead of
@@ -1058,3 +1065,53 @@ def test_the_stream_guard_sees_what_it_guards():
         "    return await start_server(on_connect, host, port)\n"
     )
     assert calls_to(old_streams, STREAM_BUILDERS) == [2, 3, 4, 6]
+
+
+#: What only the failure detector uses: the watch's connect, the probe
+#: deadline, the per-node record and the evidence a probe or watch finds.
+LIVENESS_NAMES = {"connect_tcp", "PROBE_AFTER", "NodeEntry", "hangup", "answered", "refused"}
+
+
+def references(tree: ast.AST, names: set[str]) -> list[int]:
+    """Lines that name one of ``names``: as a name, an attribute, or an
+    import from a module."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names)
+    )
+
+
+def test_only_the_failure_detector_judges_liveness():
+    found = references(ast.parse((SRC / "store/coordinator.py").read_text()), LIVENESS_NAMES)
+    assert not found, (
+        "repro.store.coordinator watches, probes or judges liveness itself — "
+        "that is repro.store.heartbeat.FailureDetector's; the coordinator "
+        "only reacts in on_nodes_dead:\n"
+        + "\n".join(f"src/repro/store/coordinator.py:{line}" for line in found)
+    )
+
+
+def test_the_liveness_guard_sees_what_it_guards():
+    """Not vacuous: the detector uses every one of the names, and the
+    shapes of the coordinator's old watch, probe and imports are seen."""
+    heartbeat = ast.parse((SRC / "store/heartbeat.py").read_text())
+    assert all(references(heartbeat, {name}) for name in LIVENESS_NAMES)
+    old_coordinator = ast.parse(
+        "from ..live.transport import cancel_and_wait, connect_tcp\n"
+        "from .heartbeat import PROBE_AFTER, FailureDetector, NodeEntry\n"
+        "async def _hold_watch(self, node_id, host, port):\n"
+        "    stream = await connect_tcp(host, port, attempts=1)\n"
+        "    self.detector.hangup(node_id)\n"
+        "async def _ping(self, entry: NodeEntry):\n"
+        "    async with asyncio.timeout(PROBE_AFTER * self.detector.suspect_after):\n"
+        "        pass\n"
+        "def _settle(self, entry, answer):\n"
+        "    if answer == 'answered':\n"
+        "        self.detector.answered(entry.node_id)\n"
+        "    elif answer == 'refused':\n"
+        "        self.detector.refused(entry.node_id)\n"
+    )
+    assert references(old_coordinator, LIVENESS_NAMES) == [1, 2, 4, 5, 6, 7, 11, 13]

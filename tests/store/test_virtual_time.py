@@ -10,10 +10,13 @@ replays exactly.  A killed daemon drops the coordinator's watch on its
 port at once, so the kill is a suspect within one sweep; what silence
 alone can prove is tested here too, with the hangup taken away, and so
 are repair windows: one ``repair.exec`` per daemon per window, and a
-stripe that fails without failing the rest of its window.
+stripe that fails without failing the rest of its window.  So are a
+delete while a holder is dead but not yet declared so, and two daemons
+killed at once, whose two-block stripes are rebuilt.
 """
 
 import asyncio
+import functools
 import math
 import random
 
@@ -23,10 +26,11 @@ from repro.cluster import SIMICS_BANDWIDTH
 from repro.live.transport import connect_tcp
 from repro.repair import simulate_repair
 from repro.store import (
-    DEFAULT_INTERVAL, PROBE_AFTER, LocalService, StorageDaemon, plan_seed_blocks,
+    DEFAULT_INTERVAL, PROBE_AFTER, LocalService, NotFound, StorageDaemon, plan_seed_blocks,
     stored_block_key,
 )
 from repro.store import coordinator as coordinator_module
+from repro.store import heartbeat as heartbeat_module
 from repro.store.coordinator import REPAIR_WINDOW
 
 from ..vtime import VirtualTimeLoop
@@ -216,7 +220,7 @@ class TestHangup:
             watches.setdefault(port, []).append(stream)
             return stream
 
-        monkeypatch.setattr(coordinator_module, "connect_tcp", recording)
+        monkeypatch.setattr(heartbeat_module, "connect_tcp", recording)
         loop = VirtualTimeLoop()
 
         async def _run():
@@ -521,3 +525,80 @@ class TestRepairWindows:
 
         dead_holders = loop.run(_run())
         assert dead_holders == {sid: [] for sid in dead_holders}
+
+
+class TestDeleteWithAnUndeclaredDeath:
+    """``object.delete`` while a holder is dead but not yet declared so."""
+
+    @pytest.mark.parametrize("victim", [1, 2, 3, 4])
+    def test_the_object_is_gone_and_every_survivor_dropped_its_blocks(self, victim):
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            async with LocalService(sweep_interval=1e9) as svc:
+                await put_objects(svc)
+                coordinator = svc.coordinator
+                (sid,) = coordinator.objects["o0"]["stripe_ids"]
+                placement = coordinator.stripes[sid].placement.block_to_node
+                assert victim in placement.values()
+                keys = {stored_block_key(sid, bid) for bid in placement}
+                await svc.kill(victim)
+                reply = await svc.client.delete("o0")
+                listed = [o["name"] for o in await svc.client.list_objects()]
+                held = {nid: sorted(keys & set(d.blocks)) for nid, d in svc.daemons.items()}
+                with pytest.raises(NotFound, match="no object"):
+                    await svc.client.get("o0")
+                return reply, listed, held, len(placement)
+
+        reply, listed, held, width = loop.run(_run())
+        assert "o0" not in listed and len(listed) == OBJECTS - 1
+        assert held == {nid: [] for nid in held}
+        assert reply["dropped"] == width - 1
+
+
+@functools.cache
+def two_deaths(scheme: str) -> tuple[dict[str, int], list[dict], list[int], bool]:
+    """24 one-stripe objects on 3 × 4 RS(6,3), nodes 0 and 5 killed at
+    once; returns (detection counters, repair records, the stripes that
+    lost two blocks, whether every object read back byte-identical)."""
+    loop = VirtualTimeLoop()
+
+    async def _run():
+        async with LocalService(
+            racks=3, per_rack=4, n=6, k=3, scheme=scheme, suspect_after=SUSPECT_AFTER,
+            sweep_interval=SWEEP, heartbeat=DEFAULT_INTERVAL,
+        ) as svc:
+            objects = await put_objects(svc, 24)
+            first, second = held_by(svc, 0), held_by(svc, 5)
+            both = sorted(set(first) & set(second))
+            await svc.kill(0)
+            await svc.kill(5)
+            status = await svc.client.wait_healthy(
+                timeout=30.0, min_repairs=len(set(first) | set(second))
+            )
+            intact = all([await svc.client.get(name) == data for name, data in objects.items()])
+            return detection(svc), status["repairs"], both, intact
+
+    return loop.run(_run())
+
+
+def two_block_cross_rack_bytes(scheme: str) -> int:
+    _, records, both, _ = two_deaths(scheme)
+    return sum(r["measured"]["cross_rack_bytes"] for r in records if r["sid"] in both)
+
+
+class TestTwoDeathsAtOnce:
+    """Two daemons killed together are declared dead in one sweep, and
+    every stripe that lost two blocks is rebuilt in one repair."""
+
+    @pytest.mark.parametrize("scheme", ["traditional", "rpr"])
+    def test_two_block_stripes_are_repaired_byte_exact(self, scheme):
+        counters, records, both, intact = two_deaths(scheme)
+        assert counters["deaths_refused"] == 2 and counters["deaths_silent"] == 0
+        assert intact
+        assert all(r["ledger_match"] for r in records)
+        assert len(both) == 12
+        assert sorted(r["sid"] for r in records if len(r["failed_blocks"]) == 2) == both
+
+    def test_rpr_moves_fewer_cross_rack_bytes_than_traditional(self):
+        assert two_block_cross_rack_bytes("rpr") < two_block_cross_rack_bytes("traditional")
