@@ -36,7 +36,7 @@ from ..perfharness import REPORT_SUITES
 from ..repair import SCHEMES
 from .common import UsageError, to_json
 
-__all__ = ["EXTENSIONS", "FIGURES", "VERBS", "Verb", "build_parser", "main", "report_verbs"]
+__all__ = ["EXTENSIONS", "FIGURES", "VERBS", "Verb", "build_parser", "main"]
 
 #: figure number -> text columns of ``repro.experiments.figure<N>_rows``
 FIGURES = {
@@ -290,16 +290,6 @@ VERBS = (
             help="where to write " + " / ".join(name for name, _ in REPORT_SUITES)),
     )),
 )
-
-
-def report_verbs(verbs=VERBS, prefix="") -> list[str]:
-    """Every verb that takes ``--json``, as its command-line words."""
-    found = []
-    for verb in verbs:
-        if verb.report:
-            found.append(prefix + verb.name)
-        found += report_verbs(verb.sub, f"{prefix}{verb.name} ")
-    return found
 
 
 def _add_verb(subparsers, verb: Verb, prefix: str = "") -> None:

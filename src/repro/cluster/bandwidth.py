@@ -56,10 +56,6 @@ class BandwidthModel:
         """
         return 0.0
 
-    def intra_cross_ratio(self, cluster: Cluster) -> float:
-        """Representative intra/cross rate ratio (analysis convenience)."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class HierarchicalBandwidth(BandwidthModel):
@@ -106,9 +102,6 @@ class HierarchicalBandwidth(BandwidthModel):
             if cluster.same_rack(src, dst)
             else self.cross_latency
         )
-
-    def intra_cross_ratio(self, cluster: Cluster) -> float:
-        return self.intra / self.cross
 
 
 @dataclass(frozen=True)
@@ -160,14 +153,6 @@ class MatrixBandwidth(BandwidthModel):
         if self.pair_latency is None:
             return 0.0
         return self.pair_latency.get(key, 0.0)
-
-    def intra_cross_ratio(self, cluster: Cluster) -> float:
-        intra = [v for (a, b), v in self.pair_rate.items() if a == b]
-        cross = [v for (a, b), v in self.pair_rate.items() if a != b]
-        if not intra or not cross:
-            raise ValueError("matrix lacks intra or cross entries")
-        return (sum(intra) / len(intra)) / (sum(cross) / len(cross))
-
 
 #: The Simics testbed model (§5.1): node NICs at 1 Gb/s are treated as the
 #: intra-rack rate; wondershaper caps cross-rack pairs at 0.1 Gb/s.

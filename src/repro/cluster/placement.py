@@ -91,22 +91,10 @@ class Placement:
     def racks_used(self, cluster: Cluster) -> list[int]:
         return sorted({cluster.rack_of(node) for node in self.block_to_node.values()})
 
-    def rack_histogram(self, cluster: Cluster) -> dict[int, int]:
-        """Blocks per rack — used to check fault-tolerance invariants."""
-        hist: dict[int, int] = {}
-        for node in self.block_to_node.values():
-            rack = cluster.rack_of(node)
-            hist[rack] = hist.get(rack, 0) + 1
-        return hist
-
     def spare_nodes_in_rack(self, cluster: Cluster, rack_id: int) -> list[int]:
         """Nodes in ``rack_id`` not holding any block of this stripe."""
         used = set(self.block_to_node.values())
         return [nid for nid in cluster.nodes_in_rack(rack_id) if nid not in used]
-
-    def single_rack_fault_tolerant(self, cluster: Cluster) -> bool:
-        """True when losing any one rack loses at most ``k`` blocks (§2.3)."""
-        return all(count <= self.k for count in self.rack_histogram(cluster).values())
 
     def group_of_blocks(self, cluster: Cluster) -> dict[int, int]:
         """block id -> rack id, the grouping partial decoding slices by."""

@@ -113,10 +113,6 @@ class BufferPool:
             self._free.clear()
             self._retained = 0
 
-    @property
-    def retained_bytes(self) -> int:
-        return self._retained
-
     def stats(self) -> dict:
         """Hit/miss/eviction counters and retained byte total."""
         return {

@@ -125,10 +125,6 @@ class TableCache:
             self._entries.clear()
             self._retained = 0
 
-    @property
-    def retained_bytes(self) -> int:
-        return self._retained
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -514,10 +514,10 @@ class TcpTransport:
     """Localhost TCP: one ``asyncio`` server per node.
 
     Every node binds port 0 — the kernel picks a free ephemeral port —
-    and the chosen port is recorded in the transport's node registry
-    (:meth:`port_of`), never assumed.  Binding a remembered port would
-    race back-to-back runs: the old server's socket can linger in
-    TIME_WAIT while the next run tries to claim the same number.
+    and the chosen port is recorded in the transport's node registry,
+    never assumed.  Binding a remembered port would race back-to-back
+    runs: the old server's socket can linger in TIME_WAIT while the next
+    run tries to claim the same number.
     """
 
     name = "tcp"
@@ -538,10 +538,6 @@ class TcpTransport:
             server = await serve_tcp(functools.partial(handler, node_id), self.host)
             self._servers[node_id] = server
             self._ports[node_id] = server.sockets[0].getsockname()[1]
-
-    def port_of(self, node_id: int) -> int:
-        """The ephemeral port node ``node_id`` listens on (after start)."""
-        return self._ports[node_id]
 
     async def connect(self, src: int, dst: int) -> Stream:
         return await connect_tcp(self.host, self._ports[dst], attempts=3)

@@ -44,7 +44,7 @@ class LRCCode:
 
     The public surface mirrors :class:`repro.rs.RSCode` where the
     concepts coincide (``n``, ``k = l + g``, ``width``, ``generator``,
-    ``encode``, ``verify_stripe``), so cluster/placement machinery works
+    ``encode``, ``encode_stripe``), so cluster/placement machinery works
     unchanged.
     """
 
@@ -136,13 +136,3 @@ class LRCCode:
         for bid, payload in enumerate(blocks):
             stripe.set_payload(bid, payload)
         return stripe
-
-    def verify_stripe(self, stripe: Stripe) -> bool:
-        if stripe.n != self.n or stripe.k != self.k:
-            raise ValueError("stripe shape does not match code")
-        data = [stripe.get_payload(i) for i in range(self.n)]
-        expected = self.encode(data)
-        return all(
-            np.array_equal(expected[bid], stripe.get_payload(bid))
-            for bid in range(self.width)
-        )

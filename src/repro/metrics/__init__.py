@@ -5,14 +5,13 @@ from .faults import FaultRollup
 from .loadbalance import coefficient_of_variation, imbalance_summary, max_mean_ratio
 from .repairtime import percent_reduction
 from .traffic import TrafficLedger, ledger_from_reports
-from .utilization import UtilizationSummary, critical_path_breakdown
+from .utilization import UtilizationSummary
 
 __all__ = [
     "FaultRollup",
     "TrafficLedger",
     "UtilizationSummary",
     "coefficient_of_variation",
-    "critical_path_breakdown",
     "imbalance_summary",
     "ledger_from_reports",
     "max_mean_ratio",

@@ -91,10 +91,6 @@ class TrafficLedger:
             "cross_uploaded_by_rack": _str_keys(self.cross_uploaded_by_rack),
         }
 
-    @property
-    def total_bytes(self) -> int:
-        return self.cross_rack_bytes + self.intra_rack_bytes
-
     def cross_rack_blocks(self, block_size: int) -> float:
         """Cross-rack volume in block units (the paper's Fig. 7/10 axis)."""
         if block_size < 1:

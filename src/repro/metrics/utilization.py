@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ..telemetry import RunTrace
 
-__all__ = ["UtilizationSummary", "critical_path_breakdown"]
+__all__ = ["UtilizationSummary"]
 
 
 @dataclass(frozen=True)
@@ -69,20 +69,3 @@ class UtilizationSummary:
             peak_resource=trace.busiest().label,
             rack_upload_idle=trace.rack_idle_fraction("up"),
         )
-
-
-def critical_path_breakdown(trace: RunTrace) -> dict[str, float]:
-    """Percentage attribution of the makespan along the critical path.
-
-    Returns the :meth:`RunTrace.path_attribution` seconds plus
-    ``*_pct`` shares of the makespan for each category — the numbers a
-    figure caption can quote ("61 % of RPR's repair time is cross-rack
-    transfer on the critical path").
-    """
-    attribution = trace.path_attribution()
-    span = attribution["makespan_s"]
-    out = dict(attribution)
-    for key in ("cross_transfer_s", "intra_transfer_s", "compute_s", "wait_s"):
-        share = 100.0 * attribution[key] / span if span > 0 else 0.0
-        out[key.replace("_s", "_pct")] = share
-    return out

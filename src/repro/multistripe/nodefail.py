@@ -35,10 +35,6 @@ class NodeFailure:
     failed_node: int
     lost: tuple[tuple[int, int], ...]  # (stripe_id, block_id)
 
-    @property
-    def stripes_affected(self) -> int:
-        return len(self.lost)
-
 
 def pick_replacement_node(store: StripeStore, failed_node: int) -> int:
     """A same-rack node holding no surviving block of any affected stripe.

@@ -232,11 +232,3 @@ class StripeStore:
             if block is not None:
                 found.append((stored.stripe_id, block))
         return found
-
-    def blocks_per_node(self) -> dict[int, int]:
-        """Block count per node — layout balance check."""
-        counts = {nid: 0 for nid in self.cluster.node_ids()}
-        for stored in self:
-            for node in stored.placement.block_to_node.values():
-                counts[node] += 1
-        return counts

@@ -50,10 +50,6 @@ class DurabilityResult:
     max_lifetime: float
     repair_sets_evaluated: int
 
-    @property
-    def mttdl_years(self) -> float:
-        return self.mttdl_seconds / (365.25 * 24 * 3600)
-
 
 def simulate_stripe_lifetimes(
     env: ExperimentEnv,

@@ -47,7 +47,7 @@ from .faults import (
     simulate_fault_scenario,
 )
 from .plan import CombineOp, OpSlice, PlanError, RepairPlan, SendOp, block_key
-from .planstats import PlanStats, critical_path_hops
+from .planstats import critical_path_hops
 from .rpr import RPRScheme
 from .selection import (
     first_n_helpers,
@@ -77,7 +77,6 @@ __all__ = [
     "OpSlice",
     "RepairSnapshot",
     "PlanError",
-    "PlanStats",
     "RPRScheme",
     "RepairContext",
     "RepairOutcome",

@@ -1,68 +1,16 @@
-"""Plan introspection: structural statistics of a repair plan.
+"""Plan structure: the dependency-chain depths of a repair plan.
 
-Answers "what would this plan do?" without executing or simulating it —
-useful for tests that assert scheme *shape* (hop counts, decode counts),
-for the CLI's verbose output, and for quickly comparing planner variants.
+The §4.1 timestep analysis counts chained transfers; this reads them off
+a plan without executing or simulating it.  Tests hold the simulator to
+the bound (a chained cross-rack transfer costs at least one ``t_c``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..cluster import Cluster
 from .plan import RepairPlan
 
-__all__ = ["PlanStats", "critical_path_hops"]
-
-
-@dataclass(frozen=True)
-class PlanStats:
-    """Counts and structural measures of one plan.
-
-    Attributes
-    ----------
-    sends / intra_sends / cross_sends:
-        Transfer op counts, split by rack relationship.
-    combines / matrix_builds:
-        Decode op counts and how many pay the matrix-build surcharge.
-    cross_bytes / intra_bytes:
-        Volume implied by the sends at the plan's block size.
-    critical_path_ops / critical_path_cross:
-        Two independent structural maxima: the longest dependency chain
-        (in ops), and the largest number of *chained* cross-rack
-        transfers anywhere in the DAG — the paper's "cross-rack
-        timesteps" as a structural lower bound (port contention can only
-        stretch it; e.g. CAR's three parallel-by-structure cross sends
-        show depth 1 here but serialise to 3 timesteps on the recovery
-        port).
-    """
-
-    sends: int
-    intra_sends: int
-    cross_sends: int
-    combines: int
-    matrix_builds: int
-    cross_bytes: float
-    intra_bytes: float
-    critical_path_ops: int
-    critical_path_cross: int
-
-    @classmethod
-    def from_plan(cls, plan: RepairPlan, cluster: Cluster) -> "PlanStats":
-        traffic = plan.traffic(cluster)
-        combines = plan.combines()
-        ops_depth, cross_depth = critical_path_hops(plan, cluster)
-        return cls(
-            sends=traffic.sends,
-            intra_sends=traffic.intra_rack_bytes // plan.block_size,
-            cross_sends=traffic.cross_rack_bytes // plan.block_size,
-            combines=len(combines),
-            matrix_builds=sum(op.with_matrix_build for op in combines),
-            cross_bytes=traffic.cross_rack_bytes,
-            intra_bytes=traffic.intra_rack_bytes,
-            critical_path_ops=ops_depth,
-            critical_path_cross=cross_depth,
-        )
+__all__ = ["critical_path_hops"]
 
 
 def critical_path_hops(plan: RepairPlan, cluster: Cluster) -> tuple[int, int]:

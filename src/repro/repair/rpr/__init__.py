@@ -8,8 +8,6 @@ Submodules map to the paper's techniques:
   (Algorithm 4, *Cross-multi*): the greedy binomial pipeline of rack
   intermediates onto the recovery node — and the slice-pipelined chain
   the planner weighs against it when it knows the links.
-* :mod:`.preplacement` — §3.3 helpers (the placement policy itself is
-  :class:`repro.cluster.RPRPlacement`).
 * :mod:`.scheme` — the :class:`RPRScheme` planner tying them together.
 """
 
@@ -21,11 +19,6 @@ from .cross import (
     chain_slices,
 )
 from .inner import InnerResult, build_inner_trees
-from .preplacement import (
-    matrix_build_free_probability,
-    p0_rack_is_all_data,
-    xor_fast_path_applicable,
-)
 from .scheme import RPRScheme
 
 __all__ = [
@@ -37,7 +30,4 @@ __all__ = [
     "build_direct_gather",
     "build_inner_trees",
     "chain_slices",
-    "matrix_build_free_probability",
-    "p0_rack_is_all_data",
-    "xor_fast_path_applicable",
 ]

@@ -18,10 +18,9 @@ from .decode import (
     RecoveryEquation,
     decode_blocks,
     recovery_equations,
-    xor_recovery_equation,
 )
-from .partial import PartialSlice, combine_intermediates, slice_equation_by_group
-from .stripe import BlockKind, Stripe, block_kind, parity_index
+from .partial import PartialSlice, slice_equation_by_group
+from .stripe import BlockKind, Stripe, block_kind
 
 __all__ = [
     "BlockKind",
@@ -38,11 +37,8 @@ __all__ = [
     "SIMICS_DECODE",
     "Stripe",
     "block_kind",
-    "combine_intermediates",
     "decode_blocks",
     "get_code",
-    "parity_index",
     "recovery_equations",
     "slice_equation_by_group",
-    "xor_recovery_equation",
 ]

@@ -87,10 +87,6 @@ class RSCode:
         """Extra storage as a fraction of original data, ``k / n``."""
         return self.k / self.n
 
-    def coding_matrix(self) -> np.ndarray:
-        """The ``k x n`` coding sub-matrix (bottom rows of the generator)."""
-        return self.generator[self.n :]
-
     def generator_row(self, block_id: int) -> np.ndarray:
         """Row of the generator expressing ``block_id`` over the data blocks."""
         if not 0 <= block_id < self.width:
@@ -247,17 +243,6 @@ class RSCode:
         for bid, payload in enumerate(blocks):
             stripe.set_payload(bid, payload)
         return stripe
-
-    def verify_stripe(self, stripe: Stripe) -> bool:
-        """Check that a fully-populated stripe is a valid codeword."""
-        if stripe.n != self.n or stripe.k != self.k:
-            raise ValueError("stripe shape does not match code")
-        data = [stripe.get_payload(i) for i in range(self.n)]
-        expected = self.encode(data)
-        return all(
-            np.array_equal(expected[bid], stripe.get_payload(bid))
-            for bid in range(self.width)
-        )
 
 
 @lru_cache(maxsize=64)

@@ -24,7 +24,6 @@ from .code import RSCode
 __all__ = [
     "RecoveryEquation",
     "InsufficientHelpersError",
-    "xor_recovery_equation",
     "recovery_equations",
     "decode_blocks",
 ]
@@ -72,26 +71,6 @@ class RecoveryEquation:
         """True when every coefficient is 1 — pure-XOR reconstruction."""
         return all(c == 1 for _, c in self.terms)
 
-    def coefficient(self, helper_id: int) -> int:
-        for h, c in self.terms:
-            if h == helper_id:
-                return c
-        return 0
-
-    def restricted_to(self, helper_subset) -> "RecoveryEquation":
-        """Sub-equation over only the helpers in ``helper_subset``.
-
-        Used by partial decoding to slice one recovery equation into
-        per-rack pieces; the restriction keeps ``requires_matrix_build``
-        because the *coefficients* came from the same derivation.
-        """
-        subset = set(helper_subset)
-        return RecoveryEquation(
-            target=self.target,
-            terms=tuple((h, c) for h, c in self.terms if h in subset),
-            requires_matrix_build=self.requires_matrix_build,
-        )
-
 
 def _equation_from_row(
     target: int, helper_ids, row: np.ndarray, requires_matrix_build: bool
@@ -103,33 +82,6 @@ def _equation_from_row(
     )
     return RecoveryEquation(
         target=target, terms=terms, requires_matrix_build=requires_matrix_build
-    )
-
-
-def xor_recovery_equation(code: RSCode, failed_data_id: int) -> RecoveryEquation:
-    """The eq. (6) fast path: repair one data block via P0 with XOR only.
-
-    ``D_f = D_0 ^ ... ^ D_{f-1} ^ D_{f+1} ^ ... ^ D_{n-1} ^ P_0``.
-
-    Valid because the generator's first coding row is all ones.  No decoding
-    matrix is built, so ``requires_matrix_build`` is False — the whole point
-    of the §3.3 pre-placement.
-
-    Raises
-    ------
-    ValueError
-        If ``failed_data_id`` is not a data block or the code has no parity.
-    """
-    if not 0 <= failed_data_id < code.n:
-        raise ValueError(
-            f"XOR fast path only repairs data blocks; {failed_data_id} is not one"
-        )
-    if code.k < 1:
-        raise ValueError("code has no parity; nothing can be repaired")
-    helpers = [i for i in range(code.n) if i != failed_data_id] + [code.n]
-    terms = tuple((h, 1) for h in sorted(helpers))
-    return RecoveryEquation(
-        target=failed_data_id, terms=terms, requires_matrix_build=False
     )
 
 

@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
-from ..gf import linear_combine
 from .decode import RecoveryEquation
 
-__all__ = ["PartialSlice", "slice_equation_by_group", "combine_intermediates"]
+__all__ = ["PartialSlice", "slice_equation_by_group"]
 
 
 @dataclass(frozen=True)
@@ -41,12 +38,6 @@ class PartialSlice:
     def is_xor_only(self) -> bool:
         return all(c == 1 for _, c in self.terms)
 
-    def materialise(self, payloads: Mapping[int, np.ndarray]) -> np.ndarray:
-        """Compute the intermediate block from concrete helper payloads."""
-        coeffs = [c for _, c in self.terms]
-        blocks = [payloads[h] for h, _ in self.terms]
-        return linear_combine(coeffs, blocks)
-
 
 def slice_equation_by_group(
     equation: RecoveryEquation, group_of: Mapping[int, object]
@@ -63,8 +54,8 @@ def slice_equation_by_group(
     Returns
     -------
     dict mapping group key to that group's :class:`PartialSlice`.  Groups
-    contributing no helper do not appear.  The XOR of all slices'
-    materialised blocks equals the equation's target block.
+    contributing no helper do not appear.  The XOR of the slices'
+    intermediate blocks equals the equation's target block.
 
     Raises
     ------
@@ -79,16 +70,3 @@ def slice_equation_by_group(
         group: PartialSlice(target=equation.target, group=group, terms=tuple(terms))
         for group, terms in by_group.items()
     }
-
-
-def combine_intermediates(intermediates) -> np.ndarray:
-    """XOR intermediate blocks into the reconstructed target block.
-
-    The final step of eq. (4)/(9): ``I_0 ^ I_1 ^ ... = d_f``.  Coefficients
-    were already applied when the intermediates were materialised, so this
-    is a pure XOR reduction.
-    """
-    intermediates = list(intermediates)
-    if not intermediates:
-        raise ValueError("need at least one intermediate block")
-    return linear_combine([1] * len(intermediates), intermediates)

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-__all__ = ["BlockKind", "block_kind", "parity_index", "Stripe"]
+__all__ = ["BlockKind", "block_kind", "Stripe"]
 
 
 class BlockKind:
@@ -28,19 +28,6 @@ def block_kind(block_id: int, n: int) -> str:
     if block_id < 0:
         raise ValueError(f"negative block id {block_id}")
     return BlockKind.DATA if block_id < n else BlockKind.PARITY
-
-
-def parity_index(block_id: int, n: int) -> int:
-    """Return ``j`` such that ``block_id`` is parity ``P_j``.
-
-    Raises
-    ------
-    ValueError
-        If ``block_id`` names a data block.
-    """
-    if block_id < n:
-        raise ValueError(f"block {block_id} is a data block, not a parity")
-    return block_id - n
 
 
 @dataclass
@@ -89,12 +76,6 @@ class Stripe:
         """All block ids in the stripe, data first then parity."""
         return iter(range(self.width))
 
-    def data_ids(self) -> list[int]:
-        return list(range(self.n))
-
-    def parity_ids(self) -> list[int]:
-        return list(range(self.n, self.width))
-
     def kind(self, block_id: int) -> str:
         self._check_id(block_id)
         return block_kind(block_id, self.n)
@@ -112,14 +93,6 @@ class Stripe:
             return self.payloads[block_id]
         except KeyError:
             raise KeyError(f"block {block_id} has no payload attached") from None
-
-    def drop_payload(self, block_id: int) -> None:
-        """Simulate losing a block's bytes (the failure event)."""
-        self._check_id(block_id)
-        self.payloads.pop(block_id, None)
-
-    def has_payload(self, block_id: int) -> bool:
-        return block_id in self.payloads
 
     # -- validation --------------------------------------------------------
 

@@ -385,8 +385,11 @@ class StoreClient:
         and didn't is a test failure, not something to wait out forever.
         Fails *fast* (no timeout wait) with :class:`Unrecoverable` when
         the coordinator reports a repair error of that kind — too many
-        losses or no live spares are planning-level verdicts that more
-        polling cannot change.
+        losses, no live spares or a loss the scheme cannot repair (CAR
+        repairs one block per stripe) are planning-level verdicts that
+        more polling cannot change.  The verdict quotes each stripe's
+        error, which names the cause, and claims no data loss of its own:
+        a stripe beyond the scheme's limit still reads degraded.
         """
         loop = asyncio.get_event_loop()
         deadline = loop.time() + timeout
@@ -398,8 +401,7 @@ class StoreClient:
                     f"stripe {e['sid']}: {e['error']}" for e in fatal
                 )
                 raise Unrecoverable(
-                    f"service cannot self-heal ({details}); waiting will not "
-                    f"fix it — restore nodes or accept data loss"
+                    f"service cannot self-heal ({details}); waiting will not fix it"
                 )
             healthy = (
                 not status["degraded"]

@@ -329,9 +329,6 @@ class FailureDetector:
     def alive_ids(self) -> set[int]:
         return {nid for nid, e in self.nodes.items() if e.alive}
 
-    def dead_ids(self) -> set[int]:
-        return {nid for nid, e in self.nodes.items() if not e.alive}
-
     def entry(self, node_id: int) -> NodeEntry | None:
         return self.nodes.get(node_id)
 

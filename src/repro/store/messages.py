@@ -151,7 +151,9 @@ class Unavailable(StoreError):
 
 
 class Unrecoverable(StoreError):
-    """Too much is lost for any wait or repair to bring the bytes back."""
+    """No wait or retry can help: too much is lost to bring the bytes
+    back, or the repair cannot be planned (no live spare, or a loss the
+    scheme does not repair)."""
 
     kind = "unrecoverable"
 

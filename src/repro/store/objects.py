@@ -24,11 +24,6 @@ class ObjectInfo:
     block_size: int
     n: int
 
-    @property
-    def stripe_capacity(self) -> int:
-        """User bytes per stripe."""
-        return self.n * self.block_size
-
 
 def stripe_count(size: int, n: int, block_size: int) -> int:
     """Stripes a ``size``-byte object spans (at least one)."""

@@ -88,18 +88,6 @@ class LogHistogram:
         idx = self.bucket_index(value)
         self.buckets[idx] = self.buckets.get(idx, 0) + 1
 
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold another histogram in (bucket schemes must match)."""
-        if (other.base, other.origin) != (self.base, self.origin):
-            raise ValueError(
-                f"bucket scheme mismatch: ({self.base}, {self.origin}) vs "
-                f"({other.base}, {other.origin})"
-            )
-        self.count += other.count
-        self.sum += other.sum
-        for idx, n in other.buckets.items():
-            self.buckets[idx] = self.buckets.get(idx, 0) + n
-
     def quantile(self, q: float) -> float:
         """Upper-bound estimate of the ``q``-quantile (0 when empty).
 

@@ -18,11 +18,9 @@ recorded:
   for as long as it lives, so the recorder's memory is the counters plus
   whatever gauge/histogram samples await the next snapshot, and
   :meth:`trace` reads the file back;
-* the file is opened in append mode, so external rotation (rename the
-  file away; the next open recreates it) never loses a record, and
+* the file is opened in append mode, and
   :func:`~repro.telemetry.export.from_jsonl` accepts the resulting
-  stream — including a repeated header after :meth:`reopen` — exactly
-  like a one-shot dump.
+  stream exactly like a one-shot dump.
 
 """
 
@@ -122,13 +120,6 @@ class StreamingRecorder(TelemetryRecorder):
         self.flush_metrics()
         self._fh.close()
 
-    def reopen(self) -> None:
-        """Re-open after external rotation; re-emits the header line."""
-        if not self._fh.closed:
-            self._fh.close()
-        self._fh = open(self.path, "a", buffering=1, encoding="utf-8")
-        self._header_written = False
-
     # -- recording (written, not kept) --------------------------------
 
     def span(self, name, start, end, **kwargs) -> None:
@@ -142,8 +133,7 @@ class StreamingRecorder(TelemetryRecorder):
         self._maybe_flush_metrics()
 
     def trace(self) -> TelemetryTrace:
-        """Everything recorded so far, read back from the file (after a
-        :meth:`reopen`: everything since the rotation)."""
+        """Everything recorded so far, read back from the file."""
         self.flush_metrics()
         if not self._header_written:
             return super().trace()

@@ -440,58 +440,6 @@ class RunTrace:
             "makespan_s": self.makespan,
         }
 
-    # -- switch profiles -------------------------------------------------
-
-    def switch_profile(self, buckets: int = 32) -> dict:
-        """Time-bucketed byte profiles for the aggregation and TOR switches.
-
-        Each transfer contributes its bytes uniformly over its duration
-        (the engine's constant-rate model).  Cross-rack transfers load
-        the aggregation switch and *both* endpoint TORs; intra-rack
-        transfers load only their rack's TOR.
-        """
-        if buckets < 1:
-            raise ValueError("buckets must be >= 1")
-        width = self.makespan / buckets if self.makespan > 0 else 0.0
-        agg = [0.0] * buckets
-        tor: dict[int, list[float]] = {}
-
-        def deposit(series: list[float], start: float, end: float, nbytes: float):
-            if end <= start or width == 0.0:
-                return
-            rate = nbytes / (end - start)
-            first = min(buckets - 1, int(start / width))
-            last = min(buckets - 1, int(end / width))
-            for b in range(first, last + 1):
-                lo = max(start, b * width)
-                hi = min(end, (b + 1) * width)
-                if hi > lo:
-                    series[b] += rate * (hi - lo)
-
-        down_rack = {
-            iv.job_id: r.rack
-            for r in self.resources
-            if r.kind == "down"
-            for iv in r.intervals
-        }
-        for res in self.resources:
-            if res.kind != "up":
-                continue
-            for iv in res.intervals:
-                src_rack = res.rack
-                dst_rack = down_rack.get(iv.job_id, src_rack)
-                tor.setdefault(src_rack, [0.0] * buckets)
-                deposit(tor[src_rack], iv.start, iv.end, iv.nbytes)
-                if dst_rack != src_rack:
-                    tor.setdefault(dst_rack, [0.0] * buckets)
-                    deposit(tor[dst_rack], iv.start, iv.end, iv.nbytes)
-                    deposit(agg, iv.start, iv.end, iv.nbytes)
-        return {
-            "bucket_seconds": width,
-            "aggregation_bytes": agg,
-            "tor_bytes": {rack: series for rack, series in sorted(tor.items())},
-        }
-
     # -- export ----------------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -1,6 +1,6 @@
 """Failure scenarios and synthetic data generation."""
 
-from .datagen import encoded_stripe, encoded_stripes, patterned_blocks, random_blocks
+from .datagen import encoded_stripe, patterned_blocks, random_blocks
 from .traces import (
     DAY,
     YEAR,
@@ -17,7 +17,6 @@ from .failures import (
     scenario_count,
     single_failure_scenarios,
     validate_scenario,
-    worst_case_scenarios,
 )
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "FailureEvent",
     "FailureScenario",
     "encoded_stripe",
-    "encoded_stripes",
     "multi_failure_scenarios",
     "patterned_blocks",
     "random_blocks",
@@ -34,7 +32,6 @@ __all__ = [
     "single_failure_scenarios",
     "validate_scenario",
     "poisson_node_failures",
-    "worst_case_scenarios",
     "RequestEvent",
     "zipf_object_trace",
     "zipf_weights",

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..rs import RSCode, Stripe
 
-__all__ = ["random_blocks", "patterned_blocks", "encoded_stripe", "encoded_stripes"]
+__all__ = ["random_blocks", "patterned_blocks", "encoded_stripe"]
 
 
 def random_blocks(n: int, block_size: int, seed: int = 0) -> list[np.ndarray]:
@@ -67,37 +67,3 @@ def encoded_stripe(
     else:
         data = patterned_blocks(code.n, block_size, pattern, seed)
     return code.encode_stripe(data)
-
-
-def encoded_stripes(
-    code: RSCode,
-    num_stripes: int,
-    block_size: int,
-    seed: int = 0,
-    pattern: str | None = None,
-) -> list[Stripe]:
-    """Generate and encode many stripes through one batched kernel pass.
-
-    Per-stripe data matches ``encoded_stripe(code, block_size, seed + s,
-    pattern)`` byte for byte; only the encode goes through
-    :meth:`repro.rs.code.RSCode.encode_many` instead of one
-    :meth:`~repro.rs.code.RSCode.encode` call per stripe.
-    """
-    if num_stripes < 1:
-        raise ValueError("need at least one stripe")
-    data = np.empty((num_stripes, code.n, block_size), dtype=np.uint8)
-    for s in range(num_stripes):
-        if pattern is None:
-            blocks = random_blocks(code.n, block_size, seed + s)
-        else:
-            blocks = patterned_blocks(code.n, block_size, pattern, seed + s)
-        for j, block in enumerate(blocks):
-            data[s, j] = block
-    encoded = code.encode_many(data)
-    stripes = []
-    for s in range(num_stripes):
-        stripe = Stripe(code.n, code.k, block_size)
-        for bid in range(code.width):
-            stripe.set_payload(bid, encoded[s, bid])
-        stripes.append(stripe)
-    return stripes

@@ -31,7 +31,6 @@ __all__ = [
     "FailureScenario",
     "single_failure_scenarios",
     "multi_failure_scenarios",
-    "worst_case_scenarios",
     "sample_scenarios",
     "scenario_count",
     "validate_scenario",
@@ -117,11 +116,6 @@ def multi_failure_scenarios(
         FailureScenario(tuple(combo))
         for combo in itertools.combinations(range(last), failures)
     ]
-
-
-def worst_case_scenarios(code: RSCode, data_only: bool = False) -> list[FailureScenario]:
-    """All ``k``-failure scenarios — the §4.3 worst case."""
-    return multi_failure_scenarios(code, code.k, data_only=data_only)
 
 
 def scenario_count(code: RSCode, failures: int, data_only: bool = False) -> int:

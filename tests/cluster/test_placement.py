@@ -1,5 +1,7 @@
 """Tests for stripe placement policies."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,16 @@ def cluster_for(n, k, spares=2):
     per_rack = max(k, 1)
     racks = -(-(n + k) // per_rack) + 1  # one extra rack
     return Cluster.homogeneous(racks, per_rack + spares)
+
+
+def rack_histogram(placement, cluster):
+    """Blocks per rack."""
+    return Counter(cluster.rack_of(node) for node in placement.block_to_node.values())
+
+
+def single_rack_fault_tolerant(placement, cluster):
+    """Losing any one rack loses at most ``k`` blocks (§2.3)."""
+    return all(count <= placement.k for count in rack_histogram(placement, cluster).values())
 
 
 class TestPlacementObject:
@@ -57,7 +69,7 @@ class TestFlatPlacement:
     def test_one_block_per_rack(self):
         c = Cluster.homogeneous(8, 2)
         p = FlatPlacement().place(c, 4, 2)
-        hist = p.rack_histogram(c)
+        hist = rack_histogram(p, c)
         assert all(v == 1 for v in hist.values())
         assert len(hist) == 6
 
@@ -72,7 +84,7 @@ class TestContiguousPlacement:
     def test_at_most_k_per_rack(self, n, k):
         c = cluster_for(n, k)
         p = ContiguousPlacement().place(c, n, k)
-        assert p.single_rack_fault_tolerant(c)
+        assert single_rack_fault_tolerant(p, c)
 
     def test_paper_fig3_layout(self):
         """(4,2) contiguous: r0={d0,d1}, r1={d2,d3}, r2={p0,p1}."""
@@ -85,7 +97,7 @@ class TestContiguousPlacement:
     def test_explicit_per_rack(self):
         c = Cluster.homogeneous(6, 3)
         p = ContiguousPlacement(per_rack=1).place(c, 4, 2)
-        assert all(v == 1 for v in p.rack_histogram(c).values())
+        assert all(v == 1 for v in rack_histogram(p, c).values())
 
     def test_per_rack_exceeding_k_rejected(self):
         c = Cluster.homogeneous(3, 8)
@@ -123,7 +135,7 @@ class TestRPRPlacement:
     def test_fault_tolerance_preserved(self, n, k):
         c = cluster_for(n, k)
         p = RPRPlacement().place(c, n, k)
-        assert p.single_rack_fault_tolerant(c)
+        assert single_rack_fault_tolerant(p, c)
 
     @pytest.mark.parametrize("n,k", PAPER_SINGLE_FAILURE_CODES)
     def test_same_rack_histogram_as_contiguous(self, n, k):
@@ -131,7 +143,7 @@ class TestRPRPlacement:
         c = cluster_for(n, k)
         contiguous = ContiguousPlacement().place(c, n, k)
         rpr = RPRPlacement().place(c, n, k)
-        assert rpr.rack_histogram(c) == contiguous.rack_histogram(c)
+        assert rack_histogram(rpr, c) == rack_histogram(contiguous, c)
 
     def test_fig4_style_swap(self):
         """(4,2): P0 moves beside d2; d3 joins p1."""
@@ -147,4 +159,4 @@ class TestRPRPlacement:
         c = cluster_for(n, k)
         p = RPRPlacement().place(c, n, k)
         assert p.width == n + k
-        assert p.single_rack_fault_tolerant(c)
+        assert single_rack_fault_tolerant(p, c)

@@ -25,6 +25,8 @@ from repro.repair import (
 from repro.sim import JobGraph, SimulationEngine
 from repro.workloads import encoded_stripe
 
+from ..cluster.test_placement import single_rack_fault_tolerant
+
 
 class TestTable1:
     def test_five_regions(self):
@@ -79,7 +81,7 @@ class TestEnvironment:
     def test_shapes(self):
         env = build_ec2_environment(8, 4)
         assert env.cluster.num_racks == 5
-        assert env.placement.single_rack_fault_tolerant(env.cluster)
+        assert single_rack_fault_tolerant(env.placement, env.cluster)
         assert env.block_size == 256_000_000
 
     def test_decode_model_is_t2micro(self):

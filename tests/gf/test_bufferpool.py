@@ -25,7 +25,7 @@ class TestHighWaterMark:
             size = int(rng.integers(1, cap))
             buf = pool.take(size)
             pool.give(buf)
-            assert pool.retained_bytes <= cap
+            assert pool.stats()["retained_bytes"] <= cap
         assert pool.evictions > 0
 
     def test_eviction_drops_largest_sizes_first(self):
@@ -34,26 +34,26 @@ class TestHighWaterMark:
         big = pool.take(80)
         pool.give(small)
         pool.give(big)
-        assert pool.retained_bytes == 90
+        assert pool.stats()["retained_bytes"] == 90
         # Returning another 80 would exceed the cap: the idle 80 goes
         # before the idle 10 does.
         pool.give(pool.take(80))
-        assert pool.retained_bytes == 90
+        assert pool.stats()["retained_bytes"] == 90
         pool.give(pool.take(15))
-        assert pool.retained_bytes <= 100
-        assert pool._free.get(10) is not None or pool.retained_bytes < 90
+        assert pool.stats()["retained_bytes"] <= 100
+        assert pool._free.get(10) is not None or pool.stats()["retained_bytes"] < 90
 
     def test_oversized_buffer_is_not_retained(self):
         pool = BufferPool(max_bytes=100)
         pool.give(pool.take(500))
-        assert pool.retained_bytes == 0
+        assert pool.stats()["retained_bytes"] == 0
 
     def test_uncapped_pool_still_honours_per_size_limit(self):
         pool = BufferPool(max_per_size=2, max_bytes=None)
         bufs = [pool.take(64) for _ in range(5)]
         for buf in bufs:
             pool.give(buf)
-        assert pool.retained_bytes == 128
+        assert pool.stats()["retained_bytes"] == 128
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -82,8 +82,8 @@ class TestHighWaterMark:
                     size = int(rng.integers(1, 16 * 1024))
                     buf = pool.take(size)
                     pool.give(buf)
-                    if pool.retained_bytes > cap:
-                        errors.append(pool.retained_bytes)
+                    if pool.stats()["retained_bytes"] > cap:
+                        errors.append(pool.stats()["retained_bytes"])
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -97,4 +97,4 @@ class TestHighWaterMark:
         expected = sum(
             size * len(stack) for size, stack in pool._free.items()
         )
-        assert pool.retained_bytes == expected <= cap
+        assert pool.stats()["retained_bytes"] == expected <= cap

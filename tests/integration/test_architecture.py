@@ -87,10 +87,21 @@ step of the CI workflow, and every ``benchmarks/….py`` path a document
 or a source file names exists.  Fourteen pytest-benchmark scripts that
 no CI step ran used to print ablation tables nobody checked, and the
 docs went on citing them.
+
+Every public name has a caller.  A public function, class or method
+under ``src/repro`` is read somewhere in ``src/``, ``benchmarks/`` or
+``examples/`` outside its own body — an ``__all__`` entry or an
+``__init__`` re-export does not count — or it has an
+``UNREACHED_NAMES`` entry saying why it stays: a paper equation or
+figure, a reference the tests compare against, or a name-based
+dispatch.  Thirty-eight names that only their own tests called used
+to ride along.
 """
 
 import ast
+import functools
 import re
+from fnmatch import fnmatch
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -1115,3 +1126,231 @@ def test_the_liveness_guard_sees_what_it_guards():
         "        self.detector.refused(entry.node_id)\n"
     )
     assert references(old_coordinator, LIVENESS_NAMES) == [1, 2, 4, 5, 6, 7, 11, 13]
+
+
+#: Where a public name of ``src/repro`` must have a caller: the package
+#: itself, the benchmarks (the frozen end-to-end one included) and the
+#: examples.  ``tests/`` does not count.
+CALLER_TOPS = ("src", "benchmarks", "examples")
+
+#: Public names that nothing under :data:`CALLER_TOPS` reaches, and why
+#: each stays.  A key is ``<path under src/repro>::<name>`` or
+#: ``…::<Class>.<method>``; ``fnmatch`` patterns are for names a table
+#: dispatches by.
+UNREACHED_NAMES = {
+    "cli/*.py::cmd_*": "name-based dispatch: repro.cli.table calls getattr(module, 'cmd_<verb>')",
+    "cli/*.py::text_*": "name-based dispatch: repro.cli.table calls getattr(module, 'text_<verb>')",
+    "experiments/*.py::figure*_rows": (
+        "name-based dispatch: `rpr figure N` reads getattr(experiments, 'figure<N>_rows') "
+        "in cli/paper.py (the paper's Figs. 7-14)"
+    ),
+    "experiments/ablations.py::*_rows": (
+        "name-based dispatch: tests/integration/test_experiments.py writes each "
+        "EXPERIMENTS.md ablation block from getattr(experiments, '<name>_rows')"
+    ),
+    **{
+        f"live/transport.py::TcpStream.{callback}": (
+            "name-based dispatch: asyncio calls its BufferedProtocol callbacks by name"
+        )
+        for callback in (
+            "get_buffer", "buffer_updated", "eof_received", "connection_lost",
+            "pause_writing", "resume_writing",
+        )
+    },
+    "analysis/model.py::traditional_total_time_eq5": (
+        "paper eq. (5); tests/analysis/test_model.py checks the paper's example"
+    ),
+    "analysis/limits.py::worst_case_improvement": (
+        "paper §4.3.1, which EXPERIMENTS.md generates no row for; "
+        "tests/analysis/test_limits.py checks it"
+    ),
+    "analysis/model.py::car_repair_time": (
+        "reference: tests/analysis/test_limits.py holds the simulator's CAR repairs to it"
+    ),
+    "repair/faults.py::payload_compositions": (
+        "reference: tests/repair/test_executor.py and test_slices.py check that a plan "
+        "run symbolically ends on the generator row"
+    ),
+    "repair/update.py::apply_update_payloads": (
+        "reference: tests/repair/test_update.py compares the update plan's bytes with it"
+    ),
+    "repair/planstats.py::critical_path_hops": (
+        "reference: tests/properties/test_scaling_invariants.py bounds every simulated "
+        "makespan below by its chained cross-rack hops × t_c"
+    ),
+    "gf/splittable.py::combine_tile_reference": (
+        "reference: tests/properties/test_kernel_equivalence.py compares the kernel with it"
+    ),
+    "store/messages.py::serve_connection": (
+        "test seam: serves any Stream, so store tests run an RpcServer's handler "
+        "without a socket (ROADMAP item 1a-0)"
+    ),
+    **{
+        f"sim/jobs.py::JobGraph.{builder}": (
+            "test builder: ≈ 110 test call sites write job graphs with it; the planners "
+            "build graphs through RepairPlan"
+        )
+        for builder in ("add_transfer", "add_compute")
+    },
+}
+
+
+def public_definitions(tree: ast.AST):
+    """``(qualified name, name, first line, last line)`` of every public
+    top-level function or class and every public method of a top-level
+    class (decorators included)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        members = [node] + [
+            item
+            for item in (node.body if isinstance(node, ast.ClassDef) else [])
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for member in members:
+            if member.name.startswith("_"):
+                continue
+            qualified = member.name if member is node else f"{node.name}.{member.name}"
+            first = min([member.lineno] + [d.lineno for d in member.decorator_list])
+            yield qualified, member.name, first, member.end_lineno
+
+
+def name_uses(tree: ast.AST, reexports: bool):
+    """``(name, line)`` of every name a module reads — a name, an
+    attribute, a string that is one identifier (``getattr`` targets) or a
+    name it imports — except its ``__all__`` entries, the keys of its
+    dict literals (a record field named like a method reads nothing) and,
+    in an ``__init__`` (``reexports``), its imports."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            skipped |= {id(n) for n in ast.walk(node)}
+        elif isinstance(node, ast.Dict):
+            skipped |= {id(key) for key in node.keys if isinstance(key, ast.Constant)}
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+        elif isinstance(node, ast.ImportFrom) and not reexports:
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def unreached_names(sources: dict[str, str], allowed=UNREACHED_NAMES) -> list[str]:
+    """``src/repro/<path>::<name>`` of every public name defined in
+    ``sources`` (repo-relative path → text) under ``src/repro`` that no
+    line of ``sources`` reads outside the name's own body — or only the
+    bodies of other such names — and that ``allowed`` does not match."""
+    definitions, uses = [], {}
+    for rel, text in sources.items():
+        tree = ast.parse(text, filename=rel)
+        if rel.startswith("src/repro/"):
+            definitions += [
+                (rel, qualified, name, first, last)
+                for qualified, name, first, last in public_definitions(tree)
+                if not any(
+                    fnmatch(f"{rel[len('src/repro/'):]}::{qualified}", pattern)
+                    for pattern in allowed
+                )
+            ]
+        for name, line in name_uses(tree, reexports=rel.endswith("__init__.py")):
+            uses.setdefault(name, []).append((rel, line))
+    unreached: dict[str, tuple] = {}
+    while True:
+        dead_bodies = [(rel, first, last) for rel, _, _, first, last in unreached.values()]
+        found = {
+            f"{rel}::{qualified}": (rel, qualified, name, first, last)
+            for rel, qualified, name, first, last in definitions
+            if not any(
+                not (at == rel and first <= line <= last)
+                and not any(at == r and lo <= line <= hi for r, lo, hi in dead_bodies)
+                for at, line in uses.get(name, ())
+            )
+        }
+        if found.keys() == unreached.keys():
+            return sorted(found)
+        unreached = found
+
+
+@functools.cache
+def caller_sources() -> dict[str, str]:
+    return {
+        path.relative_to(ROOT).as_posix(): path.read_text()
+        for top in CALLER_TOPS
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+
+
+@functools.cache
+def unreached_without_allowlist() -> tuple[str, ...]:
+    return tuple(unreached_names(caller_sources(), allowed={}))
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    unreached = unreached_names(caller_sources())
+    assert not unreached, (
+        "public names under src/repro that only tests reach — delete each with its "
+        "tests, re-exports and docs rows, make it private, or give it an "
+        "UNREACHED_NAMES entry with its reason (a paper equation or figure, the tests "
+        "that use it as a reference, or a name-based dispatch):\n" + "\n".join(unreached)
+    )
+    needed = unreached_without_allowlist()
+    stale = [
+        pattern
+        for pattern in UNREACHED_NAMES
+        if not any(fnmatch(name.removeprefix("src/repro/"), pattern) for name in needed)
+    ]
+    assert not stale, "UNREACHED_NAMES entries that a caller now reaches:\n" + "\n".join(stale)
+
+
+def test_the_dead_name_guard_sees_what_it_guards():
+    """Not vacuous: allowlisted names are unreached without their entries,
+    and a planted test-only function, method and class are found — also
+    one that only another dead name calls — while an ``__all__`` entry, an
+    ``__init__`` re-export or a dict key keeps nothing alive and a real
+    caller does."""
+    sources = caller_sources()
+    bare = unreached_without_allowlist()
+    assert "src/repro/repair/planstats.py::critical_path_hops" in bare
+    assert "src/repro/cli/paper.py::cmd_figure" in bare
+    assert "src/repro/sim/jobs.py::JobGraph.add_transfer" in bare
+    planted = {
+        **sources,
+        "src/repro/planted.py": (
+            "__all__ = ['only_tests', 'PlanStats', 'called']\n"
+            "def only_tests(plan):\n"
+            "    return only_tests(plan.inner) + helper_of_dead(plan)\n"
+            "def helper_of_dead(plan):\n"
+            "    return 1\n"
+            "class PlanStats:\n"
+            "    def from_plan(cls, plan):\n"
+            "        return PlanStats()\n"
+            "class Stripe2:\n"
+            "    def used(self):\n"
+            "        return self.drop_payload2()\n"
+            "    @property\n"
+            "    def drop_payload2(self):\n"
+            "        return 0\n"
+            "    def _private(self):\n"
+            "        return 0\n"
+            "def called():\n"
+            "    return Stripe2().used(), {'from_plan': 0}\n"
+        ),
+        "src/repro/planted_pkg/__init__.py": "from ..planted import only_tests, PlanStats\n",
+        "examples/planted_example.py": "from repro.planted import called\ncalled()\n",
+    }
+    assert [
+        name for name in unreached_names(planted) if "planted" in name
+    ] == [
+        "src/repro/planted.py::PlanStats",
+        "src/repro/planted.py::PlanStats.from_plan",
+        "src/repro/planted.py::helper_of_dead",
+        "src/repro/planted.py::only_tests",
+    ]

@@ -407,9 +407,18 @@ class TestJsonEverywhere:
     }
 
     def test_every_report_verb_of_the_table_has_an_invocation(self):
-        from repro.cli.table import report_verbs
+        from repro.cli.table import VERBS
 
-        assert sorted(self.REPORT_INVOCATIONS) == sorted(report_verbs())
+        def report_verbs(verbs, prefix=""):
+            """Every verb that takes ``--json``, as its command-line words."""
+            found = []
+            for verb in verbs:
+                if verb.report:
+                    found.append(prefix + verb.name)
+                found += report_verbs(verb.sub, f"{prefix}{verb.name} ")
+            return found
+
+        assert sorted(self.REPORT_INVOCATIONS) == sorted(report_verbs(VERBS))
 
     @pytest.mark.parametrize(
         "argv",

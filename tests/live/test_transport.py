@@ -30,7 +30,7 @@ class TestTcpTransportLifecycle:
                 await transport.aclose()
             # After a clean aclose the transport is reusable.
             await transport.start([0, 1], _noop_handler)
-            ports = {transport.port_of(0), transport.port_of(1)}
+            ports = {transport._ports[0], transport._ports[1]}
             await transport.aclose()
             assert len(ports) == 2
 
@@ -41,7 +41,7 @@ class TestTcpTransportLifecycle:
             transport = TcpTransport()
             await transport.start([0, 1, 2], _noop_handler)
             try:
-                ports = [transport.port_of(n) for n in (0, 1, 2)]
+                ports = [transport._ports[n] for n in (0, 1, 2)]
             finally:
                 await transport.aclose()
             return ports

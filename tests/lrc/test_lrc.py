@@ -24,6 +24,7 @@ from repro.repair import (
 )
 from repro.rs import SIMICS_DECODE
 
+from ..codewords import is_codeword
 from ..integration.test_experiments import rows
 
 
@@ -73,11 +74,11 @@ class TestLRCCode:
         rng = np.random.default_rng(2)
         data = [rng.integers(0, 256, 64, dtype=np.uint8) for _ in range(12)]
         stripe = azure.encode_stripe(data)
-        assert azure.verify_stripe(stripe)
+        assert is_codeword(azure, stripe)
         bad = stripe.get_payload(14).copy()
         bad[0] ^= 1
         stripe.set_payload(14, bad)
-        assert not azure.verify_stripe(stripe)
+        assert not is_codeword(azure, stripe)
 
     def test_group_bounds(self, azure):
         with pytest.raises(ValueError):
@@ -293,7 +294,7 @@ class TestLRCInStripeCatalog:
             )
             for stored in store
         }
-        assert all(code.verify_stripe(stripe) for stripe in stripes.values())
+        assert all(is_codeword(code, stripe) for stripe in stripes.values())
         assert store.fail_node(0)
         for sid in store.degraded():
             ctx = store.repair_context(sid, {0}, block_size=128)
@@ -327,7 +328,7 @@ class TestLRCMultiStripe:
             store, 0, LRCLocalRepair(), SIMICS_BANDWIDTH, rebuild="scatter"
         )
         assert outcome.makespan > 0
-        assert len(outcome.plans) == outcome.failure.stripes_affected
+        assert len(outcome.plans) == len(outcome.failure.lost)
         # local repair: each single-block loss touches ~group_size helpers,
         # so traffic stays well under the RS-style n blocks per stripe.
         per_stripe = outcome.total_cross_rack_bytes / (

@@ -31,7 +31,6 @@ class TestTrafficLedger:
         ledger = TrafficLedger.from_sim(result, engine.cluster)
         assert ledger.intra_rack_bytes == 100
         assert ledger.cross_rack_bytes == 300
-        assert ledger.total_bytes == 400
         assert ledger.uploaded_by_node[0] == 400
         assert ledger.downloaded_by_node[1] == 100
         assert ledger.downloaded_by_node[2] == 300
@@ -47,7 +46,7 @@ class TestTrafficLedger:
 
     def test_empty_run(self, engine):
         ledger = TrafficLedger.from_sim(engine.run(JobGraph()), engine.cluster)
-        assert ledger.total_bytes == 0
+        assert ledger.cross_rack_bytes == ledger.intra_rack_bytes == 0
 
 
 class TestPercentReduction:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, HierarchicalBandwidth
 from repro.experiments import build_simics_environment, run_scheme
-from repro.metrics import UtilizationSummary, critical_path_breakdown
+from repro.metrics import UtilizationSummary
 from repro.repair import RPRScheme, TraditionalRepair
 from repro.rs import PAPER_SINGLE_FAILURE_CODES
 from repro.sim import JobGraph, SimulationEngine
@@ -60,18 +60,22 @@ class TestUtilizationSummary:
         assert rpr.mean_rack_upload_idle < tra.mean_rack_upload_idle
 
 
+def attributed(breakdown):
+    """The seconds ``path_attribution`` spreads over its four categories."""
+    return sum(
+        breakdown[key] for key in ("cross_transfer_s", "intra_transfer_s", "compute_s", "wait_s")
+    )
+
+
 class TestCriticalPathBreakdown:
+    """The critical path's attribution (``RunTrace.path_attribution``)
+    accounts for the whole makespan, once."""
+
     def test_percentages_sum_to_hundred(self):
         env = build_simics_environment(8, 2)
         trace = run_scheme(env, RPRScheme(), [1]).trace()
-        breakdown = critical_path_breakdown(trace)
-        total_pct = (
-            breakdown["cross_transfer_pct"]
-            + breakdown["intra_transfer_pct"]
-            + breakdown["compute_pct"]
-            + breakdown["wait_pct"]
-        )
-        assert total_pct == pytest.approx(100.0, rel=1e-6)
+        breakdown = trace.path_attribution()
+        assert attributed(breakdown) == pytest.approx(trace.makespan, rel=1e-6)
         assert breakdown["makespan_s"] == pytest.approx(trace.makespan)
 
     def test_cross_transfers_dominate_at_paper_scale(self):
@@ -80,9 +84,10 @@ class TestCriticalPathBreakdown:
         env = build_simics_environment(6, 2)
         for scheme in (TraditionalRepair(), RPRScheme()):
             trace = run_scheme(env, scheme, [1]).trace()
-            assert critical_path_breakdown(trace)["cross_transfer_pct"] > 50.0
+            breakdown = trace.path_attribution()
+            assert breakdown["cross_transfer_s"] > 0.5 * breakdown["makespan_s"]
 
     def test_empty_trace(self):
-        breakdown = critical_path_breakdown(RunTrace(makespan=0.0))
-        assert breakdown["cross_transfer_pct"] == 0.0
+        breakdown = RunTrace(makespan=0.0).path_attribution()
+        assert breakdown["cross_transfer_s"] == 0.0
         assert breakdown["wait_s"] == 0.0

@@ -1,6 +1,6 @@
 """Utilization rollups on multi-block and degraded (faulted) traces.
 
-``UtilizationSummary`` and ``critical_path_breakdown`` were written
+``UtilizationSummary`` and ``RunTrace.path_attribution`` were written
 against clean single-failure runs; these tests pin their behavior on the
 two harder trace shapes: multi-block repairs (several recovery targets,
 heavier port contention) and degraded repairs (aborted occupancy
@@ -10,11 +10,12 @@ intervals with zero bytes, re-planned attempts).
 import pytest
 
 from repro.experiments import build_simics_environment, context_for, run_scheme
-from repro.metrics import UtilizationSummary, critical_path_breakdown
+from repro.metrics import UtilizationSummary
 from repro.repair import RPRScheme, simulate_repair
 from repro.sim import FaultPlan, NodeDeath
 
 from ..sim.test_tracing import view
+from .test_utilization import attributed
 
 
 @pytest.fixture(scope="module")
@@ -47,14 +48,7 @@ class TestMultiBlockRollups:
         assert 0.0 <= summary.mean_rack_upload_idle <= 1.0
 
     def test_breakdown_sums_to_hundred(self, trace):
-        breakdown = critical_path_breakdown(trace)
-        total = (
-            breakdown["cross_transfer_pct"]
-            + breakdown["intra_transfer_pct"]
-            + breakdown["compute_pct"]
-            + breakdown["wait_pct"]
-        )
-        assert total == pytest.approx(100.0)
+        assert attributed(trace.path_attribution()) == pytest.approx(trace.makespan)
 
 
 class TestDegradedRollups:
@@ -73,17 +67,11 @@ class TestDegradedRollups:
     def test_breakdown_covers_the_aborted_attempt(self, degraded):
         # The aborted attempt's path ends on a job unblocked by an abort;
         # attribution must still account for the whole makespan.
-        breakdown = critical_path_breakdown(degraded.trace(0))
+        breakdown = degraded.trace(0).path_attribution()
         assert breakdown["makespan_s"] == pytest.approx(
             degraded.trace(0).makespan
         )
-        total = (
-            breakdown["cross_transfer_pct"]
-            + breakdown["intra_transfer_pct"]
-            + breakdown["compute_pct"]
-            + breakdown["wait_pct"]
-        )
-        assert total == pytest.approx(100.0)
+        assert attributed(breakdown) == pytest.approx(breakdown["makespan_s"])
 
     def test_aborted_bytes_stay_out_of_port_totals(self, degraded):
         # Attempt 0 aborts its R0 cross transfer: the sender's upload

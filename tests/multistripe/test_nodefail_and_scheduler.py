@@ -21,6 +21,8 @@ from repro.repair import (
 from repro.rs import MB, DecodeCostModel, get_code
 from repro.workloads import encoded_stripe
 
+from .test_store import blocks_per_node
+
 COST = DecodeCostModel(xor_speed=1000 * MB, matrix_build_factor=4.0)
 
 
@@ -33,8 +35,8 @@ def store():
 class TestNodeFailureContexts:
     def test_one_context_per_lost_block(self, store):
         failure, contexts = node_failure_contexts(store, 0)
-        assert failure.stripes_affected == len(contexts)
-        assert failure.stripes_affected > 0
+        assert len(failure.lost) == len(contexts)
+        assert len(failure.lost) > 0
 
     def test_replacement_mode_single_target(self, store):
         _, contexts = node_failure_contexts(store, 0, mode="replacement")
@@ -57,10 +59,10 @@ class TestNodeFailureContexts:
     def test_node_with_no_blocks(self):
         cluster = Cluster.homogeneous(5, 6)
         store = StripeStore.build(cluster, get_code(6, 2), 1, rotate=False)
-        empty_nodes = [n for n, c in store.blocks_per_node().items() if c == 0]
+        empty_nodes = [n for n, c in blocks_per_node(store).items() if c == 0]
         failure, contexts = node_failure_contexts(store, empty_nodes[0])
         assert contexts == []
-        assert failure.stripes_affected == 0
+        assert len(failure.lost) == 0
 
     def test_replacement_not_holding_affected_stripes(self, store):
         replacement = pick_replacement_node(store, 0)
@@ -105,7 +107,7 @@ class TestRepairNodeFailure:
         outcome = repair_node_failure(store, 0, scheme, SIMICS_BANDWIDTH)
         assert outcome.makespan > 0
         assert outcome.total_cross_rack_bytes > 0
-        assert len(outcome.plans) == outcome.failure.stripes_affected
+        assert len(outcome.plans) == len(outcome.failure.lost)
 
     @pytest.mark.parametrize(
         "scheme", [TraditionalRepair(), RPRScheme()], ids=lambda s: s.name
@@ -187,7 +189,7 @@ class TestRepairNodeFailure:
     def test_empty_node_rebuild(self):
         cluster = Cluster.homogeneous(5, 6)
         store = StripeStore.build(cluster, get_code(6, 2), 1, rotate=False)
-        empty = [n for n, c in store.blocks_per_node().items() if c == 0][0]
+        empty = [n for n, c in blocks_per_node(store).items() if c == 0][0]
         outcome = repair_node_failure(store, empty, RPRScheme(), SIMICS_BANDWIDTH)
         assert outcome.makespan == 0.0
         assert outcome.plans == []
@@ -233,7 +235,7 @@ class TestRackFailure:
             for node in stored.placement.block_to_node.values()
             if node in rack_nodes
         )
-        assert failure.stripes_affected == expected
+        assert len(failure.lost) == expected
         assert sum(len(ctx.failed_blocks) for ctx in contexts) == expected
 
     def test_targets_avoid_failed_rack(self, store):
@@ -283,7 +285,7 @@ class TestRackFailure:
         empty = next(r for r in cluster.rack_ids() if r not in used_racks)
         failure, contexts = rack_failure_contexts(store, empty)
         assert contexts == []
-        assert failure.stripes_affected == 0
+        assert len(failure.lost) == 0
 
     def test_unknown_mode_rejected(self, store):
         from repro.multistripe import repair_rack_failure

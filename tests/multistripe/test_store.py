@@ -6,6 +6,13 @@ from repro.cluster import Cluster, FlatPlacement, PlacementError, Rack, Node
 from repro.multistripe import StripeStore, rotate_placement
 from repro.rs import get_code
 
+from ..cluster.test_placement import rack_histogram
+
+
+def blocks_per_node(store):
+    """Block count per node — the layout's balance."""
+    return {nid: len(store.blocks_on_node(nid)) for nid in store.cluster.node_ids()}
+
 
 @pytest.fixture
 def cluster():
@@ -69,12 +76,12 @@ class TestStripeStore:
         # 30 stripes over 5 racks x 6 slots: each node gets 8 blocks
         # (stripe width 8, 30 * 8 / 30 nodes).
         store = StripeStore.build(cluster, get_code(6, 2), 30)
-        counts = store.blocks_per_node()
+        counts = blocks_per_node(store)
         assert set(counts.values()) == {8}
 
     def test_no_rotation_concentrates(self, cluster):
         store = StripeStore.build(cluster, get_code(6, 2), 10, rotate=False)
-        counts = store.blocks_per_node()
+        counts = blocks_per_node(store)
         assert 0 in counts.values()
         assert max(counts.values()) == 10
 
@@ -95,7 +102,7 @@ class TestStripeStore:
             cluster, get_code(6, 2), 4, placement_policy=FlatPlacement()
         )
         placement = store.stripe(0).placement
-        assert all(v == 1 for v in placement.rack_histogram(cluster).values())
+        assert all(v == 1 for v in rack_histogram(placement, cluster).values())
 
     def test_invalid_count(self, cluster):
         with pytest.raises(ValueError):

@@ -134,15 +134,15 @@ class TestStructuralLowerBounds:
         """The simulated makespan can never undercut the plan's structural
         lower bounds: chained cross transfers each cost a full t_c, and
         the longest op chain bounds from below as well."""
-        from repro.repair import PlanStats
+        from repro.repair import critical_path_hops
 
         n, k = nk
         failed = [seed % (n + k)]
         ctx = context(n, k, failed, 16 * MB)
         plan = scheme.plan(ctx)
-        stats = PlanStats.from_plan(plan, ctx.cluster)
+        _, cross_depth = critical_path_hops(plan, ctx.cluster)
         outcome = simulate_repair(scheme, ctx, SIMICS_BANDWIDTH)
         t_c = ctx.block_size / SIMICS_BANDWIDTH.cross
-        assert outcome.total_repair_time >= stats.critical_path_cross * t_c - 1e-9
+        assert outcome.total_repair_time >= cross_depth * t_c - 1e-9
         # traffic identity: ledger equals plan structure exactly
-        assert outcome.cross_rack_bytes == pytest.approx(stats.cross_bytes)
+        assert outcome.cross_rack_bytes == pytest.approx(plan.traffic(ctx.cluster).cross_rack_bytes)

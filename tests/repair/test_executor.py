@@ -237,9 +237,15 @@ def assert_same_picture(cluster, ledger, sim_trace, *wall_traces):
     ports = {res.label: res.nbytes for res in predicted.resources}
     for view in [predicted] + [RunTrace.from_telemetry(t, cluster) for t in wall_traces]:
         assert {res.label: res.nbytes for res in view.resources} == ports
-        assert sum(view.switch_profile()["aggregation_bytes"]) == pytest.approx(
-            ledger.cross_rack_bytes
+        down_rack = {
+            iv.job_id: res.rack for res in view.resources if res.kind == "down"
+            for iv in res.intervals
+        }
+        aggregation = sum(
+            iv.nbytes for res in view.resources if res.kind == "up"
+            for iv in res.intervals if down_rack[iv.job_id] != res.rack
         )
+        assert aggregation == pytest.approx(ledger.cross_rack_bytes)
         if view is not predicted:
             assert view.clock == "wall" and view.path == []
             assert "not computed on the wall clock" in render_report(view)

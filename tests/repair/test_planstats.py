@@ -1,10 +1,11 @@
-"""Tests for plan introspection (PlanStats / critical_path_hops)."""
+"""Tests for plan structure (critical_path_hops) and the shape of each
+scheme's plan read through it and ``RepairPlan.traffic``."""
 
 import math
+from types import SimpleNamespace
 
 from repro.repair import (
     CARRepair,
-    PlanStats,
     RepairPlan,
     RPRScheme,
     TraditionalRepair,
@@ -16,7 +17,20 @@ from .conftest import make_context
 
 def stats_for(scheme, n=12, k=4, failed=(1,)):
     ctx = make_context(n, k, failed=list(failed))
-    return PlanStats.from_plan(scheme.plan(ctx), ctx.cluster), ctx
+    plan = scheme.plan(ctx)
+    traffic = plan.traffic(ctx.cluster)
+    combines = plan.combines()
+    stats = SimpleNamespace(
+        sends=traffic.sends,
+        intra_sends=traffic.intra_rack_bytes // plan.block_size,
+        cross_sends=traffic.cross_rack_bytes // plan.block_size,
+        combines=len(combines),
+        matrix_builds=sum(op.with_matrix_build for op in combines),
+        cross_bytes=traffic.cross_rack_bytes,
+        intra_bytes=traffic.intra_rack_bytes,
+        critical_path_cross=critical_path_hops(plan, ctx.cluster)[1],
+    )
+    return stats, ctx
 
 
 class TestSchemeShapes:

@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.repair import RepairPlan, block_key, execute_plan
+from repro.repair import RepairPlan, RPRScheme, block_key, execute_plan
 from repro.repair.rpr import (
     InnerResult,
     build_cross_gather,
     build_direct_gather,
     build_inner_trees,
-    matrix_build_free_probability,
-    p0_rack_is_all_data,
-    xor_fast_path_applicable,
 )
 from repro.gf import linear_combine, scale
-from repro.rs import get_code
 from repro.cluster import ContiguousPlacement, RPRPlacement
+
+from .conftest import make_context
 
 
 @pytest.fixture
@@ -194,26 +192,26 @@ class TestCrossGather:
 
 
 class TestPreplacementHelpers:
-    def test_p0_rack_detection(self):
-        code = get_code(4, 2)
-        cluster = Cluster.homogeneous(4, 4)
-        rpr = RPRPlacement().place(cluster, 4, 2)
-        contiguous = ContiguousPlacement().place(cluster, 4, 2)
-        assert p0_rack_is_all_data(code, cluster, rpr)
-        assert not p0_rack_is_all_data(code, cluster, contiguous)
+    """§3.3: pre-placement puts P0 in a rack of data blocks only, and a
+    single data-block failure (or P0's) is repaired by XOR alone, with no
+    decoding-matrix build; other failures build one."""
 
-    def test_p0_rack_no_parity_code(self):
-        code = get_code(4, 0)
+    def test_p0_rack_detection(self):
         cluster = Cluster.homogeneous(4, 4)
-        placement = ContiguousPlacement(per_rack=1).place(cluster, 4, 0)
-        assert not p0_rack_is_all_data(code, cluster, placement)
+
+        def p0_rack_is_all_data(placement):
+            p0_rack = placement.rack_of_block(cluster, 4)
+            return all(b < 4 for b in placement.blocks_in_rack(cluster, p0_rack) if b != 4)
+
+        assert p0_rack_is_all_data(RPRPlacement().place(cluster, 4, 2))
+        assert not p0_rack_is_all_data(ContiguousPlacement().place(cluster, 4, 2))
 
     def test_fast_path_applicability(self):
-        code = get_code(6, 3)
-        assert xor_fast_path_applicable(code, [2])
-        assert not xor_fast_path_applicable(code, [6])      # parity
-        assert not xor_fast_path_applicable(code, [0, 1])    # multi
-        assert not xor_fast_path_applicable(get_code(4, 0), [0])
+        def matrix_builds(failed):
+            plan = RPRScheme().plan(make_context(6, 3, failed))
+            return sum(op.with_matrix_build for op in plan.combines())
 
-    def test_paper_probability(self):
-        assert matrix_build_free_probability(get_code(10, 4)) == pytest.approx(0.1)
+        assert matrix_builds([2]) == 0
+        assert matrix_builds([6]) == 0  # P0 is itself the XOR of the data
+        assert matrix_builds([7]) > 0  # P1
+        assert matrix_builds([0, 1]) > 0  # multi

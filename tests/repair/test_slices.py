@@ -285,7 +285,7 @@ class TestDriversAgreeOnSlicedPlans:
         # whole ledgers — per node and per rack, and the send count — not just totals
         assert plan.traffic(ctx.cluster) == expected
         assert concrete.ledger == memory.ledger == tcp.ledger == session_ledger == expected
-        assert expected.total_bytes == tree.traffic(ctx.cluster).total_bytes
+        assert expected.intra_rack_bytes == tree.traffic(ctx.cluster).intra_rack_bytes
         assert expected.cross_rack_bytes == tree.traffic(ctx.cluster).cross_rack_bytes
         assert set(memory.timings) == set(tcp.timings) == set(sim.timings)
         assert_same_picture(

@@ -13,6 +13,7 @@ from repro.repair import (
 )
 from repro.sim import SimulationEngine
 
+from ..codewords import is_codeword
 from .conftest import make_context, make_stripe
 
 
@@ -45,7 +46,7 @@ class TestUpdateCorrectness:
         _, result = run_update(ctx, stripe, 5, new_payload)
         for bid, payload in result.recovered.items():
             stripe.set_payload(bid, payload)
-        assert ctx.code.verify_stripe(stripe)
+        assert is_codeword(ctx.code, stripe)
 
     def test_every_data_block_updatable(self):
         ctx = make_context(4, 2, failed=[0])

@@ -16,8 +16,14 @@ from repro.rs import (
     decode_blocks,
     get_code,
     recovery_equations,
-    xor_recovery_equation,
 )
+
+
+def xor_equation(code, failed):
+    """The eq. (6) equation for a data block: every other data block and P0."""
+    helpers = [b for b in range(code.n) if b != failed] + [code.n]
+    [eq] = recovery_equations(code, [failed], helpers)
+    return eq
 
 
 def encoded_payloads(code, rng, size=24):
@@ -42,22 +48,14 @@ class TestRecoveryEquationObject:
         assert RecoveryEquation(target=0, terms=((1, 1), (2, 1))).is_xor_only
         assert not RecoveryEquation(target=0, terms=((1, 1), (2, 3))).is_xor_only
 
-    def test_coefficient_lookup(self):
-        eq = RecoveryEquation(target=0, terms=((1, 5), (2, 7)))
-        assert eq.coefficient(1) == 5
-        assert eq.coefficient(9) == 0
-
-    def test_restricted_to(self):
-        eq = RecoveryEquation(target=0, terms=((1, 5), (2, 7), (3, 9)))
-        sub = eq.restricted_to({1, 3})
-        assert sub.terms == ((1, 5), (3, 9))
-        assert sub.target == 0
-
 
 class TestXorEquation:
+    """Eq. (6): other data + P0 repairs a data block with XOR alone, and the
+    derivation sees that it needs no decoding matrix."""
+
     def test_matches_eq6(self):
         code = RSCode(4, 2)
-        eq = xor_recovery_equation(code, 2)
+        eq = xor_equation(code, 2)
         assert eq.target == 2
         assert eq.helper_ids == (0, 1, 3, 4)  # other data + P0 (block 4)
         assert eq.is_xor_only
@@ -68,20 +66,11 @@ class TestXorEquation:
         code = RSCode(6, 3)
         payloads = encoded_payloads(code, rng)
         for f in range(code.n):
-            eq = xor_recovery_equation(code, f)
+            eq = xor_equation(code, f)
             got = linear_combine(
                 [c for _, c in eq.terms], [payloads[h] for h, _ in eq.terms]
             )
             np.testing.assert_array_equal(got, payloads[f])
-
-    def test_parity_target_rejected(self):
-        code = RSCode(4, 2)
-        with pytest.raises(ValueError):
-            xor_recovery_equation(code, 4)
-
-    def test_no_parity_code_rejected(self):
-        with pytest.raises(ValueError):
-            xor_recovery_equation(RSCode(4, 0), 0)
 
 
 class TestRecoveryEquations:
@@ -102,8 +91,7 @@ class TestRecoveryEquations:
         [eq] = recovery_equations(code, [2], helpers)
         assert eq.is_xor_only
         assert not eq.requires_matrix_build
-        ref = xor_recovery_equation(code, 2)
-        assert eq.terms == ref.terms
+        assert eq.terms == tuple((h, 1) for h in helpers)
 
     def test_parity_failure(self):
         rng = np.random.default_rng(2)

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gf import linear_combine
 from repro.rs import (
     PAPER_SINGLE_FAILURE_CODES,
-    combine_intermediates,
     get_code,
     recovery_equations,
     slice_equation_by_group,
-    xor_recovery_equation,
 )
+
+from .test_decode import xor_equation
 
 
 def encoded_payloads(code, rng, size=16):
@@ -24,38 +25,47 @@ def round_robin_groups(block_ids, q):
     return {b: b % q for b in block_ids}
 
 
+def materialise(sl, payloads):
+    """A slice's intermediate block: its terms combined over the payloads."""
+    return linear_combine([c for _, c in sl.terms], [payloads[h] for h, _ in sl.terms])
+
+
+def xor_all(blocks):
+    return linear_combine([1] * len(blocks), blocks)
+
+
 class TestSliceEquation:
     def test_paper_eq4_example(self):
         """RS(4,2), D2 failed, helpers D0 D1 D3 P0 split into two pairs."""
         rng = np.random.default_rng(0)
         code = get_code(4, 2)
         payloads = encoded_payloads(code, rng)
-        eq = xor_recovery_equation(code, 2)  # helpers 0, 1, 3, 4
+        eq = xor_equation(code, 2)  # helpers 0, 1, 3, 4
         groups = {0: "g0", 1: "g0", 3: "g1", 4: "g1"}
         slices = slice_equation_by_group(eq, groups)
         assert set(slices) == {"g0", "g1"}
-        i0 = slices["g0"].materialise(payloads)
-        i1 = slices["g1"].materialise(payloads)
+        i0 = materialise(slices["g0"], payloads)
+        i1 = materialise(slices["g1"], payloads)
         np.testing.assert_array_equal(i0, payloads[0] ^ payloads[1])
         np.testing.assert_array_equal(i1, payloads[3] ^ payloads[4])
         np.testing.assert_array_equal(i0 ^ i1, payloads[2])
 
     def test_groups_without_helpers_absent(self):
         code = get_code(4, 2)
-        eq = xor_recovery_equation(code, 0)
+        eq = xor_equation(code, 0)
         groups = {b: 0 for b in eq.helper_ids}
         slices = slice_equation_by_group(eq, groups)
         assert set(slices) == {0}
 
     def test_missing_group_assignment_raises(self):
         code = get_code(4, 2)
-        eq = xor_recovery_equation(code, 0)
+        eq = xor_equation(code, 0)
         with pytest.raises(KeyError):
             slice_equation_by_group(eq, {})
 
     def test_slice_metadata(self):
         code = get_code(6, 3)
-        eq = xor_recovery_equation(code, 1)
+        eq = xor_equation(code, 1)
         slices = slice_equation_by_group(eq, round_robin_groups(eq.helper_ids, 3))
         for group, sl in slices.items():
             assert sl.group == group
@@ -81,9 +91,9 @@ class TestSliceEquation:
         [eq] = recovery_equations(code, [failed], helpers)
         groups = {h: rng.integers(0, q) for h in eq.helper_ids}
         slices = slice_equation_by_group(eq, groups)
-        intermediates = [sl.materialise(payloads) for sl in slices.values()]
+        intermediates = [materialise(sl, payloads) for sl in slices.values()]
         np.testing.assert_array_equal(
-            combine_intermediates(intermediates), payloads[failed]
+            xor_all(intermediates), payloads[failed]
         )
 
     def test_multi_failure_slices(self):
@@ -96,24 +106,7 @@ class TestSliceEquation:
         groups = round_robin_groups(range(code.width), 3)
         for eq in recovery_equations(code, failed, helpers):
             slices = slice_equation_by_group(eq, groups)
-            intermediates = [sl.materialise(payloads) for sl in slices.values()]
+            intermediates = [materialise(sl, payloads) for sl in slices.values()]
             np.testing.assert_array_equal(
-                combine_intermediates(intermediates), payloads[eq.target]
+                xor_all(intermediates), payloads[eq.target]
             )
-
-
-class TestCombineIntermediates:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            combine_intermediates([])
-
-    def test_single_identity(self):
-        b = np.array([1, 2, 3], dtype=np.uint8)
-        np.testing.assert_array_equal(combine_intermediates([b]), b)
-
-    def test_pairwise_xor(self):
-        a = np.array([0xF0], dtype=np.uint8)
-        b = np.array([0x0F], dtype=np.uint8)
-        np.testing.assert_array_equal(
-            combine_intermediates([a, b]), np.array([0xFF], dtype=np.uint8)
-        )

@@ -11,7 +11,6 @@ from repro.rs import (
     DecodeCostModel,
     Stripe,
     block_kind,
-    parity_index,
 )
 
 
@@ -25,21 +24,11 @@ class TestBlockHelpers:
         with pytest.raises(ValueError):
             block_kind(-1, 4)
 
-    def test_parity_index(self):
-        assert parity_index(4, 4) == 0
-        assert parity_index(6, 4) == 2
-
-    def test_parity_index_on_data_block(self):
-        with pytest.raises(ValueError):
-            parity_index(2, 4)
-
 
 class TestStripe:
     def test_shape_properties(self):
         s = Stripe(6, 3, 128)
         assert s.width == 9
-        assert s.data_ids() == list(range(6))
-        assert s.parity_ids() == [6, 7, 8]
         assert list(s.block_ids()) == list(range(9))
 
     def test_kind(self):
@@ -56,17 +45,10 @@ class TestStripe:
     def test_payload_lifecycle(self):
         s = Stripe(4, 2, 4)
         payload = np.array([1, 2, 3, 4], dtype=np.uint8)
-        assert not s.has_payload(0)
-        s.set_payload(0, payload)
-        assert s.has_payload(0)
-        np.testing.assert_array_equal(s.get_payload(0), payload)
-        s.drop_payload(0)
-        assert not s.has_payload(0)
         with pytest.raises(KeyError):
             s.get_payload(0)
-
-    def test_drop_missing_payload_is_noop(self):
-        Stripe(4, 2, 4).drop_payload(1)
+        s.set_payload(0, payload)
+        np.testing.assert_array_equal(s.get_payload(0), payload)
 
     def test_wrong_payload_size_rejected(self):
         s = Stripe(4, 2, 4)

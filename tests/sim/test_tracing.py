@@ -177,23 +177,22 @@ class TestRackAccounting:
 
 class TestSwitchProfile:
     def test_totals_match_traffic_split(self):
+        """The view's upload ports carry the run's bytes: a transfer whose
+        download port is in another rack crossed the aggregation switch."""
         env = build_simics_environment(6, 2)
         out = run_scheme(env, RPRScheme(), [1])
         trace = out.trace()
-        profile = trace.switch_profile(buckets=17)
-        assert sum(profile["aggregation_bytes"]) == pytest.approx(
-            out.sim.cross_rack_bytes(), rel=1e-9
-        )
-        tor_total = sum(sum(series) for series in profile["tor_bytes"].values())
-        # Intra traffic hits one TOR; cross traffic hits both endpoint TORs.
-        assert tor_total == pytest.approx(
-            out.sim.intra_rack_bytes() + 2 * out.sim.cross_rack_bytes(), rel=1e-9
-        )
-
-    def test_bucket_validation(self, engine):
-        trace = view(engine.run(JobGraph()), engine.cluster)
-        with pytest.raises(ValueError):
-            trace.switch_profile(buckets=0)
+        down_rack = {
+            iv.job_id: res.rack for res in trace.resources if res.kind == "down"
+            for iv in res.intervals
+        }
+        uploads = [
+            (iv.nbytes, down_rack[iv.job_id] != res.rack)
+            for res in trace.resources if res.kind == "up"
+            for iv in res.intervals
+        ]
+        assert sum(n for n, cross in uploads if cross) == out.sim.cross_rack_bytes()
+        assert sum(n for n, cross in uploads if not cross) == out.sim.intra_rack_bytes()
 
 
 class TestExport:

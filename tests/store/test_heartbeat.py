@@ -33,7 +33,7 @@ class TestFailureDetector:
             await asyncio.sleep(0.6)  # node 0 silent for 1.5 > 1.0; node 1 for 0.6
             newly = det.sweep()
             assert [e.node_id for e in newly] == [0]
-            assert det.dead_ids() == {0}
+            assert set(det.nodes) - det.alive_ids() == {0}
             # A second sweep must not re-report the same death (repairs would
             # double-trigger).
             assert det.sweep() == []
@@ -46,7 +46,7 @@ class TestFailureDetector:
             det.beat(0, "h", 1)
             await asyncio.sleep(5.0)
             det.sweep()
-            assert det.dead_ids() == {0}
+            assert set(det.nodes) - det.alive_ids() == {0}
             det.beat(0, "h", 9)  # restarted daemon, new port
             assert det.alive_ids() == {0}
             assert det.entry(0).port == 9

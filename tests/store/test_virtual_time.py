@@ -26,8 +26,8 @@ from repro.cluster import SIMICS_BANDWIDTH
 from repro.live.transport import connect_tcp
 from repro.repair import simulate_repair
 from repro.store import (
-    DEFAULT_INTERVAL, PROBE_AFTER, LocalService, NotFound, StorageDaemon, plan_seed_blocks,
-    stored_block_key,
+    DEFAULT_INTERVAL, PROBE_AFTER, LocalService, NotFound, StorageDaemon, Unrecoverable,
+    plan_seed_blocks, stored_block_key,
 )
 from repro.store import coordinator as coordinator_module
 from repro.store import heartbeat as heartbeat_module
@@ -602,3 +602,27 @@ class TestTwoDeathsAtOnce:
 
     def test_rpr_moves_fewer_cross_rack_bytes_than_traditional(self):
         assert two_block_cross_rack_bytes("rpr") < two_block_cross_rack_bytes("traditional")
+
+    def test_car_names_its_limit_and_loses_nothing(self):
+        """CAR repairs one block per stripe (paper §6): the verdict says so,
+        claims no data loss, and every object still reads back degraded."""
+        loop = VirtualTimeLoop()
+
+        async def _run():
+            async with LocalService(
+                racks=3, per_rack=4, n=6, k=3, scheme="car", suspect_after=SUSPECT_AFTER,
+                sweep_interval=SWEEP, heartbeat=DEFAULT_INTERVAL,
+            ) as svc:
+                objects = await put_objects(svc, 24)
+                lost = set(held_by(svc, 0)) | set(held_by(svc, 5))
+                await svc.kill(0)
+                await svc.kill(5)
+                with pytest.raises(Unrecoverable) as verdict:
+                    await svc.client.wait_healthy(timeout=30.0, min_repairs=len(lost))
+                reads = [await svc.client.get(name, degraded=True) for name in objects]
+                return str(verdict.value), reads == list(objects.values())
+
+        verdict, intact = loop.run(_run())
+        assert "CAR only supports single-block failures (paper §6)" in verdict
+        assert "data loss" not in verdict
+        assert intact

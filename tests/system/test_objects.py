@@ -89,7 +89,3 @@ class TestReassemble:
         info = ObjectInfo(name="x", size=4, stripe_ids=(0, 1), block_size=4, n=1)
         with pytest.raises(ValueError):
             reassemble(info, [[np.zeros(4, dtype=np.uint8)]])
-
-    def test_stripe_capacity(self):
-        info = ObjectInfo(name="x", size=4, stripe_ids=(0,), block_size=8, n=3)
-        assert info.stripe_capacity == 24

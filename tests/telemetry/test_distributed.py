@@ -207,22 +207,6 @@ class TestStreamingRecorder:
         rec.close()
         assert to_jsonl(from_jsonl(path.read_text())) == to_jsonl(rec.trace())
 
-    def test_reopen_after_rotation(self, tmp_path):
-        path = tmp_path / "telemetry.jsonl"
-        rec = StreamingRecorder(path, CLOCK_WALL, meta={"node": "n"})
-        rec.span("before", 0.0, 1.0)
-        rotated = tmp_path / "telemetry.1.jsonl"
-        path.rename(rotated)
-        rec.reopen()
-        rec.span("after", 1.0, 2.0)
-        rec.close()
-        assert [s.name for s in from_jsonl(rotated.read_text()).spans] == [
-            "before"
-        ]
-        trace = from_jsonl(path.read_text())
-        assert [s.name for s in trace.spans] == ["after"]
-        assert trace.meta["node"] == "n"  # header re-emitted after reopen
-
     def test_line_buffered_writes_are_whole_records(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
         rec = StreamingRecorder(path, CLOCK_WALL)

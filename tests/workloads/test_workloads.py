@@ -10,7 +10,6 @@ from repro.rs import get_code
 from repro.workloads import (
     FailureScenario,
     encoded_stripe,
-    encoded_stripes,
     multi_failure_scenarios,
     patterned_blocks,
     random_blocks,
@@ -18,8 +17,9 @@ from repro.workloads import (
     scenario_count,
     single_failure_scenarios,
     validate_scenario,
-    worst_case_scenarios,
 )
+
+from ..codewords import is_codeword
 
 
 class TestFailureScenario:
@@ -78,6 +78,13 @@ class TestMulti:
         assert len(scenarios) == math.comb(12, 2)
         assert len(set(s.failed_blocks for s in scenarios)) == len(scenarios)
 
+    def test_worst_case_is_k(self):
+        """§4.3's worst case: every choice of ``k`` failed blocks."""
+        code = get_code(6, 2)
+        scenarios = multi_failure_scenarios(code, code.k)
+        assert all(s.size == 2 for s in scenarios)
+        assert len(scenarios) == math.comb(8, 2)
+
     def test_scenario_count_matches(self):
         code = get_code(8, 4)
         assert scenario_count(code, 3) == math.comb(12, 3)
@@ -86,12 +93,6 @@ class TestMulti:
     def test_too_many_failures_rejected(self):
         with pytest.raises(ValueError):
             multi_failure_scenarios(get_code(4, 2), 3)
-
-    def test_worst_case_is_k(self):
-        code = get_code(6, 2)
-        scenarios = worst_case_scenarios(code)
-        assert all(s.size == 2 for s in scenarios)
-        assert len(scenarios) == math.comb(8, 2)
 
     def test_all_scenarios_within_width(self):
         code = get_code(6, 3)
@@ -178,27 +179,9 @@ class TestDataGen:
     def test_encoded_stripe_valid(self):
         code = get_code(6, 3)
         stripe = encoded_stripe(code, 128, seed=3)
-        assert code.verify_stripe(stripe)
+        assert is_codeword(code, stripe)
 
     def test_encoded_stripe_with_pattern(self):
         code = get_code(4, 2)
         stripe = encoded_stripe(code, 64, pattern="zeros")
-        assert code.verify_stripe(stripe)
-
-    def test_encoded_stripes_match_singles(self):
-        code = get_code(6, 2)
-        many = encoded_stripes(code, 4, 96, seed=7)
-        for s, stripe in enumerate(many):
-            assert code.verify_stripe(stripe)
-            single = encoded_stripe(code, 96, seed=7 + s)
-            for bid in range(code.width):
-                np.testing.assert_array_equal(
-                    stripe.get_payload(bid), single.get_payload(bid)
-                )
-
-    def test_encoded_stripes_pattern_and_validation(self):
-        code = get_code(4, 2)
-        many = encoded_stripes(code, 2, 64, pattern="ramp")
-        assert all(code.verify_stripe(s) for s in many)
-        with pytest.raises(ValueError):
-            encoded_stripes(code, 0, 64)
+        assert is_codeword(code, stripe)
